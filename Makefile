@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke overload-smoke bench bench-smoke bench-diff
+.PHONY: check fmt vet build test race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke overload-smoke bench bench-smoke bench-diff benchmark-smoke loc
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector, chaos + resilience + guard + shards + serve + bench
-## smoke runs, and a short fuzz pass over the chaos-schedule parser. Run
-## before every merge; CI and the tier-1 verify in ROADMAP.md assume it
-## passes.
-check: fmt vet build race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke overload-smoke bench-smoke
+## smoke runs, the nested benchmark module, and a short fuzz pass over the
+## chaos-schedule parser. Run before every merge; CI and the tier-1 verify
+## in ROADMAP.md assume it passes.
+check: fmt vet build race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke overload-smoke bench-smoke benchmark-smoke
 
 ## fmt: fail if any file needs gofmt (prints the offenders).
 fmt:
@@ -134,6 +134,19 @@ bench:
 ## harness runs end to end.
 bench-smoke:
 	$(GO) run ./cmd/l3bench -bench -benchout /dev/null
+
+## benchmark-smoke: vet and test the repo benchmark (BENCHMARK.json). It is
+## its own module (benchmark/go.mod replaces l3 with this checkout), so
+## `go build ./...` and `go test ./...` at the root never compile it — this
+## is what catches an internal API change that would break it.
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
+
+## loc: non-test Go lines outside benchmark/ — the size every
+## simplification PR reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | wc -l
 
 ## bench-diff: re-measure the benchmark suites against the committed
 ## baselines and fail on >15% ns/op or any allocs/op regression

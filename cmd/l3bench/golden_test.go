@@ -72,6 +72,11 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 			"-resilience", "deadline=1s,retries=3,budget=0.2,breaker=5",
 			"-overload", "off"},
 			"97536c8d257edc0592b58fa5263127bf68e9a31e5de35b18469bbb8f44987346"},
+		// Captured when the retry-penalty ablation still ran on the
+		// standalone retry client: folding it into a resilience policy
+		// changed no byte of the suite.
+		{"ablations-quick", []string{"-fig", "ablations", "-quick"},
+			"5dfde8abbcb3bccc99c92bad33973312ed5de822ee55d0d8d8ad405b7cf6f1a6"},
 	}
 	for _, g := range goldens {
 		g := g

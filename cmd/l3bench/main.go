@@ -68,11 +68,12 @@
 // (N ≥ 1 caps the worker pool; the decomposition is fixed at one shard per
 // cluster, so stdout is byte-identical for every N). The default, 0, is the
 // classic single-loop engine — byte-identical to all historical goldens.
-// -shards composes with -resilience and retry policies: responses complete
-// on the source cluster's shard, where retry/hedge state lives, and the rng
-// fork discipline makes the sharded run byte-identical to the classic one.
-// Figure 9's DSB workload stays classic-only (its cross-service call graph
-// needs service-keyed sharding); figure S1 always runs sharded.
+// Both engines run under the same scenario pipeline. -shards composes with
+// -resilience and -overload policies: responses complete on the source
+// cluster's shard, where retry/hedge state lives, and the rng fork
+// discipline makes a round-robin sharded run byte-identical to the classic
+// one. Figure 9's DSB workload stays classic-only (its cross-service call
+// graph needs service-keyed sharding); figure S1 always runs sharded.
 //
 // Independent runs (figures × configurations × repetitions) fan out across
 // -parallel worker goroutines; each run derives its own seed and owns its

@@ -6,7 +6,7 @@ import (
 
 	"l3/internal/autoscale"
 	"l3/internal/loadgen"
-	"l3/internal/retry"
+	"l3/internal/resilience"
 	"l3/internal/trace"
 )
 
@@ -246,7 +246,11 @@ func AblationDynamicPenalty(opts Options) (*Result, error) {
 // Equation 3's model matches reality and success converges toward 100 %.
 func AblationPenaltyWithRetries(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	opts.Retry = &retry.Policy{MaxAttempts: 3, Backoff: 10 * time.Millisecond}
+	// Plain client retries: three tries, 10 ms doubling backoff, no jitter,
+	// no budget — the client the paper's conjecture is about.
+	opts.Resilience = &resilience.Policy{Retry: resilience.RetryConfig{
+		MaxAttempts: 3, Backoff: 10 * time.Millisecond, Jitter: -1,
+	}}
 	r := &Result{ID: "ablation-penalty-retries", Title: "Penalty factor with client retries, failure-2"}
 	penalties := []time.Duration{100 * time.Millisecond, 600 * time.Millisecond, 1500 * time.Millisecond}
 	var rr *loadgen.Recorder

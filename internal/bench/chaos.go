@@ -39,48 +39,41 @@ func RunChaosScenario(scenarioName string, algo Algorithm, opts Options) (*Chaos
 	if opts.Chaos == nil {
 		return nil, fmt.Errorf("bench: RunChaosScenario requires Options.Chaos")
 	}
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	arts := make([]*chaosArtifacts, opts.Reps)
-	durations := make([]time.Duration, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := trace.Generate(scenarioName, seed)
-		if err != nil {
-			return err
-		}
-		rec, _, art, err := runOnceCounted(sc, algo, opts, seed)
-		if err != nil {
-			return err
-		}
-		duration := opts.Duration
-		if duration <= 0 {
-			duration = sc.Duration
-		}
-		recs[rep], arts[rep], durations[rep] = rec, art, duration
-		return nil
-	})
+	runs, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	stats := &ChaosStats{Recorder: mergeRecorders(recs)}
-	reports := make([]chaos.Report, opts.Reps)
-	for rep := 0; rep < opts.Reps; rep++ {
-		reports[rep] = scoreRun(recs[rep], arts[rep], opts.WarmUp, durations[rep], opts.Chaos)
-		stats.Ejections += arts[rep].ejections
-		stats.Restores += arts[rep].restores
+	return chaosStats(runs, opts), nil
+}
+
+// chaosStats folds a chaos configuration's repetitions into its scorecard.
+func chaosStats(runs []repRun, opts Options) *ChaosStats {
+	stats := &ChaosStats{Recorder: mergeRuns(runs), Report: scoreRuns(runs, opts)}
+	for _, run := range runs {
+		stats.Ejections += run.art.ejections
+		stats.Restores += run.art.restores
 	}
-	stats.Report = mergeReports(reports)
-	return stats, nil
+	return stats
+}
+
+// scoreRuns scores every repetition against opts.Chaos and averages the
+// reports in index order.
+func scoreRuns(runs []repRun, opts Options) chaos.Report {
+	reports := make([]chaos.Report, len(runs))
+	for rep, run := range runs {
+		reports[rep] = scoreRun(run, opts.WarmUp, opts.Chaos)
+	}
+	return mergeReports(reports)
 }
 
 // scoreRun turns one repetition's recorder and artifacts into a recovery
 // report. Recorder buckets are indexed by absolute request-start time
 // (warm-up included), so schedule times shift by warm here exactly as the
 // injector shifted them.
-func scoreRun(rec *loadgen.Recorder, art *chaosArtifacts, warm, duration time.Duration, sched *chaos.Schedule) chaos.Report {
+func scoreRun(run repRun, warm time.Duration, sched *chaos.Schedule) chaos.Report {
 	var r chaos.Report
-	width := rec.BucketWidth()
-	series := rec.SuccessRateSeries()
+	width := run.rec.BucketWidth()
+	series := run.rec.SuccessRateSeries()
 	faultAbs := warm + sched.Start()
 
 	r.TimeToRecover, r.Recovered = chaos.TimeToRecover(series, width, faultAbs, chaosSLOThreshold, chaosSustainBuckets)
@@ -92,11 +85,11 @@ func scoreRun(rec *loadgen.Recorder, art *chaosArtifacts, warm, duration time.Du
 	r.Trough = chaos.Trough(series, width, faultAbs)
 
 	if end, ok := sched.End(); ok {
-		r.Reconverge, r.ReconvergeOK = chaos.ReconvergeTime(art.snaps, warm+end, chaosReconvergeTol)
+		r.Reconverge, r.ReconvergeOK = chaos.ReconvergeTime(run.art.snaps, warm+end, chaosReconvergeTol)
 	}
 	for _, ev := range sched.Events {
 		if ev.Kind == chaos.LeaderKill {
-			r.FailoverGap = chaos.FailoverGap(art.updates, warm+ev.At, warm+duration)
+			r.FailoverGap = chaos.FailoverGap(run.art.updates, warm+ev.At, warm+run.duration)
 			break
 		}
 	}

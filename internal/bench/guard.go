@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"l3/internal/chaos"
-	"l3/internal/loadgen"
 	"l3/internal/trace"
 )
 
@@ -14,35 +13,13 @@ import (
 // one).
 func runChaosWithGuard(scenarioName string, algo Algorithm, opts Options) (*ChaosStats, guardCounters, []chaos.WeightSnapshot, error) {
 	opts = opts.withDefaults()
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	arts := make([]*chaosArtifacts, opts.Reps)
-	durations := make([]time.Duration, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := trace.Generate(scenarioName, seed)
-		if err != nil {
-			return err
-		}
-		rec, _, art, err := runOnceCounted(sc, algo, opts, seed)
-		if err != nil {
-			return err
-		}
-		duration := opts.Duration
-		if duration <= 0 {
-			duration = sc.Duration
-		}
-		recs[rep], arts[rep], durations[rep] = rec, art, duration
-		return nil
-	})
+	runs, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, guardCounters{}, nil, err
 	}
-	stats := &ChaosStats{Recorder: mergeRecorders(recs)}
-	reports := make([]chaos.Report, opts.Reps)
 	var g guardCounters
-	for rep := 0; rep < opts.Reps; rep++ {
-		reports[rep] = scoreRun(recs[rep], arts[rep], opts.WarmUp, durations[rep], opts.Chaos)
-		a := arts[rep].grd
+	for _, run := range runs {
+		a := run.art.grd
 		g.rejected += a.rejected
 		g.resets += a.resets
 		g.holds += a.holds
@@ -53,8 +30,7 @@ func runChaosWithGuard(scenarioName string, algo Algorithm, opts Options) (*Chao
 		g.writeRejected += a.writeRejected
 		g.watchdogDegrades += a.watchdogDegrades
 	}
-	stats.Report = mergeReports(reports)
-	return stats, g, arts[0].snaps, nil
+	return chaosStats(runs, opts), g, runs[0].art.snaps, nil
 }
 
 // peakShare is the largest traffic share one backend reached across a run's

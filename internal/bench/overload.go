@@ -51,76 +51,32 @@ func (s *OverloadStats) ShedTotal() float64 {
 // the admission scorecard. Repetitions rerun the same trace under
 // different simulation seeds, exactly like RunScenarioTrace.
 func RunOverloadScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*OverloadStats, error) {
-	opts = opts.withDefaults()
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	arts := make([]*chaosArtifacts, opts.Reps)
-	durations := make([]time.Duration, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		rec, _, art, err := runOnceCounted(sc, algo, opts, DeriveSeed(opts.Seed, rep))
-		if err != nil {
-			return err
-		}
-		if art == nil {
-			art = &chaosArtifacts{}
-		}
-		duration := opts.Duration
-		if duration <= 0 {
-			duration = sc.Duration
-		}
-		recs[rep], arts[rep], durations[rep] = rec, art, duration
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return collectOverloadStats(opts, recs, arts, durations), nil
+	return runOverload(fixed(sc), algo, opts)
 }
 
 // RunOverloadScenario is RunOverloadScenarioTrace for a named trace
 // scenario (each repetition regenerates the trace from its derived seed,
 // like RunScenario).
 func RunOverloadScenario(scenarioName string, algo Algorithm, opts Options) (*OverloadStats, error) {
+	return runOverload(named(scenarioName), algo, opts)
+}
+
+// runOverload runs the repetitions and folds their artifacts into one
+// scorecard, in index order.
+func runOverload(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) (*OverloadStats, error) {
 	opts = opts.withDefaults()
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	arts := make([]*chaosArtifacts, opts.Reps)
-	durations := make([]time.Duration, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := trace.Generate(scenarioName, seed)
-		if err != nil {
-			return err
-		}
-		rec, _, art, err := runOnceCounted(sc, algo, opts, seed)
-		if err != nil {
-			return err
-		}
-		if art == nil {
-			art = &chaosArtifacts{}
-		}
-		duration := opts.Duration
-		if duration <= 0 {
-			duration = sc.Duration
-		}
-		recs[rep], arts[rep], durations[rep] = rec, art, duration
-		return nil
-	})
+	runs, err := runReps(scenario, algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	return collectOverloadStats(opts, recs, arts, durations), nil
-}
-
-// collectOverloadStats folds per-repetition artifacts into one scorecard,
-// in index order.
-func collectOverloadStats(opts Options, recs []*loadgen.Recorder, arts []*chaosArtifacts, durations []time.Duration) *OverloadStats {
-	stats := &OverloadStats{Recorder: mergeRecorders(recs)}
+	stats := &OverloadStats{Recorder: mergeRuns(runs)}
 	if len(opts.OverloadTierMix) > 0 {
 		for tier := range stats.TierRecorders {
 			stats.TierRecorders[tier] = loadgen.NewRecorder(time.Second)
 		}
 	}
-	reports := make([]chaos.Report, len(arts))
-	for rep, art := range arts {
+	for rep, run := range runs {
+		art := run.art
 		stats.Admitted += art.ovl.admitted
 		stats.CodelDropped += art.ovl.codelDropped
 		stats.QueueOverflow += art.ovl.overflow
@@ -128,7 +84,7 @@ func collectOverloadStats(opts Options, recs []*loadgen.Recorder, arts []*chaosA
 		stats.Readmits += art.ovl.readmits
 		for tier := 0; tier < overload.NumTiers; tier++ {
 			stats.Shed[tier] += art.ovl.shed[tier]
-			if stats.TierRecorders[tier] != nil && art.tierRecs[tier] != nil {
+			if stats.TierRecorders[tier] != nil {
 				stats.TierRecorders[tier].Merge(art.tierRecs[tier])
 			}
 		}
@@ -138,14 +94,11 @@ func collectOverloadStats(opts Options, recs []*loadgen.Recorder, arts []*chaosA
 		if art.ovl.maxSojourn > stats.MaxSojourn {
 			stats.MaxSojourn = art.ovl.maxSojourn
 		}
-		if opts.Chaos != nil {
-			reports[rep] = scoreRun(recs[rep], art, opts.WarmUp, durations[rep], opts.Chaos)
-		}
 	}
 	if opts.Chaos != nil {
-		stats.Report, stats.HasReport = mergeReports(reports), true
+		stats.Report, stats.HasReport = scoreRuns(runs, opts), true
 	}
-	return stats
+	return stats, nil
 }
 
 // windowGoodput averages successful requests per second over [from, to) —

@@ -6,7 +6,6 @@ import (
 
 	"l3/internal/overload"
 	"l3/internal/resilience"
-	"l3/internal/retry"
 )
 
 // quickOverloadOptions is the O-figures' quick preset — the same settings
@@ -100,19 +99,12 @@ func TestFigO2Thresholds(t *testing.T) {
 	}
 }
 
-// TestOverloadOptionValidation pins the wiring contracts: the legacy Retry
-// client cannot sit under admission control, and a tier mix without a
-// policy is a configuration error.
+// TestOverloadOptionValidation pins the wiring contract: a tier mix without
+// a policy is a configuration error.
 func TestOverloadOptionValidation(t *testing.T) {
 	sc, _, _ := flashCrowdScenario(time.Minute)
-	opts := Options{Reps: 1, WarmUp: time.Second, Duration: time.Second}
-	opts.Overload = &overload.Policy{Limiter: overload.LimiterConfig{Initial: 4}}
-	opts.Retry = &retry.Policy{MaxAttempts: 2}
-	if _, _, _, err := runOnceCounted(sc, AlgoRoundRobin, opts.withDefaults(), 1); err == nil {
-		t.Fatalf("Overload+Retry accepted; want an error")
-	}
-	opts = Options{Reps: 1, WarmUp: time.Second, Duration: time.Second, OverloadTierMix: []int{0}}
-	if _, _, _, err := runOnceCounted(sc, AlgoRoundRobin, opts.withDefaults(), 1); err == nil {
+	opts := Options{Reps: 1, WarmUp: time.Second, Duration: time.Second, OverloadTierMix: []int{0}}
+	if _, err := runOnceCounted(sc, AlgoRoundRobin, opts.withDefaults(), 1); err == nil {
 		t.Fatalf("OverloadTierMix without Overload accepted; want an error")
 	}
 }

@@ -64,36 +64,13 @@ func (s *ResilienceStats) DuplicateLoad() float64 {
 // recovery scorecard is filled in too.
 func RunResilienceScenario(scenarioName string, algo Algorithm, opts Options) (*ResilienceStats, error) {
 	opts = opts.withDefaults()
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	arts := make([]*chaosArtifacts, opts.Reps)
-	durations := make([]time.Duration, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := trace.Generate(scenarioName, seed)
-		if err != nil {
-			return err
-		}
-		rec, _, art, err := runOnceCounted(sc, algo, opts, seed)
-		if err != nil {
-			return err
-		}
-		if art == nil {
-			art = &chaosArtifacts{}
-		}
-		duration := opts.Duration
-		if duration <= 0 {
-			duration = sc.Duration
-		}
-		recs[rep], arts[rep], durations[rep] = rec, art, duration
-		return nil
-	})
+	runs, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	stats := &ResilienceStats{Recorder: mergeRecorders(recs)}
-	reports := make([]chaos.Report, opts.Reps)
-	for rep := 0; rep < opts.Reps; rep++ {
-		art := arts[rep]
+	stats := &ResilienceStats{Recorder: mergeRuns(runs)}
+	for _, run := range runs {
+		art := run.art
 		stats.Requests += art.res.requests
 		stats.Attempts += art.res.attempts
 		stats.Retries += art.res.retries
@@ -106,12 +83,9 @@ func RunResilienceScenario(scenarioName string, algo Algorithm, opts Options) (*
 		stats.BreakerDenied += art.res.breakerDenied
 		stats.HealthEjections += art.ejections
 		stats.HealthRestores += art.restores
-		if opts.Chaos != nil {
-			reports[rep] = scoreRun(recs[rep], art, opts.WarmUp, durations[rep], opts.Chaos)
-		}
 	}
 	if opts.Chaos != nil {
-		stats.Report, stats.HasReport = mergeReports(reports), true
+		stats.Report, stats.HasReport = scoreRuns(runs, opts), true
 	}
 	return stats, nil
 }

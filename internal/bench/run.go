@@ -24,7 +24,6 @@ import (
 	"l3/internal/metrics"
 	"l3/internal/overload"
 	"l3/internal/resilience"
-	"l3/internal/retry"
 	"l3/internal/sim"
 	"l3/internal/smi"
 	"l3/internal/timeseries"
@@ -105,23 +104,21 @@ type Options struct {
 	// non-nil — the mechanism §3.2's rate controller is designed to buy
 	// time for.
 	Autoscale *autoscale.Config
-	// Retry makes the benchmark client retry failed requests (the paper's
-	// benchmarks skipped retries "for simplicity", §5.2.1); recorded
-	// latency then spans all attempts. When the policy enables Jitter and
-	// leaves Rand nil, each repetition forks its own seeded source, so
-	// jittered runs stay deterministic at any -parallel.
-	Retry *retry.Policy
-	// Resilience routes the benchmark client through the full resilience
-	// layer (deadlines, budgeted retries, hedging, circuit breaking)
-	// instead of bare mesh.Call / retry.Do. The policy is applied on top
-	// of whatever picker the algorithm installed, so the breaker filter
-	// composes with failover and weighted strategies.
+	// Resilience routes the benchmark client through the resilience layer
+	// (deadlines, budgeted retries, hedging, circuit breaking) instead of
+	// the bare mesh proxy; recorded latency then spans all attempts. The
+	// paper's benchmarks skipped retries "for simplicity" (§5.2.1) — plain
+	// client retries are the policy {Retry: {MaxAttempts: 3}} with no
+	// budget. The policy is applied on top of whatever picker the algorithm
+	// installed, so the breaker filter composes with failover and weighted
+	// strategies, and each repetition forks its own jitter source, so runs
+	// stay deterministic at any -parallel.
 	Resilience *resilience.Policy
 	// Overload composes the admission-control layer (internal/overload) —
 	// adaptive concurrency limit, CoDel admission queue, criticality-tiered
 	// shedding — over the benchmark client, outside Resilience, so a shed
 	// request is rejected before it can deposit into or spend from the
-	// retry budget. Incompatible with the legacy Retry client.
+	// retry budget.
 	Overload *overload.Policy
 	// OverloadTierMix cycles request criticality tiers deterministically
 	// (e.g. [0,1,2] marks equal thirds critical/default/sheddable); empty
@@ -163,20 +160,20 @@ type Options struct {
 	// a stall watchdog degrading to the baseline split. Off by default so
 	// every unguarded figure is byte-identical to the historical output.
 	Guard bool
-	// Shards > 0 runs each scenario on the sharded deterministic core
+	// Shards picks the engine under the one scenario pipeline (newWorld is
+	// its only reader). 0 is the classic single-loop engine — byte-identical
+	// to all historical figures. N > 0 is the sharded deterministic core
 	// (internal/sim.ShardedEngine): one logical shard per cluster plus a
 	// control engine, synchronised at conservative lookahead barriers
 	// derived from the WAN model's minimum one-way delay. The decomposition
-	// is fixed by the scenario, and Shards only caps the worker pool, so
-	// output is byte-identical for every value ≥ 1 (the -parallel merge
-	// discipline, applied inside one run) — and, because the sharded
-	// wiring replays the classic rng fork order, byte-identical to the
-	// classic path too. Retry and Resilience compose via cross-shard
-	// continuations (responses complete on the source-cluster shard, where
-	// the retry/hedge state lives). 0 keeps the classic single-loop path —
-	// byte-identical to all historical figures. The DSB workload remains
-	// classic-only: its cross-service call graph needs service-keyed
-	// sharding.
+	// is fixed by the scenario and N only caps the worker pool, so output is
+	// byte-identical for every N ≥ 1 (the -parallel merge discipline,
+	// applied inside one run); the wiring replays the classic rng fork
+	// order, so round-robin workloads are byte-identical to classic too.
+	// Resilience and Overload compose via cross-shard continuations
+	// (responses complete on the source-cluster shard, where the retry/hedge
+	// state lives). The DSB workload remains classic-only: its cross-service
+	// call graph needs service-keyed sharding.
 	Shards int
 
 	// inflightExponent overrides Equation 4's exponent for the ablation
@@ -240,35 +237,20 @@ type ScenarioStats struct {
 // RunScenarioWithStats is RunScenario returning traffic accounting too.
 func RunScenarioWithStats(scenarioName string, algo Algorithm, opts Options) (*ScenarioStats, error) {
 	opts = opts.withDefaults()
-	stats := &ScenarioStats{Recorder: loadgen.NewRecorder(time.Second)}
-	model := cost.NewModel(cost.DefaultRates(), 0)
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	repCounts := make([]map[[2]string]float64, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := trace.Generate(scenarioName, seed)
-		if err != nil {
-			return err
-		}
-		rec, counts, _, err := runOnceCounted(sc, algo, opts, seed)
-		if err != nil {
-			return err
-		}
-		recs[rep], repCounts[rep] = rec, counts
-		return nil
-	})
+	runs, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, err
 	}
+	stats := &ScenarioStats{Recorder: mergeRuns(runs)}
+	model := cost.NewModel(cost.DefaultRates(), 0)
 	var local, remote float64
-	for rep := 0; rep < opts.Reps; rep++ {
-		stats.Recorder.Merge(recs[rep])
-		stats.TransferCost += model.TrafficCost(repCounts[rep])
-		for _, link := range sortedLinks(repCounts[rep]) {
+	for _, run := range runs {
+		stats.TransferCost += model.TrafficCost(run.counts)
+		for _, link := range sortedLinks(run.counts) {
 			if link[0] == link[1] {
-				local += repCounts[rep][link]
+				local += run.counts[link]
 			} else {
-				remote += repCounts[rep][link]
+				remote += run.counts[link]
 			}
 		}
 	}
@@ -286,25 +268,73 @@ func RunScenarioWithStats(scenarioName string, algo Algorithm, opts Options) (*S
 // and (for L3/C3) the controller pipeline — scraper, TSDB, collector,
 // assigner — updating one TrafficSplit every 5 s.
 func RunScenario(scenarioName string, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
-	opts = opts.withDefaults()
-	recs := make([]*loadgen.Recorder, opts.Reps)
+	runs, err := runReps(named(scenarioName), algo, opts.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return mergeRuns(runs), nil
+}
+
+// RunScenarioTrace is RunScenario for a caller-built scenario (custom RPS
+// shapes, synthetic latency processes). Repetitions rerun the same trace
+// with different simulation seeds.
+func RunScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
+	runs, err := runReps(fixed(sc), algo, opts.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return mergeRuns(runs), nil
+}
+
+// repRun is what one repetition yields: its recorder, the per-(src,
+// dst-cluster) request counts read from the data-plane metrics, the run's
+// artifacts (never nil) and the measured duration it actually ran for.
+type repRun struct {
+	rec      *loadgen.Recorder
+	counts   map[[2]string]float64
+	art      *chaosArtifacts
+	duration time.Duration
+}
+
+// named regenerates a trace scenario from each repetition's derived seed;
+// fixed reruns one caller-built trace under every seed.
+func named(scenarioName string) func(seed uint64) (*trace.Scenario, error) {
+	return func(seed uint64) (*trace.Scenario, error) { return trace.Generate(scenarioName, seed) }
+}
+
+func fixed(sc *trace.Scenario) func(seed uint64) (*trace.Scenario, error) {
+	return func(uint64) (*trace.Scenario, error) { return sc, nil }
+}
+
+// runReps is the one repetition fan-out behind every scenario entry point:
+// opts.Reps independent runs across opts.Parallel workers, each on its own
+// derived seed, returned in index order — the order every reduction over
+// them folds in, which is what keeps output identical at any -parallel.
+// opts must already carry its defaults.
+func runReps(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) ([]repRun, error) {
+	runs := make([]repRun, opts.Reps)
 	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
 		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := trace.Generate(scenarioName, seed)
+		sc, err := scenario(seed)
 		if err != nil {
 			return err
 		}
-		rec, _, _, err := runOnceCounted(sc, algo, opts, seed)
-		if err != nil {
-			return err
-		}
-		recs[rep] = rec
-		return nil
+		runs[rep], err = runOnceCounted(sc, algo, opts, seed)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeRecorders(recs), nil
+	return runs, nil
+}
+
+// mergeRuns folds the repetitions' recorders into one, in index order.
+func mergeRuns(runs []repRun) *loadgen.Recorder {
+	merged := loadgen.NewRecorder(time.Second)
+	for _, run := range runs {
+		merged.Merge(run.rec)
+	}
+	return merged
 }
 
 // mergeRecorders folds per-repetition recorders into one, in index order —
@@ -333,31 +363,12 @@ func sortedLinks(counts map[[2]string]float64) [][2]string {
 	return links
 }
 
-// RunScenarioTrace is RunScenario for a caller-built scenario (custom RPS
-// shapes, synthetic latency processes). Repetitions rerun the same trace
-// with different simulation seeds.
-func RunScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
-	opts = opts.withDefaults()
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		rec, _, _, err := runOnceCounted(sc, algo, opts, DeriveSeed(opts.Seed, rep))
-		if err != nil {
-			return err
-		}
-		recs[rep] = rec
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeRecorders(recs), nil
-}
-
-// chaosArtifacts is what one chaos- or resilience-instrumented run yields
-// beyond its recorder: the observed TrafficSplit write times and weight
-// snapshots (for reconvergence and failover-gap metrics), the health
-// checker's ejection/restore totals, the injector's own accounting, and —
-// when Options.Resilience is set — the resilience layer's counters.
+// chaosArtifacts is what one run yields beyond its recorder: the observed
+// TrafficSplit write times and weight snapshots (for reconvergence and
+// failover-gap metrics; chaos runs only), the health checker's
+// ejection/restore totals, the injector's own accounting, and the
+// resilience, guard and admission layers' counters (zero when the layer is
+// off).
 type chaosArtifacts struct {
 	injector  *chaos.Injector
 	updates   []time.Duration
@@ -405,41 +416,36 @@ type guardCounters struct {
 	watchdogDegrades                             float64
 }
 
-// registryResetter adapts the run's metrics registry to the chaos
+// backendResetter adapts the data-plane registries to the chaos
 // MetricResetter: a counterreset event zeroes the backend's cumulative
-// series, exactly what a pod restart does to its /metrics endpoint.
-type registryResetter struct{ reg *metrics.Registry }
+// series, exactly what a pod restart does to its /metrics endpoint. The
+// series live in whichever shards have routed to the backend.
+type backendResetter struct{ regs []*metrics.Registry }
 
-func (r registryResetter) ResetBackendCounters(backend string) {
-	r.reg.ResetCounters(metrics.Labels{"backend": backend})
+func (r backendResetter) ResetBackendCounters(backend string) {
+	for _, reg := range r.regs {
+		reg.ResetCounters(metrics.Labels{"backend": backend})
+	}
 }
 
-// runOnceCounted runs one scenario replay and additionally returns the
-// per-(src, dst-cluster) request counts read from the data-plane metrics,
-// plus — when a chaos schedule is set — the run's chaos artifacts. Every
-// call is fully self-contained — own engine, RNG, WAN model and metrics
-// registry — which is what makes the rep/sweep fan-outs above safe and
-// deterministic.
-func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*loadgen.Recorder, map[[2]string]float64, *chaosArtifacts, error) {
-	if opts.Overload != nil && opts.Retry != nil {
-		return nil, nil, nil, fmt.Errorf("bench: Overload composes over Resilience; the legacy Retry client is not supported under admission control")
-	}
+// runOnceCounted runs one scenario replay: the API service in every cluster
+// of the trace, one TrafficSplit, the algorithm's wiring, chaos and the
+// client layers, on whichever engine newWorld picked. Every call is fully
+// self-contained — own engines, RNG, WAN model and metrics registries —
+// which is what makes the rep/sweep fan-outs safe and deterministic.
+func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (repRun, error) {
 	if opts.Overload == nil && len(opts.OverloadTierMix) > 0 {
-		return nil, nil, nil, fmt.Errorf("bench: OverloadTierMix requires Overload")
-	}
-	if opts.Shards > 0 {
-		return runOnceShardedCounted(sc, algo, opts, seed)
+		return repRun{}, fmt.Errorf("bench: OverloadTierMix requires Overload")
 	}
 	defer func(start time.Time) { recordRun(time.Since(start)) }(time.Now())
-	engine := sim.NewEngine()
-	rng := sim.NewRand(seed)
-	wcfg := wan.DefaultConfig()
-	wcfg.Seed = seed
-	wanModel := wan.New(wcfg)
-	m := mesh.New(engine, rng.Fork(), wanModel, metrics.NewRegistry())
+	w, err := newWorld(sc.ClusterNames(), seed, wan.DefaultConfig(), opts)
+	if err != nil {
+		return repRun{}, err
+	}
+	m := w.mesh
 
 	if _, err := m.AddService(apiService); err != nil {
-		return nil, nil, nil, err
+		return repRun{}, err
 	}
 	warm := opts.WarmUp
 	var backends []smi.Backend
@@ -447,12 +453,10 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 	for i := range sc.Clusters {
 		ct := &sc.Clusters[i]
 		name := apiService + "-" + ct.Cluster
-		profile := func(ct *trace.ClusterTrace) backend.Profile {
-			return func(now time.Duration, r *sim.Rand) (time.Duration, bool) {
-				t := now - warm // trace clamps t<0 to its first value
-				return ct.SampleLatency(t, r), ct.SampleSuccess(t, r)
-			}
-		}(ct)
+		profile := func(now time.Duration, r *sim.Rand) (time.Duration, bool) {
+			t := now - warm // trace clamps t<0 to its first value
+			return ct.SampleLatency(t, r), ct.SampleSuccess(t, r)
+		}
 		conc := opts.Concurrency
 		if c, ok := opts.ConcurrencyByCluster[ct.Cluster]; ok {
 			conc = c
@@ -460,15 +464,15 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 		b, err := m.AddBackend(apiService, name, ct.Cluster,
 			backend.Config{Concurrency: conc, QueueCapacity: opts.QueueCapacity}, profile)
 		if err != nil {
-			return nil, nil, nil, err
+			return repRun{}, err
 		}
-		if replica, ok := b.Server.(*backend.Replica); ok {
+		replica, isReplica := b.Server.(*backend.Replica)
+		if isReplica {
 			injectors[name] = replica
 		}
 		if opts.Autoscale != nil {
-			replica, ok := b.Server.(*backend.Replica)
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("bench: backend %s is not a replica pool", name)
+			if !isReplica {
+				return repRun{}, fmt.Errorf("bench: backend %s is not a replica pool", name)
 			}
 			cfg := *opts.Autoscale
 			if cfg.Max == 0 {
@@ -477,28 +481,29 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 			if cfg.Min == 0 {
 				cfg.Min = conc
 			}
-			autoscale.New(engine, replica, cfg).Start()
+			eng, err := m.EngineFor(ct.Cluster)
+			if err != nil {
+				return repRun{}, err
+			}
+			autoscale.New(eng, replica, cfg).Start()
 		}
 		backends = append(backends, smi.Backend{Service: name, Weight: 500})
 	}
 	if err := m.Splits().Create(&smi.TrafficSplit{
 		Name: apiService, RootService: apiService, Backends: backends,
 	}); err != nil {
-		return nil, nil, nil, err
+		return repRun{}, err
 	}
 
-	handles, err := installAlgorithm(m, engine, rng, algo, opts, []string{apiService}, nil, globalController())
+	handles, err := installAlgorithm(w, algo, opts, []string{apiService}, nil, globalController())
 	if err != nil {
-		return nil, nil, nil, err
+		return repRun{}, err
 	}
 
-	var art *chaosArtifacts
-	if opts.Chaos != nil || opts.Resilience != nil || opts.Overload != nil {
-		art = &chaosArtifacts{}
-		if len(opts.OverloadTierMix) > 0 {
-			for tier := range art.tierRecs {
-				art.tierRecs[tier] = loadgen.NewRecorder(time.Second)
-			}
+	art := &chaosArtifacts{}
+	if len(opts.OverloadTierMix) > 0 {
+		for tier := range art.tierRecs {
+			art.tierRecs[tier] = loadgen.NewRecorder(time.Second)
 		}
 	}
 	if opts.Chaos != nil {
@@ -510,60 +515,68 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 			for _, b := range e.Object.Backends {
 				weights[b.Service] = b.Weight
 			}
-			art.updates = append(art.updates, engine.Now())
-			art.snaps = append(art.snaps, chaos.WeightSnapshot{At: engine.Now(), Weights: weights})
+			// Splits are written on the control timeline.
+			art.updates = append(art.updates, w.ctrl.Now())
+			art.snaps = append(art.snaps, chaos.WeightSnapshot{At: w.ctrl.Now(), Weights: weights})
 		})
 		scrapers := make([]chaos.ScrapeGate, len(handles.scrapers))
 		for i, s := range handles.scrapers {
 			scrapers[i] = s
 		}
-		inj := chaos.New(engine, *opts.Chaos, chaos.Targets{
+		inj := chaos.New(w.ctrl, *opts.Chaos, chaos.Targets{
 			Clusters: sc.ClusterNames(),
-			Links:    wanModel,
+			Links:    w.wan,
 			Backends: injectors,
 			Scrapers: scrapers,
 			Leaders:  handles.leaders,
-			Metrics:  registryResetter{m.Registry()},
+			Metrics:  backendResetter{m.Registries()},
 		}, warm)
 		if err := inj.Start(); err != nil {
-			return nil, nil, nil, err
+			return repRun{}, err
 		}
 		art.injector = inj
 	}
 
+	// Client layers, each bound to the source cluster: their timers, budget
+	// and breaker live on that cluster's timeline, and (sharded) retry/hedge
+	// re-entries are cross-shard continuations the mesh's return hop
+	// delivers back there. The backend streams are mode-invariant (mesh's
+	// wiring-rng discipline) and so is this fork, which makes a run a
+	// function of the seed alone, not the engine.
 	var resClient *resilience.Client
 	if opts.Resilience != nil {
 		// Applied after installAlgorithm so the breaker filter wraps the
 		// strategy the algorithm installed (round-robin, failover, split).
-		resClient = resilience.NewClient(engine, rng.Fork(), m)
+		resClient, err = resilience.NewClient(m, sourceCluster, w.rng.Fork())
+		if err != nil {
+			return repRun{}, err
+		}
 		if err := resClient.Apply(apiService, *opts.Resilience); err != nil {
-			return nil, nil, nil, err
+			return repRun{}, err
 		}
 	}
 	var ovClient *overload.Client
 	if opts.Overload != nil {
 		// The admission layer forks no rng of its own (its control laws are
 		// deterministic functions of observed RTTs), so enabling it leaves
-		// the classic fork order — and every overload-off figure —
-		// untouched.
-		ovClient = overload.NewClient(engine, m)
+		// the fork order — and every overload-off figure — untouched.
+		ovClient, err = overload.NewClient(m, sourceCluster)
+		if err != nil {
+			return repRun{}, err
+		}
 		if resClient != nil {
 			ovClient.SetInner(resClient)
 		}
 		if err := ovClient.Apply(apiService, *opts.Overload); err != nil {
-			return nil, nil, nil, err
+			return repRun{}, err
 		}
 	}
-	var retryPolicy retry.Policy
-	if opts.Retry != nil {
-		// Copy per run: sharing one seeded jitter source across parallel
-		// repetitions would race and break determinism, so each rep forks
-		// its own from the run-local stream.
-		retryPolicy = *opts.Retry
-		if retryPolicy.Jitter > 0 && retryPolicy.Rand == nil {
-			retryPolicy.Rand = rng.Fork()
-		}
+
+	proxy, err := m.Proxy(sourceCluster)
+	if err != nil {
+		return repRun{}, err
 	}
+	srcEngine := proxy.Engine()
 	var tierSeq int
 	issue := func(done func(time.Duration, bool)) error {
 		switch {
@@ -579,7 +592,7 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 					done(r.Latency, r.Success)
 				})
 			}
-			start := engine.Now()
+			start := srcEngine.Now()
 			return ovClient.CallTier(sourceCluster, apiService, tier, func(r mesh.Result) {
 				if start >= warm {
 					trec.Record(start, r.Latency, r.Success)
@@ -590,17 +603,13 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 			return resClient.Call(sourceCluster, apiService, func(r resilience.Result) {
 				done(r.Latency, r.Success)
 			})
-		case opts.Retry != nil:
-			return retry.Do(engine, m, sourceCluster, apiService, retryPolicy, func(r retry.Result) {
-				done(r.Latency, r.Success)
-			})
 		default:
-			return m.Call(sourceCluster, apiService, func(r mesh.Result) {
+			return proxy.Call(apiService, func(r mesh.Result) {
 				done(r.Latency, r.Success)
 			})
 		}
 	}
-	gen := loadgen.New(engine, loadgen.Config{
+	gen := loadgen.New(srcEngine, loadgen.Config{
 		Rate: func(now time.Duration) float64 {
 			return sc.RPS.At(now-warm) * opts.RPSScale
 		},
@@ -612,93 +621,86 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 	if duration <= 0 {
 		duration = sc.Duration
 	}
-	engine.RunUntil(warm + duration)
+	w.runUntil(warm + duration)
 	gen.Stop()
-	engine.RunUntil(warm + duration + 30*time.Second) // drain in-flight
+	w.runUntil(warm + duration + 30*time.Second) // drain in-flight
 
 	counts := make(map[[2]string]float64)
-	for _, sample := range m.Registry().Snapshot() {
-		switch sample.Name {
-		case mesh.MetricResponseTotal:
-			src := sample.Labels["src"]
-			dst := strings.TrimPrefix(sample.Labels["backend"], apiService+"-")
-			counts[[2]string{src, dst}] += sample.Value
-			if art != nil {
+	var buf []metrics.Sample
+	for _, reg := range w.scrape {
+		buf = reg.SnapshotAppend(buf[:0])
+		for _, sample := range buf {
+			switch sample.Name {
+			case mesh.MetricResponseTotal:
+				src := sample.Labels["src"]
+				dst := strings.TrimPrefix(sample.Labels["backend"], apiService+"-")
+				counts[[2]string{src, dst}] += sample.Value
 				art.res.attempts += sample.Value
-			}
-		case health.MetricEjectionsTotal:
-			if art != nil {
+			case health.MetricEjectionsTotal:
 				art.ejections += sample.Value
-			}
-		case health.MetricRestoresTotal:
-			if art != nil {
+			case health.MetricRestoresTotal:
 				art.restores += sample.Value
-			}
-		}
-		if art == nil {
-			continue
-		}
-		switch sample.Name {
-		case resilience.MetricRequestsTotal:
-			art.res.requests += sample.Value
-		case resilience.MetricRetriesTotal:
-			art.res.retries += sample.Value
-		case resilience.MetricHedgesTotal:
-			art.res.hedges += sample.Value
-		case resilience.MetricBudgetExhaustedTotal:
-			art.res.budgetDenied += sample.Value
-		case resilience.MetricDeadlineExceededTotal:
-			art.res.deadline += sample.Value
-		case resilience.MetricDuplicatesTotal:
-			art.res.duplicates += sample.Value
-		case resilience.MetricBreakerEjectionsTotal:
-			art.res.breakerEjects += sample.Value
-		case resilience.MetricBreakerRestoresTotal:
-			art.res.breakerRestores += sample.Value
-		case resilience.MetricBreakerDeniedTotal:
-			art.res.breakerDenied += sample.Value
-		case guard.MetricRejectedTotal:
-			art.grd.rejected += sample.Value
-		case guard.MetricResetsTotal:
-			art.grd.resets += sample.Value
-		case guard.MetricHoldsTotal:
-			art.grd.holds += sample.Value
-		case guard.MetricDecaysTotal:
-			art.grd.decays += sample.Value
-		case guard.MetricFrozenTotal:
-			art.grd.frozen += sample.Value
-		case guard.MetricWriteSuppressedTotal:
-			art.grd.writeSuppressed += sample.Value
-		case guard.MetricWriteClampedTotal:
-			art.grd.writeClamped += sample.Value
-		case guard.MetricWriteRejectedTotal:
-			art.grd.writeRejected += sample.Value
-		case guard.MetricWatchdogDegradesTotal:
-			art.grd.watchdogDegrades += sample.Value
-		case overload.MetricAdmittedTotal:
-			art.ovl.admitted += sample.Value
-		case overload.MetricCodelDroppedTotal:
-			art.ovl.codelDropped += sample.Value
-		case overload.MetricQueueOverflowTotal:
-			art.ovl.overflow += sample.Value
-		case overload.MetricLifoFlipsTotal:
-			art.ovl.lifoFlips += sample.Value
-		case overload.MetricReadmitsTotal:
-			art.ovl.readmits += sample.Value
-		case overload.MetricShedTotal:
-			for tier := 0; tier < overload.NumTiers; tier++ {
-				if sample.Labels["tier"] == overload.TierName(tier) {
-					art.ovl.shed[tier] += sample.Value
+			case resilience.MetricRequestsTotal:
+				art.res.requests += sample.Value
+			case resilience.MetricRetriesTotal:
+				art.res.retries += sample.Value
+			case resilience.MetricHedgesTotal:
+				art.res.hedges += sample.Value
+			case resilience.MetricBudgetExhaustedTotal:
+				art.res.budgetDenied += sample.Value
+			case resilience.MetricDeadlineExceededTotal:
+				art.res.deadline += sample.Value
+			case resilience.MetricDuplicatesTotal:
+				art.res.duplicates += sample.Value
+			case resilience.MetricBreakerEjectionsTotal:
+				art.res.breakerEjects += sample.Value
+			case resilience.MetricBreakerRestoresTotal:
+				art.res.breakerRestores += sample.Value
+			case resilience.MetricBreakerDeniedTotal:
+				art.res.breakerDenied += sample.Value
+			case guard.MetricRejectedTotal:
+				art.grd.rejected += sample.Value
+			case guard.MetricResetsTotal:
+				art.grd.resets += sample.Value
+			case guard.MetricHoldsTotal:
+				art.grd.holds += sample.Value
+			case guard.MetricDecaysTotal:
+				art.grd.decays += sample.Value
+			case guard.MetricFrozenTotal:
+				art.grd.frozen += sample.Value
+			case guard.MetricWriteSuppressedTotal:
+				art.grd.writeSuppressed += sample.Value
+			case guard.MetricWriteClampedTotal:
+				art.grd.writeClamped += sample.Value
+			case guard.MetricWriteRejectedTotal:
+				art.grd.writeRejected += sample.Value
+			case guard.MetricWatchdogDegradesTotal:
+				art.grd.watchdogDegrades += sample.Value
+			case overload.MetricAdmittedTotal:
+				art.ovl.admitted += sample.Value
+			case overload.MetricCodelDroppedTotal:
+				art.ovl.codelDropped += sample.Value
+			case overload.MetricQueueOverflowTotal:
+				art.ovl.overflow += sample.Value
+			case overload.MetricLifoFlipsTotal:
+				art.ovl.lifoFlips += sample.Value
+			case overload.MetricReadmitsTotal:
+				art.ovl.readmits += sample.Value
+			case overload.MetricShedTotal:
+				for tier := 0; tier < overload.NumTiers; tier++ {
+					if sample.Labels["tier"] == overload.TierName(tier) {
+						art.ovl.shed[tier] += sample.Value
+					}
 				}
 			}
 		}
 	}
-	if art != nil && ovClient != nil {
+	if ovClient != nil {
 		if limit, admitMax, maxSojourn, ok := ovClient.State(apiService); ok {
 			art.ovl.limit, art.ovl.admitMax, art.ovl.maxSojourn = limit, admitMax, maxSojourn
 		}
 	}
-	return gen.Recorder(), counts, art, nil
+	return repRun{rec: gen.Recorder(), counts: counts, art: art, duration: duration}, nil
 }
 
 // algoHandles exposes the control-plane pieces installAlgorithm built, so
@@ -708,6 +710,8 @@ type algoHandles struct {
 	scrapers []*core.Scraper
 	checker  *health.Checker
 	leaders  map[string]chaos.Leader
+	// db is the TSDB the scraper fills and the collectors query (L3/C3).
+	db *timeseries.DB
 }
 
 // leaderHandle adapts one controller instance (controller + elector) to the
@@ -723,33 +727,41 @@ func (h leaderHandle) Revive()        { h.ctrl.Start() }
 func (h leaderHandle) IsLeader() bool { return h.elector.IsLeader() }
 
 // installAlgorithm wires the routing strategy (and, for L3/C3, the
-// controller pipeline) for the given services. splitName maps (source
-// cluster, service) to the governing TrafficSplit (nil = one global split
-// named after the service), and controllers lists the L3/C3 instances to
-// run: the single-service scenario testbed runs one instance in cluster-1
-// managing the global split; the DSB testbed runs one per cluster, each
-// reading its own cluster's proxy metrics and managing its own splits, as
-// §3 describes for production deployments.
-func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algorithm, opts Options,
+// controller pipeline) for the given services: pickers per shard timeline
+// (world.setPickers), every control-plane component — scraper, controllers,
+// electors, health checker, watchdog — on the control timeline with its
+// series in the control registry. splitName maps (source cluster, service)
+// to the governing TrafficSplit (nil = one global split named after the
+// service), and controllers lists the L3/C3 instances to run: the
+// single-service scenario testbed runs one instance in cluster-1 managing
+// the global split; the DSB testbed runs one per cluster, each reading its
+// own cluster's proxy metrics and managing its own splits, as §3 describes
+// for production deployments.
+func installAlgorithm(w *world, algo Algorithm, opts Options,
 	services []string, splitName func(src, service string) string, controllers []controllerSpec) (*algoHandles, error) {
+	m := w.mesh
 	handles := &algoHandles{}
 	switch algo {
 	case AlgoRoundRobin:
 		for _, svc := range services {
-			if err := m.SetPicker(svc, balancer.NewRoundRobin()); err != nil {
+			if err := w.setPickers(svc, nil, func(*sim.Rand) mesh.Picker {
+				return balancer.NewRoundRobin()
+			}); err != nil {
 				return nil, err
 			}
 		}
 		return handles, nil
 	case AlgoP2C:
 		for _, svc := range services {
-			if err := m.SetPicker(svc, balancer.NewP2C(rng.Fork(), 5*time.Second, time.Second)); err != nil {
+			if err := w.setPickers(svc, w.rng.Fork(), func(rng *sim.Rand) mesh.Picker {
+				return balancer.NewP2C(rng, 5*time.Second, time.Second)
+			}); err != nil {
 				return nil, err
 			}
 		}
 		return handles, nil
 	case AlgoFailover:
-		hcfg := health.Config{Registry: m.Registry()}
+		hcfg := health.Config{Registry: w.ctrlReg}
 		if opts.Chaos != nil {
 			// Under chaos the checker probes through the mesh so WAN
 			// faults (partitions, delay spikes) are visible to it, as they
@@ -758,7 +770,11 @@ func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algo
 				m.Probe(sourceCluster, b, done)
 			}
 		}
-		checker := health.NewChecker(engine, hcfg)
+		// The checker probes and ejects on the control timeline; shard
+		// pickers read its healthy-set through the FailoverPicker filter,
+		// which is safe during windows because ejection state only changes
+		// at barriers.
+		checker := health.NewChecker(w.ctrl, hcfg)
 		handles.checker = checker
 		for _, svc := range services {
 			s, ok := m.Service(svc)
@@ -766,9 +782,8 @@ func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algo
 				return nil, fmt.Errorf("bench: unknown service %q", svc)
 			}
 			checker.WatchAll(s.Backends())
-			if err := m.SetPicker(svc, &health.FailoverPicker{
-				Checker: checker,
-				Inner:   balancer.NewRoundRobin(),
+			if err := w.setPickers(svc, nil, func(*sim.Rand) mesh.Picker {
+				return &health.FailoverPicker{Checker: checker, Inner: balancer.NewRoundRobin()}
 			}); err != nil {
 				return nil, err
 			}
@@ -776,19 +791,22 @@ func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algo
 		return handles, nil
 	case AlgoL3, AlgoC3:
 		for _, svc := range services {
-			if err := m.SetPicker(svc, balancer.NewWeightedSplit(m.Splits(), rng.Fork(), splitName)); err != nil {
+			if err := w.setPickers(svc, w.rng.Fork(), func(rng *sim.Rand) mesh.Picker {
+				return balancer.NewWeightedSplit(m.Splits(), rng, splitName)
+			}); err != nil {
 				return nil, err
 			}
 		}
 		db := timeseries.NewDB(time.Minute)
+		handles.db = db
 		var hyg *guard.Hygiene
 		var gate *guard.WriteGate
 		if opts.Guard {
-			hyg = guard.NewHygiene(guard.Config{}, m.Registry())
+			hyg = guard.NewHygiene(guard.Config{}, w.ctrlReg)
 			db.SetGate(hyg)
-			gate = guard.NewWriteGate(guard.Config{}, m.Registry())
+			gate = guard.NewWriteGate(guard.Config{}, w.ctrlReg)
 		}
-		scraper := core.NewScraper(engine, db, m.Registry(), opts.ScrapeInterval)
+		scraper := core.NewScraperMulti(w.ctrl, db, w.scrape, opts.ScrapeInterval)
 		scraper.Start()
 		handles.scrapers = append(handles.scrapers, scraper)
 		newAssigner := func() core.Assigner {
@@ -810,7 +828,7 @@ func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algo
 				}
 			}
 			if opts.Guard {
-				assigner = guard.NewAssigner(assigner, guard.Config{}, m.Registry())
+				assigner = guard.NewAssigner(assigner, guard.Config{}, w.ctrlReg)
 			}
 			return assigner
 		}
@@ -833,7 +851,7 @@ func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algo
 				if gate != nil {
 					cfg.WriteGuard = gate
 				}
-				return core.NewController(engine, m.Splits(), collector, cfg)
+				return core.NewController(w.ctrl, m.Splits(), collector, cfg)
 			}
 			if !opts.LeaderElection {
 				newController(nil).Start()
@@ -849,14 +867,14 @@ func installAlgorithm(m *mesh.Mesh, engine *sim.Engine, rng *sim.Rand, algo Algo
 				if len(controllers) > 1 {
 					id = fmt.Sprintf("l3-%d-%d", si, i)
 				}
-				elector := cluster.NewElector(engine, lock, cluster.ElectorConfig{ID: id})
+				elector := cluster.NewElector(w.ctrl, lock, cluster.ElectorConfig{ID: id})
 				ctrl := newController(elector)
 				ctrl.Start()
 				handles.leaders[id] = leaderHandle{ctrl: ctrl, elector: elector}
 			}
 		}
 		if gate != nil {
-			guard.NewWatchdog(engine, m.Splits(), guard.Config{}, m.Registry(), nil, gate).Start()
+			guard.NewWatchdog(w.ctrl, m.Splits(), guard.Config{}, w.ctrlReg, nil, gate).Start()
 		}
 		return handles, nil
 	default:
@@ -917,36 +935,32 @@ func RunDSB(algo Algorithm, rps float64, duration time.Duration, opts Options) (
 
 func runDSBOnce(algo Algorithm, rps float64, duration time.Duration, opts Options, seed uint64) (*loadgen.Recorder, error) {
 	defer func(start time.Time) { recordRun(time.Since(start)) }(time.Now())
-	engine := sim.NewEngine()
-	rng := sim.NewRand(seed)
-	wcfg := wan.DefaultConfig()
-	wcfg.Seed = seed
-	m := mesh.New(engine, rng.Fork(), wan.New(wcfg), metrics.NewRegistry())
-
 	clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
-	app, err := dsb.InstallHotelReservation(m, clusters, rng.Fork(), dsb.WithPerfVariation())
+	w, err := newWorld(clusters, seed, wan.DefaultConfig(), opts)
+	if err != nil {
+		return nil, err
+	}
+	app, err := dsb.InstallHotelReservation(w.mesh, clusters, w.rng.Fork(), dsb.WithPerfVariation())
 	if err != nil {
 		return nil, err
 	}
 	if err := app.CreateSplits(); err != nil {
 		return nil, err
 	}
-	if _, err := installAlgorithm(m, engine, rng, algo, opts, app.Services(),
+	if _, err := installAlgorithm(w, algo, opts, app.Services(),
 		dsb.SplitName, perClusterControllers(clusters)); err != nil {
 		return nil, err
 	}
 
-	gen := loadgen.New(engine, loadgen.Config{
+	gen, err := w.directLoad(sourceCluster, dsb.EntryService, loadgen.Config{
 		Rate:   loadgen.ConstantRate(rps),
 		WarmUp: opts.WarmUp,
-	}, func(done func(time.Duration, bool)) error {
-		return m.Call(sourceCluster, dsb.EntryService, func(r mesh.Result) {
-			done(r.Latency, r.Success)
-		})
 	})
-	gen.Start()
-	engine.RunUntil(opts.WarmUp + duration)
+	if err != nil {
+		return nil, err
+	}
+	w.runUntil(opts.WarmUp + duration)
 	gen.Stop()
-	engine.RunUntil(opts.WarmUp + duration + 30*time.Second)
+	w.runUntil(opts.WarmUp + duration + 30*time.Second)
 	return gen.Recorder(), nil
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"l3/internal/retry"
+	"l3/internal/resilience"
 	"l3/internal/trace"
 )
 
@@ -235,7 +235,7 @@ func TestRetryOptionLiftsSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := quick()
-	o.Retry = &retry.Policy{MaxAttempts: 3}
+	o.Resilience = &resilience.Policy{Retry: resilience.RetryConfig{MaxAttempts: 3}}
 	retried, err := RunScenario(trace.Failure1, AlgoRoundRobin, o)
 	if err != nil {
 		t.Fatal(err)

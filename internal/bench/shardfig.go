@@ -10,7 +10,6 @@ import (
 	"l3/internal/balancer"
 	"l3/internal/loadgen"
 	"l3/internal/mesh"
-	"l3/internal/metrics"
 	"l3/internal/perf"
 	"l3/internal/sim"
 	"l3/internal/wan"
@@ -49,13 +48,14 @@ func (r *shardFigRun) recDigest() string {
 		r.rec.Count(), r.rec.Quantile(0.5), r.rec.Quantile(0.99), r.rec.SuccessRate())
 }
 
-// perSourceRR gives the classic baseline the sharded mesh's routing: one
-// RoundRobin rotation per source cluster (sharded mode instantiates one
-// picker per shard). With it, the classic and sharded executions of the
-// scaling workload are the same simulation — same routing, same WAN hash
-// delays, same backend rng streams — so their wall-clock difference is
-// purely the two cores' machinery, which is exactly what the overhead
-// number must isolate.
+// perSourceRR keeps one RoundRobin rotation per source cluster. A sharded
+// timeline only ever sees its own cluster, so there it is a plain
+// round-robin; the classic engine's single picker serves all eight sources
+// and needs the split to route like the shards do. With it the classic and
+// sharded executions of the scaling workload are the same simulation — same
+// routing, same WAN hash delays, same backend rng streams — so their
+// wall-clock difference is purely the two cores' machinery, which is exactly
+// what the overhead number must isolate.
 type perSourceRR struct {
 	by map[string]mesh.Picker
 }
@@ -69,88 +69,23 @@ func (p *perSourceRR) Pick(now time.Duration, src, svc string, bs []*mesh.Backen
 	return rr.Pick(now, src, svc, bs)
 }
 
-// runShardWorkloadClassic executes the identical scaling workload on the
-// classic single-loop engine — the baseline the sharded core's workers=1
-// overhead is measured against.
-func runShardWorkloadClassic(seed uint64) (*shardFigRun, error) {
-	rng := sim.NewRand(seed)
-	wcfg := wan.DefaultConfig()
-	wcfg.BaseRTT = shardFigBaseRTT
-	wcfg.Seed = seed
-	wanModel := wan.New(wcfg)
-
-	engine := sim.NewEngine()
-	m := mesh.New(engine, rng.Fork(), wanModel, metrics.NewRegistry())
-	if _, err := m.AddService(apiService); err != nil {
-		return nil, err
-	}
-	clusters := make([]string, shardFigClusters)
-	for i := range clusters {
-		clusters[i] = fmt.Sprintf("cluster-%d", i+1)
-	}
-	for _, cl := range clusters {
-		profile := func(_ time.Duration, r *sim.Rand) (time.Duration, bool) {
-			return shardFigLatFloor + time.Duration(r.Float64()*float64(shardFigLatSpread)), true
-		}
-		if _, err := m.AddBackend(apiService, apiService+"-"+cl, cl,
-			backend.Config{Concurrency: 160}, profile); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.SetPicker(apiService, &perSourceRR{by: make(map[string]mesh.Picker)}); err != nil {
-		return nil, err
-	}
-
-	gens := make([]*loadgen.Generator, len(clusters))
-	for i, cl := range clusters {
-		cl := cl
-		gens[i] = loadgen.New(engine, loadgen.Config{
-			Rate:   loadgen.ConstantRate(shardFigRPS),
-			WarmUp: shardFigWarm,
-		}, func(done func(time.Duration, bool)) error {
-			return m.Call(cl, apiService, func(r mesh.Result) {
-				done(r.Latency, r.Success)
-			})
-		})
-		gens[i].Start()
-	}
-
-	engine.RunUntil(shardFigWarm + shardFigMeasure)
-	for _, g := range gens {
-		g.Stop()
-	}
-	engine.RunUntil(shardFigWarm + shardFigMeasure + shardFigDrain)
-
-	recs := make([]*loadgen.Recorder, len(gens))
-	for i, g := range gens {
-		recs[i] = g.Recorder()
-	}
-	return &shardFigRun{
-		rec:   mergeRecorders(recs),
-		stats: sim.ShardStats{Events: engine.Fired()},
-	}, nil
-}
-
-// runShardWorkload executes the scaling workload with the given worker-pool
-// size. Everything observable in the return value is byte-identical for any
-// workers ≥ 1; only wall-clock differs.
+// runShardWorkload executes the scaling workload: workers ≥ 1 on the sharded
+// core with that worker-pool size, 0 on the classic single-loop engine — the
+// baseline the sharded core's workers=1 overhead is measured against.
+// Everything observable in the return value but the engine accounting is
+// byte-identical for any workers; only wall-clock differs.
 func runShardWorkload(workers int, seed uint64) (*shardFigRun, error) {
-	rng := sim.NewRand(seed)
-	wcfg := wan.DefaultConfig()
-	wcfg.BaseRTT = shardFigBaseRTT
-	wcfg.Seed = seed
-	wanModel := wan.New(wcfg)
-
 	clusters := make([]string, shardFigClusters)
 	for i := range clusters {
 		clusters[i] = fmt.Sprintf("cluster-%d", i+1)
 	}
-	se := sim.NewSharded(len(clusters), wanModel.MinOneWayDelay())
-	se.SetWorkers(workers)
-	m, err := mesh.NewSharded(se, clusters, rng.Fork(), wanModel)
+	wcfg := wan.DefaultConfig()
+	wcfg.BaseRTT = shardFigBaseRTT
+	w, err := newWorld(clusters, seed, wcfg, Options{Shards: workers})
 	if err != nil {
 		return nil, err
 	}
+	m := w.mesh
 	if _, err := m.AddService(apiService); err != nil {
 		return nil, err
 	}
@@ -164,40 +99,35 @@ func runShardWorkload(workers int, seed uint64) (*shardFigRun, error) {
 			backend.Config{Concurrency: 160}, profile); err != nil {
 			return nil, err
 		}
-		if err := m.SetShardPicker(apiService, cl, balancer.NewRoundRobin()); err != nil {
-			return nil, err
-		}
+	}
+	if err := w.setPickers(apiService, nil, func(*sim.Rand) mesh.Picker {
+		return &perSourceRR{by: make(map[string]mesh.Picker)}
+	}); err != nil {
+		return nil, err
 	}
 
 	gens := make([]*loadgen.Generator, len(clusters))
 	for i, cl := range clusters {
-		cl := cl
-		eng, err := m.EngineFor(cl)
+		gens[i], err = w.directLoad(cl, apiService, loadgen.Config{
+			Rate:   loadgen.ConstantRate(shardFigRPS),
+			WarmUp: shardFigWarm,
+		})
 		if err != nil {
 			return nil, err
 		}
-		gens[i] = loadgen.New(eng, loadgen.Config{
-			Rate:   loadgen.ConstantRate(shardFigRPS),
-			WarmUp: shardFigWarm,
-		}, func(done func(time.Duration, bool)) error {
-			return m.Call(cl, apiService, func(r mesh.Result) {
-				done(r.Latency, r.Success)
-			})
-		})
-		gens[i].Start()
 	}
 
-	se.RunUntil(shardFigWarm + shardFigMeasure)
+	w.runUntil(shardFigWarm + shardFigMeasure)
 	for _, g := range gens {
 		g.Stop()
 	}
-	se.RunUntil(shardFigWarm + shardFigMeasure + shardFigDrain)
+	w.runUntil(shardFigWarm + shardFigMeasure + shardFigDrain)
 
 	recs := make([]*loadgen.Recorder, len(gens))
 	for i, g := range gens {
 		recs[i] = g.Recorder()
 	}
-	return &shardFigRun{rec: mergeRecorders(recs), stats: se.Stats(), lookahead: se.Lookahead()}, nil
+	return &shardFigRun{rec: mergeRecorders(recs), stats: w.stats(), lookahead: w.lookahead}, nil
 }
 
 // FigS1 renders the sharded-core figure: the scaling workload's simulated
@@ -308,7 +238,7 @@ type ShardReport struct {
 // Benchmark progress lines go to w (nil silences them).
 func ShardScalingReport(seed uint64, workerCounts []int, w io.Writer) (*ShardReport, error) {
 	start := time.Now()
-	classic, err := runShardWorkloadClassic(seed)
+	classic, err := runShardWorkload(0, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -7,10 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/backend"
 	"l3/internal/chaos"
+	"l3/internal/guard"
+	"l3/internal/metrics"
 	"l3/internal/resilience"
-	"l3/internal/retry"
+	"l3/internal/sim"
+	"l3/internal/smi"
 	"l3/internal/trace"
+	"l3/internal/wan"
 )
 
 // shardDigest captures everything observable from one sharded run: the
@@ -33,9 +38,9 @@ type shardDigest struct {
 	res         string
 }
 
-// shardRun digests one run: workers ≥ 1 takes the sharded path, 0 the
-// classic single-engine path (runOnceCounted dispatches on Shards) — which
-// is what lets the parity tests below compare the two modes byte for byte.
+// shardRun digests one run: workers ≥ 1 runs on the sharded core, 0 on the
+// classic single engine (newWorld picks from Shards) — which is what lets
+// the parity tests below compare the two modes byte for byte.
 func shardRun(t *testing.T, scenario string, algo Algorithm, opts Options, workers int) shardDigest {
 	t.Helper()
 	opts = opts.withDefaults()
@@ -44,11 +49,12 @@ func shardRun(t *testing.T, scenario string, algo Algorithm, opts Options, worke
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, counts, art, err := runOnceCounted(sc, algo, opts, opts.Seed)
+	run, err := runOnceCounted(sc, algo, opts, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := shardDigest{
+	rec, art := run.rec, run.art
+	return shardDigest{
 		count:       rec.Count(),
 		successRate: rec.SuccessRate(),
 		mean:        rec.Mean(),
@@ -57,16 +63,13 @@ func shardRun(t *testing.T, scenario string, algo Algorithm, opts Options, worke
 		p99Series:   rec.QuantileSeries(0.99),
 		rpsSeries:   rec.RPSSeries(),
 		succSeries:  rec.SuccessRateSeries(),
-		counts:      counts,
+		counts:      run.counts,
+		updates:     art.updates,
+		snaps:       fmt.Sprint(art.snaps),
+		ejections:   art.ejections,
+		restores:    art.restores,
+		res:         fmt.Sprint(art.res),
 	}
-	if art != nil {
-		d.updates = art.updates
-		d.snaps = fmt.Sprint(art.snaps)
-		d.ejections = art.ejections
-		d.restores = art.restores
-		d.res = fmt.Sprint(art.res)
-	}
-	return d
 }
 
 // TestShardedRunByteIdenticalAcrossWorkerCounts is the tentpole's property
@@ -80,16 +83,17 @@ func TestShardedRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		scenario string
 		algo     Algorithm
 		chaos    *chaos.Schedule
-		retry    *retry.Policy
 		res      *resilience.Policy
 	}{
-		{"s1-rr", trace.Scenario1, AlgoRoundRobin, nil, nil, nil},
-		{"s1-l3", trace.Scenario1, AlgoL3, nil, nil, nil},
-		{"f1-failover-chaos", trace.Failure1, AlgoFailover, partitionQuick(), nil, nil},
-		{"s1-l3-chaos", trace.Scenario1, AlgoL3, partitionQuick(), nil, nil},
+		{"s1-rr", trace.Scenario1, AlgoRoundRobin, nil, nil},
+		{"s1-l3", trace.Scenario1, AlgoL3, nil, nil},
+		{"f1-failover-chaos", trace.Failure1, AlgoFailover, partitionQuick(), nil},
+		{"s1-l3-chaos", trace.Scenario1, AlgoL3, partitionQuick(), nil},
 		{"s1-rr-retry", trace.Scenario1, AlgoRoundRobin, partitionQuick(),
-			&retry.Policy{MaxAttempts: 3, Backoff: 10 * time.Millisecond, Jitter: 0.2}, nil},
-		{"s1-l3-resilience-chaos", trace.Scenario1, AlgoL3, partitionQuick(), nil,
+			&resilience.Policy{Retry: resilience.RetryConfig{
+				MaxAttempts: 3, Backoff: 10 * time.Millisecond, Jitter: 0.2,
+			}}},
+		{"s1-l3-resilience-chaos", trace.Scenario1, AlgoL3, partitionQuick(),
 			&resilience.Policy{
 				Deadline: 2 * time.Second,
 				Retry: resilience.RetryConfig{
@@ -106,7 +110,6 @@ func TestShardedRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Parallel()
 			opts := quick()
 			opts.Chaos = tc.chaos
-			opts.Retry = tc.retry
 			opts.Resilience = tc.res
 			base := shardRun(t, tc.scenario, tc.algo, opts, 1)
 			if base.count == 0 {
@@ -180,7 +183,7 @@ func TestShardScalingWorkloadClassicShardedParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("60 simulated seconds at 16k RPS twice")
 	}
-	classic, err := runShardWorkloadClassic(1)
+	classic, err := runShardWorkload(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +193,64 @@ func TestShardScalingWorkloadClassicShardedParity(t *testing.T) {
 	}
 	if got, want := sharded.recDigest(), classic.recDigest(); got != want {
 		t.Fatalf("sharded scaling workload diverged from classic baseline:\n sharded %s\n classic %s", got, want)
+	}
+	if classic.stats.Events != sharded.stats.Events {
+		t.Fatalf("event counts differ: classic %d, sharded %d", classic.stats.Events, sharded.stats.Events)
+	}
+}
+
+// TestControlRegistryScrapedInBothModes pins the world's scrape set: the
+// control-plane families (guard accounting here) live in the control
+// registry, which is the data-plane registry on the classic engine and a
+// separate one on the sharded core — and must reach the TSDB either way,
+// exactly once per round.
+func TestControlRegistryScrapedInBothModes(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		workers := workers
+		t.Run(fmt.Sprintf("shards=%d", workers), func(t *testing.T) {
+			clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
+			opts := Options{Guard: true, Shards: workers}.withDefaults()
+			w, err := newWorld(clusters, 1, wan.DefaultConfig(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.mesh.AddService(apiService); err != nil {
+				t.Fatal(err)
+			}
+			var backends []smi.Backend
+			for _, cl := range clusters {
+				name := apiService + "-" + cl
+				if _, err := w.mesh.AddBackend(apiService, name, cl, backend.Config{},
+					func(time.Duration, *sim.Rand) (time.Duration, bool) { return time.Millisecond, true }); err != nil {
+					t.Fatal(err)
+				}
+				backends = append(backends, smi.Backend{Service: name, Weight: 500})
+			}
+			if err := w.mesh.Splits().Create(&smi.TrafficSplit{
+				Name: apiService, RootService: apiService, Backends: backends,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			handles, err := installAlgorithm(w, AlgoL3, opts, []string{apiService}, nil, globalController())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[*metrics.Registry]bool)
+			for _, reg := range w.scrape {
+				if seen[reg] {
+					t.Fatal("scrape set lists a registry twice")
+				}
+				seen[reg] = true
+			}
+			if !seen[w.ctrlReg] {
+				t.Fatal("scrape set omits the control registry")
+			}
+			at := 3 * opts.ScrapeInterval
+			w.runUntil(at)
+			if _, ok := handles.db.Latest(guard.MetricResetsTotal, nil, at); !ok {
+				t.Fatalf("%s never reached the TSDB", guard.MetricResetsTotal)
+			}
+		})
 	}
 }
 
@@ -202,25 +263,41 @@ func TestShardScalingWorkloadClassicShardedParity(t *testing.T) {
 // fork discipline, event timestamps and per-timeline execution order are
 // mode-invariant; only the machinery differs.
 func TestShardedResilienceMatchesClassic(t *testing.T) {
-	opts := resilienceLoadOptions(quick())
-	opts.Chaos = saturateSchedule(opts, 0.1, apiService+"-cluster-1", apiService+"-cluster-2")
-	opts.Resilience = &resilience.Policy{
-		Deadline: 2 * time.Second,
-		Retry: resilience.RetryConfig{
-			MaxAttempts: 3, AttemptTimeout: 500 * time.Millisecond,
-			Backoff: 10 * time.Millisecond, Jitter: 0.2, BudgetRatio: 0.1,
-		},
+	policies := []struct {
+		name   string
+		policy resilience.Policy
+	}{
+		{"figure R1", resilience.Policy{
+			Deadline: 2 * time.Second,
+			Retry: resilience.RetryConfig{
+				MaxAttempts: 3, AttemptTimeout: 500 * time.Millisecond,
+				Backoff: 10 * time.Millisecond, Jitter: 0.2, BudgetRatio: 0.1,
+			},
+		}},
+		// The retry-penalty ablation's client: plain retries, no jitter, no
+		// budget, no deadline.
+		{"plain retries", resilience.Policy{Retry: resilience.RetryConfig{
+			MaxAttempts: 3, Backoff: 10 * time.Millisecond, Jitter: -1,
+		}}},
 	}
-	classic := shardRun(t, trace.Scenario1, AlgoRoundRobin, opts, 0)
-	if classic.count == 0 {
-		t.Fatal("classic run recorded no requests")
-	}
-	for _, workers := range []int{1, 4} {
-		sharded := shardRun(t, trace.Scenario1, AlgoRoundRobin, opts, workers)
-		if !reflect.DeepEqual(classic, sharded) {
-			t.Fatalf("sharded workers=%d diverged from classic:\n  classic n=%d p99=%v res=%s counts=%v\n  sharded n=%d p99=%v res=%s counts=%v",
-				workers, classic.count, classic.p99, classic.res, classic.counts,
-				sharded.count, sharded.p99, sharded.res, sharded.counts)
-		}
+	for _, tc := range policies {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			opts := resilienceLoadOptions(quick())
+			opts.Chaos = saturateSchedule(opts, 0.1, apiService+"-cluster-1", apiService+"-cluster-2")
+			opts.Resilience = &tc.policy
+			classic := shardRun(t, trace.Scenario1, AlgoRoundRobin, opts, 0)
+			if classic.count == 0 {
+				t.Fatal("classic run recorded no requests")
+			}
+			for _, workers := range []int{1, 4} {
+				sharded := shardRun(t, trace.Scenario1, AlgoRoundRobin, opts, workers)
+				if !reflect.DeepEqual(classic, sharded) {
+					t.Fatalf("sharded workers=%d diverged from classic:\n  classic n=%d p99=%v res=%s counts=%v\n  sharded n=%d p99=%v res=%s counts=%v",
+						workers, classic.count, classic.p99, classic.res, classic.counts,
+						sharded.count, sharded.p99, sharded.res, sharded.counts)
+				}
+			}
+		})
 	}
 }

@@ -417,15 +417,6 @@ func (m *Mesh) Clusters() []string {
 	return names
 }
 
-// RegistryFor returns the registry of the shard hosting a cluster.
-func (m *Mesh) RegistryFor(cluster string) (*metrics.Registry, error) {
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return nil, err
-	}
-	return sh.registry, nil
-}
-
 // Engine returns the mesh's simulation engine (shard 0's in sharded mode;
 // per-cluster components should use EngineFor).
 func (m *Mesh) Engine() *sim.Engine { return m.shards[0].engine }
@@ -593,23 +584,10 @@ func (m *Mesh) SetShardPicker(service, cluster string, p Picker) error {
 	return nil
 }
 
-// Picker returns the routing strategy currently installed for a service
-// (nil when the service is unknown or has no picker; shard 0's in sharded
-// mode). Wrapping layers — health failover, the resilience circuit breaker —
-// read the installed strategy here and re-install their filtered view
-// through SetPicker.
-func (m *Mesh) Picker(service string) Picker {
-	if svc, ok := m.services[service]; ok {
-		return svc.pickers[0]
-	}
-	return nil
-}
-
 // PickerFor returns the routing strategy installed for a service on the
-// shard hosting a cluster (nil when the service is unknown or the shard has
-// no picker) — what a per-source wrapping layer (the sharded resilience
-// breaker) reads before re-installing its filtered view with
-// SetShardPicker.
+// shard hosting a cluster (nil when the shard has no picker) — what a
+// per-source wrapping layer (the resilience breaker) reads before
+// re-installing its filtered view with SetShardPicker.
 func (m *Mesh) PickerFor(service, cluster string) (Picker, error) {
 	svc, ok := m.services[service]
 	if !ok {
@@ -643,7 +621,7 @@ func (m *Mesh) Call(srcCluster, service string, done func(Result)) error {
 // Proxy is a client-side handle bound to one source cluster's shard: the
 // per-request path skips the cluster-map lookup Call pays on every request.
 // Hot loops that always issue from the same cluster (load generators, the
-// sharded harness) should hold one.
+// client layers) should hold one.
 type Proxy struct {
 	m   *Mesh
 	ss  *meshShard
@@ -659,6 +637,14 @@ func (m *Mesh) Proxy(cluster string) (*Proxy, error) {
 	src := cluster
 	return &Proxy{m: m, ss: ss, src: src}, nil
 }
+
+// Engine returns the event loop of the proxy's cluster — the timeline its
+// calls start and complete on, where a client layer's timers belong.
+func (p *Proxy) Engine() *sim.Engine { return p.ss.engine }
+
+// Registry returns the metrics registry of the proxy's cluster, written
+// only on that cluster's timeline.
+func (p *Proxy) Registry() *metrics.Registry { return p.ss.registry }
 
 // Call issues one request from the proxy's source cluster, exactly like
 // Mesh.Call with the source pre-resolved.

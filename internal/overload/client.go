@@ -35,46 +35,38 @@ type svcState struct {
 	gLimit                                                  *metrics.Gauge
 }
 
-// Client composes admission control over a mesh (or over a resilience
-// client, so shedding happens before a rejected request can spend retry
-// budget). Like the layers it wraps, a Client is single-threaded on its
-// engine; in sharded mode (NewShardClient) it is bound to one source
-// cluster and all of its state lives on that cluster's shard timeline.
+// Client composes admission control over one source cluster's view of a
+// mesh (or over a resilience client, so shedding happens before a rejected
+// request can spend retry budget). Like the layers it wraps, a Client is
+// single-threaded on its engine: all of its state lives on the source
+// cluster's timeline.
 type Client struct {
 	engine   *sim.Engine
 	mesh     *mesh.Mesh
-	src      string             // bound source cluster ("" = classic, any source)
-	proxy    *mesh.Proxy        // bound source handle (sharded mode)
+	src      string
+	proxy    *mesh.Proxy
 	res      *resilience.Client // optional inner layer
 	services map[string]*svcState
 
 	freeOps []*op
 }
 
-// NewClient returns an admission client issuing directly into m.
-func NewClient(engine *sim.Engine, m *mesh.Mesh) *Client {
-	if engine == nil || m == nil {
-		panic("overload: NewClient requires engine and mesh")
-	}
-	return &Client{engine: engine, mesh: m, services: make(map[string]*svcState)}
-}
-
-// NewShardClient returns an admission client for requests originating in
-// one cluster of a sharded mesh, running on that cluster's shard engine
-// and recording into that shard's registry.
-func NewShardClient(m *mesh.Mesh, src string) (*Client, error) {
+// NewClient returns an admission client for requests originating in cluster
+// src of m, running on that cluster's engine and recording into that
+// cluster's registry (a classic mesh has one of each, which every cluster
+// resolves to). Calls from any other source cluster error.
+func NewClient(m *mesh.Mesh, src string) (*Client, error) {
 	if m == nil {
-		panic("overload: NewShardClient requires a mesh")
-	}
-	engine, err := m.EngineFor(src)
-	if err != nil {
-		return nil, err
+		panic("overload: NewClient requires a mesh")
 	}
 	proxy, err := m.Proxy(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{engine: engine, mesh: m, src: src, proxy: proxy, services: make(map[string]*svcState)}, nil
+	return &Client{
+		engine: proxy.Engine(), mesh: m, src: src, proxy: proxy,
+		services: make(map[string]*svcState),
+	}, nil
 }
 
 // SetInner routes admitted requests through a resilience client instead of
@@ -94,14 +86,7 @@ func (c *Client) Apply(service string, p Policy) error {
 		delete(c.services, service)
 		return nil
 	}
-	reg := c.mesh.Registry()
-	if c.src != "" {
-		r, err := c.mesh.RegistryFor(c.src)
-		if err != nil {
-			return err
-		}
-		reg = r
-	}
+	reg := c.proxy.Registry()
 	labels := metrics.Labels{"service": service}
 	st := &svcState{
 		name:       service,
@@ -145,7 +130,6 @@ type op struct {
 	c        *Client
 	svc      *svcState // nil on the pass-through path
 	service  string
-	src      string
 	tier     int
 	admitted bool
 	queuedAt time.Duration
@@ -189,8 +173,8 @@ func (c *Client) CallTier(src, service string, tier int, done func(mesh.Result))
 	if done == nil {
 		panic("overload: Call requires a done callback")
 	}
-	if c.src != "" && src != c.src {
-		return fmt.Errorf("overload: shard client bound to %q cannot call from %q", c.src, src)
+	if src != c.src {
+		return fmt.Errorf("overload: client bound to %q cannot call from %q", c.src, src)
 	}
 	if tier < 0 {
 		tier = 0
@@ -200,7 +184,7 @@ func (c *Client) CallTier(src, service string, tier int, done func(mesh.Result))
 	svc := c.services[service]
 	if svc == nil {
 		o := c.getOp()
-		o.svc, o.service, o.src, o.tier = nil, service, src, tier
+		o.svc, o.service, o.tier = nil, service, tier
 		o.done = done
 		return c.issue(o)
 	}
@@ -211,7 +195,7 @@ func (c *Client) CallTier(src, service string, tier int, done func(mesh.Result))
 		return nil
 	}
 	o := c.getOp()
-	o.svc, o.service, o.src, o.tier = svc, service, src, tier
+	o.svc, o.service, o.tier = svc, service, tier
 	o.done = done
 	if svc.limiter.TryAcquire() {
 		o.admitted = true
@@ -252,12 +236,9 @@ func (c *Client) CallTier(src, service string, tier int, done func(mesh.Result))
 // issue launches an admitted request through the inner layer.
 func (c *Client) issue(o *op) error {
 	if c.res != nil {
-		return c.res.Call(o.src, o.service, o.fireRes)
+		return c.res.Call(c.src, o.service, o.fireRes)
 	}
-	if c.proxy != nil {
-		return c.proxy.Call(o.service, o.fire)
-	}
-	return c.mesh.Call(o.src, o.service, o.fire)
+	return c.proxy.Call(o.service, o.fire)
 }
 
 // onResult is the completion path: release and adapt the limiter, drain

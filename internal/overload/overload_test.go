@@ -210,7 +210,11 @@ func newRig(t *testing.T) *testRig {
 	if _, err := m.AddServerBackend("api", "b1", "cluster-1", srv); err != nil {
 		t.Fatal(err)
 	}
-	return &testRig{engine: e, mesh: m, client: NewClient(e, m), reg: reg, srv: srv}
+	c, err := NewClient(m, "cluster-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testRig{engine: e, mesh: m, client: c, reg: reg, srv: srv}
 }
 
 func TestClientShedsOverLimitAndDrains(t *testing.T) {

@@ -38,7 +38,11 @@ func newAllocRig(t *testing.T, profile backend.Profile) (*sim.Engine, *Client) {
 			t.Fatal(err)
 		}
 	}
-	return e, NewClient(e, sim.NewRand(2), m)
+	c, err := NewClient(m, "cluster-1", sim.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, c
 }
 
 func measure(t *testing.T, e *sim.Engine, c *Client, path string, want float64) {

@@ -405,55 +405,43 @@ func (s *svcState) hedgeAfter() time.Duration {
 	return s.hedgeDelay
 }
 
-// Client wraps a mesh with per-service resilience policies. Like the mesh
-// it decorates, a Client is single-threaded on its engine. In sharded mode
-// (NewShardClient) a client is additionally bound to one source cluster:
-// all of its state — timers, token buckets, hedge histograms, the breaker —
-// lives on that cluster's shard timeline, and every retry or hedge re-entry
-// is a cross-shard continuation delivered back to that shard (the mesh
-// already returns responses to the source shard, so the re-entering Call
-// leaves from exactly where the client's timers run).
+// Client wraps one source cluster's view of a mesh with per-service
+// resilience policies. All of its state — timers, token buckets, hedge
+// histograms, the breaker — lives on that cluster's timeline, and like the
+// mesh it decorates it is single-threaded there. On a sharded mesh every
+// retry or hedge re-entry is a cross-shard continuation: the mesh already
+// returns responses to the source shard, so the re-entering call leaves from
+// exactly where the client's timers run.
 type Client struct {
 	engine   *sim.Engine
 	rng      *sim.Rand
 	mesh     *mesh.Mesh
-	src      string      // bound source cluster ("" = classic, any source)
-	proxy    *mesh.Proxy // bound source handle (sharded mode)
+	src      string
+	proxy    *mesh.Proxy
 	services map[string]*svcState
 
 	freeOps      []*op
 	freeAttempts []*attempt
 }
 
-// NewClient returns a resilience client over m. rng seeds backoff jitter;
-// all arguments are required.
-func NewClient(engine *sim.Engine, rng *sim.Rand, m *mesh.Mesh) *Client {
-	if engine == nil || rng == nil || m == nil {
-		panic("resilience: NewClient requires engine, rng and mesh")
-	}
-	return &Client{engine: engine, rng: rng, mesh: m, services: make(map[string]*svcState)}
-}
-
-// NewShardClient returns a resilience client for requests originating in
-// one cluster of a sharded mesh. The client runs on that cluster's shard
-// engine, records its metrics into that shard's registry, and installs its
-// breaker filter on that shard's picker only — other clusters' proxies keep
+// NewClient returns a resilience client for requests originating in cluster
+// src of m. The client runs on that cluster's engine, records its metrics
+// into that cluster's registry, and installs its breaker filter on that
+// cluster's picker only — on a sharded mesh other clusters' proxies keep
 // their own pickers, exactly as per-node Envoy/Linkerd sidecars keep
-// per-node outlier state. Calls from any other source cluster error.
-func NewShardClient(m *mesh.Mesh, src string, rng *sim.Rand) (*Client, error) {
+// per-node outlier state; a classic mesh has one engine, registry and picker,
+// which every cluster resolves to. rng seeds backoff jitter. Calls from any
+// other source cluster error.
+func NewClient(m *mesh.Mesh, src string, rng *sim.Rand) (*Client, error) {
 	if m == nil || rng == nil {
-		panic("resilience: NewShardClient requires mesh and rng")
-	}
-	engine, err := m.EngineFor(src)
-	if err != nil {
-		return nil, err
+		panic("resilience: NewClient requires mesh and rng")
 	}
 	proxy, err := m.Proxy(src)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
-		engine: engine, rng: rng, mesh: m, src: src, proxy: proxy,
+		engine: proxy.Engine(), rng: rng, mesh: m, src: src, proxy: proxy,
 		services: make(map[string]*svcState),
 	}, nil
 }
@@ -472,16 +460,7 @@ func (c *Client) Apply(service string, p Policy) error {
 		delete(c.services, service)
 		return nil
 	}
-	reg := c.mesh.Registry()
-	if c.src != "" {
-		// Sharded: counters live in the source shard's registry, updated
-		// only on that shard's timeline.
-		r, err := c.mesh.RegistryFor(c.src)
-		if err != nil {
-			return err
-		}
-		reg = r
-	}
+	reg := c.proxy.Registry()
 	labels := metrics.Labels{"service": service}
 	st := &svcState{
 		name:          service,
@@ -501,30 +480,20 @@ func (c *Client) Apply(service string, p Policy) error {
 			names = append(names, b.Name)
 		}
 		st.breaker = NewBreaker(c.engine, p.Breaker, service, names, reg)
-		if c.src == "" {
-			if err := c.mesh.SetPicker(service, &breakerPicker{
-				breaker: st.breaker,
-				inner:   c.mesh.Picker(service),
-				rng:     c.rng,
-			}); err != nil {
-				return err
-			}
-		} else {
-			// Sharded: the ejection filter wraps only the bound source
-			// shard's picker. Breaker state mutates on response events,
-			// which execute on the source shard — other shards' pickers
-			// must not read it mid-window.
-			inner, err := c.mesh.PickerFor(service, c.src)
-			if err != nil {
-				return err
-			}
-			if err := c.mesh.SetShardPicker(service, c.src, &breakerPicker{
-				breaker: st.breaker,
-				inner:   inner,
-				rng:     c.rng,
-			}); err != nil {
-				return err
-			}
+		// The ejection filter wraps only the source cluster's picker.
+		// Breaker state mutates on response events, which execute on the
+		// source timeline — other shards' pickers must not read it
+		// mid-window.
+		inner, err := c.mesh.PickerFor(service, c.src)
+		if err != nil {
+			return err
+		}
+		if err := c.mesh.SetShardPicker(service, c.src, &breakerPicker{
+			breaker: st.breaker,
+			inner:   inner,
+			rng:     c.rng,
+		}); err != nil {
+			return err
 		}
 	}
 	c.services[service] = st
@@ -549,7 +518,6 @@ type op struct {
 	c       *Client
 	svc     *svcState // nil on the pass-through path
 	service string
-	src     string
 	gen     uint64
 	start   time.Duration
 
@@ -649,13 +617,13 @@ func (c *Client) call(src, service string, inherited time.Duration, done func(Re
 	if done == nil {
 		panic("resilience: Call requires a done callback")
 	}
-	if c.src != "" && src != c.src {
-		return fmt.Errorf("resilience: shard client bound to %q cannot call from %q", c.src, src)
+	if src != c.src {
+		return fmt.Errorf("resilience: client bound to %q cannot call from %q", c.src, src)
 	}
 	svc := c.services[service]
 	now := c.engine.Now()
 	o := c.getOp()
-	o.svc, o.service, o.src = svc, service, src
+	o.svc, o.service = svc, service
 	o.start, o.done = now, done
 
 	var dl time.Duration
@@ -695,13 +663,7 @@ func (c *Client) launch(o *op) error {
 	a.svc, a.o, a.gen = o.svc, o, o.gen
 	o.attempts++
 	o.inFlight++
-	var err error
-	if c.proxy != nil {
-		err = c.proxy.Call(o.service, a.fire)
-	} else {
-		err = c.mesh.Call(o.src, o.service, a.fire)
-	}
-	if err != nil {
+	if err := c.proxy.Call(o.service, a.fire); err != nil {
 		o.attempts--
 		o.inFlight--
 		c.putAttempt(a)

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,12 +18,14 @@ type scriptServer struct {
 	engine  *sim.Engine
 	latency time.Duration
 	ok      bool
-	served  int
+	// failFirst fails that many leading requests regardless of ok.
+	failFirst int
+	served    int
 }
 
 func (s *scriptServer) Serve(done func(backend.Result)) {
 	s.served++
-	lat, ok := s.latency, s.ok
+	lat, ok := s.latency, s.ok && s.served > s.failFirst
 	s.engine.ScheduleAfter(lat, func() { done(backend.Result{Latency: lat, Success: ok}) })
 }
 
@@ -47,7 +50,11 @@ func newRig(t *testing.T, servers map[string]*scriptServer) *testRig {
 			t.Fatal(err)
 		}
 	}
-	return &testRig{engine: e, mesh: m, client: NewClient(e, sim.NewRand(2), m), reg: reg}
+	c, err := NewClient(m, "cluster-1", sim.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testRig{engine: e, mesh: m, client: c, reg: reg}
 }
 
 func counterValue(t *testing.T, reg *metrics.Registry, name string, labels metrics.Labels) float64 {
@@ -455,5 +462,155 @@ func TestParsePolicyPerTryTimeout(t *testing.T) {
 	}
 	if s := p.String(); s != "retries=3,pertry=250ms" {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestPlainRetries pins the unbudgeted retry client (the configuration the
+// bench's retry-penalty ablation runs): recorded latency spans every
+// attempt plus geometrically growing backoff, MaxAttempts bounds the tries,
+// done fires exactly once, and a deadline admits only the retries whose
+// backoff still fits.
+func TestPlainRetries(t *testing.T) {
+	cases := []struct {
+		name         string
+		srv          scriptServer
+		policy       Policy
+		wantSuccess  bool
+		wantAttempts int
+		wantLatency  time.Duration
+	}{
+		// 3 attempts × 11ms + backoffs 20ms + 40ms.
+		{"succeeds on the third try", scriptServer{latency: 10 * time.Millisecond, ok: true, failFirst: 2},
+			Policy{Retry: RetryConfig{MaxAttempts: 3, Backoff: 20 * time.Millisecond, Jitter: -1}},
+			true, 3, 93 * time.Millisecond},
+		// Instant failures isolate the backoff: 4 × 1ms hops + 10+30+90.
+		{"gives up after max attempts", scriptServer{},
+			Policy{Retry: RetryConfig{MaxAttempts: 4, Backoff: 10 * time.Millisecond, BackoffFactor: 3, Jitter: -1}},
+			false, 4, 134 * time.Millisecond},
+		// First failure at 1ms, retry at 51ms fails at 52ms; the next
+		// backoff (100ms) would cross the 60ms deadline.
+		{"deadline leaves room for one retry", scriptServer{},
+			Policy{Deadline: 60 * time.Millisecond,
+				Retry: RetryConfig{MaxAttempts: 4, Backoff: 50 * time.Millisecond, Jitter: -1}},
+			false, 2, 52 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			srv := tc.srv
+			rig := newRig(t, map[string]*scriptServer{"b1": &srv})
+			if err := rig.client.Apply("api", tc.policy); err != nil {
+				t.Fatal(err)
+			}
+			fired := 0
+			var res Result
+			if err := rig.client.Call("cluster-1", "api", func(r Result) { res = r; fired++ }); err != nil {
+				t.Fatal(err)
+			}
+			rig.engine.Run()
+			if fired != 1 {
+				t.Fatalf("done fired %d times, want exactly once", fired)
+			}
+			if res.Success != tc.wantSuccess || res.Attempts != tc.wantAttempts || res.Latency != tc.wantLatency {
+				t.Fatalf("result = %+v, want success=%v attempts=%d latency=%v",
+					res, tc.wantSuccess, tc.wantAttempts, tc.wantLatency)
+			}
+		})
+	}
+}
+
+func TestCallUnknownServiceErrorsSynchronously(t *testing.T) {
+	rig := newRig(t, map[string]*scriptServer{"b1": {latency: time.Millisecond, ok: true}})
+	if err := rig.client.Call("cluster-1", "nope", func(Result) {}); err == nil {
+		t.Fatal("unknown service accepted")
+	}
+	if err := rig.client.Call("cluster-2", "api", func(Result) {}); err == nil {
+		t.Fatal("call from a cluster the client is not bound to accepted")
+	}
+}
+
+// TestRetriesLiftSuccessGeometrically: 50% failure per attempt and 3
+// attempts leave a failure probability of 1/8.
+func TestRetriesLiftSuccessGeometrically(t *testing.T) {
+	e := sim.NewEngine()
+	m := mesh.New(e, sim.NewRand(1), wan.New(wan.DefaultConfig()), metrics.NewRegistry())
+	if _, err := m.AddService("api"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddBackend("api", "b", "cluster-1", backend.Config{},
+		func(_ time.Duration, r *sim.Rand) (time.Duration, bool) {
+			return time.Millisecond, r.Bool(0.5)
+		}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(m, "cluster-1", sim.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Apply("api", Policy{Retry: RetryConfig{MaxAttempts: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	succ, total := 0, 2000
+	for i := 0; i < total; i++ {
+		e.ScheduleAfter(time.Duration(i)*5*time.Millisecond, func() {
+			_ = c.Call("cluster-1", "api", func(r Result) {
+				if r.Success {
+					succ++
+				}
+			})
+		})
+	}
+	e.Run()
+	if rate := float64(succ) / float64(total); rate < 0.85 || rate > 0.90 {
+		t.Fatalf("success after 3 attempts = %v, want ~0.875", rate)
+	}
+}
+
+// TestJitterSpreadsBackoffDeterministically: lockstep clients would all
+// wait 10+20+40 = 70ms of backoff; ±50% jitter must spread them inside its
+// envelope, reproducibly for a seed and differently across seeds.
+func TestJitterSpreadsBackoffDeterministically(t *testing.T) {
+	run := func(seed uint64) []time.Duration {
+		// Instant failures isolate the backoff contribution; each request's
+		// total latency is 4×1ms hops + the three jittered backoffs.
+		rig := newRig(t, map[string]*scriptServer{"b1": {}})
+		c, err := NewClient(rig.mesh, "cluster-1", sim.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Apply("api", Policy{
+			Retry: RetryConfig{MaxAttempts: 4, Backoff: 10 * time.Millisecond, Jitter: 0.5},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var lats []time.Duration
+		for i := 0; i < 8; i++ {
+			rig.engine.ScheduleAfter(time.Duration(i)*time.Second, func() {
+				_ = c.Call("cluster-1", "api", func(r Result) { lats = append(lats, r.Latency) })
+			})
+		}
+		rig.engine.Run()
+		return lats
+	}
+	a := run(7)
+	distinct := map[time.Duration]bool{}
+	for _, l := range a {
+		distinct[l] = true
+		backoff := l - 4*time.Millisecond
+		if backoff < 35*time.Millisecond || backoff > 105*time.Millisecond {
+			t.Fatalf("jittered backoff sum %v outside ±50%% envelope of 70ms", backoff)
+		}
+		if backoff == 70*time.Millisecond {
+			t.Fatalf("backoff exactly nominal; jitter not applied")
+		}
+	}
+	if len(distinct) < 4 {
+		t.Fatalf("only %d distinct latencies in 8 jittered runs; clients still in lockstep", len(distinct))
+	}
+	if b := run(7); !reflect.DeepEqual(a, b) {
+		t.Fatalf("seeded jitter not deterministic: %v vs %v", a, b)
+	}
+	if c := run(8); reflect.DeepEqual(a, c) {
+		t.Fatal("different seeds produced identical jitter")
 	}
 }

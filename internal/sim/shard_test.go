@@ -13,7 +13,7 @@ const la = 4 * time.Millisecond // test lookahead
 // local ticker that sends a message one lookahead ahead to the next shard,
 // the receiver logs and replies, and a control-engine ticker logs scrape-like
 // rounds. The trace records (who, virtual time, detail) for every action.
-func buildPingPong(nshards int, trace *[]string) *ShardedEngine {
+func buildPingPong(nshards int, trace shardTrace) *ShardedEngine {
 	se := NewSharded(nshards, la)
 	for i := 0; i < nshards; i++ {
 		sh := se.Shard(i)
@@ -22,31 +22,52 @@ func buildPingPong(nshards int, trace *[]string) *ShardedEngine {
 		var tick func()
 		tick = func() {
 			now := eng.Now()
-			*trace = append(*trace, fmt.Sprintf("shard%d tick @%v", i, now))
+			trace.add(i, "shard%d tick @%v", i, now)
 			dst := (i + 1) % nshards
 			sh.Send(dst, now+la, func() {
-				*trace = append(*trace, fmt.Sprintf("shard%d recv from %d @%v", dst, i, se.Shard(dst).Engine().Now()))
+				trace.add(dst, "shard%d recv from %d @%v", dst, i, se.Shard(dst).Engine().Now())
 			})
 			sh.SendControl(now+la, func() {
-				*trace = append(*trace, fmt.Sprintf("control from %d @%v", i, se.Control().Now()))
+				trace.add(nshards, "control from %d @%v", i, se.Control().Now())
 			})
 			eng.Schedule(now+3*time.Millisecond, tick)
 		}
 		eng.Schedule(time.Duration(i+1)*time.Millisecond, tick)
 	}
 	se.Control().Every(5*time.Millisecond, func() {
-		*trace = append(*trace, fmt.Sprintf("control tick @%v", se.Control().Now()))
+		trace.add(nshards, "control tick @%v", se.Control().Now())
 	})
 	return se
 }
 
+// shardTrace keeps one ordered log per timeline: shard i at index i, the
+// control engine last. Shards execute concurrently inside a window, so
+// per-timeline order is the determinism contract; how timelines interleave
+// in wall-clock is scheduling luck (and one shared slice would race).
+type shardTrace [][]string
+
+func newShardTrace(nshards int) shardTrace { return make(shardTrace, nshards+1) }
+
+func (tr shardTrace) add(timeline int, format string, args ...any) {
+	tr[timeline] = append(tr[timeline], fmt.Sprintf(format, args...))
+}
+
+// flat concatenates the logs in timeline order.
+func (tr shardTrace) flat() []string {
+	var out []string
+	for _, log := range tr {
+		out = append(out, log...)
+	}
+	return out
+}
+
 func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []string {
-		var trace []string
-		se := buildPingPong(4, &trace)
+		trace := newShardTrace(4)
+		se := buildPingPong(4, trace)
 		se.SetWorkers(workers)
 		se.RunUntil(100 * time.Millisecond)
-		return trace
+		return trace.flat()
 	}
 	want := run(1)
 	if len(want) == 0 {
@@ -183,7 +204,7 @@ func TestShardedMinimalLookahead(t *testing.T) {
 	// coalescing jumping across the empty ones. The trace must match a
 	// generous-lookahead run of the same model at every worker count.
 	run := func(lookahead time.Duration, workers int) []string {
-		var trace []string
+		trace := newShardTrace(2)
 		se := NewSharded(2, lookahead)
 		for i := 0; i < 2; i++ {
 			sh := se.Shard(i)
@@ -192,12 +213,12 @@ func TestShardedMinimalLookahead(t *testing.T) {
 			var tick func()
 			tick = func() {
 				now := eng.Now()
-				trace = append(trace, fmt.Sprintf("shard%d tick @%v", i, now))
+				trace.add(i, "shard%d tick @%v", i, now)
 				dst := 1 - i
 				// Delivery la beyond both lookaheads under test, so the
 				// conservative contract holds for each.
 				sh.Send(dst, now+la, func() {
-					trace = append(trace, fmt.Sprintf("shard%d recv @%v", dst, se.Shard(dst).Engine().Now()))
+					trace.add(dst, "shard%d recv @%v", dst, se.Shard(dst).Engine().Now())
 				})
 				eng.Schedule(now+3*time.Millisecond, tick)
 			}
@@ -205,7 +226,7 @@ func TestShardedMinimalLookahead(t *testing.T) {
 		}
 		se.SetWorkers(workers)
 		se.RunUntil(30 * time.Millisecond)
-		return trace
+		return trace.flat()
 	}
 	// Worker count must not change the trace at the degenerate lookahead.
 	want := run(time.Nanosecond, 1)
@@ -298,8 +319,7 @@ func TestShardedSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 func TestShardedStatsCountWindowsSendsEvents(t *testing.T) {
-	var trace []string
-	se := buildPingPong(2, &trace)
+	se := buildPingPong(2, newShardTrace(2))
 	se.RunUntil(50 * time.Millisecond)
 	st := se.Stats()
 	if st.Windows == 0 || st.CrossSends == 0 || st.Events == 0 {

@@ -5,7 +5,7 @@ GO ?= go
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector, chaos + resilience + guard + shards + serve + bench
 ## smoke runs, the nested benchmark module, and a short fuzz pass over the
-## chaos-schedule parser. Run before every merge; CI and the tier-1 verify
+## chaos-schedule and exposition parsers. Run before every merge; CI and the tier-1 verify
 ## in ROADMAP.md assume it passes.
 check: fmt vet build race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke overload-smoke bench-smoke benchmark-smoke
 
@@ -52,11 +52,14 @@ guard-smoke:
 	$(GO) run ./cmd/l3bench -chaos 'garbage@48s+24s:nan' \
 		-scenario scenario-1 -quick -guard >/dev/null
 
-## fuzz-smoke: five seconds of coverage-guided fuzzing over the
-## chaos-schedule parser — catches parse/String round-trip and validation
-## regressions beyond the seed corpus.
+## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
+## eats outside input — the chaos-schedule grammar (parse/String round-trip
+## and validation) and the /metrics exposition parser (never panics, rejects
+## with a line number, agrees with the old parser, round-trips every
+## generated registry) — beyond their seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
+	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
 
 ## shards-vet: formatting and vet focused on the sharded core's packages —
 ## the fan-out/barrier code is where a stray data race or un-gofmt'd hot

@@ -81,6 +81,39 @@ type Collector struct {
 	// Resets reports counter-reset splices when a hygiene layer is
 	// installed (nil = raw ingestion, no reset awareness).
 	Resets ResetSource
+
+	// selectors caches each (service, backend)'s three label selectors, so a
+	// round builds no label maps; selectorMatch is the Match they were built
+	// from, and a changed Match drops them.
+	selectors     map[selectorKey]*selectors
+	selectorMatch metrics.Labels
+}
+
+type selectorKey struct{ service, backend string }
+
+// selectors are one backend's query label sets: every response series, and
+// those classified success or failure.
+type selectors struct{ base, succ, fail metrics.Labels }
+
+func (c *Collector) selectorsFor(service, backend string) *selectors {
+	key := selectorKey{service, backend}
+	if sel, ok := c.selectors[key]; ok {
+		return sel
+	}
+	base := metrics.Labels{"backend": backend}
+	if service != "" {
+		base["service"] = service
+	}
+	for k, v := range c.Match {
+		base[k] = v
+	}
+	sel := &selectors{
+		base: base,
+		succ: base.With("classification", mesh.ClassSuccess),
+		fail: base.With("classification", mesh.ClassFailure),
+	}
+	c.selectors[key] = sel
+	return sel
 }
 
 // ResetSource reports the most recent counter-reset splice among series
@@ -115,14 +148,13 @@ func (c *Collector) percentile() float64 {
 func (c *Collector) Collect(at time.Duration, service string, backends []string) map[string]BackendMetrics {
 	out := make(map[string]BackendMetrics, len(backends))
 	w := c.window()
+	if c.selectors == nil || !c.selectorMatch.Equal(c.Match) {
+		c.selectors = make(map[selectorKey]*selectors)
+		c.selectorMatch = c.Match.Clone()
+	}
 	for _, b := range backends {
-		base := metrics.Labels{"backend": b}
-		if service != "" {
-			base["service"] = service
-		}
-		for k, v := range c.Match {
-			base[k] = v
-		}
+		sel := c.selectorsFor(service, b)
+		base, succ, fail := sel.base, sel.succ, sel.fail
 		var m BackendMetrics
 
 		if last, ok := c.DB.NewestSample(mesh.MetricResponseTotal, base); ok {
@@ -145,8 +177,7 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 		m.HasTraffic = true
 		m.RPS = totalRate
 
-		succRate, ok := c.DB.Rate(mesh.MetricResponseTotal,
-			base.With("classification", mesh.ClassSuccess), at, w)
+		succRate, ok := c.DB.Rate(mesh.MetricResponseTotal, succ, at, w)
 		if !ok {
 			succRate = 0
 		}
@@ -155,7 +186,6 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 			m.SuccessRate = 1
 		}
 
-		succ := base.With("classification", mesh.ClassSuccess)
 		if q, ok := c.DB.HistogramQuantile(c.percentile(), mesh.MetricResponseLatency, succ, at, w); ok {
 			m.P99 = q
 			m.P99Valid = true
@@ -167,7 +197,6 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 			m.MeanValid = true
 		}
 
-		fail := base.With("classification", mesh.ClassFailure)
 		fSumRate, okFSum := c.DB.Rate(mesh.MetricResponseLatency+"_sum", fail, at, w)
 		fCntRate, okFCnt := c.DB.Rate(mesh.MetricResponseLatency+"_count", fail, at, w)
 		if okFSum && okFCnt && fCntRate > 0 {

@@ -273,3 +273,52 @@ func TestCollectorResetSeen(t *testing.T) {
 		t.Fatal("out-of-window reset still flagged")
 	}
 }
+
+// A warm Collect — selectors cached, database scratch sized — allocates its
+// result map and nothing else.
+func TestCollectAllocatesOnlyItsResult(t *testing.T) {
+	db := timeseries.NewDB(time.Minute)
+	backends := []string{"api-cluster-1", "api-cluster-2", "api-cluster-3"}
+	for _, b := range backends {
+		seedMetrics(t, db, "api", b, 100, 0.9, 0.05, 3)
+	}
+	c := NewCollector(db)
+	c.Match = metrics.Labels{"service": "api"}
+	if m := c.Collect(10*time.Second, "api", backends); !m["api-cluster-2"].P99Valid || !m["api-cluster-2"].MeanValid {
+		t.Fatalf("seeded backend not fully collected: %+v", m["api-cluster-2"])
+	}
+	var sink map[string]BackendMetrics
+	resultOnly := testing.AllocsPerRun(100, func() {
+		sink = make(map[string]BackendMetrics, len(backends))
+		for _, b := range backends {
+			sink[b] = BackendMetrics{}
+		}
+	})
+	got := testing.AllocsPerRun(100, func() { sink = c.Collect(10*time.Second, "api", backends) })
+	if got != resultOnly {
+		t.Errorf("warm Collect: %v allocs, its result map alone takes %v", got, resultOnly)
+	}
+	_ = sink
+}
+
+// The cached selectors follow Match: a collector re-scoped to another source
+// cluster must not keep answering for the old one.
+func TestCollectorSelectorsFollowMatch(t *testing.T) {
+	db := timeseries.NewDB(time.Minute)
+	for _, src := range []string{"cluster-1", "cluster-2"} {
+		l := metrics.Labels{"service": "api", "backend": "b", "src": src, "classification": mesh.ClassSuccess}
+		db.Append(mesh.MetricResponseTotal, l, time.Second, 0)
+		db.Append(mesh.MetricResponseTotal, l, 6*time.Second, map[string]float64{"cluster-1": 50, "cluster-2": 500}[src])
+	}
+	c := NewCollector(db)
+	for src, want := range map[string]float64{"cluster-1": 10, "cluster-2": 100} {
+		c.Match = metrics.Labels{"src": src}
+		if got := c.Collect(10*time.Second, "api", []string{"b"})["b"].RPS; got != want {
+			t.Fatalf("Match src=%s: RPS %v, want %v", src, got, want)
+		}
+	}
+	c.Match = nil
+	if got := c.Collect(10*time.Second, "api", []string{"b"})["b"].RPS; got != 110 {
+		t.Fatalf("no Match: RPS %v, want 110", got)
+	}
+}

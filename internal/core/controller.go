@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"l3/internal/clock"
@@ -290,7 +291,11 @@ type Controller struct {
 	collector *Collector
 	cfg       ControllerConfig
 
-	tracked     map[string]*trackedSplit
+	tracked map[string]*trackedSplit
+	// order is tracked's names sorted, rebuilt when the watch adds or removes
+	// a split: a reconcile round writes splits and registers self-metrics in
+	// this order, not in map order.
+	order       []string
 	cancelWatch func()
 	ticker      clock.Timer
 	updates     uint64
@@ -378,11 +383,7 @@ func (c *Controller) Updates() uint64 { return c.updates }
 
 // Tracked returns the names of TrafficSplits under management.
 func (c *Controller) Tracked() []string {
-	out := make([]string, 0, len(c.tracked))
-	for name := range c.tracked {
-		out = append(out, name)
-	}
-	return out
+	return append([]string(nil), c.order...)
 }
 
 // Assigner returns the assigner managing a tracked split, for tests and
@@ -403,18 +404,12 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 	switch e.Type {
 	case cluster.Added:
 		if _, ok := c.tracked[name]; !ok {
-			c.tracked[name] = &trackedSplit{
-				assigner: c.cfg.NewAssigner(),
-				backends: backendSet(e.Object),
-			}
+			c.track(e.Object)
 		}
 	case cluster.Updated:
 		t, ok := c.tracked[name]
 		if !ok {
-			c.tracked[name] = &trackedSplit{
-				assigner: c.cfg.NewAssigner(),
-				backends: backendSet(e.Object),
-			}
+			c.track(e.Object)
 			return
 		}
 		// Forget state of backends that left the split.
@@ -427,7 +422,27 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 		t.backends = next
 	case cluster.Deleted:
 		delete(c.tracked, name)
+		c.reorder()
 	}
+}
+
+func (c *Controller) track(ts *smi.TrafficSplit) {
+	c.tracked[ts.Name] = &trackedSplit{
+		assigner: c.cfg.NewAssigner(),
+		backends: backendSet(ts),
+	}
+	c.reorder()
+}
+
+// reorder builds a fresh slice: a watch event can arrive from inside
+// updateAll's walk over the old one.
+func (c *Controller) reorder() {
+	order := make([]string, 0, len(c.tracked))
+	for name := range c.tracked {
+		order = append(order, name)
+	}
+	sort.Strings(order)
+	c.order = order
 }
 
 func backendSet(ts *smi.TrafficSplit) map[string]bool {
@@ -455,8 +470,10 @@ func (c *Controller) updateAll() {
 		}
 		reg.Gauge(MetricLeader, nil).Set(v)
 	}
-	for name, t := range c.tracked {
-		c.updateOne(now, name, t, leader)
+	for _, name := range c.order {
+		if t, ok := c.tracked[name]; ok { // not deleted by an earlier write's watch
+			c.updateOne(now, name, t, leader)
+		}
 	}
 }
 
@@ -465,11 +482,12 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	if !ok {
 		return
 	}
-	m := c.collector.Collect(now, ts.RootService, ts.BackendNames())
+	backends := ts.BackendNames()
+	m := c.collector.Collect(now, ts.RootService, backends)
 	weights := t.assigner.Assign(now, m)
 
 	if reg := c.cfg.SelfRegistry; reg != nil {
-		c.exportSelfMetrics(reg, name, t, weights)
+		c.exportSelfMetrics(reg, name, t, backends, weights)
 	}
 	if g := c.cfg.WriteGuard; g != nil {
 		g.Observe(now)
@@ -505,12 +523,19 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	}
 }
 
-func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *trackedSplit, weights map[string]float64) {
-	for b, w := range weights {
-		reg.Gauge(MetricWeight, metrics.Labels{"split": split, "backend": b}).Set(w)
+// exportSelfMetrics walks the split's backends in split order, so the
+// series a first round registers are registered in the same order every run.
+func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *trackedSplit, backends []string, weights map[string]float64) {
+	for _, b := range backends {
+		if w, ok := weights[b]; ok {
+			reg.Gauge(MetricWeight, metrics.Labels{"split": split, "backend": b}).Set(w)
+		}
 	}
 	if l3, ok := t.assigner.(*L3Assigner); ok {
-		for b := range weights {
+		for _, b := range backends {
+			if _, ok := weights[b]; !ok {
+				continue
+			}
 			if view, ok := l3.Weighter().View(b); ok {
 				reg.Gauge(MetricFilteredP99, metrics.Labels{"split": split, "backend": b}).Set(view.Latency)
 				reg.Gauge(MetricFilteredRPS, metrics.Labels{"split": split, "backend": b}).Set(view.RPS)

@@ -262,3 +262,68 @@ func TestScaleWeight(t *testing.T) {
 		t.Fatal("Inf weight scaled instead of being rejected")
 	}
 }
+
+// A reconcile round walks its splits in name order — writes, watch events
+// and first-round self-metric registration — not in Go map order, which
+// differed from run to run.
+func TestControllerUpdatesSplitsInNameOrder(t *testing.T) {
+	engine := sim.NewEngine()
+	splits := smi.NewStore()
+	names := []string{"m", "c", "x", "a", "q", "f", "z", "b"}
+	for _, n := range names {
+		if err := splits.Create(&smi.TrafficSplit{Name: n, RootService: n,
+			Backends: []smi.Backend{{Service: n + "-2", Weight: 1}, {Service: n + "-1", Weight: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	selfReg := metrics.NewRegistry()
+	ctrl := NewController(engine, splits, NewCollector(timeseries.NewDB(time.Minute)), ControllerConfig{
+		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
+		SelfRegistry: selfReg,
+	})
+	var written []string
+	splits.Watch(false, func(e cluster.Event[*smi.TrafficSplit]) {
+		if e.Type == cluster.Updated {
+			written = append(written, e.Object.Name)
+		}
+	})
+	ctrl.Start()
+	if err := splits.Delete("q"); err != nil {
+		t.Fatal(err)
+	}
+	engine.RunUntil(5 * time.Second) // one round
+
+	want := []string{"a", "b", "c", "f", "m", "x", "z"}
+	if got := ctrl.Tracked(); !equalStrings(got, want) {
+		t.Fatalf("Tracked() = %v, want %v", got, want)
+	}
+	if !equalStrings(written, want) {
+		t.Fatalf("round wrote splits in order %v, want %v", written, want)
+	}
+	// Self-metrics register split by split, backends in split order.
+	var weightSeries []string
+	for _, s := range selfReg.Snapshot() {
+		if s.Name == MetricWeight {
+			weightSeries = append(weightSeries, s.Labels["backend"])
+		}
+	}
+	var wantSeries []string
+	for _, n := range want {
+		wantSeries = append(wantSeries, n+"-2", n+"-1")
+	}
+	if !equalStrings(weightSeries, wantSeries) {
+		t.Fatalf("weight gauges registered in order %v, want %v", weightSeries, wantSeries)
+	}
+}
+
+func equalStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

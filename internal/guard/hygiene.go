@@ -2,6 +2,7 @@ package guard
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,9 +31,16 @@ import (
 //     what stops raw increase()'s "any decrease is a reset" heuristic from
 //     double-counting corrupt samples.
 type Hygiene struct {
-	mu     sync.Mutex
-	cfg    Config
-	series map[string]*seriesState
+	mu  sync.Mutex
+	cfg Config
+	// series finds a series' state by metric name, then by label hash with
+	// colliding label sets chained — no key string is built per sample.
+	series map[string]map[uint64]*seriesState
+	// reset lists the series that have ever spliced a reset, all LastReset
+	// has to look at.
+	reset []*seriesState
+	// interned holds one copy of every label name and value retained.
+	interned map[string]string
 
 	rejNaN, rejNegative, rejOutOfOrder, rejDuplicate, rejAnomaly *metrics.Counter
 	resets                                                       *metrics.Counter
@@ -40,6 +48,7 @@ type Hygiene struct {
 
 type seriesState struct {
 	labels    metrics.Labels
+	next      *seriesState // next state of the family with the same label hash
 	lastT     time.Duration
 	lastRaw   float64
 	offset    float64
@@ -50,7 +59,7 @@ type seriesState struct {
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
 // when non-nil (they are created eagerly so registration order is stable).
 func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
-	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]*seriesState)}
+	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]map[uint64]*seriesState), interned: make(map[string]string)}
 	counter := func(reason string) *metrics.Counter {
 		if reg == nil {
 			return &metrics.Counter{}
@@ -85,11 +94,8 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := name + "\x00" + labels.Key()
-	st, ok := h.series[key]
-	if !ok {
-		st = &seriesState{labels: labels.Clone()}
-		h.series[key] = st
+	st, created := h.state(name, labels.Hash(), labels)
+	if created {
 		st.lastT = t
 		st.lastRaw = v
 		return v, true
@@ -107,7 +113,10 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 			// Genuine restart: splice onto the cumulative offset.
 			st.offset += st.lastRaw
 			st.lastReset = t
-			st.hasReset = true
+			if !st.hasReset {
+				st.hasReset = true
+				h.reset = append(h.reset, st)
+			}
 			h.resets.Inc()
 		} else {
 			h.rejAnomaly.Inc()
@@ -122,6 +131,24 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	return v, true
 }
 
+// state returns the series' state, creating it on first sight. hash is
+// labels.Hash(); distinct label sets that collide share a chain.
+func (h *Hygiene) state(name string, hash uint64, labels metrics.Labels) (st *seriesState, created bool) {
+	byHash, ok := h.series[name]
+	if !ok {
+		byHash = make(map[uint64]*seriesState)
+		h.series[strings.Clone(name)] = byHash // not a slice of the scraped text
+	}
+	for st = byHash[hash]; st != nil; st = st.next {
+		if st.labels.Equal(labels) {
+			return st, false
+		}
+	}
+	st = &seriesState{labels: labels.Interned(h.interned), next: byHash[hash]}
+	byHash[hash] = st
+	return st, true
+}
+
 // LastReset implements core.ResetSource: the most recent splice time among
 // series matching the label set (subset match).
 func (h *Hygiene) LastReset(match metrics.Labels) (time.Duration, bool) {
@@ -129,8 +156,8 @@ func (h *Hygiene) LastReset(match metrics.Labels) (time.Duration, bool) {
 	defer h.mu.Unlock()
 	var best time.Duration
 	any := false
-	for _, st := range h.series {
-		if st.hasReset && st.labels.Matches(match) {
+	for _, st := range h.reset {
+		if st.labels.Matches(match) {
 			if !any || st.lastReset > best {
 				best = st.lastReset
 			}

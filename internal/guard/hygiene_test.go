@@ -125,3 +125,63 @@ func TestHygieneCountersInRegistry(t *testing.T) {
 		t.Fatalf("registry nan rejection counter = %v, want 1", got)
 	}
 }
+
+// Two label sets filed under one hash keep separate states: the lookup
+// confirms with Equal and walks the chain.
+func TestHygieneKeepsCollidingLabelSetsApart(t *testing.T) {
+	h := NewHygiene(Config{}, nil)
+	a, b := metrics.Labels{"backend": "a"}, metrics.Labels{"backend": "b"}
+	const hash = 42
+	sa, created := h.state("response_total", hash, a)
+	if !created {
+		t.Fatal("first sight of a not reported as created")
+	}
+	sb, created := h.state("response_total", hash, b)
+	if !created || sb == sa {
+		t.Fatal("b, colliding with a, was handed a's state")
+	}
+	if got, created := h.state("response_total", hash, a); created || got != sa {
+		t.Fatal("a not found behind b in the chain")
+	}
+	if got, created := h.state("response_total", hash, b); created || got != sb {
+		t.Fatal("b not found at the head of the chain")
+	}
+	if got, created := h.state("other_total", hash, a); !created || got == sa {
+		t.Fatal("the same labels under another metric name shared a state")
+	}
+}
+
+// LastReset looks only at series that have spliced a reset, and still
+// answers by subset match with the newest splice.
+func TestHygieneLastResetConsultsOnlyResetSeries(t *testing.T) {
+	h := NewHygiene(Config{}, nil)
+	for i := 0; i < 50; i++ {
+		l := metrics.Labels{"backend": "steady", "shard": string(rune('a' + i%26)), "n": string(rune('0' + i/26))}
+		h.Admit("response_total", l, metrics.KindCounter, sec(1), 100)
+		h.Admit("response_total", l, metrics.KindCounter, sec(2), 200)
+	}
+	if _, ok := h.LastReset(nil); ok || len(h.reset) != 0 {
+		t.Fatalf("no series reset, LastReset ok=%v over %d candidates", ok, len(h.reset))
+	}
+	succ := metrics.Labels{"backend": "restarted", "classification": "success"}
+	fail := metrics.Labels{"backend": "restarted", "classification": "failure"}
+	for _, s := range []struct {
+		l  metrics.Labels
+		at int
+		v  float64
+	}{{succ, 1, 1000}, {fail, 1, 1000}, {succ, 3, 1}, {fail, 4, 1}, {succ, 4, 500}, {succ, 5, 2}} {
+		h.Admit("response_total", s.l, metrics.KindCounter, sec(s.at), s.v)
+	}
+	if len(h.reset) != 2 {
+		t.Fatalf("%d series listed as reset, want 2 (one spliced twice)", len(h.reset))
+	}
+	if at, ok := h.LastReset(metrics.Labels{"backend": "restarted"}); !ok || at != sec(5) {
+		t.Fatalf("LastReset(restarted) = (%v, %v), want (5s, true)", at, ok)
+	}
+	if at, ok := h.LastReset(metrics.Labels{"classification": "failure"}); !ok || at != sec(4) {
+		t.Fatalf("LastReset(failure) = (%v, %v), want (4s, true)", at, ok)
+	}
+	if _, ok := h.LastReset(metrics.Labels{"backend": "steady"}); ok {
+		t.Fatal("LastReset(steady) found a reset")
+	}
+}

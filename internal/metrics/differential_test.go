@@ -1,0 +1,234 @@
+package metrics
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The pools a generated registry draws from: names that need sanitising,
+// values that need escaping, an explicit "le" on a plain counter (so the
+// sort meets one sample with le and one without under the same name), and
+// bounds whose lexical and numeric orders differ. Label names sanitise to
+// distinct names, so a written line never repeats one.
+var (
+	genMetricNames = []string{"response_total", "response_latency", "request_inflight", "weird name-1", "9lives", "a:b", "ünï", "x"}
+	genLabelNames  = []string{"backend", "service", "le", "classification", "bad-label", "Ünï", "_"}
+	genLabelValues = []string{"a", "b", `quo"te`, `back\slash`, "new\nline", "", "ünï→", "a,b=c", "+Inf", "0.5", "5", "10", "1e3", "nope"}
+	genBounds      = [][]float64{{0.5, 5, 10}, {1}, {0.001, 0.01, 0.1, 1, 10, 100}, {2.5, 1e3}}
+	genValues      = []float64{0, 1, 2.5, 1e-9, 123456789, 1e21, -3, math.Inf(1), math.Inf(-1), math.NaN()}
+)
+
+// genRegistry registers and moves series as a stream of choices dictates;
+// choose(n) returns a number in [0, n). The differential test feeds it a
+// seeded rand, the fuzz target its input bytes.
+func genRegistry(r *Registry, series int, choose func(n int) int) {
+	for i := 0; i < series; i++ {
+		name := genMetricNames[choose(len(genMetricNames))]
+		labels := Labels{}
+		for n := choose(4); n > 0; n-- {
+			labels[genLabelNames[choose(len(genLabelNames))]] = genLabelValues[choose(len(genLabelValues))]
+		}
+		v := genValues[choose(len(genValues))]
+		switch choose(3) {
+		case 0:
+			r.Counter(name, labels).Add(math.Abs(v)) // NaN and ±Inf included: Add only refuses negatives
+		case 1:
+			r.Gauge(name, labels).Set(v)
+		case 2:
+			bounds := genBounds[choose(len(genBounds))]
+			if len(r.Histogram(name, labels, bounds[:1]).Bounds()) == 1 {
+				bounds = bounds[:1] // registered before with one bound: a mismatch panics
+			}
+			if h := r.Histogram(name, labels, bounds); len(h.Bounds()) == len(bounds) && v == v && !math.IsInf(v, 0) {
+				h.Observe(v)
+			}
+		}
+	}
+}
+
+func sameSamples(got, want []Sample) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Name != w.Name || g.Kind != w.Kind || !g.Labels.Equal(w.Labels) ||
+			math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// agreeWithOracleParser requires the slicing parser and the old
+// Scanner-and-Fields one to accept or reject text alike: equal samples, or
+// equal errors, line number included.
+func agreeWithOracleParser(t testing.TB, text []byte) {
+	t.Helper()
+	got, err := ParseExposition(bytes.NewReader(text))
+	want, wantErr := oracleParseExposition(bytes.NewReader(text))
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("parsing %q: error %v, oracle's %v", text, err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("parsing %q: error %q, oracle's %q", text, err, wantErr)
+	case !sameSamples(got, want):
+		t.Fatalf("parsing %q:\n got %v\nwant %v", text, got, want)
+	}
+}
+
+// TestExpositionMatchesOracle: the cached-layout writer must produce the old
+// writer's bytes for any registry, across series registered between passes
+// (the layout is invalidated) and values moved between passes (it is not).
+func TestExpositionMatchesOracle(t *testing.T) {
+	const cases = 1000
+	for c := 0; c < cases; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		r := NewRegistry()
+		for pass := 0; pass < 4; pass++ {
+			if pass != 2 { // pass 2 writes the same series set again: a warm layout
+				genRegistry(r, rng.Intn(12), rng.Intn)
+			}
+			var got, want bytes.Buffer
+			if err := r.WritePrometheus(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracleWritePrometheus(r, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("case %d pass %d:\n got %q\nwant %q", c, pass, got.Bytes(), want.Bytes())
+			}
+			agreeWithOracleParser(t, got.Bytes())
+		}
+	}
+}
+
+// mutate damages a text the way a broken exporter or a truncated response
+// would: bytes dropped, replaced or inserted from the grammar's own
+// alphabet, with CRLF, tabs and non-ASCII spaces among them.
+func mutate(rng *rand.Rand, text []byte) []byte {
+	alphabet := []string{"{", "}", `"`, ",", "=", `\`, " ", "\t", "\n", "\r\n", "#", "# TYPE x gauge\n", "# TYPE response_latency histogram\n",
+		"1", "-", "e", "x", "NaN", "+Inf", " 1700000000000", "\u00a0", "\u0085", "\u2003", "\xff", "_bucket", "_total"}
+	out := append([]byte(nil), text...)
+	for n := 1 + rng.Intn(4); n > 0 && len(out) > 0; n-- {
+		i := rng.Intn(len(out))
+		ins := alphabet[rng.Intn(len(alphabet))]
+		switch rng.Intn(4) {
+		case 0:
+			out = append(out[:i], out[i+1:]...)
+		case 1:
+			out = append(out[:i], append([]byte(ins), out[i+1:]...)...)
+		case 2:
+			out = append(out[:i], append([]byte(ins), out[i:]...)...)
+		case 3:
+			out = out[:i] // the response was cut short
+		}
+	}
+	return out
+}
+
+// TestParserMatchesOracle: same grammar, same errors — on well-formed
+// expositions, on damaged ones, and on the corners of the line grammar.
+func TestParserMatchesOracle(t *testing.T) {
+	for _, text := range []string{
+		"", "\n", "\r\n", " \t \n", "x 1", "x 1\r\n", "x\t1\t2\n", "x 1 2 3\n", "x\n", "x{} 1\n", "x{a=\"b\",} 1\n",
+		"x{ a = \"b\" , c = \"d\" } 1\n", "x{a=\"b\"}1\n", "x{a=\"b\" 1\n", "x{a=b} 1\n", "x{a=\"b\\q\"} 1\n", "x{a=\"b\\", "x{a=\"b",
+		"# HELP x y\n# TYPE x counter\nx 1\n", "# TYPE x summary\nx_count 2\nx_sum 3\n", "#TYPE x gauge\nx_total 1\n",
+		"  x 1\n", "1x 1\n", "x NaN\nx +Inf\nx -Inf\nx 0x10\nx 1_0\n", "x 1 1.5\n", "x\u00a01\n", "x 1\u00a02\n", "x 1\u20032\u2003\n",
+		"ok 1\nbad{ 1\nnever 2\n", "x{a=\"1\",a=\"2\"} 1\n", "x{le=\"+Inf\"} 3\n", "x_bucket{le=\"0.5\"} 3\n# TYPE x gauge\nx_bucket 4\n",
+	} {
+		agreeWithOracleParser(t, []byte(text))
+	}
+	const cases = 1500
+	rejected := 0
+	for c := 0; c < cases; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		r := NewRegistry()
+		genRegistry(r, 1+rng.Intn(8), rng.Intn)
+		var text bytes.Buffer
+		if err := r.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		damaged := mutate(rng, text.Bytes())
+		agreeWithOracleParser(t, damaged)
+		if _, err := ParseExposition(bytes.NewReader(damaged)); err != nil {
+			rejected++
+			if !strings.HasPrefix(err.Error(), "metrics: line ") {
+				t.Fatalf("rejection without a line number: %v", err)
+			}
+		}
+	}
+	if rejected < cases/10 || rejected > cases*9/10 {
+		t.Fatalf("%d of %d damaged texts rejected: the mutations no longer exercise both outcomes", rejected, cases)
+	}
+}
+
+// roundTrips requires WritePrometheus -> ParseExposition to return exactly
+// the registry's samples, names sanitised.
+func roundTrips(t testing.TB, r *Registry) {
+	t.Helper()
+	var text bytes.Buffer
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseExposition(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatalf("own exposition rejected: %v\n%s", err, text.Bytes())
+	}
+	render := func(name string, labels Labels, v float64) string {
+		if v != v {
+			v = math.NaN() // one NaN: its payload does not survive text
+		}
+		return string(appendValue(appendSeriesPrefix(nil, name, labels), v))
+	}
+	var got, want []string
+	for _, s := range parsed {
+		got = append(got, render(s.Name, s.Labels, s.Value))
+	}
+	for _, s := range r.Snapshot() {
+		labels := Labels{} // as a reader sees them: sorted by their sanitised names
+		for k, v := range s.Labels {
+			labels[sanitizeName(k)] = v
+		}
+		want = append(want, render(sanitizeName(s.Name), labels, s.Value))
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("round trip lost or changed samples:\n got %q\nwant %q", got, want)
+	}
+}
+
+func TestGeneratedRegistriesRoundTrip(t *testing.T) {
+	for c := 0; c < 300; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		r := NewRegistry()
+		genRegistry(r, rng.Intn(20), rng.Intn)
+		roundTrips(t, r)
+	}
+}
+
+// A warm pass — layout built, scratch sized, the caller's buffer grown —
+// allocates nothing.
+func TestWritePrometheusWarmDoesNotAllocate(t *testing.T) {
+	r := exposeTestRegistry()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c := r.Counter("response_total", Labels{"service": "api", "backend": "api-cluster-1", "classification": "success"})
+	if n := testing.AllocsPerRun(50, func() {
+		c.Inc()
+		buf.Reset()
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm WritePrometheus into a reused buffer: %v allocs, want 0", n)
+	}
+}

@@ -18,33 +18,102 @@ import (
 // L3 exposes both the data-plane metrics and its own internal state this
 // way so "human operators and other systems can infer the internal state
 // at any point in time" (§4).
+//
+// Everything but the values is laid out once per series set (see
+// exposition), so a pass snapshots the values, appends prefix and value per
+// line into a reused buffer and issues a single Write. The registry lock is
+// held for the snapshot only, never across the Write.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	samples := r.Snapshot()
-	sort.SliceStable(samples, func(i, j int) bool {
-		if samples[i].Name != samples[j].Name {
-			return samples[i].Name < samples[j].Name
+	r.mu.Lock()
+	if r.expo == nil {
+		r.expo = r.buildExposition()
+	}
+	expo, sc := r.expo, r.expoScratch
+	r.expoScratch = nil // ours until handed back; a concurrent pass makes its own
+	if sc == nil {
+		sc = new(expoScratch)
+	}
+	sc.samples = r.snapshotLocked(sc.samples[:0])
+	r.mu.Unlock()
+
+	buf, start := sc.buf[:0], 0
+	for i, end := range expo.end {
+		buf = append(buf, expo.prefix[start:end]...)
+		buf = appendValue(buf, sc.samples[expo.sample[i]].Value)
+		buf = append(buf, '\n')
+		start = end
+	}
+	sc.buf = buf
+	var err error
+	if len(buf) > 0 { // an empty registry writes nothing, not an empty chunk
+		_, err = w.Write(buf)
+	}
+
+	r.mu.Lock()
+	r.expoScratch = sc
+	r.mu.Unlock()
+	return err
+}
+
+// exposition is the part of WritePrometheus's output that depends on the
+// series set alone: the order of the lines and each line up to its value.
+// It is built on the first pass after a series registers and never mutated,
+// so a pass may read it outside the registry lock.
+type exposition struct {
+	prefix []byte // every line's `name{labels} `, back to back in output order
+	end    []int  // end[i]: where line i's prefix ends
+	sample []int  // sample[i]: line i's index in snapshot order
+}
+
+// expoScratch is one pass's reusable memory.
+type expoScratch struct {
+	samples []Sample
+	buf     []byte
+}
+
+// buildExposition sorts the current samples and renders their prefixes;
+// called under the registry lock. Sort keys are built once per sample, not
+// per comparison.
+func (r *Registry) buildExposition() *exposition {
+	samples := r.snapshotLocked(nil)
+	type sortKey struct {
+		sample    int
+		name, key string
+		bucketOf  string // the key without "le", for samples that carry one
+		bound     float64
+		hasLe     bool
+	}
+	keys := make([]sortKey, len(samples))
+	for i, s := range samples {
+		k := sortKey{sample: i, name: s.Name, key: s.Labels.Key()}
+		if le, ok := s.Labels["le"]; ok {
+			k.hasLe, k.bucketOf, k.bound = true, s.Labels.keyWithout("le"), leBound(le)
 		}
-		li, lj := samples[i].Labels, samples[j].Labels
+		keys[i] = k
+	}
+	sort.SliceStable(keys, func(i, j int) bool {
+		a, b := &keys[i], &keys[j]
+		if a.name != b.name {
+			return a.name < b.name
+		}
 		// Histogram buckets sort by their numeric bound, +Inf last — the
 		// order Prometheus's linter expects — not by the lexical label key
 		// (which would put le="10" before le="5" and +Inf first).
-		if vi, ok := li["le"]; ok {
-			if vj, ok := lj["le"]; ok {
-				ki, kj := li.keyWithout("le"), lj.keyWithout("le")
-				if ki != kj {
-					return ki < kj
-				}
-				return leBound(vi) < leBound(vj)
+		if a.hasLe && b.hasLe {
+			if a.bucketOf != b.bucketOf {
+				return a.bucketOf < b.bucketOf
 			}
+			return a.bound < b.bound
 		}
-		return li.Key() < lj.Key()
+		return a.key < b.key
 	})
-	for _, s := range samples {
-		if err := writeSample(w, s); err != nil {
-			return err
-		}
+	e := &exposition{end: make([]int, len(keys)), sample: make([]int, len(keys))}
+	for i, k := range keys {
+		s := samples[k.sample]
+		e.prefix = appendSeriesPrefix(e.prefix, s.Name, s.Labels)
+		e.end[i], e.sample[i] = len(e.prefix), k.sample
 	}
-	return nil
+	return e
 }
 
 // keyWithout returns the canonical label key with one label dropped.
@@ -78,67 +147,70 @@ func leBound(v string) float64 {
 	return f
 }
 
-func writeSample(w io.Writer, s Sample) error {
-	var b strings.Builder
-	b.WriteString(sanitizeName(s.Name))
-	if len(s.Labels) > 0 {
-		b.WriteByte('{')
-		names := make([]string, 0, len(s.Labels))
-		for k := range s.Labels {
+// appendSeriesPrefix appends a sample line up to its value: the sanitized
+// name, the labels sorted by name with escaped values, and a space.
+func appendSeriesPrefix(buf []byte, name string, labels Labels) []byte {
+	buf = append(buf, sanitizeName(name)...)
+	if len(labels) > 0 {
+		buf = append(buf, '{')
+		names := make([]string, 0, len(labels))
+		for k := range labels {
 			names = append(names, k)
 		}
 		sort.Strings(names)
 		for i, k := range names {
 			if i > 0 {
-				b.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			b.WriteString(sanitizeName(k))
-			b.WriteByte('=')
-			writeEscapedLabelValue(&b, s.Labels[k])
+			buf = append(buf, sanitizeName(k)...)
+			buf = append(buf, '=')
+			buf = appendEscapedLabelValue(buf, labels[k])
 		}
-		b.WriteByte('}')
+		buf = append(buf, '}')
 	}
-	b.WriteByte(' ')
-	b.WriteString(formatValue(s.Value))
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
+	return append(buf, ' ')
+}
+
+func writeSample(w io.Writer, s Sample) error {
+	buf := appendValue(appendSeriesPrefix(nil, s.Name, s.Labels), s.Value)
+	_, err := w.Write(append(buf, '\n'))
 	return err
 }
 
-// writeEscapedLabelValue quotes a label value with the exposition format's
+// appendEscapedLabelValue quotes a label value with the exposition format's
 // escaping: exactly backslash, double-quote and newline are escaped, and
 // everything else (including non-ASCII UTF-8) passes through raw. This is
 // narrower than strconv.Quote, whose \u/\x escapes Prometheus does not
 // understand.
-func writeEscapedLabelValue(b *strings.Builder, v string) {
-	b.WriteByte('"')
+func appendEscapedLabelValue(buf []byte, v string) []byte {
+	buf = append(buf, '"')
 	for i := 0; i < len(v); i++ {
 		switch c := v[i]; c {
 		case '\\':
-			b.WriteString(`\\`)
+			buf = append(buf, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			buf = append(buf, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			buf = append(buf, `\n`...)
 		default:
-			b.WriteByte(c)
+			buf = append(buf, c)
 		}
 	}
-	b.WriteByte('"')
+	return append(buf, '"')
 }
 
-// formatValue renders a sample value the way Prometheus does (shortest
+// appendValue renders a sample value the way Prometheus does (shortest
 // round-trippable form; +Inf/-Inf/NaN spelled out).
-func formatValue(v float64) string {
+func appendValue(buf []byte, v float64) []byte {
 	switch {
 	case v != v: // NaN
-		return "NaN"
+		return append(buf, "NaN"...)
 	case v > maxFloat:
-		return "+Inf"
+		return append(buf, "+Inf"...)
 	case v < -maxFloat:
-		return "-Inf"
+		return append(buf, "-Inf"...)
 	default:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v, 'g', -1, 64)
 	}
 }
 

@@ -95,11 +95,11 @@ func TestSanitizeName(t *testing.T) {
 func TestFormatValueSpecials(t *testing.T) {
 	nan := 0.0
 	nan /= nan // silence constant-expression analysis; still NaN at runtime
-	if formatValue(nan) != "NaN" {
+	if string(appendValue(nil, nan)) != "NaN" {
 		t.Fatal("NaN formatting")
 	}
-	if formatValue(1.5) != "1.5" {
-		t.Fatalf("plain formatting: %s", formatValue(1.5))
+	if string(appendValue(nil, 1.5)) != "1.5" {
+		t.Fatalf("plain formatting: %s", string(appendValue(nil, 1.5)))
 	}
 }
 

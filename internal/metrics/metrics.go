@@ -48,6 +48,27 @@ func (l Labels) With(name, value string) Labels {
 	return c
 }
 
+// Interned returns a copy of the label set whose strings are pool's own
+// copies, added on first sight. Stores that outlive a scrape copy labels this
+// way: parsed label strings are slices of a whole exposition text, which a
+// stored series must not keep alive, and a fleet's series repeat a few
+// hundred strings between them.
+func (l Labels) Interned(pool map[string]string) Labels {
+	own := func(s string) string {
+		if o, ok := pool[s]; ok {
+			return o
+		}
+		s = strings.Clone(s)
+		pool[s] = s
+		return s
+	}
+	c := make(Labels, len(l))
+	for k, v := range l {
+		c[own(k)] = own(v)
+	}
+	return c
+}
+
 // Matches reports whether every pair in m is present in l (subset match,
 // like a PromQL equality selector).
 func (l Labels) Matches(m Labels) bool {
@@ -57,6 +78,42 @@ func (l Labels) Matches(m Labels) bool {
 		}
 	}
 	return true
+}
+
+// Equal reports whether two label sets hold exactly the same pairs.
+func (l Labels) Equal(o Labels) bool {
+	if len(l) != len(o) {
+		return false
+	}
+	for k, v := range l {
+		if ov, ok := o[k]; !ok || ov != v {
+			return false
+		}
+	}
+	return true
+}
+
+// Hash returns an allocation-free hash of the label set that does not depend
+// on iteration order: each pair is hashed on its own (FNV-1a over name, a
+// separator and value, then a finaliser) and the pair hashes are summed.
+// Ingest paths find an existing series by this hash and confirm with Equal,
+// where they used to build and sort a Key string per sample.
+func (l Labels) Hash() uint64 {
+	var sum uint64
+	for k, v := range l {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(k); i++ {
+			h = (h ^ uint64(k[i])) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211 // a byte no UTF-8 name holds, so "ab"="c" and "a"="bc" differ
+		for i := 0; i < len(v); i++ {
+			h = (h ^ uint64(v[i])) * 1099511628211
+		}
+		h ^= h >> 32
+		h *= 0x9e3779b97f4a7c15
+		sum += h ^ h>>29
+	}
+	return sum
 }
 
 // Key returns the canonical form of the label set, usable as a map key.
@@ -262,6 +319,11 @@ type Registry struct {
 	histograms map[string]*Histogram
 	order      []registered
 	samples    int // total flattened sample count across order (histograms expand)
+	// expo is the text exposition's layout for the current series set: nil
+	// until WritePrometheus needs it, and again once a series registers.
+	// expoScratch is the idle render scratch WritePrometheus passes reuse.
+	expo        *exposition
+	expoScratch *expoScratch
 }
 
 // registered is one series in registration order, holding the series
@@ -336,6 +398,7 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 		r.counters[key] = c
 		r.order = append(r.order, registered{name: name, labels: labels.Clone(), counter: c})
 		r.samples++
+		r.expo = nil
 	}
 	return c
 }
@@ -352,6 +415,7 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 		r.gauges[key] = g
 		r.order = append(r.order, registered{name: name, labels: labels.Clone(), gauge: g})
 		r.samples++
+		r.expo = nil
 	}
 	return g
 }
@@ -373,6 +437,7 @@ func (r *Registry) Histogram(name string, labels Labels, bounds []float64) *Hist
 		r.histograms[key] = h
 		r.order = append(r.order, registered{name: name, labels: labels.Clone(), histogram: h})
 		r.samples += len(h.counts) + 2
+		r.expo = nil
 		return h
 	}
 	if len(h.bounds) != len(bounds) {
@@ -410,6 +475,10 @@ func (r *Registry) Snapshot() []Sample {
 func (r *Registry) SnapshotAppend(out []Sample) []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.snapshotLocked(out)
+}
+
+func (r *Registry) snapshotLocked(out []Sample) []Sample {
 	if out == nil {
 		out = make([]Sample, 0, r.samples)
 	}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -277,5 +279,58 @@ func TestLabelsKeyInjectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLabelsEqual(t *testing.T) {
+	a := Labels{"backend": "b", "le": ""}
+	for _, c := range []struct {
+		o    Labels
+		want bool
+	}{
+		{Labels{"le": "", "backend": "b"}, true},
+		{Labels{"backend": "b"}, false},
+		{Labels{"backend": "b", "src": ""}, false}, // same size, an absent label reads as ""
+		{Labels{"backend": "c", "le": ""}, false},
+		{nil, false},
+	} {
+		if got := a.Equal(c.o); got != c.want {
+			t.Errorf("%v.Equal(%v) = %v, want %v", a, c.o, got, c.want)
+		}
+	}
+	if !Labels(nil).Equal(Labels{}) {
+		t.Error("nil and empty label sets differ")
+	}
+}
+
+func TestLabelsHashIgnoresOrderAndAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		var pairs [][2]string
+		for n := rng.Intn(7); n > 0; n-- {
+			pairs = append(pairs, [2]string{fmt.Sprintf("k%d", rng.Intn(20)), fmt.Sprintf("v%d", rng.Intn(5))})
+		}
+		forward, backward := Labels{}, Labels{}
+		for j := range pairs {
+			forward[pairs[j][0]] = pairs[j][1]
+		}
+		for j := len(pairs) - 1; j >= 0; j-- { // same pairs, inserted in the opposite order
+			backward[pairs[j][0]] = forward[pairs[j][0]]
+		}
+		if !forward.Equal(backward) || forward.Hash() != backward.Hash() {
+			t.Fatalf("%v and %v: equal sets must hash alike", forward, backward)
+		}
+	}
+	distinct := []Labels{nil, {"ab": "c"}, {"a": "bc"}, {"abc": ""}, {"a": "b", "c": "d"}, {"a": "d", "c": "b"}, {"c": "b", "a": "d", "e": ""}}
+	seen := map[uint64]Labels{}
+	for _, l := range distinct {
+		if other, dup := seen[l.Hash()]; dup {
+			t.Errorf("%v and %v hash alike", l, other)
+		}
+		seen[l.Hash()] = l
+	}
+	l := Labels{"service": "api", "backend": "api-cluster-1", "src": "cluster-1", "classification": "success", "le": "0.5"}
+	if n := testing.AllocsPerRun(100, func() { _ = l.Hash() }); n != 0 {
+		t.Errorf("Hash: %v allocs, want 0", n)
 	}
 }

@@ -1,11 +1,11 @@
 package metrics
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ParseExposition reads the Prometheus text exposition format (version
@@ -25,19 +25,33 @@ import (
 // conventional suffixes _total, _bucket, _sum and _count mark a series
 // cumulative (KindCounter) and anything else scrapes as a gauge — the same
 // classification the registry itself uses for histogram expansions.
+//
+// The input is read once into a single string and every name, label name
+// and escape-free label value in the result is a slice of it, so a sample
+// costs its label map and nothing else. A consumer that keeps a sample's
+// strings keeps the whole text alive; the time-series database and the
+// hygiene gate copy what they retain.
 func ParseExposition(r io.Reader) ([]Sample, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var out []Sample
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
+	}
+	text := b.String()
+	out := make([]Sample, 0, strings.Count(text, "\n")+1)
 	types := make(map[string]Kind)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	for lineNo := 1; text != ""; lineNo++ {
+		// Lines end at "\n" or "\r\n"; the last one may end with the input.
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		line = strings.TrimSuffix(line, "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
+		if line[0] == '#' {
 			if family, kind, ok := parseTypeComment(line); ok {
 				types[family] = kind
 			}
@@ -49,9 +63,6 @@ func ParseExposition(r io.Reader) ([]Sample, error) {
 		}
 		s.Kind = kindFor(s.Name, types)
 		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
 	}
 	return out, nil
 }
@@ -103,27 +114,38 @@ func parseSampleLine(line string) (Sample, error) {
 			return s, err
 		}
 	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
+	value, after := nextField(rest)
+	if value == "" {
 		return s, fmt.Errorf("missing value after %q", s.Name)
 	}
-	if len(fields) > 2 {
+	stamp, after := nextField(after)
+	if extra, _ := nextField(after); extra != "" {
 		return s, fmt.Errorf("trailing garbage after value: %q", rest)
 	}
-	v, err := strconv.ParseFloat(fields[0], 64)
+	v, err := strconv.ParseFloat(value, 64)
 	if err != nil {
-		return s, fmt.Errorf("bad value %q: %w", fields[0], err)
+		return s, fmt.Errorf("bad value %q: %w", value, err)
 	}
 	s.Value = v
-	if len(fields) == 2 {
+	if stamp != "" {
 		// Optional millisecond timestamp; validated then dropped (the
 		// ingesting scraper stamps samples with its own scrape time, like
 		// Prometheus does by default).
-		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return s, fmt.Errorf("bad timestamp %q: %w", fields[1], err)
+		if _, err := strconv.ParseInt(stamp, 10, 64); err != nil {
+			return s, fmt.Errorf("bad timestamp %q: %w", stamp, err)
 		}
 	}
 	return s, nil
+}
+
+// nextField splits the first whitespace-separated field off s, with
+// strings.Fields' notion of whitespace; field is empty when s holds none.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // scanName splits the leading metric name off a sample line.
@@ -153,7 +175,7 @@ func scanLabels(in string) (Labels, string, error) {
 	labels := make(Labels)
 	rest := in[1:] // consume '{'
 	for {
-		rest = strings.TrimLeft(rest, " \t")
+		rest = skipBlanks(rest)
 		if strings.HasPrefix(rest, "}") {
 			return labels, rest[1:], nil
 		}
@@ -162,17 +184,17 @@ func scanLabels(in string) (Labels, string, error) {
 		if rest, name, err = scanName(rest); err != nil {
 			return nil, "", fmt.Errorf("expected label name: %w", err)
 		}
-		rest = strings.TrimLeft(rest, " \t")
+		rest = skipBlanks(rest)
 		if !strings.HasPrefix(rest, "=") {
 			return nil, "", fmt.Errorf("expected '=' after label %q", name)
 		}
-		rest = strings.TrimLeft(rest[1:], " \t")
+		rest = skipBlanks(rest[1:])
 		var value string
 		if value, rest, err = scanQuoted(rest); err != nil {
 			return nil, "", fmt.Errorf("label %q: %w", name, err)
 		}
 		labels[name] = value
-		rest = strings.TrimLeft(rest, " \t")
+		rest = skipBlanks(rest)
 		switch {
 		case strings.HasPrefix(rest, ","):
 			rest = rest[1:] // trailing comma before '}' is legal
@@ -184,18 +206,36 @@ func scanLabels(in string) (Labels, string, error) {
 	}
 }
 
+// skipBlanks drops the spaces and tabs the grammar allows between the tokens
+// of a label block.
+func skipBlanks(s string) string {
+	for s != "" && (s[0] == ' ' || s[0] == '\t') {
+		s = s[1:]
+	}
+	return s
+}
+
 // scanQuoted parses a double-quoted label value with exposition escaping:
-// \\ and \" and \n are the only escape sequences.
+// \\ and \" and \n are the only escape sequences. A value without escapes
+// is returned as a slice of the input; the first escape starts a copy.
 func scanQuoted(in string) (value, rest string, err error) {
 	if !strings.HasPrefix(in, `"`) {
 		return "", "", fmt.Errorf("expected quoted value, got %q", in)
 	}
 	var b strings.Builder
+	escaped := false
 	for i := 1; i < len(in); i++ {
 		switch c := in[i]; c {
 		case '"':
+			if !escaped {
+				return in[1:i], in[i+1:], nil
+			}
 			return b.String(), in[i+1:], nil
 		case '\\':
+			if !escaped {
+				escaped = true
+				b.WriteString(in[1:i])
+			}
 			i++
 			if i >= len(in) {
 				return "", "", fmt.Errorf("unterminated escape in %q", in)
@@ -211,7 +251,9 @@ func scanQuoted(in string) (value, rest string, err error) {
 				return "", "", fmt.Errorf("unknown escape \\%c", in[i])
 			}
 		default:
-			b.WriteByte(c)
+			if escaped {
+				b.WriteByte(c)
+			}
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quoted value in %q", in)

@@ -12,8 +12,8 @@
 package timeseries
 
 import (
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,6 +30,61 @@ type Point struct {
 type series struct {
 	labels metrics.Labels
 	points []Point
+	// bound is the "le" label parsed once at creation: bucket marks a series
+	// HistogramQuantile can use (le is "+Inf" or parses to a number, NaN
+	// excluded), inf the +Inf overflow bucket.
+	bound       float64
+	bucket, inf bool
+	next        *series // next series of the family with the same label hash
+}
+
+// family is one metric name's series: in insertion order, by label hash for
+// ingest, and by postings (label name -> value -> series, each list in
+// insertion order) for selector queries — the index layout Prometheus's own
+// head block uses.
+type family struct {
+	series   []*series
+	byHash   map[uint64]*series
+	postings map[string]map[string][]*series
+}
+
+func newFamily() *family {
+	return &family{byHash: make(map[uint64]*series), postings: make(map[string]map[string][]*series)}
+}
+
+// find returns the family's series with exactly these labels. hash is
+// labels.Hash(); distinct label sets that collide share a chain.
+func (f *family) find(hash uint64, labels metrics.Labels) *series {
+	for s := f.byHash[hash]; s != nil; s = s.next {
+		if s.labels.Equal(labels) {
+			return s
+		}
+	}
+	return nil
+}
+
+// insert adds a series under its label hash, with its own copy of the
+// labels drawn from pool, and indexes every pair.
+func (f *family) insert(hash uint64, labels metrics.Labels, pool map[string]string) *series {
+	s := &series{labels: labels.Interned(pool), next: f.byHash[hash]}
+	for k, v := range s.labels {
+		byValue := f.postings[k]
+		if byValue == nil {
+			byValue = make(map[string][]*series)
+			f.postings[k] = byValue
+		}
+		byValue[v] = append(byValue[v], s)
+	}
+	if le, ok := s.labels["le"]; ok {
+		if le == "+Inf" {
+			s.bucket, s.inf = true, true
+		} else if b, err := strconv.ParseFloat(le, 64); err == nil && b == b {
+			s.bucket, s.bound = true, b
+		}
+	}
+	f.byHash[hash] = s
+	f.series = append(f.series, s)
+	return s
 }
 
 // Gate screens samples before ingestion. A gate may rewrite the admitted
@@ -48,7 +103,22 @@ type DB struct {
 	mu        sync.Mutex
 	retention time.Duration
 	gate      Gate
-	byName    map[string]map[string]*series // name -> label key -> series
+	families  map[string]*family
+	// interned holds one copy of every label name and value stored.
+	interned map[string]string
+	// buckets maps a histogram's base name to its "<name>_bucket" family, so
+	// HistogramQuantile concatenates no name per call.
+	buckets map[string]*family
+
+	// Query scratch, reused under mu: the series a selector matched, and
+	// HistogramQuantile's per-bound merge.
+	matched []*series
+	bounds  []float64
+	rates   []float64
+	counts  []float64
+	// visited counts series examined by selector queries, for the test that
+	// pins a collect round's cost as linear in the backends it asks about.
+	visited uint64
 }
 
 // NewDB returns a database that retains at least the given duration of
@@ -60,7 +130,9 @@ func NewDB(retention time.Duration) *DB {
 	}
 	return &DB{
 		retention: retention,
-		byName:    make(map[string]map[string]*series),
+		families:  make(map[string]*family),
+		interned:  make(map[string]string),
+		buckets:   make(map[string]*family),
 	}
 }
 
@@ -71,16 +143,19 @@ func NewDB(retention time.Duration) *DB {
 func (db *DB) Append(name string, labels metrics.Labels, t time.Duration, v float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	byKey, ok := db.byName[name]
+	f, ok := db.families[name]
 	if !ok {
-		byKey = make(map[string]*series)
-		db.byName[name] = byKey
+		name = strings.Clone(name) // not a slice of the scraped text
+		f = newFamily()
+		db.families[name] = f
+		if base, ok := strings.CutSuffix(name, "_bucket"); ok {
+			db.buckets[base] = f
+		}
 	}
-	key := labels.Key()
-	s, ok := byKey[key]
-	if !ok {
-		s = &series{labels: labels.Clone()}
-		byKey[key] = s
+	hash := labels.Hash()
+	s := f.find(hash, labels)
+	if s == nil {
+		s = f.insert(hash, labels, db.interned)
 	}
 	if n := len(s.points); n > 0 && s.points[n-1].T >= t {
 		return
@@ -138,8 +213,8 @@ func (db *DB) SeriesCount() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	n := 0
-	for _, byKey := range db.byName {
-		n += len(byKey)
+	for _, f := range db.families {
+		n += len(f.series)
 	}
 	return n
 }
@@ -160,18 +235,44 @@ func (s *series) window(from, to time.Duration) []Point {
 }
 
 // matching returns the series of the named family whose labels contain
-// match as a subset.
+// match as a subset, in insertion order — the order every multi-series sum
+// below adds in, so a query's float result is one bit pattern. The result is
+// db.matched, valid until the next call.
 func (db *DB) matching(name string, match metrics.Labels) []*series {
-	byKey, ok := db.byName[name]
+	f, ok := db.families[name]
 	if !ok {
 		return nil
 	}
-	var out []*series
-	for _, s := range byKey {
+	return db.match(f, match)
+}
+
+// match walks the shortest posting list among the selector's pairs and
+// verifies each candidate against the whole selector. A pair with an empty
+// value selects nothing by postings — it also matches series lacking the
+// label — so it is only verified; a selector with no other pair walks the
+// family.
+func (db *DB) match(f *family, match metrics.Labels) []*series {
+	candidates, indexed := f.series, false
+	for k, v := range match {
+		if v == "" {
+			continue
+		}
+		list := f.postings[k][v]
+		if len(list) == 0 {
+			return nil
+		}
+		if !indexed || len(list) < len(candidates) {
+			candidates, indexed = list, true
+		}
+	}
+	out := db.matched[:0]
+	for _, s := range candidates {
 		if s.labels.Matches(match) {
 			out = append(out, s)
 		}
 	}
+	db.visited += uint64(len(candidates))
+	db.matched = out
 	return out
 }
 
@@ -292,97 +393,75 @@ func (db *DB) NewestSample(name string, match metrics.Labels) (t time.Duration, 
 func (db *DB) HistogramQuantile(q float64, name string, match metrics.Labels, at, window time.Duration) (float64, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-
-	type bucketRate struct {
-		bound float64
-		inf   bool
-		rate  float64
-	}
-	rates := make(map[string]*bucketRate)
-	for _, s := range db.matching(name+"_bucket", match) {
-		le, ok := s.labels["le"]
-		if !ok {
-			continue
-		}
-		pts := s.window(at-window, at)
-		delta, ok := increase(pts)
-		if !ok {
-			continue
-		}
-		br, ok := rates[le]
-		if !ok {
-			br = &bucketRate{}
-			if le == "+Inf" {
-				br.inf = true
-			} else {
-				b, err := parseFloat(le)
-				if err != nil {
-					continue
-				}
-				br.bound = b
-			}
-			rates[le] = br
-		}
-		br.rate += delta
-	}
-	if len(rates) == 0 {
+	f, ok := db.buckets[name]
+	if !ok {
 		return 0, false
 	}
 
-	var (
-		bounds     []float64
-		cumulative []float64
-		infRate    float64
-		haveInf    bool
-	)
-	ordered := make([]*bucketRate, 0, len(rates))
-	for _, br := range rates {
-		if br.inf {
-			infRate = br.rate
+	// Merge the matching series' increases into db.rates, one slot per
+	// distinct bound, db.bounds kept ascending. Series of one histogram
+	// arrive in ascending bound order, so the search usually ends in an
+	// append.
+	bounds, rates := db.bounds[:0], db.rates[:0]
+	var infRate float64
+	var haveInf bool
+	for _, s := range db.match(f, match) {
+		if !s.bucket {
+			continue
+		}
+		delta, ok := increase(s.window(at-window, at))
+		if !ok {
+			continue
+		}
+		if s.inf {
+			infRate += delta
 			haveInf = true
 			continue
 		}
-		ordered = append(ordered, br)
+		i := len(bounds)
+		for i > 0 && bounds[i-1] >= s.bound {
+			i--
+		}
+		if i == len(bounds) || bounds[i] != s.bound {
+			bounds = append(bounds, 0)
+			rates = append(rates, 0)
+			copy(bounds[i+1:], bounds[i:])
+			copy(rates[i+1:], rates[i:])
+			bounds[i], rates[i] = s.bound, 0
+		}
+		rates[i] += delta
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].bound < ordered[j].bound })
-	for _, br := range ordered {
-		bounds = append(bounds, br.bound)
-		cumulative = append(cumulative, br.rate)
+	db.bounds, db.rates = bounds, rates
+	if len(bounds) == 0 {
+		// Nothing increased, or only the overflow bucket did: no finite bound
+		// to interpolate toward.
+		return 0, false
 	}
 	if !haveInf {
-		if len(cumulative) == 0 {
-			return 0, false
-		}
-		infRate = cumulative[len(cumulative)-1]
+		infRate = rates[len(rates)-1]
 	}
 
 	// Convert cumulative counts to per-bucket counts.
-	counts := make([]float64, len(bounds)+1)
-	prev := 0.0
-	for i, c := range cumulative {
+	counts := append(db.counts[:0], rates...)
+	prev, total := 0.0, 0.0
+	for i, c := range rates {
 		d := c - prev
 		if d < 0 {
 			d = 0
 		}
 		counts[i] = d
+		total += d
 		prev = c
 	}
 	over := infRate - prev
 	if over < 0 {
 		over = 0
 	}
-	counts[len(bounds)] = over
-
-	total := 0.0
-	for _, c := range counts {
-		total += c
-	}
+	counts = append(counts, over)
+	total += over
+	db.counts = counts
 	if total == 0 {
 		return 0, false
 	}
 	return histogram.BucketQuantile(q, bounds, counts), true
-}
-
-func parseFloat(s string) (float64, error) {
-	return strconv.ParseFloat(s, 64)
 }

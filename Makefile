@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke overload-smoke bench bench-smoke bench-diff benchmark-smoke loc
+.PHONY: check fmt vet build test race chaos-smoke resilience-smoke guard-smoke fuzz-smoke shards-vet shards-smoke serve-smoke serve-chaos-smoke serve-soak overload-smoke bench bench-smoke bench-diff benchmark-smoke loc
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector, chaos + resilience + guard + shards + serve + bench
@@ -54,12 +54,16 @@ guard-smoke:
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
-## and validation) and the /metrics exposition parser (never panics, rejects
+## and validation), the /metrics exposition parser (never panics, rejects
 ## with a line number, agrees with the old parser, round-trips every
-## generated registry) — beyond their seed corpora.
+## generated registry) and the two request headers the proxy parses
+## (X-L3-Deadline: a budget in (0, default] or the default; X-L3-Criticality:
+## always a valid tier) — beyond their seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzDeadlineBudget -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseTier -fuzztime 5s ./internal/overload
 
 ## shards-vet: formatting and vet focused on the sharded core's packages —
 ## the fan-out/barrier code is where a stray data race or un-gofmt'd hot
@@ -111,6 +115,15 @@ serve-smoke:
 ## measured time-to-recover, and fail-static engages and releases.
 serve-chaos-smoke:
 	$(GO) test -race -run 'TestServeChaosSmoke' -count=1 -v ./internal/serve
+
+## serve-soak: 10^6 POSTs each with 4 KiB and 64 KiB answers through a live
+## proxy (closed loop, two clients, plain net/http upstreams), failing on any
+## non-200, short body or transport error — the answer sizes at which the
+## truncated-body defect showed about once in 50 000 requests. Minutes of
+## wall clock, so not part of check; `go test ./...` runs the same test at
+## 20 000 requests per size.
+serve-soak:
+	$(GO) test -run 'TestServeSoak$$' -count=1 -timeout 60m -v ./internal/serve -args -soak-requests 1000000
 
 ## overload-smoke: the admission-control layer end to end — the O1 quick
 ## golden (saturation collapse vs limiter+CoDel) through the CLI, then the

@@ -420,3 +420,25 @@ func TestWallAdmitterFastPathAllocs(t *testing.T) {
 		t.Fatalf("admit fast path allocs = %v, want 0", allocs)
 	}
 }
+
+// FuzzParseTier feeds the X-L3-Criticality annotation arbitrary bytes: the
+// result is always a valid tier, only the documented spellings leave
+// TierDefault, and parsing allocates nothing.
+func FuzzParseTier(f *testing.F) {
+	for _, v := range []string{"", "critical", "sheddable", "default", "0", "1", "2", "3", "-1", "Critical", " critical", "critical\n", "00"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		got := ParseTier(v)
+		want := TierDefault
+		switch v {
+		case "critical", "0":
+			want = TierCritical
+		case "sheddable", "2":
+			want = TierSheddable
+		}
+		if got != want || got < 0 || got >= NumTiers {
+			t.Fatalf("ParseTier(%q) = %d, want %d", v, got, want)
+		}
+	})
+}

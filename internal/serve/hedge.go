@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -94,24 +95,15 @@ func (h *hedgeTracker) hedgeAfter() time.Duration {
 	return time.Duration(h.delayNs.Load())
 }
 
-// hedgeEligible reports whether a request may be hedged: idempotent bodyless
-// methods only, since a hedge replays the request verbatim to a second
-// backend.
-func hedgeEligible(req *http.Request) bool {
-	if req.Body != nil && req.Body != http.NoBody {
-		return false
-	}
-	return req.Method == http.MethodGet || req.Method == http.MethodHead
-}
-
 // deadlineBudget resolves a request's latency budget: the client's
 // X-L3-Deadline remainder if present, capped by the proxy's own default;
-// zero means unbounded. Allocation-free (header lookup by canonical key,
-// integer parse).
+// zero means unbounded. A header that is not a positive integer of
+// milliseconds a time.Duration can hold is ignored. Allocation-free (header
+// lookup by canonical key, integer parse).
 func deadlineBudget(req *http.Request, def time.Duration) time.Duration {
 	budget := def
 	if v := req.Header.Get(HeaderDeadline); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
+		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
 			if d := time.Duration(ms) * time.Millisecond; budget <= 0 || d < budget {
 				budget = d
 			}

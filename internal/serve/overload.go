@@ -83,8 +83,8 @@ func (m *admissionMetrics) sync(st overload.WallAdmitterStats) {
 	m.gMaxSojourn.Set(st.MaxSojourn.Seconds())
 }
 
-// newUpstreamTransport builds the one transport every backend ReverseProxy
-// and the hedging path share, with the connection pool sized from config:
+// newUpstreamTransport builds the one transport every upstream attempt
+// goes through, with the connection pool sized from config:
 // net/http's default of 2 idle conns per host forces reconnect churn
 // exactly when a recovering backend faces its backlog.
 func newUpstreamTransport(cfg Config) *http.Transport {

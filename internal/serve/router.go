@@ -16,9 +16,8 @@ package serve
 
 import (
 	"math/rand/v2"
-	"net/http"
-	"net/http/httputil"
 	"net/url"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -28,8 +27,8 @@ import (
 )
 
 // Backend is one upstream server with its hot-path state: pre-resolved
-// metric handles (so recording never touches the registry's lock), health
-// and breaker bits, and a dedicated ReverseProxy.
+// metric handles (so recording never touches the registry's lock) and
+// health and breaker bits.
 type Backend struct {
 	Name string
 	URL  *url.URL
@@ -38,7 +37,7 @@ type Backend struct {
 	// layer's per-backend limiter index (0 when no admitter runs).
 	idx int
 
-	rp *httputil.ReverseProxy
+	stamp []string // the X-L3-Backend value of every answer it serves; read-only
 
 	// healthy mirrors the health checker's verdict (control plane writes,
 	// data plane reads). Backends start healthy, like the checker's states.
@@ -82,6 +81,7 @@ func newBackend(cfg BackendConfig, serviceName string, reg *metrics.Registry, br
 	b := &Backend{
 		Name:             cfg.Name,
 		URL:              u,
+		stamp:            []string{cfg.Name},
 		breakerThreshold: int32(breakerThreshold),
 		breakerWindow:    breakerWindow,
 	}
@@ -95,15 +95,31 @@ func newBackend(cfg BackendConfig, serviceName string, reg *metrics.Registry, br
 	b.failLatency = reg.Histogram(mesh.MetricResponseLatency, fail, histogram.LinkerdLatencyBounds)
 	b.inflight = reg.Gauge(mesh.MetricInflight, base)
 	b.ejections = reg.Counter(MetricBreakerEjectionsTotal, metrics.Labels{"backend": cfg.Name})
-	b.rp = httputil.NewSingleHostReverseProxy(u)
-	b.rp.ErrorHandler = proxyErrorHandler
-	// Stamp which backend served: clients (l3load) bucket latency by this
-	// header, making convergence observable from outside the proxy.
-	b.rp.ModifyResponse = func(resp *http.Response) error {
-		resp.Header.Set(HeaderBackend, cfg.Name)
-		return nil
-	}
 	return b, nil
+}
+
+// target maps an inbound URL onto the backend: its scheme and host, its path
+// prefix joined by exactly one slash, its query ahead of the request's.
+func (b *Backend) target(in *url.URL) *url.URL {
+	u := *in
+	u.Scheme, u.Host = b.URL.Scheme, b.URL.Host
+	if prefix := b.URL.Path; prefix != "" && prefix != "/" {
+		if b.URL.RawPath != "" || in.RawPath != "" {
+			u.RawPath = joinSlash(b.URL.EscapedPath(), in.EscapedPath())
+		}
+		u.Path = joinSlash(prefix, in.Path)
+	}
+	if q := b.URL.RawQuery; q != "" {
+		if u.RawQuery != "" {
+			q += "&" + u.RawQuery
+		}
+		u.RawQuery = q
+	}
+	return &u
+}
+
+func joinSlash(a, b string) string {
+	return strings.TrimSuffix(a, "/") + "/" + strings.TrimPrefix(b, "/")
 }
 
 // Available reports whether the data plane may route to the backend now:

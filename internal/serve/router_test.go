@@ -130,13 +130,10 @@ func TestRetryBudgetBounds(t *testing.T) {
 }
 
 // TestProxyHotPathZeroAllocs pins the acceptance bar: the serve layer's own
-// per-request work — weighted pick, outcome recording, budget bookkeeping,
-// status-writer pooling — allocates nothing. net/http's per-request
-// allocations are the socket layer's and are reported separately.
+// per-request bookkeeping — weighted pick, outcome recording, budget and
+// deadline math — allocates nothing. What forwarding a whole request
+// allocates is pinned in proxy_test.go.
 func TestProxyHotPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; the pin only holds without it")
-	}
 	backends := testBackends(t, "a", "b", "c")
 	r := NewRouter(backends)
 	budget := newRetryBudget(0.2)
@@ -149,16 +146,13 @@ func TestProxyHotPathZeroAllocs(t *testing.T) {
 	now := 42 * time.Millisecond
 	if got := testing.AllocsPerRun(10000, func() {
 		budget.deposit()
-		sw := acquireStatusWriter(nil)
 		b := r.Pick(now)
 		_ = deadlineBudget(req, 10*time.Second)
-		_ = hedgeEligible(req)
 		b.inflight.Inc()
 		b.inflight.Dec()
 		b.Record(now, 3*time.Millisecond, true)
 		tracker.observe(3 * time.Millisecond)
 		_ = tracker.hedgeAfter()
-		releaseStatusWriter(sw)
 	}); got != 0 {
 		t.Fatalf("proxy-layer hot path = %v allocs/op, want 0", got)
 	}
@@ -172,9 +166,6 @@ func TestProxyHotPathZeroAllocs(t *testing.T) {
 }
 
 func TestMeasureProxyLayerAllocsAgrees(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; the pin only holds without it")
-	}
 	if got := MeasureProxyLayerAllocs(); got != 0 {
 		t.Fatalf("MeasureProxyLayerAllocs = %v, want 0 (selftest reporting must agree with the pin)", got)
 	}

@@ -119,11 +119,7 @@ func RunSelftest(opts SelftestOptions, out io.Writer) (*SelftestReport, error) {
 	}
 
 	report.AllocsPerOp = MeasureProxyLayerAllocs()
-	if raceEnabled {
-		fmt.Fprintf(out, "  proxy-layer hot path: %.2f allocs/op — race detector build; sync.Pool drops Puts under -race, so 0 is only measurable without it\n", report.AllocsPerOp)
-	} else {
-		fmt.Fprintf(out, "  proxy-layer hot path: %.2f allocs/op (pick + record + budget + status-writer pool)\n", report.AllocsPerOp)
-	}
+	fmt.Fprintf(out, "  proxy-layer hot path: %.2f allocs/op (pick + record + budget + deadline)\n", report.AllocsPerOp)
 
 	if rr, l3 := report.result(AlgoRR), report.result(AlgoL3); rr != nil && l3 != nil {
 		fmt.Fprintf(out, "  p99 %s=%v vs %s=%v (%.1fx)\n", AlgoRR, rr.P99, AlgoL3, l3.P99, float64(rr.P99)/float64(l3.P99))
@@ -297,9 +293,9 @@ func runAlgoPass(algo string, opts SelftestOptions, stubs []*StubBackend) (*Algo
 }
 
 // MeasureProxyLayerAllocs measures the serve package's own per-request hot
-// path — weighted pick, outcome recording, budget bookkeeping, status-writer
-// pooling — isolated from net/http (whose per-request allocations belong to
-// the socket layer and are reported separately in EXPERIMENTS.md). The
+// path — weighted pick, outcome recording, budget and deadline bookkeeping —
+// isolated from forwarding itself (what a whole proxied request allocates is
+// pinned by TestProxiedRequestBytes and itemized in DESIGN.md). The
 // acceptance bar is 0 allocs/op; the number is re-pinned by a test with
 // testing.AllocsPerRun.
 func MeasureProxyLayerAllocs() float64 {
@@ -323,16 +319,13 @@ func MeasureProxyLayerAllocs() float64 {
 	op := func() {
 		now := 42 * time.Millisecond
 		budget.deposit()
-		sw := acquireStatusWriter(nil)
 		b := router.Pick(now)
 		_ = deadlineBudget(req, 10*time.Second)
-		_ = hedgeEligible(req)
 		b.inflight.Inc()
 		b.inflight.Dec()
 		b.Record(now, 3*time.Millisecond, true)
 		tracker.observe(3 * time.Millisecond)
 		_ = tracker.hedgeAfter()
-		releaseStatusWriter(sw)
 	}
 	return allocsPerRun(10000, op)
 }

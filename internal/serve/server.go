@@ -37,8 +37,8 @@ type Server struct {
 	admitter   *overload.WallAdmitter
 	admMetrics *admissionMetrics
 
-	// transport is the one upstream pool every backend ReverseProxy and the
-	// hedge path share; Shutdown closes its idle connections.
+	// transport is the one upstream pool every attempt goes through;
+	// Shutdown closes its idle connections.
 	transport *http.Transport
 
 	listener net.Listener
@@ -68,7 +68,6 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: backend %s: %w", bc.Name, err)
 		}
 		b.idx = i
-		b.rp.Transport = transport
 		s.backends = append(s.backends, b)
 	}
 	s.router = NewRouter(s.backends)
@@ -184,7 +183,7 @@ func (s *Server) Shutdown(ctx context.Context) (dropped int64, err error) {
 	if s.httpSrv == nil {
 		return 0, nil
 	}
-	s.handler.setDraining()
+	s.handler.draining.Store(true)
 	// Flush the admission queue before waiting on connections: every parked
 	// waiter wakes with ShedDraining, answers 503 and releases its
 	// connection, so a loaded admission queue cannot stall the drain.

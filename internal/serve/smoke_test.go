@@ -230,9 +230,6 @@ func TestRetryRecoversTransportError(t *testing.T) {
 	if srv.Handler().Retries() == 0 {
 		t.Fatal("no retries recorded against a dead backend in rotation")
 	}
-	if !strings.Contains(srv.Handler().String(), "retries=") {
-		t.Fatal("handler String() lost its retry counter")
-	}
 }
 
 // TestServeSmoke is the serve-smoke acceptance run: the full selftest —
@@ -282,7 +279,7 @@ func TestServeSmoke(t *testing.T) {
 	if slow >= fastA/5 || slow >= fastB/5 {
 		t.Errorf("l3 weights %v: slow backend not demoted", l3.Weights)
 	}
-	if !raceEnabled && report.AllocsPerOp != 0 {
+	if report.AllocsPerOp != 0 {
 		t.Errorf("proxy layer %v allocs/op, want 0", report.AllocsPerOp)
 	}
 	for _, want := range []string{"p99", "allocs/op"} {

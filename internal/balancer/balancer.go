@@ -12,6 +12,7 @@
 package balancer
 
 import (
+	"slices"
 	"time"
 
 	"l3/internal/ewma"
@@ -55,13 +56,30 @@ func (r *RoundRobin) Pick(_ time.Duration, src, service string, backends []*mesh
 // plane enforces: a backend with twice the weight receives twice the
 // traffic. Backends absent from the split (or with all-zero weights) fall
 // back to uniform selection, mirroring how a mesh treats an inert split.
+//
+// Like a proxy that holds the current weights and is told when they change,
+// the picker reads the store once per split write, not once per request.
+// Like the mesh that calls it, a picker is single-threaded.
 type WeightedSplit struct {
 	splits *smi.Store
 	name   func(src, service string) string
 	rng    *sim.Rand
-	// weights is Pick's scratch buffer; like the mesh that calls it, a
-	// picker is single-threaded, so reusing it keeps picks allocation-free.
-	weights []int64
+	routes map[routeKey]*splitRoute
+}
+
+// splitRoute is one (source cluster, service)'s split, resolved against the
+// backend slice Pick was last handed.
+type splitRoute struct {
+	name    string        // the governing TrafficSplit, from WeightedSplit.name
+	version uint64        // store version split was read at
+	split   []smi.Backend // nil while the store holds none under name
+	// weights[i] is split's weight for backends[i], total their sum.
+	// backends is a copy, compared element by element: filtering pickers
+	// (breaker, failover) pass one reused scratch slice whose members change
+	// under the same first element and length.
+	backends []*mesh.Backend
+	weights  []int64
+	total    int64
 }
 
 // NewWeightedSplit returns a picker reading weights from splits. splitName
@@ -73,7 +91,7 @@ func NewWeightedSplit(splits *smi.Store, rng *sim.Rand, splitName func(src, serv
 	if splitName == nil {
 		splitName = func(_, s string) string { return s }
 	}
-	return &WeightedSplit{splits: splits, name: splitName, rng: rng}
+	return &WeightedSplit{splits: splits, name: splitName, rng: rng, routes: make(map[routeKey]*splitRoute)}
 }
 
 // Pick implements mesh.Picker.
@@ -81,36 +99,53 @@ func (w *WeightedSplit) Pick(_ time.Duration, src, service string, backends []*m
 	if len(backends) == 0 {
 		return nil
 	}
-	ts, ok := w.splits.Get(w.name(src, service))
-	if !ok {
+	rt := w.routes[routeKey{src, service}]
+	// The version is read before the split, so a write that lands in between
+	// is seen again — and the split re-read — on the next pick.
+	if v := w.splits.ResourceVersion(); rt == nil || v != rt.version {
+		if rt == nil {
+			rt = &splitRoute{name: w.name(src, service)}
+			w.routes[routeKey{src, service}] = rt
+		}
+		rt.version, rt.split, rt.backends = v, nil, rt.backends[:0]
+		if ts, ok := w.splits.Get(rt.name); ok {
+			rt.split = ts.Backends
+		}
+	}
+	if rt.split == nil {
 		return backends[w.rng.IntN(len(backends))]
 	}
-	if cap(w.weights) < len(backends) {
-		w.weights = make([]int64, len(backends))
+	if !slices.Equal(rt.backends, backends) {
+		rt.resolve(backends)
 	}
-	weights := w.weights[:len(backends)]
-	var total int64
+	if rt.total <= 0 {
+		return backends[w.rng.IntN(len(backends))]
+	}
+	r := int64(w.rng.Float64() * float64(rt.total))
 	for i, b := range backends {
-		weights[i] = 0
-		for _, tb := range ts.Backends {
+		if r < rt.weights[i] {
+			return b
+		}
+		r -= rt.weights[i]
+	}
+	return backends[len(backends)-1]
+}
+
+// resolve matches the split's weights to backends by name, in place.
+func (rt *splitRoute) resolve(backends []*mesh.Backend) {
+	rt.backends = append(rt.backends[:0], backends...)
+	rt.weights, rt.total = rt.weights[:0], 0
+	for _, b := range backends {
+		var weight int64
+		for _, tb := range rt.split {
 			if tb.Service == b.Name {
-				weights[i] = tb.Weight
-				total += tb.Weight
+				weight = tb.Weight
 				break
 			}
 		}
+		rt.weights = append(rt.weights, weight)
+		rt.total += weight
 	}
-	if total <= 0 {
-		return backends[w.rng.IntN(len(backends))]
-	}
-	r := int64(w.rng.Float64() * float64(total))
-	for i, b := range backends {
-		if r < weights[i] {
-			return b
-		}
-		r -= weights[i]
-	}
-	return backends[len(backends)-1]
 }
 
 // P2C is the power-of-two-choices balancer over peak-EWMA latency scores

@@ -578,7 +578,9 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 	}
 	srcEngine := proxy.Engine()
 	var tierSeq int
+	pool := &relays{warm: warm}
 	issue := func(done func(time.Duration, bool)) error {
+		r := pool.get(done)
 		switch {
 		case ovClient != nil:
 			tier := overload.TierDefault
@@ -586,27 +588,12 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 				tier = opts.OverloadTierMix[tierSeq%n]
 				tierSeq++
 			}
-			trec := art.tierRecs[tier]
-			if trec == nil {
-				return ovClient.CallTier(sourceCluster, apiService, tier, func(r mesh.Result) {
-					done(r.Latency, r.Success)
-				})
-			}
-			start := srcEngine.Now()
-			return ovClient.CallTier(sourceCluster, apiService, tier, func(r mesh.Result) {
-				if start >= warm {
-					trec.Record(start, r.Latency, r.Success)
-				}
-				done(r.Latency, r.Success)
-			})
+			r.tierRec, r.start = art.tierRecs[tier], srcEngine.Now()
+			return r.issued(ovClient.CallTier(sourceCluster, apiService, tier, r.mesh))
 		case resClient != nil:
-			return resClient.Call(sourceCluster, apiService, func(r resilience.Result) {
-				done(r.Latency, r.Success)
-			})
+			return r.issued(resClient.Call(sourceCluster, apiService, r.resilience))
 		default:
-			return proxy.Call(apiService, func(r mesh.Result) {
-				done(r.Latency, r.Success)
-			})
+			return r.issued(proxy.Call(apiService, r.mesh))
 		}
 	}
 	gen := loadgen.New(srcEngine, loadgen.Config{
@@ -700,7 +687,8 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 			art.ovl.limit, art.ovl.admitMax, art.ovl.maxSojourn = limit, admitMax, maxSojourn
 		}
 	}
-	return repRun{rec: gen.Recorder(), counts: counts, art: art, duration: duration}, nil
+	pool.closed = true
+	return repRun{rec: gen.Recorder(), counts: counts, art: art, duration: duration}, w.settle(gen)
 }
 
 // algoHandles exposes the control-plane pieces installAlgorithm built, so
@@ -962,5 +950,5 @@ func runDSBOnce(algo Algorithm, rps float64, duration time.Duration, opts Option
 	w.runUntil(opts.WarmUp + duration)
 	gen.Stop()
 	w.runUntil(opts.WarmUp + duration + 30*time.Second)
-	return gen.Recorder(), nil
+	return gen.Recorder(), w.settle(gen)
 }

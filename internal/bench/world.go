@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"l3/internal/loadgen"
@@ -98,11 +99,35 @@ func (w *world) directLoad(src, service string, cfg loadgen.Config) (*loadgen.Ge
 	if err != nil {
 		return nil, err
 	}
+	pool := &relays{}
 	gen := loadgen.New(proxy.Engine(), cfg, func(done func(time.Duration, bool)) error {
-		return proxy.Call(service, func(r mesh.Result) {
-			done(r.Latency, r.Success)
-		})
+		r := pool.get(done)
+		return r.issued(proxy.Call(service, r.mesh))
 	})
 	gen.Start()
 	return gen, nil
+}
+
+// settle checks request conservation at the end of a run, once its outputs
+// are taken: every request the generators issued was rejected at issue or
+// completes exactly once (a second completion panics in loadgen). A request
+// may outlive the 30 s drain — scenario-4's service-time tail reaches
+// minutes — so stragglers are run to completion first, unrecorded; one that
+// a further day of virtual time does not complete is lost.
+func (w *world) settle(gens ...*loadgen.Generator) error {
+	for _, g := range gens {
+		g.Close()
+	}
+	for start := w.ctrl.Now(); ; w.runUntil(w.ctrl.Now() + time.Minute) {
+		var inFlight uint64
+		for _, g := range gens {
+			inFlight += g.Issued() - g.Completed() - g.IssueErrors()
+		}
+		if inFlight == 0 {
+			return nil
+		}
+		if w.ctrl.Now() >= start+24*time.Hour {
+			return fmt.Errorf("bench: request conservation violated: %d requests issued, never completed", inFlight)
+		}
+	}
 }

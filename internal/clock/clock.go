@@ -64,3 +64,10 @@ func (c simClock) Now() time.Duration { return c.e.Now() }
 func (c simClock) After(d time.Duration, fn func()) Timer { return c.e.After(d, fn) }
 
 func (c simClock) Every(interval time.Duration, fn func()) Timer { return c.e.Every(interval, fn) }
+
+// AfterTimer is After through a caller-owned handle (sim.Engine.AtTimer):
+// the same event, no Timer allocated. Not part of Clock — a high-rate caller
+// asserts for it and falls back to After. t must have fired or been cancelled.
+func (c simClock) AfterTimer(t *sim.Timer, d time.Duration, fn func()) {
+	c.e.AtTimer(t, c.e.Now()+max(d, 0), fn)
+}

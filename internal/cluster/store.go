@@ -10,8 +10,10 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Object is anything storable: it must expose a stable name unique within
@@ -66,17 +68,22 @@ type Store[T Object] struct {
 	mu       sync.Mutex
 	items    map[string]T
 	versions map[string]uint64
-	rv       uint64
-	watchers map[int]func(Event[T])
-	nextID   int
+	// rv is written under mu and read without it: a reader that sees an
+	// unchanged version may keep what it derived from an earlier Get.
+	rv atomic.Uint64
+	// watchers is in registration order and copy-on-write: Watch and cancel
+	// replace the slice, so a mutation hands the one it read under mu to
+	// notify without copying it.
+	watchers []*watcher[T]
 }
+
+type watcher[T Object] struct{ fn func(Event[T]) }
 
 // NewStore returns an empty store.
 func NewStore[T Object]() *Store[T] {
 	return &Store[T]{
 		items:    make(map[string]T),
 		versions: make(map[string]uint64),
-		watchers: make(map[int]func(Event[T])),
 	}
 }
 
@@ -89,10 +96,9 @@ func (s *Store[T]) Create(obj T) error {
 		s.mu.Unlock()
 		return ErrAlreadyExists
 	}
-	s.rv++
 	s.items[name] = obj
-	s.versions[name] = s.rv
-	watchers := s.watcherList()
+	s.versions[name] = s.rv.Add(1)
+	watchers := s.watchers
 	s.mu.Unlock()
 	notify(watchers, Event[T]{Type: Added, Object: obj})
 	return nil
@@ -106,10 +112,9 @@ func (s *Store[T]) Update(obj T) error {
 		s.mu.Unlock()
 		return ErrNotFound
 	}
-	s.rv++
 	s.items[name] = obj
-	s.versions[name] = s.rv
-	watchers := s.watcherList()
+	s.versions[name] = s.rv.Add(1)
+	watchers := s.watchers
 	s.mu.Unlock()
 	notify(watchers, Event[T]{Type: Updated, Object: obj})
 	return nil
@@ -130,10 +135,9 @@ func (s *Store[T]) UpdateIfVersion(obj T, expect uint64) error {
 		s.mu.Unlock()
 		return ErrConflict
 	}
-	s.rv++
 	s.items[name] = obj
-	s.versions[name] = s.rv
-	watchers := s.watcherList()
+	s.versions[name] = s.rv.Add(1)
+	watchers := s.watchers
 	s.mu.Unlock()
 	notify(watchers, Event[T]{Type: Updated, Object: obj})
 	return nil
@@ -149,8 +153,8 @@ func (s *Store[T]) Delete(name string) error {
 	}
 	delete(s.items, name)
 	delete(s.versions, name)
-	s.rv++
-	watchers := s.watcherList()
+	s.rv.Add(1)
+	watchers := s.watchers
 	s.mu.Unlock()
 	notify(watchers, Event[T]{Type: Deleted, Object: obj})
 	return nil
@@ -188,12 +192,9 @@ func (s *Store[T]) Len() int {
 }
 
 // ResourceVersion returns the store's monotonically increasing version,
-// bumped by every mutation.
-func (s *Store[T]) ResourceVersion() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rv
-}
+// bumped by every mutation. It takes no lock, so a per-request reader can
+// poll it and call Get only when it has moved.
+func (s *Store[T]) ResourceVersion() uint64 { return s.rv.Load() }
 
 // Watch registers fn to be called synchronously on every subsequent
 // mutation. It returns a cancel function; after cancel, no further events
@@ -201,9 +202,8 @@ func (s *Store[T]) ResourceVersion() uint64 {
 // Added event per existing object (list-then-watch semantics).
 func (s *Store[T]) Watch(replay bool, fn func(Event[T])) (cancel func()) {
 	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.watchers[id] = fn
+	w := &watcher[T]{fn}
+	s.watchers = append(slices.Clone(s.watchers), w)
 	var existing []T
 	if replay {
 		for _, obj := range s.items {
@@ -219,26 +219,13 @@ func (s *Store[T]) Watch(replay bool, fn func(Event[T])) (cancel func()) {
 	}
 	return func() {
 		s.mu.Lock()
-		delete(s.watchers, id)
+		s.watchers = slices.DeleteFunc(slices.Clone(s.watchers), func(x *watcher[T]) bool { return x == w })
 		s.mu.Unlock()
 	}
 }
 
-func (s *Store[T]) watcherList() []func(Event[T]) {
-	ids := make([]int, 0, len(s.watchers))
-	for id := range s.watchers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]func(Event[T]), 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.watchers[id])
-	}
-	return out
-}
-
-func notify[T Object](watchers []func(Event[T]), ev Event[T]) {
-	for _, fn := range watchers {
-		fn(ev)
+func notify[T Object](watchers []*watcher[T], ev Event[T]) {
+	for _, w := range watchers {
+		w.fn(ev)
 	}
 }

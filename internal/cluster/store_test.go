@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -158,6 +159,72 @@ func TestMultipleWatchersAllNotified(t *testing.T) {
 	if n1 != 1 || n2 != 1 {
 		t.Fatalf("watcher counts = %d, %d", n1, n2)
 	}
+}
+
+// TestWatchCancelDuringNotify pins what a mutation does with the watcher list
+// while handlers change it: handlers run in registration order; one cancelled
+// (or registered) by an earlier handler of the same event still gets (or does
+// not get) that event, and the change holds from the next mutation on.
+func TestWatchCancelDuringNotify(t *testing.T) {
+	s := NewStore[obj]()
+	var order []string
+	var cancelSecond func()
+	s.Watch(false, func(Event[obj]) {
+		order = append(order, "first")
+		if cancelSecond != nil {
+			cancelSecond()
+			cancelSecond = nil
+			s.Watch(false, func(Event[obj]) { order = append(order, "late") })
+		}
+	})
+	cancelSecond = s.Watch(false, func(Event[obj]) { order = append(order, "second") })
+	s.Watch(false, func(Event[obj]) { order = append(order, "third") })
+	_ = s.Create(obj{name: "a"})
+	_ = s.Update(obj{name: "a", val: 1})
+	want := []string{"first", "second", "third", "first", "third", "late"}
+	if len(order) != len(want) {
+		t.Fatalf("notified %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("notified %v, want %v", order, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Update(obj{name: "a", val: 2}) }); allocs != 0 {
+		t.Fatalf("a mutation with watchers allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestStoreVersionPolledDuringWrites runs the data plane's read pattern —
+// poll ResourceVersion without the lock, Get when it moved — and watcher
+// churn against a writer, for the race detector: a reader never sees a
+// version newer than the object it then reads.
+func TestStoreVersionPolledDuringWrites(t *testing.T) {
+	s := NewStore[obj]()
+	_ = s.Create(obj{name: "a"})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen uint64
+			for i := 0; i < 2000; i++ {
+				if v := s.ResourceVersion(); v != seen {
+					o, version, _ := s.Get("a")
+					if version < v || uint64(o.val)+1 != version {
+						t.Errorf("polled version %d, then read val %d at version %d", v, o.val, version)
+						return
+					}
+					seen = v
+				}
+				s.Watch(false, func(Event[obj]) {})()
+			}
+		}()
+	}
+	for i := 1; i <= 2000; i++ {
+		_ = s.Update(obj{name: "a", val: i}) // version i+1
+	}
+	wg.Wait()
 }
 
 func TestEventTypeString(t *testing.T) {

@@ -335,32 +335,62 @@ type appServer struct {
 	spec    ServiceSpec
 	rng     *sim.Rand
 	compute *backend.Replica
+	free    []*handling
 }
 
 var _ mesh.Server = (*appServer)(nil)
+
+// handling is the pooled state of one request being served. Its callbacks
+// are bound when the record is first made, so serving evaluates no closure.
+type handling struct {
+	s       *appServer
+	start   time.Duration
+	done    func(backend.Result)
+	stages  []Stage // the stage in flight, then those still to run
+	ok      bool    // every finished stage succeeded
+	pending int     // unanswered calls of the stage in flight
+	stageOK bool    // none of its answered calls failed
+
+	computed func(backend.Result) // local compute finished
+	answered func(mesh.Result)    // one downstream call returned
+}
 
 // Serve implements mesh.Server. The reported Result.Latency spans the
 // whole server-side handling — local compute plus downstream stages — so
 // distributed-tracing spans carry the true execution duration of mid-tier
 // services.
 func (s *appServer) Serve(done func(backend.Result)) {
-	start := s.app.mesh.Engine().Now()
-	timed := func(res backend.Result) {
-		res.Latency = s.app.mesh.Engine().Now() - start
-		done(res)
+	var h *handling
+	if n := len(s.free); n > 0 {
+		h = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		h = &handling{s: s}
+		h.computed, h.answered = h.onComputed, h.onAnswered
 	}
-	s.compute.Serve(func(res backend.Result) {
-		if !res.Success || res.Rejected {
-			timed(res)
+	h.start, h.done = s.app.mesh.Engine().Now(), done
+	s.compute.Serve(h.computed)
+}
+
+func (h *handling) onComputed(res backend.Result) {
+	if res.Success && !res.Rejected {
+		if v := h.s.pickVariant(); v != nil && len(v.Stages) > 0 {
+			h.stages, h.ok = v.Stages, true
+			h.runStage()
 			return
 		}
-		v := s.pickVariant()
-		if v == nil || len(v.Stages) == 0 {
-			timed(res)
-			return
-		}
-		s.runStages(v.Stages, true, timed)
-	})
+	}
+	h.finish(res)
+}
+
+// finish stamps the handling time on res and completes the request,
+// recycling the record first, as mesh's call does.
+func (h *handling) finish(res backend.Result) {
+	s, done := h.s, h.done
+	res.Latency = s.app.mesh.Engine().Now() - h.start
+	h.done, h.stages = nil, nil
+	s.free = append(s.free, h)
+	done(res)
 }
 
 func (s *appServer) pickVariant() *Variant {
@@ -384,37 +414,33 @@ func (s *appServer) pickVariant() *Variant {
 	return &s.spec.Variants[len(s.spec.Variants)-1]
 }
 
-// runStages executes the remaining stages sequentially; within a stage all
-// calls run in parallel. A request succeeds only if every downstream call
-// succeeds.
-func (s *appServer) runStages(stages []Stage, okSoFar bool, done func(backend.Result)) {
-	if len(stages) == 0 {
-		done(backend.Result{Success: okSoFar})
+// runStage starts the first remaining stage: stages run sequentially, all
+// calls of one stage in parallel. A request succeeds only if every
+// downstream call succeeds.
+func (h *handling) runStage() {
+	for len(h.stages) > 0 && len(h.stages[0]) == 0 {
+		h.stages = h.stages[1:]
+	}
+	if len(h.stages) == 0 {
+		h.finish(backend.Result{Success: h.ok})
 		return
 	}
-	stage := stages[0]
-	remaining := len(stage)
-	if remaining == 0 {
-		s.runStages(stages[1:], okSoFar, done)
-		return
-	}
-	stageOK := true
+	stage := h.stages[0]
+	h.pending, h.stageOK = len(stage), true
 	for _, target := range stage {
-		err := s.app.mesh.Call(s.cluster, target, func(r mesh.Result) {
-			if !r.Success {
-				stageOK = false
-			}
-			remaining--
-			if remaining == 0 {
-				s.runStages(stages[1:], okSoFar && stageOK, done)
-			}
-		})
-		if err != nil {
-			stageOK = false
-			remaining--
-			if remaining == 0 {
-				s.runStages(stages[1:], okSoFar && stageOK, done)
-			}
+		if err := h.s.app.mesh.Call(h.s.cluster, target, h.answered); err != nil {
+			h.onAnswered(mesh.Result{})
 		}
+	}
+}
+
+func (h *handling) onAnswered(r mesh.Result) {
+	if !r.Success {
+		h.stageOK = false
+	}
+	h.pending--
+	if h.pending == 0 {
+		h.stages, h.ok = h.stages[1:], h.ok && h.stageOK
+		h.runStage()
 	}
 }

@@ -52,17 +52,39 @@ type Config struct {
 }
 
 // Generator schedules open-loop arrivals on a Clock — the simulator's
-// virtual clock in benchmarks, a wall clock under cmd/l3load.
+// virtual clock in benchmarks, a wall clock under cmd/l3load. On the virtual
+// clock a steady-state arrival allocates nothing: callbacks are bound once,
+// the timer is rebound in place, per-request state comes from a free list.
 type Generator struct {
 	clk      clock.Clock
+	rebinder rebinder // clk's allocation-free After; nil on a clock without one
 	issue    IssueFunc
 	cfg      Config
 	recorder *Recorder
-	timer    clock.Timer
+	timer    clock.Timer   // the pending arrival or rate poll
+	simTimer sim.Timer     // what timer points at under a rebinder
+	tick     func()        // fire: one arrival, then scheduleNext
+	poll     func()        // scheduleNext alone, while the rate is zero
 	next     time.Duration // absolute cursor for CatchUp scheduling
 	stopped  bool
-	issued   uint64
-	errors   uint64
+	closed   bool
+	free     []*arrival
+
+	issued, completed, errors uint64
+}
+
+// rebinder is After through a caller-owned sim.Timer, the optional clock
+// capability clock.Sim's adapter has; other clocks get After's handle per call.
+type rebinder interface {
+	AfterTimer(t *sim.Timer, d time.Duration, fn func())
+}
+
+// arrival is one request's pooled state; done is bound when it is first made.
+type arrival struct {
+	g        *Generator
+	start    time.Duration
+	inFlight bool
+	done     func(latency time.Duration, success bool)
 }
 
 // New returns a generator on the simulation engine's virtual clock; call
@@ -73,8 +95,9 @@ func New(engine *sim.Engine, cfg Config, issue IssueFunc) *Generator {
 
 // NewClock returns a generator driven by an arbitrary clock. Completions
 // are recorded on whatever goroutine calls done; on a wall clock the caller
-// must serialize those (clock.Wall.Do, or a mutex around the Recorder) —
-// the Recorder itself is single-threaded, like every sim-era component.
+// must serialize those with each other and with arrivals (clock.Wall.Do) —
+// the generator and its Recorder are single-threaded, like every sim-era
+// component.
 func NewClock(clk clock.Clock, cfg Config, issue IssueFunc) *Generator {
 	if clk == nil {
 		panic("loadgen: nil clock")
@@ -88,12 +111,17 @@ func NewClock(clk clock.Clock, cfg Config, issue IssueFunc) *Generator {
 	if cfg.BucketWidth <= 0 {
 		cfg.BucketWidth = time.Second
 	}
-	return &Generator{
+	g := &Generator{
 		clk:      clk,
 		issue:    issue,
 		cfg:      cfg,
 		recorder: NewRecorder(cfg.BucketWidth),
 	}
+	g.tick, g.poll = g.fire, g.scheduleNext
+	if rb, ok := clk.(rebinder); ok {
+		g.rebinder, g.timer = rb, &g.simTimer
+	}
+	return g
 }
 
 // Recorder returns the generator's latency recorder.
@@ -101,6 +129,10 @@ func (g *Generator) Recorder() *Recorder { return g.recorder }
 
 // Issued returns the number of requests sent so far.
 func (g *Generator) Issued() uint64 { return g.issued }
+
+// Completed returns the number of requests whose done has run. After a
+// drain, Issued() == Completed() + IssueErrors() or a request was lost.
+func (g *Generator) Completed() uint64 { return g.completed }
 
 // IssueErrors returns the number of requests the IssueFunc rejected
 // synchronously (misconfiguration, unknown service).
@@ -122,6 +154,19 @@ func (g *Generator) Stop() {
 	}
 }
 
+// Close ends the measurement: requests that complete from now on are counted
+// in Completed but no longer recorded.
+func (g *Generator) Close() { g.closed = true }
+
+// after schedules fn, d from now, as the generator's one pending callback.
+func (g *Generator) after(d time.Duration, fn func()) {
+	if g.rebinder != nil {
+		g.rebinder.AfterTimer(&g.simTimer, d, fn)
+		return
+	}
+	g.timer = g.clk.After(d, fn)
+}
+
 func (g *Generator) scheduleNext() {
 	if g.stopped {
 		return
@@ -131,7 +176,7 @@ func (g *Generator) scheduleNext() {
 	if rate <= 0 {
 		// No load right now; poll again shortly for the rate to return.
 		g.next = now + 100*time.Millisecond
-		g.timer = g.clk.After(100*time.Millisecond, g.scheduleNext)
+		g.after(100*time.Millisecond, g.poll)
 		return
 	}
 	gap := time.Duration(float64(time.Second) / rate)
@@ -149,22 +194,43 @@ func (g *Generator) scheduleNext() {
 			delay = 0
 		}
 	}
-	g.timer = g.clk.After(delay, func() {
-		g.fire()
-		g.scheduleNext()
-	})
+	g.after(delay, g.tick)
 }
 
 func (g *Generator) fire() {
-	start := g.clk.Now()
+	var a *arrival
+	if n := len(g.free); n > 0 {
+		a = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		a = &arrival{g: g}
+		a.done = a.complete
+	}
+	a.start, a.inFlight = g.clk.Now(), true
 	g.issued++
-	err := g.issue(func(latency time.Duration, success bool) {
-		if start >= g.cfg.WarmUp {
-			g.recorder.Record(start, latency, success)
-		}
-	})
-	if err != nil {
+	if err := g.issue(a.done); err != nil {
 		g.errors++
+		a.release()
+	}
+	g.scheduleNext()
+}
+
+// release returns the record to the free list. Released twice it would serve
+// two requests at once, so a second done panics, naming the request.
+func (a *arrival) release() {
+	if !a.inFlight {
+		panic(fmt.Sprintf("loadgen: the request issued at %v completed twice", a.start))
+	}
+	a.inFlight = false
+	a.g.free = append(a.g.free, a)
+}
+
+func (a *arrival) complete(latency time.Duration, success bool) {
+	g, start := a.g, a.start
+	a.release()
+	g.completed++
+	if start >= g.cfg.WarmUp && !g.closed {
+		g.recorder.Record(start, latency, success)
 	}
 }
 

@@ -223,3 +223,76 @@ func TestDelayedResponsesRecordAtStartBucket(t *testing.T) {
 		t.Fatalf("RPSSeries = %v, want requests attributed to bucket 0", rps)
 	}
 }
+
+// TestRequestConservation pins the count the bench pipeline checks after
+// every drain: each issued request ends in exactly one of Completed and
+// IssueErrors, whether done runs inside issue or seconds later.
+func TestRequestConservation(t *testing.T) {
+	e := sim.NewEngine()
+	n := 0
+	g := New(e, Config{Rate: ConstantRate(100)}, func(done func(time.Duration, bool)) error {
+		switch n++; n % 3 {
+		case 0:
+			return errTest
+		case 1:
+			done(time.Millisecond, true)
+		default:
+			e.After(2*time.Second, func() { done(2*time.Second, false) })
+		}
+		return nil
+	})
+	g.Start()
+	e.RunUntil(time.Second)
+	g.Stop()
+	if g.Issued() == g.Completed()+g.IssueErrors() {
+		t.Fatal("delayed requests already counted as completed before the drain")
+	}
+	e.RunUntil(time.Minute)
+	if g.Issued() == 0 || g.IssueErrors() == 0 || g.Issued() != g.Completed()+g.IssueErrors() {
+		t.Fatalf("issued %d != completed %d + issue errors %d", g.Issued(), g.Completed(), g.IssueErrors())
+	}
+	if got := g.Recorder().Count(); got != g.Completed() {
+		t.Fatalf("recorded %d samples for %d completions", got, g.Completed())
+	}
+}
+
+// TestDoneTwicePanics: per-request records are recycled, so a second done
+// must not pass silently — it would file a sample under whichever request
+// holds the record next.
+func TestDoneTwicePanics(t *testing.T) {
+	e := sim.NewEngine()
+	var keep func(time.Duration, bool)
+	g := New(e, Config{Rate: ConstantRate(1)}, func(done func(time.Duration, bool)) error {
+		keep = done
+		done(time.Millisecond, true)
+		return nil
+	})
+	g.Start()
+	e.RunUntil(1500 * time.Millisecond)
+	g.Stop()
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "loadgen: the request issued at 1s completed twice"; msg != want {
+			t.Fatalf("second done: recovered %q, want %q", msg, want)
+		}
+	}()
+	keep(time.Millisecond, true)
+}
+
+// TestArrivalAllocationFree pins the generator's own share of a simulated
+// request: rate function, gap, arrival event, record and recorder, around an
+// issue that completes at once, allocate nothing once warm.
+func TestArrivalAllocationFree(t *testing.T) {
+	e := sim.NewEngine()
+	g := New(e, Config{Rate: ConstantRate(1000)}, instantIssue(time.Millisecond, true))
+	g.Start()
+	e.RunUntil(time.Second)
+	before := g.Issued()
+	allocs := testing.AllocsPerRun(500, func() { e.Step() })
+	if g.Issued() < before+500 {
+		t.Fatalf("stepping the engine issued %d requests, want one per step", g.Issued()-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per arrival, want 0", allocs)
+	}
+}

@@ -175,35 +175,3 @@ func TestRouteCacheResolvesOncePerRoute(t *testing.T) {
 		t.Fatal("distinct source clusters share a routeStats")
 	}
 }
-
-// TestSteadyStateCallAllocationFree pins the tentpole: once route handles and
-// pools are warm, a full request lifecycle (pick, WAN out, serve, WAN back,
-// metric recording, completion) performs zero heap allocations.
-func TestSteadyStateCallAllocationFree(t *testing.T) {
-	e := sim.NewEngine()
-	m := New(e, sim.NewRand(1), wan.New(wan.DefaultConfig()), metrics.NewRegistry())
-	if _, err := m.AddService("api"); err != nil {
-		t.Fatal(err)
-	}
-	addBackend(t, m, "api", "api-c1", "cluster-1", time.Millisecond, true)
-	addBackend(t, m, "api", "api-c2", "cluster-2", time.Millisecond, true)
-	_ = m.SetPicker("api", pickFirst{})
-	completed := 0
-	onDone := func(Result) { completed++ }
-	issue := func() {
-		if err := m.Call("cluster-1", "api", onDone); err != nil {
-			t.Fatal(err)
-		}
-		e.Run()
-	}
-	for i := 0; i < 8; i++ {
-		issue() // warm route cache, series, pools and the event heap
-	}
-	allocs := testing.AllocsPerRun(200, issue)
-	if allocs != 0 {
-		t.Fatalf("steady-state Call allocates %.1f objects per request, want 0", allocs)
-	}
-	if completed == 0 {
-		t.Fatal("no requests completed")
-	}
-}

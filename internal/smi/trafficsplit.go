@@ -274,6 +274,10 @@ func (s *Store) List() []*TrafficSplit {
 // Len returns the number of stored splits.
 func (s *Store) Len() int { return s.inner.Len() }
 
+// ResourceVersion moves on every Create, Update and Delete and is read
+// without a lock: what a reader got from Get holds while it stands still.
+func (s *Store) ResourceVersion() uint64 { return s.inner.ResourceVersion() }
+
 // Watch registers fn for mutation events (cloned objects). With replay, fn
 // first receives synthetic Added events for existing splits.
 func (s *Store) Watch(replay bool, fn func(cluster.Event[*TrafficSplit])) (cancel func()) {

@@ -298,3 +298,21 @@ func TestSampleSuccessFollowsTrace(t *testing.T) {
 		t.Fatalf("success frequency = %v, trace value %v", got, want)
 	}
 }
+
+// TestSampleLatencyMovesWithinStep pins why the latency distribution is
+// rebuilt per sample: Series.At interpolates, so median and P99 — and the
+// (mu, sigma) derived from them — move with every instant, not once per
+// series step. A cache keyed on the step would change every draw.
+func TestSampleLatencyMovesWithinStep(t *testing.T) {
+	ct := &ClusterTrace{
+		Median: Series{Step: time.Second, Values: []float64{0.010, 0.020}},
+		P99:    Series{Step: time.Second, Values: []float64{0.050, 0.100}},
+	}
+	atStart := ct.SampleLatency(0, sim.NewRand(9))
+	midStep := ct.SampleLatency(500*time.Millisecond, sim.NewRand(9))
+	// One normal draw z on both sides: exp(mu + sigma z) scales with the
+	// interpolated median 15 ms / 10 ms when P99/median is unchanged.
+	if ratio := float64(midStep) / float64(atStart); math.Abs(ratio-1.5) > 1e-6 {
+		t.Fatalf("same draw at step start %v and mid-step %v: ratio %v, want 1.5", atStart, midStep, ratio)
+	}
+}

@@ -55,8 +55,9 @@ guard-smoke:
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
 ## and validation), the /metrics exposition parser (never panics, rejects
-## with a line number, agrees with the old parser, round-trips every
-## generated registry) and the two request headers the proxy parses
+## with a line number, agrees with the old parser on a cold series table, a
+## warm one and a sibling text sharing series with the first, round-trips
+## every generated registry) and the two request headers the proxy parses
 ## (X-L3-Deadline: a budget in (0, default] or the default; X-L3-Criticality:
 ## always a valid tier) — beyond their seed corpora.
 fuzz-smoke:

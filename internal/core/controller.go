@@ -304,6 +304,30 @@ type Controller struct {
 type trackedSplit struct {
 	assigner Assigner
 	backends map[string]bool
+	// Self-metric series, each registered the first time a round has a value
+	// for it — the moment and order a lookup per round registered it — and
+	// kept until the watch sees its backend leave the split.
+	gauges         map[string]*backendGauges
+	relativeChange *metrics.Gauge
+	updates        *metrics.Counter
+}
+
+type backendGauges struct{ weight, p99, rps *metrics.Gauge }
+
+// retire forgets a departed backend's series and zeroes them: the registry
+// keeps a series for good, and a last live value in it would read as a
+// backend still carrying that weight.
+func (t *trackedSplit) retire(backend string) {
+	g := t.gauges[backend]
+	if g == nil {
+		return
+	}
+	delete(t.gauges, backend)
+	g.weight.Set(0)
+	if g.p99 != nil {
+		g.p99.Set(0)
+		g.rps.Set(0)
+	}
 }
 
 // NewController wires the operator together on the simulation engine's
@@ -417,10 +441,19 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 		for b := range t.backends {
 			if !next[b] {
 				t.assigner.Forget(b)
+				t.retire(b)
 			}
 		}
 		t.backends = next
 	case cluster.Deleted:
+		if t, ok := c.tracked[name]; ok {
+			for b := range t.gauges {
+				t.retire(b)
+			}
+			if t.relativeChange != nil {
+				t.relativeChange.Set(0)
+			}
+		}
 		delete(c.tracked, name)
 		c.reorder()
 	}
@@ -519,7 +552,10 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	}
 	c.updates++
 	if reg := c.cfg.SelfRegistry; reg != nil {
-		reg.Counter(MetricUpdatesTotal, metrics.Labels{"split": name}).Inc()
+		if t.updates == nil {
+			t.updates = reg.Counter(MetricUpdatesTotal, metrics.Labels{"split": name})
+		}
+		t.updates.Inc()
 	}
 }
 
@@ -528,7 +564,15 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *trackedSplit, backends []string, weights map[string]float64) {
 	for _, b := range backends {
 		if w, ok := weights[b]; ok {
-			reg.Gauge(MetricWeight, metrics.Labels{"split": split, "backend": b}).Set(w)
+			g := t.gauges[b]
+			if g == nil {
+				if t.gauges == nil {
+					t.gauges = make(map[string]*backendGauges)
+				}
+				g = &backendGauges{weight: reg.Gauge(MetricWeight, metrics.Labels{"split": split, "backend": b})}
+				t.gauges[b] = g
+			}
+			g.weight.Set(w)
 		}
 	}
 	if l3, ok := t.assigner.(*L3Assigner); ok {
@@ -537,12 +581,20 @@ func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *t
 				continue
 			}
 			if view, ok := l3.Weighter().View(b); ok {
-				reg.Gauge(MetricFilteredP99, metrics.Labels{"split": split, "backend": b}).Set(view.Latency)
-				reg.Gauge(MetricFilteredRPS, metrics.Labels{"split": split, "backend": b}).Set(view.RPS)
+				g := t.gauges[b]
+				if g.p99 == nil {
+					g.p99 = reg.Gauge(MetricFilteredP99, metrics.Labels{"split": split, "backend": b})
+					g.rps = reg.Gauge(MetricFilteredRPS, metrics.Labels{"split": split, "backend": b})
+				}
+				g.p99.Set(view.Latency)
+				g.rps.Set(view.RPS)
 			}
 		}
 		if rc := l3.RateController(); rc != nil {
-			reg.Gauge(MetricRelativeChange, metrics.Labels{"split": split}).Set(rc.LastRelativeChange())
+			if t.relativeChange == nil {
+				t.relativeChange = reg.Gauge(MetricRelativeChange, metrics.Labels{"split": split})
+			}
+			t.relativeChange.Set(rc.LastRelativeChange())
 		}
 	}
 }

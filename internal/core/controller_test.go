@@ -236,6 +236,72 @@ func TestControllerSelfMetricsExported(t *testing.T) {
 	}
 }
 
+// The controller keeps the self-metric series it found; they must follow the
+// split. A backend that leaves stops reading as live (its gauges drop to 0
+// instead of holding their last value), one that comes back is written
+// again, and a deleted split takes all of its gauges down with it.
+func TestControllerSelfMetricsFollowTheSplit(t *testing.T) {
+	r := newRig(t, nil, 20*time.Millisecond, 400*time.Millisecond)
+	r.engine.RunUntil(time.Minute)
+	gauge := func(family, backend string) float64 {
+		return r.selfReg.Gauge(family, metrics.Labels{"split": "api", "backend": backend}).Value()
+	}
+	for _, family := range []string{MetricWeight, MetricFilteredP99, MetricFilteredRPS} {
+		if gauge(family, "api-slow") <= 0 {
+			t.Fatalf("%s{api-slow} = %v before the change, want it live", family, gauge(family, "api-slow"))
+		}
+	}
+	series := len(r.selfReg.Snapshot())
+
+	setBackends := func(backends ...smi.Backend) {
+		t.Helper()
+		ts, ok := r.m.Splits().Get("api")
+		if !ok {
+			t.Fatal("split vanished")
+		}
+		ts.Backends = backends
+		if err := r.m.Splits().Update(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setBackends(smi.Backend{Service: "api-fast", Weight: 1000})
+	for _, family := range []string{MetricWeight, MetricFilteredP99, MetricFilteredRPS} {
+		if v := gauge(family, "api-slow"); v != 0 {
+			t.Errorf("%s{api-slow} = %v after the backend left the split, want 0", family, v)
+		}
+	}
+	r.engine.RunUntil(2 * time.Minute)
+	if v := gauge(MetricWeight, "api-slow"); v != 0 {
+		t.Errorf("weight gauge of the departed backend moved to %v", v)
+	}
+	if gauge(MetricWeight, "api-fast") <= 0 || gauge(MetricFilteredRPS, "api-fast") <= 0 {
+		t.Error("the remaining backend's gauges stopped updating")
+	}
+
+	setBackends(smi.Backend{Service: "api-fast", Weight: 500}, smi.Backend{Service: "api-slow", Weight: 500})
+	r.engine.RunUntil(3 * time.Minute)
+	for _, family := range []string{MetricWeight, MetricFilteredP99, MetricFilteredRPS} {
+		if gauge(family, "api-slow") <= 0 {
+			t.Errorf("%s{api-slow} = %v after the backend came back, want it live again", family, gauge(family, "api-slow"))
+		}
+	}
+	if gauge(MetricWeight, "api-fast") <= gauge(MetricWeight, "api-slow") {
+		t.Errorf("weights fast=%v slow=%v after re-adding, want fast > slow", gauge(MetricWeight, "api-fast"), gauge(MetricWeight, "api-slow"))
+	}
+	if got := len(r.selfReg.Snapshot()); got != series {
+		t.Errorf("self registry grew from %d to %d series across remove/re-add", series, got)
+	}
+
+	if err := r.m.Splits().Delete("api"); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range r.selfReg.Snapshot() {
+		if s.Kind == metrics.KindGauge && s.Name != MetricLeader && s.Value != 0 {
+			t.Errorf("%s%v = %v after its split was deleted, want 0", s.Name, s.Labels, s.Value)
+		}
+	}
+}
+
 func TestControllerRequiresDeps(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -64,21 +64,62 @@ func sameSamples(got, want []Sample) bool {
 	return true
 }
 
-// agreeWithOracleParser requires the slicing parser and the old
-// Scanner-and-Fields one to accept or reject text alike: equal samples, or
-// equal errors, line number included.
+// agreeWithOracleParser requires the caching parser and the old
+// Scanner-and-Fields one to accept or reject text alike — equal samples, or
+// equal errors, line number included — whatever the series table holds:
+// through ParseExposition, whose table earlier texts have filled; on a table
+// of its own, cold and then warm; on a sibling text that shares series texts
+// with the first; and on the first again after the sibling.
 func agreeWithOracleParser(t testing.TB, text []byte) {
 	t.Helper()
-	got, err := ParseExposition(bytes.NewReader(text))
-	want, wantErr := oracleParseExposition(bytes.NewReader(text))
-	switch {
-	case (err == nil) != (wantErr == nil):
-		t.Fatalf("parsing %q: error %v, oracle's %v", text, err, wantErr)
-	case err != nil && err.Error() != wantErr.Error():
-		t.Fatalf("parsing %q: error %q, oracle's %q", text, err, wantErr)
-	case !sameSamples(got, want):
-		t.Fatalf("parsing %q:\n got %v\nwant %v", text, got, want)
+	type outcome struct {
+		samples []Sample
+		err     error
 	}
+	oracle := func(text []byte) outcome {
+		samples, err := oracleParseExposition(bytes.NewReader(text))
+		return outcome{samples, err}
+	}
+	agree := func(how string, text []byte, got, want outcome) {
+		t.Helper()
+		switch {
+		case (got.err == nil) != (want.err == nil):
+			t.Fatalf("parsing %q (%s): error %v, oracle's %v", text, how, got.err, want.err)
+		case got.err != nil && got.err.Error() != want.err.Error():
+			t.Fatalf("parsing %q (%s): error %q, oracle's %q", text, how, got.err, want.err)
+		case !sameSamples(got.samples, want.samples):
+			t.Fatalf("parsing %q (%s):\n got %v\nwant %v", text, how, got.samples, want.samples)
+		}
+	}
+	other := sibling(text)
+	want, wantOther := oracle(text), oracle(other)
+	samples, err := ParseExposition(bytes.NewReader(text))
+	agree("process-wide table", text, outcome{samples, err}, want)
+	table := &seriesCache{limit: seriesCacheCap}
+	for _, pass := range []struct {
+		how  string
+		text []byte
+		want outcome
+	}{{"cold", text, want}, {"warm", text, want}, {"sibling", other, wantOther}, {"after sibling", text, want}} {
+		samples, err := table.parse(string(pass.text))
+		agree(pass.how, pass.text, outcome{samples, err}, pass.want)
+	}
+}
+
+// sibling derives a second exposition from text: its lines in reverse order,
+// each followed by a copy with a "0" appended. Most of its series texts are
+// the first's (hits, under other line numbers and before other values:
+// `x 1` -> `x 10`), some are a longer spelling of one (`x` -> `x0`), and a
+// bad line moves to where a different one is met first.
+func sibling(text []byte) []byte {
+	lines := bytes.Split(text, []byte("\n"))
+	var out []byte
+	for i := len(lines) - 1; i >= 0; i-- {
+		line := bytes.TrimSuffix(lines[i], []byte("\r"))
+		out = append(append(out, line...), '\n')
+		out = append(append(out, line...), "0\n"...)
+	}
+	return out
 }
 
 // TestExpositionMatchesOracle: the cached-layout writer must produce the old

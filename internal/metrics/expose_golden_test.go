@@ -181,6 +181,7 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 		`m notanumber`,                           // bad value
 		`m 1 yesterday`,                          // bad timestamp
 		`m{l="v" k="w"} 1`,                       // missing comma
+		`m{a="1",a="2"} 1`,                       // repeated label name
 		strings.Repeat("m 1\n", 1) + `{x="y"} 1`, // empty name
 	} {
 		if _, err := ParseExposition(strings.NewReader(bad + "\n")); err == nil {

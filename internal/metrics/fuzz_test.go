@@ -12,8 +12,11 @@ var lineNumbered = regexp.MustCompile(`^metrics: line [0-9]+: `)
 
 // FuzzParseExposition: the control plane parses whatever a /metrics endpoint
 // returns, so the parser must never panic, must reject with a line number,
-// and must agree with the old parser; and every registry the fuzzer's bytes
-// build must survive WritePrometheus -> ParseExposition.
+// and must agree with the old parser — cold, warm and on a sibling text, as
+// agreeWithOracleParser runs it; the scan that finds a line's series text
+// must find exactly what the grammar consumes from a well-formed line; and
+// every registry the fuzzer's bytes build must survive WritePrometheus ->
+// ParseExposition.
 func FuzzParseExposition(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -34,6 +37,15 @@ func FuzzParseExposition(f *testing.F) {
 		// such limit, the one difference in what the two accept.
 		if _, oracleErr := oracleParseExposition(bytes.NewReader(data)); !errors.Is(oracleErr, bufio.ErrTooLong) {
 			agreeWithOracleParser(t, data)
+		}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			line := string(bytes.TrimSuffix(line, []byte("\r")))
+			if got, err := new(seriesCache).parse(line); err != nil || len(got) != 1 {
+				continue // not a sample line
+			}
+			if _, _, rest, _ := scanSeries(line); seriesText(line) != line[:len(line)-len(rest)] {
+				t.Fatalf("line %q: series text found as %q, the grammar consumed %q", line, seriesText(line), line[:len(line)-len(rest)])
+			}
 		}
 
 		r, next := NewRegistry(), 0

@@ -6,6 +6,11 @@ package metrics
 // comparison and a builder per line; a bufio.Scanner with Text, Fields and a
 // Builder per label value. Helpers that did not change (scanName,
 // parseTypeComment, kindFor, keyWithout, leBound, sanitizeName) are shared.
+//
+// The old parser differs from what it was in one stated place: it took a
+// repeated label name (`m{a="1",a="2"} 1`) and let the last value win, where
+// Prometheus rejects the sample; oracleScanLabels now rejects it too, with
+// the new parser's words, so the two can still be held to equal errors.
 
 import (
 	"bufio"
@@ -197,6 +202,9 @@ func oracleScanLabels(in string) (Labels, string, error) {
 		var value string
 		if value, rest, err = oracleScanQuoted(rest); err != nil {
 			return nil, "", fmt.Errorf("label %q: %w", name, err)
+		}
+		if _, dup := labels[name]; dup { // the one divergence from the old parser
+			return nil, "", fmt.Errorf("duplicate label name %q", name)
 		}
 		labels[name] = value
 		rest = strings.TrimLeft(rest, " \t")

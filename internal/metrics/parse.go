@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -16,27 +17,74 @@ import (
 //
 // The parser enforces the grammar a real Prometheus enforces: metric and
 // label names from [a-zA-Z_:][a-zA-Z0-9_:]*, label values quoted with only
-// \\, \" and \n escapes, a float value (NaN/+Inf/-Inf accepted), and an
-// optional integer millisecond timestamp. Malformed lines fail with the
-// line number rather than being skipped — a scrape that half-parses is
-// worse than one that errors.
+// \\, \" and \n escapes, no label name twice in one block, a float value
+// (NaN/+Inf/-Inf accepted), and an optional integer millisecond timestamp.
+// Malformed lines fail with the line number rather than being skipped — a
+// scrape that half-parses is worse than one that errors.
 //
 // Sample kinds come from "# TYPE" comments when present; without one, the
 // conventional suffixes _total, _bucket, _sum and _count mark a series
 // cumulative (KindCounter) and anything else scrapes as a gauge — the same
 // classification the registry itself uses for histogram expansions.
 //
-// The input is read once into a single string and every name, label name
-// and escape-free label value in the result is a slice of it, so a sample
-// costs its label map and nothing else. A consumer that keeps a sample's
-// strings keeps the whole text alive; the time-series database and the
-// hygiene gate copy what they retain.
+// A scrape of the same targets spells the same series every round, so the
+// series part of a line — name{labels}, byte for byte — is remembered in a
+// process-wide table. A line whose series text is in it takes Name and Labels
+// from there and goes straight to the value, timestamp and trailing-garbage
+// checks; any other line runs the whole grammar, and its series text enters
+// the table only once that succeeded — so the result is the same function
+// of the input whatever the table holds. Names and Labels from the table are
+// its own copies and pin nothing of the text read from r; the Labels are
+// shared between results and callers and must be treated as read-only, as
+// Registry.SnapshotAppend's are. Past the table's capacity a line parses as
+// it always did, into slices of the one string r was read into, which a
+// consumer that keeps them keeps alive; the time-series database and the
+// hygiene gate copy what they retain either way.
 func ParseExposition(r io.Reader) ([]Sample, error) {
 	var b strings.Builder
 	if _, err := io.Copy(&b, r); err != nil {
 		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
 	}
-	text := b.String()
+	return scraped.parse(b.String())
+}
+
+// seriesCacheCap bounds each of the table's two generations: about 700
+// backends' worth of mesh series, some 30 MB when full.
+const seriesCacheCap = 1 << 16
+
+// scraped is the series table behind ParseExposition.
+var scraped = seriesCache{limit: seriesCacheCap}
+
+// seriesCache maps a series' text as spelled to its parsed form, in two
+// generations: lookups try cur, then old (moving a hit forward while cur has
+// room); admissions go to cur while it has room. A parse that starts with
+// cur full turns the table over, so a series no scrape spells any more is
+// gone in two turns, and a scrape of more series than limit keeps the first
+// limit of them cached and parses the rest uncached, every time. mu is held
+// around one in-memory parse, never around reading.
+type seriesCache struct {
+	mu       sync.Mutex
+	limit    int
+	cur, old map[string]cachedSeries
+}
+
+// cachedSeries holds strings of its own: text is a copy of the series text,
+// name and every escape-free label string are slices of that copy.
+type cachedSeries struct {
+	text, name string
+	labels     Labels
+}
+
+func (c *seriesCache) parse(text string) ([]Sample, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cur == nil {
+		c.cur, c.old = make(map[string]cachedSeries), make(map[string]cachedSeries)
+	}
+	if len(c.cur) >= c.limit {
+		c.cur, c.old = c.old, c.cur
+		clear(c.cur)
+	}
 	out := make([]Sample, 0, strings.Count(text, "\n")+1)
 	types := make(map[string]Kind)
 	for lineNo := 1; text != ""; lineNo++ {
@@ -57,7 +105,7 @@ func ParseExposition(r io.Reader) ([]Sample, error) {
 			}
 			continue
 		}
-		s, err := parseSampleLine(line)
+		s, err := c.parseSampleLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("metrics: line %d: %w", lineNo, err)
 		}
@@ -65,6 +113,48 @@ func ParseExposition(r io.Reader) ([]Sample, error) {
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+func (c *seriesCache) get(text string) (cachedSeries, bool) {
+	e, ok := c.cur[text]
+	if !ok {
+		if e, ok = c.old[text]; ok && len(c.cur) < c.limit {
+			c.cur[e.text] = e
+		}
+	}
+	return e, ok
+}
+
+// admit remembers, while there is room, a series text the grammar just
+// accepted: copied once and parsed again, so that what is kept are slices
+// of the copy, not of the scrape.
+func (c *seriesCache) admit(text string) (cachedSeries, bool) {
+	if len(c.cur) >= c.limit {
+		return cachedSeries{}, false
+	}
+	e := cachedSeries{text: strings.Clone(text)}
+	e.name, e.labels, _, _ = scanSeries(e.text)
+	c.cur[e.text] = e
+	return e, true
+}
+
+// seriesText finds the series part of a sample line without parsing it: the
+// longest metric name and, when a '{' follows, everything through the line's
+// last '}' ("" when there is none) — where a well-formed line's label block
+// ends, whatever braces its quoted values hold. It checks no grammar. Only
+// what scanSeries consumed from a line it accepted is ever in the table, and
+// scanSeries — left to right, stopping at the block's closing brace, or at
+// the byte after the name, required here not to be '{' — consumes the same
+// bytes from any line that starts with them; so a hit is what a parse gives.
+func seriesText(line string) string {
+	i := 0
+	for i < len(line) && isNameRune(line[i], i) {
+		i++
+	}
+	if i == len(line) || line[i] != '{' {
+		return line[:i]
+	}
+	return line[:strings.LastIndexByte(line, '}')+1]
 }
 
 // parseTypeComment recognises "# TYPE <family> <kind>" comments; every
@@ -102,16 +192,32 @@ func kindFor(name string, types map[string]Kind) Kind {
 	return KindGauge
 }
 
-func parseSampleLine(line string) (Sample, error) {
-	var s Sample
-	rest, name, err := scanName(line)
-	if err != nil {
-		return s, err
+// scanSeries parses the series part of a sample line: the metric name and
+// the label block, if one follows.
+func scanSeries(line string) (name string, labels Labels, rest string, err error) {
+	if rest, name, err = scanName(line); err != nil {
+		return "", nil, "", err
 	}
-	s.Name = name
 	if strings.HasPrefix(rest, "{") {
-		if s.Labels, rest, err = scanLabels(rest); err != nil {
-			return s, err
+		if labels, rest, err = scanLabels(rest); err != nil {
+			return "", nil, "", err
+		}
+	}
+	return name, labels, rest, nil
+}
+
+func (c *seriesCache) parseSampleLine(line string) (Sample, error) {
+	var s Sample
+	var rest string
+	if e, ok := c.get(seriesText(line)); ok {
+		s.Name, s.Labels, rest = e.name, e.labels, line[len(e.text):]
+	} else {
+		var err error
+		if s.Name, s.Labels, rest, err = scanSeries(line); err != nil {
+			return Sample{}, err
+		}
+		if e, ok := c.admit(line[:len(line)-len(rest)]); ok {
+			s.Name, s.Labels = e.name, e.labels
 		}
 	}
 	value, after := nextField(rest)
@@ -192,6 +298,9 @@ func scanLabels(in string) (Labels, string, error) {
 		var value string
 		if value, rest, err = scanQuoted(rest); err != nil {
 			return nil, "", fmt.Errorf("label %q: %w", name, err)
+		}
+		if _, dup := labels[name]; dup {
+			return nil, "", fmt.Errorf("duplicate label name %q", name)
 		}
 		labels[name] = value
 		rest = skipBlanks(rest)

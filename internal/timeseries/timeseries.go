@@ -12,6 +12,7 @@
 package timeseries
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,17 +221,12 @@ func (db *DB) SeriesCount() int {
 }
 
 // window extracts the points of s inside (from, to] — Prometheus range
-// semantics.
+// semantics — by binary search: Append keeps points in strictly increasing
+// time order.
 func (s *series) window(from, to time.Duration) []Point {
 	pts := s.points
-	lo := 0
-	for lo < len(pts) && pts[lo].T <= from {
-		lo++
-	}
-	hi := lo
-	for hi < len(pts) && pts[hi].T <= to {
-		hi++
-	}
+	lo := sort.Search(len(pts), func(i int) bool { return pts[i].T > from })
+	hi := lo + sort.Search(len(pts)-lo, func(i int) bool { return pts[lo+i].T > to })
 	return pts[lo:hi]
 }
 

@@ -101,6 +101,29 @@ func TestScenarioMallocsPerRequest(t *testing.T) {
 	}
 }
 
+// TestDSBRunMallocs guards the number the repo benchmark reports as sim_dsb
+// allocs_per_op without running it: one world of its shape (L3, 200 rps, 30 s
+// of warm-up and 20 measured) is 6 909 series met for the first time and ten
+// control rounds over them. 116 174 mallocs before the scraper kept series
+// refs, the collector standing selectors and a new series a whole window.
+func TestDSBRunMallocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("process-wide allocation counts are not meaningful under -race")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err := RunDSB(AlgoL3, 200, 20*time.Second, Options{Seed: 1, Parallel: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("%d mallocs for one 50 s DSB world, %d recorded requests", mallocs, rec.Count())
+	if mallocs > 95000 {
+		t.Errorf("%d mallocs for one 50 s DSB world, want <= 95 000", mallocs)
+	}
+}
+
 // TestSettleRunsStragglersAndFindsLostRequests pins the conservation check's
 // two sides: a request whose service time outlives the drain is run to
 // completion without entering the recorder, and a request nothing will ever

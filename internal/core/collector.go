@@ -82,18 +82,30 @@ type Collector struct {
 	// installed (nil = raw ingestion, no reset awareness).
 	Resets ResetSource
 
-	// selectors caches each (service, backend)'s three label selectors, so a
-	// round builds no label maps; selectorMatch is the Match they were built
-	// from, and a changed Match drops them.
+	// selectors caches each (service, backend)'s label sets and the standing
+	// selectors over them, so a round builds no label maps and, once the
+	// database has seen every series, matches none. selectorMatch and
+	// selectorDB are the Match and DB they were built from; a change in
+	// either drops them all, and forget drops one backend's.
 	selectors     map[selectorKey]*selectors
 	selectorMatch metrics.Labels
+	selectorDB    *timeseries.DB
 }
 
 type selectorKey struct{ service, backend string }
 
-// selectors are one backend's query label sets: every response series, and
-// those classified success or failure.
-type selectors struct{ base, succ, fail metrics.Labels }
+// selectors are one backend's query targets. The label sets — every response
+// series, and those classified success or failure — are what the standing
+// selectors match on (shared, not copied) and what Resets is asked about.
+type selectors struct {
+	base, succ, fail metrics.Labels
+
+	total, succTotal   timeseries.Selector // response_total: base, succ
+	latency            timeseries.Selector // latency buckets: succ
+	succSum, succCount timeseries.Selector // latency _sum/_count: succ
+	failSum, failCount timeseries.Selector // latency _sum/_count: fail
+	inflight           timeseries.Selector // in-flight gauge: base
+}
 
 func (c *Collector) selectorsFor(service, backend string) *selectors {
 	key := selectorKey{service, backend}
@@ -107,13 +119,33 @@ func (c *Collector) selectorsFor(service, backend string) *selectors {
 	for k, v := range c.Match {
 		base[k] = v
 	}
+	succ := base.With("classification", mesh.ClassSuccess)
+	fail := base.With("classification", mesh.ClassFailure)
+	const (
+		buckets = mesh.MetricResponseLatency + "_bucket"
+		sum     = mesh.MetricResponseLatency + "_sum"
+		count   = mesh.MetricResponseLatency + "_count"
+	)
 	sel := &selectors{
-		base: base,
-		succ: base.With("classification", mesh.ClassSuccess),
-		fail: base.With("classification", mesh.ClassFailure),
+		base: base, succ: succ, fail: fail,
+		total:     timeseries.NewSelector(c.DB, mesh.MetricResponseTotal, base),
+		succTotal: timeseries.NewSelector(c.DB, mesh.MetricResponseTotal, succ),
+		latency:   timeseries.NewSelector(c.DB, buckets, succ),
+		succSum:   timeseries.NewSelector(c.DB, sum, succ),
+		succCount: timeseries.NewSelector(c.DB, count, succ),
+		failSum:   timeseries.NewSelector(c.DB, sum, fail),
+		failCount: timeseries.NewSelector(c.DB, count, fail),
+		inflight:  timeseries.NewSelector(c.DB, mesh.MetricInflight, base),
 	}
 	c.selectors[key] = sel
 	return sel
+}
+
+// forget drops a backend's cached selectors; the controller calls it when the
+// backend leaves a split, so the cache holds the backends being collected and
+// not every backend there has ever been.
+func (c *Collector) forget(service, backend string) {
+	delete(c.selectors, selectorKey{service, backend})
 }
 
 // ResetSource reports the most recent counter-reset splice among series
@@ -148,25 +180,24 @@ func (c *Collector) percentile() float64 {
 func (c *Collector) Collect(at time.Duration, service string, backends []string) map[string]BackendMetrics {
 	out := make(map[string]BackendMetrics, len(backends))
 	w := c.window()
-	if c.selectors == nil || !c.selectorMatch.Equal(c.Match) {
+	if c.selectors == nil || c.selectorDB != c.DB || !c.selectorMatch.Equal(c.Match) {
 		c.selectors = make(map[selectorKey]*selectors)
-		c.selectorMatch = c.Match.Clone()
+		c.selectorMatch, c.selectorDB = c.Match.Clone(), c.DB
 	}
 	for _, b := range backends {
 		sel := c.selectorsFor(service, b)
-		base, succ, fail := sel.base, sel.succ, sel.fail
 		var m BackendMetrics
 
-		if last, ok := c.DB.NewestSample(mesh.MetricResponseTotal, base); ok {
+		if last, ok := sel.total.NewestSample(); ok {
 			m.LastSample = last
 		}
 		if c.Resets != nil {
-			if rt, ok := c.Resets.LastReset(base); ok && rt > at-w {
+			if rt, ok := c.Resets.LastReset(sel.base); ok && rt > at-w {
 				m.ResetSeen = true
 			}
 		}
 
-		totalRate, ok := c.DB.Rate(mesh.MetricResponseTotal, base, at, w)
+		totalRate, ok := sel.total.Rate(at, w)
 		if !ok || totalRate <= 0 {
 			// Distinguish a data gap (samples exist, but fewer than two in
 			// the window) from a backend that is genuinely idle or unknown.
@@ -177,7 +208,7 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 		m.HasTraffic = true
 		m.RPS = totalRate
 
-		succRate, ok := c.DB.Rate(mesh.MetricResponseTotal, succ, at, w)
+		succRate, ok := sel.succTotal.Rate(at, w)
 		if !ok {
 			succRate = 0
 		}
@@ -186,25 +217,25 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 			m.SuccessRate = 1
 		}
 
-		if q, ok := c.DB.HistogramQuantile(c.percentile(), mesh.MetricResponseLatency, succ, at, w); ok {
+		if q, ok := sel.latency.HistogramQuantile(c.percentile(), at, w); ok {
 			m.P99 = q
 			m.P99Valid = true
 		}
-		sumRate, okSum := c.DB.Rate(mesh.MetricResponseLatency+"_sum", succ, at, w)
-		cntRate, okCnt := c.DB.Rate(mesh.MetricResponseLatency+"_count", succ, at, w)
+		sumRate, okSum := sel.succSum.Rate(at, w)
+		cntRate, okCnt := sel.succCount.Rate(at, w)
 		if okSum && okCnt && cntRate > 0 {
 			m.MeanLatency = sumRate / cntRate
 			m.MeanValid = true
 		}
 
-		fSumRate, okFSum := c.DB.Rate(mesh.MetricResponseLatency+"_sum", fail, at, w)
-		fCntRate, okFCnt := c.DB.Rate(mesh.MetricResponseLatency+"_count", fail, at, w)
+		fSumRate, okFSum := sel.failSum.Rate(at, w)
+		fCntRate, okFCnt := sel.failCount.Rate(at, w)
 		if okFSum && okFCnt && fCntRate > 0 {
 			m.FailureMeanLatency = fSumRate / fCntRate
 			m.FailureMeanValid = true
 		}
 
-		if v, ok := c.DB.GaugeAvg(mesh.MetricInflight, base, at, w); ok {
+		if v, ok := sel.inflight.GaugeAvg(at, w); ok {
 			m.Inflight = v
 		}
 		out[b] = m

@@ -11,6 +11,13 @@ import (
 	"l3/internal/timeseries"
 )
 
+// scrape appends one snapshot of reg at time t, sample by sample by labels.
+func scrape(db *timeseries.DB, t time.Duration, reg *metrics.Registry) {
+	for _, s := range reg.Snapshot() {
+		db.AppendSample(s.Name, s.Labels, s.Kind, t, s.Value)
+	}
+}
+
 // seedMetrics simulates two scrape intervals of traffic for one backend:
 // reqs requests at the given success fraction, successes spread across a
 // latency histogram centred on latSeconds, and a constant inflight gauge.
@@ -21,21 +28,21 @@ func seedMetrics(t *testing.T, db *timeseries.DB, service, backendName string, r
 	succ := base.With("classification", mesh.ClassSuccess)
 	fail := base.With("classification", mesh.ClassFailure)
 
-	db.Scrape(0, reg) // empty baseline would create no series; scrape after registration instead
+	scrape(db, 0, reg) // empty baseline would create no series; scrape after registration instead
 
 	nSucc := int(float64(reqs) * successFrac)
 	h := reg.Histogram(mesh.MetricResponseLatency, succ, histogram.LinkerdLatencyBounds)
 	reg.Counter(mesh.MetricResponseTotal, succ).Add(0)
 	reg.Counter(mesh.MetricResponseTotal, fail).Add(0)
 	reg.Gauge(mesh.MetricInflight, base).Set(inflight)
-	db.Scrape(5*time.Second, reg)
+	scrape(db, 5*time.Second, reg)
 
 	reg.Counter(mesh.MetricResponseTotal, succ).Add(float64(nSucc))
 	reg.Counter(mesh.MetricResponseTotal, fail).Add(float64(reqs - nSucc))
 	for i := 0; i < nSucc; i++ {
 		h.Observe(latSeconds)
 	}
-	db.Scrape(10*time.Second, reg)
+	scrape(db, 10*time.Second, reg)
 }
 
 func TestCollectorBasics(t *testing.T) {
@@ -116,6 +123,26 @@ func TestCollectorStaleWindow(t *testing.T) {
 	}
 }
 
+// The standing selectors are bound to a database: a collector pointed at
+// another one answers from it, as a new collector would.
+func TestCollectorFollowsItsDB(t *testing.T) {
+	busy, idle := timeseries.NewDB(time.Minute), timeseries.NewDB(time.Minute)
+	seedMetrics(t, busy, "api", "b", 100, 1, 0.05, 0)
+	c := NewCollector(busy)
+	if m := c.Collect(10*time.Second, "api", []string{"b"}); !m["b"].HasTraffic {
+		t.Fatal("no traffic collected from the seeded database")
+	}
+	c.DB = idle
+	if m := c.Collect(10*time.Second, "api", []string{"b"}); m["b"].HasTraffic || m["b"].LastSample != 0 {
+		t.Fatalf("collected %+v from an empty database: selectors still read the old one", m["b"])
+	}
+	seedMetrics(t, idle, "api", "b", 50, 1, 0.05, 0)
+	got, want := c.Collect(10*time.Second, "api", []string{"b"})["b"], NewCollector(idle).Collect(10*time.Second, "api", []string{"b"})["b"]
+	if got != want || !got.HasTraffic {
+		t.Fatalf("after the swap collected %+v, a new collector %+v", got, want)
+	}
+}
+
 func TestCollectorDefaultsAndClamps(t *testing.T) {
 	c := &Collector{DB: timeseries.NewDB(time.Minute)}
 	if c.window() != 10*time.Second {
@@ -148,12 +175,12 @@ func TestCollectorFailureMeanLatency(t *testing.T) {
 	fail := base.With("classification", mesh.ClassFailure)
 	h := reg.Histogram(mesh.MetricResponseLatency, fail, histogram.LinkerdLatencyBounds)
 	reg.Counter(mesh.MetricResponseTotal, fail).Add(0)
-	db.Scrape(5*time.Second, reg)
+	scrape(db, 5*time.Second, reg)
 	for i := 0; i < 10; i++ {
 		h.Observe(0.2)
 	}
 	reg.Counter(mesh.MetricResponseTotal, fail).Add(10)
-	db.Scrape(10*time.Second, reg)
+	scrape(db, 10*time.Second, reg)
 
 	c := NewCollector(db)
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
@@ -171,7 +198,7 @@ func TestCollectorSingleScrapeWindowIsStarved(t *testing.T) {
 	base := metrics.Labels{"service": "api", "backend": "b"}
 	succ := base.With("classification", mesh.ClassSuccess)
 	reg.Counter(mesh.MetricResponseTotal, succ).Add(100)
-	db.Scrape(5*time.Second, reg)
+	scrape(db, 5*time.Second, reg)
 
 	c := NewCollector(db)
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
@@ -204,13 +231,13 @@ func TestCollectorOutOfOrderScrapesDoNotCorruptWindow(t *testing.T) {
 	succ := base.With("classification", mesh.ClassSuccess)
 	ctr := reg.Counter(mesh.MetricResponseTotal, succ)
 	ctr.Add(0)
-	db.Scrape(5*time.Second, reg)
+	scrape(db, 5*time.Second, reg)
 	ctr.Add(100)
-	db.Scrape(10*time.Second, reg)
+	scrape(db, 10*time.Second, reg)
 	// A late, back-dated scrape (clock skew) carries a value the series
 	// already moved past; the DB drops it, so the window stays clean.
 	ctr.Add(50)
-	db.Scrape(7*time.Second, reg)
+	scrape(db, 7*time.Second, reg)
 
 	c := NewCollector(db)
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
@@ -229,13 +256,13 @@ func TestCollectorDuplicateTimestampScrapes(t *testing.T) {
 	succ := base.With("classification", mesh.ClassSuccess)
 	ctr := reg.Counter(mesh.MetricResponseTotal, succ)
 	ctr.Add(0)
-	db.Scrape(5*time.Second, reg)
+	scrape(db, 5*time.Second, reg)
 	ctr.Add(100)
-	db.Scrape(10*time.Second, reg)
+	scrape(db, 10*time.Second, reg)
 	// The same instant scraped again (double-fire) must not double the rate:
 	// equal timestamps are not "newer", so the duplicate is dropped.
 	ctr.Add(100)
-	db.Scrape(10*time.Second, reg)
+	scrape(db, 10*time.Second, reg)
 
 	c := NewCollector(db)
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]

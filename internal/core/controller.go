@@ -79,6 +79,12 @@ type Scraper struct {
 	// buf is the recycled snapshot buffer: every scrape pass refills it via
 	// SnapshotAppend, so the steady-state scrape allocates nothing.
 	buf []metrics.Sample
+	// refs[r][i] is the stored series behind position i of registry r's
+	// snapshot, resolved by the first pass that sees the position: a
+	// registry's snapshot only ever grows at its end (see SnapshotAppend), so
+	// a position names one series for good. len(refs[r]) is the number of
+	// samples registry r gave the current pass.
+	refs [][]timeseries.Ref
 
 	// Fault-injection state (internal/chaos drives these): garbage maps a
 	// backend name ("" = every series) to a value-corruption mode, skew
@@ -116,7 +122,7 @@ func NewScraperClock(clk clock.Clock, db *timeseries.DB, regs []*metrics.Registr
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	return &Scraper{clk: clk, db: db, registries: regs, interval: interval}
+	return &Scraper{clk: clk, db: db, registries: regs, interval: interval, refs: make([][]timeseries.Ref, len(regs))}
 }
 
 // Start begins periodic scraping (first scrape one interval from now).
@@ -141,16 +147,32 @@ func (s *Scraper) tick() {
 		// interval this reorders ingestion.
 		t -= s.skew
 	}
+	// Every registry is read before any sample is stored: a gate may count
+	// what it rejects in a registry this pass scrapes.
 	s.buf = s.buf[:0]
-	for _, reg := range s.registries {
+	for r, reg := range s.registries {
+		before := len(s.buf)
 		s.buf = reg.SnapshotAppend(s.buf)
+		n := len(s.buf) - before
+		if have := len(s.refs[r]); n > have {
+			s.refs[r] = append(s.refs[r], make([]timeseries.Ref, n-have)...)
+		}
 	}
-	if len(s.garbage) > 0 {
-		s.scrapeCorrupted(t)
-		return
-	}
-	for _, sample := range s.buf {
-		s.db.AppendSample(sample.Name, sample.Labels, sample.Kind, t, sample.Value)
+	// i runs across the whole round, so "mixed" garbage corrupts the sample
+	// positions of a sharded scrape that it would of one merged registry.
+	i := 0
+	for _, refs := range s.refs {
+		for j := range refs {
+			sample := &s.buf[i]
+			v := sample.Value
+			if len(s.garbage) > 0 {
+				if mode, ok := s.garbageMode(sample.Labels); ok {
+					v = corruptValue(mode, i, v)
+				}
+			}
+			s.db.AppendSampleRef(&refs[j], sample.Name, sample.Labels, sample.Kind, t, v)
+			i++
+		}
 	}
 }
 
@@ -196,20 +218,6 @@ func (s *Scraper) SetSkew(d time.Duration) { s.skew = d }
 // SetSlowFactor sets the slow-scrape fault: only every n-th scheduled scrape
 // executes, stretching the effective interval n-fold (values < 2 disable).
 func (s *Scraper) SetSlowFactor(n int) { s.slowFactor = n }
-
-// scrapeCorrupted runs one scrape pass with value corruption applied to the
-// series selected by the garbage map. The sample index driving "mixed"
-// corruption runs across the whole round (all registries), so a sharded
-// scrape corrupts the same sample positions a merged single registry would.
-func (s *Scraper) scrapeCorrupted(t time.Duration) {
-	for i, sample := range s.buf {
-		v := sample.Value
-		if mode, ok := s.garbageMode(sample.Labels); ok {
-			v = corruptValue(mode, i, v)
-		}
-		s.db.AppendSample(sample.Name, sample.Labels, sample.Kind, t, v)
-	}
-}
 
 func (s *Scraper) garbageMode(l metrics.Labels) (string, bool) {
 	if m, ok := s.garbage[""]; ok {
@@ -303,6 +311,10 @@ type Controller struct {
 
 type trackedSplit struct {
 	assigner Assigner
+	// service and backends are the split's root service and backend names as
+	// the watch last saw them: the keys of what the assigner, the self-metrics
+	// and the collector's selector cache hold for this split.
+	service  string
 	backends map[string]bool
 	// Self-metric series, each registered the first time a round has a value
 	// for it — the moment and order a lookup per round registered it — and
@@ -443,12 +455,18 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 				t.assigner.Forget(b)
 				t.retire(b)
 			}
+			if !next[b] || e.Object.RootService != t.service {
+				c.collector.forget(t.service, b)
+			}
 		}
-		t.backends = next
+		t.service, t.backends = e.Object.RootService, next
 	case cluster.Deleted:
 		if t, ok := c.tracked[name]; ok {
 			for b := range t.gauges {
 				t.retire(b)
+			}
+			for b := range t.backends {
+				c.collector.forget(t.service, b)
 			}
 			if t.relativeChange != nil {
 				t.relativeChange.Set(0)
@@ -462,6 +480,7 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 func (c *Controller) track(ts *smi.TrafficSplit) {
 	c.tracked[ts.Name] = &trackedSplit{
 		assigner: c.cfg.NewAssigner(),
+		service:  ts.RootService,
 		backends: backendSet(ts),
 	}
 	c.reorder()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -240,6 +241,55 @@ func TestControllerSelfMetricsExported(t *testing.T) {
 // split. A backend that leaves stops reading as live (its gauges drop to 0
 // instead of holding their last value), one that comes back is written
 // again, and a deleted split takes all of its gauges down with it.
+// The collector's selector cache follows the split: a backend that leaves, a
+// split that changes its root service and a split that is deleted take their
+// entries with them. It only ever grew before — each entry now holds eight
+// series lists.
+func TestControllerBoundsCollectorSelectors(t *testing.T) {
+	engine := sim.NewEngine()
+	splits := smi.NewStore()
+	slots := []smi.Backend{{Service: "b-0", Weight: 1}, {Service: "b-1", Weight: 1}, {Service: "b-2", Weight: 1}}
+	if err := splits.Create(&smi.TrafficSplit{Name: "api", RootService: "api", Backends: slots}); err != nil {
+		t.Fatal(err)
+	}
+	collector := NewCollector(timeseries.NewDB(time.Minute))
+	ctrl := NewController(engine, splits, collector, ControllerConfig{
+		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
+	})
+	ctrl.Start()
+	update := func(change func(ts *smi.TrafficSplit)) {
+		t.Helper()
+		ts, ok := splits.Get("api")
+		if !ok {
+			t.Fatal("split vanished")
+		}
+		change(ts)
+		if err := splits.Update(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 3; i < 1000; i++ { // a new name takes over one of the three slots, every round
+		update(func(ts *smi.TrafficSplit) { ts.Backends[i%3].Service = fmt.Sprintf("b-%d", i) })
+		engine.RunUntil(engine.Now() + 5*time.Second)
+		if n := len(collector.selectors); n != 3 {
+			t.Fatalf("after %d backend names through 3 slots the collector caches %d backends' selectors, want 3", i+1, n)
+		}
+	}
+	update(func(ts *smi.TrafficSplit) { ts.RootService = "api-v2" })
+	engine.RunUntil(engine.Now() + 5*time.Second)
+	for key := range collector.selectors {
+		if key.service != "api-v2" {
+			t.Errorf("selectors of %v outlived the split's move to api-v2", key)
+		}
+	}
+	if err := splits.Delete("api"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(collector.selectors); n != 0 {
+		t.Errorf("%d backends' selectors outlived their split", n)
+	}
+}
+
 func TestControllerSelfMetricsFollowTheSplit(t *testing.T) {
 	r := newRig(t, nil, 20*time.Millisecond, 400*time.Millisecond)
 	r.engine.RunUntil(time.Minute)

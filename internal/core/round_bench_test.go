@@ -11,6 +11,7 @@ import (
 	"l3/internal/histogram"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
+	"l3/internal/sim"
 	"l3/internal/timeseries"
 )
 
@@ -91,7 +92,8 @@ func (r *controlRound) run(tb testing.TB) map[string]core.BackendMetrics {
 // control_fleet allocs_per_op: a warm round at 102 backends re-reads 9 600
 // samples whose series it has seen before, so it must not allocate per
 // sample. Two allocations per sample (a label map each) were 19 000 of the
-// 21 000 a round made before the parser remembered its series.
+// 21 000 a round made before the parser remembered its series; what is left
+// is the 72 of 34 Collect result maps.
 func TestControlRoundMallocs(t *testing.T) {
 	r := newControlRound(t, 102)
 	for i := 0; i < 8; i++ { // until retention trims every series and its points stop growing
@@ -99,8 +101,56 @@ func TestControlRoundMallocs(t *testing.T) {
 	}
 	perRound := testing.AllocsPerRun(10, func() { r.run(t) })
 	t.Logf("%.0f mallocs per warm round at 102 backends", perRound)
-	if perRound >= 500 {
-		t.Errorf("%.0f mallocs per warm round, want < 500", perRound)
+	if perRound >= 100 {
+		t.Errorf("%.0f mallocs per warm round, want < 100", perRound)
+	}
+}
+
+// A warm scrape pass — every position's series ref resolved, every series'
+// window past retention — allocates nothing, raw or through the hygiene
+// gate, across several registries; and a registry that gains a series costs
+// that series' first sight, once.
+func TestWarmScrapeTickDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, gated := range []bool{false, true} {
+		engine := sim.NewEngine()
+		regs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
+		var counters []*metrics.Counter
+		for i, reg := range regs {
+			for b := 0; b < 4; b++ {
+				l := metrics.Labels{"backend": fmt.Sprintf("b%d-%d", i, b), "classification": "success"}
+				counters = append(counters, reg.Counter("response_total", l))
+				reg.Histogram("response_latency", l, histogram.LinkerdLatencyBounds).Observe(0.01)
+				reg.Gauge("request_inflight", l).Set(1)
+			}
+		}
+		db := timeseries.NewDB(20 * time.Second)
+		if gated {
+			db.SetGate(guard.NewHygiene(guard.Config{}, nil))
+		}
+		core.NewScraperMulti(engine, db, regs, 5*time.Second).Start()
+		pass := func() { // one scrape tick
+			for _, c := range counters {
+				c.Inc()
+			}
+			engine.RunUntil(engine.Now() + 5*time.Second)
+		}
+		for i := 0; i < 24; i++ { // past retention: compaction now reuses each series' points
+			pass()
+		}
+		if n := testing.AllocsPerRun(20, pass); n != 0 {
+			t.Errorf("gated=%v: warm scrape tick: %v allocs, want 0", gated, n)
+		}
+		regs[0].Counter("response_total", metrics.Labels{"backend": "late"}) // shifts every later position of a merged buffer
+		pass()
+		if n := testing.AllocsPerRun(20, pass); n != 0 {
+			t.Errorf("gated=%v: scrape tick after a registry grew: %v allocs, want 0", gated, n)
+		}
+		if got, want := db.SeriesCount(), len(regs[0].Snapshot())+len(regs[1].Snapshot()); got != want {
+			t.Errorf("gated=%v: database holds %d series, the registries %d", gated, got, want)
+		}
 	}
 }
 
@@ -123,6 +173,69 @@ func BenchmarkControlRound(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/backend")
+		})
+	}
+}
+
+// scrapeRegistry is a data-plane registry of exactly n samples shaped like
+// the simulator's: per backend a success counter, a success latency
+// histogram and an in-flight gauge (47 samples), then failure counters up to
+// n. 612 is what a sim_trace world scrapes, 6 909 a sim_dsb one.
+func scrapeRegistry(n int) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	perBackend := 1 + len(histogram.LinkerdLatencyBounds) + 3 + 1
+	for i := 0; n >= perBackend; i, n = i+1, n-perBackend {
+		labels := metrics.Labels{"service": fmt.Sprintf("svc-%02d", i/3), "backend": fmt.Sprintf("svc-%02d-cluster-%d", i/3, i%3+1), "src": "cluster-1"}
+		okL := labels.With("classification", mesh.ClassSuccess)
+		reg.Counter(mesh.MetricResponseTotal, okL).Add(100)
+		reg.Histogram(mesh.MetricResponseLatency, okL, histogram.LinkerdLatencyBounds).Observe(0.004 * float64(i%9+1))
+		reg.Gauge(mesh.MetricInflight, labels).Set(float64(i%7 + 1))
+	}
+	for ; n > 0; n-- {
+		reg.Counter(mesh.MetricResponseTotal, metrics.Labels{"backend": fmt.Sprintf("failing-%d", n), "classification": mesh.ClassFailure})
+	}
+	return reg
+}
+
+// BenchmarkScrapeTick is one simulated scrape pass over a warm database:
+// refs is core.Scraper, which remembers each snapshot position's series;
+// labels is the pass it replaced, every sample found again by name, label
+// hash and label comparison.
+func BenchmarkScrapeTick(b *testing.B) {
+	for _, n := range []int{612, 6909} {
+		reg := scrapeRegistry(n)
+		if got := len(reg.Snapshot()); got != n {
+			b.Fatalf("registry has %d samples, want %d", got, n)
+		}
+		b.Run(fmt.Sprintf("series=%d/refs", n), func(b *testing.B) {
+			engine := sim.NewEngine()
+			core.NewScraper(engine, timeseries.NewDB(time.Minute), reg, roundInterval).Start()
+			engine.RunUntil(16 * roundInterval) // every ref resolved, every window past retention
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				engine.RunUntil(engine.Now() + roundInterval)
+			}
+		})
+		b.Run(fmt.Sprintf("series=%d/labels", n), func(b *testing.B) {
+			db := timeseries.NewDB(time.Minute)
+			var buf []metrics.Sample
+			at := time.Duration(0)
+			tick := func() {
+				at += roundInterval
+				buf = reg.SnapshotAppend(buf[:0])
+				for _, s := range buf {
+					db.AppendSample(s.Name, s.Labels, s.Kind, at, s.Value)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				tick()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
 		})
 	}
 }

@@ -460,6 +460,12 @@ func (r *Registry) Snapshot() []Sample {
 // buffer (`buf = reg.SnapshotAppend(buf[:0])`); once the buffer has grown
 // to the registry's series count, a scrape allocates nothing.
 //
+// Positions are for good: series are only ever added, at the end, and a
+// series' expansion has a fixed length, so sample i of one snapshot and sample
+// i of any later one are the same (name, labels) — a later snapshot only has
+// more after them. A scrape loop may therefore remember, by position, where it
+// stored each sample (core.Scraper keeps a timeseries.Ref per position).
+//
 // Sample label maps are the registry's registration-time sets, shared
 // across snapshots and across callers: they must be treated as read-only.
 // Consumers that retain labels past the scrape (the time-series DB, the

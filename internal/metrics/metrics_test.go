@@ -248,6 +248,47 @@ func TestSnapshotAppendReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestSnapshotOrderIsAppendOnly pins the contract SnapshotAppend documents
+// and core.Scraper's per-position series refs rest on: whatever registers,
+// observes or resets between two snapshots, the positions the first one had
+// keep their name and labels in the second.
+func TestSnapshotOrderIsAppendOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := NewRegistry()
+	type identity struct{ name, labels string }
+	var seen []identity
+	for round := 0; round < 200; round++ {
+		for n := rng.Intn(4); n > 0; n-- {
+			l := Labels{"backend": fmt.Sprintf("b%d", rng.Intn(12)), "class": fmt.Sprintf("c%d", rng.Intn(2))}
+			switch rng.Intn(4) {
+			case 0:
+				r.Counter("total", l).Add(float64(rng.Intn(5)))
+			case 1:
+				r.Gauge("inflight", l).Set(rng.Float64())
+			case 2:
+				r.Histogram("latency", l, []float64{0.01, 0.1, 1}).Observe(rng.Float64())
+			case 3:
+				r.ResetCounters(Labels{"backend": l["backend"]})
+			}
+		}
+		snap := r.Snapshot()
+		if len(snap) < len(seen) {
+			t.Fatalf("round %d: snapshot shrank from %d to %d samples", round, len(seen), len(snap))
+		}
+		for i, id := range seen {
+			if got := (identity{snap[i].Name, snap[i].Labels.Key()}); got != id {
+				t.Fatalf("round %d: position %d was %v, now %v", round, i, id, got)
+			}
+		}
+		for _, s := range snap[len(seen):] {
+			seen = append(seen, identity{s.Name, s.Labels.Key()})
+		}
+	}
+	if len(seen) < 100 {
+		t.Fatalf("only %d positions exercised", len(seen))
+	}
+}
+
 func TestSnapshotAllocsPinned(t *testing.T) {
 	// Satellite pin: a cold Snapshot on a populated registry must stay at
 	// ≤ 2 allocations (the output slice; histogram expansion and label maps

@@ -1,9 +1,39 @@
 package timeseries
 
-// Visited returns how many series the database's selector queries have
-// examined so far.
+import (
+	"time"
+
+	"l3/internal/metrics"
+)
+
+// Visited returns how many series the database has examined so far while
+// resolving selectors, standing or ad hoc.
 func Visited(db *DB) uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.visited
+}
+
+// Scrape snapshots a registry and appends every sample at time t by its
+// labels, through the ingestion gate when one is installed: one Prometheus
+// scrape pass with no memory of the last. The tests' driver, and the oracle
+// the ref-keeping core.Scraper is compared against.
+func (db *DB) Scrape(t time.Duration, reg *metrics.Registry) {
+	for _, s := range reg.Snapshot() {
+		db.AppendSample(s.Name, s.Labels, s.Kind, t, s.Value)
+	}
+}
+
+// Dump returns a copy of every stored series' points, oldest first, keyed
+// by "name{labels}".
+func Dump(db *DB) map[string][]Point {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	out := make(map[string][]Point)
+	for name, f := range db.families {
+		for _, s := range f.series {
+			out[name+s.labels.String()] = append([]Point(nil), s.points...)
+		}
+	}
+	return out
 }

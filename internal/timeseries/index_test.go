@@ -93,20 +93,30 @@ func fleetDB(tb testing.TB, n int) (db *timeseries.DB, hyg *guard.Hygiene, servi
 	return db, hyg, services, backends, reg.Snapshot()
 }
 
-// A collect round must examine a number of series proportional to the
-// backends it asks about, whatever the size of the fleet around them: the
-// old linear scan examined every series of the family for every query.
+// A collect round that meets its backends for the first time must examine a
+// number of series proportional to the backends it asks about, whatever the
+// size of the fleet around them: the old linear scan examined every series
+// of the family for every query.
 func TestCollectVisitsAreLinearInBackends(t *testing.T) {
 	perBackend := func(n int) float64 {
 		db, hyg, services, backends, _ := fleetDB(t, n)
 		c := &core.Collector{DB: db, Window: 10 * time.Second, Resets: hyg}
-		before := timeseries.Visited(db)
-		for _, s := range services {
-			if m := c.Collect(10*time.Second, s, backends[s]); !m[backends[s][0]].P99Valid {
-				t.Fatalf("%d backends: %s collected no P99", n, backends[s][0])
+		round := func() uint64 {
+			before := timeseries.Visited(db)
+			for _, s := range services {
+				if m := c.Collect(10*time.Second, s, backends[s]); !m[backends[s][0]].P99Valid {
+					t.Fatalf("%d backends: %s collected no P99", n, backends[s][0])
+				}
 			}
+			return timeseries.Visited(db) - before
 		}
-		return float64(timeseries.Visited(db)-before) / float64(n)
+		first := round()
+		// The collector's selectors now stand: with no family grown, a round
+		// examines no series at all.
+		if again := round(); again != 0 {
+			t.Errorf("%d backends: second collect round examined %d series, want 0", n, again)
+		}
+		return float64(first) / float64(n)
 	}
 	base := perBackend(102)
 	if base == 0 {

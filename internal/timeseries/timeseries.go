@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"l3/internal/histogram"
@@ -64,10 +65,15 @@ func (f *family) find(hash uint64, labels metrics.Labels) *series {
 	return nil
 }
 
+// pointWindow is the capacity a new series' points start with: a minute of
+// 5 s scrapes is 13 points, so one 256 B allocation serves a series for life
+// where growing from nothing took five (1, 2, 4, 8, 16 points, 496 B).
+const pointWindow = 16
+
 // insert adds a series under its label hash, with its own copy of the
 // labels drawn from pool, and indexes every pair.
 func (f *family) insert(hash uint64, labels metrics.Labels, pool map[string]string) *series {
-	s := &series{labels: labels.Interned(pool), next: f.byHash[hash]}
+	s := &series{labels: labels.Interned(pool), points: make([]Point, 0, pointWindow), next: f.byHash[hash]}
 	for k, v := range s.labels {
 		byValue := f.postings[k]
 		if byValue == nil {
@@ -101,9 +107,12 @@ type Gate interface {
 // DB stores samples by (metric name, label set) and answers window queries.
 // Safe for concurrent use.
 type DB struct {
+	// gate is read without mu and called before mu is taken: a gate is
+	// caller-supplied code, and one that reads the database must not deadlock.
+	gate atomic.Pointer[Gate]
+
 	mu        sync.Mutex
 	retention time.Duration
-	gate      Gate
 	families  map[string]*family
 	// interned holds one copy of every label name and value stored.
 	interned map[string]string
@@ -111,14 +120,15 @@ type DB struct {
 	// HistogramQuantile concatenates no name per call.
 	buckets map[string]*family
 
-	// Query scratch, reused under mu: the series a selector matched, and
-	// HistogramQuantile's per-bound merge.
+	// Query scratch, reused under mu: the series a label-taking query
+	// matched, and HistogramQuantile's per-bound merge.
 	matched []*series
 	bounds  []float64
 	rates   []float64
 	counts  []float64
-	// visited counts series examined by selector queries, for the test that
-	// pins a collect round's cost as linear in the backends it asks about.
+	// visited counts series examined while resolving selectors, for the tests
+	// that pin a collect round's cost as linear in the backends it asks about
+	// on first sight and as nothing once its selectors stand.
 	visited uint64
 }
 
@@ -137,26 +147,71 @@ func NewDB(retention time.Duration) *DB {
 	}
 }
 
-// Append stores one sample. Appends must be in strictly increasing time
-// order per series (scrapes are); out-of-order and duplicate-timestamp
+// Ref remembers the stored series a scraped sample landed in, so the next
+// sample of the same (name, labels) skips the name -> hash -> Equal lookup.
+// The zero value is unresolved. A ref belongs to one (name, labels) for its
+// life — the database trusts it — and to the database that resolved it: handed
+// to another DB it resolves again there. Series are never deleted, so a
+// resolved ref stays good for as long as its database does.
+type Ref struct {
+	db *DB
+	s  *series
+}
+
+// Append stores one sample, ungated. Appends must be in strictly increasing
+// time order per series (scrapes are); out-of-order and duplicate-timestamp
 // samples are dropped — a double-fired scrape must not double a window's
 // increase.
 func (db *DB) Append(name string, labels metrics.Labels, t time.Duration, v float64) {
+	var ref Ref
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	f, ok := db.families[name]
-	if !ok {
-		name = strings.Clone(name) // not a slice of the scraped text
-		f = newFamily()
-		db.families[name] = f
-		if base, ok := strings.CutSuffix(name, "_bucket"); ok {
-			db.buckets[base] = f
-		}
+	db.store(&ref, name, labels, t, v)
+	db.mu.Unlock()
+}
+
+// SetGate installs an ingestion gate applied to samples arriving through
+// AppendSample/AppendSampleRef. A nil gate restores raw ingestion. Gates see
+// the scrape path only; queries and the data plane are unaffected.
+func (db *DB) SetGate(g Gate) {
+	if g == nil {
+		db.gate.Store(nil)
+		return
 	}
-	hash := labels.Hash()
-	s := f.find(hash, labels)
-	if s == nil {
-		s = f.insert(hash, labels, db.interned)
+	db.gate.Store(&g)
+}
+
+// AppendSample routes one scraped sample through the gate (when one is
+// installed) and stores the admitted, possibly adjusted value. Without a
+// gate it is equivalent to Append.
+func (db *DB) AppendSample(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
+	var ref Ref
+	db.AppendSampleRef(&ref, name, labels, kind, t, v)
+}
+
+// AppendSampleRef is AppendSample for a caller that keeps one Ref per series
+// it scrapes: the first sample resolves the ref, later ones store through it.
+// The gate sees (name, labels, ...) for every sample either way and runs
+// outside the database's lock, which is then taken once.
+func (db *DB) AppendSampleRef(ref *Ref, name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
+	if g := db.gate.Load(); g != nil {
+		adjusted, ok := (*g).Admit(name, labels, kind, t, v)
+		if !ok {
+			return
+		}
+		v = adjusted
+	}
+	db.mu.Lock()
+	db.store(ref, name, labels, t, v)
+	db.mu.Unlock()
+}
+
+// store appends one point to ref's series, resolving ref first when it is
+// empty or another database's. Called under mu.
+func (db *DB) store(ref *Ref, name string, labels metrics.Labels, t time.Duration, v float64) {
+	s := ref.s
+	if s == nil || ref.db != db {
+		s = db.resolve(name, labels)
+		ref.db, ref.s = db, s
 	}
 	if n := len(s.points); n > 0 && s.points[n-1].T >= t {
 		return
@@ -173,39 +228,24 @@ func (db *DB) Append(name string, labels metrics.Labels, t time.Duration, v floa
 	}
 }
 
-// SetGate installs an ingestion gate applied to samples arriving through
-// AppendSample/Scrape. A nil gate restores raw ingestion. Gates see the
-// scrape path only; queries and the data plane are unaffected.
-func (db *DB) SetGate(g Gate) {
-	db.mu.Lock()
-	db.gate = g
-	db.mu.Unlock()
-}
-
-// AppendSample routes one scraped sample through the gate (when one is
-// installed) and stores the admitted, possibly adjusted value. Without a
-// gate it is equivalent to Append.
-func (db *DB) AppendSample(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
-	db.mu.Lock()
-	g := db.gate
-	db.mu.Unlock()
-	if g != nil {
-		adjusted, ok := g.Admit(name, labels, kind, t, v)
-		if !ok {
-			return
+// resolve returns the series for (name, labels), creating family and series
+// on first sight.
+func (db *DB) resolve(name string, labels metrics.Labels) *series {
+	f, ok := db.families[name]
+	if !ok {
+		name = strings.Clone(name) // not a slice of the scraped text
+		f = newFamily()
+		db.families[name] = f
+		if base, ok := strings.CutSuffix(name, "_bucket"); ok {
+			db.buckets[base] = f
 		}
-		v = adjusted
 	}
-	db.Append(name, labels, t, v)
-}
-
-// Scrape snapshots a registry and appends every sample at time t, mimicking
-// one Prometheus scrape pass. Samples pass through the ingestion gate when
-// one is installed.
-func (db *DB) Scrape(t time.Duration, reg *metrics.Registry) {
-	for _, s := range reg.Snapshot() {
-		db.AppendSample(s.Name, s.Labels, s.Kind, t, s.Value)
+	hash := labels.Hash()
+	s := f.find(hash, labels)
+	if s == nil {
+		s = f.insert(hash, labels, db.interned)
 	}
+	return s
 }
 
 // SeriesCount returns the number of distinct series stored, for tests and
@@ -272,6 +312,49 @@ func (db *DB) match(f *family, match metrics.Labels) []*series {
 	return out
 }
 
+// Selector is a standing query target: one family of one database and the
+// labels its series must carry, with the series that matched kept in
+// insertion order. It stays valid while its family holds as many series as
+// when it was resolved; a family that has grown is matched again by the walk
+// a label-taking query makes, so the costliest query a selector answers costs
+// what every label-taking query does, and any other examines no series. A
+// family that does not exist yet is looked for again by the next query.
+//
+// A Selector is used by one goroutine at a time and not copied once queried;
+// its match labels are shared with the caller, which must not change them.
+type Selector struct {
+	db    *DB
+	name  string
+	match metrics.Labels
+
+	family *family
+	size   int // len(family.series) when series was resolved
+	series []*series
+}
+
+// NewSelector returns a selector over the named family's series carrying
+// match. HistogramQuantile wants the histogram's bucket family, "<name>_bucket".
+func NewSelector(db *DB, name string, match metrics.Labels) Selector {
+	return Selector{db: db, name: name, match: match}
+}
+
+// resolved returns the selector's series, matching again when the family has
+// grown. Called under db.mu.
+func (sel *Selector) resolved() []*series {
+	if sel.family == nil {
+		f, ok := sel.db.families[sel.name]
+		if !ok {
+			return nil
+		}
+		sel.family = f
+	}
+	if n := len(sel.family.series); n != sel.size {
+		sel.series = append(sel.series[:0], sel.db.match(sel.family, sel.match)...)
+		sel.size = n
+	}
+	return sel.series
+}
+
 // increase computes the counter increase across the window's samples,
 // tolerating counter resets (a drop restarts accumulation, like Prometheus).
 func increase(pts []Point) (delta float64, ok bool) {
@@ -296,15 +379,22 @@ func increase(pts []Point) (delta float64, ok bool) {
 func (db *DB) Rate(name string, match metrics.Labels, at, window time.Duration) (rate float64, ok bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.rateLocked(name, match, at, window)
+	return rateOver(db.matching(name, match), at, window)
 }
 
-func (db *DB) rateLocked(name string, match metrics.Labels, at, window time.Duration) (float64, bool) {
+// Rate is DB.Rate over the selector's series.
+func (sel *Selector) Rate(at, window time.Duration) (float64, bool) {
+	sel.db.mu.Lock()
+	defer sel.db.mu.Unlock()
+	return rateOver(sel.resolved(), at, window)
+}
+
+func rateOver(matched []*series, at, window time.Duration) (float64, bool) {
 	var (
 		total float64
 		any   bool
 	)
-	for _, s := range db.matching(name, match) {
+	for _, s := range matched {
 		pts := s.window(at-window, at)
 		delta, ok := increase(pts)
 		if !ok {
@@ -326,9 +416,20 @@ func (db *DB) rateLocked(name string, match metrics.Labels, at, window time.Dura
 func (db *DB) GaugeAvg(name string, match metrics.Labels, at, window time.Duration) (avg float64, ok bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return gaugeAvgOver(db.matching(name, match), at, window)
+}
+
+// GaugeAvg is DB.GaugeAvg over the selector's series.
+func (sel *Selector) GaugeAvg(at, window time.Duration) (float64, bool) {
+	sel.db.mu.Lock()
+	defer sel.db.mu.Unlock()
+	return gaugeAvgOver(sel.resolved(), at, window)
+}
+
+func gaugeAvgOver(matched []*series, at, window time.Duration) (float64, bool) {
 	var sum float64
 	var n int
-	for _, s := range db.matching(name, match) {
+	for _, s := range matched {
 		for _, p := range s.window(at-window, at) {
 			sum += p.V
 			n++
@@ -367,16 +468,26 @@ func (db *DB) Latest(name string, match metrics.Labels, at time.Duration) (v flo
 func (db *DB) NewestSample(name string, match metrics.Labels) (t time.Duration, ok bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	any := false
-	for _, s := range db.matching(name, match) {
+	return newestOver(db.matching(name, match))
+}
+
+// NewestSample is DB.NewestSample over the selector's series.
+func (sel *Selector) NewestSample() (time.Duration, bool) {
+	sel.db.mu.Lock()
+	defer sel.db.mu.Unlock()
+	return newestOver(sel.resolved())
+}
+
+func newestOver(matched []*series) (t time.Duration, ok bool) {
+	for _, s := range matched {
 		if n := len(s.points); n > 0 {
-			if last := s.points[n-1].T; !any || last > t {
+			if last := s.points[n-1].T; !ok || last > t {
 				t = last
 			}
-			any = true
+			ok = true
 		}
 	}
-	return t, any
+	return t, ok
 }
 
 // HistogramQuantile estimates the q-quantile of the named histogram family
@@ -393,7 +504,19 @@ func (db *DB) HistogramQuantile(q float64, name string, match metrics.Labels, at
 	if !ok {
 		return 0, false
 	}
+	return db.quantileOver(q, db.match(f, match), at, window)
+}
 
+// HistogramQuantile is DB.HistogramQuantile over the selector's series, which
+// are a histogram's buckets: the selector names the "<name>_bucket" family.
+func (sel *Selector) HistogramQuantile(q float64, at, window time.Duration) (float64, bool) {
+	sel.db.mu.Lock()
+	defer sel.db.mu.Unlock()
+	return sel.db.quantileOver(q, sel.resolved(), at, window)
+}
+
+// quantileOver merges into the database's scratch, so it runs under mu.
+func (db *DB) quantileOver(q float64, matched []*series, at, window time.Duration) (float64, bool) {
 	// Merge the matching series' increases into db.rates, one slot per
 	// distinct bound, db.bounds kept ascending. Series of one histogram
 	// arrive in ascending bound order, so the search usually ends in an
@@ -401,7 +524,7 @@ func (db *DB) HistogramQuantile(q float64, name string, match metrics.Labels, at
 	bounds, rates := db.bounds[:0], db.rates[:0]
 	var infRate float64
 	var haveInf bool
-	for _, s := range db.match(f, match) {
+	for _, s := range matched {
 		if !s.bucket {
 			continue
 		}

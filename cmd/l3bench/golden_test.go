@@ -54,6 +54,13 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 			"e12cef1d57bd3b5fe181580d8cff1a547c3e6648d197e4510176585910f56cd0"},
 		{"G2-quick", []string{"-fig", "G2", "-quick"},
 			"0f6f636a8cbc000b06bcfa220ca5d61bb22bf4df91f4b3e0822efc1ed2b03773"},
+		// A custom schedule through the guarded control plane: metric
+		// garbage injected while hygiene, degraded modes and the write gate
+		// are on.
+		{"guard-custom", []string{
+			"-chaos", "garbage@48s+24s:nan",
+			"-scenario", "scenario-1", "-quick", "-guard"},
+			"02abaca04a3e91480d0be7f750e90cdb571a8fecffe557d27d135649a61ba31a"},
 		{"chaos-resilience", []string{
 			"-chaos", "saturate@48s+24s:api-cluster-1/0.25",
 			"-scenario", "scenario-1", "-quick",
@@ -95,29 +102,35 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 }
 
 // TestShardedFigureOutputByteIdentical pins the sharded core's determinism
-// contract at the CLI: an existing figure run with -shards 1 and -shards 4
-// must produce the same stdout bytes (the worker pool may not leak into
-// results), and figure S1's own output must likewise be invariant. The
+// contract at the CLI: a run with -shards 1 and with more workers must
+// produce the same stdout bytes (the worker pool may not leak into results).
+// Figure S1's own output must likewise be invariant, and a resilience policy
+// under a saturate fault exercises the cross-shard continuation path. The
 // classic goldens above stay untouched: -shards 0 never enters the sharded
 // path.
 func TestShardedFigureOutputByteIdentical(t *testing.T) {
 	cases := []struct {
-		name string
-		args []string
+		name    string
+		workers string
+		args    []string
 	}{
-		{"fig8-sharded", []string{"-fig", "8", "-quick"}},
-		{"S1", []string{"-fig", "S1"}},
+		{"fig8-sharded", "4", []string{"-fig", "8", "-quick"}},
+		{"S1", "4", []string{"-fig", "S1"}},
+		{"chaos-resilience", "8", []string{
+			"-chaos", "saturate@48s+24s:api-cluster-1/0.25",
+			"-scenario", "scenario-1", "-quick",
+			"-resilience", "deadline=1s,retries=3,budget=0.2,breaker=5"}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			one := captureStdout(t, append([]string{"-shards", "1"}, c.args...)...)
-			four := captureStdout(t, append([]string{"-shards", "4"}, c.args...)...)
+			many := captureStdout(t, append([]string{"-shards", c.workers}, c.args...)...)
 			if len(one) == 0 {
 				t.Fatal("no output")
 			}
-			if !bytes.Equal(one, four) {
-				t.Fatal("stdout differs between -shards 1 and -shards 4")
+			if !bytes.Equal(one, many) {
+				t.Fatalf("stdout differs between -shards 1 and -shards %s", c.workers)
 			}
 		})
 	}

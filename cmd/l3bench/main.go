@@ -43,26 +43,12 @@
 // Figure durations follow the paper (10-minute scenarios); -quick shrinks
 // the measured window for a fast sanity pass.
 //
-// The harness's own performance is measurable in place:
+// Any run can be profiled; the files are standard pprof:
 //
-//	l3bench -bench                             # fast-path benchmark suite, JSON to stdout
-//	l3bench -bench -benchout BENCH.json        # machine-readable results to a file
-//	l3bench -bench-shards                      # shard report: classic baseline + scaling sweep
-//	l3bench -benchdiff BENCH_fastpath.json     # fresh run vs committed baseline; fails on regression
-//	l3bench -fig 10 -cpuprofile cpu.pprof      # profile any run (figures or -bench)
-//	l3bench -bench -memprofile mem.pprof
+//	l3bench -fig 10 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -bench runs the internal/perf suite (mesh.Call end to end, metric and
-// histogram recording, registry scrapes, the event heap) through
-// testing.Benchmark; profiles are standard pprof files. -bench-shards runs
-// the figure S1 workload on the classic engine and then at 1, 2, 4 and 8
-// workers, reporting host facts (NumCPU, GOMAXPROCS), the sharded core's
-// overhead at one worker against the classic baseline, per-worker-count
-// wall-clock/events-per-sec/speedup, and the barrier/mailbox
-// micro-benchmarks (wall-clock is host-dependent by nature, so none of it
-// appears on figure stdout). -benchdiff re-measures the suite a committed
-// BENCH JSON holds and exits nonzero on >15% ns/op or any allocs/op
-// regression — `make bench-diff` runs it against the repo's baselines.
+// The harness's cost is measured by the repository benchmark
+// (benchmark/run.sh, declared in BENCHMARK.json), not by this command.
 //
 // Scenario figures run on the sharded deterministic core with -shards N
 // (N ≥ 1 caps the worker pool; the decomposition is fixed at one shard per
@@ -84,7 +70,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -96,9 +81,7 @@ import (
 	"l3/internal/bench"
 	"l3/internal/chaos"
 	"l3/internal/overload"
-	"l3/internal/perf"
 	"l3/internal/resilience"
-	"l3/internal/serve"
 	"l3/internal/trace"
 )
 
@@ -113,135 +96,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "l3bench:", err)
 		os.Exit(1)
 	}
-}
-
-// runBenchDiff re-measures the benchmark suite a committed BENCH JSON file
-// holds and fails on regressions: >15 % ns/op over the baseline, or any
-// allocs/op increase (alloc counts are exact — the pins treat them as
-// contracts, so the diff does too). The file's shape picks the suite: a
-// result array whose objects carry an "algo" key is the wall-clock serving
-// trajectory (BENCH_serve.json) and gets a contract check instead of a
-// timing diff, any other result array is the fast-path suite
-// (BENCH_fastpath.json), and an object with a "benches" field is a shard
-// report (BENCH_shards.json), whose scaling and wall-clock fields are
-// host-dependent and not diffed.
-func runBenchDiff(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-benchdiff: %w", err)
-	}
-	// The serve shape must be sniffed before []perf.Result: unmarshalling
-	// ignores unknown fields, so serve entries would "succeed" as an array
-	// of zero-valued perf results and diff as garbage.
-	var serveEntries []serve.BenchEntry
-	if err := json.Unmarshal(data, &serveEntries); err == nil &&
-		len(serveEntries) > 0 && serveEntries[0].Algo != "" {
-		return serveContractCheck(path, serveEntries)
-	}
-	// Best-of-3 on the fresh side: one preempted sample on a loaded or
-	// single-core host must not read as a regression. The barrier
-	// benchmarks park and wake goroutines, so their wall time swings
-	// ~20 % run to run when workers outnumber cores; -bench-shards writes
-	// its committed benches best-of-3 too, making that comparison
-	// minimum-vs-minimum.
-	const measureRuns = 3
-	var baseline, fresh []perf.Result
-	if err := json.Unmarshal(data, &baseline); err == nil {
-		fresh = perf.RunSuiteBest(stderr, perf.Suite(), measureRuns)
-	} else {
-		var report struct {
-			Benches []perf.Result `json:"benches"`
-		}
-		if err2 := json.Unmarshal(data, &report); err2 != nil || len(report.Benches) == 0 {
-			return fmt.Errorf("-benchdiff: %s is neither a benchmark result array nor a shard report with benches", path)
-		}
-		baseline = report.Benches
-		fresh = perf.RunSuiteBest(stderr, perf.ShardSuite(), measureRuns)
-	}
-	const tol = 0.15
-	msgs := perf.Diff(baseline, fresh, tol)
-	if len(msgs) == 0 {
-		fmt.Fprintf(stdout, "l3bench: benchdiff clean against %s (%d benchmarks, %.0f%% ns/op tolerance, allocs exact)\n",
-			path, len(baseline), tol*100)
-		return nil
-	}
-	for _, m := range msgs {
-		fmt.Fprintf(stdout, "l3bench: benchdiff: %s\n", m)
-	}
-	return fmt.Errorf("%d benchmark regression(s) against %s", len(msgs), path)
-}
-
-// serveContractCheck validates a committed BENCH_serve.json against the
-// serving mode's host-independent contracts. Wall-clock magnitudes are
-// load- and hardware-dependent and are not diffed; what must always hold is
-// checked exactly: the proxy layer's own hot path at 0 allocs/op, the L3
-// pass beating round-robin's p99 on the skewed stubs, and every chaos record
-// showing actual recovery — breaker ejections for data-plane faults,
-// fail-static engagement for the scrape outage, a measured time-to-recover.
-// A BENCH_serve.json regenerated on a regressed build fails here.
-func serveContractCheck(path string, entries []serve.BenchEntry) error {
-	var msgs []string
-	var rrP99, l3P99 float64
-	chaosRecords := 0
-	for _, e := range entries {
-		if e.AllocsPerOp != 0 {
-			msgs = append(msgs, fmt.Sprintf("%s: proxy_layer_allocs_per_op = %v, contract is 0", e.Name, e.AllocsPerOp))
-		}
-		if e.Fault == "" {
-			switch e.Name {
-			case "serve_skewed_rr":
-				rrP99 = e.P99Ms
-			case "serve_skewed_l3":
-				l3P99 = e.P99Ms
-			}
-			continue
-		}
-		chaosRecords++
-		if !e.Recovered {
-			msgs = append(msgs, fmt.Sprintf("%s: recovered = false", e.Name))
-		}
-		if e.TTRMs <= 0 {
-			msgs = append(msgs, fmt.Sprintf("%s: ttr_ms = %v, want > 0", e.Name, e.TTRMs))
-		}
-		switch e.Fault {
-		case "stall", "reset", "bflap":
-			if e.Ejections == 0 {
-				msgs = append(msgs, fmt.Sprintf("%s: breaker_ejections = 0, want >= 1", e.Name))
-			}
-		case "scrapedrop":
-			if !e.FailStatic {
-				msgs = append(msgs, fmt.Sprintf("%s: failstatic = false, want engagement", e.Name))
-			}
-		case "overload":
-			// The overload scene's contracts: shedding strictly ordered by
-			// criticality tier, the scene actually shedding something, and
-			// the admission queue's longest admitted wait bounded (the
-			// scene policy's 400ms MaxWait ceiling, with margin for a
-			// regenerated baseline under a retuned policy).
-			if e.ShedSheddable == 0 {
-				msgs = append(msgs, fmt.Sprintf("%s: shed_sheddable = 0, the scene never shed", e.Name))
-			}
-			if e.ShedSheddable < e.ShedDefault || e.ShedDefault < e.ShedCritical {
-				msgs = append(msgs, fmt.Sprintf("%s: shedding not tier-ordered (sheddable=%d default=%d critical=%d)",
-					e.Name, e.ShedSheddable, e.ShedDefault, e.ShedCritical))
-			}
-			if e.MaxQueueMs <= 0 || e.MaxQueueMs >= 500 {
-				msgs = append(msgs, fmt.Sprintf("%s: max_queue_ms = %v, want in (0, 500)", e.Name, e.MaxQueueMs))
-			}
-		}
-	}
-	if rrP99 > 0 && l3P99 > 0 && l3P99 >= rrP99 {
-		msgs = append(msgs, fmt.Sprintf("serve_skewed: l3 p99 %.2fms >= rr p99 %.2fms", l3P99, rrP99))
-	}
-	if len(msgs) == 0 {
-		fmt.Fprintf(stdout, "l3bench: benchdiff clean against %s (%d serve records, %d chaos; contracts exact, wall-clock not diffed)\n",
-			path, len(entries), chaosRecords)
-		return nil
-	}
-	for _, m := range msgs {
-		fmt.Fprintf(stdout, "l3bench: benchdiff: %s\n", m)
-	}
-	return fmt.Errorf("%d serve contract violation(s) in %s", len(msgs), path)
 }
 
 func run(args []string) error {
@@ -261,22 +115,13 @@ func run(args []string) error {
 		csv      = fs.Bool("csv", false, "emit series results as CSV instead of summaries")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"worker goroutines fanning out independent runs (1 = serial); output is identical for any value")
-		benchMode   = fs.Bool("bench", false, "run the fast-path benchmark suite instead of figures")
-		benchShards = fs.Bool("bench-shards", false,
-			"run the shard-scaling sweep (figure S1 workload, classic baseline plus 1/2/4/8 workers) instead of figures")
-		benchDiff = fs.String("benchdiff", "",
-			"compare a fresh -bench run against this committed BENCH JSON; exit nonzero on >15% ns/op or any allocs/op regression")
 		shards = fs.Int("shards", 0,
 			"run scenario figures on the sharded core with this many workers (0 = classic engine; stdout is identical for every value >= 1)")
-		benchout   = fs.String("benchout", "", "write -bench results as JSON to this file (default: stdout)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchDiff != "" && (*benchMode || *benchShards) {
-		return fmt.Errorf("-benchdiff runs its own fresh pass; drop -bench/-bench-shards")
 	}
 
 	if *cpuprofile != "" {
@@ -303,49 +148,6 @@ func run(args []string) error {
 				fmt.Fprintln(stderr, "l3bench: -memprofile:", err)
 			}
 		}()
-	}
-
-	if *benchMode {
-		results := perf.Run(stderr)
-		out := stdout
-		if *benchout != "" {
-			f, err := os.Create(*benchout)
-			if err != nil {
-				return fmt.Errorf("-benchout: %w", err)
-			}
-			defer f.Close()
-			out = f
-		}
-		return perf.WriteJSON(out, results)
-	}
-	if *benchShards {
-		report, err := bench.ShardScalingReport(*seed, []int{1, 2, 4, 8}, stderr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "l3bench: shards classic baseline wall=%.0fms on %d CPUs (GOMAXPROCS %d)\n",
-			report.ClassicWallMS, report.NumCPU, report.GoMaxProcs)
-		for _, p := range report.Scaling {
-			fmt.Fprintf(stderr, "l3bench: shards workers=%d wall=%.0fms events/s=%.0f speedup=%.2fx\n",
-				p.Workers, p.WallMS, p.EventsPerSec, p.Speedup)
-		}
-		fmt.Fprintf(stderr, "l3bench: shards overhead at one worker vs classic: %+.1f%%\n",
-			report.OverheadAtOneWorker*100)
-		out := stdout
-		if *benchout != "" {
-			f, err := os.Create(*benchout)
-			if err != nil {
-				return fmt.Errorf("-benchout: %w", err)
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
-	}
-	if *benchDiff != "" {
-		return runBenchDiff(*benchDiff)
 	}
 
 	opts := bench.Options{Seed: *seed, Reps: *reps, Parallel: *parallel, Guard: *guard, Shards: *shards}

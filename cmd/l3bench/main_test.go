@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run([]string{"-fig", "99"}); err == nil {
@@ -45,5 +49,25 @@ func TestRunChaosCustom(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunProfilesWriteFiles checks -cpuprofile and -memprofile produce
+// non-empty pprof files around an ordinary figure run.
+func TestRunProfilesWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-fig", "6", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("profile %s is empty", p)
+		}
 	}
 }

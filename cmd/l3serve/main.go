@@ -9,7 +9,6 @@
 //	l3serve -config l3serve.yaml             # YAML config (env overrides apply)
 //	l3serve -config l3serve.yaml -algo rr    # flag overrides both
 //	l3serve -selftest                        # skewed-stub rr-vs-l3 benchmark
-//	l3serve -selftest -bench-out BENCH_serve.json
 //	l3serve -chaostest                       # scripted fault schedule + recovery assertions
 //	l3serve -chaostest -quick                # compressed schedule for CI
 //	l3serve -chaostest -chaos 'stall@3s+4s:chaos-a'
@@ -24,9 +23,8 @@
 //
 // The selftest needs no external backends: it spins up two fast and one
 // slow stub, runs one pass per algorithm under the open-loop wall-clock load
-// generator, and reports achieved RPS, p50/p99/p999, the converged weight
-// table and the proxy layer's allocs/op; -bench-out writes the same numbers
-// as BENCH_serve.json records.
+// generator, and reports achieved RPS, p50/p99/p999 and the converged weight
+// table.
 //
 // The chaostest likewise self-hosts: chaos-capable stubs, open-loop load,
 // and a scripted fault schedule (stall, connection resets, scrape outage by
@@ -35,8 +33,7 @@
 // assertion holds: the breaker ejects a stalled backend within a bounded
 // number of failures, windowed p99 re-converges (time-to-recover is
 // reported), and a starved control plane engages and then releases
-// fail-static. -selftest and -chaostest compose; -bench-out collects both
-// runs' records.
+// fail-static. -selftest and -chaostest compose.
 package main
 
 import (
@@ -83,7 +80,6 @@ func run(args []string) error {
 		chaostest  = fs.Bool("chaostest", false, "run the scripted fault schedule against a live proxy and assert recovery (composes with -selftest)")
 		chaosSched = fs.String("chaos", "", "with -chaostest: fault schedule override (kind@start[+dur][:operands];...)")
 		quick      = fs.Bool("quick", false, "with -chaostest: compressed schedule for CI smoke runs")
-		benchOut   = fs.String("bench-out", "", "with -selftest/-chaostest: write results as BENCH_serve.json records to this file")
 		rate       = fs.Float64("rate", 0, "with -selftest/-chaostest: offered rps (selftest default 250, chaostest 150)")
 		duration   = fs.Duration("duration", 0, "with -selftest: measured window per pass (default 6s)")
 		warmup     = fs.Duration("warmup", 0, "with -selftest: cap on the convergence wait before measuring (default 12s)")
@@ -93,34 +89,23 @@ func run(args []string) error {
 	}
 
 	if *selftest || *chaostest {
-		var entries []serve.BenchEntry
 		if *selftest {
-			report, err := serve.RunSelftest(serve.SelftestOptions{
+			if _, err := serve.RunSelftest(serve.SelftestOptions{
 				Rate:     *rate,
 				Duration: *duration,
 				WarmUp:   *warmup,
-			}, stdout)
-			if err != nil {
+			}, stdout); err != nil {
 				return err
 			}
-			entries = append(entries, report.BenchEntries()...)
 		}
 		if *chaostest {
-			report, err := serve.RunChaostest(serve.ChaostestOptions{
+			// A failed recovery assertion must fail the command: callers
+			// depend on the exit code.
+			if _, err := serve.RunChaostest(serve.ChaostestOptions{
 				Rate:     *rate,
 				Schedule: *chaosSched,
 				Quick:    *quick,
-			}, stdout)
-			if report != nil {
-				entries = append(entries, report.BenchEntries()...)
-			}
-			if err != nil {
-				// A failed recovery assertion must fail the command (make
-				// check depends on the exit code), but the records gathered
-				// up to the failure still land in -bench-out for inspection.
-				if *benchOut != "" {
-					serve.WriteBenchJSON(*benchOut, entries)
-				}
+			}, stdout); err != nil {
 				return err
 			}
 			// The overload scene rides every chaostest (skipped only when a
@@ -128,25 +113,12 @@ func run(args []string) error {
 			// saturating square-wave load against the admission-controlled
 			// proxy, asserting bounded queue delay and tier-ordered shedding.
 			if *chaosSched == "" {
-				ovReport, err := serve.RunOverloadChaostest(serve.OverloadOptions{
+				if _, err := serve.RunOverloadChaostest(serve.OverloadOptions{
 					Quick: *quick,
-				}, stdout)
-				if ovReport != nil {
-					entries = append(entries, ovReport.BenchEntries()...)
-				}
-				if err != nil {
-					if *benchOut != "" {
-						serve.WriteBenchJSON(*benchOut, entries)
-					}
+				}, stdout); err != nil {
 					return err
 				}
 			}
-		}
-		if *benchOut != "" {
-			if err := serve.WriteBenchJSON(*benchOut, entries); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "l3serve: wrote %s\n", *benchOut)
 		}
 		return nil
 	}

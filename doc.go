@@ -13,7 +13,7 @@
 //     generator and the DeathStarBench hotel-reservation application model.
 //
 // See DESIGN.md for the system inventory and the per-figure experiment
-// index, and EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every figure of the paper's evaluation; the same
-// experiments are runnable via cmd/l3bench.
+// index, and EXPERIMENTS.md for paper-vs-measured results. cmd/l3bench
+// regenerates every figure of the paper's evaluation; benchmark/ (its own
+// module, declared in BENCHMARK.json) measures what the reproduction costs.
 package l3

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"l3/internal/balancer"
 	"l3/internal/loadgen"
 	"l3/internal/mesh"
-	"l3/internal/perf"
 	"l3/internal/sim"
 	"l3/internal/wan"
 )
@@ -42,20 +40,13 @@ type shardFigRun struct {
 	lookahead time.Duration
 }
 
-// recDigest summarizes the simulated results for cross-run comparison.
-func (r *shardFigRun) recDigest() string {
-	return fmt.Sprintf("%d|%v|%v|%v",
-		r.rec.Count(), r.rec.Quantile(0.5), r.rec.Quantile(0.99), r.rec.SuccessRate())
-}
-
 // perSourceRR keeps one RoundRobin rotation per source cluster. A sharded
 // timeline only ever sees its own cluster, so there it is a plain
 // round-robin; the classic engine's single picker serves all eight sources
 // and needs the split to route like the shards do. With it the classic and
 // sharded executions of the scaling workload are the same simulation — same
-// routing, same WAN hash delays, same backend rng streams — so their
-// wall-clock difference is purely the two cores' machinery, which is exactly
-// what the overhead number must isolate.
+// routing, same WAN hash delays, same backend rng streams — and differ only
+// in the two cores' machinery.
 type perSourceRR struct {
 	by map[string]mesh.Picker
 }
@@ -70,8 +61,7 @@ func (p *perSourceRR) Pick(now time.Duration, src, svc string, bs []*mesh.Backen
 }
 
 // runShardWorkload executes the scaling workload: workers ≥ 1 on the sharded
-// core with that worker-pool size, 0 on the classic single-loop engine — the
-// baseline the sharded core's workers=1 overhead is measured against.
+// core with that worker-pool size, 0 on the classic single-loop engine.
 // Everything observable in the return value but the engine accounting is
 // byte-identical for any workers; only wall-clock differs.
 func runShardWorkload(workers int, seed uint64) (*shardFigRun, error) {
@@ -133,8 +123,8 @@ func runShardWorkload(workers int, seed uint64) (*shardFigRun, error) {
 // FigS1 renders the sharded-core figure: the scaling workload's simulated
 // results plus the engine's window/event accounting. Every number on stdout
 // is a simulation fact, so the figure is byte-identical for any -shards
-// value; wall-clock scaling lives in BENCH_shards.json (l3bench
-// -bench-shards), keeping the determinism discipline of every other figure.
+// value; wall-clock never reaches stdout, the determinism discipline of
+// every other figure.
 func FigS1(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	workers := opts.Shards
@@ -156,117 +146,6 @@ func FigS1(opts Options) (*Result, error) {
 	r.AddRow("Cross-shard messages", float64(run.stats.CrossSends), "", NoPaper)
 	r.Note("8 clusters x %d RPS, %v measured; one shard per cluster, %v lookahead",
 		shardFigRPS, shardFigMeasure, run.lookahead)
-	r.Note("stdout is identical for every -shards value; wall-clock scaling is in BENCH_shards.json")
+	r.Note("stdout is identical for every -shards value")
 	return r, nil
-}
-
-// ShardPoint is one worker-count measurement of the scaling workload.
-type ShardPoint struct {
-	// Workers is the sharded engine's worker-pool size.
-	Workers int `json:"workers"`
-	// WallMS is the run's wall-clock time in milliseconds.
-	WallMS float64 `json:"wall_ms"`
-	// Events is the total events fired (identical across rows — the
-	// simulated work is invariant).
-	Events uint64 `json:"events"`
-	// EventsPerSec is the throughput this row achieved.
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is WallMS(workers=1) / WallMS.
-	Speedup float64 `json:"speedup"`
-}
-
-// ShardScaling measures the scaling workload's wall-clock at each worker
-// count, serially (concurrent runs would contend for cores and corrupt the
-// measurement). The simulated output is asserted identical across rows —
-// a scaling number from diverging runs would be meaningless.
-func ShardScaling(seed uint64, workerCounts []int) ([]ShardPoint, error) {
-	points := make([]ShardPoint, 0, len(workerCounts))
-	var baseMS float64
-	var baseDigest string
-	for _, w := range workerCounts {
-		start := time.Now()
-		run, err := runShardWorkload(w, seed)
-		if err != nil {
-			return nil, err
-		}
-		wallMS := float64(time.Since(start)) / float64(time.Millisecond)
-		digest := fmt.Sprintf("%s|%+v", run.recDigest(), run.stats)
-		if baseDigest == "" {
-			baseMS, baseDigest = wallMS, digest
-		} else if digest != baseDigest {
-			return nil, fmt.Errorf("bench: workers=%d diverged from workers=%d: %s vs %s",
-				w, workerCounts[0], digest, baseDigest)
-		}
-		points = append(points, ShardPoint{
-			Workers:      w,
-			WallMS:       wallMS,
-			Events:       run.stats.Events,
-			EventsPerSec: float64(run.stats.Events) / (wallMS / 1000),
-			Speedup:      baseMS / wallMS,
-		})
-	}
-	return points, nil
-}
-
-// ShardReport is BENCH_shards.json: the scaling sweep plus the classic
-// baseline it is judged against and the host facts (CPU count, GOMAXPROCS)
-// without which none of the wall-clock numbers can be interpreted.
-type ShardReport struct {
-	// NumCPU and GoMaxProcs stamp the host the sweep ran on.
-	NumCPU     int `json:"num_cpu"`
-	GoMaxProcs int `json:"gomaxprocs"`
-	// ClassicWallMS is the identical workload on the classic single-loop
-	// engine; ClassicEvents its event count (equal to every sharded row's —
-	// same simulation, different machinery).
-	ClassicWallMS float64 `json:"classic_wall_ms"`
-	ClassicEvents uint64  `json:"classic_events"`
-	// OverheadAtOneWorker is WallMS(workers=1)/ClassicWallMS − 1: what
-	// -shards costs before any parallelism pays for it. The acceptance bar
-	// is ≤ 0.05.
-	OverheadAtOneWorker float64 `json:"overhead_at_one_worker"`
-	// Scaling is the per-worker-count sweep.
-	Scaling []ShardPoint `json:"scaling"`
-	// Benches isolates the synchronization primitives the sweep exercises
-	// (perf.ShardSuite: ShardBarrier, CrossShardSend) — both 0 allocs/op.
-	Benches []perf.Result `json:"benches"`
-}
-
-// ShardScalingReport runs the classic baseline, the scaling sweep and the
-// shard micro-benchmarks, and assembles BENCH_shards.json. The classic and
-// sharded runs are asserted to be the same simulation (equal recorder
-// digests) — the overhead number would otherwise compare different work.
-// Benchmark progress lines go to w (nil silences them).
-func ShardScalingReport(seed uint64, workerCounts []int, w io.Writer) (*ShardReport, error) {
-	start := time.Now()
-	classic, err := runShardWorkload(0, seed)
-	if err != nil {
-		return nil, err
-	}
-	classicMS := float64(time.Since(start)) / float64(time.Millisecond)
-
-	points, err := ShardScaling(seed, workerCounts)
-	if err != nil {
-		return nil, err
-	}
-	sharded, err := runShardWorkload(1, seed)
-	if err != nil {
-		return nil, err
-	}
-	if got, want := sharded.recDigest(), classic.recDigest(); got != want {
-		return nil, fmt.Errorf("bench: sharded scaling workload diverged from classic baseline: %s vs %s", got, want)
-	}
-	report := &ShardReport{
-		NumCPU:        runtime.NumCPU(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		ClassicWallMS: classicMS,
-		ClassicEvents: classic.stats.Events,
-		Scaling:       points,
-		Benches:       perf.RunSuiteBest(w, perf.ShardSuite(), 3),
-	}
-	for _, p := range points {
-		if p.Workers == 1 && classicMS > 0 {
-			report.OverheadAtOneWorker = p.WallMS/classicMS - 1
-		}
-	}
-	return report, nil
 }

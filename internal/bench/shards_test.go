@@ -174,11 +174,17 @@ func TestShardedRejectsUnsupportedLayers(t *testing.T) {
 	}
 }
 
-// TestShardScalingWorkloadClassicShardedParity pins what makes the
-// workers=1 overhead number in BENCH_shards.json meaningful: the classic
-// baseline and the sharded sweep execute the same simulation (routing via
-// per-source round-robin, WAN hash delays, backend rng streams), so their
-// recorder digests must match and the wall-clock ratio isolates machinery.
+// recDigest summarizes the simulated results for cross-run comparison.
+func (r *shardFigRun) recDigest() string {
+	return fmt.Sprintf("%d|%v|%v|%v",
+		r.rec.Count(), r.rec.Quantile(0.5), r.rec.Quantile(0.99), r.rec.SuccessRate())
+}
+
+// TestShardScalingWorkloadClassicShardedParity pins sharded ≡ classic on
+// figure S1's workload: the classic engine and the sharded core execute the
+// same simulation (routing via per-source round-robin, WAN hash delays,
+// backend rng streams), so their recorder digests and event counts must
+// match — only the machinery, and so only wall-clock, may differ.
 func TestShardScalingWorkloadClassicShardedParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("60 simulated seconds at 16k RPS twice")

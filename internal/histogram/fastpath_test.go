@@ -79,3 +79,30 @@ func TestRecordAllocationFree(t *testing.T) {
 		t.Fatalf("Record allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// BenchmarkRecord measures one observation into the log-bucketed recorder
+// every load generator feeds per request.
+func BenchmarkRecord(b *testing.B) {
+	h := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(time.Duration(i%1000+1) * time.Millisecond)
+	}
+}
+
+// BenchmarkQuantile measures a p99 query over a populated recorder — the
+// per-second reduction behind every latency series.
+func BenchmarkQuantile(b *testing.B) {
+	h := New()
+	for i := 0; i < 10000; i++ {
+		h.Record(time.Duration(i%997+1) * time.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h.Quantile(0.99) <= 0 {
+			b.Fatal("empty quantile")
+		}
+	}
+}

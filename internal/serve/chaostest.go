@@ -21,8 +21,7 @@ import (
 // failures, windowed p99 re-converges after each fault, and a starved
 // control plane engages (and later releases) fail-static. It is the
 // wall-clock counterpart of the simulator's -chaos runs: same schedule
-// grammar, real sockets, and the recovery numbers land in BENCH_serve.json
-// next to the selftest trajectory.
+// grammar, real sockets.
 
 // DefaultChaosSchedule is the canonical chaostest script: a stall (the
 // hardest fault — accepted connections that never answer), a connection-reset
@@ -102,9 +101,7 @@ type ChaosReport struct {
 	Hedges      int64         `json:"hedges"`
 	Panics      int64         `json:"panics"`
 	Dropped     int64         `json:"dropped"`
-	AllocsPerOp float64       `json:"proxy_layer_allocs_per_op"`
 	Cores       int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
 }
 
 // chaosBackendNames is the chaostest stub fleet; schedules address these.
@@ -181,7 +178,6 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 	report := &ChaosReport{
 		Schedule: opts.Schedule,
 		Cores:    runtime.GOMAXPROCS(0),
-		NumCPU:   runtime.NumCPU(),
 	}
 	fmt.Fprintf(out, "chaostest: %d chaos stubs at %v, %v rps, schedule %q, GOMAXPROCS=%d\n",
 		len(stubs), opts.BaseLatency, opts.Rate, opts.Schedule, report.Cores)
@@ -321,7 +317,6 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 	report.Retries = srv.Handler().Retries()
 	report.Hedges = srv.Handler().Hedges()
 	report.Panics = srv.Handler().Panics()
-	report.AllocsPerOp = MeasureProxyLayerAllocs()
 
 	dropped, err := srv.ShutdownTimeout()
 	loadWall.Stop()
@@ -386,37 +381,6 @@ func (r *ChaosReport) assertions(cfg Config) []string {
 		fails = append(fails, fmt.Sprintf("%d requests dropped at drain", r.Dropped))
 	}
 	return fails
-}
-
-// BenchEntries converts the report into BENCH_serve.json records, one per
-// fault, alongside the selftest's trajectory entries.
-func (r *ChaosReport) BenchEntries() []BenchEntry {
-	entries := make([]BenchEntry, 0, len(r.Results))
-	seen := map[string]int{}
-	for _, fr := range r.Results {
-		name := "serve_chaos_" + fr.Fault
-		seen[name]++
-		if n := seen[name]; n > 1 {
-			name = fmt.Sprintf("%s_%d", name, n)
-		}
-		entries = append(entries, BenchEntry{
-			Name:        name,
-			Algo:        AlgoL3,
-			RPS:         r.AchievedRPS,
-			P50Ms:       float64(fr.WindowP50) / float64(time.Millisecond),
-			P99Ms:       float64(fr.WindowP99) / float64(time.Millisecond),
-			P999Ms:      float64(fr.WindowP999) / float64(time.Millisecond),
-			AllocsPerOp: r.AllocsPerOp,
-			Cores:       r.Cores,
-			NumCPU:      r.NumCPU,
-			Fault:       fr.Fault,
-			TTRMs:       float64(fr.TTR) / float64(time.Millisecond),
-			Ejections:   fr.Ejections,
-			FailStatic:  fr.FailStatic,
-			Recovered:   fr.Recovered,
-		})
-	}
-	return entries
 }
 
 // chaosKindName names a kind without reaching into the chaos package's

@@ -40,15 +40,6 @@ func TestServeChaosSmoke(t *testing.T) {
 			t.Errorf("schedule did not exercise %q", want)
 		}
 	}
-	entries := report.BenchEntries()
-	if len(entries) != 6 {
-		t.Fatalf("BenchEntries = %d records, want 6", len(entries))
-	}
-	for _, e := range entries {
-		if !e.Recovered {
-			t.Errorf("%s: recovered=false in bench record", e.Name)
-		}
-	}
 }
 
 // chaosServer boots a server over n chaos stubs with fast control loops.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"runtime"
@@ -134,29 +135,34 @@ func TestServeOverloadScene(t *testing.T) {
 		t.Skip("overload scene needs ~10s of wall-clock; run make overload-smoke")
 	}
 	var buf strings.Builder
-	report, err := RunOverloadChaostest(OverloadOptions{Quick: true}, &buf)
+	_, err := RunOverloadChaostest(OverloadOptions{Quick: true}, &buf)
 	t.Log("\n" + buf.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := report.BenchEntries()
-	if len(entries) != 1 || entries[0].Name != "serve_overload_scene" {
-		t.Fatalf("BenchEntries = %+v, want one serve_overload_scene record", entries)
-	}
-	e := entries[0]
-	if e.Fault != "overload" || !e.Recovered || e.MaxQueueMs <= 0 {
-		t.Errorf("record %+v: want fault=overload, recovered, max_queue_ms > 0", e)
-	}
 }
 
 // TestAdmitPathAllocsPinned pins the serve-side admission fast path at zero
-// allocations per admitted request (Admit grant + Observe + Release), the
-// same measurement the overload scene reports into BENCH_serve.json.
+// allocations per admitted request (Admit grant + Observe + Release) under
+// the policy shape the proxy runs: the gate must cost nothing when the
+// system is healthy.
 func TestAdmitPathAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc pin not meaningful under -race")
 	}
-	if allocs := MeasureAdmitAllocs(); allocs != 0 {
+	p, err := overload.ParsePolicy("limit=64,target=20ms,qcap=32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := overload.NewWallAdmitter(p, 3, time.Now())
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(10000, func() {
+		if v := a.Admit(ctx, time.Now(), overload.TierDefault); v == overload.Admitted {
+			a.Observe(0, 5*time.Millisecond, true)
+			a.Release()
+		}
+	})
+	if allocs != 0 {
 		t.Fatalf("admit fast path allocs = %v per op, contract is 0", allocs)
 	}
 }

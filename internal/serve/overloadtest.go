@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,8 +24,7 @@ import (
 // MaxWait ceiling, shedding is tier-ordered (sheddable first, critical
 // last), the per-backend in-flight gauges on /metrics never exceed the
 // concurrency limit, and the tier gate re-admits everything after the
-// burst. It runs as part of `l3serve -chaostest`, and its numbers land in
-// BENCH_serve.json as the serve_overload_scene record.
+// burst. It runs as part of `l3serve -chaostest`.
 
 // overloadScenePolicy is the scene's admission policy: per-backend Vegas
 // limiter 8→12, 20ms CoDel target over a 100ms interval, a 128-deep queue
@@ -108,9 +106,6 @@ type OverloadReport struct {
 	ReadmittedAll bool          `json:"readmitted_all"`
 	AchievedRPS   float64       `json:"achieved_rps"`
 	Dropped       int64         `json:"dropped"`
-	AllocsPerOp   float64       `json:"admit_path_allocs_per_op"`
-	Cores         int           `json:"gomaxprocs"`
-	NumCPU        int           `json:"num_cpu"`
 }
 
 // tierHeaderValues cycles the criticality annotation over requests.
@@ -163,8 +158,6 @@ func RunOverloadChaostest(opts OverloadOptions, out io.Writer) (*OverloadReport,
 	report := &OverloadReport{
 		Policy:  cfg.Overload,
 		MaxWait: pol.Queue.MaxWait,
-		Cores:   runtime.GOMAXPROCS(0),
-		NumCPU:  runtime.NumCPU(),
 	}
 	fmt.Fprintf(out, "overload scene: %d stubs at %v, warm %v rps / burst %v rps, policy %q\n",
 		len(stubs), opts.BaseLatency, opts.WarmRate, opts.BurstRate, cfg.Overload)
@@ -305,7 +298,6 @@ func RunOverloadChaostest(opts OverloadOptions, out io.Writer) (*OverloadReport,
 		total += report.Tiers[tier].Sent
 	}
 	report.AchievedRPS = float64(total) / wallDur.Seconds()
-	report.AllocsPerOp = MeasureAdmitAllocs()
 
 	dropped, err := srv.ShutdownTimeout()
 	if err != nil {
@@ -321,10 +313,10 @@ func RunOverloadChaostest(opts OverloadOptions, out io.Writer) (*OverloadReport,
 	fmt.Fprintf(out, "  queue: max-sojourn=%v (ceiling %v) codel-drops=%d overflow=%d lifo-flips=%d peak-depth=%.0f\n",
 		report.Stats.MaxSojourn.Round(time.Millisecond), report.MaxWait,
 		report.Stats.CodelDropped, report.Stats.QueueOverflow, report.Stats.LifoFlips, report.PeakQueueDepth)
-	fmt.Fprintf(out, "  gate: readmits=%d admit-max=%d readmitted-all=%v ttr=%v; limit=%d peak-inflight=%.0f; rps=%.1f allocs/op=%v dropped=%d\n",
+	fmt.Fprintf(out, "  gate: readmits=%d admit-max=%d readmitted-all=%v ttr=%v; limit=%d peak-inflight=%.0f; rps=%.1f dropped=%d\n",
 		report.Stats.Readmits, report.Stats.AdmitMax, report.ReadmittedAll,
 		report.ReadmitTTR.Round(time.Millisecond), report.Stats.TotalLimit,
-		report.PeakInflightSum, report.AchievedRPS, report.AllocsPerOp, report.Dropped)
+		report.PeakInflightSum, report.AchievedRPS, report.Dropped)
 
 	if fails := report.assertions(); len(fails) > 0 {
 		return report, fmt.Errorf("overload scene: %s", strings.Join(fails, "; "))
@@ -366,49 +358,7 @@ func (r *OverloadReport) assertions() []string {
 	if r.Dropped > 0 {
 		fails = append(fails, fmt.Sprintf("%d requests dropped at drain", r.Dropped))
 	}
-	if !raceEnabled && r.AllocsPerOp != 0 {
-		fails = append(fails, fmt.Sprintf("admit fast path allocates %v per op, contract is 0", r.AllocsPerOp))
-	}
 	return fails
-}
-
-// BenchEntries converts the report into BENCH_serve.json records.
-func (r *OverloadReport) BenchEntries() []BenchEntry {
-	return []BenchEntry{{
-		Name:          "serve_overload_scene",
-		Algo:          AlgoRR,
-		RPS:           r.AchievedRPS,
-		AllocsPerOp:   r.AllocsPerOp,
-		Cores:         r.Cores,
-		NumCPU:        r.NumCPU,
-		Fault:         "overload",
-		TTRMs:         float64(r.ReadmitTTR) / float64(time.Millisecond),
-		Recovered:     r.ReadmittedAll,
-		ShedCritical:  r.Stats.Shed[overload.TierCritical],
-		ShedDefault:   r.Stats.Shed[overload.TierDefault],
-		ShedSheddable: r.Stats.Shed[overload.TierSheddable],
-		MaxQueueMs:    float64(r.Stats.MaxSojourn) / float64(time.Millisecond),
-	}}
-}
-
-// MeasureAdmitAllocs reports the admission layer's own allocations per
-// admitted request on the no-shed fast path: Admit grant, the per-attempt
-// Observe, Release. The contract is zero — the gate must cost nothing when
-// the system is healthy.
-func MeasureAdmitAllocs() float64 {
-	p, err := overload.ParsePolicy("limit=64,target=20ms,qcap=32")
-	if err != nil {
-		return -1
-	}
-	a := overload.NewWallAdmitter(p, 3, time.Now())
-	ctx := context.Background()
-	op := func() {
-		if v := a.Admit(ctx, time.Now(), overload.TierDefault); v == overload.Admitted {
-			a.Observe(0, 5*time.Millisecond, true)
-			a.Release()
-		}
-	}
-	return allocsPerRun(10000, op)
 }
 
 // fetchMetrics GETs a /metrics endpoint and returns the body.

@@ -167,6 +167,6 @@ func TestProxyHotPathZeroAllocs(t *testing.T) {
 
 func TestMeasureProxyLayerAllocsAgrees(t *testing.T) {
 	if got := MeasureProxyLayerAllocs(); got != 0 {
-		t.Fatalf("MeasureProxyLayerAllocs = %v, want 0 (selftest reporting must agree with the pin)", got)
+		t.Fatalf("MeasureProxyLayerAllocs = %v, want 0 (the benchmark's serve.layer_allocs_per_op must agree with the pin)", got)
 	}
 }

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"time"
 
@@ -17,10 +15,9 @@ import (
 // Selftest is the serve-mode benchmark harness: spin up skewed stub
 // backends (two fast, one slow), run the proxy once per algorithm under the
 // open-loop wall-clock load generator, and report achieved RPS, latency
-// percentiles, the converged weight table, and the proxy layer's allocs/op.
-// It is the wall-clock analogue of the simulator's figure benches — same
-// skew shape, same open-loop discipline, real sockets — and the producer of
-// BENCH_serve.json.
+// percentiles and the converged weight table. It is the wall-clock analogue
+// of the simulator's figure benches — same skew shape, same open-loop
+// discipline, real sockets.
 
 // SelftestOptions parameterise one selftest run.
 type SelftestOptions struct {
@@ -85,16 +82,14 @@ type AlgoResult struct {
 
 // SelftestReport is the full selftest outcome.
 type SelftestReport struct {
-	Results     []AlgoResult `json:"results"`
-	AllocsPerOp float64      `json:"proxy_layer_allocs_per_op"`
-	Cores       int          `json:"gomaxprocs"`
-	NumCPU      int          `json:"num_cpu"`
+	Results []AlgoResult `json:"results"`
+	Cores   int          `json:"gomaxprocs"`
 }
 
 // RunSelftest runs the passes and streams a human-readable report to out.
 func RunSelftest(opts SelftestOptions, out io.Writer) (*SelftestReport, error) {
 	opts = opts.withDefaults()
-	report := &SelftestReport{Cores: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	report := &SelftestReport{Cores: runtime.GOMAXPROCS(0)}
 
 	stubs, err := startSkewedStubs(opts)
 	if err != nil {
@@ -117,9 +112,6 @@ func RunSelftest(opts SelftestOptions, out io.Writer) (*SelftestReport, error) {
 		fmt.Fprintf(out, "  %-8s rps=%.1f p50=%v p99=%v p999=%v ok=%.4f converged=%v weights=%v scrapes=%d retries=%d dropped=%d\n",
 			algo, res.AchievedRPS, res.P50, res.P99, res.P999, res.SuccessRate, res.Converged, res.Weights, res.Scrapes, res.Retries, res.Dropped)
 	}
-
-	report.AllocsPerOp = MeasureProxyLayerAllocs()
-	fmt.Fprintf(out, "  proxy-layer hot path: %.2f allocs/op (pick + record + budget + deadline)\n", report.AllocsPerOp)
 
 	if rr, l3 := report.result(AlgoRR), report.result(AlgoL3); rr != nil && l3 != nil {
 		fmt.Fprintf(out, "  p99 %s=%v vs %s=%v (%.1fx)\n", AlgoRR, rr.P99, AlgoL3, l3.P99, float64(rr.P99)/float64(l3.P99))
@@ -296,8 +288,9 @@ func runAlgoPass(algo string, opts SelftestOptions, stubs []*StubBackend) (*Algo
 // path — weighted pick, outcome recording, budget and deadline bookkeeping —
 // isolated from forwarding itself (what a whole proxied request allocates is
 // pinned by TestProxiedRequestBytes and itemized in DESIGN.md). The
-// acceptance bar is 0 allocs/op; the number is re-pinned by a test with
-// testing.AllocsPerRun.
+// acceptance bar is 0 allocs/op, pinned by TestMeasureProxyLayerAllocsAgrees
+// and TestProxyHotPathZeroAllocs; the repository benchmark reports it as
+// serve.layer_allocs_per_op.
 func MeasureProxyLayerAllocs() float64 {
 	reg := metrics.NewRegistry()
 	backends := make([]*Backend, 0, 3)
@@ -343,63 +336,4 @@ func allocsPerRun(runs int, fn func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
-
-// BenchEntry is one BENCH_serve.json record — the serve-mode counterpart of
-// the simulator's BENCH.json trajectory points.
-type BenchEntry struct {
-	Name        string  `json:"name"`
-	Algo        string  `json:"algo"`
-	RPS         float64 `json:"rps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	P999Ms      float64 `json:"p999_ms"`
-	AllocsPerOp float64 `json:"proxy_layer_allocs_per_op"`
-	Cores       int     `json:"gomaxprocs"`
-	// NumCPU stamps the physical host the wall-clock numbers came from
-	// (Cores is the GOMAXPROCS cap, which may be lower).
-	NumCPU int `json:"num_cpu"`
-
-	// Chaostest-only fields: set on serve_chaos_* records, absent on the
-	// selftest trajectory entries.
-	Fault      string  `json:"fault,omitempty"`
-	TTRMs      float64 `json:"ttr_ms,omitempty"`
-	Ejections  int64   `json:"breaker_ejections,omitempty"`
-	FailStatic bool    `json:"failstatic,omitempty"`
-	Recovered  bool    `json:"recovered,omitempty"`
-
-	// Overload-scene fields: set on the serve_overload_* records — server-side
-	// sheds per criticality tier and the longest admitted queue sojourn.
-	ShedCritical  int64   `json:"shed_critical,omitempty"`
-	ShedDefault   int64   `json:"shed_default,omitempty"`
-	ShedSheddable int64   `json:"shed_sheddable,omitempty"`
-	MaxQueueMs    float64 `json:"max_queue_ms,omitempty"`
-}
-
-// BenchEntries converts the report into BENCH_serve.json records.
-func (r *SelftestReport) BenchEntries() []BenchEntry {
-	entries := make([]BenchEntry, 0, len(r.Results))
-	for _, res := range r.Results {
-		entries = append(entries, BenchEntry{
-			Name:        "serve_skewed_" + res.Algo,
-			Algo:        res.Algo,
-			RPS:         res.AchievedRPS,
-			P50Ms:       float64(res.P50) / float64(time.Millisecond),
-			P99Ms:       float64(res.P99) / float64(time.Millisecond),
-			P999Ms:      float64(res.P999) / float64(time.Millisecond),
-			AllocsPerOp: r.AllocsPerOp,
-			Cores:       r.Cores,
-			NumCPU:      r.NumCPU,
-		})
-	}
-	return entries
-}
-
-// WriteBenchJSON writes the entries as indented JSON to path.
-func WriteBenchJSON(path string, entries []BenchEntry) error {
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

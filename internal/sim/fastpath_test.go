@@ -85,3 +85,23 @@ func TestScheduleStepAllocationFree(t *testing.T) {
 		t.Fatalf("Schedule+Step allocates %.1f objects per event, want 0", allocs)
 	}
 }
+
+// BenchmarkEngineSchedule measures the event heap's schedule+dispatch cycle:
+// one ScheduleAfter and the Step that fires it, with a standing population
+// of pending timers so heap sifts are exercised. With the event free list
+// warm it allocates nothing (TestScheduleStepAllocationFree).
+func BenchmarkEngineSchedule(b *testing.B) {
+	engine := NewEngine()
+	noop := func() {}
+	for i := 0; i < 256; i++ { // standing population, like in-flight requests
+		engine.After(time.Duration(i+1)*time.Hour, noop)
+	}
+	engine.ScheduleAfter(time.Microsecond, noop) // warm the event free list
+	engine.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine.ScheduleAfter(time.Microsecond, noop)
+		engine.Step()
+	}
+}

@@ -345,3 +345,51 @@ func TestShardedPanicsOnBadConstruction(t *testing.T) {
 		}()
 	}
 }
+
+// BenchmarkShardBarrier measures one full sharded window — epoch bump, parker
+// opens, cursor-claimed shard execution, last-arriver handshake — with two
+// always-busy shards fanning out across two workers. All b.N windows run
+// inside a single RunUntil, so the pool's once-per-run lazy spawn amortizes
+// to zero and the steady-state barrier cost is what's reported: the number
+// -shards N pays per lookahead window over a serial loop.
+func BenchmarkShardBarrier(b *testing.B) {
+	const step = time.Millisecond
+	se := NewSharded(2, step)
+	se.SetWorkers(2)
+	for i := 0; i < 2; i++ {
+		eng := se.Shard(i).Engine()
+		var tick func()
+		tick = func() { eng.ScheduleAfter(step, tick) }
+		eng.Schedule(0, tick)
+	}
+	se.RunUntil(16 * step) // warm free lists and the fan-out path
+	b.ReportAllocs()
+	b.ResetTimer()
+	se.RunUntil(se.Now() + time.Duration(b.N)*step)
+	b.StopTimer()
+}
+
+// BenchmarkCrossShardSend measures one cross-shard message through the
+// batched mailbox protocol: outbox append on the source, canonical merge at
+// the barrier, delivery onto the destination's heap, and the fired callback —
+// one window per op on the serial path, so the number isolates the mailbox
+// machinery itself. Steady state recycles outbox slabs and heap events: zero
+// allocations (TestShardedSteadyStateDoesNotAllocate).
+func BenchmarkCrossShardSend(b *testing.B) {
+	const step = time.Millisecond
+	se := NewSharded(2, step)
+	noop := func() {}
+	sh := se.Shard(0)
+	eng := sh.Engine()
+	var tick func()
+	tick = func() {
+		sh.Send(1, eng.Now()+step, noop)
+		eng.ScheduleAfter(step, tick)
+	}
+	eng.Schedule(0, tick)
+	se.RunUntil(16 * step) // warm outbox slabs and free lists
+	b.ReportAllocs()
+	b.ResetTimer()
+	se.RunUntil(se.Now() + time.Duration(b.N)*step)
+	b.StopTimer()
+}

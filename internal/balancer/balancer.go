@@ -30,14 +30,15 @@ type routeKey struct {
 
 // RoundRobin cycles through a service's backends in order. State is kept
 // per (source cluster, service) — one counter per client proxy, like a real
-// mesh — and the strategy is deterministic.
+// mesh — and the strategy is deterministic. Counters are held by pointer so
+// a pick hashes its key once.
 type RoundRobin struct {
-	counters map[routeKey]int
+	counters map[routeKey]*int
 }
 
 // NewRoundRobin returns a fresh round-robin picker.
 func NewRoundRobin() *RoundRobin {
-	return &RoundRobin{counters: make(map[routeKey]int)}
+	return &RoundRobin{counters: make(map[routeKey]*int)}
 }
 
 // Pick implements mesh.Picker.
@@ -45,9 +46,13 @@ func (r *RoundRobin) Pick(_ time.Duration, src, service string, backends []*mesh
 	if len(backends) == 0 {
 		return nil
 	}
-	key := routeKey{src, service}
-	i := r.counters[key] % len(backends)
-	r.counters[key]++
+	n := r.counters[routeKey{src, service}]
+	if n == nil {
+		n = new(int)
+		r.counters[routeKey{src, service}] = n
+	}
+	i := *n % len(backends)
+	*n++
 	return backends[i]
 }
 
@@ -246,7 +251,7 @@ func NewPreferCluster(cluster string, fallback mesh.Picker) *PreferCluster {
 	return &PreferCluster{
 		Cluster:  cluster,
 		Fallback: fallback,
-		rr:       RoundRobin{counters: make(map[routeKey]int)},
+		rr:       RoundRobin{counters: make(map[routeKey]*int)},
 	}
 }
 

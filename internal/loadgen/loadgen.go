@@ -3,9 +3,9 @@
 // scheduled by the offered rate alone, never gated on responses, which
 // avoids coordinated omission and keeps the offered RPS faithful to the
 // scenario even when backends slow down. Latency of every request is
-// recorded into mergeable histograms plus per-interval buckets, so both the
-// end-of-run percentiles (Figures 8-12) and the percentile-over-time series
-// (Figures 1 and 6) fall out of one recorder.
+// recorded into mergeable per-interval histograms, so both the end-of-run
+// percentiles (Figures 8-12) and the percentile-over-time series (Figures 1
+// and 6) fall out of one recorder.
 package loadgen
 
 import (
@@ -234,18 +234,53 @@ func (a *arrival) complete(latency time.Duration, success bool) {
 	}
 }
 
-// Recorder accumulates request outcomes: one overall histogram, a
-// successes-only histogram, success/failure counts, and per-bucket
-// histograms for percentile-over-time series.
+// Recorder accumulates request outcomes: per time bucket, one histogram of
+// successes and one of failures, so recording an outcome writes exactly one
+// histogram. The aggregate views (overall, successes only, windows) merge
+// them on read; histogram.Merge is exact, so a merged answer is the one a
+// histogram recording every outcome directly would give.
 type Recorder struct {
 	bucketWidth time.Duration
-	overall     *histogram.Histogram
-	successOnly *histogram.Histogram
-	buckets     []*histogram.Histogram
-	bucketOK    []uint64
-	bucketAll   []uint64
-	successes   uint64
-	failures    uint64
+	buckets     []outcomes
+	// rest holds what Merge took from recorders of another bucket width:
+	// outcomes with no time axis in common, counted in the aggregates only.
+	rest outcomes
+	// sums caches the aggregates until the next write drops them.
+	sums *totals
+}
+
+// outcomes holds one time bucket's latencies, [0] failures and [1]
+// successes, each nil until its first entry.
+type outcomes [2]*histogram.Histogram
+
+// merge folds o into b.
+func (b *outcomes) merge(o outcomes) {
+	for k, h := range o {
+		if h == nil {
+			continue
+		}
+		if b[k] == nil {
+			b[k] = histogram.New()
+		}
+		b[k].Merge(h)
+	}
+}
+
+// count returns the number of outcomes of one kind.
+func (b outcomes) count(k int) uint64 {
+	if b[k] == nil {
+		return 0
+	}
+	return b[k].Count()
+}
+
+// totals are a recorder's aggregates: every outcome, and the successes alone.
+type totals struct{ all, ok histogram.Histogram }
+
+func (t *totals) add(b outcomes) {
+	t.all.Merge(b[0])
+	t.all.Merge(b[1])
+	t.ok.Merge(b[1])
 }
 
 // NewRecorder returns a recorder with the given time-bucket width.
@@ -253,56 +288,71 @@ func NewRecorder(bucketWidth time.Duration) *Recorder {
 	if bucketWidth <= 0 {
 		bucketWidth = time.Second
 	}
-	return &Recorder{
-		bucketWidth: bucketWidth,
-		overall:     histogram.New(),
-		successOnly: histogram.New(),
-	}
+	return &Recorder{bucketWidth: bucketWidth}
 }
 
 // Record adds one outcome observed for a request that started at virtual
 // time at.
 func (r *Recorder) Record(at, latency time.Duration, success bool) {
-	r.overall.Record(latency)
+	b, k := r.bucket(int(at/r.bucketWidth)), 0
 	if success {
-		r.successes++
-		r.successOnly.Record(latency)
-	} else {
-		r.failures++
+		k = 1
 	}
-	i := int(at / r.bucketWidth)
-	for len(r.buckets) <= i {
-		r.buckets = append(r.buckets, histogram.New())
-		r.bucketOK = append(r.bucketOK, 0)
-		r.bucketAll = append(r.bucketAll, 0)
+	if b[k] == nil {
+		b[k] = histogram.New()
 	}
-	r.buckets[i].Record(latency)
-	r.bucketAll[i]++
-	if success {
-		r.bucketOK[i]++
+	b[k].Record(latency)
+	r.sums = nil
+}
+
+// bucket returns time bucket i, growing the series to hold it.
+func (r *Recorder) bucket(i int) *outcomes {
+	if n := i + 1 - len(r.buckets); n > 0 {
+		r.buckets = append(r.buckets, make([]outcomes, n)...)
 	}
+	return &r.buckets[i]
+}
+
+// totals returns the aggregates, merging them if a write dropped them.
+func (r *Recorder) totals() *totals {
+	if r.sums == nil {
+		r.sums = new(totals)
+		for _, b := range r.buckets {
+			r.sums.add(b)
+		}
+		r.sums.add(r.rest)
+	}
+	return r.sums
 }
 
 // Count returns the number of recorded requests.
-func (r *Recorder) Count() uint64 { return r.successes + r.failures }
+func (r *Recorder) Count() uint64 { return r.count(0) + r.count(1) }
 
 // SuccessRate returns successes/total, or 1 when nothing was recorded.
 func (r *Recorder) SuccessRate() float64 {
-	total := r.Count()
-	if total == 0 {
-		return 1
+	if n := r.Count(); n > 0 {
+		return float64(r.count(1)) / float64(n)
 	}
-	return float64(r.successes) / float64(total)
+	return 1
+}
+
+// count sums one kind of outcome, [0] or [1], without the aggregates.
+func (r *Recorder) count(k int) uint64 {
+	n := r.rest.count(k)
+	for _, b := range r.buckets {
+		n += b.count(k)
+	}
+	return n
 }
 
 // Quantile returns the latency quantile over all recorded requests.
-func (r *Recorder) Quantile(q float64) time.Duration { return r.overall.Quantile(q) }
+func (r *Recorder) Quantile(q float64) time.Duration { return r.totals().all.Quantile(q) }
 
 // SuccessQuantile returns the latency quantile over successful requests.
-func (r *Recorder) SuccessQuantile(q float64) time.Duration { return r.successOnly.Quantile(q) }
+func (r *Recorder) SuccessQuantile(q float64) time.Duration { return r.totals().ok.Quantile(q) }
 
 // Mean returns the mean latency over all recorded requests.
-func (r *Recorder) Mean() time.Duration { return r.overall.Mean() }
+func (r *Recorder) Mean() time.Duration { return r.totals().all.Mean() }
 
 // Buckets returns the number of time buckets with data capacity.
 func (r *Recorder) Buckets() int { return len(r.buckets) }
@@ -314,13 +364,10 @@ func (r *Recorder) BucketWidth() time.Duration { return r.bucketWidth }
 // in [from, to) — e.g. the P99 of just a surge window.
 func (r *Recorder) WindowQuantile(q float64, from, to time.Duration) time.Duration {
 	merged := histogram.New()
-	lo := int(from / r.bucketWidth)
-	if lo < 0 {
-		lo = 0
-	}
 	hi := int(to / r.bucketWidth)
-	for i := lo; i < hi && i < len(r.buckets); i++ {
-		merged.Merge(r.buckets[i])
+	for i := max(int(from/r.bucketWidth), 0); i < hi && i < len(r.buckets); i++ {
+		merged.Merge(r.buckets[i][0])
+		merged.Merge(r.buckets[i][1])
 	}
 	return merged.Quantile(q)
 }
@@ -330,8 +377,12 @@ func (r *Recorder) WindowQuantile(q float64, from, to time.Duration) time.Durati
 // percentile-over-time plots.
 func (r *Recorder) QuantileSeries(q float64) []float64 {
 	out := make([]float64, len(r.buckets))
-	for i, h := range r.buckets {
-		out[i] = h.Quantile(q).Seconds()
+	both := histogram.New()
+	for i, b := range r.buckets {
+		both.Reset()
+		both.Merge(b[0])
+		both.Merge(b[1])
+		out[i] = both.Quantile(q).Seconds()
 	}
 	return out
 }
@@ -340,8 +391,8 @@ func (r *Recorder) QuantileSeries(q float64) []float64 {
 func (r *Recorder) RPSSeries() []float64 {
 	out := make([]float64, len(r.buckets))
 	w := r.bucketWidth.Seconds()
-	for i, n := range r.bucketAll {
-		out[i] = float64(n) / w
+	for i, b := range r.buckets {
+		out[i] = float64(b.count(0)+b.count(1)) / w
 	}
 	return out
 }
@@ -350,12 +401,11 @@ func (r *Recorder) RPSSeries() []float64 {
 // buckets).
 func (r *Recorder) SuccessRateSeries() []float64 {
 	out := make([]float64, len(r.buckets))
-	for i := range r.buckets {
-		if r.bucketAll[i] == 0 {
-			out[i] = 1
-			continue
+	for i, b := range r.buckets {
+		out[i] = 1
+		if all := b.count(0) + b.count(1); all > 0 {
+			out[i] = float64(b.count(1)) / float64(all)
 		}
-		out[i] = float64(r.bucketOK[i]) / float64(r.bucketAll[i])
 	}
 	return out
 }
@@ -367,22 +417,16 @@ func (r *Recorder) Merge(o *Recorder) {
 	if o == nil {
 		return
 	}
-	r.overall.Merge(o.overall)
-	r.successOnly.Merge(o.successOnly)
-	r.successes += o.successes
-	r.failures += o.failures
+	r.sums = nil
+	r.rest.merge(o.rest)
 	if o.bucketWidth != r.bucketWidth {
+		for _, b := range o.buckets {
+			r.rest.merge(b)
+		}
 		return
 	}
-	for i, h := range o.buckets {
-		for len(r.buckets) <= i {
-			r.buckets = append(r.buckets, histogram.New())
-			r.bucketOK = append(r.bucketOK, 0)
-			r.bucketAll = append(r.bucketAll, 0)
-		}
-		r.buckets[i].Merge(h)
-		r.bucketOK[i] += o.bucketOK[i]
-		r.bucketAll[i] += o.bucketAll[i]
+	for i, b := range o.buckets {
+		r.bucket(i).merge(b)
 	}
 }
 

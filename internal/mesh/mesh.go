@@ -210,6 +210,9 @@ type routeStats struct {
 	// creation so the per-call path never touches the cluster map (classic
 	// mode: the one shard).
 	dst *meshShard
+	// out and back are the WAN links src→backend and backend→src, resolved
+	// with the route so a hop hashes no cluster name and takes no lock.
+	out, back *wan.Link
 	// inflight resolves when the route is first used (call time).
 	inflight *metrics.Gauge
 	success  classStats
@@ -249,6 +252,8 @@ func (m *Mesh) route(service string, b *Backend, src string, ss *meshShard) *rou
 		src: src, service: service, backend: b.Name, reg: ss.registry,
 		dst:      ss,
 		inflight: ss.registry.Gauge(MetricInflight, labels),
+		out:      m.wan.Link(src, b.Cluster),
+		back:     m.wan.Link(b.Cluster, src),
 	}
 	if m.se != nil {
 		if ds, err := m.shardFor(b.Cluster); err == nil {
@@ -687,12 +692,12 @@ func (m *Mesh) callFrom(ss *meshShard, srcCluster, service string, done func(Res
 	// return link is checked again at response time, so a partition injected
 	// mid-request still blackholes the response. The timeout runs locally on
 	// the source shard — the request never leaves it.
-	if m.wan.Partitioned(srcCluster, b.Cluster) {
+	if c.rs.out.Partitioned() {
 		c.success, c.serverDur = false, 0
 		ss.engine.Schedule(now+m.lostTimeout, c.finishFn)
 		return nil
 	}
-	forward := m.wan.OneWayDelay(srcCluster, b.Cluster, now)
+	forward := c.rs.out.Delay(now)
 	if c.dst == ss {
 		ss.engine.Schedule(now+forward, c.forward)
 	} else {
@@ -710,7 +715,7 @@ func (m *Mesh) callFrom(ss *meshShard, srcCluster, service string, done func(Res
 func (c *call) onServed(res backend.Result) {
 	m := c.m
 	now := c.dst.engine.Now()
-	if m.wan.Partitioned(c.b.Cluster, c.src) {
+	if c.rs.back.Partitioned() {
 		c.success, c.serverDur = false, res.Latency
 		at := c.start + m.lostTimeout
 		if c.dst == c.ss {
@@ -720,7 +725,7 @@ func (c *call) onServed(res backend.Result) {
 		}
 		return
 	}
-	back := m.wan.OneWayDelay(c.b.Cluster, c.src, now)
+	back := c.rs.back.Delay(now)
 	c.success, c.serverDur = res.Success && !res.Rejected, res.Latency
 	if c.dst == c.ss {
 		c.dst.engine.Schedule(now+back, c.finishFn)

@@ -240,13 +240,13 @@ func (g *Gauge) Value() float64 { return g.v.load() }
 
 // Histogram is a cumulative-bucket histogram over explicit upper bounds
 // (seconds for latency histograms). Safe for concurrent use; observations
-// are lock-free (a binary search plus three atomic updates) and
-// allocation-free.
+// are lock-free (a binary search plus two atomic updates) and
+// allocation-free. The observation count is the sum of the buckets, not a
+// counter of its own, so a snapshot's _count always equals its +Inf bucket.
 type Histogram struct {
 	bounds []float64       // sorted ascending; +Inf bucket implied
 	counts []atomic.Uint64 // len(bounds)+1, per-bucket (cumulated at scrape)
 	sum    atomicFloat
-	total  atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -270,11 +270,16 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[lo].Add(1)
 	h.sum.add(v)
-	h.total.Add(1)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() float64 { return float64(h.total.Load()) }
+func (h *Histogram) Count() float64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return float64(n)
+}
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
@@ -297,7 +302,7 @@ func (h *Histogram) snapshot(reg *registered, out []Sample) []Sample {
 	sum := tpl[len(h.counts)]
 	sum.Value = h.sum.load()
 	count := tpl[len(h.counts)+1]
-	count.Value = float64(h.total.Load())
+	count.Value = cum // the +Inf bucket: the same reads, so never torn apart
 	return append(out, sum, count)
 }
 
@@ -307,7 +312,6 @@ func (h *Histogram) reset() {
 		h.counts[i].Store(0)
 	}
 	h.sum.store(0)
-	h.total.Store(0)
 }
 
 // Registry holds metric families and hands out series on demand

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +201,41 @@ func TestConcurrentCounterAdds(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("c", Labels{"w": "shared"}).Value(); got != 8000 {
 		t.Fatalf("concurrent count = %v, want 8000", got)
+	}
+}
+
+// TestHistogramCountIsInfBucketUnderConcurrentObserves pins the Prometheus
+// invariant _count == _bucket{le="+Inf"} while observations land mid-scrape,
+// as they do on the wall plane: both must come from the same bucket reads.
+func TestHistogramCountIsInfBucketUnderConcurrentObserves(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{0.01, 0.1, 1}
+	h := r.Histogram("h", Labels{"a": "1"}, bounds)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				h.Observe(float64(i%4) * 0.4)
+			}
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	inf, count := len(bounds), len(bounds)+2 // buckets, then _sum, then _count
+	var buf []Sample
+	for i := 0; i < 100_000; i++ {
+		buf = r.SnapshotAppend(buf[:0])
+		if buf[inf].Labels["le"] != "+Inf" || buf[count].Name != "h_count" {
+			t.Fatalf("unexpected sample layout: %+v", buf)
+		}
+		if buf[count].Value != buf[inf].Value {
+			t.Fatalf("snapshot %d: _count %v != +Inf bucket %v", i, buf[count].Value, buf[inf].Value)
+		}
 	}
 }
 

@@ -12,13 +12,14 @@
 // hooks for chaos engineering (internal/chaos): a directed link can be
 // partitioned (blackholed), given a fixed extra delay, or made to flap
 // between its normal and degraded path. Fault state is the only mutable part
-// of a Model and is guarded for concurrent use.
+// of a Model; each directed Link holds its own, swapped atomically.
 package wan
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -62,8 +63,8 @@ type Model struct {
 	overlays map[linkKey]time.Duration
 	local    time.Duration
 
-	mu     sync.RWMutex
-	faults map[linkKey]linkFault
+	mu    sync.Mutex // guards links
+	links map[linkKey]*Link
 }
 
 // linkFault is the injected structural state of one directed link.
@@ -74,6 +75,20 @@ type linkFault struct {
 }
 
 type linkKey struct{ from, to string }
+
+// Link is one directed link of a Model, resolved once: everything the delay
+// formula derives from the link's names is computed when the link is first
+// asked for, so a hop through a held Link hashes no string and takes no
+// lock. The injected fault is the only mutable part, swapped atomically, so
+// a Link is safe for concurrent use.
+type Link struct {
+	m     *Model
+	intra bool          // from == to: the constant local delay, never faulted
+	base  time.Duration // half the link's base RTT
+	hash  uint64        // seeded hash of (from, to)
+	phase float64       // the drift's phase, from hash
+	fault atomic.Pointer[linkFault]
+}
 
 // Option customises a Model.
 type Option func(*Model)
@@ -102,7 +117,7 @@ func New(cfg Config, opts ...Option) *Model {
 		cfg:      cfg,
 		overlays: make(map[linkKey]time.Duration),
 		local:    500 * time.Microsecond,
-		faults:   make(map[linkKey]linkFault),
+		links:    make(map[linkKey]*Link),
 	}
 	for _, o := range opts {
 		o(m)
@@ -121,73 +136,84 @@ func (m *Model) BaseRTT(from, to string) time.Duration {
 	return m.cfg.BaseRTT
 }
 
+// Link returns the directed link from→to, creating it on first use. The same
+// pointer is returned for the model's lifetime, so hot paths resolve their
+// links once and hold them.
+func (m *Model) Link(from, to string) *Link {
+	k := linkKey{from, to}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l := m.links[k]
+	if l == nil {
+		h := hash3(m.cfg.Seed, from, to)
+		l = &Link{
+			m: m, intra: from == to, base: m.BaseRTT(from, to) / 2,
+			hash: h, phase: float64(h%10000) / 10000 * 2 * math.Pi,
+		}
+		m.links[k] = l
+	}
+	return l
+}
+
 // InjectLinkFault installs a structural fault on the directed link from→to,
 // replacing any previous fault on it: extra is a fixed added one-way delay,
 // partitioned blackholes the link entirely (Partitioned reports true and
 // transit never completes), and a positive flap makes the extra delay apply
 // only in alternating flap-length epochs — a routing path bouncing between a
-// short and a long route. It implements the link-injector hook of
-// internal/chaos.
+// short and a long route. Intra-cluster traffic is never faulted. It
+// implements the link-injector hook of internal/chaos.
 func (m *Model) InjectLinkFault(from, to string, extra time.Duration, partitioned bool, flap time.Duration) {
-	m.mu.Lock()
-	m.faults[linkKey{from, to}] = linkFault{extra: extra, partitioned: partitioned, flap: flap}
-	m.mu.Unlock()
+	if from == to {
+		return
+	}
+	m.Link(from, to).fault.Store(&linkFault{extra: extra, partitioned: partitioned, flap: flap})
 }
 
 // HealLinkFault removes any injected fault from the directed link from→to.
-func (m *Model) HealLinkFault(from, to string) {
-	m.mu.Lock()
-	delete(m.faults, linkKey{from, to})
-	m.mu.Unlock()
-}
+func (m *Model) HealLinkFault(from, to string) { m.Link(from, to).fault.Store(nil) }
 
 // Partitioned reports whether the directed link from→to is currently
-// blackholed by an injected fault. Intra-cluster traffic never partitions.
-func (m *Model) Partitioned(from, to string) bool {
-	if from == to {
-		return false
-	}
-	m.mu.RLock()
-	f, ok := m.faults[linkKey{from, to}]
-	m.mu.RUnlock()
-	return ok && f.partitioned
-}
-
-// fault returns the injected fault of a link, if any.
-func (m *Model) fault(from, to string) (linkFault, bool) {
-	m.mu.RLock()
-	f, ok := m.faults[linkKey{from, to}]
-	m.mu.RUnlock()
-	return f, ok
-}
+// blackholed by an injected fault.
+func (m *Model) Partitioned(from, to string) bool { return m.Link(from, to).Partitioned() }
 
 // OneWayDelay returns the one-way delay from cluster from to cluster to at
-// virtual time t, including jitter and path-shift dynamics. Absent injected
-// faults the value is a pure function of (from, to, t, seed).
+// virtual time t; see Link.Delay.
 func (m *Model) OneWayDelay(from, to string, t time.Duration) time.Duration {
-	if from == to {
+	return m.Link(from, to).Delay(t)
+}
+
+// Partitioned reports whether the link is currently blackholed by an
+// injected fault. Intra-cluster links never partition.
+func (l *Link) Partitioned() bool {
+	f := l.fault.Load()
+	return f != nil && f.partitioned
+}
+
+// Delay returns the link's one-way delay at virtual time t, including jitter
+// and path-shift dynamics. Absent injected faults the value is a pure
+// function of (from, to, t, seed).
+func (l *Link) Delay(t time.Duration) time.Duration {
+	m := l.m
+	if l.intra {
 		return m.local
 	}
-	base := m.BaseRTT(from, to) / 2
 
 	// Slow sinusoidal drift plus per-query hash noise.
-	h := hash3(m.cfg.Seed, from, to)
-	phase := float64(h%10000) / 10000 * 2 * math.Pi
-	drift := math.Sin(2*math.Pi*t.Seconds()/60 + phase) // ±1 over a minute
-	noise := hashUnit(h, uint64(t/time.Millisecond))*2 - 1
+	drift := math.Sin(2*math.Pi*t.Seconds()/60 + l.phase) // ±1 over a minute
+	noise := hashUnit(l.hash, uint64(t/time.Millisecond))*2 - 1
 
 	jitter := m.cfg.JitterFraction * (0.7*drift + 0.3*noise)
 
 	// Path shifts: every PathShiftInterval the link picks one of several
 	// "paths" with distinct extra delay.
 	epoch := uint64(t / m.cfg.PathShiftInterval)
-	pathExtra := hashUnit(h^0xabcdef, epoch) * m.cfg.PathShiftFraction
+	pathExtra := hashUnit(l.hash^0xabcdef, epoch) * m.cfg.PathShiftFraction
 
-	d := float64(base) * (1 + jitter + pathExtra)
+	d := float64(l.base) * (1 + jitter + pathExtra)
 	if d < float64(m.local) {
 		d = float64(m.local)
 	}
-	if f, ok := m.fault(from, to); ok && f.extra > 0 {
+	if f := l.fault.Load(); f != nil && f.extra > 0 {
 		if f.flap <= 0 || uint64(t/f.flap)%2 == 0 {
 			d += float64(f.extra)
 		}
@@ -224,11 +250,6 @@ func (m *Model) MinOneWayDelay() time.Duration {
 		d = m.local
 	}
 	return d
-}
-
-// RTT returns the modelled round-trip time at t (forward + return delay).
-func (m *Model) RTT(from, to string, t time.Duration) time.Duration {
-	return m.OneWayDelay(from, to, t) + m.OneWayDelay(to, from, t)
 }
 
 // String describes the model briefly.

@@ -88,15 +88,6 @@ func TestLocalDelayOverride(t *testing.T) {
 	}
 }
 
-func TestRTTIsSumOfOneWays(t *testing.T) {
-	m := New(DefaultConfig())
-	ts := 7 * time.Second
-	want := m.OneWayDelay("c1", "c2", ts) + m.OneWayDelay("c2", "c1", ts)
-	if got := m.RTT("c1", "c2", ts); got != want {
-		t.Fatalf("RTT = %v, want %v", got, want)
-	}
-}
-
 func TestDelayNeverBelowLocal(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterFraction = 5 // absurd jitter to push the delay negative

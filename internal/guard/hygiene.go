@@ -33,22 +33,35 @@ import (
 type Hygiene struct {
 	mu  sync.Mutex
 	cfg Config
-	// series finds a series' state by metric name, then by label hash with
-	// colliding label sets chained — no key string is built per sample.
-	series map[string]map[uint64]*seriesState
+	// series finds a series' state by metric name, then by label-map identity
+	// or else by label hash — no key string is built per sample.
+	series map[string]*states
 	// reset lists the series that have ever spliced a reset, all LastReset
 	// has to look at.
 	reset []*seriesState
 	// interned holds one copy of every label name and value retained.
 	interned map[string]string
+	// hashed counts states resolved by the hash path, for the tests.
+	hashed uint64
 
 	rejNaN, rejNegative, rejOutOfOrder, rejDuplicate, rejAnomaly *metrics.Counter
 	resets                                                       *metrics.Counter
 }
 
+// states is one metric name's series states: by the label maps the index
+// has recognised, and by label hash with colliding label sets chained.
+type states struct {
+	byMap  metrics.MapIndex[seriesState]
+	byHash map[uint64]*seriesState
+}
+
+// hashLabels is the hash path's label hash; the collision tests force it.
+var hashLabels = metrics.Labels.Hash
+
 type seriesState struct {
 	labels    metrics.Labels
 	next      *seriesState // next state of the family with the same label hash
+	seen      metrics.MapSighting
 	lastT     time.Duration
 	lastRaw   float64
 	offset    float64
@@ -59,7 +72,7 @@ type seriesState struct {
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
 // when non-nil (they are created eagerly so registration order is stable).
 func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
-	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]map[uint64]*seriesState), interned: make(map[string]string)}
+	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]*states), interned: make(map[string]string)}
 	counter := func(reason string) *metrics.Counter {
 		if reg == nil {
 			return &metrics.Counter{}
@@ -79,7 +92,9 @@ func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
 	return h
 }
 
-// Admit implements timeseries.Gate.
+// Admit implements timeseries.Gate. The labels map is never modified
+// afterwards: the gate finds the state of a map it has resolved twice in a
+// row under one name by the map object alone (see metrics.MapIndex).
 func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) (float64, bool) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		h.rejNaN.Inc()
@@ -94,7 +109,7 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st, created := h.state(name, labels.Hash(), labels)
+	st, created := h.state(name, labels)
 	if created {
 		st.lastT = t
 		st.lastRaw = v
@@ -131,22 +146,31 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	return v, true
 }
 
-// state returns the series' state, creating it on first sight. hash is
-// labels.Hash(); distinct label sets that collide share a chain.
-func (h *Hygiene) state(name string, hash uint64, labels metrics.Labels) (st *seriesState, created bool) {
-	byHash, ok := h.series[name]
+// state returns the series' state, creating it on first sight: by the
+// labels' map object when the name's index has it, otherwise by hash, where
+// distinct label sets that collide share a chain.
+func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, created bool) {
+	named, ok := h.series[name]
 	if !ok {
-		byHash = make(map[uint64]*seriesState)
-		h.series[strings.Clone(name)] = byHash // not a slice of the scraped text
+		named = &states{byHash: make(map[uint64]*seriesState)}
+		h.series[strings.Clone(name)] = named // not a slice of the scraped text
 	}
-	for st = byHash[hash]; st != nil; st = st.next {
-		if st.labels.Equal(labels) {
-			return st, false
-		}
+	if st = named.byMap.Lookup(labels); st != nil {
+		return st, false
 	}
-	st = &seriesState{labels: labels.Interned(h.interned), next: byHash[hash]}
-	byHash[hash] = st
-	return st, true
+	h.hashed++
+	hash := hashLabels(labels)
+	st = named.byHash[hash]
+	for st != nil && !st.labels.Equal(labels) {
+		st = st.next
+	}
+	if st == nil {
+		st = &seriesState{labels: labels.Interned(h.interned), next: named.byHash[hash]}
+		named.byHash[hash] = st
+		created = true
+	}
+	named.byMap.Resolved(labels, st, &st.seen)
+	return st, created
 }
 
 // LastReset implements core.ResetSource: the most recent splice time among

@@ -1,7 +1,11 @@
 package guard
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,27 +131,32 @@ func TestHygieneCountersInRegistry(t *testing.T) {
 }
 
 // Two label sets filed under one hash keep separate states: the lookup
-// confirms with Equal and walks the chain.
+// confirms with Equal and walks the chain. Each set arrives in a fresh map,
+// so the hash path answers every time.
 func TestHygieneKeepsCollidingLabelSetsApart(t *testing.T) {
+	t.Cleanup(func() { hashLabels = metrics.Labels.Hash })
+	hashLabels = func(metrics.Labels) uint64 { return 42 }
 	h := NewHygiene(Config{}, nil)
 	a, b := metrics.Labels{"backend": "a"}, metrics.Labels{"backend": "b"}
-	const hash = 42
-	sa, created := h.state("response_total", hash, a)
+	sa, created := h.state("response_total", a.Clone())
 	if !created {
 		t.Fatal("first sight of a not reported as created")
 	}
-	sb, created := h.state("response_total", hash, b)
+	sb, created := h.state("response_total", b.Clone())
 	if !created || sb == sa {
 		t.Fatal("b, colliding with a, was handed a's state")
 	}
-	if got, created := h.state("response_total", hash, a); created || got != sa {
+	if got, created := h.state("response_total", a.Clone()); created || got != sa {
 		t.Fatal("a not found behind b in the chain")
 	}
-	if got, created := h.state("response_total", hash, b); created || got != sb {
+	if got, created := h.state("response_total", b.Clone()); created || got != sb {
 		t.Fatal("b not found at the head of the chain")
 	}
-	if got, created := h.state("other_total", hash, a); !created || got == sa {
+	if got, created := h.state("other_total", a.Clone()); !created || got == sa {
 		t.Fatal("the same labels under another metric name shared a state")
+	}
+	if h.hashed != 5 {
+		t.Fatalf("%d hash-path resolutions, want 5", h.hashed)
 	}
 }
 
@@ -184,4 +193,162 @@ func TestHygieneLastResetConsultsOnlyResetSeries(t *testing.T) {
 	if _, ok := h.LastReset(metrics.Labels{"backend": "steady"}); ok {
 		t.Fatal("LastReset(steady) found a reset")
 	}
+}
+
+// An index entry is made once per series, never once per sample: the third
+// pass over the same parsed samples resolves no state by hash, and a clone
+// per sample resolves every one by hash and makes no entry.
+func TestHygieneIndexIsMadeOncePerSeries(t *testing.T) {
+	reg := metrics.NewRegistry()
+	for i := 0; i < 5; i++ {
+		l := metrics.Labels{"backend": fmt.Sprintf("hygiene-b%d", i)}
+		reg.Counter("response_total", l).Inc()
+		reg.Histogram("response_latency", l, []float64{0.5}).Observe(1)
+	}
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseExposition(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(len(samples))
+	h := NewHygiene(Config{}, nil)
+	indexed := func() (total int) {
+		for _, named := range h.series {
+			total += named.byMap.Len()
+		}
+		return total
+	}
+	for pass, want := range []struct {
+		clone   bool
+		hashed  uint64
+		indexed int
+	}{{false, n, 0}, {false, n, int(n)}, {false, 0, int(n)}, {true, n, 0}, {true, n, 0}} {
+		before := h.hashed
+		var clones []metrics.Labels // alive for the pass: no address is reused
+		for _, s := range samples {
+			l := s.Labels
+			if want.clone {
+				l = l.Clone()
+				clones = append(clones, l)
+			}
+			if _, ok := h.Admit(s.Name, l, s.Kind, sec(pass+1), s.Value); !ok {
+				t.Fatalf("pass %d: %s%v rejected", pass+1, s.Name, l)
+			}
+		}
+		runtime.KeepAlive(clones)
+		if hashed := h.hashed - before; hashed != want.hashed || indexed() != want.indexed {
+			t.Fatalf("pass %d (clone %v): %d hash-path resolutions, %d indexed maps; want %d and %d",
+				pass+1, want.clone, hashed, indexed(), want.hashed, want.indexed)
+		}
+	}
+}
+
+// TestIndexedHygieneMatchesHashedTwin drives one gate with one label map per
+// series — turned over mid-stream now and then, some maps serving two metric
+// names, some nil or empty — and a twin with a clone per sample, which
+// resolves every sample by hash, through the same seeded streams of
+// duplicate, out-of-order, garbage, reset and shallow-decrease samples. In
+// half the cases the indexed gate files every label set under one hash.
+// Every admission must agree bit for bit, and so must the counters and
+// LastReset.
+func TestIndexedHygieneMatchesHashedTwin(t *testing.T) {
+	t.Cleanup(func() { hashLabels = metrics.Labels.Hash })
+	names := []string{"response_total", "response_latency_sum", "response_latency_count", "request_inflight"}
+	kinds := []metrics.Kind{metrics.KindCounter, metrics.KindCounter, metrics.KindCounter, metrics.KindGauge}
+	labelNames := []string{"backend", "classification", "src"}
+	values := map[string][]string{"backend": {"a", "b", "c", "d", "e", "f"}, "classification": {"success", "failure", ""}, "src": {"c1", "c2", ""}}
+	const cases = 300
+	admits, hashed := 0, uint64(0)
+	for c := 0; c < cases; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		collide := c%2 == 1
+		reg, twinReg := metrics.NewRegistry(), metrics.NewRegistry()
+		h, twin := NewHygiene(Config{}, reg), NewHygiene(Config{}, twinReg)
+		type live struct {
+			name   int
+			labels metrics.Labels
+			value  float64
+		}
+		var series []*live
+		now := sec(0)
+		for step := 0; step < 30+rng.Intn(20); step++ {
+			switch rng.Intn(8) {
+			case 0: // a double-fired scrape
+			case 1:
+				now -= sec(rng.Intn(5))
+			default:
+				now += sec(1 + rng.Intn(5))
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				s := &live{name: rng.Intn(len(names)), labels: metrics.Labels{}}
+				for _, label := range labelNames {
+					if v := values[label][rng.Intn(len(values[label]))]; v != "" {
+						s.labels[label] = v
+					}
+				}
+				switch {
+				case rng.Intn(6) == 0:
+					s.labels = nil
+				case rng.Intn(6) == 0:
+					s.labels = metrics.Labels{}
+				case len(series) > 0 && rng.Intn(4) == 0: // one map, two names
+					other := series[rng.Intn(len(series))]
+					s.name, s.labels = (other.name+1+rng.Intn(len(names)-1))%len(names), other.labels
+				}
+				series = append(series, s)
+			}
+			for _, s := range series {
+				if rng.Intn(5) == 0 {
+					continue
+				}
+				if s.labels != nil && rng.Intn(25) == 0 {
+					s.labels = s.labels.Clone() // the parse table turned over
+				}
+				switch r := rng.Intn(30); {
+				case r == 0:
+					s.value = float64(rng.Intn(3)) // restarted
+				case r == 1:
+					s.value *= 0.9 // shallow decrease
+				default:
+					s.value += float64(rng.Intn(100))
+				}
+				v := s.value
+				if rng.Intn(25) == 0 {
+					v = []float64{math.NaN(), math.Inf(1), -1}[rng.Intn(3)]
+				}
+				if collide {
+					hashLabels = func(metrics.Labels) uint64 { return 42 }
+				}
+				got, gotOK := h.Admit(names[s.name], s.labels, kinds[s.name], now, v)
+				hashLabels = metrics.Labels.Hash
+				want, wantOK := twin.Admit(names[s.name], s.labels.Clone(), kinds[s.name], now, v)
+				if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("case %d step %d: Admit(%s%v, %v, %v) = (%v, %v), hashed twin (%v, %v)",
+						c, step, names[s.name], s.labels, now, v, got, gotOK, want, wantOK)
+				}
+				admits++
+			}
+		}
+		hashed += h.hashed
+		g, w := reg.Snapshot(), twinReg.Snapshot()
+		for i := range w {
+			if g[i].Value != w[i].Value {
+				t.Fatalf("case %d: %s%v = %v, hashed twin %v", c, g[i].Name, g[i].Labels, g[i].Value, w[i].Value)
+			}
+		}
+		for _, match := range []metrics.Labels{nil, {"backend": "a"}, {"classification": "failure"}} {
+			gt, gok := h.LastReset(match)
+			wt, wok := twin.LastReset(match)
+			if gt != wt || gok != wok {
+				t.Fatalf("case %d: LastReset(%v) = (%v, %v), hashed twin (%v, %v)", c, match, gt, gok, wt, wok)
+			}
+		}
+	}
+	if hashed > uint64(admits)/2 {
+		t.Fatalf("%d of %d admissions resolved by hash: the identity index is barely exercised", hashed, admits)
+	}
+	t.Logf("%d cases, %d admissions equal to the hashed twin's; %d resolved by hash", cases, admits, hashed)
 }

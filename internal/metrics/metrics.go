@@ -30,6 +30,11 @@ import (
 
 // Labels is a set of label name/value pairs identifying one time series of
 // a metric family.
+//
+// A label map handed to a store — timeseries.DB's appends, a
+// timeseries.Gate — is never modified afterwards: stores recognise a series by
+// its map object (MapIndex). The registry's sample templates and
+// ParseExposition's series table hand out such maps, one per series.
 type Labels map[string]string
 
 // Clone returns an independent copy of the label set.
@@ -328,6 +333,9 @@ type Registry struct {
 	// expoScratch is the idle render scratch WritePrometheus passes reuse.
 	expo        *exposition
 	expoScratch *expoScratch
+	// le holds every histogram bound's "le" text, by bit pattern, for the
+	// sample templates.
+	le map[uint64]string
 }
 
 // registered is one series in registration order, holding the series
@@ -351,8 +359,9 @@ type registered struct {
 }
 
 // buildTemplates fills reg.templates; called under the registry lock on the
-// series' first snapshot.
-func (reg *registered) buildTemplates() {
+// series' first snapshot. le is the registry's bound text by bit pattern,
+// filled here, so each bound is formatted once per registry.
+func (reg *registered) buildTemplates(le map[uint64]string) {
 	switch {
 	case reg.counter != nil:
 		reg.templates = []Sample{{Name: reg.name, Labels: reg.labels, Kind: KindCounter}}
@@ -361,13 +370,18 @@ func (reg *registered) buildTemplates() {
 	case reg.histogram != nil:
 		h := reg.histogram
 		templates := make([]Sample, 0, len(h.counts)+2)
+		bucket := reg.name + "_bucket"
 		for i := range h.counts {
-			le := "+Inf"
+			text := "+Inf"
 			if i < len(h.bounds) {
-				le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+				bits := math.Float64bits(h.bounds[i])
+				if text = le[bits]; text == "" {
+					text = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+					le[bits] = text
+				}
 			}
 			templates = append(templates, Sample{
-				Name: reg.name + "_bucket", Labels: reg.labels.With("le", le), Kind: KindCounter,
+				Name: bucket, Labels: reg.labels.With("le", text), Kind: KindCounter,
 			})
 		}
 		reg.templates = append(templates,
@@ -383,6 +397,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
+		le:         make(map[uint64]string),
 	}
 }
 
@@ -473,7 +488,8 @@ func (r *Registry) Snapshot() []Sample {
 // Sample label maps are the registry's registration-time sets, shared
 // across snapshots and across callers: they must be treated as read-only.
 // Consumers that retain labels past the scrape (the time-series DB, the
-// hygiene gate) already clone on first sight.
+// hygiene gate) already clone on first sight, and recognise a series by its
+// template's map from then on (MapIndex).
 //
 // The whole pass runs under one lock acquisition, so a scrape sees a single
 // coherent registration state instead of re-locking per series (the old
@@ -495,7 +511,7 @@ func (r *Registry) snapshotLocked(out []Sample) []Sample {
 	for i := range r.order {
 		reg := &r.order[i]
 		if reg.templates == nil {
-			reg.buildTemplates()
+			reg.buildTemplates(r.le)
 		}
 		switch {
 		case reg.counter != nil:

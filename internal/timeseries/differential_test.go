@@ -72,23 +72,44 @@ func oracleQuantile(db *oracleDB, q float64, name string, match metrics.Labels, 
 	return db.HistogramQuantile(q, name, match, at, window)
 }
 
+// oracleDump is timeseries.Dump for the linear-scan database.
+func oracleDump(db *oracleDB) map[string][]timeseries.Point {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	out := make(map[string][]timeseries.Point)
+	for name, byKey := range db.byName {
+		for _, s := range byKey {
+			out[name+s.labels.String()] = append([]timeseries.Point(nil), s.points...)
+		}
+	}
+	return out
+}
+
 // TestQueriesMatchLinearScanOracle drives the indexed database and the old
 // linear-scan one through the same seeded streams — series appearing
 // mid-stream, duplicate and out-of-order stamps, retention compaction,
 // counter resets, and (every other case) a hygiene gate rejecting garbage and
-// splicing resets — and requires every query to return the same bits.
+// splicing resets — and requires every query to return the same bits, the
+// stored points to be equal and the two gates to count alike. The indexed side
+// keeps one label map per series across steps, as the parse table does, and
+// turns some over mid-stream; some maps serve two families, some are nil or
+// empty, and in half the cases every label set hashes alike. The oracle side
+// clones the labels for every sample, so its gate resolves each by hash.
 func TestQueriesMatchLinearScanOracle(t *testing.T) {
 	const cases = 1200
-	queries := 0
+	queries, appends, hashed := 0, 0, uint64(0)
+	defer timeseries.ForceHashCollisions(false)
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		retention := time.Duration(10+rng.Intn(50)) * time.Second
 		db, oracle := timeseries.NewDB(retention), newOracleDB(retention)
 		gated := c%2 == 1
+		hygReg, oracleHygReg := metrics.NewRegistry(), metrics.NewRegistry()
 		if gated {
-			db.SetGate(guard.NewHygiene(guard.Config{}, nil))
-			oracle.SetGate(guard.NewHygiene(guard.Config{}, nil))
+			db.SetGate(guard.NewHygiene(guard.Config{}, hygReg))
+			oracle.SetGate(guard.NewHygiene(guard.Config{}, oracleHygReg))
 		}
+		timeseries.ForceHashCollisions(c%4 >= 2)
 		type live struct {
 			family int
 			labels metrics.Labels
@@ -105,11 +126,22 @@ func TestQueriesMatchLinearScanOracle(t *testing.T) {
 				now += time.Duration(1+rng.Intn(9)) * time.Second
 			}
 			for n := rng.Intn(4); n > 0; n-- { // series created mid-stream
-				series = append(series, &live{family: rng.Intn(len(diffFamilies)), labels: randomSeriesLabels(rng)})
+				s := &live{family: rng.Intn(len(diffFamilies)), labels: randomSeriesLabels(rng)}
+				switch {
+				case len(s.labels) == 0 && rng.Intn(2) == 0:
+					s.labels = nil
+				case len(series) > 0 && rng.Intn(5) == 0: // one map, two names
+					other := series[rng.Intn(len(series))]
+					s.family, s.labels = (other.family+1+rng.Intn(len(diffFamilies)-1))%len(diffFamilies), other.labels
+				}
+				series = append(series, s)
 			}
 			for _, s := range series {
 				if rng.Intn(6) == 0 {
 					continue // missing from this scrape
+				}
+				if s.labels != nil && rng.Intn(12) == 0 {
+					s.labels = s.labels.Clone() // the parse table turned over
 				}
 				f := diffFamilies[s.family]
 				switch {
@@ -127,10 +159,14 @@ func TestQueriesMatchLinearScanOracle(t *testing.T) {
 					v = []float64{math.NaN(), math.Inf(1), -1}[rng.Intn(3)]
 				}
 				db.AppendSample(f.name, s.labels, f.kind, now, v)
-				oracle.AppendSample(f.name, s.labels, f.kind, now, v)
+				oracle.AppendSample(f.name, s.labels.Clone(), f.kind, now, v)
+				appends++
 			}
-			if got, want := db.SeriesCount(), oracle.SeriesCount(); got != want {
-				t.Fatalf("case %d step %d: %d series, oracle has %d", c, step, got, want)
+			if err := sameDump(timeseries.Dump(db), oracleDump(oracle)); err != nil {
+				t.Fatalf("case %d step %d: %v", c, step, err)
+			}
+			if err := sameCounters(hygReg, oracleHygReg); err != nil {
+				t.Fatalf("case %d step %d: hygiene: %v", c, step, err)
 			}
 			for n := 0; n < 6; n++ {
 				match := randomSelector(rng)
@@ -163,6 +199,10 @@ func TestQueriesMatchLinearScanOracle(t *testing.T) {
 				check(fmt.Sprintf("HistogramQuantile q=%v", q), g, gok, w, wok)
 			}
 		}
+		hashed += timeseries.HashResolved(db)
 	}
-	t.Logf("%d cases, %d queries bit-identical to the linear-scan oracle", cases, queries)
+	if hashed > uint64(appends)/2 {
+		t.Fatalf("%d of %d appends resolved by hash: the identity index is barely exercised", hashed, appends)
+	}
+	t.Logf("%d cases, %d queries bit-identical to the linear-scan oracle; %d of %d appends resolved by hash", cases, queries, hashed, appends)
 }

@@ -14,6 +14,34 @@ func Visited(db *DB) uint64 {
 	return db.visited
 }
 
+// HashResolved returns how many samples the database has resolved by the hash
+// path so far: every one whose label map its identity index did not hold.
+func HashResolved(db *DB) uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.hashed
+}
+
+// Indexed returns how many label maps the database's identity index holds.
+func Indexed(db *DB) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := 0
+	for _, f := range db.families {
+		n += f.byMap.Len()
+	}
+	return n
+}
+
+// ForceHashCollisions, while on, files every label set under one hash, so
+// every family is one collision chain.
+func ForceHashCollisions(on bool) {
+	hashLabels = metrics.Labels.Hash
+	if on {
+		hashLabels = func(metrics.Labels) uint64 { return 42 }
+	}
+}
+
 // Scrape snapshots a registry and appends every sample at time t by its
 // labels, through the ingestion gate when one is installed: one Prometheus
 // scrape pass with no memory of the last. The tests' driver, and the oracle

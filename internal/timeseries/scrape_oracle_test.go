@@ -3,7 +3,9 @@ package timeseries_test
 // The scrape pass as it was before core.Scraper kept a series ref per
 // snapshot position, kept as the oracle the ref-keeping one is compared
 // against: every registry snapshotted into one buffer, every sample appended
-// by its name and labels.
+// by its name and labels — the registry's own label maps, one per series and
+// shared by a histogram's _sum and _count, or fresh ones from a table turned
+// over now and then, as a parse table hands them out, or a clone per sample.
 
 import (
 	"fmt"
@@ -25,6 +27,11 @@ type labelScraper struct {
 	db         *timeseries.DB
 	registries []*metrics.Registry
 	buf        []metrics.Sample
+
+	// clone copies every sample's labels; otherwise table, when not nil,
+	// maps a series' name and labels to the one copy handed out for it.
+	clone bool
+	table map[string]metrics.Labels
 
 	dropping   bool
 	garbage    map[string]string
@@ -59,7 +66,32 @@ func (s *labelScraper) tick() {
 				v = -v - 1
 			}
 		}
-		s.db.AppendSample(sample.Name, sample.Labels, sample.Kind, t, v)
+		s.db.AppendSample(sample.Name, s.labels(sample), sample.Kind, t, v)
+	}
+}
+
+func (s *labelScraper) labels(sample metrics.Sample) metrics.Labels {
+	switch {
+	case s.clone:
+		return sample.Labels.Clone()
+	case s.table != nil:
+		key := sample.Name + sample.Labels.String()
+		l, ok := s.table[key]
+		if !ok {
+			l = sample.Labels.Clone()
+			s.table[key] = l
+		}
+		return l
+	}
+	return sample.Labels
+}
+
+// turn hands out new label maps from now on: the registry's own, or a fresh
+// table's.
+func (s *labelScraper) turn(registry bool) {
+	s.table = nil
+	if !registry {
+		s.table = make(map[string]metrics.Labels)
 	}
 }
 
@@ -124,7 +156,11 @@ func sameDump(got, want map[string][]timeseries.Point) error {
 // concatenated buffer shift, and per-registry positions must not), counter
 // resets, and every scrape fault chaos can inject, with the hygiene gate on
 // every other case — and requires the two databases to hold the same points
-// for every series, bit for bit, at every checkpoint.
+// for every series, bit for bit, at every checkpoint. A third, label-keyed
+// twin clones every sample's labels, so its database and gate resolve each
+// by hash, while the label-keyed oracle's maps are recognised by identity and
+// turned over now and then: all three store the same points, and the three
+// gates count the same rejections and resets.
 func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 	const cases = 40
 	points := 0
@@ -133,16 +169,20 @@ func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 		engine := sim.NewEngine()
 		regs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()}
 		retention := time.Duration(20+rng.Intn(60)) * time.Second
-		db, oracleDB := timeseries.NewDB(retention), timeseries.NewDB(retention)
+		db, oracleDB, twinDB := timeseries.NewDB(retention), timeseries.NewDB(retention), timeseries.NewDB(retention)
+		hygRegs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()}
 		if c%2 == 1 {
-			db.SetGate(guard.NewHygiene(guard.Config{}, nil))
-			oracleDB.SetGate(guard.NewHygiene(guard.Config{}, nil))
+			for i, d := range []*timeseries.DB{db, oracleDB, twinDB} {
+				d.SetGate(guard.NewHygiene(guard.Config{}, hygRegs[i]))
+			}
 		}
 		scraper := core.NewScraperMulti(engine, db, regs, 5*time.Second)
 		scraper.Start()
 		oracle := &labelScraper{engine: engine, db: oracleDB, registries: regs}
+		twin := &labelScraper{engine: engine, db: twinDB, registries: regs, clone: true}
 		engine.Every(5*time.Second, oracle.tick)
-		both := []scrapeFaults{scraper, oracle}
+		engine.Every(5*time.Second, twin.tick)
+		both := []scrapeFaults{scraper, oracle, twin}
 
 		var counters []*metrics.Counter
 		var gauges []*metrics.Gauge
@@ -202,6 +242,8 @@ func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 				for _, s := range both {
 					s.SetDropping(drop)
 				}
+			case 5:
+				oracle.turn(rng.Intn(3) == 0)
 			}
 		}
 		// Off the scrape instants, so no mutation lands between the two
@@ -213,6 +255,14 @@ func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 			got, want := timeseries.Dump(db), timeseries.Dump(oracleDB)
 			if err := sameDump(got, want); err != nil {
 				t.Fatalf("case %d at %v: %v", c, at, err)
+			}
+			if err := sameDump(timeseries.Dump(twinDB), want); err != nil {
+				t.Fatalf("case %d at %v: cloning twin: %v", c, at, err)
+			}
+			for i, name := range []string{"ref scraper", "cloning twin"} {
+				if err := sameCounters(hygRegs[2*i], hygRegs[1]); err != nil {
+					t.Fatalf("case %d at %v: %s's hygiene: %v", c, at, name, err)
+				}
 			}
 			if at == 300*time.Second {
 				if len(want) < 30 {

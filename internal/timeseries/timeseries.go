@@ -38,17 +38,22 @@ type series struct {
 	bound       float64
 	bucket, inf bool
 	next        *series // next series of the family with the same label hash
+	seen        metrics.MapSighting
 }
 
 // family is one metric name's series: in insertion order, by label hash for
-// ingest, and by postings (label name -> value -> series, each list in
-// insertion order) for selector queries — the index layout Prometheus's own
-// head block uses.
+// ingest, by label-map identity ahead of the hash, and by postings (label
+// name -> value -> series, each list in insertion order) for selector
+// queries — the index layout Prometheus's own head block uses.
 type family struct {
 	series   []*series
 	byHash   map[uint64]*series
+	byMap    metrics.MapIndex[series]
 	postings map[string]map[string][]*series
 }
+
+// hashLabels is the hash path's label hash; the collision tests force it.
+var hashLabels = metrics.Labels.Hash
 
 func newFamily() *family {
 	return &family{byHash: make(map[uint64]*series), postings: make(map[string]map[string][]*series)}
@@ -100,6 +105,8 @@ func (f *family) insert(hash uint64, labels metrics.Labels, pool map[string]stri
 // interface lives here so timeseries does not import its guards.
 //
 // Gates run on the scrape path only — the request fast path never sees them.
+// A label map handed to Admit is never modified afterwards: gates may
+// recognise a series by its map object (see metrics.MapIndex).
 type Gate interface {
 	Admit(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) (adjusted float64, ok bool)
 }
@@ -128,8 +135,9 @@ type DB struct {
 	counts  []float64
 	// visited counts series examined while resolving selectors, for the tests
 	// that pin a collect round's cost as linear in the backends it asks about
-	// on first sight and as nothing once its selectors stand.
-	visited uint64
+	// on first sight and as nothing once its selectors stand; hashed counts
+	// series resolved by the hash path, for those that pin a scrape's.
+	visited, hashed uint64
 }
 
 // NewDB returns a database that retains at least the given duration of
@@ -161,7 +169,7 @@ type Ref struct {
 // Append stores one sample, ungated. Appends must be in strictly increasing
 // time order per series (scrapes are); out-of-order and duplicate-timestamp
 // samples are dropped — a double-fired scrape must not double a window's
-// increase.
+// increase. The labels contract is AppendSample's.
 func (db *DB) Append(name string, labels metrics.Labels, t time.Duration, v float64) {
 	var ref Ref
 	db.mu.Lock()
@@ -182,7 +190,9 @@ func (db *DB) SetGate(g Gate) {
 
 // AppendSample routes one scraped sample through the gate (when one is
 // installed) and stores the admitted, possibly adjusted value. Without a
-// gate it is equivalent to Append.
+// gate it is equivalent to Append. The labels map is never modified
+// afterwards: the database finds the series of a map it has resolved twice in
+// a row by the map object alone (see metrics.MapIndex).
 func (db *DB) AppendSample(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
 	var ref Ref
 	db.AppendSampleRef(&ref, name, labels, kind, t, v)
@@ -191,7 +201,8 @@ func (db *DB) AppendSample(name string, labels metrics.Labels, kind metrics.Kind
 // AppendSampleRef is AppendSample for a caller that keeps one Ref per series
 // it scrapes: the first sample resolves the ref, later ones store through it.
 // The gate sees (name, labels, ...) for every sample either way and runs
-// outside the database's lock, which is then taken once.
+// outside the database's lock, which is then taken once. The labels contract
+// is AppendSample's.
 func (db *DB) AppendSampleRef(ref *Ref, name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
 	if g := db.gate.Load(); g != nil {
 		adjusted, ok := (*g).Admit(name, labels, kind, t, v)
@@ -229,7 +240,8 @@ func (db *DB) store(ref *Ref, name string, labels metrics.Labels, t time.Duratio
 }
 
 // resolve returns the series for (name, labels), creating family and series
-// on first sight.
+// on first sight: by the labels' map object when the family has indexed it,
+// otherwise by hash, which then tells the index what it found.
 func (db *DB) resolve(name string, labels metrics.Labels) *series {
 	f, ok := db.families[name]
 	if !ok {
@@ -240,11 +252,16 @@ func (db *DB) resolve(name string, labels metrics.Labels) *series {
 			db.buckets[base] = f
 		}
 	}
-	hash := labels.Hash()
+	if s := f.byMap.Lookup(labels); s != nil {
+		return s
+	}
+	db.hashed++
+	hash := hashLabels(labels)
 	s := f.find(hash, labels)
 	if s == nil {
 		s = f.insert(hash, labels, db.interned)
 	}
+	f.byMap.Resolved(labels, s, &s.seen)
 	return s
 }
 

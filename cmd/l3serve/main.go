@@ -6,20 +6,21 @@
 // Usage:
 //
 //	l3serve -backends 'a=http://10.0.0.1:8001,b=http://10.0.0.2:8001'
-//	l3serve -config l3serve.yaml             # YAML config (env overrides apply)
-//	l3serve -config l3serve.yaml -algo rr    # flag overrides both
+//	L3SERVE_ALGO=c3 l3serve -backends ...    # environment sets the rest
 //	l3serve -selftest                        # skewed-stub rr-vs-l3 benchmark
 //	l3serve -chaostest                       # scripted fault schedule + recovery assertions
 //	l3serve -chaostest -quick                # compressed schedule for CI
 //	l3serve -chaostest -chaos 'stall@3s+4s:chaos-a'
 //
-// Configuration layers, later wins: YAML file, L3SERVE_* environment
-// variables, command-line flags. The serving process exposes /metrics
-// (Prometheus text format — also what its own control plane scrapes),
-// /healthz, and /debug/pprof on the same listener, and drains gracefully on
-// SIGTERM/SIGINT: new proxy requests are refused, in-flight requests finish
-// (bounded by drain_timeout), then the process reports how many requests, if
-// any, were still in flight when the deadline hit.
+// Configuration layers, later wins: defaults, L3SERVE_* environment
+// variables (L3SERVE_RESILIENCE holds the retry, hedge, breaker and deadline
+// policy in l3bench's -resilience grammar), the -listen, -backends and -algo
+// flags. The serving process exposes /metrics (Prometheus text format — also
+// what its own control plane scrapes), /healthz, and /debug/pprof on the
+// same listener, and drains gracefully on SIGTERM/SIGINT: new proxy requests
+// are refused, in-flight requests finish (bounded by L3SERVE_DRAIN_TIMEOUT),
+// then the process reports how many requests, if any, were still in flight
+// when the deadline hit.
 //
 // The selftest needs no external backends: it spins up two fast and one
 // slow stub, runs one pass per algorithm under the open-loop wall-clock load
@@ -72,10 +73,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("l3serve", flag.ContinueOnError)
 	var (
-		configPath = fs.String("config", "", "YAML config file (see docs; L3SERVE_* env vars override)")
-		listen     = fs.String("listen", "", "listen address (overrides config)")
-		backends   = fs.String("backends", "", "backend list 'name=url,name=url' (overrides config)")
-		algo       = fs.String("algo", "", "balancing algorithm: rr, failover, l3 or c3 (overrides config)")
+		listen     = fs.String("listen", "", "listen address (overrides L3SERVE_LISTEN)")
+		backends   = fs.String("backends", "", "backend list 'name=url,name=url' (overrides L3SERVE_BACKENDS)")
+		algo       = fs.String("algo", "", "balancing algorithm: rr, failover, l3 or c3 (overrides L3SERVE_ALGO)")
 		selftest   = fs.Bool("selftest", false, "run the built-in skewed-stub benchmark instead of serving")
 		chaostest  = fs.Bool("chaostest", false, "run the scripted fault schedule against a live proxy and assert recovery (composes with -selftest)")
 		chaosSched = fs.String("chaos", "", "with -chaostest: fault schedule override (kind@start[+dur][:operands];...)")
@@ -123,7 +123,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg, err := serve.LoadConfig(*configPath)
+	cfg, err := serve.LoadConfig()
 	if err != nil {
 		return err
 	}

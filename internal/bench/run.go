@@ -12,6 +12,7 @@ import (
 	"l3/internal/balancer"
 	"l3/internal/c3"
 	"l3/internal/chaos"
+	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/core"
 	"l3/internal/cost"
@@ -762,7 +763,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 		// pickers read its healthy-set through the FailoverPicker filter,
 		// which is safe during windows because ejection state only changes
 		// at barriers.
-		checker := health.NewChecker(w.ctrl, hcfg)
+		checker := health.NewChecker(clock.Sim(w.ctrl), hcfg)
 		handles.checker = checker
 		for _, svc := range services {
 			s, ok := m.Service(svc)

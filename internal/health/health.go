@@ -21,7 +21,6 @@ import (
 	"l3/internal/clock"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
-	"l3/internal/sim"
 )
 
 // Metric families the checker exports when given a registry, so failover
@@ -96,22 +95,14 @@ type Checker struct {
 	stopped bool
 }
 
-// NewChecker returns a checker on the simulation engine's virtual clock;
-// register backends with Watch.
-func NewChecker(engine *sim.Engine, cfg Config) *Checker {
-	if engine == nil {
-		panic("health: NewChecker requires an engine")
-	}
-	return NewCheckerClock(clock.Sim(engine), cfg)
-}
-
-// NewCheckerClock returns a checker driven by an arbitrary clock. The
-// checker is single-threaded: all its methods must run serialized with the
-// clock's callbacks (automatic on a sim engine; via clock.Wall.Do — or by
+// NewChecker returns a checker driven by a clock — clock.Sim(engine) for
+// virtual time, a clock.Wall for real time; register backends with Watch.
+// The checker is single-threaded: all its methods must run serialized with
+// the clock's callbacks (automatic on a sim engine; via clock.Wall.Do — or by
 // only touching it from clock callbacks — on a wall clock).
-func NewCheckerClock(clk clock.Clock, cfg Config) *Checker {
+func NewChecker(clk clock.Clock, cfg Config) *Checker {
 	if clk == nil {
-		panic("health: NewCheckerClock requires a clock")
+		panic("health: NewChecker requires a clock")
 	}
 	return &Checker{
 		clk:    clk,

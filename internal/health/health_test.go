@@ -6,6 +6,7 @@ import (
 
 	"l3/internal/backend"
 	"l3/internal/balancer"
+	"l3/internal/clock"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
 	"l3/internal/sim"
@@ -38,7 +39,7 @@ func newBackend(e *sim.Engine, name string) (*mesh.Backend, *flakyServer) {
 
 func TestBackendStartsHealthy(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{})
+	c := NewChecker(clock.Sim(e), Config{})
 	b, _ := newBackend(e, "b")
 	c.Watch(b)
 	if !c.Healthy("b") || !c.Healthy("unknown") {
@@ -48,7 +49,7 @@ func TestBackendStartsHealthy(t *testing.T) {
 
 func TestEjectionAfterConsecutiveFailures(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 3})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, UnhealthyThreshold: 3})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	srv.fail = true
@@ -67,7 +68,7 @@ func TestEjectionAfterConsecutiveFailures(t *testing.T) {
 
 func TestRecoveryAfterConsecutiveSuccesses(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 3, HealthyThreshold: 2})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, UnhealthyThreshold: 3, HealthyThreshold: 2})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	srv.fail = true
@@ -88,7 +89,7 @@ func TestRecoveryAfterConsecutiveSuccesses(t *testing.T) {
 
 func TestIntermittentFailuresDoNotEject(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 3})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, UnhealthyThreshold: 3})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	// Alternate failure and success: consecFail never reaches 3.
@@ -101,7 +102,7 @@ func TestIntermittentFailuresDoNotEject(t *testing.T) {
 
 func TestTimeoutCountsAsFailure(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 2})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 2})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	srv.hang = true
@@ -113,7 +114,7 @@ func TestTimeoutCountsAsFailure(t *testing.T) {
 
 func TestLateAnswerAfterTimeoutIgnored(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 2})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 2})
 	b, srv := newBackend(e, "b")
 	srv.latency = 3 * time.Second // always answers, but after the timeout
 	c.Watch(b)
@@ -125,7 +126,7 @@ func TestLateAnswerAfterTimeoutIgnored(t *testing.T) {
 
 func TestWatchIsIdempotentAndStopHalts(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	c.Watch(b) // second Watch must not double-probe
@@ -142,7 +143,7 @@ func TestWatchIsIdempotentAndStopHalts(t *testing.T) {
 
 func TestFailoverPickerFiltersUnhealthy(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 1})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, UnhealthyThreshold: 1})
 	good, _ := newBackend(e, "good")
 	bad, badSrv := newBackend(e, "bad")
 	c.WatchAll([]*mesh.Backend{good, bad})
@@ -159,7 +160,7 @@ func TestFailoverPickerFiltersUnhealthy(t *testing.T) {
 
 func TestFailoverPickerFailsOpen(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 1})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, UnhealthyThreshold: 1})
 	a, aSrv := newBackend(e, "a")
 	b, bSrv := newBackend(e, "b")
 	c.WatchAll([]*mesh.Backend{a, b})
@@ -174,7 +175,7 @@ func TestFailoverPickerFailsOpen(t *testing.T) {
 func TestNilEnginePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil engine did not panic")
+			t.Fatal("nil clock did not panic")
 		}
 	}()
 	NewChecker(nil, Config{})
@@ -187,7 +188,7 @@ func TestStopSilencesInFlightProbeTimeout(t *testing.T) {
 	// shut down.
 	e := sim.NewEngine()
 	reg := metrics.NewRegistry()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second,
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, Timeout: time.Second,
 		UnhealthyThreshold: 1, Registry: reg})
 	b, srv := newBackend(e, "b")
 	srv.hang = true // probe will never answer; only the timeout could record
@@ -205,7 +206,7 @@ func TestStopSilencesInFlightProbeTimeout(t *testing.T) {
 
 func TestStopIsTerminalAndIdempotent(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	e.RunUntil(15 * time.Second)
@@ -229,7 +230,7 @@ func TestStopDuringRunInterleavesCleanly(t *testing.T) {
 	// racing the same tick that launches a probe: timestamp-ordered
 	// delivery must leave no probe activity after the stop event.
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 1})
+	c := NewChecker(clock.Sim(e), Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 1})
 	b, srv := newBackend(e, "b")
 	srv.fail = true
 	c.Watch(b)
@@ -246,7 +247,7 @@ func TestEjectionRestoreCountersStayConsistent(t *testing.T) {
 	// restores == the reverse, and the difference matches the final state.
 	e := sim.NewEngine()
 	reg := metrics.NewRegistry()
-	c := NewChecker(e, Config{Interval: time.Second, Timeout: 100 * time.Millisecond,
+	c := NewChecker(clock.Sim(e), Config{Interval: time.Second, Timeout: 100 * time.Millisecond,
 		UnhealthyThreshold: 2, HealthyThreshold: 2, Registry: reg})
 	b, srv := newBackend(e, "b")
 	srv.latency = time.Millisecond
@@ -283,7 +284,7 @@ func TestCheckersAreIndependentUnderRace(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			e := sim.NewEngine()
 			reg := metrics.NewRegistry()
-			c := NewChecker(e, Config{Interval: time.Second, Timeout: 100 * time.Millisecond,
+			c := NewChecker(clock.Sim(e), Config{Interval: time.Second, Timeout: 100 * time.Millisecond,
 				UnhealthyThreshold: 2, HealthyThreshold: 2, Registry: reg})
 			b, srv := newBackend(e, "b")
 			srv.latency = time.Millisecond

@@ -22,11 +22,12 @@ import (
 // FailoverPicker — which figure R3 quantifies.
 //
 // Restores are lazy: an expired window is noticed the next time the
-// backend is consulted (every pick filters over all backends, so in
-// practice the next request after expiry). Like the rest of the layer, a
-// Breaker is single-threaded on its engine.
+// backend is consulted (in the sim every pick filters over all backends, so
+// in practice the next request after expiry; on the wall plane, whose picks
+// read the published window end instead, the backend's next response). Like
+// the rest of a Core, a Breaker takes the caller's now and is not safe for
+// concurrent use.
 type Breaker struct {
-	engine  *sim.Engine
 	cfg     BreakerConfig
 	states  map[string]*breakerState
 	names   []string // registration order, for deterministic inspection
@@ -46,9 +47,8 @@ type breakerState struct {
 
 // NewBreaker builds a breaker over a fixed backend set. cfg must already
 // have defaults applied (Policy.withDefaults); reg may be nil for tests.
-func NewBreaker(engine *sim.Engine, cfg BreakerConfig, service string, backends []string, reg *metrics.Registry) *Breaker {
+func NewBreaker(cfg BreakerConfig, service string, backends []string, reg *metrics.Registry) *Breaker {
 	b := &Breaker{
-		engine: engine,
 		cfg:    cfg,
 		states: make(map[string]*breakerState, len(backends)),
 		names:  append([]string(nil), backends...),
@@ -67,21 +67,24 @@ func NewBreaker(engine *sim.Engine, cfg BreakerConfig, service string, backends 
 	return b
 }
 
-// Record feeds one response outcome into the breaker. Unknown backends
+// Record feeds one response outcome into the breaker and returns the end of
+// the ejection window it opened, or 0 when it opened none. Failures of a
+// backend already ejected — stragglers that were in flight when it was —
+// neither extend its window nor count another ejection. Unknown backends
 // (probe synthetics, backends added after Apply) are ignored.
-func (b *Breaker) Record(now time.Duration, backend string, success bool) {
+func (b *Breaker) Record(now time.Duration, backend string, success bool) time.Duration {
 	st, ok := b.states[backend]
 	if !ok {
-		return
+		return 0
 	}
 	b.maybeRestore(st, now)
 	if success {
 		st.consecFails = 0
-		return
+		return 0
 	}
 	st.consecFails++
 	if st.ejected || st.consecFails < b.cfg.ConsecutiveFailures {
-		return
+		return 0
 	}
 	if !b.canEject() {
 		// At the max-ejection-percent cap: suppress, and restart the
@@ -91,7 +94,7 @@ func (b *Breaker) Record(now time.Duration, backend string, success bool) {
 		if b.mDenied != nil {
 			b.mDenied.Inc()
 		}
-		return
+		return 0
 	}
 	st.ejected = true
 	st.until = now + b.window(st.ejections)
@@ -101,6 +104,7 @@ func (b *Breaker) Record(now time.Duration, backend string, success bool) {
 	if st.mEject != nil {
 		st.mEject.Inc()
 	}
+	return st.until
 }
 
 // canEject applies the max-ejection-percent guard: one more ejection is

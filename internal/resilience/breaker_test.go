@@ -6,12 +6,11 @@ import (
 
 	"l3/internal/mesh"
 	"l3/internal/metrics"
-	"l3/internal/sim"
 )
 
 func newBreakerUnderTest(cfg BreakerConfig, backends ...string) *Breaker {
 	cfg = Policy{Breaker: cfg}.withDefaults().Breaker
-	return NewBreaker(sim.NewEngine(), cfg, "api", backends, metrics.NewRegistry())
+	return NewBreaker(cfg, "api", backends, metrics.NewRegistry())
 }
 
 func TestBreakerEjectsAfterConsecutiveFailures(t *testing.T) {
@@ -99,7 +98,7 @@ func TestBreakerMaxEjectionPercent(t *testing.T) {
 func TestBreakerCountersConsistent(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := Policy{Breaker: BreakerConfig{ConsecutiveFailures: 1, BaseEjection: time.Second}}.withDefaults().Breaker
-	b := NewBreaker(sim.NewEngine(), cfg, "api", []string{"b1"}, reg)
+	b := NewBreaker(cfg, "api", []string{"b1"}, reg)
 	now := time.Duration(0)
 	for i := 0; i < 5; i++ {
 		b.Record(now, "b1", false)

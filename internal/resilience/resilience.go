@@ -46,9 +46,7 @@ import (
 	"strings"
 	"time"
 
-	"l3/internal/histogram"
 	"l3/internal/mesh"
-	"l3/internal/metrics"
 	"l3/internal/sim"
 )
 
@@ -233,7 +231,8 @@ func (p Policy) String() string {
 }
 
 // ParsePolicy parses the textual policy format of the l3bench -resilience
-// flag: comma-separated key=value pairs.
+// flag and l3serve's L3SERVE_RESILIENCE: comma-separated key=value pairs
+// ("off" or empty disables).
 //
 //	deadline=1s        logical-request deadline
 //	retries=3          max attempts (first included)
@@ -248,6 +247,9 @@ func (p Policy) String() string {
 //	maxejectpct=0.5    max fraction of backends ejected at once
 func ParsePolicy(s string) (Policy, error) {
 	var p Policy
+	if strings.TrimSpace(s) == "off" {
+		return p, nil
+	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -258,6 +260,9 @@ func ParsePolicy(s string) (Policy, error) {
 			return p, fmt.Errorf("resilience: %q is not key=value", part)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if strings.HasPrefix(val, "-") && key != "jitter" { // a negative jitter disables it
+			return p, fmt.Errorf("resilience: %s must not be negative, got %q", key, val)
+		}
 		var err error
 		switch key {
 		case "deadline":
@@ -318,107 +323,21 @@ type Result struct {
 	DeadlineExceeded bool
 }
 
-// budget is the Finagle-style retry token bucket: deposits on logical
-// requests, withdrawals on retries/hedges, capped at burst.
-type budget struct {
-	unlimited bool
-	ratio     float64
-	burst     float64
-	tokens    float64
-}
-
-func newBudget(rc RetryConfig) budget {
-	if rc.BudgetRatio <= 0 {
-		return budget{unlimited: true}
-	}
-	burst := rc.BudgetBurst
-	if burst <= 0 {
-		burst = 100 * rc.BudgetRatio
-		if burst < 10 {
-			burst = 10
-		}
-	}
-	return budget{ratio: rc.BudgetRatio, burst: burst, tokens: burst}
-}
-
-func (b *budget) deposit() {
-	if b.unlimited {
-		return
-	}
-	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-}
-
-func (b *budget) withdraw() bool {
-	if b.unlimited {
-		return true
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// svcState is a service's policy resolved once at Apply time (the same
-// pattern as mesh's routeStats): budget, breaker, hedge-threshold tracker
-// and metric handles, so the per-request path touches no maps beyond the
-// service lookup and no label machinery at all.
-type svcState struct {
-	name    string
-	policy  Policy
-	budget  budget
-	breaker *Breaker
-
-	// lat tracks successful-response latency; the hedge threshold is its
-	// configured percentile, recomputed every 64 observations so the hot
-	// path reads a cached duration.
-	lat        *histogram.Histogram
-	observed   uint64
-	hedgeDelay time.Duration
-
-	mCalls, mRetries, mHedges, mBudgetDenied, mDeadline, mDuplicates *metrics.Counter
-}
-
-func (s *svcState) observe(latency time.Duration) {
-	if s.policy.Hedge.Delay > 0 || s.policy.Hedge.Percentile <= 0 {
-		return
-	}
-	s.lat.Record(latency)
-	if s.observed++; s.observed&63 == 0 {
-		d := s.lat.Quantile(s.policy.Hedge.Percentile)
-		if d < s.policy.Hedge.MinDelay {
-			d = s.policy.Hedge.MinDelay
-		}
-		s.hedgeDelay = d
-	}
-}
-
-// hedgeAfter returns the current hedge delay, or 0 when hedging is off or
-// the learned threshold has no data yet.
-func (s *svcState) hedgeAfter() time.Duration {
-	if s.policy.Hedge.Delay > 0 {
-		return s.policy.Hedge.Delay
-	}
-	return s.hedgeDelay
-}
-
 // Client wraps one source cluster's view of a mesh with per-service
-// resilience policies. All of its state — timers, token buckets, hedge
-// histograms, the breaker — lives on that cluster's timeline, and like the
-// mesh it decorates it is single-threaded there. On a sharded mesh every
-// retry or hedge re-entry is a cross-shard continuation: the mesh already
-// returns responses to the source shard, so the re-entering call leaves from
-// exactly where the client's timers run.
+// resilience policies: a Core per service makes every decision, and the
+// client owns what the virtual clock needs — pooled request state, the
+// engine's timers and the seeded jitter draws. All of it lives on that
+// cluster's timeline, and like the mesh it decorates it is single-threaded
+// there. On a sharded mesh every retry or hedge re-entry is a cross-shard
+// continuation: the mesh already returns responses to the source shard, so
+// the re-entering call leaves from exactly where the client's timers run.
 type Client struct {
 	engine   *sim.Engine
 	rng      *sim.Rand
 	mesh     *mesh.Mesh
 	src      string
 	proxy    *mesh.Proxy
-	services map[string]*svcState
+	services map[string]*Core
 
 	freeOps      []*op
 	freeAttempts []*attempt
@@ -442,7 +361,7 @@ func NewClient(m *mesh.Mesh, src string, rng *sim.Rand) (*Client, error) {
 	}
 	return &Client{
 		engine: proxy.Engine(), rng: rng, mesh: m, src: src, proxy: proxy,
-		services: make(map[string]*svcState),
+		services: make(map[string]*Core),
 	}, nil
 }
 
@@ -455,31 +374,16 @@ func (c *Client) Apply(service string, p Policy) error {
 	if !ok {
 		return fmt.Errorf("resilience: unknown service %q", service)
 	}
-	p = p.withDefaults()
 	if !p.Enabled() {
 		delete(c.services, service)
 		return nil
 	}
-	reg := c.proxy.Registry()
-	labels := metrics.Labels{"service": service}
-	st := &svcState{
-		name:          service,
-		policy:        p,
-		budget:        newBudget(p.Retry),
-		lat:           histogram.New(),
-		mCalls:        reg.Counter(MetricRequestsTotal, labels),
-		mRetries:      reg.Counter(MetricRetriesTotal, labels),
-		mHedges:       reg.Counter(MetricHedgesTotal, labels),
-		mBudgetDenied: reg.Counter(MetricBudgetExhaustedTotal, labels),
-		mDeadline:     reg.Counter(MetricDeadlineExceededTotal, labels),
-		mDuplicates:   reg.Counter(MetricDuplicatesTotal, labels),
+	names := make([]string, 0, len(svc.Backends()))
+	for _, b := range svc.Backends() {
+		names = append(names, b.Name)
 	}
-	if p.Breaker.ConsecutiveFailures > 0 {
-		names := make([]string, 0, len(svc.Backends()))
-		for _, b := range svc.Backends() {
-			names = append(names, b.Name)
-		}
-		st.breaker = NewBreaker(c.engine, p.Breaker, service, names, reg)
+	core := NewCore(p, service, names, c.proxy.Registry())
+	if core.breaker != nil {
 		// The ejection filter wraps only the source cluster's picker.
 		// Breaker state mutates on response events, which execute on the
 		// source timeline — other shards' pickers must not read it
@@ -489,22 +393,22 @@ func (c *Client) Apply(service string, p Policy) error {
 			return err
 		}
 		if err := c.mesh.SetShardPicker(service, c.src, &breakerPicker{
-			breaker: st.breaker,
+			breaker: core.breaker,
 			inner:   inner,
 			rng:     c.rng,
 		}); err != nil {
 			return err
 		}
 	}
-	c.services[service] = st
+	c.services[service] = core
 	return nil
 }
 
 // Breaker returns the service's circuit breaker (nil when the policy has
 // none).
 func (c *Client) Breaker(service string) *Breaker {
-	if st, ok := c.services[service]; ok {
-		return st.breaker
+	if core, ok := c.services[service]; ok {
+		return core.breaker
 	}
 	return nil
 }
@@ -516,7 +420,7 @@ func (c *Client) Breaker(service string) *Breaker {
 // allocates neither closures nor handles.
 type op struct {
 	c       *Client
-	svc     *svcState // nil on the pass-through path
+	svc     *Core // nil on the pass-through path
 	service string
 	gen     uint64
 	start   time.Duration
@@ -573,7 +477,7 @@ func (c *Client) putOp(o *op) {
 // once per struct.
 type attempt struct {
 	c   *Client
-	svc *svcState
+	svc *Core
 	o   *op
 	gen uint64
 	// stale marks an attempt abandoned by the per-attempt timeout: its
@@ -626,17 +530,11 @@ func (c *Client) call(src, service string, inherited time.Duration, done func(Re
 	o.svc, o.service = svc, service
 	o.start, o.done = now, done
 
-	var dl time.Duration
+	dl := inherited
 	if svc != nil {
-		svc.mCalls.Inc()
-		svc.budget.deposit()
+		svc.Start()
 		o.retryWait = svc.policy.Retry.Backoff
-		if svc.policy.Deadline > 0 {
-			dl = now + svc.policy.Deadline
-		}
-	}
-	if inherited > 0 && (dl == 0 || inherited < dl) {
-		dl = inherited
+		dl = svc.Deadline(now, inherited)
 	}
 	o.deadlineAt = dl
 
@@ -648,7 +546,7 @@ func (c *Client) call(src, service string, inherited time.Duration, done func(Re
 		c.engine.AtTimer(&o.deadlineT, dl, o.onDeadline)
 	}
 	if svc != nil {
-		if d := svc.hedgeAfter(); d > 0 && (dl == 0 || now+d < dl) {
+		if d := svc.HedgeAfter(now, dl); d > 0 {
 			c.engine.AtTimer(&o.hedgeT, now+d, o.onHedge)
 		}
 	}
@@ -687,16 +585,11 @@ func (a *attempt) onResult(r mesh.Result) {
 	isCur := o.cur == a
 	c.putAttempt(a)
 	if svc != nil {
-		if r.Success {
-			svc.observe(r.Latency)
-		}
-		if svc.breaker != nil {
-			svc.breaker.Record(c.engine.Now(), r.Backend, r.Success)
-		}
+		svc.Result(c.engine.Now(), r.Backend, r.Latency, r.Success)
 	}
 	if o.gen != gen || stale {
 		if svc != nil {
-			svc.mDuplicates.Inc()
+			svc.Duplicate()
 		}
 		return
 	}
@@ -713,23 +606,24 @@ func (a *attempt) onResult(r mesh.Result) {
 }
 
 // failed decides what a failed attempt means for the logical request:
-// schedule a budgeted retry if the policy, deadline and token bucket all
-// allow it; otherwise wait for a still-outstanding twin attempt; otherwise
-// settle with the failure.
+// schedule a budgeted retry if the core grants one; otherwise wait for a
+// still-outstanding twin attempt; otherwise settle with the failure.
 func (o *op) failed(r mesh.Result) {
 	c, svc := o.c, o.svc
 	now := c.engine.Now()
+	// Only a request with attempts left draws its jitter from the client's
+	// seeded stream, and only when jitter is on.
 	if svc != nil && !o.retryPending && o.attempts < svc.policy.Retry.MaxAttempts {
-		wait := o.jittered(o.retryWait)
-		if o.deadlineAt == 0 || now+wait < o.deadlineAt {
-			if svc.budget.withdraw() {
-				o.retryPending = true
-				o.lastFail = r
-				o.retryWait = time.Duration(float64(o.retryWait) * svc.policy.Retry.BackoffFactor)
-				c.engine.AtTimer(&o.backoffT, now+wait, o.onBackoff)
-				return
-			}
-			svc.mBudgetDenied.Inc()
+		var u float64
+		if svc.policy.Retry.Jitter > 0 {
+			u = c.rng.Float64()
+		}
+		if wait, next, ok := svc.Retry(now, o.attempts, o.retryWait, o.deadlineAt, u); ok {
+			o.retryPending = true
+			o.lastFail = r
+			o.retryWait = next
+			c.engine.AtTimer(&o.backoffT, now+wait, o.onBackoff)
+			return
 		}
 	}
 	if o.inFlight > 0 || o.retryPending {
@@ -739,20 +633,10 @@ func (o *op) failed(r mesh.Result) {
 	o.finish(r, false)
 }
 
-// jittered spreads a backoff uniformly over ±Jitter of its nominal value,
-// drawn from the client's seeded stream.
-func (o *op) jittered(wait time.Duration) time.Duration {
-	j := o.svc.policy.Retry.Jitter
-	if j <= 0 {
-		return wait
-	}
-	return time.Duration(float64(wait) * (1 + j*(2*o.c.rng.Float64()-1)))
-}
-
 // backoff is the retry timer firing: launch the next attempt.
 func (o *op) backoff() {
 	o.retryPending = false
-	o.svc.mRetries.Inc()
+	o.svc.Retried()
 	if err := o.c.launch(o); err != nil && o.inFlight == 0 {
 		// The service vanished mid-flight; settle with the stored failure.
 		o.finish(o.lastFail, false)
@@ -764,16 +648,10 @@ func (o *op) backoff() {
 // path owns the op while a backoff is pending — hedging then would race
 // the scheduled retry.
 func (o *op) hedge() {
-	svc := o.svc
-	if o.retryPending || o.hedged {
-		return
-	}
-	if !svc.budget.withdraw() {
-		svc.mBudgetDenied.Inc()
+	if o.retryPending || o.hedged || !o.svc.Hedge() {
 		return
 	}
 	o.hedged = true
-	svc.mHedges.Inc()
 	_ = o.c.launch(o)
 }
 
@@ -798,7 +676,7 @@ func (o *op) attemptTimeout() {
 // duplicates via the generation guard.
 func (o *op) deadline() {
 	if o.svc != nil {
-		o.svc.mDeadline.Inc()
+		o.svc.DeadlineExceeded()
 	}
 	r := o.lastFail
 	r.Success = false

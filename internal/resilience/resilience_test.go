@@ -329,7 +329,7 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("hedge=75ms"); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"nope=1", "deadline", "retries=x", "hedge=pxx"} {
+	for _, bad := range []string{"nope=1", "deadline", "retries=x", "hedge=pxx", "budget=-0.1", "deadline=-1s", "retries=-2"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Fatalf("ParsePolicy(%q) accepted", bad)
 		}
@@ -352,6 +352,9 @@ func TestPolicyStringRoundTrips(t *testing.T) {
 	}
 	if (Policy{}).String() != "off" {
 		t.Fatalf("zero policy String = %q, want off", (Policy{}).String())
+	}
+	if back, err := ParsePolicy("off"); err != nil || back != (Policy{}) {
+		t.Fatalf(`ParsePolicy("off") = %+v, %v; want the zero policy`, back, err)
 	}
 }
 

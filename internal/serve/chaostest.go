@@ -12,6 +12,8 @@ import (
 	"l3/internal/chaos"
 	"l3/internal/clock"
 	"l3/internal/loadgen"
+	"l3/internal/metrics"
+	"l3/internal/resilience"
 )
 
 // Chaostest is the serve-mode resilience harness: boot the proxy over
@@ -154,8 +156,7 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 	cfg.Window = 2 * time.Second
 	cfg.HealthInterval = 2 * time.Second
 	cfg.HealthTimeout = 500 * time.Millisecond
-	cfg.RequestTimeout = 2 * time.Second
-	cfg.PerTryTimeout = 250 * time.Millisecond
+	cfg.Resilience = DefaultResilience + ",deadline=2s,pertry=250ms"
 	cfg.DrainTimeout = 5 * time.Second
 	for _, s := range stubs {
 		cfg.Backends = append(cfg.Backends, s.BackendConfigOf())
@@ -168,11 +169,18 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 		return nil, err
 	}
 	cfg = srv.cfg // pick up derived fields (StaleAfter, ScrapeTimeout)
+	pol := srv.res.policy
 	srv.ScrapeWait(1, 5*time.Second)
 
 	byName := make(map[string]*Backend, len(srv.backends))
 	for _, b := range srv.backends {
 		byName[b.Name] = b
+	}
+	// Ejections are read where an operator reads them: the core's counter on
+	// the data registry, which /metrics exposes.
+	ejections := func(b *Backend) int64 {
+		labels := metrics.Labels{"service": cfg.Service, "backend": b.Name}
+		return int64(srv.dataReg.Counter(resilience.MetricBreakerEjectionsTotal, labels).Value())
 	}
 
 	report := &ChaosReport{
@@ -249,14 +257,14 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 			}
 		default:
 			b := byName[ev.Backend]
-			ejBefore := int64(b.ejections.Value())
+			ejBefore := ejections(b)
 			failBefore := int64(b.failTotal.Value())
 			waitWall(loadWall, ev.At)
-			if pollWall(loadWall, fr.HealedAt, func() bool { return int64(b.ejections.Value()) > ejBefore }) {
+			if pollWall(loadWall, fr.HealedAt, func() bool { return ejections(b) > ejBefore }) {
 				fr.FailsToEject = int64(b.failTotal.Value()) - failBefore
 			}
 			waitWall(loadWall, fr.HealedAt)
-			fr.Ejections = int64(b.ejections.Value()) - ejBefore
+			fr.Ejections = ejections(b) - ejBefore
 		}
 		report.Results = append(report.Results, fr)
 	}
@@ -265,8 +273,8 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 	stopAt := loadWall.Now()
 	loadWall.Do(gen.Stop)
 	// Stragglers: the slowest possible in-flight request rides the full
-	// request budget before it records.
-	time.Sleep(cfg.RequestTimeout + 500*time.Millisecond)
+	// request deadline before it records.
+	time.Sleep(pol.Deadline + 500*time.Millisecond)
 	runner.Stop()
 
 	// Post-hoc recovery scan over the recorder's time-bucketed quantiles:
@@ -334,7 +342,7 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 		report.Issued, report.AchievedRPS, report.SuccessRate, report.BaselineP99.Round(time.Millisecond),
 		report.Retries, report.Hedges, report.Panics, report.Dropped)
 
-	if fails := report.assertions(cfg); len(fails) > 0 {
+	if fails := report.assertions(pol); len(fails) > 0 {
 		return report, fmt.Errorf("chaostest: %s", strings.Join(fails, "; "))
 	}
 	fmt.Fprintln(out, "chaostest: all recovery assertions held")
@@ -343,12 +351,12 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 
 // assertions is the chaostest acceptance bar; every failed clause is
 // reported, not just the first.
-func (r *ChaosReport) assertions(cfg Config) []string {
+func (r *ChaosReport) assertions(pol resilience.Policy) []string {
 	var fails []string
 	// The breaker must eject within a bounded number of failed responses:
 	// the threshold itself, times slack for requests already in flight when
 	// the circuit opened and for the observation poll's granularity.
-	ejectBound := int64(5 * cfg.BreakerThreshold)
+	ejectBound := int64(5 * pol.Breaker.ConsecutiveFailures)
 	for _, fr := range r.Results {
 		switch fr.Fault {
 		case "stall", "reset", "bflap":

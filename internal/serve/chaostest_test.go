@@ -88,8 +88,8 @@ func chaosServer(t *testing.T, n int, mutate func(*Config)) (*Server, []*ChaosSt
 func TestDrainMidHedge(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, stubs := chaosServer(t, 2, func(c *Config) {
-		c.RequestTimeout = 10 * time.Second // in-flight work outlives the drain window
-		c.PerTryTimeout = 5 * time.Second
+		// In-flight work outlives the drain window.
+		c.Resilience = DefaultResilience + ",deadline=10s,pertry=5s"
 		c.DrainTimeout = time.Second
 	})
 	// Warm the hedge tracker past its 64-observation gate so in-flight
@@ -225,11 +225,9 @@ func TestFailStaticEngagesAndReleases(t *testing.T) {
 
 // TestDeadlineBudgetReturns504 sends a request whose X-L3-Deadline is far
 // shorter than the only backend's stall: the proxy must answer 504 at
-// roughly the budget, not ride its own larger RequestTimeout.
+// roughly the budget, not ride its policy's larger 10 s deadline.
 func TestDeadlineBudgetReturns504(t *testing.T) {
-	srv, stubs := chaosServer(t, 1, func(c *Config) {
-		c.RequestTimeout = 10 * time.Second
-	})
+	srv, stubs := chaosServer(t, 1, nil)
 	defer srv.ShutdownTimeout()
 	stubs[0].SetStalled(true)
 
@@ -353,35 +351,6 @@ func (panicTripper) RoundTrip(*http.Request) (*http.Response, error) {
 	panic("chaos: transport panic")
 }
 
-// TestHedgeTrackerGatesAndLearns pins the tracker's contract: silent before
-// 64 observations, then a delay at the configured percentile floor-bounded
-// by the minimum.
-func TestHedgeTrackerGatesAndLearns(t *testing.T) {
-	tr := newHedgeTracker(0.95, time.Millisecond)
-	if d := tr.hedgeAfter(); d != 0 {
-		t.Fatalf("hedgeAfter = %v before any observations, want 0", d)
-	}
-	for i := 0; i < 63; i++ {
-		tr.observe(5 * time.Millisecond)
-	}
-	if d := tr.hedgeAfter(); d != 0 {
-		t.Fatalf("hedgeAfter = %v at 63 observations, want 0 (gate is 64)", d)
-	}
-	tr.observe(5 * time.Millisecond)
-	d := tr.hedgeAfter()
-	if d < time.Millisecond || d > 20*time.Millisecond {
-		t.Fatalf("hedgeAfter = %v after 64x5ms, want near 5ms histogram bucket", d)
-	}
-	// Disabled tracker (percentile 0) never hedges.
-	off := newHedgeTracker(0, time.Millisecond)
-	for i := 0; i < 128; i++ {
-		off.observe(5 * time.Millisecond)
-	}
-	if d := off.hedgeAfter(); d != 0 {
-		t.Fatalf("disabled tracker hedgeAfter = %v, want 0", d)
-	}
-}
-
 // TestHedgedRequestRescuesStalledBackend is the hedging path end to end: two
 // backends, tracker warmed, one stalled — requests that pick the stalled
 // backend as primary must be rescued by a hedge at ~the learned delay rather
@@ -389,8 +358,8 @@ func TestHedgeTrackerGatesAndLearns(t *testing.T) {
 // accumulate breaker failures (the cancelled-primary accounting).
 func TestHedgedRequestRescuesStalledBackend(t *testing.T) {
 	srv, stubs := chaosServer(t, 2, func(c *Config) {
-		c.RequestTimeout = 5 * time.Second
-		c.PerTryTimeout = 2 * time.Second // hedging, not the per-try bound, must do the rescuing
+		// Hedging, not the per-try bound, must do the rescuing.
+		c.Resilience = DefaultResilience + ",deadline=5s,pertry=2s"
 	})
 	defer srv.ShutdownTimeout()
 
@@ -403,8 +372,8 @@ func TestHedgedRequestRescuesStalledBackend(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	if d := srv.Handler().hedge.hedgeAfter(); d == 0 {
-		t.Fatal("hedge tracker still gated after 80 successes")
+	if d := srv.res.learnedDelay(); d == 0 {
+		t.Fatal("hedge delay still unlearned after 80 successes")
 	}
 
 	stubs[0].SetStalled(true)
@@ -426,7 +395,7 @@ func TestHedgedRequestRescuesStalledBackend(t *testing.T) {
 		if took > time.Second {
 			slow++
 		}
-		if int64(srv.backends[0].ejections.Value()) > 0 {
+		if ejectionsOf(srv.dataReg, srv.backends[0]) > 0 {
 			ejectionsSeen = true
 		}
 	}

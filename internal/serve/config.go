@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"l3/internal/overload"
+	"l3/internal/resilience"
 )
 
 // Algorithms the serving mode can run. They mirror internal/bench's
@@ -72,35 +73,12 @@ type Config struct {
 	// HealthPath is the upstream path probed (default "/healthz").
 	HealthPath string
 
-	// BreakerThreshold opens a backend's circuit after this many
-	// consecutive proxy-observed failures (default 5; 0 disables).
-	BreakerThreshold int
-	// BreakerWindow is how long an opened circuit stays open (default 2s).
-	BreakerWindow time.Duration
-
-	// MaxAttempts bounds proxy-level attempts per request: transport
-	// errors where no bytes reached the client retry on another backend
-	// (default 2; 1 disables retries).
-	MaxAttempts int
-	// RetryBudgetRatio is the Finagle-style token-bucket earn rate
-	// bounding the steady-state retry ratio (default 0.2). Hedges draw
-	// from the same bucket.
-	RetryBudgetRatio float64
-
-	// RequestTimeout is the default per-request latency budget when the
-	// client sends no X-L3-Deadline header (default 10s; 0 disables
-	// deadlines entirely).
-	RequestTimeout time.Duration
-	// PerTryTimeout bounds one proxy attempt. Zero derives it per request
-	// as budget/MaxAttempts, so a stalled backend leaves time to retry.
-	PerTryTimeout time.Duration
-	// HedgePercentile is the latency quantile of the proxy's own observed
-	// successes after which an idempotent bodyless request launches a
-	// hedge to a second backend (default 0.95; 0 disables hedging).
-	HedgePercentile float64
-	// HedgeMinDelay floors the learned hedge delay so sub-millisecond
-	// backends don't double traffic (default 1ms).
-	HedgeMinDelay time.Duration
+	// Resilience is the proxy's deadline, retry, hedge and breaker policy in
+	// resilience.ParsePolicy's key=value grammar, the one l3bench's
+	// -resilience flag takes (default DefaultResilience; empty or "off"
+	// disables every mechanism). Without pertry each attempt gets an even
+	// share of the remaining deadline.
+	Resilience string
 
 	// StaleAfter is how long the control plane may go without a
 	// successful self-scrape before the data plane enters fail-static
@@ -132,27 +110,28 @@ type Config struct {
 	IdleConnTimeout time.Duration
 }
 
+// DefaultResilience is the proxy's default resilience policy: a 10 s
+// deadline, one retry, a 0.2 budget, hedging at the p95 of observed
+// successes (never sooner than 1 ms), and a breaker that ejects a backend for
+// 2 s after 5 consecutive failures, with no cap on how many it ejects.
+const DefaultResilience = "deadline=10s,retries=2,budget=0.2,hedge=p95,hedgemin=1ms," +
+	"breaker=5,ejection=2s,maxejection=2s,maxejectpct=1"
+
 // DefaultConfig returns the documented defaults (no backends).
 func DefaultConfig() Config {
 	return Config{
-		Listen:           "127.0.0.1:8080",
-		Service:          "api",
-		Algo:             AlgoL3,
-		ScrapeInterval:   5 * time.Second,
-		Percentile:       0.99,
-		Guard:            true,
-		HealthInterval:   2 * time.Second,
-		HealthTimeout:    time.Second,
-		HealthPath:       "/healthz",
-		BreakerThreshold: 5,
-		BreakerWindow:    2 * time.Second,
-		MaxAttempts:      2,
-		RetryBudgetRatio: 0.2,
-		RequestTimeout:   10 * time.Second,
-		HedgePercentile:  0.95,
-		HedgeMinDelay:    time.Millisecond,
-		DecayFactor:      0.8,
-		DrainTimeout:     15 * time.Second,
+		Listen:         "127.0.0.1:8080",
+		Service:        "api",
+		Algo:           AlgoL3,
+		ScrapeInterval: 5 * time.Second,
+		Percentile:     0.99,
+		Guard:          true,
+		HealthInterval: 2 * time.Second,
+		HealthTimeout:  time.Second,
+		HealthPath:     "/healthz",
+		Resilience:     DefaultResilience,
+		DecayFactor:    0.8,
+		DrainTimeout:   15 * time.Second,
 
 		MaxIdleConnsPerHost: 32,
 		IdleConnTimeout:     90 * time.Second,
@@ -180,7 +159,7 @@ func (c Config) withDerived() Config {
 }
 
 // Validate checks the configuration, returning every problem at once so an
-// operator fixes one bad file in one round trip.
+// operator fixes a bad environment in one round trip.
 func (c Config) Validate() error {
 	var problems []string
 	bad := func(format string, args ...any) {
@@ -222,20 +201,8 @@ func (c Config) Validate() error {
 	if c.Percentile <= 0 || c.Percentile >= 1 {
 		bad("percentile %v is outside (0, 1)", c.Percentile)
 	}
-	if c.MaxAttempts < 1 {
-		bad("max_attempts must be at least 1")
-	}
-	if c.RetryBudgetRatio < 0 {
-		bad("retry_budget_ratio must be non-negative")
-	}
-	if c.HedgePercentile < 0 || c.HedgePercentile >= 1 {
-		bad("hedge_percentile %v is outside [0, 1) (0 disables hedging)", c.HedgePercentile)
-	}
-	if c.RequestTimeout < 0 {
-		bad("request_timeout must be non-negative")
-	}
-	if c.PerTryTimeout < 0 {
-		bad("per_try_timeout must be non-negative")
+	if _, err := c.ResiliencePolicy(); err != nil {
+		bad("resilience policy: %v", err)
 	}
 	if c.DecayFactor <= 0 || c.DecayFactor > 1 {
 		bad("decay_factor %v is outside (0, 1]", c.DecayFactor)
@@ -255,246 +222,69 @@ func (c Config) Validate() error {
 	return fmt.Errorf("serve: invalid config:\n  - %s", strings.Join(problems, "\n  - "))
 }
 
-// LoadConfig builds the effective configuration: defaults, then the YAML
-// file (optional, "" skips), then L3SERVE_* environment overrides. The
-// layering matches the 12-factor convention: files declare, the environment
-// overrides. Validation happens in NewServer, after any command-line
-// overrides land on top.
-func LoadConfig(path string) (Config, error) {
-	return loadConfig(path, os.LookupEnv)
+// LoadConfig builds the effective configuration: defaults, then L3SERVE_*
+// environment overrides. Validation happens in NewServer, after any
+// command-line overrides land on top.
+func LoadConfig() (Config, error) {
+	return loadConfig(os.LookupEnv)
 }
 
-func loadConfig(path string, lookup func(string) (string, bool)) (Config, error) {
+func loadConfig(lookup func(string) (string, bool)) (Config, error) {
 	cfg := DefaultConfig()
-	if path != "" {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return cfg, fmt.Errorf("serve: reading config: %w", err)
-		}
-		if err := cfg.applyYAML(string(src)); err != nil {
-			return cfg, err
-		}
-	}
 	if err := cfg.applyEnv(lookup); err != nil {
 		return cfg, err
 	}
 	return cfg.withDerived(), nil
 }
 
-// applyYAML folds a YAML document into the config. Unknown keys are errors:
-// a typoed "percentil:" silently running defaults is how production configs
-// rot.
-func (c *Config) applyYAML(src string) error {
-	root, err := parseYAML(src)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if !root.isMapping() {
-		return fmt.Errorf("serve: config root must be a mapping")
-	}
-	for _, key := range root.order {
-		node := root.mapping[key]
-		var err error
-		switch key {
-		case "listen":
-			err = node.toString(&c.Listen)
-		case "service":
-			err = node.toString(&c.Service)
-		case "algo":
-			err = node.toString(&c.Algo)
-		case "backends":
-			err = c.applyBackendsYAML(node)
-		case "scrape_interval":
-			err = node.toDuration(&c.ScrapeInterval)
-		case "scrape_timeout":
-			err = node.toDuration(&c.ScrapeTimeout)
-		case "reconcile_interval":
-			err = node.toDuration(&c.ReconcileInterval)
-		case "window":
-			err = node.toDuration(&c.Window)
-		case "percentile":
-			err = node.toFloat(&c.Percentile)
-		case "guard":
-			err = node.toBool(&c.Guard)
-		case "health_interval":
-			err = node.toDuration(&c.HealthInterval)
-		case "health_timeout":
-			err = node.toDuration(&c.HealthTimeout)
-		case "health_path":
-			err = node.toString(&c.HealthPath)
-		case "breaker_threshold":
-			err = node.toInt(&c.BreakerThreshold)
-		case "breaker_window":
-			err = node.toDuration(&c.BreakerWindow)
-		case "max_attempts":
-			err = node.toInt(&c.MaxAttempts)
-		case "retry_budget_ratio":
-			err = node.toFloat(&c.RetryBudgetRatio)
-		case "request_timeout":
-			err = node.toDuration(&c.RequestTimeout)
-		case "per_try_timeout":
-			err = node.toDuration(&c.PerTryTimeout)
-		case "hedge_percentile":
-			err = node.toFloat(&c.HedgePercentile)
-		case "hedge_min_delay":
-			err = node.toDuration(&c.HedgeMinDelay)
-		case "stale_after":
-			err = node.toDuration(&c.StaleAfter)
-		case "decay_factor":
-			err = node.toFloat(&c.DecayFactor)
-		case "drain_timeout":
-			err = node.toDuration(&c.DrainTimeout)
-		case "overload":
-			err = node.toString(&c.Overload)
-		case "max_idle_conns_per_host":
-			err = node.toInt(&c.MaxIdleConnsPerHost)
-		case "idle_conn_timeout":
-			err = node.toDuration(&c.IdleConnTimeout)
-		default:
-			err = fmt.Errorf("unknown key %q", key)
-		}
-		if err != nil {
-			return fmt.Errorf("serve: config key %q: %w", key, err)
-		}
-	}
-	return nil
-}
-
-func (c *Config) applyBackendsYAML(node *yamlNode) error {
-	if !node.isSequence() {
-		return fmt.Errorf("expected a sequence of {name, url} mappings")
-	}
-	c.Backends = nil
-	for i, item := range node.sequence {
-		if !item.isMapping() {
-			return fmt.Errorf("backend %d: expected a {name, url} mapping", i)
-		}
-		var b BackendConfig
-		for _, k := range item.order {
-			switch k {
-			case "name":
-				if err := item.mapping[k].toString(&b.Name); err != nil {
-					return fmt.Errorf("backend %d name: %w", i, err)
-				}
-			case "url":
-				if err := item.mapping[k].toString(&b.URL); err != nil {
-					return fmt.Errorf("backend %d url: %w", i, err)
-				}
-			default:
-				return fmt.Errorf("backend %d: unknown key %q", i, k)
-			}
-		}
-		c.Backends = append(c.Backends, b)
-	}
-	return nil
-}
-
 // applyEnv folds L3SERVE_* variables over the config. Every scalar key has
-// an override; backends use L3SERVE_BACKENDS="name=url,name=url".
+// an override; backends use L3SERVE_BACKENDS="name=url,name=url". A value
+// that does not parse leaves its key as it was and is the error returned
+// (the first, if several).
 func (c *Config) applyEnv(lookup func(string) (string, bool)) error {
-	str := func(name string, dst *string) error {
-		if v, ok := lookup(name); ok {
-			*dst = v
-		}
-		return nil
-	}
 	var firstErr error
-	record := func(name string, err error) {
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("serve: %s: %w", name, err)
-		}
-	}
-	dur := func(name string, dst *time.Duration) {
+	set := func(name string, parse func(string) error) {
 		if v, ok := lookup(name); ok {
-			d, err := time.ParseDuration(v)
-			record(name, err)
-			if err == nil {
-				*dst = d
+			if err := parse(v); err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("serve: %s: %w", name, err)
 			}
 		}
 	}
-	_ = str("L3SERVE_LISTEN", &c.Listen)
-	_ = str("L3SERVE_SERVICE", &c.Service)
-	_ = str("L3SERVE_ALGO", &c.Algo)
-	_ = str("L3SERVE_HEALTH_PATH", &c.HealthPath)
-	_ = str("L3SERVE_OVERLOAD", &c.Overload)
-	dur("L3SERVE_SCRAPE_INTERVAL", &c.ScrapeInterval)
-	dur("L3SERVE_SCRAPE_TIMEOUT", &c.ScrapeTimeout)
-	dur("L3SERVE_REQUEST_TIMEOUT", &c.RequestTimeout)
-	dur("L3SERVE_PER_TRY_TIMEOUT", &c.PerTryTimeout)
-	dur("L3SERVE_HEDGE_MIN_DELAY", &c.HedgeMinDelay)
-	dur("L3SERVE_STALE_AFTER", &c.StaleAfter)
-	dur("L3SERVE_RECONCILE_INTERVAL", &c.ReconcileInterval)
-	dur("L3SERVE_WINDOW", &c.Window)
-	dur("L3SERVE_HEALTH_INTERVAL", &c.HealthInterval)
-	dur("L3SERVE_HEALTH_TIMEOUT", &c.HealthTimeout)
-	dur("L3SERVE_BREAKER_WINDOW", &c.BreakerWindow)
-	dur("L3SERVE_DRAIN_TIMEOUT", &c.DrainTimeout)
-	dur("L3SERVE_IDLE_CONN_TIMEOUT", &c.IdleConnTimeout)
-	if v, ok := lookup("L3SERVE_PERCENTILE"); ok {
-		f, err := strconv.ParseFloat(v, 64)
-		record("L3SERVE_PERCENTILE", err)
-		if err == nil {
-			c.Percentile = f
-		}
-	}
-	if v, ok := lookup("L3SERVE_RETRY_BUDGET_RATIO"); ok {
-		f, err := strconv.ParseFloat(v, 64)
-		record("L3SERVE_RETRY_BUDGET_RATIO", err)
-		if err == nil {
-			c.RetryBudgetRatio = f
-		}
-	}
-	if v, ok := lookup("L3SERVE_HEDGE_PERCENTILE"); ok {
-		f, err := strconv.ParseFloat(v, 64)
-		record("L3SERVE_HEDGE_PERCENTILE", err)
-		if err == nil {
-			c.HedgePercentile = f
-		}
-	}
-	if v, ok := lookup("L3SERVE_DECAY_FACTOR"); ok {
-		f, err := strconv.ParseFloat(v, 64)
-		record("L3SERVE_DECAY_FACTOR", err)
-		if err == nil {
-			c.DecayFactor = f
-		}
-	}
-	if v, ok := lookup("L3SERVE_GUARD"); ok {
-		b, err := strconv.ParseBool(v)
-		record("L3SERVE_GUARD", err)
-		if err == nil {
-			c.Guard = b
-		}
-	}
-	if v, ok := lookup("L3SERVE_BREAKER_THRESHOLD"); ok {
-		n, err := strconv.Atoi(v)
-		record("L3SERVE_BREAKER_THRESHOLD", err)
-		if err == nil {
-			c.BreakerThreshold = n
-		}
-	}
-	if v, ok := lookup("L3SERVE_MAX_ATTEMPTS"); ok {
-		n, err := strconv.Atoi(v)
-		record("L3SERVE_MAX_ATTEMPTS", err)
-		if err == nil {
-			c.MaxAttempts = n
-		}
-	}
-	if v, ok := lookup("L3SERVE_MAX_IDLE_CONNS_PER_HOST"); ok {
-		n, err := strconv.Atoi(v)
-		record("L3SERVE_MAX_IDLE_CONNS_PER_HOST", err)
-		if err == nil {
-			c.MaxIdleConnsPerHost = n
-		}
-	}
-	if v, ok := lookup("L3SERVE_BACKENDS"); ok {
-		backends, err := ParseBackendList(v)
-		record("L3SERVE_BACKENDS", err)
-		if err == nil {
-			c.Backends = backends
-		}
-	}
+	text := func(v string) (string, error) { return v, nil }
+	float := func(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
+	set("L3SERVE_LISTEN", into(&c.Listen, text))
+	set("L3SERVE_SERVICE", into(&c.Service, text))
+	set("L3SERVE_ALGO", into(&c.Algo, text))
+	set("L3SERVE_HEALTH_PATH", into(&c.HealthPath, text))
+	set("L3SERVE_OVERLOAD", into(&c.Overload, text))
+	set("L3SERVE_RESILIENCE", into(&c.Resilience, text))
+	set("L3SERVE_SCRAPE_INTERVAL", into(&c.ScrapeInterval, time.ParseDuration))
+	set("L3SERVE_SCRAPE_TIMEOUT", into(&c.ScrapeTimeout, time.ParseDuration))
+	set("L3SERVE_STALE_AFTER", into(&c.StaleAfter, time.ParseDuration))
+	set("L3SERVE_RECONCILE_INTERVAL", into(&c.ReconcileInterval, time.ParseDuration))
+	set("L3SERVE_WINDOW", into(&c.Window, time.ParseDuration))
+	set("L3SERVE_HEALTH_INTERVAL", into(&c.HealthInterval, time.ParseDuration))
+	set("L3SERVE_HEALTH_TIMEOUT", into(&c.HealthTimeout, time.ParseDuration))
+	set("L3SERVE_DRAIN_TIMEOUT", into(&c.DrainTimeout, time.ParseDuration))
+	set("L3SERVE_IDLE_CONN_TIMEOUT", into(&c.IdleConnTimeout, time.ParseDuration))
+	set("L3SERVE_PERCENTILE", into(&c.Percentile, float))
+	set("L3SERVE_DECAY_FACTOR", into(&c.DecayFactor, float))
+	set("L3SERVE_GUARD", into(&c.Guard, strconv.ParseBool))
+	set("L3SERVE_MAX_IDLE_CONNS_PER_HOST", into(&c.MaxIdleConnsPerHost, strconv.Atoi))
+	set("L3SERVE_BACKENDS", into(&c.Backends, ParseBackendList))
 	return firstErr
+}
+
+// into returns a setter that parses a value into dst, leaving dst alone when
+// it does not parse.
+func into[T any](dst *T, parse func(string) (T, error)) func(string) error {
+	return func(v string) error {
+		x, err := parse(v)
+		if err == nil {
+			*dst = x
+		}
+		return err
+	}
 }
 
 // ParseBackendList parses the "name=url,name=url" form shared by the
@@ -518,6 +308,13 @@ func ParseBackendList(s string) ([]BackendConfig, error) {
 	return out, nil
 }
 
+// ResiliencePolicy parses the Resilience string; defaults are applied when
+// the core resolves it. An empty or "off" string returns a disabled policy
+// and no error.
+func (c Config) ResiliencePolicy() (resilience.Policy, error) {
+	return resilience.ParsePolicy(c.Resilience)
+}
+
 // OverloadPolicy parses the Overload string into a policy with defaults
 // applied. An empty or "off" string returns a disabled policy and no error.
 func (c Config) OverloadPolicy() (overload.Policy, error) {
@@ -535,62 +332,4 @@ func (c Config) BackendNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Typed extraction helpers from parsed YAML scalars.
-
-func (n *yamlNode) toString(dst *string) error {
-	if n == nil || !n.isScalar {
-		return fmt.Errorf("expected a scalar")
-	}
-	*dst = n.scalar
-	return nil
-}
-
-func (n *yamlNode) toDuration(dst *time.Duration) error {
-	if n == nil || !n.isScalar {
-		return fmt.Errorf("expected a duration scalar")
-	}
-	d, err := time.ParseDuration(n.scalar)
-	if err != nil {
-		return err
-	}
-	*dst = d
-	return nil
-}
-
-func (n *yamlNode) toFloat(dst *float64) error {
-	if n == nil || !n.isScalar {
-		return fmt.Errorf("expected a number")
-	}
-	f, err := strconv.ParseFloat(n.scalar, 64)
-	if err != nil {
-		return err
-	}
-	*dst = f
-	return nil
-}
-
-func (n *yamlNode) toInt(dst *int) error {
-	if n == nil || !n.isScalar {
-		return fmt.Errorf("expected an integer")
-	}
-	v, err := strconv.Atoi(n.scalar)
-	if err != nil {
-		return err
-	}
-	*dst = v
-	return nil
-}
-
-func (n *yamlNode) toBool(dst *bool) error {
-	if n == nil || !n.isScalar {
-		return fmt.Errorf("expected a boolean")
-	}
-	b, err := strconv.ParseBool(n.scalar)
-	if err != nil {
-		return err
-	}
-	*dst = b
-	return nil
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,38 +14,29 @@ func envMap(m map[string]string) func(string) (string, bool) {
 }
 
 func TestLoadConfigLayering(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "l3serve.yaml")
-	yaml := `
-listen: 127.0.0.1:9999
-algo: c3
-scrape_interval: 1s
-backends:
-  - name: a
-    url: http://10.0.0.1:8001
-  - name: b
-    url: http://10.0.0.2:8001
-`
-	if err := os.WriteFile(path, []byte(yaml), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// File over defaults; env over file.
-	cfg, err := loadConfig(path, envMap(map[string]string{
-		"L3SERVE_ALGO":     "failover",
-		"L3SERVE_BACKENDS": "x=http://127.0.0.1:1, y=http://127.0.0.1:2",
+	// The environment over defaults; derived intervals follow.
+	cfg, err := loadConfig(envMap(map[string]string{
+		"L3SERVE_LISTEN":          "127.0.0.1:9999",
+		"L3SERVE_ALGO":            "failover",
+		"L3SERVE_SCRAPE_INTERVAL": "1s",
+		"L3SERVE_BACKENDS":        "x=http://127.0.0.1:1, y=http://127.0.0.1:2",
+		"L3SERVE_RESILIENCE":      "deadline=3s,retries=3,budget=0.1,breaker=7",
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Listen != "127.0.0.1:9999" {
-		t.Fatalf("Listen = %q, want file value", cfg.Listen)
-	}
-	if cfg.Algo != AlgoFailover {
-		t.Fatalf("Algo = %q, want env override", cfg.Algo)
+	if cfg.Listen != "127.0.0.1:9999" || cfg.Algo != AlgoFailover {
+		t.Fatalf("Listen, Algo = %q, %q, want the env values", cfg.Listen, cfg.Algo)
 	}
 	if got := cfg.BackendNames(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("Backends = %v, want env override [x y]", got)
+	}
+	pol, err := cfg.ResiliencePolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.Deadline != 3*time.Second || pol.Retry.MaxAttempts != 3 || pol.Retry.BudgetRatio != 0.1 || pol.Breaker.ConsecutiveFailures != 7 || pol.Hedge.Percentile != 0 {
+		t.Fatalf("resilience policy = %+v, want the env string's, with no hedge", pol)
 	}
 	// Derived: reconcile follows scrape, window = 2× scrape floored at 2s.
 	if cfg.ReconcileInterval != time.Second {
@@ -60,14 +49,23 @@ backends:
 	if cfg.Service != "api" || cfg.Percentile != 0.99 || !cfg.Guard {
 		t.Fatalf("defaults leaked: service=%q percentile=%v guard=%v", cfg.Service, cfg.Percentile, cfg.Guard)
 	}
+	// Without L3SERVE_RESILIENCE the default policy stands.
+	if cfg, err = loadConfig(envMap(nil)); err != nil || cfg.Resilience != DefaultResilience {
+		t.Fatalf("Resilience = %q, %v; want DefaultResilience", cfg.Resilience, err)
+	}
 }
 
+// TestLoadConfigUnknownKey: a typoed key in a policy string is an error at
+// validation, not a silent run on defaults.
 func TestLoadConfigUnknownKey(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.yaml")
-	os.WriteFile(path, []byte("percentil: 0.98\n"), 0o644)
-	_, err := loadConfig(path, envMap(nil))
-	if err == nil || !strings.Contains(err.Error(), `unknown key "percentil"`) {
+	cfg, err := loadConfig(envMap(map[string]string{
+		"L3SERVE_BACKENDS":   "a=http://h:1",
+		"L3SERVE_RESILIENCE": "retries=2,budgte=0.1",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), `unknown policy key "budgte"`) {
 		t.Fatalf("err = %v, want unknown-key error", err)
 	}
 }
@@ -114,25 +112,17 @@ func TestParseBackendList(t *testing.T) {
 }
 
 func TestLoadConfigOverloadAndPoolKnobs(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "l3serve.yaml")
-	yaml := `
-backends:
-  - name: a
-    url: http://10.0.0.1:8001
-overload: limit=16,target=10ms,qcap=64,tiers=on
-max_idle_conns_per_host: 7
-idle_conn_timeout: 45s
-`
-	if err := os.WriteFile(path, []byte(yaml), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := loadConfig(path, envMap(nil))
+	cfg, err := loadConfig(envMap(map[string]string{
+		"L3SERVE_BACKENDS":                "a=http://10.0.0.1:8001",
+		"L3SERVE_OVERLOAD":                "limit=16,target=10ms,qcap=64,tiers=on",
+		"L3SERVE_MAX_IDLE_CONNS_PER_HOST": "7",
+		"L3SERVE_IDLE_CONN_TIMEOUT":       "45s",
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.MaxIdleConnsPerHost != 7 || cfg.IdleConnTimeout != 45*time.Second {
-		t.Fatalf("pool knobs = %d/%v, want file values 7/45s", cfg.MaxIdleConnsPerHost, cfg.IdleConnTimeout)
+		t.Fatalf("pool knobs = %d/%v, want env values 7/45s", cfg.MaxIdleConnsPerHost, cfg.IdleConnTimeout)
 	}
 	pol, err := cfg.OverloadPolicy()
 	if err != nil {
@@ -142,33 +132,37 @@ idle_conn_timeout: 45s
 		t.Fatalf("overload policy = %+v, want enabled limit=16 tiers=on", pol)
 	}
 
-	// Env overrides the file; "off" parses as a disabled policy.
-	cfg, err = loadConfig(path, envMap(map[string]string{
-		"L3SERVE_OVERLOAD":                "off",
-		"L3SERVE_MAX_IDLE_CONNS_PER_HOST": "12",
-		"L3SERVE_IDLE_CONN_TIMEOUT":       "30s",
+	// "off" parses as a disabled policy, for both policy strings.
+	cfg, err = loadConfig(envMap(map[string]string{
+		"L3SERVE_OVERLOAD":   "off",
+		"L3SERVE_RESILIENCE": "off",
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MaxIdleConnsPerHost != 12 || cfg.IdleConnTimeout != 30*time.Second {
-		t.Fatalf("pool knobs = %d/%v, want env overrides 12/30s", cfg.MaxIdleConnsPerHost, cfg.IdleConnTimeout)
-	}
 	if pol, err := cfg.OverloadPolicy(); err != nil || pol.Enabled() {
 		t.Fatalf("OverloadPolicy() = %+v, %v; want disabled, nil", pol, err)
 	}
+	if pol, err := cfg.ResiliencePolicy(); err != nil || pol.Enabled() {
+		t.Fatalf("ResiliencePolicy() = %+v, %v; want disabled, nil", pol, err)
+	}
 
-	// Validation rejects a malformed policy and bad pool bounds, naming both.
-	bad := DefaultConfig()
-	bad.Backends = []BackendConfig{{Name: "a", URL: "http://h:1"}}
-	bad.Overload = "limit=banana"
-	bad.MaxIdleConnsPerHost = 0
-	bad.IdleConnTimeout = -time.Second
+	// Validation rejects malformed policies and bad pool bounds, naming each.
+	bad, err := loadConfig(envMap(map[string]string{
+		"L3SERVE_BACKENDS":                "a=http://h:1",
+		"L3SERVE_OVERLOAD":                "limit=banana",
+		"L3SERVE_RESILIENCE":              "retries=lots",
+		"L3SERVE_MAX_IDLE_CONNS_PER_HOST": "0",
+		"L3SERVE_IDLE_CONN_TIMEOUT":       "-1s",
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	err = bad.Validate()
 	if err == nil {
 		t.Fatal("want error")
 	}
-	for _, sub := range []string{"overload policy", "max_idle_conns_per_host", "idle_conn_timeout"} {
+	for _, sub := range []string{"overload policy", "resilience policy", `bad retries value "lots"`, "max_idle_conns_per_host", "idle_conn_timeout"} {
 		if !strings.Contains(err.Error(), sub) {
 			t.Errorf("error missing %q:\n%v", sub, err)
 		}
@@ -176,7 +170,7 @@ idle_conn_timeout: 45s
 }
 
 func TestLoadConfigBadEnvDuration(t *testing.T) {
-	_, err := loadConfig("", envMap(map[string]string{
+	_, err := loadConfig(envMap(map[string]string{
 		"L3SERVE_SCRAPE_INTERVAL": "soon",
 		"L3SERVE_BACKENDS":        "a=http://h:1",
 	}))

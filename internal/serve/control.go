@@ -169,7 +169,7 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 			Registry: ctrlReg,
 			Probe:    c.httpProber(),
 		}
-		c.checker = health.NewCheckerClock(wall, hcfg)
+		c.checker = health.NewChecker(wall, hcfg)
 	}
 
 	return c

@@ -25,10 +25,10 @@ func TestDrainWithQueuedAdmissions(t *testing.T) {
 		// One slot per backend, so two admitted requests saturate the
 		// concurrency budget and everything else parks in the queue.
 		c.Overload = "limit=1,max=1,target=20ms,qcap=32,tiers=on"
-		c.RequestTimeout = 10 * time.Second // queued work outlives the drain window
-		c.PerTryTimeout = 5 * time.Second
+		// Queued work outlives the drain window; hedges would hold extra
+		// slots mid-drain.
+		c.Resilience = DefaultResilience + ",deadline=10s,pertry=5s,hedge=p0"
 		c.DrainTimeout = time.Second
-		c.HedgePercentile = 0 // hedges would hold extra slots mid-drain
 	})
 
 	for _, s := range stubs {

@@ -138,8 +138,7 @@ func RunOverloadChaostest(opts OverloadOptions, out io.Writer) (*OverloadReport,
 	cfg.ScrapeInterval = 500 * time.Millisecond
 	cfg.ReconcileInterval = 500 * time.Millisecond
 	cfg.Window = 2 * time.Second
-	cfg.RequestTimeout = 2 * time.Second
-	cfg.HedgePercentile = 0 // hedges would double-count backend load
+	cfg.Resilience = DefaultResilience + ",deadline=2s,hedge=p0" // hedges would double-count backend load
 	cfg.DrainTimeout = 5 * time.Second
 	for _, s := range stubs {
 		cfg.Backends = append(cfg.Backends, s.BackendConfigOf())

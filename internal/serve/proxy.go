@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -15,22 +16,44 @@ import (
 	"l3/internal/overload"
 )
 
+// Headers of the serve-mode request protocol.
+const (
+	// HeaderDeadline carries the remaining latency budget in integer
+	// milliseconds. The proxy honors it inbound (capping its own policy's
+	// deadline) and restamps the remainder outbound, so budgets shrink hop
+	// by hop instead of resetting.
+	HeaderDeadline = "X-L3-Deadline"
+	// HeaderBackend names the backend that served the response, stamped by
+	// the proxy so clients (l3load) can bucket latency per backend.
+	HeaderBackend = "X-L3-Backend"
+)
+
+// headerBudget reads a request's X-L3-Deadline budget; 0 means none. A header
+// that is not a positive integer of milliseconds a time.Duration can hold is
+// ignored. Allocation-free (header lookup by canonical key, integer parse).
+func headerBudget(req *http.Request) time.Duration {
+	if v := req.Header.Get(HeaderDeadline); v != "" {
+		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+			return time.Duration(ms) * time.Millisecond
+		}
+	}
+	return 0
+}
+
 // proxyHandler is the data-plane HTTP handler: pick a backend, forward,
 // record the outcome, retry transport errors that never reached the client,
 // hedge slow idempotent requests, and enforce the request's latency budget.
 // Every request of every method takes one path — exchange.try on the shared
-// transport. Pick, breaker, budget, deadline math and metric recording are
-// allocation-free; what forwarding allocates (two contexts, the outbound
-// request, its URL and header map) is this package's own cost, itemized in
-// DESIGN.md § Serving mode.
+// transport. Every resilience decision is res's: the shared core's budget,
+// breaker, hedge delay and deadline. Pick, those decisions and metric
+// recording are allocation-free; what forwarding allocates (two contexts,
+// the outbound request, its URL and header map) is this package's own cost,
+// itemized in DESIGN.md § Serving mode.
 type proxyHandler struct {
-	router  *Router
-	nowFn   func() time.Duration
-	budget  *retryBudget
-	hedge   *hedgeTracker
-	retries atomic.Int64
-	hedges  atomic.Int64
-	panics  atomic.Int64
+	router *Router
+	nowFn  func() time.Duration
+	res    *wallResilience
+	panics atomic.Int64
 
 	// transport carries every upstream attempt (and is the tests' fault seam).
 	transport http.RoundTripper
@@ -40,26 +63,8 @@ type proxyHandler struct {
 	// touching the retry budget, the router or any upstream socket.
 	admitter *overload.WallAdmitter
 
-	maxAttempts    int
-	requestTimeout time.Duration
-	perTryTimeout  time.Duration
-
 	inflight atomic.Int64
 	draining atomic.Bool
-}
-
-func newProxyHandler(router *Router, nowFn func() time.Duration, cfg Config, transport http.RoundTripper, admitter *overload.WallAdmitter) *proxyHandler {
-	return &proxyHandler{
-		router:         router,
-		nowFn:          nowFn,
-		budget:         newRetryBudget(cfg.RetryBudgetRatio),
-		hedge:          newHedgeTracker(cfg.HedgePercentile, cfg.HedgeMinDelay),
-		transport:      transport,
-		admitter:       admitter,
-		maxAttempts:    cfg.MaxAttempts,
-		requestTimeout: cfg.RequestTimeout,
-		perTryTimeout:  cfg.PerTryTimeout,
-	}
 }
 
 func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
@@ -74,19 +79,20 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	p.inflight.Add(1)
 	defer p.inflight.Add(-1)
 
-	x := exchange{p: p, in: req, ctx: req.Context(), start: p.nowFn(), budget: deadlineBudget(req, p.requestTimeout)}
-	if x.budget > 0 {
+	now := p.nowFn()
+	x := exchange{p: p, in: req, ctx: req.Context(), deadline: p.res.deadline(now, headerBudget(req))}
+	if x.deadline > 0 {
 		var cancel context.CancelFunc
-		x.ctx, cancel = context.WithTimeout(x.ctx, x.budget)
+		x.ctx, cancel = context.WithTimeout(x.ctx, x.deadline-now)
 		defer cancel()
 	}
 
 	// Admission runs before the retry-budget deposit and before any backend
 	// pick: a shed request must cost nothing downstream. A queued request
 	// parks inside Admit (bounded by the drop law's MaxWait flush and its
-	// own deadline above); its wait spends the request budget, which each
-	// attempt's remaining-time math then propagates downstream. The
-	// admitted fast path is allocation-free.
+	// own deadline above); its wait spends the request's deadline, whose
+	// remainder each attempt then propagates downstream. The admitted fast
+	// path is allocation-free.
 	if p.admitter != nil {
 		v := p.admitter.Admit(x.ctx, time.Now(), overload.ParseTier(req.Header.Get(HeaderCriticality)))
 		if v.Shed() {
@@ -94,9 +100,10 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		defer p.admitter.Release()
+		now = p.nowFn() // the queue wait spent part of the deadline
 	}
 
-	p.budget.deposit()
+	hedgeDelay := p.res.start(now, x.deadline)
 	// A handler bug must not kill the proxy process: answer 500 while the
 	// client has seen nothing. http.ErrAbortHandler passes through — it is
 	// net/http's control flow for tearing a response down, which deliver
@@ -113,36 +120,50 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 	}()
 
-	// Per-try bound: explicit config, else an even share of the budget so
-	// a stalled first attempt leaves time to retry.
-	x.perTry = p.perTryTimeout
-	if x.perTry <= 0 && x.budget > 0 {
-		x.perTry = x.budget / time.Duration(p.maxAttempts)
+	// Per-try bound (a wall-only rule): the policy's pertry, else an even
+	// share of the remaining deadline so a stalled first attempt leaves time
+	// to retry.
+	pol := &p.res.policy
+	x.perTry = pol.Retry.AttemptTimeout
+	if x.perTry <= 0 && x.deadline > 0 {
+		x.perTry = (x.deadline - now) / time.Duration(max(1, pol.Retry.MaxAttempts))
 	}
-	// A consumed body cannot be replayed to a second backend: body-carrying
-	// requests neither retry nor hedge. Bodyless GET/HEAD (idempotent) hedge
-	// once the tracker has a distribution; a zero delay is the same path
-	// unhedged.
+	// The other wall-only rule: a consumed body cannot be replayed to a second
+	// backend, so body-carrying requests neither retry nor hedge, and only
+	// bodyless GET/HEAD (idempotent) hedge. A zero delay — hedging off, or no
+	// learned delay yet — is the same path unhedged.
 	canRetry := req.Body == nil || req.Body == http.NoBody
-	var hedgeDelay time.Duration
-	if canRetry && (req.Method == http.MethodGet || req.Method == http.MethodHead) {
-		hedgeDelay = p.hedge.hedgeAfter()
+	if !canRetry || req.Method != http.MethodGet && req.Method != http.MethodHead {
+		hedgeDelay = 0
 	}
 
 	var b *Backend // the backend that just failed; nil before the first attempt
+	wait := pol.Retry.Backoff
 	for launched := 0; ; {
-		if x.ctx.Err() != nil {
+		if err := x.ctx.Err(); err != nil {
+			if err == context.DeadlineExceeded {
+				p.res.core.DeadlineExceeded()
+			}
 			http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 			return
 		}
 		if launched > 0 {
-			// Retry only a transport error the client saw nothing of, within
-			// the attempt cap, paid for from the budget.
-			if !canRetry || launched >= p.maxAttempts || !p.budget.withdraw() {
+			// Retry only a transport error the client saw nothing of, as the
+			// core decides: within the attempt cap, after a jittered backoff
+			// that ends before the deadline, paid for from the budget.
+			var after time.Duration
+			ok := false
+			if canRetry {
+				after, wait, ok = p.res.retry(p.nowFn(), launched, wait, x.deadline)
+			}
+			if !ok {
 				http.Error(w, "upstream unreachable", http.StatusBadGateway)
 				return
 			}
-			p.retries.Add(1)
+			if !x.backoff(after) {
+				continue // the request's context ended the wait
+			}
+			p.res.core.Retried()
 		}
 		if b = p.router.PickAvoiding(p.nowFn(), b); b == nil {
 			http.Error(w, "no backends", http.StatusServiceUnavailable)
@@ -165,12 +186,24 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // exchange is one client request's forwarding state, passed by value to the
 // attempts made for it (a hedge runs on its own goroutine with its own copy).
 type exchange struct {
-	p      *proxyHandler
-	in     *http.Request   // the inbound request; never modified
-	ctx    context.Context // in's context under the request's latency budget
-	start  time.Duration   // handler entry on the proxy clock
-	budget time.Duration   // 0 = unbounded
-	perTry time.Duration   // 0 = unbounded
+	p        *proxyHandler
+	in       *http.Request   // the inbound request; never modified
+	ctx      context.Context // in's context under the request's deadline
+	deadline time.Duration   // absolute, on the proxy clock; 0 = none
+	perTry   time.Duration   // 0 = unbounded
+}
+
+// backoff waits out a retry's backoff under the request's context and
+// reports whether the wait ran to its end.
+func (x exchange) backoff(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-x.ctx.Done():
+		return false
+	}
 }
 
 // attempt is one upstream round trip. Whoever holds it last passes it to
@@ -216,9 +249,13 @@ func (x exchange) try(b *Backend, hedgeDelay time.Duration) (attempt, int) {
 	}
 	r.mu.Unlock()
 	h := <-r.result // prompt after a cancel; bounded by its per-try context
-	switch {
-	case h.b == nil: // no second backend, or no budget for one
+	if h.b == nil { // no second backend, or no budget for one
 		return a, 1
+	}
+	if r.won {
+		x.p.res.core.Duplicate() // the race's loser
+	}
+	switch {
 	case won && h.err != nil:
 		// Cut short by our cancel: the speculative extra is not the
 		// backend's failure and records nothing.
@@ -257,14 +294,13 @@ func (x exchange) hedge(r *hedgeRace, primary *Backend) attempt {
 	p := x.p
 	r.mu.Lock()
 	nb := p.router.PickAvoiding(p.nowFn(), primary)
-	if r.won || nb == nil || nb == primary || !p.budget.withdraw() {
+	if r.won || nb == nil || nb == primary || !p.res.hedge() {
 		r.mu.Unlock()
 		return attempt{}
 	}
 	ctx, cancel := x.tryContext()
 	r.cancelHedge = cancel
 	r.mu.Unlock()
-	p.hedges.Add(1)
 	h := x.launch(ctx, cancel, nb)
 	r.mu.Lock()
 	if !r.won && h.ok() {
@@ -275,7 +311,7 @@ func (x exchange) hedge(r *hedgeRace, primary *Backend) attempt {
 	return h
 }
 
-// tryContext bounds one attempt by the per-try timeout (the request budget
+// tryContext bounds one attempt by the per-try timeout (the request deadline
 // already bounds x.ctx) and makes it cancellable on its own.
 func (x exchange) tryContext() (context.Context, context.CancelFunc) {
 	if x.perTry > 0 {
@@ -302,8 +338,8 @@ func (x exchange) launch(ctx context.Context, cancel context.CancelFunc, b *Back
 
 // outbound builds the request an attempt sends, the one place the inbound
 // request is translated: URL rewritten onto the backend, hop-by-hop headers
-// dropped, the client appended to X-Forwarded-For, the remaining latency
-// budget restamped (budgets shrink hop by hop), the body bounded.
+// dropped, the client appended to X-Forwarded-For, the time left before the
+// deadline restamped (budgets shrink hop by hop), the body bounded.
 func (x exchange) outbound(ctx context.Context, b *Backend, now time.Duration) *http.Request {
 	in := x.in
 	out := in.WithContext(ctx) // shallow copy; Host stays the client's
@@ -335,8 +371,8 @@ func (x exchange) outbound(ctx context.Context, b *Backend, now time.Duration) *
 		own[0] = ip
 		h["X-Forwarded-For"] = own[0:1:1]
 	}
-	if x.budget > 0 {
-		own[1] = strconv.FormatInt(max(1, (x.budget-(now-x.start)).Milliseconds()), 10)
+	if x.deadline > 0 {
+		own[1] = strconv.FormatInt(max(1, (x.deadline-now).Milliseconds()), 10)
 		h[HeaderDeadline] = own[1:2:2]
 	}
 	if _, ok := h["User-Agent"]; !ok {
@@ -440,8 +476,9 @@ func copyBody(w http.ResponseWriter, body io.Reader, flush bool) (readErr, write
 // finish books and releases an attempt whose answer has ended (bodyErr is
 // what cut a delivered body short, if anything) or never came. One latency,
 // launch to end of body — Linkerd's response_latency — feeds the backend's
-// metrics and breaker, the admitter's limiter (RTT is the Vegas congestion
-// signal, a failure the AIMD decrease) and, on success, the hedge tracker.
+// metrics, the core's breaker and hedge learner (both through Record) and
+// the admitter's limiter (RTT is the Vegas congestion signal, a failure the
+// AIMD decrease).
 func (p *proxyHandler) finish(a attempt, bodyErr error) {
 	if a.resp != nil {
 		a.resp.Body.Close()
@@ -454,73 +491,19 @@ func (p *proxyHandler) finish(a attempt, bodyErr error) {
 	if p.admitter != nil {
 		p.admitter.Observe(a.b.idx, latency, ok)
 	}
-	if ok {
-		p.hedge.observe(latency)
-	}
 	a.cancel()
 }
 
 // Inflight returns the requests currently inside the handler.
 func (p *proxyHandler) Inflight() int64 { return p.inflight.Load() }
 
-// Retries returns proxy-level retry attempts launched.
-func (p *proxyHandler) Retries() int64 { return p.retries.Load() }
+// Retries returns proxy-level retry attempts launched — the core's
+// resilience_retries_total.
+func (p *proxyHandler) Retries() int64 { return p.res.core.Retries() }
 
-// Hedges returns hedge attempts launched.
-func (p *proxyHandler) Hedges() int64 { return p.hedges.Load() }
+// Hedges returns hedge attempts launched — the core's
+// resilience_hedges_total.
+func (p *proxyHandler) Hedges() int64 { return p.res.core.Hedges() }
 
 // Panics returns panics recovered in the request path.
 func (p *proxyHandler) Panics() int64 { return p.panics.Load() }
-
-// retryBudget is a Finagle/Linkerd-style token bucket shared by all
-// retries: each logical request deposits ratio tokens, each retry withdraws
-// one, bounding the steady-state retry ratio so a dead backend cannot turn
-// offered load into a retry storm. Token arithmetic is integer milli-tokens
-// on one atomic, CAS-looped, allocation-free.
-type retryBudget struct {
-	tokens     atomic.Int64 // milli-tokens
-	ratioMilli int64
-	burstMilli int64
-}
-
-func newRetryBudget(ratio float64) *retryBudget {
-	b := &retryBudget{ratioMilli: int64(ratio * 1000)}
-	burst := 100 * ratio
-	if burst < 10 {
-		burst = 10
-	}
-	b.burstMilli = int64(burst * 1000)
-	b.tokens.Store(b.burstMilli) // start full so cold starts can retry
-	return b
-}
-
-func (b *retryBudget) deposit() {
-	if b.ratioMilli <= 0 {
-		return
-	}
-	for {
-		cur := b.tokens.Load()
-		next := cur + b.ratioMilli
-		if next > b.burstMilli {
-			next = b.burstMilli
-		}
-		if next == cur || b.tokens.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-func (b *retryBudget) withdraw() bool {
-	if b.ratioMilli <= 0 {
-		return false
-	}
-	for {
-		cur := b.tokens.Load()
-		if cur < 1000 {
-			return false
-		}
-		if b.tokens.CompareAndSwap(cur, cur-1000) {
-			return true
-		}
-	}
-}

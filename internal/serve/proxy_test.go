@@ -16,7 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"l3/internal/histogram"
+	"l3/internal/metrics"
+	"l3/internal/resilience"
 )
 
 // proxyOver boots a proxy over one plain net/http upstream per handler
@@ -239,8 +240,7 @@ func TestColdWarmGetAndPostParity(t *testing.T) {
 		w.Write([]byte("ok"))
 	})
 	srv := proxyOver(t, func(c *Config) {
-		c.RequestTimeout = budget
-		c.PerTryTimeout = 100 * time.Millisecond
+		c.Resilience = DefaultResilience + ",deadline=5s,pertry=100ms"
 	}, upstream, upstream)
 
 	exchange := func(method, path string) (*http.Response, time.Duration) {
@@ -310,8 +310,8 @@ func TestColdWarmGetAndPostParity(t *testing.T) {
 	for i := 2; i < 80; i++ {
 		exchange(http.MethodGet, "/")
 	}
-	if srv.Handler().hedge.hedgeAfter() == 0 {
-		t.Fatal("hedge tracker still cold after 79 successes")
+	if srv.res.learnedDelay() == 0 {
+		t.Fatal("hedge delay still unlearned after 79 successes")
 	}
 	check("GET 80 (tracker warm)", http.MethodGet)
 	check("POST", http.MethodPost)
@@ -328,33 +328,28 @@ func TestColdWarmGetAndPostParity(t *testing.T) {
 
 // TestAttemptLatencyEndsWithTheBody pins the one latency definition: launch
 // to the end of the answer's body, for a cold GET, a hedge-armed GET and a
-// POST alike, and the same value in the backend's histogram and the hedge
-// tracker.
+// POST alike, in the backend's histogram; and, since Record hands the same
+// value to the resilience core, in the learned hedge delay.
 func TestAttemptLatencyEndsWithTheBody(t *testing.T) {
 	const gap = 150 * time.Millisecond
 	var slow atomic.Bool
+	var pause atomic.Int64
+	pause.Store(int64(gap))
 	srv := proxyOver(t, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Write([]byte("first"))
 		if slow.Load() {
 			w.(http.Flusher).Flush()
-			time.Sleep(gap)
+			time.Sleep(time.Duration(pause.Load()))
 		}
 		w.Write([]byte("second"))
 	}))
-	b, tracker := srv.backends[0], srv.Handler().hedge
-	slowBucket := histogram.BucketFor(histogram.LinkerdLatencyBounds, gap.Seconds())
-	tracked := func() (n int64) {
-		for i := slowBucket; i < len(tracker.buckets); i++ {
-			n += tracker.buckets[i].Load()
-		}
-		return n
-	}
+	b := srv.backends[0]
 	delayed := func(what, method string) {
 		t.Helper()
 		slow.Store(true)
 		defer slow.Store(false)
-		sum, n := b.okLatency.Sum(), tracked()
+		sum := b.okLatency.Sum()
 		var body []byte
 		if method == http.MethodPost {
 			body = make([]byte, 1<<10)
@@ -365,19 +360,29 @@ func TestAttemptLatencyEndsWithTheBody(t *testing.T) {
 		if got := b.okLatency.Sum() - sum; got < gap.Seconds() {
 			t.Errorf("%s: recorded %.3fs, want >= %.3fs (headers arrived early; the body ended late)", what, got, gap.Seconds())
 		}
-		if tracked() != n+1 {
-			t.Errorf("%s: hedge tracker did not book the end-of-body latency", what)
-		}
 	}
-	delayed("GET (tracker cold)", http.MethodGet)
+	delayed("GET (hedge delay unlearned)", http.MethodGet)
 	for i := 0; i < 80; i++ {
 		send(http.DefaultClient, http.MethodGet, srv.URL()+"/", nil)
 	}
-	if tracker.hedgeAfter() == 0 {
-		t.Fatal("hedge tracker still cold after 80 successes")
+	if srv.res.learnedDelay() == 0 {
+		t.Fatal("hedge delay still unlearned after 80 successes")
 	}
 	delayed("GET (hedge armed)", http.MethodGet)
 	delayed("POST", http.MethodPost)
+
+	// Bodies that end 20 ms after their headers teach the learner a 20 ms
+	// p95 within its next recompute; header-time latencies would not.
+	const tail = 20 * time.Millisecond
+	pause.Store(int64(tail))
+	slow.Store(true)
+	for i := 0; i < 64 && srv.res.learnedDelay() < tail; i++ {
+		send(http.DefaultClient, http.MethodGet, srv.URL()+"/", nil)
+	}
+	slow.Store(false)
+	if d := srv.res.learnedDelay(); d < tail {
+		t.Errorf("learned hedge delay %v after slow-bodied answers, want >= %v", d, tail)
+	}
 	if got := b.inflight.Value(); got != 0 {
 		t.Errorf("backend in-flight gauge = %v after every answer ended, want 0", got)
 	}
@@ -400,7 +405,7 @@ func TestHedgeRaceBooksEveryAttemptOnce(t *testing.T) {
 		}
 		w.Write([]byte("ok"))
 	})
-	srv := proxyOver(t, func(c *Config) { c.BreakerThreshold = 0 }, upstream, upstream)
+	srv := proxyOver(t, func(c *Config) { c.Resilience = DefaultResilience + ",breaker=0" }, upstream, upstream)
 	const clients, each = 4, 200
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -559,29 +564,36 @@ func TestServeSoak(t *testing.T) {
 	}
 }
 
-// FuzzDeadlineBudget feeds X-L3-Deadline arbitrary bytes: resolving the
-// budget never panics, a usable header yields a budget in (0, default] (the
-// header's own value when the proxy has no default), and anything else —
-// non-numeric, negative, overflowing, padded with whitespace — falls back to
-// the default.
+// FuzzDeadlineBudget feeds X-L3-Deadline arbitrary bytes through the path a
+// request's deadline takes — headerBudget, then the core's deadline math
+// against the policy's own deadline, at a proxy clock an hour in: it never
+// panics, a usable header yields a budget in (0, default] (the header's own
+// value, saturated at the clock's end, when the policy has no deadline), and
+// anything else — non-numeric, negative, overflowing, padded with whitespace
+// — falls back to the default.
 func FuzzDeadlineBudget(f *testing.F) {
 	for _, v := range []string{"", "250", "0", "-5", " 250", "250 ", "1e3", "0x10", "+7", "９", "9223372036854775807", "9223372036854775808", "9223372036855", "abc"} {
 		f.Add(v, int64(10*time.Second))
 		f.Add(v, int64(0))
 	}
+	const now = time.Hour
 	f.Fuzz(func(t *testing.T, v string, defNs int64) {
-		def := time.Duration(defNs)
+		def := max(time.Duration(defNs), 0)
+		res := newWallResilience(resilience.Policy{Deadline: def}, "api", nil, metrics.NewRegistry())
 		req := &http.Request{Header: http.Header{HeaderDeadline: {v}}}
-		got := deadlineBudget(req, def)
+		var got time.Duration
+		if dl := res.deadline(now, headerBudget(req)); dl > 0 {
+			got = dl - now
+		}
 		ms, err := strconv.ParseInt(v, 10, 64)
 		valid := err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond)
 		switch {
 		case !valid && got != def:
-			t.Fatalf("deadlineBudget(%q, %v) = %v, want the default for an unusable header", v, def, got)
+			t.Fatalf("budget(%q, %v) = %v, want the default for an unusable header", v, def, got)
 		case valid && def > 0 && (got <= 0 || got > def):
-			t.Fatalf("deadlineBudget(%q, %v) = %v, want in (0, %v]", v, def, got, def)
-		case valid && def <= 0 && got != time.Duration(ms)*time.Millisecond:
-			t.Fatalf("deadlineBudget(%q, %v) = %v, want the header's %d ms", v, def, got, ms)
+			t.Fatalf("budget(%q, %v) = %v, want in (0, %v]", v, def, got, def)
+		case valid && def == 0 && got != min(time.Duration(ms)*time.Millisecond, math.MaxInt64-now):
+			t.Fatalf("budget(%q, %v) = %v, want the header's %d ms", v, def, got, ms)
 		}
 	})
 }

@@ -5,13 +5,15 @@
 // where they meet sockets.
 //
 // The split of responsibilities mirrors the sim mesh. The data plane
-// (Router, Backend, the proxy handler) is lock-free and allocation-free in
-// this package's own code: backend selection reads an atomic snapshot
-// table, outcome recording is atomic counter/histogram updates, and breaker
-// state is a pair of atomics per backend. The control plane (control.go)
-// runs single-threaded on a clock.Wall — the same components, the same
-// execution model, as the simulated control plane — and publishes new
-// weight tables with one atomic pointer store.
+// (Router, Backend, the proxy handler) is allocation-free in this package's
+// own code: backend selection reads an atomic snapshot table and each
+// backend's published ejection end, outcome recording is atomic
+// counter/histogram updates, and the resilience decisions (budget, breaker,
+// hedge delay, deadline) are internal/resilience's Core under one mutex
+// (resilience.go). The control plane (control.go) runs single-threaded on a
+// clock.Wall — the same components, the same execution model, as the
+// simulated control plane — and publishes new weight tables with one atomic
+// pointer store.
 package serve
 
 import (
@@ -27,8 +29,8 @@ import (
 )
 
 // Backend is one upstream server with its hot-path state: pre-resolved
-// metric handles (so recording never touches the registry's lock) and
-// health and breaker bits.
+// metric handles (so recording never touches the registry's lock), its
+// health bit and the end of its breaker ejection.
 type Backend struct {
 	Name string
 	URL  *url.URL
@@ -42,17 +44,11 @@ type Backend struct {
 	// healthy mirrors the health checker's verdict (control plane writes,
 	// data plane reads). Backends start healthy, like the checker's states.
 	healthy atomic.Bool
-	// consecFails and openUntil are the serve-native circuit breaker:
-	// BreakerThreshold consecutive proxy-observed failures open the
-	// circuit until the wall-clock instant openUntil (nanoseconds on the
-	// server's clock). Unlike internal/resilience's single-threaded
-	// breaker, this one is written from concurrent request goroutines, so
-	// it is a pair of atomics rather than a state machine.
-	consecFails atomic.Int32
-	openUntil   atomic.Int64
-
-	breakerThreshold int32
-	breakerWindow    time.Duration
+	// openUntil is the instant (nanoseconds on the server's clock) the
+	// breaker's latest ejection of this backend ends; res publishes it.
+	openUntil atomic.Int64
+	// res is the resilience core Record feeds (nil outside a Server).
+	res *wallResilience
 
 	// Pre-resolved metric handles, same families and label schema as the
 	// sim mesh ({service, backend, src, classification}), so the untouched
@@ -62,29 +58,19 @@ type Backend struct {
 	okLatency   *metrics.Histogram
 	failLatency *metrics.Histogram
 	inflight    *metrics.Gauge
-	ejections   *metrics.Counter
 }
-
-// MetricBreakerEjectionsTotal counts serve-side circuit opens per backend.
-const MetricBreakerEjectionsTotal = "serve_breaker_ejections_total"
 
 // srcLabel is the constant "src" label of serve-mode data-plane metrics —
 // one proxy process is one traffic source, where the sim mesh has one
 // source per cluster.
 const srcLabel = "l3serve"
 
-func newBackend(cfg BackendConfig, serviceName string, reg *metrics.Registry, breakerThreshold int, breakerWindow time.Duration) (*Backend, error) {
+func newBackend(cfg BackendConfig, serviceName string, reg *metrics.Registry) (*Backend, error) {
 	u, err := url.Parse(cfg.URL)
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{
-		Name:             cfg.Name,
-		URL:              u,
-		stamp:            []string{cfg.Name},
-		breakerThreshold: int32(breakerThreshold),
-		breakerWindow:    breakerWindow,
-	}
+	b := &Backend{Name: cfg.Name, URL: u, stamp: []string{cfg.Name}}
 	b.healthy.Store(true)
 	base := metrics.Labels{"service": serviceName, "backend": cfg.Name, "src": srcLabel}
 	ok := base.With("classification", mesh.ClassSuccess)
@@ -94,7 +80,6 @@ func newBackend(cfg BackendConfig, serviceName string, reg *metrics.Registry, br
 	b.okLatency = reg.Histogram(mesh.MetricResponseLatency, ok, histogram.LinkerdLatencyBounds)
 	b.failLatency = reg.Histogram(mesh.MetricResponseLatency, fail, histogram.LinkerdLatencyBounds)
 	b.inflight = reg.Gauge(mesh.MetricInflight, base)
-	b.ejections = reg.Counter(MetricBreakerEjectionsTotal, metrics.Labels{"backend": cfg.Name})
 	return b, nil
 }
 
@@ -128,24 +113,19 @@ func (b *Backend) Available(now time.Duration) bool {
 	return b.healthy.Load() && now >= time.Duration(b.openUntil.Load())
 }
 
-// Record books one response outcome: metrics plus breaker accounting.
-// Allocation-free and safe from any goroutine.
+// Record books one response outcome: its metrics, then the resilience
+// core's response path (breaker and hedge learner). Allocation-free and safe
+// from any goroutine.
 func (b *Backend) Record(now, latency time.Duration, ok bool) {
 	if ok {
 		b.okTotal.Inc()
 		b.okLatency.Observe(latency.Seconds())
-		b.consecFails.Store(0)
-		return
+	} else {
+		b.failTotal.Inc()
+		b.failLatency.Observe(latency.Seconds())
 	}
-	b.failTotal.Inc()
-	b.failLatency.Observe(latency.Seconds())
-	if b.breakerThreshold <= 0 {
-		return
-	}
-	if f := b.consecFails.Add(1); f >= b.breakerThreshold {
-		b.consecFails.Store(0)
-		b.openUntil.Store(int64(now + b.breakerWindow))
-		b.ejections.Inc()
+	if b.res != nil {
+		b.res.response(b, now, latency, ok)
 	}
 }
 

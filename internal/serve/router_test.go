@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"net/http"
 	"testing"
-	"time"
 
 	"l3/internal/metrics"
 )
@@ -13,7 +11,7 @@ func testBackends(t *testing.T, names ...string) []*Backend {
 	reg := metrics.NewRegistry()
 	out := make([]*Backend, 0, len(names))
 	for _, n := range names {
-		b, err := newBackend(BackendConfig{Name: n, URL: "http://127.0.0.1:1"}, "api", reg, 3, time.Second)
+		b, err := newBackend(BackendConfig{Name: n, URL: "http://127.0.0.1:1"}, "api", reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,86 +79,17 @@ func TestRouterPickAvoiding(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAndReArms(t *testing.T) {
-	backends := testBackends(t, "a")
-	b := backends[0]
-	now := 10 * time.Second
-	for i := 0; i < 3; i++ {
-		if !b.Available(now) {
-			t.Fatalf("breaker opened after %d failures, threshold is 3", i)
-		}
-		b.Record(now, time.Millisecond, false)
-	}
-	if b.Available(now) {
-		t.Fatal("breaker still closed after threshold failures")
-	}
-	if !b.Available(now + 1100*time.Millisecond) {
-		t.Fatal("breaker still open after the 1s window")
-	}
-	// A success resets the consecutive-failure streak.
-	later := now + 2*time.Second
-	b.Record(later, time.Millisecond, false)
-	b.Record(later, time.Millisecond, true)
-	b.Record(later, time.Millisecond, false)
-	b.Record(later, time.Millisecond, false)
-	if !b.Available(later) {
-		t.Fatal("streak should have reset on success")
-	}
-}
-
-func TestRetryBudgetBounds(t *testing.T) {
-	b := newRetryBudget(0.1)
-	// Drain the initial burst.
-	for b.withdraw() {
-	}
-	// 10% earn rate: 10 deposits buy one retry.
-	for i := 0; i < 9; i++ {
-		b.deposit()
-	}
-	if b.withdraw() {
-		t.Fatal("withdraw succeeded before a full token accrued")
-	}
-	b.deposit()
-	if !b.withdraw() {
-		t.Fatal("withdraw failed with a full token in the bucket")
-	}
-	if zero := newRetryBudget(0); zero.withdraw() {
-		t.Fatal("zero-ratio budget must never grant retries")
-	}
-}
-
 // TestProxyHotPathZeroAllocs pins the acceptance bar: the serve layer's own
-// per-request bookkeeping — weighted pick, outcome recording, budget and
-// deadline math — allocates nothing. What forwarding a whole request
-// allocates is pinned in proxy_test.go.
+// per-request bookkeeping — deadline, the resilience core's request-start
+// and response calls, weighted pick, outcome recording — allocates nothing,
+// on the success path and on the failure path with its breaker bookkeeping
+// and retry decision. What forwarding a whole request allocates is pinned in
+// proxy_test.go.
 func TestProxyHotPathZeroAllocs(t *testing.T) {
-	backends := testBackends(t, "a", "b", "c")
-	r := NewRouter(backends)
-	budget := newRetryBudget(0.2)
-	tracker := newHedgeTracker(0.95, time.Millisecond)
-	req, err := http.NewRequest(http.MethodGet, "http://127.0.0.1:1/", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(HeaderDeadline, "250")
-	now := 42 * time.Millisecond
-	if got := testing.AllocsPerRun(10000, func() {
-		budget.deposit()
-		b := r.Pick(now)
-		_ = deadlineBudget(req, 10*time.Second)
-		b.inflight.Inc()
-		b.inflight.Dec()
-		b.Record(now, 3*time.Millisecond, true)
-		tracker.observe(3 * time.Millisecond)
-		_ = tracker.hedgeAfter()
-	}); got != 0 {
+	if got := testing.AllocsPerRun(10000, proxyLayer(true)); got != 0 {
 		t.Fatalf("proxy-layer hot path = %v allocs/op, want 0", got)
 	}
-	// Failure path (breaker bookkeeping) must not allocate either.
-	if got := testing.AllocsPerRun(10000, func() {
-		b := r.Pick(now)
-		b.Record(now, 3*time.Millisecond, false)
-	}); got != 0 {
+	if got := testing.AllocsPerRun(10000, proxyLayer(false)); got != 0 {
 		t.Fatalf("failure path = %v allocs/op, want 0", got)
 	}
 }

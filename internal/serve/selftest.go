@@ -10,6 +10,7 @@ import (
 	"l3/internal/clock"
 	"l3/internal/loadgen"
 	"l3/internal/metrics"
+	"l3/internal/resilience"
 )
 
 // Selftest is the serve-mode benchmark harness: spin up skewed stub
@@ -285,42 +286,53 @@ func runAlgoPass(algo string, opts SelftestOptions, stubs []*StubBackend) (*Algo
 }
 
 // MeasureProxyLayerAllocs measures the serve package's own per-request hot
-// path — weighted pick, outcome recording, budget and deadline bookkeeping —
-// isolated from forwarding itself (what a whole proxied request allocates is
-// pinned by TestProxiedRequestBytes and itemized in DESIGN.md). The
-// acceptance bar is 0 allocs/op, pinned by TestMeasureProxyLayerAllocsAgrees
-// and TestProxyHotPathZeroAllocs; the repository benchmark reports it as
+// path — deadline, the resilience core's request-start and response calls,
+// weighted pick and outcome recording — isolated from forwarding itself
+// (what a whole proxied request allocates is pinned by
+// TestProxiedRequestBytes and itemized in DESIGN.md). The acceptance bar is 0
+// allocs/op, pinned by TestMeasureProxyLayerAllocsAgrees and
+// TestProxyHotPathZeroAllocs; the repository benchmark reports it as
 // serve.layer_allocs_per_op.
 func MeasureProxyLayerAllocs() float64 {
+	return allocsPerRun(10000, proxyLayer(true))
+}
+
+// proxyLayer returns one request through the per-request path over three
+// backends under DefaultResilience, ending in a success (ok) or in a failure
+// and its retry decision.
+func proxyLayer(ok bool) func() {
 	reg := metrics.NewRegistry()
 	backends := make([]*Backend, 0, 3)
 	for _, name := range []string{"a", "b", "c"} {
-		b, err := newBackend(BackendConfig{Name: name, URL: "http://127.0.0.1:1"}, "api", reg, 5, time.Second)
+		b, err := newBackend(BackendConfig{Name: name, URL: "http://127.0.0.1:1"}, "api", reg)
 		if err != nil {
 			panic(err)
 		}
 		backends = append(backends, b)
 	}
 	router := NewRouter(backends)
-	budget := newRetryBudget(0.2)
-	tracker := newHedgeTracker(0.95, time.Millisecond)
+	pol, err := resilience.ParsePolicy(DefaultResilience)
+	if err != nil {
+		panic(err)
+	}
+	res := newWallResilience(pol, "api", backends, reg)
 	req, err := http.NewRequest(http.MethodGet, "http://127.0.0.1:1/", nil)
 	if err != nil {
 		panic(err)
 	}
 	req.Header.Set(HeaderDeadline, "250")
-	op := func() {
+	return func() {
 		now := 42 * time.Millisecond
-		budget.deposit()
+		dl := res.deadline(now, headerBudget(req))
+		res.start(now, dl)
 		b := router.Pick(now)
-		_ = deadlineBudget(req, 10*time.Second)
 		b.inflight.Inc()
 		b.inflight.Dec()
-		b.Record(now, 3*time.Millisecond, true)
-		tracker.observe(3 * time.Millisecond)
-		_ = tracker.hedgeAfter()
+		b.Record(now, 3*time.Millisecond, ok)
+		if !ok {
+			res.retry(now, 1, pol.Retry.Backoff, dl)
+		}
 	}
-	return allocsPerRun(10000, op)
 }
 
 // allocsPerRun is testing.AllocsPerRun without importing package testing

@@ -29,6 +29,7 @@ type Server struct {
 
 	backends []*Backend
 	router   *Router
+	res      *wallResilience
 	handler  *proxyHandler
 	control  *control
 
@@ -63,7 +64,7 @@ func NewServer(cfg Config) (*Server, error) {
 	transport := newUpstreamTransport(cfg)
 	s.transport = transport
 	for i, bc := range cfg.Backends {
-		b, err := newBackend(bc, cfg.Service, s.dataReg, cfg.BreakerThreshold, cfg.BreakerWindow)
+		b, err := newBackend(bc, cfg.Service, s.dataReg)
 		if err != nil {
 			return nil, fmt.Errorf("serve: backend %s: %w", bc.Name, err)
 		}
@@ -71,13 +72,18 @@ func NewServer(cfg Config) (*Server, error) {
 		s.backends = append(s.backends, b)
 	}
 	s.router = NewRouter(s.backends)
+	res, err := cfg.ResiliencePolicy()
+	if err != nil {
+		return nil, err // unreachable after Validate; defensive
+	}
+	s.res = newWallResilience(res, cfg.Service, s.backends, s.dataReg)
 	if pol, err := cfg.OverloadPolicy(); err != nil {
 		return nil, err // unreachable after Validate; defensive
 	} else if pol.Enabled() {
 		s.admitter = overload.NewWallAdmitter(pol, len(s.backends), time.Now())
 		s.admMetrics = newAdmissionMetrics(s.dataReg, cfg.Service)
 	}
-	s.handler = newProxyHandler(s.router, s.wall.Now, cfg, transport, s.admitter)
+	s.handler = &proxyHandler{router: s.router, nowFn: s.wall.Now, res: s.res, transport: transport, admitter: s.admitter}
 	return s, nil
 }
 

@@ -34,15 +34,20 @@ race:
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
 ## and validation), the /metrics exposition parser (never panics, rejects
 ## with a line number, agrees with the old parser on a cold series table, a
-## warm one and a sibling text sharing series with the first, round-trips
-## every generated registry) and the two request headers the proxy parses
+## warm one, a sibling text sharing series with the first and a mirror text
+## of the same length, keeps every earlier pass's samples intact through the
+## later reads, round-trips every generated registry), the two request headers the proxy parses
 ## (X-L3-Deadline: a budget in (0, default] or the default; X-L3-Criticality:
-## always a valid tier) — beyond their seed corpora.
+## always a valid tier) and the resilience and overload policy grammars (no
+## NaN or infinity accepted, String re-parses to itself) — beyond their seed
+## corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz FuzzDeadlineBudget -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseTier -fuzztime 5s ./internal/overload
+	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/resilience
+	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/overload
 
 ## serve-smoke: the wall-clock serving mode end to end under the race
 ## detector — l3serve + stub backends on ephemeral ports, ~1.8k proxied

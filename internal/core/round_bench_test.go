@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,12 +89,14 @@ func (r *controlRound) run(tb testing.TB) map[string]core.BackendMetrics {
 	return last
 }
 
-// TestControlRoundMallocs guards the number the repo benchmark reports as
-// control_fleet allocs_per_op: a warm round at 102 backends re-reads 9 600
-// samples whose series it has seen before, so it must not allocate per
-// sample. Two allocations per sample (a label map each) were 19 000 of the
-// 21 000 a round made before the parser remembered its series; what is left
-// is the 72 of 34 Collect result maps.
+// TestControlRoundMallocs guards the numbers the repo benchmark reports as
+// control_fleet allocs_per_op and alloc_bytes_per_op: a warm round at 102
+// backends re-reads 9 600 samples whose series it has seen before, so it must
+// not allocate per sample. Two allocations per sample (a label map each) were
+// 19 000 of the 21 000 a round made before the parser remembered its series;
+// what is left is the 72 of 34 Collect result maps. The bytes are the parse's
+// result slice: the 1.1 MB text is read into a buffer the parser reuses, where
+// copying it made a round 1.57 MB.
 func TestControlRoundMallocs(t *testing.T) {
 	r := newControlRound(t, 102)
 	for i := 0; i < 8; i++ { // until retention trims every series and its points stop growing
@@ -103,6 +106,18 @@ func TestControlRoundMallocs(t *testing.T) {
 	t.Logf("%.0f mallocs per warm round at 102 backends", perRound)
 	if perRound >= 100 {
 		t.Errorf("%.0f mallocs per warm round, want < 100", perRound)
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		r.run(t)
+	}
+	runtime.ReadMemStats(&after)
+	perRoundBytes := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("%d bytes allocated per warm round at 102 backends", perRoundBytes)
+	if perRoundBytes >= 700_000 {
+		t.Errorf("%d bytes allocated per warm round, want < 700 000", perRoundBytes)
 	}
 }
 

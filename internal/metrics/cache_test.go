@@ -3,10 +3,13 @@ package metrics
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSeriesText pins the scan that finds a line's series text: a name is
@@ -45,7 +48,7 @@ func TestSeriesText(t *testing.T) {
 			t.Errorf("seriesText(%q) = %q, want %q", c.line, got, c.want)
 		}
 		// On a line the grammar accepts whole, it is what the grammar consumed.
-		if _, err := new(seriesCache).parse(c.line); err == nil {
+		if _, _, err := new(seriesCache).parse(c.line); err == nil {
 			if _, _, rest, _ := scanSeries(c.line); c.want != c.line[:len(c.line)-len(rest)] {
 				t.Errorf("line %q parses, yet its series text %q is not what scanSeries consumed", c.line, c.want)
 			}
@@ -59,7 +62,7 @@ func TestWarmTableKeepsNeighboursApart(t *testing.T) {
 	text := "foo 1\nfoobar 2\nfoo{a=\"b\"} 3\nfoo{a=\"b\",} 4\nfoo{ a=\"b\" } 5\nfoo{a=\"b}\"} 6\nfoo{} 7\n"
 	table := &seriesCache{limit: seriesCacheCap}
 	for pass := 0; pass < 2; pass++ {
-		got, err := table.parse(text)
+		got, _, err := table.parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +105,9 @@ func fleetExposition(tb testing.TB, n int) []byte {
 	return text.Bytes()
 }
 
-// A warm parse allocates the text, the result slice, the types map and the
-// reader — however many samples the text holds.
+// A warm parse allocates the result slice and the reader — however many
+// samples the text holds: the text is read into the table's buffer, and the
+// types map stays on the stack.
 func TestWarmParseAllocatesAConstant(t *testing.T) {
 	allocs := func(backends int) float64 {
 		text := fleetExposition(t, backends)
@@ -117,8 +121,38 @@ func TestWarmParseAllocatesAConstant(t *testing.T) {
 		})
 	}
 	small, fleet := allocs(3), allocs(102)
-	if small != fleet || fleet > 6 {
-		t.Fatalf("warm parse: %v allocs at 3 backends, %v at 102; want equal and at most 6", small, fleet)
+	if small != fleet || fleet > 2 {
+		t.Fatalf("warm parse: %v allocs at 3 backends, %v at 102; want equal and at most 2", small, fleet)
+	}
+}
+
+// BenchmarkParseExposition is a warm parse of the 102-backend fleet text:
+// through ParseExposition, whose table holds every series, and on a table
+// with room for half of them, so that the other half parses uncached every
+// time. ns/sample is the figure to quote.
+func BenchmarkParseExposition(b *testing.B) {
+	text := fleetExposition(b, 102)
+	samples := bytes.Count(text, []byte("\n")) // the writer emits sample lines only
+	halfFull := &seriesCache{limit: samples / 2}
+	for _, c := range []struct {
+		name  string
+		parse func(io.Reader) ([]Sample, error)
+	}{{"warm", ParseExposition}, {"past-capacity", halfFull.read}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < 3; i++ {
+				if _, err := c.parse(bytes.NewReader(text)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.parse(bytes.NewReader(text)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(samples), "ns/sample")
+		})
 	}
 }
 
@@ -141,23 +175,19 @@ func mallocs(f func()) uint64 {
 // limit series cost nothing — "the first N are cached", not thrash.
 func TestTableIsBoundedWithoutACliff(t *testing.T) {
 	const limit = 256
-	var b strings.Builder
-	for i := 0; i < 2*limit; i++ {
-		fmt.Fprintf(&b, "m{i=\"%d\",j=\"x\"} %d\n", i, i)
-	}
-	text := b.String()
+	text := seriesLines(boundedLine, 0, 2*limit)
 	want, err := oracleParseExposition(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached := mallocs(func() { _, err = new(seriesCache).parse(text) }) // limit 0: nothing is ever admitted
+	uncached := mallocs(func() { _, _, err = new(seriesCache).parse(text) }) // limit 0: nothing is ever admitted
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := &seriesCache{limit: limit}
 	for pass := 1; pass <= 3; pass++ {
 		var got []Sample
-		n := mallocs(func() { got, err = table.parse(text) })
+		n := mallocs(func() { got, _, err = table.parse(text) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +198,9 @@ func TestTableIsBoundedWithoutACliff(t *testing.T) {
 			t.Fatalf("pass %d: generations hold %d and %d series, limit %d", pass, len(table.cur), len(table.old), limit)
 		}
 		// A cold pass pays to admit limit series (a copy, a second label map,
-		// the table's growth) and nothing for the rest; later passes serve
-		// those limit series from the table and parse the rest as uncached.
+		// a share of an entry chunk, the table's growth) and nothing for the
+		// rest; later passes serve those limit series from the table and parse
+		// the rest as uncached.
 		if ceiling := uncached + 4*limit; pass == 1 && n > ceiling {
 			t.Fatalf("cold pass: %d allocs, want at most %d (uncached %d)", n, ceiling, uncached)
 		}
@@ -178,7 +209,7 @@ func TestTableIsBoundedWithoutACliff(t *testing.T) {
 		}
 	}
 	for i, s := range want[:limit] {
-		if _, ok := table.get(fmt.Sprintf("m{i=\"%d\",j=\"x\"}", i)); !ok {
+		if table.lookup(nil, fmt.Sprintf("m{i=\"%d\",j=\"x\"}", i)) == nil {
 			t.Fatalf("series %d (%v) is not among the first %d cached", i, s.Labels, limit)
 		}
 	}
@@ -190,11 +221,7 @@ func TestTableAgesOutChurnedSeries(t *testing.T) {
 	table := &seriesCache{limit: limit}
 	parse := func(from, to int) {
 		t.Helper()
-		var b strings.Builder
-		for i := from; i < to; i++ {
-			fmt.Fprintf(&b, "m{i=\"%d\"} 1\n", i)
-		}
-		if _, err := table.parse(b.String()); err != nil {
+		if _, _, err := table.parse(seriesLines(churnLine, from, to)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,12 +229,175 @@ func TestTableAgesOutChurnedSeries(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		parse(limit, 2*limit) // the fleet was replaced
 	}
-	if _, ok := table.get(`m{i="0"}`); ok {
+	if table.lookup(nil, `m{i="0"}`) != nil {
 		t.Fatal("a series three scrapes gone is still cached")
 	}
-	if _, ok := table.get(fmt.Sprintf("m{i=\"%d\"}", limit)); !ok {
+	if table.lookup(nil, fmt.Sprintf("m{i=\"%d\"}", limit)) == nil {
 		t.Fatal("the live series are not cached")
 	}
+}
+
+// The streams of the two tests above: one line per series i.
+const (
+	boundedLine = "m{i=\"%[1]d\",j=\"x\"} %[1]d\n"
+	churnLine   = "m{i=\"%[1]d\"} 1\n"
+)
+
+// seriesLines renders line, which spells i as %[1]d, for i in [from, to).
+func seriesLines(line string, from, to int) string {
+	var b strings.Builder
+	for i := from; i < to; i++ {
+		fmt.Fprintf(&b, line, i)
+	}
+	return b.String()
+}
+
+// reversed is text with its lines in the opposite order.
+func reversed(text string) string {
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	slices.Reverse(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// mapTable is what the series table's generations hold when every lookup
+// goes through the maps: the same turns, and each well-formed line's series
+// enters cur — admitted, or moved forward out of old — while cur has room.
+type mapTable struct {
+	limit    int
+	cur, old map[string]bool
+}
+
+func (m *mapTable) parse(text string) {
+	if m.cur == nil {
+		m.cur, m.old = make(map[string]bool), make(map[string]bool)
+	}
+	if len(m.cur) >= m.limit {
+		m.cur, m.old = m.old, m.cur
+		clear(m.cur)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if st := seriesText(line); line != "" && !m.cur[st] && len(m.cur) < m.limit {
+			m.cur[st] = true
+		}
+	}
+}
+
+func sameKeys(got map[string]*cachedSeries, want map[string]bool) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range got {
+		if !want[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPredictedTableMatchesMapTable: over the churn and the past-capacity
+// streams above, in order, with every text's lines reversed, and alternating
+// the two, the table that follows its successor links holds after every
+// parse exactly the keys a map-only table would, and every parse equals the
+// oracle. A predicted entry taken without its generation check, or taken
+// from old without the forward move, leaves the table otherwise.
+func TestPredictedTableMatchesMapTable(t *testing.T) {
+	churn := []string{seriesLines(churnLine, 0, 8)}
+	for i := 0; i < 3; i++ {
+		churn = append(churn, seriesLines(churnLine, 8, 16))
+	}
+	churn = append(churn, seriesLines(churnLine, 0, 8), seriesLines(churnLine, 4, 12), seriesLines(churnLine, 4, 12))
+	bounded := seriesLines(boundedLine, 0, 512)
+	for _, c := range []struct {
+		name  string
+		limit int
+		texts []string
+	}{{"churn", 8, churn}, {"bounded", 256, []string{bounded, bounded, bounded, bounded}}} {
+		for _, order := range []string{"forward", "reversed", "alternating"} {
+			table, twin := &seriesCache{limit: c.limit}, &mapTable{limit: c.limit}
+			for i, text := range c.texts {
+				if order == "reversed" || order == "alternating" && i%2 == 1 {
+					text = reversed(text)
+				}
+				got, err := table.read(strings.NewReader(text))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := oracleParseExposition(strings.NewReader(text))
+				twin.parse(text)
+				if !sameSamples(got, want) {
+					t.Fatalf("%s %s, parse %d differs from the oracle", c.name, order, i)
+				}
+				if !sameKeys(table.cur, twin.cur) || !sameKeys(table.old, twin.old) {
+					t.Fatalf("%s %s, parse %d: the table holds %d + %d series, the map-only table %d + %d, or other ones",
+						c.name, order, i, len(table.cur), len(table.old), len(twin.cur), len(twin.old))
+				}
+			}
+		}
+	}
+}
+
+// A dropped entry is never served, not even to a line that its cleared text
+// matches: a's successor b leaves the table while a stays, and then the line
+// after a is one with no series text.
+func TestDroppedSuccessorIsNotServed(t *testing.T) {
+	table := &seriesCache{limit: 2}
+	for i, text := range []string{"a 1\nb 1\n", "a 1\n", "c 1\n", "a 1\n9 1\n"} {
+		got, err := table.read(strings.NewReader(text))
+		want, wantErr := oracleParseExposition(strings.NewReader(text))
+		if !sameSamples(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("parse %d: %v, %v; the oracle's %v, %v", i, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestAliasedTextIsNotRecycled: past the table's capacity a sample is a
+// slice of the text, so the buffer it was read into must not be read into
+// again while the sample may be held — every sample of every pass still
+// equals the oracle after the passes that follow it, over two texts of one
+// length. Within capacity no sample is, and the buffer is reused.
+func TestAliasedTextIsNotRecycled(t *testing.T) {
+	const limit = 256
+	text := seriesLines(boundedLine, 0, 2*limit)
+	texts := [2]string{text, string(mirror([]byte(text)))}
+	var want [2][]Sample
+	for i, text := range texts {
+		want[i], _ = oracleParseExposition(strings.NewReader(text))
+	}
+	table := &seriesCache{limit: limit}
+	var kept [][]Sample
+	for pass := 0; pass < 4; pass++ {
+		got, err := table.read(strings.NewReader(texts[pass%2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := got[len(got)-1].Name; within(table.buf, last) {
+			t.Fatalf("pass %d returned samples that are slices of its text, yet its buffer went back to the table", pass)
+		}
+		kept = append(kept, got)
+		for i, k := range kept {
+			if !sameSamples(k, want[i%2]) {
+				t.Fatalf("after pass %d, pass %d's samples differ from the oracle", pass, i)
+			}
+		}
+	}
+
+	table = &seriesCache{limit: seriesCacheCap}
+	var first *byte
+	for pass := 0; pass < 3; pass++ {
+		if _, err := table.read(strings.NewReader(texts[pass%2])); err != nil {
+			t.Fatal(err)
+		}
+		if table.buf == nil || first != nil && unsafe.SliceData(table.buf) != first {
+			t.Fatalf("pass %d: every sample came from the table, yet the buffer was not reused", pass)
+		}
+		first = unsafe.SliceData(table.buf)
+	}
+}
+
+// within reports whether s lies in buf's array.
+func within(buf []byte, s string) bool {
+	b, p := uintptr(unsafe.Pointer(unsafe.SliceData(buf))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return p >= b && p < b+uintptr(cap(buf))
 }
 
 // Concurrent scrapes of overlapping texts share one table and hand out the

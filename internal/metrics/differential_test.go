@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -69,7 +70,12 @@ func sameSamples(got, want []Sample) bool {
 // equal errors, line number included — whatever the series table holds:
 // through ParseExposition, whose table earlier texts have filled; on a table
 // of its own, cold and then warm; on a sibling text that shares series texts
-// with the first; and on the first again after the sibling.
+// with the first; on a mirror of the first, as long and different in every
+// letter and digit; and on the first again. Each table reads every pass into
+// the buffer the last one handed back, and every pass's samples must still
+// equal the oracle's after each later pass: on the second table, with room
+// for one series, nearly every sample is a slice of its text, and a buffer
+// read into again under such a sample changes it.
 func agreeWithOracleParser(t testing.TB, text []byte) {
 	t.Helper()
 	type outcome struct {
@@ -91,19 +97,46 @@ func agreeWithOracleParser(t testing.TB, text []byte) {
 			t.Fatalf("parsing %q (%s):\n got %v\nwant %v", text, how, got.samples, want.samples)
 		}
 	}
-	other := sibling(text)
-	want, wantOther := oracle(text), oracle(other)
+	other, twin := sibling(text), mirror(text)
+	want, wantOther, wantTwin := oracle(text), oracle(other), oracle(twin)
 	samples, err := ParseExposition(bytes.NewReader(text))
 	agree("process-wide table", text, outcome{samples, err}, want)
-	table := &seriesCache{limit: seriesCacheCap}
-	for _, pass := range []struct {
+	passes := []struct {
 		how  string
 		text []byte
 		want outcome
-	}{{"cold", text, want}, {"warm", text, want}, {"sibling", other, wantOther}, {"after sibling", text, want}} {
-		samples, err := table.parse(string(pass.text))
-		agree(pass.how, pass.text, outcome{samples, err}, pass.want)
+	}{{"cold", text, want}, {"warm", text, want}, {"sibling", other, wantOther}, {"mirror", twin, wantTwin}, {"after sibling and mirror", text, want}}
+	for _, limit := range []int{seriesCacheCap, 1} {
+		table := &seriesCache{limit: limit}
+		kept := make([][]Sample, len(passes))
+		for i, pass := range passes {
+			samples, err := table.read(bytes.NewReader(pass.text))
+			agree(pass.how, pass.text, outcome{samples, err}, pass.want)
+			kept[i] = samples
+			for j := range passes[:i] {
+				if !sameSamples(kept[j], passes[j].want.samples) {
+					t.Fatalf("parsing %q (limit %d): the %s pass's samples changed when the %s pass was read:\n got %v\nwant %v",
+						text, limit, passes[j].how, pass.how, kept[j], passes[j].want.samples)
+				}
+			}
+		}
 	}
+}
+
+// mirror derives a text as long as text that differs from it in every ASCII
+// letter (case swapped) and digit (d -> 9-d), and nowhere else.
+func mirror(text []byte) []byte {
+	out := make([]byte, len(text))
+	for i, c := range text {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z':
+			c ^= 'a' - 'A'
+		case c >= '0' && c <= '9':
+			c = '9' - (c - '0')
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // sibling derives a second exposition from text: its lines in reverse order,
@@ -149,6 +182,34 @@ func TestExpositionMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestExpositionValueEdges: the values on either side of appendValue's
+// whole-number path — -0, the whole numbers around 1e6, a fraction below it,
+// 2^53, -1, 1e21, the smallest subnormal, NaN and both infinities — are
+// written as the old writer wrote them and parse back to themselves.
+func TestExpositionValueEdges(t *testing.T) {
+	values := []float64{math.Copysign(0, -1), 0, 1, 999999, 1e6, 1e6 - 0.5, 1 << 53, -1, 1e21,
+		math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	r := NewRegistry()
+	for i, v := range values {
+		if got, want := string(appendValue(nil, v)), oracleFormatValue(v); got != want {
+			t.Errorf("appendValue(%v) = %q, want %q", v, got, want)
+		}
+		r.Gauge("edge", Labels{"i": strconv.Itoa(i)}).Set(v)
+	}
+	var got, want bytes.Buffer
+	if err := r.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleWritePrometheus(r, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("got %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+	agreeWithOracleParser(t, got.Bytes())
+	roundTrips(t, r)
+}
+
 // mutate damages a text the way a broken exporter or a truncated response
 // would: bytes dropped, replaced or inserted from the grammar's own
 // alphabet, with CRLF, tabs and non-ASCII spaces among them.
@@ -181,7 +242,9 @@ func TestParserMatchesOracle(t *testing.T) {
 		"x{ a = \"b\" , c = \"d\" } 1\n", "x{a=\"b\"}1\n", "x{a=\"b\" 1\n", "x{a=b} 1\n", "x{a=\"b\\q\"} 1\n", "x{a=\"b\\", "x{a=\"b",
 		"# HELP x y\n# TYPE x counter\nx 1\n", "# TYPE x summary\nx_count 2\nx_sum 3\n", "#TYPE x gauge\nx_total 1\n",
 		"  x 1\n", "1x 1\n", "x NaN\nx +Inf\nx -Inf\nx 0x10\nx 1_0\n", "x 1 1.5\n", "x\u00a01\n", "x 1\u00a02\n", "x 1\u20032\u2003\n",
-		"ok 1\nbad{ 1\nnever 2\n", "x{a=\"1\",a=\"2\"} 1\n", "x{le=\"+Inf\"} 3\n", "x_bucket{le=\"0.5\"} 3\n# TYPE x gauge\nx_bucket 4\n",
+		"ok 1\nbad{ 1\nnever 2\n",
+		"x 0\nx 007\nx 999999999999999\nx 1000000000000000\nx 9007199254740993\nx +1\nx -0\nx 1.\nx .5\nx 1e3\nx 0b1\nx 1 -1\nx 1 +1\n",
+		"x 1\u00852\n", "x\u00851 2\n", "x 1\v\f2\n", "x{a=\"1\",a=\"2\"} 1\n", "x{le=\"+Inf\"} 3\n", "x_bucket{le=\"0.5\"} 3\n# TYPE x gauge\nx_bucket 4\n",
 	} {
 		agreeWithOracleParser(t, []byte(text))
 	}

@@ -200,9 +200,13 @@ func appendEscapedLabelValue(buf []byte, v string) []byte {
 }
 
 // appendValue renders a sample value the way Prometheus does (shortest
-// round-trippable form; +Inf/-Inf/NaN spelled out).
+// round-trippable form; +Inf/-Inf/NaN spelled out). Below 1e6 the shortest
+// 'g' form of a whole number is its decimal digits, so counts skip the
+// digit search; -0, whose sign 'g' prints, does not.
 func appendValue(buf []byte, v float64) []byte {
 	switch {
+	case v >= 0 && v < 1e6 && v == float64(int64(v)) && !math.Signbit(v):
+		return strconv.AppendInt(buf, int64(v), 10)
 	case v != v: // NaN
 		return append(buf, "NaN"...)
 	case v > maxFloat:

@@ -12,8 +12,10 @@ var lineNumbered = regexp.MustCompile(`^metrics: line [0-9]+: `)
 
 // FuzzParseExposition: the control plane parses whatever a /metrics endpoint
 // returns, so the parser must never panic, must reject with a line number,
-// and must agree with the old parser — cold, warm and on a sibling text, as
-// agreeWithOracleParser runs it; the scan that finds a line's series text
+// and must agree with the old parser — cold, warm, on a sibling text and on
+// a mirror of the same length, as agreeWithOracleParser runs it, every pass's
+// samples intact after the later ones (and the process-wide table's first
+// samples after all of them); the scan that finds a line's series text
 // must find exactly what the grammar consumes from a well-formed line; and
 // every registry the fuzzer's bytes build must survive WritePrometheus ->
 // ParseExposition.
@@ -25,22 +27,26 @@ func FuzzParseExposition(f *testing.F) {
 		"x{a=\"quo\\\"te\",b=\"back\\\\slash\",c=\"new\\nline\",} NaN\r\n",
 		"x{ a = \"b\" } +Inf\n\n  \nx -Inf\n",
 		"x{a=\"b\\q\"} 1\n", "x{a=\"b", "x 1 2 3\n", "1x 1\n", "x 1 2\n", "x{a=b} 1\n",
+		"x 999999999999999\nx 1000000000000000\nx -0\nx 007 1\nx 1\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := ParseExposition(bytes.NewReader(data))
+		first, err := ParseExposition(bytes.NewReader(data))
 		if err != nil && !lineNumbered.MatchString(err.Error()) {
 			t.Fatalf("rejection without a line number: %v", err)
 		}
 		// The old parser's Scanner refused lines of 1 MiB; the new one has no
 		// such limit, the one difference in what the two accept.
-		if _, oracleErr := oracleParseExposition(bytes.NewReader(data)); !errors.Is(oracleErr, bufio.ErrTooLong) {
+		if want, oracleErr := oracleParseExposition(bytes.NewReader(data)); !errors.Is(oracleErr, bufio.ErrTooLong) {
 			agreeWithOracleParser(t, data)
+			if !sameSamples(first, want) {
+				t.Fatalf("parsing %q: the first samples changed while later texts were read:\n got %v\nwant %v", data, first, want)
+			}
 		}
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			line := string(bytes.TrimSuffix(line, []byte("\r")))
-			if got, err := new(seriesCache).parse(line); err != nil || len(got) != 1 {
+			if got, _, err := new(seriesCache).parse(line); err != nil || len(got) != 1 {
 				continue // not a sample line
 			}
 			if _, _, rest, _ := scanSeries(line); seriesText(line) != line[:len(line)-len(rest)] {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // ParseExposition reads the Prometheus text exposition format (version
@@ -36,16 +38,14 @@ import (
 // of the input whatever the table holds. Names and Labels from the table are
 // its own copies and pin nothing of the text read from r; the Labels are
 // shared between results and callers and must be treated as read-only, as
-// Registry.SnapshotAppend's are. Past the table's capacity a line parses as
-// it always did, into slices of the one string r was read into, which a
-// consumer that keeps them keeps alive; the time-series database and the
-// hygiene gate copy what they retain either way.
+// Registry.SnapshotAppend's are. The text itself is read into a buffer the
+// table reuses from call to call. Past the table's capacity a line parses as
+// it always did, into slices of that buffer; a call that returns such a
+// sample leaves the buffer to its results, which keep it alive while a
+// consumer keeps them, and the next call reads into a new one. The
+// time-series database and the hygiene gate copy what they retain either way.
 func ParseExposition(r io.Reader) ([]Sample, error) {
-	var b strings.Builder
-	if _, err := io.Copy(&b, r); err != nil {
-		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
-	}
-	return scraped.parse(b.String())
+	return scraped.read(r)
 }
 
 // seriesCacheCap bounds each of the table's two generations: about 700
@@ -61,11 +61,23 @@ var scraped = seriesCache{limit: seriesCacheCap}
 // cur full turns the table over, so a series no scrape spells any more is
 // gone in two turns, and a scrape of more series than limit keeps the first
 // limit of them cached and parses the rest uncached, every time. mu is held
-// around one in-memory parse, never around reading.
+// around one in-memory parse and the buffer hand-offs, never around reading.
+//
+// A scrape also spells its series in the same order every round, so each
+// entry remembers the entry the next cached sample line resolved to last
+// time (next), and a lookup tries that one before hashing anything. A
+// predicted entry is taken only if gen says it is in cur or old, and then
+// exactly as the maps would have served it — moved forward out of old while
+// cur has room — so prediction decides the cost of a lookup, never its
+// outcome or what the table holds afterwards.
 type seriesCache struct {
 	mu       sync.Mutex
 	limit    int
-	cur, old map[string]cachedSeries
+	cur, old map[string]*cachedSeries
+	gen      uint64         // turns so far: an entry is in cur iff its gen is gen, in old only iff gen-1
+	head     cachedSeries   // next: the entry of the first cached sample line, last time
+	spare    []cachedSeries // entries are allocated in chunks, handed out from here
+	buf      []byte         // the read buffer, nil while a read holds it
 }
 
 // cachedSeries holds strings of its own: text is a copy of the series text,
@@ -73,20 +85,68 @@ type seriesCache struct {
 type cachedSeries struct {
 	text, name string
 	labels     Labels
+	next       *cachedSeries // what the following cached sample line resolved to last time
+	gen        uint64        // the table's gen when the entry last entered cur
 }
 
-func (c *seriesCache) parse(text string) ([]Sample, error) {
+// entryChunk is how many entries one allocation makes.
+const entryChunk = 32
+
+// read parses everything r holds. The text is read, outside mu, into the
+// buffer the last call handed back, and parsed in place; the buffer goes back
+// to the table unless a returned sample points into it, and then a new one of
+// its size does. Nothing else a parse returns can point into it: table
+// entries are copies, and errors quote what they name.
+func (c *seriesCache) read(r io.Reader) ([]Sample, error) {
+	c.mu.Lock()
+	buf := c.buf
+	c.buf = nil // ours until handed back; a concurrent read makes its own
+	c.mu.Unlock()
+
+	buf, err := readAll(buf[:0], r)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: reading exposition: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	out, aliased, err := c.parse(unsafe.String(unsafe.SliceData(buf), len(buf)))
+	if aliased {
+		buf = make([]byte, 0, cap(buf)) // the results keep the text; the next read needs as much room
+	}
+	c.buf = buf
+	return out, err
+}
+
+// readAll appends everything r holds to buf, growing it only when it is
+// full; bytes.Buffer.ReadFrom doubles it whenever 512 bytes are not free.
+func readAll(buf []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// parse parses text under mu; aliased reports whether a returned sample
+// holds slices of text — one that parsed past the table's capacity.
+func (c *seriesCache) parse(text string) (out []Sample, aliased bool, err error) {
 	if c.cur == nil {
-		c.cur, c.old = make(map[string]cachedSeries), make(map[string]cachedSeries)
+		c.cur, c.old = make(map[string]*cachedSeries), make(map[string]*cachedSeries)
 	}
 	if len(c.cur) >= c.limit {
-		c.cur, c.old = c.old, c.cur
-		clear(c.cur)
+		c.turn()
 	}
-	out := make([]Sample, 0, strings.Count(text, "\n")+1)
+	out = make([]Sample, 0, strings.Count(text, "\n")+1)
 	types := make(map[string]Kind)
+	prev := &c.head // the entry of the last sample line the table holds
 	for lineNo := 1; text != ""; lineNo++ {
 		// Lines end at "\n" or "\r\n"; the last one may end with the input.
 		line := text
@@ -105,37 +165,72 @@ func (c *seriesCache) parse(text string) ([]Sample, error) {
 			}
 			continue
 		}
-		s, err := c.parseSampleLine(line)
+		s, e, err := c.parseSampleLine(prev.next, line)
 		if err != nil {
-			return nil, fmt.Errorf("metrics: line %d: %w", lineNo, err)
+			return nil, false, fmt.Errorf("metrics: line %d: %w", lineNo, err)
+		}
+		if e == nil {
+			aliased = true
+		} else {
+			if prev.next != e {
+				prev.next = e
+			}
+			prev = e
 		}
 		s.Kind = kindFor(s.Name, types)
 		out = append(out, s)
 	}
-	return out, nil
+	return out, aliased, nil
 }
 
-func (c *seriesCache) get(text string) (cachedSeries, bool) {
-	e, ok := c.cur[text]
-	if !ok {
-		if e, ok = c.old[text]; ok && len(c.cur) < c.limit {
-			c.cur[e.text] = e
+// turn makes old of a full cur and empties the other generation. Entries
+// only in old drop out of the table; their fields are cleared, so that a
+// live entry whose next is one of them pins a bare struct, and a chunk kept
+// by its live entries pins nothing more.
+func (c *seriesCache) turn() {
+	for _, e := range c.old {
+		if e.gen != c.gen {
+			*e = cachedSeries{gen: e.gen}
 		}
 	}
-	return e, ok
+	c.cur, c.old = c.old, c.cur
+	clear(c.cur)
+	c.gen++
+}
+
+// lookup finds the entry for a series text: guess, the entry that followed
+// the previous cached line last time, when it is that text and its gen says
+// it is in cur or old; else the maps' entry. An entry in old only moves
+// forward into cur while cur has room, however it was found.
+func (c *seriesCache) lookup(guess *cachedSeries, text string) *cachedSeries {
+	e := guess
+	if e == nil || e.text != text || c.gen-e.gen > 1 {
+		if e = c.cur[text]; e == nil {
+			e = c.old[text]
+		}
+	}
+	if e != nil && e.gen != c.gen && len(c.cur) < c.limit {
+		c.cur[e.text], e.gen = e, c.gen
+	}
+	return e
 }
 
 // admit remembers, while there is room, a series text the grammar just
 // accepted: copied once and parsed again, so that what is kept are slices
 // of the copy, not of the scrape.
-func (c *seriesCache) admit(text string) (cachedSeries, bool) {
+func (c *seriesCache) admit(text string) *cachedSeries {
 	if len(c.cur) >= c.limit {
-		return cachedSeries{}, false
+		return nil
 	}
-	e := cachedSeries{text: strings.Clone(text)}
+	if len(c.spare) == 0 {
+		c.spare = make([]cachedSeries, entryChunk)
+	}
+	e := &c.spare[0]
+	c.spare = c.spare[1:]
+	e.text, e.gen = strings.Clone(text), c.gen
 	e.name, e.labels, _, _ = scanSeries(e.text)
 	c.cur[e.text] = e
-	return e, true
+	return e
 }
 
 // seriesText finds the series part of a sample line without parsing it: the
@@ -206,52 +301,90 @@ func scanSeries(line string) (name string, labels Labels, rest string, err error
 	return name, labels, rest, nil
 }
 
-func (c *seriesCache) parseSampleLine(line string) (Sample, error) {
-	var s Sample
+// parseSampleLine parses one sample line; e is the table's entry for its
+// series, nil when the line parsed past the table's capacity.
+func (c *seriesCache) parseSampleLine(guess *cachedSeries, line string) (s Sample, e *cachedSeries, err error) {
 	var rest string
-	if e, ok := c.get(seriesText(line)); ok {
+	if e = c.lookup(guess, seriesText(line)); e != nil {
 		s.Name, s.Labels, rest = e.name, e.labels, line[len(e.text):]
 	} else {
-		var err error
 		if s.Name, s.Labels, rest, err = scanSeries(line); err != nil {
-			return Sample{}, err
+			return Sample{}, nil, err
 		}
-		if e, ok := c.admit(line[:len(line)-len(rest)]); ok {
+		if e = c.admit(line[:len(line)-len(rest)]); e != nil {
 			s.Name, s.Labels = e.name, e.labels
 		}
 	}
 	value, after := nextField(rest)
 	if value == "" {
-		return s, fmt.Errorf("missing value after %q", s.Name)
+		return s, e, fmt.Errorf("missing value after %q", s.Name)
 	}
 	stamp, after := nextField(after)
 	if extra, _ := nextField(after); extra != "" {
-		return s, fmt.Errorf("trailing garbage after value: %q", rest)
+		return s, e, fmt.Errorf("trailing garbage after value: %q", rest)
 	}
-	v, err := strconv.ParseFloat(value, 64)
-	if err != nil {
-		return s, fmt.Errorf("bad value %q: %w", value, err)
+	if s.Value, err = parseValue(value); err != nil {
+		return s, e, fmt.Errorf("bad value %q: %w", value, err)
 	}
-	s.Value = v
 	if stamp != "" {
 		// Optional millisecond timestamp; validated then dropped (the
 		// ingesting scraper stamps samples with its own scrape time, like
 		// Prometheus does by default).
 		if _, err := strconv.ParseInt(stamp, 10, 64); err != nil {
-			return s, fmt.Errorf("bad timestamp %q: %w", stamp, err)
+			return s, e, fmt.Errorf("bad timestamp %q: %w", stamp, err)
 		}
 	}
-	return s, nil
+	return s, e, nil
+}
+
+// parseValue is strconv.ParseFloat, with what counters and bucket counts
+// spell — up to 15 decimal digits, below 2^53 and so exact — read directly.
+func parseValue(s string) (float64, error) {
+	if len(s) == 0 || len(s) > 15 {
+		return strconv.ParseFloat(s, 64)
+	}
+	n := uint64(0)
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return strconv.ParseFloat(s, 64)
+		}
+		n = 10*n + uint64(d)
+	}
+	return float64(n), nil
 }
 
 // nextField splits the first whitespace-separated field off s, with
 // strings.Fields' notion of whitespace; field is empty when s holds none.
+// ASCII is scanned byte by byte; from the first byte that starts a wider
+// rune on, unicode.IsSpace decides.
 func nextField(s string) (field, rest string) {
+	start := 0
+	for start < len(s) && asciiSpace(s[start]) {
+		start++
+	}
+	for i := start; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return nextFieldFunc(s[start:])
+		case asciiSpace(c):
+			return s[start:i], s[i:]
+		}
+	}
+	return s[start:], ""
+}
+
+func nextFieldFunc(s string) (field, rest string) {
 	s = strings.TrimLeftFunc(s, unicode.IsSpace)
 	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
 		return s[:i], s[i:]
 	}
 	return s, ""
+}
+
+// asciiSpace is unicode.IsSpace below utf8.RuneSelf.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c-'\t' <= '\r'-'\t'
 }
 
 // scanName splits the leading metric name off a sample line.

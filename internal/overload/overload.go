@@ -49,6 +49,7 @@
 package overload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -320,15 +321,15 @@ func ParsePolicy(s string) (Policy, error) {
 		case "max":
 			p.Limiter.Max, err = strconv.Atoi(val)
 		case "alpha":
-			p.Limiter.Alpha, err = strconv.ParseFloat(val, 64)
+			p.Limiter.Alpha, err = parseFloat(val)
 		case "beta":
-			p.Limiter.Beta, err = strconv.ParseFloat(val, 64)
+			p.Limiter.Beta, err = parseFloat(val)
 		case "tolerance":
-			p.Limiter.Tolerance, err = strconv.ParseFloat(val, 64)
+			p.Limiter.Tolerance, err = parseFloat(val)
 		case "window":
 			p.Limiter.Window, err = strconv.Atoi(val)
 		case "decrease":
-			p.Limiter.Decrease, err = strconv.ParseFloat(val, 64)
+			p.Limiter.Decrease, err = parseFloat(val)
 		case "target":
 			p.Queue.Target, err = time.ParseDuration(val)
 		case "interval":
@@ -354,6 +355,16 @@ func ParsePolicy(s string) (Policy, error) {
 		}
 	}
 	return p, nil
+}
+
+// parseFloat is strconv.ParseFloat for a policy value, which no key takes
+// to be NaN or infinite.
+func parseFloat(val string) (float64, error) {
+	f, err := strconv.ParseFloat(val, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = errors.New("not a finite number")
+	}
+	return f, err
 }
 
 func parseOnOff(val string) (bool, error) {

@@ -2,6 +2,8 @@ package overload
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +39,42 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) accepted", s)
 		}
 	}
+	// A NaN or an infinity is refused by name; String never shows these keys.
+	for _, s := range []string{"limit=8,decrease=NaN", "limit=8,tolerance=+Inf", "alpha=Inf", "beta=-Inf", "decrease=nan"} {
+		key, _, _ := strings.Cut(s[strings.LastIndexByte(s, ',')+1:], "=")
+		if _, err := ParsePolicy(s); err == nil || !strings.Contains(err.Error(), "bad "+key+" value") {
+			t.Fatalf("ParsePolicy(%q) = %v, want an error naming %s", s, err, key)
+		}
+	}
+}
+
+// FuzzParsePolicy: any policy string parses or is refused without a panic;
+// an accepted policy holds no NaN or infinity, its String parses again, and
+// renders the same once more.
+func FuzzParsePolicy(f *testing.F) {
+	for _, seed := range []string{"", "off", "limit=16", "limit=16,min=2,max=64,target=5ms,interval=100ms,qcap=128",
+		"limit=8,target=10ms,qcap=64,lifo=off,tiers=on,readmit=2s", "limit=8,decrease=NaN", "tolerance=+Inf", "limit=-3,readmit=-1s", "limit=4,alpha=1e400"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePolicy(s)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{p.Limiter.Alpha, p.Limiter.Beta, p.Limiter.Tolerance, p.Limiter.Decrease} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParsePolicy(%q) accepted a non-finite value: %+v", s, p.Limiter)
+			}
+		}
+		text := p.String()
+		q, err := ParsePolicy(text)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q).String() = %q does not parse: %v", s, text, err)
+		}
+		if again := q.String(); again != text {
+			t.Fatalf("ParsePolicy(%q) renders %q, which renders %q", s, text, again)
+		}
+	})
 }
 
 func TestLimiterGrowsAndShrinks(t *testing.T) {

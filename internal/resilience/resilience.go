@@ -41,7 +41,9 @@
 package resilience
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -274,17 +276,19 @@ func ParsePolicy(s string) (Policy, error) {
 		case "backoff":
 			p.Retry.Backoff, err = time.ParseDuration(val)
 		case "factor":
-			p.Retry.BackoffFactor, err = strconv.ParseFloat(val, 64)
+			p.Retry.BackoffFactor, err = parseFloat(val)
 		case "jitter":
-			p.Retry.Jitter, err = strconv.ParseFloat(val, 64)
+			p.Retry.Jitter, err = parseFloat(val)
 		case "budget":
-			p.Retry.BudgetRatio, err = strconv.ParseFloat(val, 64)
+			p.Retry.BudgetRatio, err = parseFloat(val)
 		case "burst":
-			p.Retry.BudgetBurst, err = strconv.ParseFloat(val, 64)
+			p.Retry.BudgetBurst, err = parseFloat(val)
 		case "hedge":
 			if pct, isP := strings.CutPrefix(val, "p"); isP {
 				var f float64
-				f, err = strconv.ParseFloat(pct, 64)
+				if f, err = parseFloat(pct); err == nil && f < 0 {
+					err = errors.New("negative percentile")
+				}
 				p.Hedge.Percentile = f / 100
 			} else {
 				p.Hedge.Delay, err = time.ParseDuration(val)
@@ -298,7 +302,7 @@ func ParsePolicy(s string) (Policy, error) {
 		case "maxejection":
 			p.Breaker.MaxEjection, err = time.ParseDuration(val)
 		case "maxejectpct":
-			p.Breaker.MaxEjectionPercent, err = strconv.ParseFloat(val, 64)
+			p.Breaker.MaxEjectionPercent, err = parseFloat(val)
 		default:
 			return p, fmt.Errorf("resilience: unknown policy key %q", key)
 		}
@@ -307,6 +311,17 @@ func ParsePolicy(s string) (Policy, error) {
 		}
 	}
 	return p, nil
+}
+
+// parseFloat is strconv.ParseFloat for a policy value: NaN and +Inf mean
+// nothing to any key. -Inf gets past it, and past the sign check only as a
+// jitter, which any negative value disables.
+func parseFloat(val string) (float64, error) {
+	f, err := strconv.ParseFloat(val, 64)
+	if err == nil && !(f <= math.MaxFloat64) {
+		err = errors.New("not a finite number")
+	}
+	return f, err
 }
 
 // Result is the outcome of one logical request across all its attempts.

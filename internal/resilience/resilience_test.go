@@ -1,7 +1,9 @@
 package resilience
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -329,11 +331,51 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("hedge=75ms"); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"nope=1", "deadline", "retries=x", "hedge=pxx", "budget=-0.1", "deadline=-1s", "retries=-2"} {
+	for _, bad := range []string{"nope=1", "deadline", "retries=x", "hedge=pxx", "budget=-0.1", "deadline=-1s", "retries=-2", "hedge=p-5"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Fatalf("ParsePolicy(%q) accepted", bad)
 		}
 	}
+	// A NaN or an infinity is refused by name; String would hide it (a NaN
+	// budget prints as no budget) while the policy ran with it.
+	for _, bad := range []string{"retries=3,budget=NaN", "factor=+Inf", "maxejectpct=NaN", "burst=Inf", "jitter=NaN", "jitter=+Inf", "hedge=pNaN", "hedge=pInf"} {
+		key, _, _ := strings.Cut(bad[strings.LastIndexByte(bad, ',')+1:], "=")
+		if _, err := ParsePolicy(bad); err == nil || !strings.Contains(err.Error(), "bad "+key+" value") {
+			t.Fatalf("ParsePolicy(%q) = %v, want an error naming %s", bad, err, key)
+		}
+	}
+	if p, err := ParsePolicy("retries=3,jitter=-Inf"); err != nil || !math.IsInf(p.Retry.Jitter, -1) {
+		t.Fatalf(`ParsePolicy("retries=3,jitter=-Inf") = %+v, %v; want jitter disabled`, p.Retry, err)
+	}
+}
+
+// FuzzParsePolicy: any policy string parses or is refused without a panic;
+// an accepted policy holds no NaN or infinity (but jitter's -Inf, which
+// disables it), its String parses again, and renders the same once more.
+func FuzzParsePolicy(f *testing.F) {
+	for _, seed := range []string{"", "off", "deadline=1s,retries=3,backoff=10ms,factor=1.5,jitter=0.3,budget=0.2,burst=20,hedge=p95,hedgemin=5ms,breaker=5,ejection=5s,maxejection=40s,maxejectpct=0.4",
+		"hedge=75ms", "retries=3,budget=NaN", "factor=+Inf", "maxejectpct=NaN", "jitter=-Inf", "hedge=p-5", "hedge=p0.3", "retries=3,pertry=1.5ns", "retries=1", " retries = 2 , , budget=0x1p-2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePolicy(s)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{p.Retry.BackoffFactor, max(p.Retry.Jitter, 0), p.Retry.BudgetRatio, p.Retry.BudgetBurst, p.Hedge.Percentile, p.Breaker.MaxEjectionPercent} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParsePolicy(%q) accepted a non-finite value: %+v", s, p)
+			}
+		}
+		text := p.String()
+		q, err := ParsePolicy(text)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q).String() = %q does not parse: %v", s, text, err)
+		}
+		if again := q.String(); again != text {
+			t.Fatalf("ParsePolicy(%q) renders %q, which renders %q", s, text, again)
+		}
+	})
 }
 
 func TestPolicyStringRoundTrips(t *testing.T) {

@@ -36,13 +36,20 @@ type Hygiene struct {
 	// series finds a series' state by metric name, then by label-map identity
 	// or else by label hash — no key string is built per sample.
 	series map[string]*states
+	// names lists the metric names in first-sight order; a state names its
+	// metric by an index here.
+	names []string
+	// last is the state the previous resolution landed on: its succ is the
+	// next resolution's guess.
+	last *seriesState
 	// reset lists the series that have ever spliced a reset, all LastReset
 	// has to look at.
 	reset []*seriesState
 	// interned holds one copy of every label name and value retained.
 	interned map[string]string
-	// hashed counts states resolved by the hash path, for the tests.
-	hashed uint64
+	// mapped and hashed count states resolved through the name map and by
+	// the hash path, for the tests.
+	mapped, hashed uint64
 
 	rejNaN, rejNegative, rejOutOfOrder, rejDuplicate, rejAnomaly *metrics.Counter
 	resets                                                       *metrics.Counter
@@ -51,8 +58,9 @@ type Hygiene struct {
 // states is one metric name's series states: by the label maps the index
 // has recognised, and by label hash with colliding label sets chained.
 type states struct {
-	byMap  metrics.MapIndex[seriesState]
-	byHash map[uint64]*seriesState
+	ordinal uint32 // the index of its name in Hygiene.names
+	byMap   metrics.MapIndex[seriesState]
+	byHash  map[uint64]*seriesState
 }
 
 // hashLabels is the hash path's label hash; the collision tests force it.
@@ -61,12 +69,14 @@ var hashLabels = metrics.Labels.Hash
 type seriesState struct {
 	labels    metrics.Labels
 	next      *seriesState // next state of the family with the same label hash
+	succ      *seriesState // what the resolution after this state's landed on last time
 	seen      metrics.MapSighting
 	lastT     time.Duration
 	lastRaw   float64
 	offset    float64
 	lastReset time.Duration
 	hasReset  bool
+	name      uint32 // the metric name's index in Hygiene.names: a number, not a pointer, keeps a state at 80 bytes
 }
 
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
@@ -146,30 +156,47 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	return v, true
 }
 
-// state returns the series' state, creating it on first sight: by the
-// labels' map object when the name's index has it, otherwise by hash, where
-// distinct label sets that collide share a chain.
+// state returns the series' state, creating it on first sight. Like
+// timeseries.DB's resolve, it first guesses the state that followed the
+// previous resolution's last time, and takes it when the name's index holds
+// the labels' map for it and it is of this name: exactly when the name map
+// and the index would find it. Otherwise the name's states find it by the
+// labels' map object when indexed, else by hash, where distinct label sets
+// that collide share a chain; it becomes the previous state's successor.
 func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, created bool) {
+	prev := h.last
+	if prev != nil {
+		if st = prev.succ; st != nil && st.seen.Indexes(labels) && h.names[st.name] == name {
+			h.last = st
+			return st, false
+		}
+	}
+	h.mapped++
 	named, ok := h.series[name]
 	if !ok {
-		named = &states{byHash: make(map[uint64]*seriesState)}
-		h.series[strings.Clone(name)] = named // not a slice of the scraped text
+		name = strings.Clone(name) // not a slice of the scraped text
+		named = &states{ordinal: uint32(len(h.names)), byHash: make(map[uint64]*seriesState)}
+		h.series[name] = named
+		h.names = append(h.names, name)
 	}
-	if st = named.byMap.Lookup(labels); st != nil {
-		return st, false
+	if st = named.byMap.Lookup(labels); st == nil {
+		h.hashed++
+		hash := hashLabels(labels)
+		st = named.byHash[hash]
+		for st != nil && !st.labels.Equal(labels) {
+			st = st.next
+		}
+		if st == nil {
+			st = &seriesState{labels: labels.Interned(h.interned), next: named.byHash[hash], name: named.ordinal}
+			named.byHash[hash] = st
+			created = true
+		}
+		named.byMap.Resolved(labels, st, &st.seen)
 	}
-	h.hashed++
-	hash := hashLabels(labels)
-	st = named.byHash[hash]
-	for st != nil && !st.labels.Equal(labels) {
-		st = st.next
+	if prev != nil {
+		prev.succ = st
 	}
-	if st == nil {
-		st = &seriesState{labels: labels.Interned(h.interned), next: named.byHash[hash]}
-		named.byHash[hash] = st
-		created = true
-	}
-	named.byMap.Resolved(labels, st, &st.seen)
+	h.last = st
 	return st, created
 }
 

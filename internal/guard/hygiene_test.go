@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"l3/internal/metrics"
 )
@@ -196,7 +198,8 @@ func TestHygieneLastResetConsultsOnlyResetSeries(t *testing.T) {
 }
 
 // An index entry is made once per series, never once per sample: the third
-// pass over the same parsed samples resolves no state by hash, and a clone
+// pass over the same parsed samples resolves no state by hash nor through the
+// name map — each is the predicted successor of the one before — and a clone
 // per sample resolves every one by hash and makes no entry.
 func TestHygieneIndexIsMadeOncePerSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -222,11 +225,11 @@ func TestHygieneIndexIsMadeOncePerSeries(t *testing.T) {
 		return total
 	}
 	for pass, want := range []struct {
-		clone   bool
-		hashed  uint64
-		indexed int
-	}{{false, n, 0}, {false, n, int(n)}, {false, 0, int(n)}, {true, n, 0}, {true, n, 0}} {
-		before := h.hashed
+		clone          bool
+		hashed, mapped uint64
+		indexed        int
+	}{{false, n, n, 0}, {false, n, n, int(n)}, {false, 0, 0, int(n)}, {true, n, n, 0}, {true, n, n, 0}} {
+		before, mappedBefore := h.hashed, h.mapped
 		var clones []metrics.Labels // alive for the pass: no address is reused
 		for _, s := range samples {
 			l := s.Labels
@@ -239,10 +242,18 @@ func TestHygieneIndexIsMadeOncePerSeries(t *testing.T) {
 			}
 		}
 		runtime.KeepAlive(clones)
-		if hashed := h.hashed - before; hashed != want.hashed || indexed() != want.indexed {
-			t.Fatalf("pass %d (clone %v): %d hash-path resolutions, %d indexed maps; want %d and %d",
-				pass+1, want.clone, hashed, indexed(), want.hashed, want.indexed)
+		if hashed, mapped := h.hashed-before, h.mapped-mappedBefore; hashed != want.hashed || mapped != want.mapped || indexed() != want.indexed {
+			t.Fatalf("pass %d (clone %v): %d hash-path and %d map-path resolutions, %d indexed maps; want %d, %d and %d",
+				pass+1, want.clone, hashed, mapped, indexed(), want.hashed, want.mapped, want.indexed)
 		}
+	}
+}
+
+// A series state stays in the 80-byte allocation class: one more field moves
+// every state to 96 bytes.
+func TestStateFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(seriesState{}); n > 80 {
+		t.Fatalf("a series state is %d bytes, want at most 80", n)
 	}
 }
 
@@ -250,8 +261,9 @@ func TestHygieneIndexIsMadeOncePerSeries(t *testing.T) {
 // series — turned over mid-stream now and then, some maps serving two metric
 // names, some nil or empty — and a twin with a clone per sample, which
 // resolves every sample by hash, through the same seeded streams of
-// duplicate, out-of-order, garbage, reset and shallow-decrease samples. In
-// half the cases the indexed gate files every label set under one hash.
+// duplicate, out-of-order, garbage, reset and shallow-decrease samples, some
+// steps visiting the series in reverse. In half the cases the indexed gate
+// files every label set under one hash.
 // Every admission must agree bit for bit, and so must the counters and
 // LastReset.
 func TestIndexedHygieneMatchesHashedTwin(t *testing.T) {
@@ -261,7 +273,7 @@ func TestIndexedHygieneMatchesHashedTwin(t *testing.T) {
 	labelNames := []string{"backend", "classification", "src"}
 	values := map[string][]string{"backend": {"a", "b", "c", "d", "e", "f"}, "classification": {"success", "failure", ""}, "src": {"c1", "c2", ""}}
 	const cases = 300
-	admits, hashed := 0, uint64(0)
+	admits, mapped, hashed := 0, uint64(0), uint64(0)
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		collide := c%2 == 1
@@ -300,7 +312,12 @@ func TestIndexedHygieneMatchesHashedTwin(t *testing.T) {
 				}
 				series = append(series, s)
 			}
-			for _, s := range series {
+			order := series
+			if rng.Intn(3) == 0 { // a reversed pass: the predictions point the other way
+				order = slices.Clone(series)
+				slices.Reverse(order)
+			}
+			for _, s := range order {
 				if rng.Intn(5) == 0 {
 					continue
 				}
@@ -332,7 +349,7 @@ func TestIndexedHygieneMatchesHashedTwin(t *testing.T) {
 				admits++
 			}
 		}
-		hashed += h.hashed
+		mapped, hashed = mapped+h.mapped, hashed+h.hashed
 		g, w := reg.Snapshot(), twinReg.Snapshot()
 		for i := range w {
 			if g[i].Value != w[i].Value {
@@ -350,5 +367,5 @@ func TestIndexedHygieneMatchesHashedTwin(t *testing.T) {
 	if hashed > uint64(admits)/2 {
 		t.Fatalf("%d of %d admissions resolved by hash: the identity index is barely exercised", hashed, admits)
 	}
-	t.Logf("%d cases, %d admissions equal to the hashed twin's; %d resolved by hash", cases, admits, hashed)
+	t.Logf("%d cases, %d admissions equal to the hashed twin's; %d missed the prediction, %d resolved by hash", cases, admits, mapped, hashed)
 }

@@ -20,9 +20,9 @@ import (
 // at any point in time" (§4).
 //
 // Everything but the values is laid out once per series set (see
-// exposition), so a pass snapshots the values, appends prefix and value per
+// exposition), so a pass reads the values alone, appends prefix and value per
 // line into a reused buffer and issues a single Write. The registry lock is
-// held for the snapshot only, never across the Write.
+// held for the reads only, never across the Write.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	if r.expo == nil {
@@ -33,13 +33,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if sc == nil {
 		sc = new(expoScratch)
 	}
-	sc.samples = r.snapshotLocked(sc.samples[:0])
+	sc.values = r.valuesLocked(sc.values[:0])
 	r.mu.Unlock()
 
 	buf, start := sc.buf[:0], 0
 	for i, end := range expo.end {
 		buf = append(buf, expo.prefix[start:end]...)
-		buf = appendValue(buf, sc.samples[expo.sample[i]].Value)
+		buf = appendValue(buf, sc.values[expo.sample[i]])
 		buf = append(buf, '\n')
 		start = end
 	}
@@ -67,8 +67,8 @@ type exposition struct {
 
 // expoScratch is one pass's reusable memory.
 type expoScratch struct {
-	samples []Sample
-	buf     []byte
+	values []float64 // in snapshot order
+	buf    []byte
 }
 
 // buildExposition sorts the current samples and renders their prefixes;

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"reflect"
-	"unsafe"
-)
+import "unsafe"
 
 // MapIndex finds what a label map object last resolved to — a stored series,
 // a gate's per-series state — without hashing or comparing its pairs. A store
@@ -30,11 +27,18 @@ type MapSighting struct {
 	indexed unsafe.Pointer // the map the index holds for this value, nil when none
 }
 
-// identity is the map object behind l, nil for a nil map.
-func identity(l Labels) unsafe.Pointer { return reflect.ValueOf(l).UnsafePointer() }
+// identity is the map object behind l, nil for a nil map: a map value is one
+// pointer to it, read without building a reflect.Value per sample.
+func identity(l Labels) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&l)) }
 
 // Lookup returns the value l's map object is indexed to, or nil.
 func (ix *MapIndex[T]) Lookup(l Labels) *T { return ix.m[identity(l)] }
+
+// Indexes reports whether the index holds l's map object for this sighting's
+// value: exactly when that index's Lookup(l) returns the value.
+func (s *MapSighting) Indexes(l Labels) bool {
+	return s.indexed != nil && s.indexed == identity(l)
+}
 
 // Resolved records that the hash path resolved l to v, whose sighting is
 // seen: it drops v's entry under another map, and makes one under l's map

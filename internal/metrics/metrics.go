@@ -19,6 +19,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -121,7 +122,8 @@ func (l Labels) Hash() uint64 {
 	return sum
 }
 
-// Key returns the canonical form of the label set, usable as a map key.
+// Key returns the canonical form of the label set, the exposition's sort key.
+// It escapes nothing, so two label sets can share one (see seriesKey).
 func (l Labels) Key() string {
 	if len(l) == 0 {
 		return ""
@@ -311,6 +313,16 @@ func (h *Histogram) snapshot(reg *registered, out []Sample) []Sample {
 	return append(out, sum, count)
 }
 
+// values appends snapshot's values alone, the count from the buckets' reads.
+func (h *Histogram) values(out []float64) []float64 {
+	cum := 0.0
+	for i := range h.counts {
+		cum += float64(h.counts[i].Load())
+		out = append(out, cum)
+	}
+	return append(out, h.sum.load(), cum)
+}
+
 // reset zeroes the histogram, as a restarted process would re-expose it.
 func (h *Histogram) reset() {
 	for i := range h.counts {
@@ -401,8 +413,26 @@ func NewRegistry() *Registry {
 	}
 }
 
+// seriesKey is the registry's key for (name, labels): the name, then each
+// pair in label-name order, every string length-prefixed. Labels.Key does not
+// escape ',' or '=', so {a="1,b=2"} and {a="1",b="2"} share a Key.
 func seriesKey(name string, labels Labels) string {
-	return name + "\x00" + labels.Key()
+	var names [8]string
+	sorted := names[:0]
+	for k := range labels {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	var buf [128]byte
+	key := appendField(buf[:0], name)
+	for _, k := range sorted {
+		key = appendField(appendField(key, k), labels[k])
+	}
+	return string(key)
+}
+
+func appendField(key []byte, s string) []byte {
+	return append(binary.AppendUvarint(key, uint64(len(s))), s...)
 }
 
 // Counter returns the counter series for (name, labels), creating it on
@@ -524,6 +554,22 @@ func (r *Registry) snapshotLocked(out []Sample) []Sample {
 			out = append(out, s)
 		case reg.histogram != nil:
 			out = reg.histogram.snapshot(reg, out)
+		}
+	}
+	return out
+}
+
+// valuesLocked appends every sample's value in snapshotLocked's order.
+func (r *Registry) valuesLocked(out []float64) []float64 {
+	for i := range r.order {
+		reg := &r.order[i]
+		switch {
+		case reg.counter != nil:
+			out = append(out, reg.counter.Value())
+		case reg.gauge != nil:
+			out = append(out, reg.gauge.Value())
+		case reg.histogram != nil:
+			out = reg.histogram.values(out)
 		}
 	}
 	return out

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,7 +208,9 @@ func TestConcurrentCounterAdds(t *testing.T) {
 
 // TestHistogramCountIsInfBucketUnderConcurrentObserves pins the Prometheus
 // invariant _count == _bucket{le="+Inf"} while observations land mid-scrape,
-// as they do on the wall plane: both must come from the same bucket reads.
+// as they do on the wall plane: both must come from the same bucket reads,
+// in a snapshot and on the text path, whose values are a second reader of
+// the buckets.
 func TestHistogramCountIsInfBucketUnderConcurrentObserves(t *testing.T) {
 	r := NewRegistry()
 	bounds := []float64{0.01, 0.1, 1}
@@ -235,6 +239,27 @@ func TestHistogramCountIsInfBucketUnderConcurrentObserves(t *testing.T) {
 		}
 		if buf[count].Value != buf[inf].Value {
 			t.Fatalf("snapshot %d: _count %v != +Inf bucket %v", i, buf[count].Value, buf[inf].Value)
+		}
+	}
+	var text bytes.Buffer
+	for i := 0; i < 5_000; i++ {
+		text.Reset()
+		if err := r.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := ParseExposition(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make(map[string]float64, len(samples))
+		for _, s := range samples {
+			lines[s.Name+s.Labels["le"]] = s.Value
+		}
+		if len(lines) != len(bounds)+3 {
+			t.Fatalf("unexpected exposition: %+v", samples)
+		}
+		if lines["h_count"] != lines["h_bucket+Inf"] {
+			t.Fatalf("exposition %d: _count %v != +Inf bucket %v", i, lines["h_count"], lines["h_bucket+Inf"])
 		}
 	}
 }
@@ -344,17 +369,56 @@ func TestSnapshotAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestLabelsKeyInjectiveProperty: the registry keys a series injectively.
+// Metric names, label names and values are drawn from an alphabet holding the
+// separators a joined key uses — ',', '=' and NUL — so that one label set can
+// spell another's pairs. Distinct series must get distinct handles, and equal
+// ones the same handle.
 func TestLabelsKeyInjectiveProperty(t *testing.T) {
-	// Distinct label sets must produce distinct keys.
-	f := func(a, b uint8) bool {
-		l1 := Labels{"k": string(rune('a' + a%26))}
-		l2 := Labels{"k": string(rune('a' + b%26))}
-		if a%26 == b%26 {
-			return l1.Key() == l2.Key()
+	for _, pair := range [][2]Labels{
+		{{"a": "1,b=2"}, {"a": "1", "b": "2"}},
+		{{"a=b": "c"}, {"a": "b=c"}},
+	} {
+		if r := NewRegistry(); r.Counter("req_total", pair[0]) == r.Counter("req_total", pair[1]) {
+			t.Errorf("%q and %q share a counter", map[string]string(pair[0]), map[string]string(pair[1]))
 		}
-		return l1.Key() != l2.Key()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	alphabet := []string{"a", "b", ",", "=", "\x00"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		draw := func() string {
+			var b strings.Builder
+			for n := rng.Intn(4); n > 0; n-- {
+				b.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+			return b.String()
+		}
+		type series struct {
+			name   string
+			labels Labels
+			handle *Counter
+		}
+		r := NewRegistry()
+		var drawn []series
+		for i := 0; i < 30; i++ {
+			s := series{name: []string{"req_total", "req_total\x00a", "req"}[rng.Intn(3)], labels: Labels{}}
+			for n := rng.Intn(3); n > 0; n-- {
+				s.labels[draw()] = draw()
+			}
+			s.handle = r.Counter(s.name, s.labels)
+			drawn = append(drawn, s)
+		}
+		for _, a := range drawn {
+			for _, b := range drawn {
+				if same := a.name == b.name && a.labels.Equal(b.labels); same != (a.handle == b.handle) {
+					t.Logf("%q%q and %q%q: same series %v, same handle %v", a.name, map[string]string(a.labels), b.name, map[string]string(b.labels), same, !same)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

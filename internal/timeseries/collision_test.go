@@ -10,7 +10,7 @@ import (
 // with Equal and walks the chain.
 func TestFamilyKeepsCollidingLabelSetsApart(t *testing.T) {
 	db := NewDB(0)
-	f := newFamily()
+	f := newFamily(0)
 	a, b, c := metrics.Labels{"backend": "a"}, metrics.Labels{"backend": "b"}, metrics.Labels{"backend": "c"}
 	const hash = 42
 	sa := f.insert(hash, a, db.interned)

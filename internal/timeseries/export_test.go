@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"time"
+	"unsafe"
 
 	"l3/internal/metrics"
 )
@@ -21,6 +22,18 @@ func HashResolved(db *DB) uint64 {
 	defer db.mu.Unlock()
 	return db.hashed
 }
+
+// MapPathResolved returns how many samples the database has resolved through
+// its family map so far: every one whose series the successor rule did not
+// predict.
+func MapPathResolved(db *DB) uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.mapped
+}
+
+// SeriesSize is the size of one stored series' struct.
+const SeriesSize = unsafe.Sizeof(series{})
 
 // Indexed returns how many label maps the database's identity index holds.
 func Indexed(db *DB) int {

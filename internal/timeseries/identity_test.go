@@ -85,17 +85,19 @@ func parsedFleet(tb testing.TB) []metrics.Sample {
 
 // An index entry is made once per series, on the second sighting of its map,
 // never once per sample: the third pass over the same parsed samples resolves
-// nothing by hash. A fresh map per sample — a parse table past its capacity —
-// takes the hash path every time and makes no entry.
+// nothing by hash, and nothing through the family map either — each series
+// is the predicted successor of the one before. A fresh map per sample — a
+// parse table past its capacity — takes the hash path every time and makes
+// no entry.
 func TestIndexIsMadeOncePerSeries(t *testing.T) {
 	samples := parsedFleet(t)
 	n := uint64(len(samples))
 	db := timeseries.NewDB(time.Minute)
 	db.SetGate(guard.NewHygiene(guard.Config{}, nil))
 	at := time.Duration(0)
-	pass := func(clone bool) (hashed uint64, indexed int) {
+	pass := func(clone bool) (hashed, mapped uint64, indexed int) {
 		at += 5 * time.Second
-		before := timeseries.HashResolved(db)
+		hashedBefore, mappedBefore := timeseries.HashResolved(db), timeseries.MapPathResolved(db)
 		var clones []metrics.Labels // alive for the pass: no address is reused
 		for _, s := range samples {
 			l := s.Labels
@@ -106,25 +108,25 @@ func TestIndexIsMadeOncePerSeries(t *testing.T) {
 			db.AppendSample(s.Name, l, s.Kind, at, s.Value)
 		}
 		runtime.KeepAlive(clones)
-		return timeseries.HashResolved(db) - before, timeseries.Indexed(db)
+		return timeseries.HashResolved(db) - hashedBefore, timeseries.MapPathResolved(db) - mappedBefore, timeseries.Indexed(db)
 	}
 	for i, want := range []struct {
-		clone   bool
-		hashed  uint64
-		indexed int
+		clone          bool
+		hashed, mapped uint64
+		indexed        int
 	}{
-		{false, n, 0},      // first sight: candidates only
-		{false, n, int(n)}, // second sight of the same maps: indexed
-		{false, 0, int(n)}, // every sample found by its map
-		{true, n, 0},       // the series arrive under other maps: entries dropped
-		{true, n, 0},       // and fresh maps make none
-		{false, n, 0},      // back to the table's maps: candidates again
-		{false, n, int(n)},
-		{false, 0, int(n)},
+		{false, n, n, 0},      // first sight: candidates only
+		{false, n, n, int(n)}, // second sight of the same maps: indexed
+		{false, 0, 0, int(n)}, // every sample predicted, found by its map
+		{true, n, n, 0},       // the series arrive under other maps: entries dropped
+		{true, n, n, 0},       // and fresh maps make none
+		{false, n, n, 0},      // back to the table's maps: candidates again
+		{false, n, n, int(n)},
+		{false, 0, 0, int(n)},
 	} {
-		if hashed, indexed := pass(want.clone); hashed != want.hashed || indexed != want.indexed {
-			t.Fatalf("pass %d (clone %v): %d hash-path resolutions, %d indexed maps; want %d and %d",
-				i+1, want.clone, hashed, indexed, want.hashed, want.indexed)
+		if hashed, mapped, indexed := pass(want.clone); hashed != want.hashed || mapped != want.mapped || indexed != want.indexed {
+			t.Fatalf("pass %d (clone %v): %d hash-path and %d map-path resolutions, %d indexed maps; want %d, %d and %d",
+				i+1, want.clone, hashed, mapped, indexed, want.hashed, want.mapped, want.indexed)
 		}
 	}
 	if got := db.SeriesCount(); got != len(samples) {

@@ -37,8 +37,10 @@ type series struct {
 	// excluded), inf the +Inf overflow bucket.
 	bound       float64
 	bucket, inf bool
+	family      uint32  // the family's index in DB.names: a number, not a pointer, keeps a series at 80 bytes
 	next        *series // next series of the family with the same label hash
 	seen        metrics.MapSighting
+	succ        *series // what the resolution after this series' landed on last time
 }
 
 // family is one metric name's series: in insertion order, by label hash for
@@ -46,6 +48,7 @@ type series struct {
 // name -> value -> series, each list in insertion order) for selector
 // queries — the index layout Prometheus's own head block uses.
 type family struct {
+	ordinal  uint32 // the index of its name in DB.names
 	series   []*series
 	byHash   map[uint64]*series
 	byMap    metrics.MapIndex[series]
@@ -55,8 +58,8 @@ type family struct {
 // hashLabels is the hash path's label hash; the collision tests force it.
 var hashLabels = metrics.Labels.Hash
 
-func newFamily() *family {
-	return &family{byHash: make(map[uint64]*series), postings: make(map[string]map[string][]*series)}
+func newFamily(ordinal uint32) *family {
+	return &family{ordinal: ordinal, byHash: make(map[uint64]*series), postings: make(map[string]map[string][]*series)}
 }
 
 // find returns the family's series with exactly these labels. hash is
@@ -78,7 +81,7 @@ const pointWindow = 16
 // insert adds a series under its label hash, with its own copy of the
 // labels drawn from pool, and indexes every pair.
 func (f *family) insert(hash uint64, labels metrics.Labels, pool map[string]string) *series {
-	s := &series{labels: labels.Interned(pool), points: make([]Point, 0, pointWindow), next: f.byHash[hash]}
+	s := &series{labels: labels.Interned(pool), points: make([]Point, 0, pointWindow), family: f.ordinal, next: f.byHash[hash]}
 	for k, v := range s.labels {
 		byValue := f.postings[k]
 		if byValue == nil {
@@ -121,6 +124,12 @@ type DB struct {
 	mu        sync.Mutex
 	retention time.Duration
 	families  map[string]*family
+	// names lists the family names in creation order; a series names its
+	// family by an index here.
+	names []string
+	// last is the series the previous resolution landed on: its succ is the
+	// next resolution's guess.
+	last *series
 	// interned holds one copy of every label name and value stored.
 	interned map[string]string
 	// buckets maps a histogram's base name to its "<name>_bucket" family, so
@@ -135,9 +144,10 @@ type DB struct {
 	counts  []float64
 	// visited counts series examined while resolving selectors, for the tests
 	// that pin a collect round's cost as linear in the backends it asks about
-	// on first sight and as nothing once its selectors stand; hashed counts
-	// series resolved by the hash path, for those that pin a scrape's.
-	visited, hashed uint64
+	// on first sight and as nothing once its selectors stand; mapped and
+	// hashed count series resolved through the family map and by the hash
+	// path, for those that pin a scrape's.
+	visited, mapped, hashed uint64
 }
 
 // NewDB returns a database that retains at least the given duration of
@@ -240,28 +250,47 @@ func (db *DB) store(ref *Ref, name string, labels metrics.Labels, t time.Duratio
 }
 
 // resolve returns the series for (name, labels), creating family and series
-// on first sight: by the labels' map object when the family has indexed it,
-// otherwise by hash, which then tells the index what it found.
+// on first sight. A scrape lists its series in the same order every round, so
+// it first guesses the series that followed the previous resolution's last
+// time, and takes it when the family index holds the labels' map for it and
+// it is of this name: exactly when the family map and the index would find
+// it, since an index entry for a series exists iff its sighting names the
+// map. A guess makes, drops and hashes nothing. Otherwise the family finds
+// the series by the labels' map object when it has indexed it, else by hash,
+// which then tells the index what it found; the series becomes the previous
+// one's successor.
 func (db *DB) resolve(name string, labels metrics.Labels) *series {
+	prev := db.last
+	if prev != nil {
+		if s := prev.succ; s != nil && s.seen.Indexes(labels) && db.names[s.family] == name {
+			db.last = s
+			return s
+		}
+	}
+	db.mapped++
 	f, ok := db.families[name]
 	if !ok {
 		name = strings.Clone(name) // not a slice of the scraped text
-		f = newFamily()
+		f = newFamily(uint32(len(db.names)))
 		db.families[name] = f
+		db.names = append(db.names, name)
 		if base, ok := strings.CutSuffix(name, "_bucket"); ok {
 			db.buckets[base] = f
 		}
 	}
-	if s := f.byMap.Lookup(labels); s != nil {
-		return s
-	}
-	db.hashed++
-	hash := hashLabels(labels)
-	s := f.find(hash, labels)
+	s := f.byMap.Lookup(labels)
 	if s == nil {
-		s = f.insert(hash, labels, db.interned)
+		db.hashed++
+		hash := hashLabels(labels)
+		if s = f.find(hash, labels); s == nil {
+			s = f.insert(hash, labels, db.interned)
+		}
+		f.byMap.Resolved(labels, s, &s.seen)
 	}
-	f.byMap.Resolved(labels, s, &s.seen)
+	if prev != nil {
+		prev.succ = s
+	}
+	db.last = s
 	return s
 }
 

@@ -144,19 +144,17 @@ func (in *Injector) check(ev Event) error {
 	switch ev.Kind {
 	case Partition, DelaySpike, LinkFlap:
 		if in.targets.Links == nil {
-			return fmt.Errorf("chaos: %s event but no link injector", ev.Kind.name())
+			return fmt.Errorf("chaos: %s event but no link injector", ev.Kind)
 		}
 		if ev.To == "*" && len(in.targets.Clusters) == 0 {
-			return fmt.Errorf("chaos: %s event with wildcard link but no cluster list", ev.Kind.name())
+			return fmt.Errorf("chaos: %s event with wildcard link but no cluster list", ev.Kind)
 		}
 	case BackendCrash, Saturate:
 		if _, ok := in.targets.Backends[ev.Backend]; !ok {
-			return fmt.Errorf("chaos: %s event targets unknown backend %q", ev.Kind.name(), ev.Backend)
+			return fmt.Errorf("chaos: %s event targets unknown backend %q", ev.Kind, ev.Backend)
 		}
-	case ScrapeDrop:
-		if len(in.targets.Scrapers) == 0 {
-			return fmt.Errorf("chaos: scrapedrop event but no scrapers")
-		}
+	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
+		return checkScrape(in.targets.Scrapers, ev)
 	case LeaderKill:
 		if len(in.targets.Leaders) == 0 {
 			return fmt.Errorf("chaos: leaderkill event but no leader handles")
@@ -170,33 +168,58 @@ func (in *Injector) check(ev Event) error {
 		if in.targets.Metrics == nil {
 			return fmt.Errorf("chaos: counterreset event but no metric resetter")
 		}
-	case Garbage:
-		if !anyScraper(in.targets.Scrapers, func(s ScrapeGate) bool { _, ok := s.(ScrapeCorrupter); return ok }) {
-			return fmt.Errorf("chaos: garbage event but no corruptible scraper")
-		}
-	case ClockSkew:
-		if !anyScraper(in.targets.Scrapers, func(s ScrapeGate) bool { _, ok := s.(ScrapeSkewer); return ok }) {
-			return fmt.Errorf("chaos: clockskew event but no skewable scraper")
-		}
-	case SlowScrape:
-		if !anyScraper(in.targets.Scrapers, func(s ScrapeGate) bool { _, ok := s.(ScrapeSlower); return ok }) {
-			return fmt.Errorf("chaos: slowscrape event but no slowable scraper")
-		}
 	case Stall, ConnReset, SlowLoris, ErrorBurst, LatencyRamp, BackendFlap:
 		// A simulated backend has no TCP connection to reset or socket to
 		// stall; these kinds exist for the wall-clock serving mode only.
-		return fmt.Errorf("chaos: %s is a wall-clock fault; run it through chaos.WallRunner (l3serve -chaostest), not the simulator", ev.Kind.name())
+		return fmt.Errorf("chaos: %s is a wall-clock fault; run it through chaos.WallRunner (l3serve -chaostest), not the simulator", ev.Kind)
 	}
 	return nil
 }
 
-func anyScraper(ss []ScrapeGate, has func(ScrapeGate) bool) bool {
-	for _, s := range ss {
-		if has(s) {
-			return true
+// scrapeFault resolves a control-plane scrape event against one scraper: the
+// call that injects (on) or heals it, or nil when the scraper lacks the
+// capability. It is the one table of scrape faults both runners inject.
+func scrapeFault(s ScrapeGate, ev Event, on bool) func() {
+	if !on {
+		ev.Skew, ev.SlowFactor = 0, 0
+	}
+	switch ev.Kind {
+	case ScrapeDrop:
+		return func() { s.SetDropping(on) }
+	case Garbage:
+		if c, ok := s.(ScrapeCorrupter); ok {
+			return func() { c.SetGarbage(ev.Backend, ev.Mode, on) }
+		}
+	case ClockSkew:
+		if k, ok := s.(ScrapeSkewer); ok {
+			return func() { k.SetSkew(ev.Skew) }
+		}
+	case SlowScrape:
+		if k, ok := s.(ScrapeSlower); ok {
+			return func() { k.SetSlowFactor(ev.SlowFactor) }
 		}
 	}
-	return false
+	return nil
+}
+
+// checkScrape fails unless some scraper takes the scrape event ev.
+func checkScrape(ss []ScrapeGate, ev Event) error {
+	for _, s := range ss {
+		if scrapeFault(s, ev, true) != nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("chaos: %s event but no scraper takes it", ev.Kind)
+}
+
+// setScrape injects (on) or heals the scrape event ev on every scraper that
+// takes it.
+func setScrape(ss []ScrapeGate, ev Event, on bool) {
+	for _, s := range ss {
+		if set := scrapeFault(s, ev, on); set != nil {
+			set()
+		}
+	}
 }
 
 // links expands an event's From/To into the directed links it covers.
@@ -249,34 +272,14 @@ func (in *Injector) apply(idx int, ev Event) {
 			kept = 1
 		}
 		b.SetConcurrency(kept)
-	case ScrapeDrop:
-		for _, s := range in.targets.Scrapers {
-			s.SetDropping(true)
-		}
+	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
+		setScrape(in.targets.Scrapers, ev, true)
 	case LeaderKill:
 		l := in.leader(ev)
 		in.killed[idx] = l
 		l.Kill()
 	case CounterReset:
 		in.targets.Metrics.ResetBackendCounters(ev.Backend)
-	case Garbage:
-		for _, s := range in.targets.Scrapers {
-			if c, ok := s.(ScrapeCorrupter); ok {
-				c.SetGarbage(ev.Backend, ev.Mode, true)
-			}
-		}
-	case ClockSkew:
-		for _, s := range in.targets.Scrapers {
-			if sk, ok := s.(ScrapeSkewer); ok {
-				sk.SetSkew(ev.Skew)
-			}
-		}
-	case SlowScrape:
-		for _, s := range in.targets.Scrapers {
-			if sl, ok := s.(ScrapeSlower); ok {
-				sl.SetSlowFactor(ev.SlowFactor)
-			}
-		}
 	}
 }
 
@@ -295,31 +298,11 @@ func (in *Injector) heal(idx int, ev Event) {
 			restored = 1
 		}
 		b.SetConcurrency(restored)
-	case ScrapeDrop:
-		for _, s := range in.targets.Scrapers {
-			s.SetDropping(false)
-		}
+	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
+		setScrape(in.targets.Scrapers, ev, false)
 	case LeaderKill:
 		if l, ok := in.killed[idx]; ok {
 			l.Revive()
-		}
-	case Garbage:
-		for _, s := range in.targets.Scrapers {
-			if c, ok := s.(ScrapeCorrupter); ok {
-				c.SetGarbage(ev.Backend, ev.Mode, false)
-			}
-		}
-	case ClockSkew:
-		for _, s := range in.targets.Scrapers {
-			if sk, ok := s.(ScrapeSkewer); ok {
-				sk.SetSkew(0)
-			}
-		}
-	case SlowScrape:
-		for _, s := range in.targets.Scrapers {
-			if sl, ok := s.(ScrapeSlower); ok {
-				sl.SetSlowFactor(0)
-			}
 		}
 	}
 }

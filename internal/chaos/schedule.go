@@ -92,8 +92,8 @@ const (
 	BackendFlap
 )
 
-// name returns the schedule-format keyword of the kind.
-func (k Kind) name() string {
+// String returns the schedule-format keyword of the kind.
+func (k Kind) String() string {
 	switch k {
 	case Partition:
 		return "partition"
@@ -169,7 +169,7 @@ type Event struct {
 // String renders the event in the schedule format ParseSchedule accepts.
 func (e Event) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%s", e.Kind.name(), e.At)
+	fmt.Fprintf(&b, "%s@%s", e.Kind, e.At)
 	if e.Duration > 0 {
 		fmt.Fprintf(&b, "+%s", e.Duration)
 	}
@@ -223,10 +223,10 @@ func (e Event) String() string {
 // Validate checks the event's structural invariants.
 func (e Event) Validate() error {
 	if e.At < 0 {
-		return fmt.Errorf("chaos: %s event at negative time %v", e.Kind.name(), e.At)
+		return fmt.Errorf("chaos: %s event at negative time %v", e.Kind, e.At)
 	}
 	if e.Duration < 0 {
-		return fmt.Errorf("chaos: %s event with negative duration %v", e.Kind.name(), e.Duration)
+		return fmt.Errorf("chaos: %s event with negative duration %v", e.Kind, e.Duration)
 	}
 	switch e.Kind {
 	case Partition:
@@ -290,7 +290,7 @@ func (e Event) Validate() error {
 		}
 	case Stall, ConnReset:
 		if e.Backend == "" {
-			return fmt.Errorf("chaos: %s needs a backend name", e.Kind.name())
+			return fmt.Errorf("chaos: %s needs a backend name", e.Kind)
 		}
 	case SlowLoris:
 		if e.Backend == "" || e.Extra <= 0 {
@@ -514,7 +514,7 @@ func parseEvent(s string) (Event, error) {
 func (e *Event) parseOperands(fields []string) error {
 	need := func(n int) error {
 		if len(fields) != n {
-			return fmt.Errorf("%s takes %d operand(s), got %d", e.Kind.name(), n, len(fields))
+			return fmt.Errorf("%s takes %d operand(s), got %d", e.Kind, n, len(fields))
 		}
 		return nil
 	}

@@ -112,6 +112,26 @@ func TestParseScheduleRejects(t *testing.T) {
 	}
 }
 
+// clockskew and slowscrape act on every scrape pass: no scraper skews or
+// slows one backend's series, so neither kind takes a backend operand.
+func TestScrapeSkewAndSlowTakeNoBackend(t *testing.T) {
+	for _, s := range []string{"clockskew@1s+1s:6s/api-a", "slowscrape@1s+1s:3/api-a"} {
+		_, err := ParseSchedule(s)
+		if err == nil || !strings.Contains(err.Error(), "takes 1 operand(s), got 2") {
+			t.Errorf("ParseSchedule(%q) = %v, want the one-operand rejection", s, err)
+		}
+	}
+}
+
+// Every kind prints the keyword the grammar reads it by.
+func TestKindStringIsTheKeyword(t *testing.T) {
+	for k := Partition; k <= BackendFlap; k++ {
+		if _, err := parseEvent(k.String() + "@1s"); err != nil && strings.Contains(err.Error(), "unknown event kind") {
+			t.Errorf("kind %d prints %q, which the grammar does not know", int(k), k)
+		}
+	}
+}
+
 func TestScheduleStartEnd(t *testing.T) {
 	sched, err := ParseSchedule("crash@3m+30s:api; partition@2m+1m:a/b")
 	if err != nil {

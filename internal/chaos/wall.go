@@ -27,9 +27,10 @@ type WallBackend interface {
 }
 
 // WallTargets binds a schedule's events to a wall-clock run. Scrapers
-// receive the control-plane faults the sim grammar already defines
-// (scrapedrop, garbage); gates additionally implementing ScrapeCorrupter
-// receive garbage events, exactly as in the sim Injector.
+// receive the control-plane scrape faults exactly as in the sim Injector:
+// every gate takes scrapedrop, and gates with the ScrapeCorrupter,
+// ScrapeSkewer or ScrapeSlower capability take garbage, clockskew or
+// slowscrape.
 type WallTargets struct {
 	// Backends maps backend name to its fault surface.
 	Backends map[string]WallBackend
@@ -135,18 +136,12 @@ func (r *WallRunner) check(ev Event) error {
 	switch ev.Kind {
 	case Stall, ConnReset, SlowLoris, ErrorBurst, LatencyRamp, BackendFlap:
 		if _, ok := r.targets.Backends[ev.Backend]; !ok {
-			return fmt.Errorf("chaos: %s event targets unknown wall backend %q", ev.Kind.name(), ev.Backend)
+			return fmt.Errorf("chaos: %s event targets unknown wall backend %q", ev.Kind, ev.Backend)
 		}
-	case ScrapeDrop:
-		if len(r.targets.Scrapers) == 0 {
-			return fmt.Errorf("chaos: scrapedrop event but no scrapers")
-		}
-	case Garbage:
-		if !anyScraper(r.targets.Scrapers, func(s ScrapeGate) bool { _, ok := s.(ScrapeCorrupter); return ok }) {
-			return fmt.Errorf("chaos: garbage event but no corruptible scraper")
-		}
+	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
+		return checkScrape(r.targets.Scrapers, ev)
 	default:
-		return fmt.Errorf("chaos: %s is not wall-injectable; run it through the simulator's Injector", ev.Kind.name())
+		return fmt.Errorf("chaos: %s is not wall-injectable; run it through the simulator's Injector", ev.Kind)
 	}
 	return nil
 }
@@ -165,16 +160,8 @@ func (r *WallRunner) apply(ev Event) {
 		r.startRamp(ev)
 	case BackendFlap:
 		r.startFlap(ev)
-	case ScrapeDrop:
-		for _, s := range r.targets.Scrapers {
-			s.SetDropping(true)
-		}
-	case Garbage:
-		for _, s := range r.targets.Scrapers {
-			if c, ok := s.(ScrapeCorrupter); ok {
-				c.SetGarbage(ev.Backend, ev.Mode, true)
-			}
-		}
+	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
+		setScrape(r.targets.Scrapers, ev, true)
 	}
 }
 
@@ -192,16 +179,8 @@ func (r *WallRunner) heal(ev Event) {
 		b.SetErrorRate(0)
 	case LatencyRamp:
 		b.SetExtraLatency(0)
-	case ScrapeDrop:
-		for _, s := range r.targets.Scrapers {
-			s.SetDropping(false)
-		}
-	case Garbage:
-		for _, s := range r.targets.Scrapers {
-			if c, ok := s.(ScrapeCorrupter); ok {
-				c.SetGarbage(ev.Backend, ev.Mode, false)
-			}
-		}
+	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
+		setScrape(r.targets.Scrapers, ev, false)
 	}
 }
 

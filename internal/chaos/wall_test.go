@@ -33,9 +33,13 @@ type fakeWallScraper struct {
 	dropping    bool
 	garbageOn   bool
 	garbageMode string
+	skew        time.Duration
+	slowFactor  int
 }
 
-func (f *fakeWallScraper) SetDropping(on bool) { f.dropping = on }
+func (f *fakeWallScraper) SetDropping(on bool)     { f.dropping = on }
+func (f *fakeWallScraper) SetSkew(d time.Duration) { f.skew = d }
+func (f *fakeWallScraper) SetSlowFactor(n int)     { f.slowFactor = n }
 func (f *fakeWallScraper) SetGarbage(backend, mode string, on bool) {
 	f.garbageOn = on
 	f.garbageMode = mode
@@ -89,7 +93,8 @@ func TestWallRunnerStallInjectHeal(t *testing.T) {
 }
 
 func TestWallRunnerAllKinds(t *testing.T) {
-	sched := "reset@1s+1s:api-a; slowloris@3s+1s:api-a/50ms; errorburst@5s+1s:api-a/0.8; scrapedrop@7s+1s; garbage@9s+1s:nan/api-a"
+	sched := "reset@1s+1s:api-a; slowloris@3s+1s:api-a/50ms; errorburst@5s+1s:api-a/0.8; scrapedrop@7s+1s; garbage@9s+1s:nan/api-a; " +
+		"clockskew@11s+1s:2s; slowscrape@13s+1s:3"
 	b, sc, _, e := runWall(t, sched, 1500*time.Millisecond)
 	if !b.resetting {
 		t.Fatal("reset not injected")
@@ -122,9 +127,23 @@ func TestWallRunnerAllKinds(t *testing.T) {
 	if !sc.garbageOn || sc.garbageMode != "nan" {
 		t.Fatalf("garbage on=%v mode=%q, want on/nan", sc.garbageOn, sc.garbageMode)
 	}
-	e.RunUntil(11 * time.Second)
+	e.RunUntil(11500 * time.Millisecond)
 	if sc.garbageOn {
 		t.Fatal("garbage not healed")
+	}
+	if sc.skew != 2*time.Second {
+		t.Fatalf("skew = %v, want 2s", sc.skew)
+	}
+	e.RunUntil(13500 * time.Millisecond)
+	if sc.skew != 0 {
+		t.Fatal("clockskew not healed")
+	}
+	if sc.slowFactor != 3 {
+		t.Fatalf("slow factor = %d, want 3", sc.slowFactor)
+	}
+	e.RunUntil(15 * time.Second)
+	if sc.slowFactor != 0 {
+		t.Fatal("slowscrape not healed")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"l3/internal/clock"
@@ -64,6 +65,11 @@ func (a *L3Assigner) Weighter() *Weighter { return a.weighter }
 // RateController exposes the inner rate controller (nil when disabled).
 func (a *L3Assigner) RateController() *RateController { return a.rate }
 
+// TextSource is a scrape target that serves exposition text, as /metrics
+// does. It fetches and parses off the clock's loop and calls done once, on
+// the loop (the shape of health.Prober) or synchronously from inside itself.
+type TextSource func(done func([]metrics.Sample, error))
+
 // Scraper periodically snapshots a metrics registry into the time-series
 // database — the stand-in for the Prometheus instance of Figure 5, with the
 // same 5 s default scrape interval and therefore the same data-freshness
@@ -76,6 +82,13 @@ type Scraper struct {
 	timer      clock.Timer
 	dropping   bool
 	dropped    uint64
+	// source, when set, replaces the registries; pending marks a pass whose
+	// samples have not come back yet. lastIngest is when the last pass was
+	// stored (Start's time before the first).
+	source     TextSource
+	pending    bool
+	lastIngest time.Duration
+	ingests    atomic.Int64
 	// buf is the recycled snapshot buffer: every scrape pass refills it via
 	// SnapshotAppend, so the steady-state scrape allocates nothing.
 	buf []metrics.Sample
@@ -125,14 +138,19 @@ func NewScraperClock(clk clock.Clock, db *timeseries.DB, regs []*metrics.Registr
 	return &Scraper{clk: clk, db: db, registries: regs, interval: interval, refs: make([][]timeseries.Ref, len(regs))}
 }
 
+// SetSource makes the scraper read a text target instead of its registries.
+// Call it before Start.
+func (s *Scraper) SetSource(src TextSource) { s.source = src }
+
 // Start begins periodic scraping (first scrape one interval from now).
 func (s *Scraper) Start() {
+	s.lastIngest = s.clk.Now()
 	s.timer = s.clk.Every(s.interval, s.tick)
 }
 
 func (s *Scraper) tick() {
 	s.ticks++
-	if s.dropping {
+	if s.dropping || s.pending {
 		s.dropped++
 		return
 	}
@@ -146,6 +164,11 @@ func (s *Scraper) tick() {
 		// a wandering clock would stamp them. With skew beyond the scrape
 		// interval this reorders ingestion.
 		t -= s.skew
+	}
+	if s.source != nil {
+		s.pending = true
+		s.source(func(samples []metrics.Sample, err error) { s.ingest(t, samples, err) })
+		return
 	}
 	// Every registry is read before any sample is stored: a gate may count
 	// what it rejects in a registry this pass scrapes.
@@ -174,7 +197,44 @@ func (s *Scraper) tick() {
 			i++
 		}
 	}
+	s.ingested()
 }
+
+// ingest stores a text pass stamped t. It appends by labels, not by a
+// position ref: the exposition is sorted, so a series registered later lands
+// mid-text and shifts every position after it. A failed pass counts as
+// dropped and stores nothing.
+func (s *Scraper) ingest(t time.Duration, samples []metrics.Sample, err error) {
+	s.pending = false
+	if err != nil {
+		s.dropped++
+		return
+	}
+	for i := range samples {
+		sample := &samples[i]
+		v := sample.Value
+		if len(s.garbage) > 0 {
+			if mode, ok := s.garbageMode(sample.Labels); ok {
+				v = corruptValue(mode, i, v)
+			}
+		}
+		s.db.AppendSample(sample.Name, sample.Labels, sample.Kind, t, v)
+	}
+	s.ingested()
+}
+
+func (s *Scraper) ingested() {
+	s.lastIngest = s.clk.Now()
+	s.ingests.Add(1)
+}
+
+// LastIngest returns when the last pass was stored, or when Start ran if none
+// has been yet.
+func (s *Scraper) LastIngest() time.Duration { return s.lastIngest }
+
+// Ingests counts the passes stored so far. Unlike the other methods it is
+// safe from any goroutine.
+func (s *Scraper) Ingests() int64 { return s.ingests.Load() }
 
 // Stop halts scraping.
 func (s *Scraper) Stop() {
@@ -223,12 +283,8 @@ func (s *Scraper) garbageMode(l metrics.Labels) (string, bool) {
 	if m, ok := s.garbage[""]; ok {
 		return m, true
 	}
-	if b, ok := l["backend"]; ok {
-		if m, ok := s.garbage[b]; ok {
-			return m, true
-		}
-	}
-	return "", false
+	m, ok := s.garbage[l["backend"]]
+	return m, ok
 }
 
 func corruptValue(mode string, i int, v float64) float64 {

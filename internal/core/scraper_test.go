@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"l3/internal/clock"
 	"l3/internal/metrics"
 	"l3/internal/sim"
 	"l3/internal/timeseries"
@@ -55,6 +57,55 @@ func TestScraperDefaultInterval(t *testing.T) {
 	engine.RunUntil(6 * time.Second)
 	if _, ok := db.Latest("g", nil, 6*time.Second); !ok {
 		t.Fatal("default-interval scraper produced no samples by 6s")
+	}
+}
+
+// A text pass that fails stores nothing, counts as dropped and leaves the
+// last-ingest time where it was; a pass still out when the next tick comes
+// makes that tick a drop, and lands stamped with its own tick's time.
+func TestTextSourceFailuresAndPendingPasses(t *testing.T) {
+	engine := sim.NewEngine()
+	db := timeseries.NewDB(time.Minute)
+	s := NewScraperClock(clock.Sim(engine), db, nil, 5*time.Second)
+	var fail error
+	var hold bool
+	var held func([]metrics.Sample, error)
+	up := func(v float64) []metrics.Sample {
+		return []metrics.Sample{{Name: "up", Kind: metrics.KindGauge, Value: v}}
+	}
+	s.SetSource(func(done func([]metrics.Sample, error)) {
+		if hold {
+			held = done // the fetch is still out
+			return
+		}
+		done(up(1), fail)
+	})
+	s.Start()
+	engine.RunUntil(5 * time.Second)
+	if s.Ingests() != 1 || s.LastIngest() != 5*time.Second || s.Dropped() != 0 {
+		t.Fatalf("after one pass: ingests %d, last ingest %v, dropped %d", s.Ingests(), s.LastIngest(), s.Dropped())
+	}
+
+	fail = errors.New("scrape refused")
+	engine.RunUntil(15 * time.Second)
+	if s.Ingests() != 1 || s.LastIngest() != 5*time.Second || s.Dropped() != 2 {
+		t.Fatalf("after two failed passes: ingests %d, last ingest %v, dropped %d", s.Ingests(), s.LastIngest(), s.Dropped())
+	}
+	if at, ok := db.NewestSample("up", nil); !ok || at != 5*time.Second {
+		t.Fatalf("newest sample at %v, %v; a failed pass stored something", at, ok)
+	}
+
+	fail, hold = nil, true
+	engine.RunUntil(25 * time.Second) // the 20 s pass is held; the 25 s tick drops
+	if held == nil || s.Dropped() != 3 || s.Ingests() != 1 {
+		t.Fatalf("held %v, dropped %d, ingests %d; want the 25 s tick dropped behind the held pass", held != nil, s.Dropped(), s.Ingests())
+	}
+	held(up(2), nil)
+	if s.Ingests() != 2 || s.LastIngest() != 25*time.Second {
+		t.Fatalf("after the held pass: ingests %d, last ingest %v", s.Ingests(), s.LastIngest())
+	}
+	if at, ok := db.NewestSample("up", nil); !ok || at != 20*time.Second {
+		t.Fatalf("held pass stored at %v, %v; want its tick's 20 s", at, ok)
 	}
 }
 

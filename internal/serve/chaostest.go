@@ -78,11 +78,11 @@ type FaultResult struct {
 	Ejections    int64 `json:"breaker_ejections"`
 	FailsToEject int64 `json:"fails_to_eject,omitempty"`
 	// FailStatic reports whether the control plane engaged fail-static
-	// (scrapedrop faults only).
+	// (scrape-plane faults only).
 	FailStatic bool `json:"failstatic_engaged,omitempty"`
 	// TTR is the time-to-recover: injection until the first full recovery
 	// window ran at converged p99 (data-plane faults), or heal until
-	// fail-static disengaged (scrapedrop).
+	// fail-static disengaged (scrape-plane faults).
 	TTR       time.Duration `json:"ttr_ns"`
 	Recovered bool          `json:"recovered"`
 	// WindowP50/P99/P999 are the post-recovery window's latency quantiles.
@@ -239,19 +239,19 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 	// took to trip), fail-static engagement and release.
 	for _, ev := range events {
 		fr := FaultResult{
-			Fault:      chaosKindName(ev.Kind),
+			Fault:      ev.Kind.String(),
 			Backend:    ev.Backend,
 			InjectedAt: ev.At,
 			HealedAt:   ev.At + ev.Duration,
 		}
 		switch ev.Kind {
-		case chaos.ScrapeDrop:
+		case chaos.ScrapeDrop, chaos.Garbage, chaos.ClockSkew, chaos.SlowScrape:
 			waitWall(loadWall, ev.At)
 			fr.FailStatic = pollWall(loadWall, fr.HealedAt, srv.Control().FailStaticActive)
 			waitWall(loadWall, fr.HealedAt)
 			healAt := loadWall.Now()
 			deadline := fr.HealedAt + 5*cfg.ScrapeInterval + 2*time.Second
-			if pollWall(loadWall, deadline, func() bool { return !srv.Control().FailStaticActive() }) && fr.FailStatic {
+			if pollWall(loadWall, deadline, func() bool { return !srv.Control().FailStaticActive() }) {
 				fr.TTR = loadWall.Now() - healAt
 				fr.Recovered = true
 			}
@@ -299,8 +299,9 @@ func RunChaostest(opts ChaostestOptions, out io.Writer) (*ChaosReport, error) {
 			if i+1 < len(events) && events[i+1].At < bound {
 				bound = events[i+1].At
 			}
-			if fr.Fault == "scrapedrop" {
-				// Control-plane outage: the data plane keeps serving; report
+			switch events[i].Kind {
+			case chaos.ScrapeDrop, chaos.Garbage, chaos.ClockSkew, chaos.SlowScrape:
+				// Control-plane fault: the data plane keeps serving; report
 				// the fault window's own quantiles as proof.
 				fr.WindowP50 = rec.WindowQuantile(0.50, fr.InjectedAt, bound)
 				fr.WindowP99 = rec.WindowQuantile(0.99, fr.InjectedAt, bound)
@@ -369,12 +370,12 @@ func (r *ChaosReport) assertions(pol resilience.Policy) []string {
 			if !fr.Recovered {
 				fails = append(fails, fmt.Sprintf("%s(%s): p99 never re-converged", fr.Fault, fr.Backend))
 			}
-		case "scrapedrop":
-			if !fr.FailStatic {
+		case "scrapedrop", "garbage", "clockskew", "slowscrape":
+			if fr.Fault == "scrapedrop" && !fr.FailStatic {
 				fails = append(fails, "scrapedrop: fail-static never engaged")
 			}
 			if !fr.Recovered {
-				fails = append(fails, "scrapedrop: fail-static never released after heal")
+				fails = append(fails, fr.Fault+": fail-static never released after heal")
 			}
 		default:
 			if !fr.Recovered {
@@ -389,30 +390,6 @@ func (r *ChaosReport) assertions(pol resilience.Policy) []string {
 		fails = append(fails, fmt.Sprintf("%d requests dropped at drain", r.Dropped))
 	}
 	return fails
-}
-
-// chaosKindName names a kind without reaching into the chaos package's
-// unexported grammar table.
-func chaosKindName(k chaos.Kind) string {
-	switch k {
-	case chaos.Stall:
-		return "stall"
-	case chaos.ConnReset:
-		return "reset"
-	case chaos.SlowLoris:
-		return "slowloris"
-	case chaos.ErrorBurst:
-		return "errorburst"
-	case chaos.LatencyRamp:
-		return "ramp"
-	case chaos.BackendFlap:
-		return "bflap"
-	case chaos.ScrapeDrop:
-		return "scrapedrop"
-	case chaos.Garbage:
-		return "garbage"
-	}
-	return fmt.Sprintf("kind-%d", int(k))
 }
 
 // waitWall sleeps until the wall clock reaches t.

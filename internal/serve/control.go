@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,34 +47,22 @@ type control struct {
 	watchdog   *guard.Watchdog
 	gate       *guard.WriteGate
 
+	// scraper is the one scrape loop both clocks share; here its text
+	// source GETs the server's own /metrics.
+	scraper    *core.Scraper
 	client     *http.Client
 	metricsURL string
 
-	scrapes        atomic.Int64
-	scrapeFailures atomic.Int64
-	// scrapeBusy single-flights the async scrape: a fetch slower than the
-	// interval skips rounds instead of piling up goroutines.
-	scrapeBusy  atomic.Bool
-	scrapeTimer clock.Timer
-	pushTimer   clock.Timer
-	staleTimer  clock.Timer
+	pushTimer  clock.Timer
+	staleTimer clock.Timer
 
-	// lastOKScrape (wall nanoseconds) drives fail-static: when the control
-	// plane has not ingested a successful scrape for StaleAfter, the data
-	// plane stops trusting new split writes and decays the routing table
-	// toward uniform. The scrape goroutine writes, the stale check reads.
-	lastOKScrape    atomic.Int64
+	// failStatic is engaged and released by staleCheck, from the scraper's
+	// last-ingest time: when the control plane has stored no scrape for
+	// StaleAfter, the data plane stops trusting new split writes and decays
+	// the routing table toward uniform.
 	failStatic      atomic.Bool
 	engagements     atomic.Int64
 	failStaticGauge *metrics.Gauge
-
-	// dropping and the garbage fields implement chaos.ScrapeGate and
-	// chaos.ScrapeCorrupter for the wall-clock chaos harness.
-	dropping       atomic.Bool
-	garbageMu      sync.Mutex
-	garbageBackend string
-	garbageMode    string
-	garbageOn      bool
 
 	cancelWatch func()
 }
@@ -99,6 +85,8 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 		metricsURL: metricsURL,
 	}
 	c.failStaticGauge = ctrlReg.Gauge("serve_failstatic_active", metrics.Labels{"service": cfg.Service})
+	c.scraper = core.NewScraperClock(wall, c.db, nil, cfg.ScrapeInterval)
+	c.scraper.SetSource(c.scrapeSelf)
 
 	var hyg *guard.Hygiene
 	if cfg.Guard {
@@ -201,8 +189,7 @@ func (c *control) start(router *Router) {
 		router.rebuild(c.backends, weights)
 	})
 
-	c.lastOKScrape.Store(int64(c.wall.Now()))
-	c.scrapeTimer = c.wall.Every(c.cfg.ScrapeInterval, c.scrape)
+	c.scraper.Start()
 	if c.cfg.StaleAfter > 0 {
 		c.staleTimer = c.wall.Every(c.cfg.ReconcileInterval, c.staleCheck)
 	}
@@ -235,9 +222,7 @@ func (c *control) stop() {
 	if c.cancelWatch != nil {
 		c.cancelWatch()
 	}
-	if c.scrapeTimer != nil {
-		c.scrapeTimer.Cancel()
-	}
+	c.scraper.Stop()
 	if c.staleTimer != nil {
 		c.staleTimer.Cancel()
 	}
@@ -255,70 +240,50 @@ func (c *control) stop() {
 	}
 }
 
-// scrape is the control plane's Prometheus stand-in: GET the server's own
-// /metrics over HTTP, parse the exposition text, ingest into the TSDB. The
-// timer callback only launches the fetch; the GET and parse run on their own
-// goroutine (a wall callback must never block on a socket — the lesson of a
-// /metrics stall taking the whole control loop down with it), bounded by
-// ScrapeTimeout, and the parsed samples re-enter the single-threaded world
-// via wall.Do, the same shape as httpProber.
-func (c *control) scrape() {
-	if c.dropping.Load() {
-		// The chaos scrapedrop fault: the scheduled scrape never happens,
-		// exactly as a partitioned Prometheus would miss its round.
-		c.scrapeFailures.Add(1)
-		return
-	}
-	if !c.scrapeBusy.CompareAndSwap(false, true) {
-		c.scrapeFailures.Add(1)
-		return
-	}
-	now := c.wall.Now()
+// scrapeSelf is the scraper's text source, the control plane's Prometheus
+// stand-in: GET the server's own /metrics and parse the exposition. The GET
+// and the parse run on their own goroutine (a wall callback must never block
+// on a socket — the lesson of a /metrics stall taking the whole control loop
+// down with it), bounded by ScrapeTimeout; the samples re-enter the
+// single-threaded world via wall.Do, the same shape as httpProber.
+func (c *control) scrapeSelf(done func([]metrics.Sample, error)) {
 	go func() {
-		defer c.scrapeBusy.Store(false)
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ScrapeTimeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.metricsURL, nil)
-		if err != nil {
-			c.scrapeFailures.Add(1)
-			return
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			c.scrapeFailures.Add(1)
-			return
-		}
-		samples, err := metrics.ParseExposition(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			c.scrapeFailures.Add(1)
-			return
-		}
-		c.corrupt(samples)
-		c.wall.Do(func() {
-			for _, s := range samples {
-				c.db.AppendSample(s.Name, s.Labels, s.Kind, now, s.Value)
-			}
-			c.scrapes.Add(1)
-			c.lastOKScrape.Store(int64(c.wall.Now()))
-			if c.failStatic.CompareAndSwap(true, false) {
-				// Control data is flowing again: lift fail-static and let
-				// the controller's next reconcile republish real weights.
-				c.failStaticGauge.Set(0)
-			}
-		})
+		samples, err := c.fetchMetrics()
+		c.wall.Do(func() { done(samples, err) })
 	}()
 }
 
-// staleCheck runs every reconcile tick: when the last good scrape is older
-// than StaleAfter, engage fail-static (freeze the table against
-// stale-control writes) and decay the frozen weights toward uniform — the
+func (c *control) fetchMetrics() ([]metrics.Sample, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ScrapeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.metricsURL, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("serve: scrape answered %s", resp.Status)
+	}
+	return metrics.ParseExposition(resp.Body)
+}
+
+// staleCheck runs every reconcile tick: when the scraper has stored nothing
+// for StaleAfter, engage fail-static (freeze the table against stale-control
+// writes) and decay the frozen weights toward uniform — the
 // graceful-degradation half of the guard story, covering the failure the
 // in-loop watchdog cannot see: a controller that keeps writing splits
-// computed from data that stopped arriving.
+// computed from data that stopped arriving. Once scrapes are stored again it
+// releases the mode, and the controller's next reconcile republishes real
+// weights.
 func (c *control) staleCheck() {
-	last := time.Duration(c.lastOKScrape.Load())
-	if c.wall.Now()-last <= c.cfg.StaleAfter {
+	if c.wall.Now()-c.scraper.LastIngest() <= c.cfg.StaleAfter {
+		if c.failStatic.CompareAndSwap(true, false) {
+			c.failStaticGauge.Set(0)
+		}
 		return
 	}
 	if c.failStatic.CompareAndSwap(false, true) {
@@ -362,46 +327,14 @@ func (c *control) decayWeights() {
 	}
 }
 
-// corrupt applies the chaos garbage fault to scraped samples in place, the
-// wall-mode analogue of the sim Scraper's corruption (same modes: "nan",
-// "negative", "mixed" — guard's ingestion hygiene is what should catch it).
-func (c *control) corrupt(samples []metrics.Sample) {
-	c.garbageMu.Lock()
-	on, backend, mode := c.garbageOn, c.garbageBackend, c.garbageMode
-	c.garbageMu.Unlock()
-	if !on {
-		return
-	}
-	for i := range samples {
-		if backend != "" && samples[i].Labels["backend"] != backend {
-			continue
-		}
-		switch mode {
-		case "nan":
-			samples[i].Value = math.NaN()
-		case "negative":
-			samples[i].Value = -samples[i].Value - 1
-		default: // mixed
-			if i%2 == 0 {
-				samples[i].Value = math.NaN()
-			} else {
-				samples[i].Value = -samples[i].Value - 1
-			}
-		}
-	}
-}
-
-// SetDropping implements chaos.ScrapeGate: while on, scheduled self-scrapes
-// are skipped, starving the control plane exactly as a dead Prometheus
-// would.
-func (c *control) SetDropping(on bool) { c.dropping.Store(on) }
-
-// SetGarbage implements chaos.ScrapeCorrupter: corrupt scraped values for
-// one backend's series ("" = all) while on.
+// The chaos scrape faults (chaos.ScrapeGate and its capabilities) forward to
+// the scraper on the control clock: the runner that calls them ticks on a
+// clock of its own, and tests call from their goroutine.
+func (c *control) SetDropping(on bool)     { c.wall.Do(func() { c.scraper.SetDropping(on) }) }
+func (c *control) SetSkew(d time.Duration) { c.wall.Do(func() { c.scraper.SetSkew(d) }) }
+func (c *control) SetSlowFactor(n int)     { c.wall.Do(func() { c.scraper.SetSlowFactor(n) }) }
 func (c *control) SetGarbage(backend, mode string, on bool) {
-	c.garbageMu.Lock()
-	c.garbageOn, c.garbageBackend, c.garbageMode = on, backend, mode
-	c.garbageMu.Unlock()
+	c.wall.Do(func() { c.scraper.SetGarbage(backend, mode, on) })
 }
 
 // FailStaticActive reports whether the data plane is in fail-static
@@ -438,6 +371,5 @@ func (c *control) httpProber() health.Prober {
 	}
 }
 
-// Scrapes and ScrapeFailures expose scrape-loop counters for smoke tests.
-func (c *control) Scrapes() int64        { return c.scrapes.Load() }
-func (c *control) ScrapeFailures() int64 { return c.scrapeFailures.Load() }
+// Scrapes counts the self-scrapes stored so far (safe from any goroutine).
+func (c *control) Scrapes() int64 { return c.scraper.Ingests() }

@@ -104,9 +104,9 @@ func (s *Server) Start() error {
 	s.control = newControl(s.cfg, s.wall, s.router, s.backends, s.ctrlReg, metricsURL)
 
 	mux := http.NewServeMux()
-	// The /metrics handler reads the registries directly — it must not
-	// enter the wall clock's mutex, because the control plane's own scrape
-	// GETs this endpoint from inside a wall callback.
+	// The /metrics handler reads the registries directly, never under the
+	// wall clock's mutex: queued behind a long control callback, the
+	// self-scrape would time out and count as a dropped scrape.
 	mux.HandleFunc("/metrics", s.serveMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Fail-static is degraded-but-serving: the proxy still answers, so

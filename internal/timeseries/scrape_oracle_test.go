@@ -8,6 +8,7 @@ package timeseries_test
 // over now and then, as a parse table hands them out, or a clone per sample.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/clock"
 	"l3/internal/core"
 	"l3/internal/guard"
 	"l3/internal/metrics"
@@ -28,8 +30,10 @@ type labelScraper struct {
 	registries []*metrics.Registry
 	buf        []metrics.Sample
 
-	// clone copies every sample's labels; otherwise table, when not nil,
-	// maps a series' name and labels to the one copy handed out for it.
+	// text reads the registries as one /metrics page, rendered and parsed
+	// back. clone copies every sample's labels; otherwise table, when not
+	// nil, maps a series' name and labels to the one copy handed out for it.
+	text  bool
 	clone bool
 	table map[string]metrics.Labels
 
@@ -53,8 +57,16 @@ func (s *labelScraper) tick() {
 		t -= s.skew
 	}
 	s.buf = s.buf[:0]
-	for _, reg := range s.registries {
-		s.buf = reg.SnapshotAppend(s.buf)
+	if s.text {
+		samples, err := expose(s.registries)
+		if err != nil {
+			return
+		}
+		s.buf = append(s.buf, samples...)
+	} else {
+		for _, reg := range s.registries {
+			s.buf = reg.SnapshotAppend(s.buf)
+		}
 	}
 	for i, sample := range s.buf {
 		v := sample.Value
@@ -68,6 +80,18 @@ func (s *labelScraper) tick() {
 		}
 		s.db.AppendSample(sample.Name, s.labels(sample), sample.Kind, t, v)
 	}
+}
+
+// expose renders the registries as one /metrics page and parses it back, as a
+// scrape of a server that serves them all reads them.
+func expose(regs []*metrics.Registry) ([]metrics.Sample, error) {
+	var page bytes.Buffer
+	for _, reg := range regs {
+		if err := reg.WritePrometheus(&page); err != nil {
+			return nil, err
+		}
+	}
+	return metrics.ParseExposition(&page)
 }
 
 func (s *labelScraper) labels(sample metrics.Sample) metrics.Labels {
@@ -150,13 +174,146 @@ func sameDump(got, want map[string][]timeseries.Point) error {
 	return nil
 }
 
-// TestRefScraperStoresWhatLabelScraperStores runs the ref-keeping scraper
-// and the label-keyed one over the same seeded world — three registries, of
+// scrapeWorld is one seeded case of the scrape oracles: three registries, of
 // which the first keeps gaining series between scrapes (so positions in a
 // concatenated buffer shift, and per-registry positions must not), counter
-// resets, and every scrape fault chaos can inject, with the hygiene gate on
-// every other case — and requires the two databases to hold the same points
-// for every series, bit for bit, at every checkpoint. A third, label-keyed
+// resets, and every scrape fault chaos can inject — overlapping garbage
+// windows on two backends among them — with the hygiene gate on every other
+// case. dbs[0] is the oracle's database; every other scraper's must hold the
+// same points for every series, bit for bit, and its gate must count the same
+// rejections and resets, at every checkpoint.
+type scrapeWorld struct {
+	rng     *rand.Rand
+	engine  *sim.Engine
+	regs    []*metrics.Registry
+	dbs     []*timeseries.DB
+	hygRegs []*metrics.Registry
+}
+
+func newScrapeWorld(c, scrapers int) *scrapeWorld {
+	w := &scrapeWorld{
+		rng:    rand.New(rand.NewSource(int64(c))),
+		engine: sim.NewEngine(),
+		regs:   []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()},
+	}
+	retention := time.Duration(20+w.rng.Intn(60)) * time.Second
+	for i := 0; i < scrapers; i++ {
+		db, hygReg := timeseries.NewDB(retention), metrics.NewRegistry()
+		if c%2 == 1 {
+			db.SetGate(guard.NewHygiene(guard.Config{}, hygReg))
+		}
+		w.dbs, w.hygRegs = append(w.dbs, db), append(w.hygRegs, hygReg)
+	}
+	return w
+}
+
+// run drives the world for 300 s, setting every fault on each of faults
+// alike and calling turn (when not nil) now and then with a coin, and checks
+// each checkpoint; names name dbs[1:]. It returns the oracle's stored points.
+func (w *scrapeWorld) run(t *testing.T, c int, faults []scrapeFaults, turn func(bool), names ...string) int {
+	t.Helper()
+	rng, engine, regs := w.rng, w.engine, w.regs
+	var counters []*metrics.Counter
+	var gauges []*metrics.Gauge
+	var hists []*metrics.Histogram
+	backend := func() string { return fmt.Sprintf("b%d", rng.Intn(5)) }
+	register := func() {
+		reg := regs[0] // the early registry is the one that grows most
+		if rng.Intn(3) == 0 {
+			reg = regs[1+rng.Intn(2)]
+		}
+		l := metrics.Labels{"backend": backend(), "classification": []string{"success", "failure"}[rng.Intn(2)], "src": fmt.Sprintf("c%d", rng.Intn(3))}
+		switch rng.Intn(3) {
+		case 0:
+			counters = append(counters, reg.Counter("response_total", l))
+		case 1:
+			gauges = append(gauges, reg.Gauge("request_inflight", l))
+		case 2:
+			hists = append(hists, reg.Histogram("response_latency", l, []float64{0.01, 0.1, 1}))
+		}
+	}
+	for i := 0; i < 6; i++ {
+		register()
+	}
+	garbage := func(target, mode string, on bool) {
+		for _, s := range faults {
+			s.SetGarbage(target, mode, on)
+		}
+	}
+	mutate := func() {
+		for n := rng.Intn(3); n > 0; n-- { // lazy registration between scrapes
+			register()
+		}
+		for _, c := range counters {
+			c.Add(float64(rng.Intn(20)))
+		}
+		for _, g := range gauges {
+			g.Set(float64(rng.Intn(9)))
+		}
+		for _, h := range hists {
+			h.Observe(rng.Float64() * 2)
+		}
+		switch rng.Intn(12) {
+		case 0:
+			regs[rng.Intn(len(regs))].ResetCounters(metrics.Labels{"backend": backend()})
+		case 1:
+			garbage([]string{"", backend()}[rng.Intn(2)], []string{"nan", "negative", "mixed"}[rng.Intn(3)], rng.Intn(2) == 0)
+		case 2:
+			skew := []time.Duration{0, 2 * time.Second, 7 * time.Second}[rng.Intn(3)]
+			for _, s := range faults {
+				s.SetSkew(skew)
+			}
+		case 3:
+			n := rng.Intn(4)
+			for _, s := range faults {
+				s.SetSlowFactor(n)
+			}
+		case 4:
+			drop := rng.Intn(3) == 0
+			for _, s := range faults {
+				s.SetDropping(drop)
+			}
+		case 5:
+			if turn != nil {
+				turn(rng.Intn(3) == 0)
+			}
+		}
+	}
+	// Off the scrape instants, so no mutation lands between two scrapers'
+	// passes over one instant.
+	engine.After(300*time.Millisecond, func() { engine.Every(time.Second, mutate) })
+	// Two backends' garbage windows overlap from 60 s to 80 s.
+	engine.At(40*time.Second+300*time.Millisecond, func() { garbage("b1", "nan", true) })
+	engine.At(60*time.Second+300*time.Millisecond, func() { garbage("b2", "mixed", true) })
+	engine.At(80*time.Second+300*time.Millisecond, func() { garbage("b1", "", false) })
+	engine.At(100*time.Second+300*time.Millisecond, func() { garbage("b2", "", false) })
+
+	points := 0
+	for at := 25 * time.Second; at <= 300*time.Second; at += 25 * time.Second {
+		engine.RunUntil(at)
+		want := timeseries.Dump(w.dbs[0])
+		for i, name := range names {
+			if err := sameDump(timeseries.Dump(w.dbs[i+1]), want); err != nil {
+				t.Fatalf("case %d at %v: %s: %v", c, at, name, err)
+			}
+			if err := sameCounters(w.hygRegs[i+1], w.hygRegs[0]); err != nil {
+				t.Fatalf("case %d at %v: %s's hygiene: %v", c, at, name, err)
+			}
+		}
+		if at == 300*time.Second {
+			if len(want) < 30 {
+				t.Fatalf("case %d: only %d series exercised", c, len(want))
+			}
+			for _, pts := range want {
+				points += len(pts)
+			}
+		}
+	}
+	return points
+}
+
+// TestRefScraperStoresWhatLabelScraperStores runs the ref-keeping scraper
+// and the label-keyed one over the same seeded world. A third, label-keyed
 // twin clones every sample's labels, so its database and gate resolve each
 // by hash, while the label-keyed oracle's maps are recognised by identity and
 // turned over now and then: all three store the same points, and the three
@@ -165,114 +322,34 @@ func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 	const cases = 40
 	points := 0
 	for c := 0; c < cases; c++ {
-		rng := rand.New(rand.NewSource(int64(c)))
-		engine := sim.NewEngine()
-		regs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()}
-		retention := time.Duration(20+rng.Intn(60)) * time.Second
-		db, oracleDB, twinDB := timeseries.NewDB(retention), timeseries.NewDB(retention), timeseries.NewDB(retention)
-		hygRegs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()}
-		if c%2 == 1 {
-			for i, d := range []*timeseries.DB{db, oracleDB, twinDB} {
-				d.SetGate(guard.NewHygiene(guard.Config{}, hygRegs[i]))
-			}
-		}
-		scraper := core.NewScraperMulti(engine, db, regs, 5*time.Second)
+		w := newScrapeWorld(c, 3)
+		oracle := &labelScraper{engine: w.engine, db: w.dbs[0], registries: w.regs}
+		scraper := core.NewScraperMulti(w.engine, w.dbs[1], w.regs, 5*time.Second)
 		scraper.Start()
-		oracle := &labelScraper{engine: engine, db: oracleDB, registries: regs}
-		twin := &labelScraper{engine: engine, db: twinDB, registries: regs, clone: true}
-		engine.Every(5*time.Second, oracle.tick)
-		engine.Every(5*time.Second, twin.tick)
-		both := []scrapeFaults{scraper, oracle, twin}
+		twin := &labelScraper{engine: w.engine, db: w.dbs[2], registries: w.regs, clone: true}
+		w.engine.Every(5*time.Second, oracle.tick)
+		w.engine.Every(5*time.Second, twin.tick)
+		points += w.run(t, c, []scrapeFaults{scraper, oracle, twin}, oracle.turn, "ref scraper", "cloning twin")
+	}
+	t.Logf("%d cases, %d stored points bit-identical to the label-keyed scraper's", cases, points)
+}
 
-		var counters []*metrics.Counter
-		var gauges []*metrics.Gauge
-		var hists []*metrics.Histogram
-		backend := func() string { return fmt.Sprintf("b%d", rng.Intn(5)) }
-		register := func() {
-			reg := regs[0] // the early registry is the one that grows most
-			if rng.Intn(3) == 0 {
-				reg = regs[1+rng.Intn(2)]
-			}
-			l := metrics.Labels{"backend": backend(), "classification": []string{"success", "failure"}[rng.Intn(2)], "src": fmt.Sprintf("c%d", rng.Intn(3))}
-			switch rng.Intn(3) {
-			case 0:
-				counters = append(counters, reg.Counter("response_total", l))
-			case 1:
-				gauges = append(gauges, reg.Gauge("request_inflight", l))
-			case 2:
-				hists = append(hists, reg.Histogram("response_latency", l, []float64{0.01, 0.1, 1}))
-			}
-		}
-		for i := 0; i < 6; i++ {
-			register()
-		}
-		mutate := func() {
-			for n := rng.Intn(3); n > 0; n-- { // lazy registration between scrapes
-				register()
-			}
-			for _, c := range counters {
-				c.Add(float64(rng.Intn(20)))
-			}
-			for _, g := range gauges {
-				g.Set(float64(rng.Intn(9)))
-			}
-			for _, h := range hists {
-				h.Observe(rng.Float64() * 2)
-			}
-			switch rng.Intn(12) {
-			case 0:
-				regs[rng.Intn(len(regs))].ResetCounters(metrics.Labels{"backend": backend()})
-			case 1:
-				target, mode, on := []string{"", backend()}[rng.Intn(2)], []string{"nan", "negative", "mixed"}[rng.Intn(3)], rng.Intn(2) == 0
-				for _, s := range both {
-					s.SetGarbage(target, mode, on)
-				}
-			case 2:
-				skew := []time.Duration{0, 2 * time.Second, 7 * time.Second}[rng.Intn(3)]
-				for _, s := range both {
-					s.SetSkew(skew)
-				}
-			case 3:
-				n := rng.Intn(4)
-				for _, s := range both {
-					s.SetSlowFactor(n)
-				}
-			case 4:
-				drop := rng.Intn(3) == 0
-				for _, s := range both {
-					s.SetDropping(drop)
-				}
-			case 5:
-				oracle.turn(rng.Intn(3) == 0)
-			}
-		}
-		// Off the scrape instants, so no mutation lands between the two
-		// scrapers' passes over one instant.
-		engine.After(300*time.Millisecond, func() { engine.Every(time.Second, mutate) })
-
-		for at := 25 * time.Second; at <= 300*time.Second; at += 25 * time.Second {
-			engine.RunUntil(at)
-			got, want := timeseries.Dump(db), timeseries.Dump(oracleDB)
-			if err := sameDump(got, want); err != nil {
-				t.Fatalf("case %d at %v: %v", c, at, err)
-			}
-			if err := sameDump(timeseries.Dump(twinDB), want); err != nil {
-				t.Fatalf("case %d at %v: cloning twin: %v", c, at, err)
-			}
-			for i, name := range []string{"ref scraper", "cloning twin"} {
-				if err := sameCounters(hygRegs[2*i], hygRegs[1]); err != nil {
-					t.Fatalf("case %d at %v: %s's hygiene: %v", c, at, name, err)
-				}
-			}
-			if at == 300*time.Second {
-				if len(want) < 30 {
-					t.Fatalf("case %d: only %d series exercised", c, len(want))
-				}
-				for _, pts := range want {
-					points += len(pts)
-				}
-			}
-		}
+// TestTextScraperStoresWhatLabelScraperStores runs core.Scraper on a text
+// source — the registries rendered as one /metrics page and parsed back, done
+// called synchronously from inside the source — against the label-keyed
+// scraper reading the same page, in the same seeded world: the stored points
+// are bit-identical, and the gates count the same.
+func TestTextScraperStoresWhatLabelScraperStores(t *testing.T) {
+	const cases = 40
+	points := 0
+	for c := 0; c < cases; c++ {
+		w := newScrapeWorld(c, 2)
+		oracle := &labelScraper{engine: w.engine, db: w.dbs[0], registries: w.regs, text: true}
+		scraper := core.NewScraperClock(clock.Sim(w.engine), w.dbs[1], nil, 5*time.Second)
+		scraper.SetSource(func(done func([]metrics.Sample, error)) { done(expose(w.regs)) })
+		scraper.Start()
+		w.engine.Every(5*time.Second, oracle.tick)
+		points += w.run(t, c, []scrapeFaults{scraper, oracle}, nil, "text scraper")
 	}
 	t.Logf("%d cases, %d stored points bit-identical to the label-keyed scraper's", cases, points)
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke serve-smoke serve-chaos-smoke serve-soak overload-smoke benchmark-smoke loc
+.PHONY: check fmt vet build test race fuzz-smoke serve-smoke serve-chaos-smoke serve-soak overload-smoke benchmark-smoke loc sweep
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector (which runs every CLI figure golden, chaos, resilience,
@@ -93,3 +93,10 @@ benchmark-smoke:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l
+
+## sweep: the control round at 102, 1 020 and 3 060 backends (exposition,
+## parse, gated append and collect, ten warm rounds each on one CPU) — the
+## fleet-size table in DESIGN.md § Control round cost. ns/backend should stay
+## flat; allocs/op counts what a warm round still builds per series.
+sweep:
+	$(GO) test -run '^$$' -bench 'ControlRound/backends=(102|1020|3060)$$' -benchtime 10x -cpu 1 ./internal/core

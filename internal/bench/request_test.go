@@ -104,8 +104,9 @@ func TestScenarioMallocsPerRequest(t *testing.T) {
 // TestDSBRunMallocs guards the number the repo benchmark reports as sim_dsb
 // allocs_per_op without running it: one world of its shape (L3, 200 rps, 30 s
 // of warm-up and 20 measured) is 6 909 series met for the first time and ten
-// control rounds over them. 116 174 mallocs before the scraper kept series
-// refs, the collector standing selectors and a new series a whole window.
+// control rounds over them. The ceiling is the measured count plus 5 %: it
+// holds while the stores keep the label map they are handed and a new series
+// is one allocation; a store that copies each series' map again exceeds it.
 func TestDSBRunMallocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("process-wide allocation counts are not meaningful under -race")
@@ -119,8 +120,8 @@ func TestDSBRunMallocs(t *testing.T) {
 	}
 	mallocs := after.Mallocs - before.Mallocs
 	t.Logf("%d mallocs for one 50 s DSB world, %d recorded requests", mallocs, rec.Count())
-	if mallocs > 95000 {
-		t.Errorf("%d mallocs for one 50 s DSB world, want <= 95 000", mallocs)
+	if mallocs > 51750 {
+		t.Errorf("%d mallocs for one 50 s DSB world, want <= 51 750", mallocs)
 	}
 }
 

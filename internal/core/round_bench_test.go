@@ -96,28 +96,42 @@ func (r *controlRound) run(tb testing.TB) map[string]core.BackendMetrics {
 // 19 000 of the 21 000 a round made before the parser remembered its series;
 // what is left is the 72 of 34 Collect result maps. The bytes are the parse's
 // result slice: the 1.1 MB text is read into a buffer the parser reuses, where
-// copying it made a round 1.57 MB.
+// copying it made a round 1.57 MB. At 1 020 backends a scrape spells 96 000
+// series, past the parser table's 65 536-series floor: a warm round stays
+// under 1 000 mallocs only while the table holds every series a scrape spells,
+// instead of returning fresh label maps for those past the floor.
 func TestControlRoundMallocs(t *testing.T) {
-	r := newControlRound(t, 102)
-	for i := 0; i < 8; i++ { // until retention trims every series and its points stop growing
-		r.run(t)
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
 	}
-	perRound := testing.AllocsPerRun(10, func() { r.run(t) })
-	t.Logf("%.0f mallocs per warm round at 102 backends", perRound)
-	if perRound >= 100 {
-		t.Errorf("%.0f mallocs per warm round, want < 100", perRound)
-	}
-	const rounds = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		r.run(t)
-	}
-	runtime.ReadMemStats(&after)
-	perRoundBytes := (after.TotalAlloc - before.TotalAlloc) / rounds
-	t.Logf("%d bytes allocated per warm round at 102 backends", perRoundBytes)
-	if perRoundBytes >= 700_000 {
-		t.Errorf("%d bytes allocated per warm round, want < 700 000", perRoundBytes)
+	for _, c := range []struct {
+		backends int
+		mallocs  float64
+	}{{102, 100}, {1020, 1000}} {
+		r := newControlRound(t, c.backends)
+		for i := 0; i < 8; i++ { // until retention trims every series and its points stop growing
+			r.run(t)
+		}
+		perRound := testing.AllocsPerRun(10, func() { r.run(t) })
+		t.Logf("%.0f mallocs per warm round at %d backends", perRound, c.backends)
+		if perRound >= c.mallocs {
+			t.Errorf("%.0f mallocs per warm round at %d backends, want < %.0f", perRound, c.backends, c.mallocs)
+		}
+		if c.backends != 102 {
+			continue
+		}
+		const rounds = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			r.run(t)
+		}
+		runtime.ReadMemStats(&after)
+		perRoundBytes := (after.TotalAlloc - before.TotalAlloc) / rounds
+		t.Logf("%d bytes allocated per warm round at 102 backends", perRoundBytes)
+		if perRoundBytes >= 700_000 {
+			t.Errorf("%d bytes allocated per warm round, want < 700 000", perRoundBytes)
+		}
 	}
 }
 
@@ -169,9 +183,10 @@ func TestWarmScrapeTickDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkControlRound is ROADMAP item 1's sweep: ns/op divided by the
-// backend count should stay flat from 102 to 10 200 backends. The last size
-// holds 950 000 series in 4.5 GB and is for `go test -bench` only.
+// BenchmarkControlRound is ROADMAP item 3's sweep (`make sweep` runs the
+// first three sizes): ns/op divided by the backend count should stay flat
+// from 102 to 10 200 backends. The last size holds 950 000 series, 2.0 GB
+// live and 2.8 GB in use at its peak, and is for `go test -bench` only.
 func BenchmarkControlRound(b *testing.B) {
 	for _, n := range []int{102, 1020, 3060, 10200} {
 		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {

@@ -2,7 +2,6 @@ package guard
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,8 +44,6 @@ type Hygiene struct {
 	// reset lists the series that have ever spliced a reset, all LastReset
 	// has to look at.
 	reset []*seriesState
-	// interned holds one copy of every label name and value retained.
-	interned map[string]string
 	// mapped and hashed count states resolved through the name map and by
 	// the hash path, for the tests.
 	mapped, hashed uint64
@@ -67,22 +64,24 @@ type states struct {
 var hashLabels = metrics.Labels.Hash
 
 type seriesState struct {
-	labels    metrics.Labels
-	next      *seriesState // next state of the family with the same label hash
-	succ      *seriesState // what the resolution after this state's landed on last time
-	seen      metrics.MapSighting
-	lastT     time.Duration
-	lastRaw   float64
-	offset    float64
-	lastReset time.Duration
-	hasReset  bool
-	name      uint32 // the metric name's index in Hygiene.names: a number, not a pointer, keeps a state at 80 bytes
+	// labels is the map the state was created with, or the last other equal
+	// map the hash path resolved it under; indexed says the name's byMap holds
+	// it for the state.
+	labels            metrics.Labels
+	next              *seriesState // next state of the family with the same label hash
+	succ              *seriesState // what the resolution after this state's landed on last time
+	lastT             time.Duration
+	lastRaw           float64
+	offset            float64
+	lastReset         time.Duration
+	hasReset, indexed bool
+	name              uint32 // the metric name's index in Hygiene.names: a number, not a pointer, keeps a state at 64 bytes
 }
 
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
 // when non-nil (they are created eagerly so registration order is stable).
 func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
-	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]*states), interned: make(map[string]string)}
+	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]*states)}
 	counter := func(reason string) *metrics.Counter {
 		if reg == nil {
 			return &metrics.Counter{}
@@ -103,8 +102,9 @@ func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
 }
 
 // Admit implements timeseries.Gate. The labels map is never modified
-// afterwards: the gate finds the state of a map it has resolved twice in a
-// row under one name by the map object alone (see metrics.MapIndex).
+// afterwards: the gate keeps it as the state's labels, and finds the state of
+// a map it has resolved twice in a row under one name by the map object
+// alone (see metrics.MapIndex).
 func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) (float64, bool) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		h.rejNaN.Inc()
@@ -166,7 +166,7 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, created bool) {
 	prev := h.last
 	if prev != nil {
-		if st = prev.succ; st != nil && st.seen.Indexes(labels) && h.names[st.name] == name {
+		if st = prev.succ; st != nil && st.indexed && metrics.SameMap(st.labels, labels) && h.names[st.name] == name {
 			h.last = st
 			return st, false
 		}
@@ -174,7 +174,6 @@ func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, cr
 	h.mapped++
 	named, ok := h.series[name]
 	if !ok {
-		name = strings.Clone(name) // not a slice of the scraped text
 		named = &states{ordinal: uint32(len(h.names)), byHash: make(map[uint64]*seriesState)}
 		h.series[name] = named
 		h.names = append(h.names, name)
@@ -187,11 +186,12 @@ func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, cr
 			st = st.next
 		}
 		if st == nil {
-			st = &seriesState{labels: labels.Interned(h.interned), next: named.byHash[hash], name: named.ordinal}
+			st = &seriesState{labels: labels, next: named.byHash[hash], name: named.ordinal}
 			named.byHash[hash] = st
 			created = true
+		} else {
+			named.byMap.Resolved(labels, st, &st.labels, &st.indexed)
 		}
-		named.byMap.Resolved(labels, st, &st.seen)
 	}
 	if prev != nil {
 		prev.succ = st

@@ -46,7 +46,7 @@ func FuzzParseExposition(f *testing.F) {
 		}
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			line := string(bytes.TrimSuffix(line, []byte("\r")))
-			if got, _, err := new(seriesCache).parse(line); err != nil || len(got) != 1 {
+			if got, err := new(seriesCache).parse(line); err != nil || len(got) != 1 {
 				continue // not a sample line
 			}
 			if _, _, rest, _ := scanSeries(line); seriesText(line) != line[:len(line)-len(rest)] {

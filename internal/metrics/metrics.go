@@ -33,9 +33,10 @@ import (
 // a metric family.
 //
 // A label map handed to a store — timeseries.DB's appends, a
-// timeseries.Gate — is never modified afterwards: stores recognise a series by
-// its map object (MapIndex). The registry's sample templates and
-// ParseExposition's series table hand out such maps, one per series.
+// timeseries.Gate — is never modified afterwards: the store keeps that map,
+// not a copy, for the series' life, and recognises the series by its map
+// object (MapIndex). The registry's sample templates and ParseExposition's
+// series table hand out such maps, one per series.
 type Labels map[string]string
 
 // Clone returns an independent copy of the label set.
@@ -51,27 +52,6 @@ func (l Labels) Clone() Labels {
 func (l Labels) With(name, value string) Labels {
 	c := l.Clone()
 	c[name] = value
-	return c
-}
-
-// Interned returns a copy of the label set whose strings are pool's own
-// copies, added on first sight. Stores that outlive a scrape copy labels this
-// way: parsed label strings are slices of a whole exposition text, which a
-// stored series must not keep alive, and a fleet's series repeat a few
-// hundred strings between them.
-func (l Labels) Interned(pool map[string]string) Labels {
-	own := func(s string) string {
-		if o, ok := pool[s]; ok {
-			return o
-		}
-		s = strings.Clone(s)
-		pool[s] = s
-		return s
-	}
-	c := make(Labels, len(l))
-	for k, v := range l {
-		c[own(k)] = own(v)
-	}
 	return c
 }
 
@@ -518,8 +498,8 @@ func (r *Registry) Snapshot() []Sample {
 // Sample label maps are the registry's registration-time sets, shared
 // across snapshots and across callers: they must be treated as read-only.
 // Consumers that retain labels past the scrape (the time-series DB, the
-// hygiene gate) already clone on first sight, and recognise a series by its
-// template's map from then on (MapIndex).
+// hygiene gate) keep the template's map itself and recognise a series by it
+// (MapIndex).
 //
 // The whole pass runs under one lock acquisition, so a scrape sees a single
 // coherent registration state instead of re-locking per series (the old

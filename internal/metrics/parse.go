@@ -34,48 +34,50 @@ import (
 // process-wide table. A line whose series text is in it takes Name and Labels
 // from there and goes straight to the value, timestamp and trailing-garbage
 // checks; any other line runs the whole grammar, and its series text enters
-// the table only once that succeeded — so the result is the same function
-// of the input whatever the table holds. Names and Labels from the table are
-// its own copies and pin nothing of the text read from r; the Labels are
-// shared between results and callers and must be treated as read-only, as
-// Registry.SnapshotAppend's are. The text itself is read into a buffer the
-// table reuses from call to call. Past the table's capacity a line parses as
-// it always did, into slices of that buffer; a call that returns such a
-// sample leaves the buffer to its results, which keep it alive while a
-// consumer keeps them, and the next call reads into a new one. The
-// time-series database and the hygiene gate copy what they retain either way.
+// the table once that succeeded — so the result is the same function of the
+// input whatever the table holds. Every Name and Labels returned is the
+// table's own copy and pins nothing of the text read from r, which is read
+// into a buffer the table reuses from call to call. The Labels are shared
+// between results and callers and must be treated as read-only, as
+// Registry.SnapshotAppend's are: the time-series database and the hygiene
+// gate keep them, one map per series, for as long as they keep the series.
 func ParseExposition(r io.Reader) ([]Sample, error) {
 	return scraped.read(r)
 }
 
-// seriesCacheCap bounds each of the table's two generations: about 700
-// backends' worth of mesh series, some 30 MB when full.
+// seriesCacheCap is the floor of the table's bound. The table turns over when
+// it holds twice as many series as the largest parse since its last turn has
+// sample lines, and never below this many (about 700 backends' worth of mesh
+// series): a target of any size is served whole from its second scrape on, a
+// table whose scrapes spell the same series never turns, and one that churns
+// holds at most its bound plus the two latest parses.
 const seriesCacheCap = 1 << 16
 
 // scraped is the series table behind ParseExposition.
 var scraped = seriesCache{limit: seriesCacheCap}
 
 // seriesCache maps a series' text as spelled to its parsed form, in two
-// generations: lookups try cur, then old (moving a hit forward while cur has
-// room); admissions go to cur while it has room. A parse that starts with
-// cur full turns the table over, so a series no scrape spells any more is
-// gone in two turns, and a scrape of more series than limit keeps the first
-// limit of them cached and parses the rest uncached, every time. mu is held
-// around one in-memory parse and the buffer hand-offs, never around reading.
+// generations: lookups try cur, then old, moving a hit forward; admissions go
+// to cur. A parse that starts with the table at its bound — limit, or twice
+// the largest parse since the last turn — turns the table over, so a series
+// no scrape spells any more is gone in two turns. mu is held around one
+// in-memory parse and the buffer hand-offs, never around reading.
 //
 // A scrape also spells its series in the same order every round, so each
-// entry remembers the entry the next cached sample line resolved to last
-// time (next), and a lookup tries that one before hashing anything. A
-// predicted entry is taken only if gen says it is in cur or old, and then
-// exactly as the maps would have served it — moved forward out of old while
-// cur has room — so prediction decides the cost of a lookup, never its
-// outcome or what the table holds afterwards.
+// entry remembers the entry the next sample line resolved to last time
+// (next), and a lookup tries that one before hashing anything. A predicted
+// entry is taken only if gen says it is in cur or old, and then exactly as
+// the maps would have served it — moved forward out of old — so prediction
+// decides the cost of a lookup, never its outcome or what the table holds
+// afterwards.
 type seriesCache struct {
 	mu       sync.Mutex
-	limit    int
+	limit    int // the floor of the bound
 	cur, old map[string]*cachedSeries
+	held     int            // entries only in old: the table holds len(cur)+held series
+	largest  int            // sample lines of the largest parse since the last turn
 	gen      uint64         // turns so far: an entry is in cur iff its gen is gen, in old only iff gen-1
-	head     cachedSeries   // next: the entry of the first cached sample line, last time
+	head     cachedSeries   // next: the entry of the first sample line, last time
 	spare    []cachedSeries // entries are allocated in chunks, handed out from here
 	buf      []byte         // the read buffer, nil while a read holds it
 }
@@ -85,7 +87,7 @@ type seriesCache struct {
 type cachedSeries struct {
 	text, name string
 	labels     Labels
-	next       *cachedSeries // what the following cached sample line resolved to last time
+	next       *cachedSeries // what the following sample line resolved to last time
 	gen        uint64        // the table's gen when the entry last entered cur
 }
 
@@ -93,10 +95,9 @@ type cachedSeries struct {
 const entryChunk = 32
 
 // read parses everything r holds. The text is read, outside mu, into the
-// buffer the last call handed back, and parsed in place; the buffer goes back
-// to the table unless a returned sample points into it, and then a new one of
-// its size does. Nothing else a parse returns can point into it: table
-// entries are copies, and errors quote what they name.
+// buffer the last call handed back, parsed in place, and the buffer goes back
+// to the table: nothing a parse returns points into it, since samples take
+// their strings from table entries and errors quote what they name.
 func (c *seriesCache) read(r io.Reader) ([]Sample, error) {
 	c.mu.Lock()
 	buf := c.buf
@@ -109,10 +110,7 @@ func (c *seriesCache) read(r io.Reader) ([]Sample, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, aliased, err := c.parse(unsafe.String(unsafe.SliceData(buf), len(buf)))
-	if aliased {
-		buf = make([]byte, 0, cap(buf)) // the results keep the text; the next read needs as much room
-	}
+	out, err := c.parse(unsafe.String(unsafe.SliceData(buf), len(buf)))
 	c.buf = buf
 	return out, err
 }
@@ -135,18 +133,17 @@ func readAll(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// parse parses text under mu; aliased reports whether a returned sample
-// holds slices of text — one that parsed past the table's capacity.
-func (c *seriesCache) parse(text string) (out []Sample, aliased bool, err error) {
+// parse parses text under mu.
+func (c *seriesCache) parse(text string) ([]Sample, error) {
 	if c.cur == nil {
 		c.cur, c.old = make(map[string]*cachedSeries), make(map[string]*cachedSeries)
 	}
-	if len(c.cur) >= c.limit {
+	if len(c.cur)+c.held >= max(c.limit, 2*c.largest) {
 		c.turn()
 	}
-	out = make([]Sample, 0, strings.Count(text, "\n")+1)
+	out := make([]Sample, 0, strings.Count(text, "\n")+1)
 	types := make(map[string]Kind)
-	prev := &c.head // the entry of the last sample line the table holds
+	prev := &c.head // the entry of the last sample line
 	for lineNo := 1; text != ""; lineNo++ {
 		// Lines end at "\n" or "\r\n"; the last one may end with the input.
 		line := text
@@ -167,26 +164,23 @@ func (c *seriesCache) parse(text string) (out []Sample, aliased bool, err error)
 		}
 		s, e, err := c.parseSampleLine(prev.next, line)
 		if err != nil {
-			return nil, false, fmt.Errorf("metrics: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("metrics: line %d: %w", lineNo, err)
 		}
-		if e == nil {
-			aliased = true
-		} else {
-			if prev.next != e {
-				prev.next = e
-			}
-			prev = e
+		if prev.next != e {
+			prev.next = e
 		}
+		prev = e
 		s.Kind = kindFor(s.Name, types)
 		out = append(out, s)
 	}
-	return out, aliased, nil
+	c.largest = max(c.largest, len(out))
+	return out, nil
 }
 
-// turn makes old of a full cur and empties the other generation. Entries
-// only in old drop out of the table; their fields are cleared, so that a
-// live entry whose next is one of them pins a bare struct, and a chunk kept
-// by its live entries pins nothing more.
+// turn makes old of cur and empties the other generation. Entries only in
+// old drop out of the table; their fields are cleared, so that a live entry
+// whose next is one of them pins a bare struct, and a chunk kept by its live
+// entries pins nothing more.
 func (c *seriesCache) turn() {
 	for _, e := range c.old {
 		if e.gen != c.gen {
@@ -196,12 +190,13 @@ func (c *seriesCache) turn() {
 	c.cur, c.old = c.old, c.cur
 	clear(c.cur)
 	c.gen++
+	c.held, c.largest = len(c.old), 0
 }
 
 // lookup finds the entry for a series text: guess, the entry that followed
-// the previous cached line last time, when it is that text and its gen says
-// it is in cur or old; else the maps' entry. An entry in old only moves
-// forward into cur while cur has room, however it was found.
+// the previous line last time, when it is that text and its gen says it is
+// in cur or old; else the maps' entry. An entry in old moves forward into
+// cur, however it was found.
 func (c *seriesCache) lookup(guess *cachedSeries, text string) *cachedSeries {
 	e := guess
 	if e == nil || e.text != text || c.gen-e.gen > 1 {
@@ -209,19 +204,17 @@ func (c *seriesCache) lookup(guess *cachedSeries, text string) *cachedSeries {
 			e = c.old[text]
 		}
 	}
-	if e != nil && e.gen != c.gen && len(c.cur) < c.limit {
+	if e != nil && e.gen != c.gen {
 		c.cur[e.text], e.gen = e, c.gen
+		c.held--
 	}
 	return e
 }
 
-// admit remembers, while there is room, a series text the grammar just
-// accepted: copied once and parsed again, so that what is kept are slices
-// of the copy, not of the scrape.
+// admit remembers a series text the grammar just accepted: copied once and
+// parsed again, so that what is kept are slices of the copy, not of the
+// scrape.
 func (c *seriesCache) admit(text string) *cachedSeries {
-	if len(c.cur) >= c.limit {
-		return nil
-	}
 	if len(c.spare) == 0 {
 		c.spare = make([]cachedSeries, entryChunk)
 	}
@@ -302,19 +295,17 @@ func scanSeries(line string) (name string, labels Labels, rest string, err error
 }
 
 // parseSampleLine parses one sample line; e is the table's entry for its
-// series, nil when the line parsed past the table's capacity.
+// series.
 func (c *seriesCache) parseSampleLine(guess *cachedSeries, line string) (s Sample, e *cachedSeries, err error) {
-	var rest string
-	if e = c.lookup(guess, seriesText(line)); e != nil {
-		s.Name, s.Labels, rest = e.name, e.labels, line[len(e.text):]
-	} else {
-		if s.Name, s.Labels, rest, err = scanSeries(line); err != nil {
+	if e = c.lookup(guess, seriesText(line)); e == nil {
+		var rest string
+		if _, _, rest, err = scanSeries(line); err != nil {
 			return Sample{}, nil, err
 		}
-		if e = c.admit(line[:len(line)-len(rest)]); e != nil {
-			s.Name, s.Labels = e.name, e.labels
-		}
+		e = c.admit(line[:len(line)-len(rest)])
 	}
+	s.Name, s.Labels = e.name, e.labels
+	rest := line[len(e.text):]
 	value, after := nextField(rest)
 	if value == "" {
 		return s, e, fmt.Errorf("missing value after %q", s.Name)

@@ -9,15 +9,14 @@ import (
 // Two label sets filed under one hash must stay two series: find confirms
 // with Equal and walks the chain.
 func TestFamilyKeepsCollidingLabelSetsApart(t *testing.T) {
-	db := NewDB(0)
 	f := newFamily(0)
 	a, b, c := metrics.Labels{"backend": "a"}, metrics.Labels{"backend": "b"}, metrics.Labels{"backend": "c"}
 	const hash = 42
-	sa := f.insert(hash, a, db.interned)
+	sa := f.insert(hash, a)
 	if got := f.find(hash, b); got != nil {
 		t.Fatalf("find(b) returned the series of %v", got.labels)
 	}
-	sb := f.insert(hash, b, db.interned)
+	sb := f.insert(hash, b)
 	if f.find(hash, a) != sa || f.find(hash, b) != sb {
 		t.Fatal("colliding series not found behind each other")
 	}

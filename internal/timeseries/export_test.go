@@ -46,6 +46,19 @@ func Indexed(db *DB) int {
 	return n
 }
 
+// Holds reports whether the series stored under (name, labels) holds the map
+// labels itself, not merely an equal one.
+func Holds(db *DB, name string, labels metrics.Labels) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	f, ok := db.families[name]
+	if !ok {
+		return false
+	}
+	s := f.find(hashLabels(labels), labels)
+	return s != nil && metrics.SameMap(s.labels, labels)
+}
+
 // ForceHashCollisions, while on, files every label set under one hash, so
 // every family is one collision chain.
 func ForceHashCollisions(on bool) {

@@ -75,10 +75,17 @@ func TestPredictedSeriesMatchesClonedTwin(t *testing.T) {
 			if order == "reversed" || order == "alternating" && pass%2 == 1 {
 				slices.Reverse(samples)
 			}
-			for _, s := range samples {
+			clones := make([]metrics.Labels, len(samples))
+			for i, s := range samples {
 				f := diffFamilies[s.family]
 				pred.AppendSample(f.name, s.labels, f.kind, now, s.value)
-				clone.AppendSample(f.name, s.labels.Clone(), f.kind, now, s.value)
+				clones[i] = s.labels.Clone()
+				clone.AppendSample(f.name, clones[i], f.kind, now, s.value)
+			}
+			for i, s := range samples { // each series holds the very map it was last handed
+				if f := diffFamilies[s.family]; !timeseries.Holds(pred, f.name, s.labels) || !timeseries.Holds(clone, f.name, clones[i]) {
+					t.Fatalf("case %d (%s) pass %d: %s%v does not hold the map it was handed", c, order, pass, f.name, s.labels)
+				}
 			}
 			rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 			for _, s := range samples {
@@ -103,6 +110,9 @@ func TestPredictedSeriesMatchesClonedTwin(t *testing.T) {
 			if p, s := timeseries.Indexed(pred), timeseries.Indexed(shuffled); p != s {
 				t.Fatalf("case %d (%s) pass %d: %d indexed maps, shuffled twin %d", c, order, pass, p, s)
 			}
+			if n := timeseries.Indexed(clone); n != 0 {
+				t.Fatalf("case %d (%s) pass %d: a clone per sample made %d index entries", c, order, pass, n)
+			}
 		}
 		if order != "alternating" {
 			mapped += timeseries.MapPathResolved(pred)
@@ -112,13 +122,39 @@ func TestPredictedSeriesMatchesClonedTwin(t *testing.T) {
 		t.Fatalf("%d of %d appends in a steady order missed the prediction: the successor rule is barely exercised", mapped, steady)
 	}
 	t.Logf("%d cases, %d appends bit-identical to the cloning twin; %d of %d in a steady order missed the prediction", cases, appends, mapped, steady)
+
+	// 10 000 samples over 100 series, a fresh Clone for every one: each series
+	// holds the clone it was last handed, the index stays within one entry a
+	// series, and the points are those of a twin handed one map per series.
+	fresh, shared := timeseries.NewDB(time.Minute), timeseries.NewDB(time.Minute)
+	labels := make([]metrics.Labels, 100)
+	for i := range labels {
+		labels[i] = metrics.Labels{"backend": fmt.Sprintf("b%d", i%50), "classification": []string{"success", "failure"}[i/50]}
+	}
+	for pass := 1; pass <= 100; pass++ {
+		at := time.Duration(pass) * 5 * time.Second
+		for i, l := range labels {
+			own := l.Clone()
+			fresh.AppendSample("response_total", own, metrics.KindCounter, at, float64(pass*i))
+			shared.AppendSample("response_total", l, metrics.KindCounter, at, float64(pass*i))
+			if !timeseries.Holds(fresh, "response_total", own) {
+				t.Fatalf("pass %d: series %v does not hold the clone it was handed", pass, own)
+			}
+		}
+	}
+	if n, m := timeseries.Indexed(fresh), timeseries.Indexed(shared); n > len(labels) || m != len(labels) {
+		t.Fatalf("%d index entries for a clone per sample, %d for one map per series; want at most and exactly %d", n, m, len(labels))
+	}
+	if err := sameDump(timeseries.Dump(fresh), timeseries.Dump(shared)); err != nil {
+		t.Fatalf("a clone per sample: %v", err)
+	}
 }
 
-// The series struct stays in the 80-byte allocation class: one more field
-// moves every stored series to 96 bytes.
+// A series and its first point window stay one allocation of the 320-byte
+// class: one more field moves every stored series to 352 bytes.
 func TestSeriesFitsItsSizeClass(t *testing.T) {
-	if n := timeseries.SeriesSize; n > 80 {
-		t.Fatalf("a series is %d bytes, want at most 80", n)
+	if n := timeseries.SeriesSize; n > 320 {
+		t.Fatalf("a series is %d bytes, want at most 320", n)
 	}
 }
 

@@ -29,18 +29,22 @@ type Point struct {
 	V float64
 }
 
+// A series is one allocation of 320 bytes, its first point window included.
 type series struct {
+	// labels is the map the series was created with, or the last other equal
+	// map the hash path resolved it under; indexed says the family's byMap
+	// holds it for the series.
 	labels metrics.Labels
 	points []Point
 	// bound is the "le" label parsed once at creation: bucket marks a series
 	// HistogramQuantile can use (le is "+Inf" or parses to a number, NaN
 	// excluded), inf the +Inf overflow bucket.
-	bound       float64
-	bucket, inf bool
-	family      uint32  // the family's index in DB.names: a number, not a pointer, keeps a series at 80 bytes
-	next        *series // next series of the family with the same label hash
-	seen        metrics.MapSighting
-	succ        *series // what the resolution after this series' landed on last time
+	bound                float64
+	bucket, inf, indexed bool
+	family               uint32  // the family's index in DB.names: a number, not a pointer, keeps the header at 64 bytes
+	next                 *series // next series of the family with the same label hash
+	succ                 *series // what the resolution after this series' landed on last time
+	window0              [pointWindow]Point
 }
 
 // family is one metric name's series: in insertion order, by label hash for
@@ -73,15 +77,16 @@ func (f *family) find(hash uint64, labels metrics.Labels) *series {
 	return nil
 }
 
-// pointWindow is the capacity a new series' points start with: a minute of
-// 5 s scrapes is 13 points, so one 256 B allocation serves a series for life
-// where growing from nothing took five (1, 2, 4, 8, 16 points, 496 B).
+// pointWindow is the capacity a new series' points start with, inside the
+// series (window0): a minute of 5 s scrapes is 13 points, so a series and
+// the window it keeps for life are one allocation.
 const pointWindow = 16
 
-// insert adds a series under its label hash, with its own copy of the
-// labels drawn from pool, and indexes every pair.
-func (f *family) insert(hash uint64, labels metrics.Labels, pool map[string]string) *series {
-	s := &series{labels: labels.Interned(pool), points: make([]Point, 0, pointWindow), family: f.ordinal, next: f.byHash[hash]}
+// insert adds a series under its label hash, holding the labels map it was
+// handed, and indexes every pair.
+func (f *family) insert(hash uint64, labels metrics.Labels) *series {
+	s := &series{labels: labels, family: f.ordinal, next: f.byHash[hash]}
+	s.points = s.window0[:0]
 	for k, v := range s.labels {
 		byValue := f.postings[k]
 		if byValue == nil {
@@ -108,8 +113,8 @@ func (f *family) insert(hash uint64, labels metrics.Labels, pool map[string]stri
 // interface lives here so timeseries does not import its guards.
 //
 // Gates run on the scrape path only — the request fast path never sees them.
-// A label map handed to Admit is never modified afterwards: gates may
-// recognise a series by its map object (see metrics.MapIndex).
+// A label map handed to Admit is never modified afterwards: gates may keep it
+// and recognise a series by its map object (see metrics.Labels).
 type Gate interface {
 	Admit(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) (adjusted float64, ok bool)
 }
@@ -130,8 +135,6 @@ type DB struct {
 	// last is the series the previous resolution landed on: its succ is the
 	// next resolution's guess.
 	last *series
-	// interned holds one copy of every label name and value stored.
-	interned map[string]string
 	// buckets maps a histogram's base name to its "<name>_bucket" family, so
 	// HistogramQuantile concatenates no name per call.
 	buckets map[string]*family
@@ -160,7 +163,6 @@ func NewDB(retention time.Duration) *DB {
 	return &DB{
 		retention: retention,
 		families:  make(map[string]*family),
-		interned:  make(map[string]string),
 		buckets:   make(map[string]*family),
 	}
 }
@@ -201,8 +203,9 @@ func (db *DB) SetGate(g Gate) {
 // AppendSample routes one scraped sample through the gate (when one is
 // installed) and stores the admitted, possibly adjusted value. Without a
 // gate it is equivalent to Append. The labels map is never modified
-// afterwards: the database finds the series of a map it has resolved twice in
-// a row by the map object alone (see metrics.MapIndex).
+// afterwards: the database keeps it as the series' labels, and finds the
+// series of a map it has resolved twice in a row by the map object alone
+// (see metrics.MapIndex).
 func (db *DB) AppendSample(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
 	var ref Ref
 	db.AppendSampleRef(&ref, name, labels, kind, t, v)
@@ -254,15 +257,15 @@ func (db *DB) store(ref *Ref, name string, labels metrics.Labels, t time.Duratio
 // it first guesses the series that followed the previous resolution's last
 // time, and takes it when the family index holds the labels' map for it and
 // it is of this name: exactly when the family map and the index would find
-// it, since an index entry for a series exists iff its sighting names the
-// map. A guess makes, drops and hashes nothing. Otherwise the family finds
-// the series by the labels' map object when it has indexed it, else by hash,
-// which then tells the index what it found; the series becomes the previous
-// one's successor.
+// it, since an index entry for a series exists iff it is indexed under the
+// map it holds. A guess makes, drops and hashes nothing. Otherwise the family
+// finds the series by the labels' map object when it has indexed it, else by
+// hash, which then tells the index what it found, unless it just created it;
+// the series becomes the previous one's successor.
 func (db *DB) resolve(name string, labels metrics.Labels) *series {
 	prev := db.last
 	if prev != nil {
-		if s := prev.succ; s != nil && s.seen.Indexes(labels) && db.names[s.family] == name {
+		if s := prev.succ; s != nil && s.indexed && metrics.SameMap(s.labels, labels) && db.names[s.family] == name {
 			db.last = s
 			return s
 		}
@@ -270,7 +273,6 @@ func (db *DB) resolve(name string, labels metrics.Labels) *series {
 	db.mapped++
 	f, ok := db.families[name]
 	if !ok {
-		name = strings.Clone(name) // not a slice of the scraped text
 		f = newFamily(uint32(len(db.names)))
 		db.families[name] = f
 		db.names = append(db.names, name)
@@ -283,9 +285,10 @@ func (db *DB) resolve(name string, labels metrics.Labels) *series {
 		db.hashed++
 		hash := hashLabels(labels)
 		if s = f.find(hash, labels); s == nil {
-			s = f.insert(hash, labels, db.interned)
+			s = f.insert(hash, labels)
+		} else {
+			f.byMap.Resolved(labels, s, &s.labels, &s.indexed)
 		}
-		f.byMap.Resolved(labels, s, &s.seen)
 	}
 	if prev != nil {
 		prev.succ = s

@@ -97,6 +97,9 @@ loc:
 ## sweep: the control round at 102, 1 020 and 3 060 backends (exposition,
 ## parse, gated append and collect, ten warm rounds each on one CPU) — the
 ## fleet-size table in DESIGN.md § Control round cost. ns/backend should stay
-## flat; allocs/op counts what a warm round still builds per series.
+## flat; allocs/op counts what a warm round still builds per series. Beside
+## it, ExpositionChurn: the round in which a series appears, one registration
+## and the WritePrometheus that lays the text out again; its ns/sample should
+## stay flat too, and small next to a warm round's.
 sweep:
-	$(GO) test -run '^$$' -bench 'ControlRound/backends=(102|1020|3060)$$' -benchtime 10x -cpu 1 ./internal/core
+	$(GO) test -run '^$$' -bench '(ControlRound|ExpositionChurn)/backends=(102|1020|3060)$$' -benchtime 10x -cpu 1 ./internal/core

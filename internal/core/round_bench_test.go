@@ -90,16 +90,14 @@ func (r *controlRound) run(tb testing.TB) map[string]core.BackendMetrics {
 }
 
 // TestControlRoundMallocs guards the numbers the repo benchmark reports as
-// control_fleet allocs_per_op and alloc_bytes_per_op: a warm round at 102
-// backends re-reads 9 600 samples whose series it has seen before, so it must
-// not allocate per sample. Two allocations per sample (a label map each) were
-// 19 000 of the 21 000 a round made before the parser remembered its series;
-// what is left is the 72 of 34 Collect result maps. The bytes are the parse's
-// result slice: the 1.1 MB text is read into a buffer the parser reuses, where
-// copying it made a round 1.57 MB. At 1 020 backends a scrape spells 96 000
-// series, past the parser table's 65 536-series floor: a warm round stays
-// under 1 000 mallocs only while the table holds every series a scrape spells,
-// instead of returning fresh label maps for those past the floor.
+// control_fleet allocs_per_op and alloc_bytes_per_op. A warm round re-reads
+// series it has seen before, so it allocates per service, not per sample:
+// at 102 backends (34 services, 9 600 samples) fewer than 100 mallocs, the
+// Collect result maps and nothing a sample makes, and fewer than 700 000
+// bytes, the parse's result slice and no copy of the 1.1 MB text. At 1 020
+// backends a scrape spells 96 000 series, past the parse table's 65 536-series
+// floor, and a warm round stays under 1 000 mallocs: the table holds every
+// series a scrape spells, so no sample comes with a fresh label map.
 func TestControlRoundMallocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -203,6 +201,30 @@ func BenchmarkControlRound(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/backend")
+		})
+	}
+}
+
+// BenchmarkExpositionChurn is the round in which a series appears, at the
+// sweep's fleet sizes: one registration, then the WritePrometheus that lays
+// the text out again. ns/sample is the figure DESIGN.md quotes; next to a
+// warm round's it says how much a registration adds.
+func BenchmarkExpositionChurn(b *testing.B) {
+	for _, n := range []int{102, 1020, 3060} {
+		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
+			r := newControlRound(b, n)
+			r.run(b)
+			samples := len(r.reg.Snapshot())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.reg.Counter(mesh.MetricResponseTotal, metrics.Labels{"service": "churn", "backend": fmt.Sprintf("churn-%d", i), "classification": mesh.ClassFailure})
+				r.text.Reset()
+				if err := r.reg.WritePrometheus(&r.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(samples), "ns/sample")
 		})
 	}
 }

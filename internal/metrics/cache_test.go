@@ -79,10 +79,19 @@ func TestWarmTableKeepsNeighboursApart(t *testing.T) {
 	}
 }
 
-// fleetExposition renders what a mesh of n backends exposes: per backend two
-// counters, two 26-bucket histograms and a gauge — 61 samples.
+// fleetExposition renders what a mesh of n backends exposes.
 func fleetExposition(tb testing.TB, n int) []byte {
 	tb.Helper()
+	var text bytes.Buffer
+	if err := fleetRegistry(n).WritePrometheus(&text); err != nil {
+		tb.Fatal(err)
+	}
+	return text.Bytes()
+}
+
+// fleetRegistry is a mesh of n backends: per backend two counters, two
+// 26-bucket histograms and a gauge — 61 samples.
+func fleetRegistry(n int) *Registry {
 	bounds := make([]float64, 26)
 	for i := range bounds {
 		bounds[i] = 0.001 * float64(int(1)<<i)
@@ -97,11 +106,7 @@ func fleetExposition(tb testing.TB, n int) []byte {
 		}
 		r.Gauge("request_inflight", labels).Set(float64(i%7 + 1))
 	}
-	var text bytes.Buffer
-	if err := r.WritePrometheus(&text); err != nil {
-		tb.Fatal(err)
-	}
-	return text.Bytes()
+	return r
 }
 
 // A warm parse allocates the result slice and the reader — however many

@@ -348,6 +348,9 @@ type registered struct {
 	// histogram, one per bucket (with the "le" label and formatted bound
 	// baked in) followed by _sum and _count. nil until first snapshot.
 	templates []Sample
+	// layout is the series' part of the text exposition: nil until the
+	// first layout that includes the series.
+	layout *seriesLayout
 }
 
 // buildTemplates fills reg.templates; called under the registry lock on the
@@ -415,6 +418,24 @@ func appendField(key []byte, s string) []byte {
 	return append(binary.AppendUvarint(key, uint64(len(s))), s...)
 }
 
+// checkLabelNames panics when two of a new series' label names sanitise to
+// one: its line would repeat a label name, and a reader rejects the whole
+// page for that.
+func checkLabelNames(name string, labels Labels) {
+	for k := range labels {
+		s := sanitizeName(k)
+		if s == k {
+			continue
+		}
+		for o := range labels {
+			if o != k && sanitizeName(o) == s {
+				a, b := min(k, o), max(k, o)
+				panic(fmt.Sprintf("metrics: %s: labels %q and %q are both written as %q", name, a, b, s))
+			}
+		}
+	}
+}
+
 // Counter returns the counter series for (name, labels), creating it on
 // first use.
 func (r *Registry) Counter(name string, labels Labels) *Counter {
@@ -423,6 +444,7 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[key]
 	if !ok {
+		checkLabelNames(name, labels)
 		c = &Counter{}
 		r.counters[key] = c
 		r.order = append(r.order, registered{name: name, labels: labels.Clone(), counter: c})
@@ -440,6 +462,7 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[key]
 	if !ok {
+		checkLabelNames(name, labels)
 		g = &Gauge{}
 		r.gauges[key] = g
 		r.order = append(r.order, registered{name: name, labels: labels.Clone(), gauge: g})
@@ -462,6 +485,7 @@ func (r *Registry) Histogram(name string, labels Labels, bounds []float64) *Hist
 	defer r.mu.Unlock()
 	h, ok := r.histograms[key]
 	if !ok {
+		checkLabelNames(name, labels)
 		h = newHistogram(bounds)
 		r.histograms[key] = h
 		r.order = append(r.order, registered{name: name, labels: labels.Clone(), histogram: h})

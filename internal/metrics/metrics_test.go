@@ -159,6 +159,35 @@ func TestHistogramBoundsMismatchPanics(t *testing.T) {
 	r.Histogram("h", nil, []float64{1})
 }
 
+// A label set whose names sanitise to one name would be written with that
+// name twice, and a reader rejects the whole page for one such line: the
+// registration panics, naming both labels, and registers nothing.
+func TestLabelNamesWrittenAlikePanic(t *testing.T) {
+	labels := Labels{"bad-label": "1", "bad_label": "2"}
+	for kind, register := range map[string]func(*Registry){
+		"counter":   func(r *Registry) { r.Counter("c", labels) },
+		"gauge":     func(r *Registry) { r.Gauge("c", labels) },
+		"histogram": func(r *Registry) { r.Histogram("c", labels, []float64{1}) },
+	} {
+		r := NewRegistry()
+		for try := 0; try < 2; try++ { // a second try is refused too
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, `"bad-label"`) || !strings.Contains(msg, `"bad_label"`) {
+						t.Errorf("%s, try %d: panic %q, want one naming both labels", kind, try, msg)
+					}
+				}()
+				register(r)
+			}()
+		}
+		if n := len(r.Snapshot()); n != 0 {
+			t.Errorf("%s: the refused series left %d samples", kind, n)
+		}
+		r.Counter("c", Labels{"bad-label": "1"}).Inc() // one of them alone is fine
+	}
+}
+
 func TestHistogramNoBoundsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -402,8 +431,14 @@ func TestLabelsKeyInjectiveProperty(t *testing.T) {
 		var drawn []series
 		for i := 0; i < 30; i++ {
 			s := series{name: []string{"req_total", "req_total\x00a", "req"}[rng.Intn(3)], labels: Labels{}}
+			written := make(map[string]string) // sanitised label name -> the name; registration refuses two
 			for n := rng.Intn(3); n > 0; n-- {
-				s.labels[draw()] = draw()
+				k := draw()
+				if other, ok := written[sanitizeName(k)]; ok && other != k {
+					continue
+				}
+				written[sanitizeName(k)] = k
+				s.labels[k] = draw()
 			}
 			s.handle = r.Counter(s.name, s.labels)
 			drawn = append(drawn, s)

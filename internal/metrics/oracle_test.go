@@ -5,7 +5,7 @@ package metrics
 // compare against: a sort whose comparator rebuilds key strings on every
 // comparison and a builder per line; a bufio.Scanner with Text, Fields and a
 // Builder per label value. Helpers that did not change (scanName,
-// parseTypeComment, kindFor, keyWithout, leBound, sanitizeName) are shared.
+// parseTypeComment, kindFor, leBound, sanitizeName) are shared.
 //
 // The old parser differs from what it was in one stated place: it took a
 // repeated label name (`m{a="1",a="2"} 1`) and let the last value win, where
@@ -48,6 +48,27 @@ func oracleWritePrometheus(r *Registry, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// keyWithout returns the canonical label key with one label dropped.
+func (l Labels) keyWithout(skip string) string {
+	names := make([]string, 0, len(l))
+	for k := range l {
+		if k != skip {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for i, k := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(l[k])
+	}
+	return b.String()
 }
 
 func oracleWriteSample(w io.Writer, s Sample) error {

@@ -130,7 +130,8 @@ func TestSelectorsMatchLabelQueries(t *testing.T) {
 }
 
 // Standing selectors examine series only when their family has grown, and
-// then as many as a label-taking query does; a warm query of either kind
+// then only the entries appended to the list each walks; the first query
+// examines as many as a label-taking query does; a warm query of either kind
 // allocates nothing.
 func TestStandingSelectorsResolveOncePerGrowth(t *testing.T) {
 	db, _, _, backends, samples := fleetDB(t, 12)
@@ -171,12 +172,17 @@ func TestStandingSelectorsResolveOncePerGrowth(t *testing.T) {
 		t.Errorf("standing selectors examined %d series with no family grown, want 0", again)
 	}
 
-	// One new series in one family: only that family's selector looks again.
-	grown := samples[0].Labels.With("backend", "late")
-	db.AppendSample(mesh.MetricResponseTotal, grown, metrics.KindCounter, at, 1)
-	one := visits(func() { db.Rate(mesh.MetricResponseTotal, match, at, 10*time.Second) })
-	if after := visits(query); after != one {
-		t.Errorf("after response_total grew, selectors examined %d series, want the %d its one selector matches over", after, one)
+	// One series joins the posting list the total selector walks (its
+	// backend's), another joins the family but not that list: the selector
+	// examines the one entry its list gained, then nothing.
+	joined := metrics.Labels{"service": "svc-0000", "backend": match["backend"], "src": "late", "classification": mesh.ClassSuccess}
+	db.AppendSample(mesh.MetricResponseTotal, joined, metrics.KindCounter, at, 1)
+	if after := visits(query); after != 1 {
+		t.Errorf("after one series joined its list, selectors examined %d series, want 1", after)
+	}
+	db.AppendSample(mesh.MetricResponseTotal, samples[0].Labels.With("backend", "late"), metrics.KindCounter, at, 1)
+	if after := visits(query); after != 0 {
+		t.Errorf("after a series joined the family outside its list, selectors examined %d series, want 0", after)
 	}
 	if again := visits(query); again != 0 {
 		t.Errorf("standing selectors examined %d series on the query after, want 0", again)

@@ -337,19 +337,38 @@ func (db *DB) matching(name string, match metrics.Labels) []*series {
 // label — so it is only verified; a selector with no other pair walks the
 // family.
 func (db *DB) match(f *family, match metrics.Labels) []*series {
-	candidates, indexed := f.series, false
+	candidates, _, _, ok := f.candidates(match)
+	if !ok {
+		return nil
+	}
+	return db.verify(candidates, match)
+}
+
+// candidates returns the list match walks: the posting list of the pair
+// (label, value) that is the shortest among match's pairs with a value, or
+// the family's series when no pair has one (label and value ""). ok is false
+// when a pair's list is empty: nothing matches yet.
+func (f *family) candidates(match metrics.Labels) (list []*series, label, value string, ok bool) {
+	list = f.series
+	indexed := false
 	for k, v := range match {
 		if v == "" {
 			continue
 		}
-		list := f.postings[k][v]
-		if len(list) == 0 {
-			return nil
+		l := f.postings[k][v]
+		if len(l) == 0 {
+			return nil, "", "", false
 		}
-		if !indexed || len(list) < len(candidates) {
-			candidates, indexed = list, true
+		if !indexed || len(l) < len(list) {
+			list, label, value, indexed = l, k, v, true
 		}
 	}
+	return list, label, value, true
+}
+
+// verify returns the candidates that carry match in db.matched, valid until
+// the next call.
+func (db *DB) verify(candidates []*series, match metrics.Labels) []*series {
 	out := db.matched[:0]
 	for _, s := range candidates {
 		if s.labels.Matches(match) {
@@ -363,11 +382,13 @@ func (db *DB) match(f *family, match metrics.Labels) []*series {
 
 // Selector is a standing query target: one family of one database and the
 // labels its series must carry, with the series that matched kept in
-// insertion order. It stays valid while its family holds as many series as
-// when it was resolved; a family that has grown is matched again by the walk
-// a label-taking query makes, so the costliest query a selector answers costs
-// what every label-taking query does, and any other examines no series. A
-// family that does not exist yet is looked for again by the next query.
+// insertion order. It keeps the list the first match walked — the posting
+// list a label-taking query would walk, or the family's series — and how much
+// of it it has examined. Posting lists and a family's series only grow, at
+// the end, in insertion order, so when the family grows the selector examines
+// only what its list gained, and otherwise no series. A family that does not
+// exist yet, or where a pair's list is still empty, is looked for again by
+// the next query after it grows.
 //
 // A Selector is used by one goroutine at a time and not copied once queried;
 // its match labels are shared with the caller, which must not change them.
@@ -377,8 +398,13 @@ type Selector struct {
 	match metrics.Labels
 
 	family *family
-	size   int // len(family.series) when series was resolved
-	series []*series
+	size   int // len(family.series) when series was last brought up to date
+	// label and value name the posting list the selector walks, "" the
+	// family's series once listed; seen is how many entries it has examined.
+	label, value string
+	listed       bool
+	seen         int
+	series       []*series
 }
 
 // NewSelector returns a selector over the named family's series carrying
@@ -387,8 +413,8 @@ func NewSelector(db *DB, name string, match metrics.Labels) Selector {
 	return Selector{db: db, name: name, match: match}
 }
 
-// resolved returns the selector's series, matching again when the family has
-// grown. Called under db.mu.
+// resolved returns the selector's series, examining what its list gained
+// when the family has grown. Called under db.mu.
 func (sel *Selector) resolved() []*series {
 	if sel.family == nil {
 		f, ok := sel.db.families[sel.name]
@@ -397,9 +423,24 @@ func (sel *Selector) resolved() []*series {
 		}
 		sel.family = f
 	}
-	if n := len(sel.family.series); n != sel.size {
-		sel.series = append(sel.series[:0], sel.db.match(sel.family, sel.match)...)
+	f := sel.family
+	if n := len(f.series); n != sel.size {
 		sel.size = n
+		var list []*series
+		switch {
+		case !sel.listed:
+			var ok bool
+			if list, sel.label, sel.value, ok = f.candidates(sel.match); !ok {
+				return nil
+			}
+			sel.listed = true
+		case sel.value == "":
+			list = f.series
+		default:
+			list = f.postings[sel.label][sel.value]
+		}
+		sel.series = append(sel.series, sel.db.verify(list[sel.seen:], sel.match)...)
+		sel.seen = len(list)
 	}
 	return sel.series
 }

@@ -94,10 +94,12 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l
 
-## sweep: the control round at 102, 1 020 and 3 060 backends (exposition,
-## parse, gated append and collect, ten warm rounds each on one CPU) — the
-## fleet-size table in DESIGN.md § Control round cost. ns/backend should stay
-## flat; allocs/op counts what a warm round still builds per series. Beside
+## sweep: the whole control round at 102, 1 020 and 3 060 backends
+## (exposition, parse, gated append, then the reconcile — collect, assign,
+## guard, split write and its fan-out to two watchers — ten warm rounds each
+## on one CPU) — the fleet-size table in DESIGN.md § Control round cost.
+## ns/backend should stay flat; allocs/op counts what a warm round still
+## builds: the parse's result and two objects a written split. Beside
 ## it, ExpositionChurn: the round in which a series appears, one registration
 ## and the WritePrometheus that lays the text out again; its ns/sample should
 ## stay flat too, and small next to a warm round's.

@@ -63,8 +63,10 @@ func (r *RoundRobin) Pick(_ time.Duration, src, service string, backends []*mesh
 // back to uniform selection, mirroring how a mesh treats an inert split.
 //
 // Like a proxy that holds the current weights and is told when they change,
-// the picker reads the store once per split write, not once per request.
-// Like the mesh that calls it, a picker is single-threaded.
+// the picker reads the store once per split write, not once per request, and
+// keeps the stored version it read: a write to another split hands back the
+// same version, which needs no resolving again. Like the mesh that calls it,
+// a picker is single-threaded.
 type WeightedSplit struct {
 	splits *smi.Store
 	name   func(src, service string) string
@@ -75,9 +77,9 @@ type WeightedSplit struct {
 // splitRoute is one (source cluster, service)'s split, resolved against the
 // backend slice Pick was last handed.
 type splitRoute struct {
-	name    string        // the governing TrafficSplit, from WeightedSplit.name
-	version uint64        // store version split was read at
-	split   []smi.Backend // nil while the store holds none under name
+	name    string            // the governing TrafficSplit, from WeightedSplit.name
+	version uint64            // store version split was read at
+	split   *smi.TrafficSplit // the stored version; nil while the store holds none under name
 	// weights[i] is split's weight for backends[i], total their sum.
 	// backends is a copy, compared element by element: filtering pickers
 	// (breaker, failover) pass one reused scratch slice whose members change
@@ -112,9 +114,9 @@ func (w *WeightedSplit) Pick(_ time.Duration, src, service string, backends []*m
 			rt = &splitRoute{name: w.name(src, service)}
 			w.routes[routeKey{src, service}] = rt
 		}
-		rt.version, rt.split, rt.backends = v, nil, rt.backends[:0]
-		if ts, ok := w.splits.Get(rt.name); ok {
-			rt.split = ts.Backends
+		rt.version = v
+		if ts, _ := w.splits.Get(rt.name); ts != rt.split {
+			rt.split, rt.backends = ts, rt.backends[:0]
 		}
 	}
 	if rt.split == nil {
@@ -142,7 +144,7 @@ func (rt *splitRoute) resolve(backends []*mesh.Backend) {
 	rt.weights, rt.total = rt.weights[:0], 0
 	for _, b := range backends {
 		var weight int64
-		for _, tb := range rt.split {
+		for _, tb := range rt.split.Backends {
 			if tb.Service == b.Name {
 				weight = tb.Weight
 				break

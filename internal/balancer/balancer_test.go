@@ -149,9 +149,8 @@ func TestWeightedSplitTracksLiveUpdates(t *testing.T) {
 		t.Fatal("initial weights not honoured")
 	}
 	ts, _ := splits.Get("svc")
-	ts.SetWeight("a", 0)
-	ts.SetWeight("b", 1)
-	_ = splits.Update(ts)
+	next, _ := ts.WithWeights(map[string]int64{"a": 0, "b": 1})
+	_ = splits.Update(next)
 	for i := 0; i < 100; i++ {
 		if w.Pick(0, "c1", "svc", bs).Name != "b" {
 			t.Fatal("weight update not picked up")

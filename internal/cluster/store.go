@@ -58,7 +58,6 @@ type Event[T Object] struct {
 var (
 	ErrAlreadyExists = errors.New("cluster: object already exists")
 	ErrNotFound      = errors.New("cluster: object not found")
-	ErrConflict      = errors.New("cluster: resource version conflict")
 )
 
 // Store is a typed object store with watch support. Watch handlers are
@@ -111,29 +110,6 @@ func (s *Store[T]) Update(obj T) error {
 	if _, ok := s.items[name]; !ok {
 		s.mu.Unlock()
 		return ErrNotFound
-	}
-	s.items[name] = obj
-	s.versions[name] = s.rv.Add(1)
-	watchers := s.watchers
-	s.mu.Unlock()
-	notify(watchers, Event[T]{Type: Updated, Object: obj})
-	return nil
-}
-
-// UpdateIfVersion replaces an existing object only if its current resource
-// version equals expect (optimistic concurrency, like a Kubernetes
-// update-with-resourceVersion). It returns ErrConflict on mismatch.
-func (s *Store[T]) UpdateIfVersion(obj T, expect uint64) error {
-	s.mu.Lock()
-	name := obj.ObjectName()
-	cur, ok := s.versions[name]
-	if !ok {
-		s.mu.Unlock()
-		return ErrNotFound
-	}
-	if cur != expect {
-		s.mu.Unlock()
-		return ErrConflict
 	}
 	s.items[name] = obj
 	s.versions[name] = s.rv.Add(1)

@@ -50,26 +50,6 @@ func TestStoreUpdate(t *testing.T) {
 	}
 }
 
-func TestStoreUpdateIfVersion(t *testing.T) {
-	s := NewStore[obj]()
-	_ = s.Create(obj{name: "a", val: 1})
-	_, ver, _ := s.Get("a")
-	if err := s.UpdateIfVersion(obj{name: "a", val: 2}, ver); err != nil {
-		t.Fatal(err)
-	}
-	// Stale version now conflicts.
-	if err := s.UpdateIfVersion(obj{name: "a", val: 3}, ver); !errors.Is(err, ErrConflict) {
-		t.Fatalf("stale update err = %v, want ErrConflict", err)
-	}
-	if err := s.UpdateIfVersion(obj{name: "zz", val: 3}, 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing update err = %v, want ErrNotFound", err)
-	}
-	got, _, _ := s.Get("a")
-	if got.val != 2 {
-		t.Fatalf("val = %d, want 2 (stale write must not land)", got.val)
-	}
-}
-
 func TestStoreDelete(t *testing.T) {
 	s := NewStore[obj]()
 	_ = s.Create(obj{name: "a"})

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"l3/internal/mesh"
@@ -90,6 +91,8 @@ type Collector struct {
 	selectors     map[selectorKey]*selectors
 	selectorMatch metrics.Labels
 	selectorDB    *timeseries.DB
+	// out is what Collect returns, refilled by every call.
+	out map[string]BackendMetrics
 }
 
 type selectorKey struct{ service, backend string }
@@ -176,9 +179,14 @@ func (c *Collector) percentile() float64 {
 
 // Collect gathers metrics for every named backend at virtual time at.
 // service scopes the queries when non-empty (multiple services can share a
-// backend name otherwise).
+// backend name otherwise). The map it returns is the collector's: the next
+// Collect clears and refills it.
 func (c *Collector) Collect(at time.Duration, service string, backends []string) map[string]BackendMetrics {
-	out := make(map[string]BackendMetrics, len(backends))
+	if c.out == nil {
+		c.out = make(map[string]BackendMetrics, len(backends))
+	}
+	out := c.out
+	clear(out)
 	w := c.window()
 	if c.selectors == nil || c.selectorDB != c.DB || !c.selectorMatch.Equal(c.Match) {
 		c.selectors = make(map[selectorKey]*selectors)
@@ -244,13 +252,25 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 }
 
 // TotalRPS sums the measured RPS of backends with traffic — the
-// "RPS_last" sample Algorithm 2 compares against its EWMA.
-func TotalRPS(m map[string]BackendMetrics) float64 {
+// "RPS_last" sample Algorithm 2 compares against its EWMA. names lists m's
+// keys in the order they are added (sorted, by every caller), so one input is
+// one bit pattern whatever the map's order.
+func TotalRPS(m map[string]BackendMetrics, names []string) float64 {
 	var sum float64
-	for _, bm := range m {
-		if bm.HasTraffic {
+	for _, b := range names {
+		if bm := m[b]; bm.HasTraffic {
 			sum += bm.RPS
 		}
 	}
 	return sum
+}
+
+// sortedKeys refills dst with m's keys, sorted.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	dst = dst[:0]
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
 }

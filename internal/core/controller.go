@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -23,7 +24,10 @@ import (
 type Assigner interface {
 	// Assign returns a weight per backend present in m. Weights are
 	// positive floats; the controller scales them to TrafficSplit
-	// integers.
+	// integers. Assign reads m only during the call (it is the collector's,
+	// refilled by the next Collect), and the map it returns is the
+	// assigner's until its next Assign: a caller reads it, or adjusts it in
+	// place as Algorithm 2 does, before then, and keeps no reference.
 	Assign(now time.Duration, m map[string]BackendMetrics) map[string]float64
 	// Forget drops any per-backend state (backend removed from the
 	// split).
@@ -51,7 +55,7 @@ func NewL3Assigner(wcfg WeightingConfig, rcfg RateControlConfig, enableRate bool
 func (a *L3Assigner) Assign(now time.Duration, m map[string]BackendMetrics) map[string]float64 {
 	weights := a.weighter.Update(now, m)
 	if a.rate != nil {
-		weights = a.rate.Apply(now, weights, TotalRPS(m))
+		weights = a.rate.Apply(now, weights, TotalRPS(m, a.weighter.names))
 	}
 	return weights
 }
@@ -340,7 +344,10 @@ type ControllerConfig struct {
 // WriteGuard gates controller writes: Observe marks a live reconcile round
 // (feeding stall watchdogs) on every update, leader or not; Guard validates
 // and integer-scales a weight vector, returning ok=false to suppress the
-// round's write entirely.
+// round's write entirely. Guard reads ts (a stored version, which it must not
+// change) and weights only during the call, and the map it returns is the
+// guard's until its next Guard: the controller builds the split's next
+// version from it at once.
 type WriteGuard interface {
 	Observe(now time.Duration)
 	Guard(now time.Duration, ts *smi.TrafficSplit, weights map[string]float64) (map[string]int64, bool)
@@ -363,15 +370,18 @@ type Controller struct {
 	cancelWatch func()
 	ticker      clock.Timer
 	updates     uint64
+	// ints is an unguarded round's integer weights, refilled by every write.
+	ints map[string]int64
 }
 
 type trackedSplit struct {
 	assigner Assigner
-	// service and backends are the split's root service and backend names as
-	// the watch last saw them: the keys of what the assigner, the self-metrics
-	// and the collector's selector cache hold for this split.
-	service  string
-	backends map[string]bool
+	// service and names are the split's root service and backend names, in
+	// split order, as the watch last saw them: what a round collects, and the
+	// keys of what the assigner, the self-metrics and the collector's selector
+	// cache hold for this split. A weight write leaves them as they are.
+	service string
+	names   []string
 	// Self-metric series, each registered the first time a round has a value
 	// for it — the moment and order a lookup per round registered it — and
 	// kept until the watch sees its backend leave the split.
@@ -494,34 +504,34 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 		return
 	}
 	switch e.Type {
-	case cluster.Added:
-		if _, ok := c.tracked[name]; !ok {
-			c.track(e.Object)
-		}
-	case cluster.Updated:
+	case cluster.Added, cluster.Updated:
 		t, ok := c.tracked[name]
 		if !ok {
 			c.track(e.Object)
 			return
 		}
+		ts := e.Object
+		if ts.RootService == t.service && slices.EqualFunc(t.names, ts.Backends, func(n string, b smi.Backend) bool { return n == b.Service }) {
+			return // a weight write
+		}
 		// Forget state of backends that left the split.
-		next := backendSet(e.Object)
-		for b := range t.backends {
-			if !next[b] {
+		for _, b := range t.names {
+			gone := !slices.ContainsFunc(ts.Backends, func(x smi.Backend) bool { return x.Service == b })
+			if gone {
 				t.assigner.Forget(b)
 				t.retire(b)
 			}
-			if !next[b] || e.Object.RootService != t.service {
+			if gone || ts.RootService != t.service {
 				c.collector.forget(t.service, b)
 			}
 		}
-		t.service, t.backends = e.Object.RootService, next
+		t.service, t.names = ts.RootService, ts.BackendNames()
 	case cluster.Deleted:
 		if t, ok := c.tracked[name]; ok {
 			for b := range t.gauges {
 				t.retire(b)
 			}
-			for b := range t.backends {
+			for _, b := range t.names {
 				c.collector.forget(t.service, b)
 			}
 			if t.relativeChange != nil {
@@ -537,7 +547,7 @@ func (c *Controller) track(ts *smi.TrafficSplit) {
 	c.tracked[ts.Name] = &trackedSplit{
 		assigner: c.cfg.NewAssigner(),
 		service:  ts.RootService,
-		backends: backendSet(ts),
+		names:    ts.BackendNames(),
 	}
 	c.reorder()
 }
@@ -551,14 +561,6 @@ func (c *Controller) reorder() {
 	}
 	sort.Strings(order)
 	c.order = order
-}
-
-func backendSet(ts *smi.TrafficSplit) map[string]bool {
-	out := make(map[string]bool, len(ts.Backends))
-	for _, b := range ts.Backends {
-		out[b.Service] = true
-	}
-	return out
 }
 
 func (c *Controller) isLeader() bool {
@@ -590,12 +592,11 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	if !ok {
 		return
 	}
-	backends := ts.BackendNames()
-	m := c.collector.Collect(now, ts.RootService, backends)
+	m := c.collector.Collect(now, ts.RootService, t.names)
 	weights := t.assigner.Assign(now, m)
 
 	if reg := c.cfg.SelfRegistry; reg != nil {
-		c.exportSelfMetrics(reg, name, t, backends, weights)
+		c.exportSelfMetrics(reg, name, t, weights)
 	}
 	if g := c.cfg.WriteGuard; g != nil {
 		g.Observe(now)
@@ -603,24 +604,20 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	if !leader {
 		return
 	}
+	var ints map[string]int64
 	if g := c.cfg.WriteGuard; g != nil {
-		ints, ok := g.Guard(now, ts, weights)
-		if !ok {
+		if ints, ok = g.Guard(now, ts, weights); !ok {
 			return // gate suppressed or rejected this round's write
 		}
-		if err := ts.ApplyWeights(ints); err != nil {
-			return // backend left between Get and Guard; watch will catch up
-		}
 	} else {
-		for b, w := range weights {
-			if v, ok := scaleWeight(w, c.cfg.WeightScale); ok {
-				// Unknown-backend errors are ignored: the backend left the
-				// split between Get and now, and the watch will untrack it.
-				_ = ts.SetWeight(b, v)
-			}
-		}
+		c.ints = scaledWeights(c.ints, ts, weights, c.cfg.WeightScale)
+		ints = c.ints
 	}
-	if err := c.splits.Update(ts); err != nil {
+	next, err := ts.WithWeights(ints)
+	if err != nil {
+		return // backend left between Get and Guard; watch will catch up
+	}
+	if err := c.splits.Update(next); err != nil {
 		// The split vanished between Get and Update; the watch event will
 		// untrack it. Nothing else to do in an operator but move on.
 		return
@@ -636,8 +633,8 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 
 // exportSelfMetrics walks the split's backends in split order, so the
 // series a first round registers are registered in the same order every run.
-func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *trackedSplit, backends []string, weights map[string]float64) {
-	for _, b := range backends {
+func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *trackedSplit, weights map[string]float64) {
+	for _, b := range t.names {
 		if w, ok := weights[b]; ok {
 			g := t.gauges[b]
 			if g == nil {
@@ -651,7 +648,7 @@ func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *t
 		}
 	}
 	if l3, ok := t.assigner.(*L3Assigner); ok {
-		for _, b := range backends {
+		for _, b := range t.names {
 			if _, ok := weights[b]; !ok {
 				continue
 			}
@@ -672,6 +669,25 @@ func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *t
 			t.relativeChange.Set(rc.LastRelativeChange())
 		}
 	}
+}
+
+// scaledWeights refills dst (made on first use) with weights as TrafficSplit
+// integers for ts's backends. A backend whose weight is NaN, infinite or
+// missing is left out, so the write holds its previous value; a name ts does
+// not carry (a backend that left the split) is skipped.
+func scaledWeights(dst map[string]int64, ts *smi.TrafficSplit, weights map[string]float64, scale float64) map[string]int64 {
+	if dst == nil {
+		dst = make(map[string]int64, len(ts.Backends))
+	}
+	clear(dst)
+	for _, b := range ts.Backends {
+		if w, ok := weights[b.Service]; ok {
+			if v, ok := scaleWeight(w, scale); ok {
+				dst[b.Service] = v
+			}
+		}
+	}
+	return dst
 }
 
 // scaleWeight converts a float weight to a TrafficSplit integer, keeping

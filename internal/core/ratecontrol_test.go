@@ -213,3 +213,26 @@ func TestRateControllerZeroEWMANoAdjustment(t *testing.T) {
 		t.Fatalf("c with zero EWMA = %v, want 0", rc.LastRelativeChange())
 	}
 }
+
+// TotalRPS and Algorithm 2's mean add in name order, not in map order: RPS
+// or weights of 0.1, 0.2 and 0.3 add to 0.6 or to 0.6000000000000001
+// depending on the order, so 200 freshly built maps summed in map order show
+// both bit patterns.
+func TestRoundSumsAreOneBitPattern(t *testing.T) {
+	rps := make(map[uint64]bool)
+	adjusted := make(map[[3]uint64]bool)
+	for i := 0; i < 200; i++ {
+		m := map[string]BackendMetrics{
+			"a": {RPS: 0.1, HasTraffic: true}, "b": {RPS: 0.2, HasTraffic: true}, "c": {RPS: 0.3, HasTraffic: true},
+		}
+		rps[math.Float64bits(TotalRPS(m, sortedKeys(nil, m)))] = true
+
+		rc := NewRateController(RateControlConfig{})
+		rc.Apply(0, map[string]float64{"a": 1}, 100) // history, so the next c is not 0
+		w := rc.Apply(5*time.Second, map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}, 200)
+		adjusted[[3]uint64{math.Float64bits(w["a"]), math.Float64bits(w["b"]), math.Float64bits(w["c"])}] = true
+	}
+	if len(rps) != 1 || len(adjusted) != 1 {
+		t.Errorf("200 calls on one input: %d TotalRPS bit patterns, %d Apply bit patterns; want 1 each", len(rps), len(adjusted))
+	}
+}

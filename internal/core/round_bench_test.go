@@ -7,50 +7,70 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/cluster"
 	"l3/internal/core"
 	"l3/internal/guard"
 	"l3/internal/histogram"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
 	"l3/internal/sim"
+	"l3/internal/smi"
 	"l3/internal/timeseries"
 )
 
 const roundInterval = 5 * time.Second
 
 // controlRound is the control plane's per-interval work at fleet scale,
-// built from the public constructors only: a data-plane registry of three
-// backends per service, text exposition, parse, gated append, and one
-// Collect per service.
+// built from the public constructors only and wired as the repo benchmark's
+// control_fleet is: a data-plane registry of three backends per service,
+// text exposition, parse, gated append, then one reconcile — collect, the
+// guard's assigner over L3's, the write gate and a split write — per
+// service, each write fanned out to the controller's own watch and a second
+// watcher that reads the written weights, as a router rebuild does.
 type controlRound struct {
-	reg       *metrics.Registry
-	db        *timeseries.DB
-	collector *core.Collector
-	services  []string
-	backends  map[string][]string
-	ok        []*metrics.Counter
-	latency   []*metrics.Histogram
-	text      bytes.Buffer
-	round     int
+	engine  *sim.Engine
+	reg     *metrics.Registry
+	db      *timeseries.DB
+	splits  *smi.Store
+	ok      []*metrics.Counter
+	latency []*metrics.Histogram
+	text    bytes.Buffer
+	round   int
+	// writes counts split writes the second watcher saw, suppressed the
+	// no-op writes the gate held back: every round ends one or the other
+	// for every service.
+	writes   int
+	gate     *guard.WriteGate
+	services int
+	weights  map[string]int64
 }
 
 func newControlRound(tb testing.TB, backends int) *controlRound {
 	tb.Helper()
 	r := &controlRound{
-		reg:      metrics.NewRegistry(),
-		db:       timeseries.NewDB(4 * roundInterval),
-		backends: make(map[string][]string),
+		engine:  sim.NewEngine(),
+		reg:     metrics.NewRegistry(),
+		db:      timeseries.NewDB(4 * roundInterval),
+		splits:  smi.NewStore(),
+		gate:    guard.NewWriteGate(guard.Config{}, nil),
+		weights: make(map[string]int64),
 	}
 	hyg := guard.NewHygiene(guard.Config{}, nil)
 	r.db.SetGate(hyg)
-	r.collector = &core.Collector{DB: r.db, Window: 2 * roundInterval, Percentile: 0.99, Resets: hyg}
+	var ts *smi.TrafficSplit
 	for i := 0; i < backends; i++ {
 		service := fmt.Sprintf("svc-%04d", i/3)
 		name := fmt.Sprintf("%s-cluster-%d", service, i%3+1)
 		if i%3 == 0 {
-			r.services = append(r.services, service)
+			ts = &smi.TrafficSplit{Name: service, RootService: service}
+			r.services++
 		}
-		r.backends[service] = append(r.backends[service], name)
+		ts.Backends = append(ts.Backends, smi.Backend{Service: name, Weight: 1})
+		if i%3 == 2 || i == backends-1 {
+			if err := r.splits.Create(ts); err != nil {
+				tb.Fatal(err)
+			}
+		}
 		labels := metrics.Labels{"service": service, "backend": name, "src": "bench"}
 		okL := labels.With("classification", mesh.ClassSuccess)
 		failL := labels.With("classification", mesh.ClassFailure)
@@ -60,15 +80,35 @@ func newControlRound(tb testing.TB, backends int) *controlRound {
 		r.latency = append(r.latency, r.reg.Histogram(mesh.MetricResponseLatency, okL, histogram.LinkerdLatencyBounds))
 		r.reg.Gauge(mesh.MetricInflight, labels).Set(float64(i%7 + 1))
 	}
+	interval := roundInterval
+	collector := &core.Collector{DB: r.db, Window: 2 * interval, Percentile: 0.99, Resets: hyg}
+	wcfg := core.WeightingConfig{LatencyHalfLife: interval, InflightHalfLife: interval, SuccessHalfLife: 2 * interval, RPSHalfLife: 2 * interval}
+	rcfg := core.RateControlConfig{RPSHalfLife: 2 * interval}
+	selfReg := metrics.NewRegistry()
+	core.NewController(r.engine, r.splits, collector, core.ControllerConfig{
+		Interval: interval,
+		NewAssigner: func() core.Assigner {
+			return guard.NewAssigner(core.NewL3Assigner(wcfg, rcfg, true), guard.Config{}, selfReg)
+		},
+		SelfRegistry: selfReg,
+		WriteGuard:   r.gate,
+	}).Start()
+	r.splits.Watch(false, func(e cluster.Event[*smi.TrafficSplit]) {
+		for _, b := range e.Object.Backends {
+			r.weights[b.Service] = b.Weight
+		}
+		r.writes++
+	})
 	return r
 }
 
-// run advances every backend by one interval of traffic and runs the round.
-func (r *controlRound) run(tb testing.TB) map[string]core.BackendMetrics {
+// run advances every backend by one interval of traffic — a load that moves
+// from round to round, so the weights keep moving — and runs the round.
+func (r *controlRound) run(tb testing.TB) {
 	r.round++
 	at := time.Duration(r.round) * roundInterval
 	for i := range r.ok {
-		r.ok[i].Add(100)
+		r.ok[i].Add(float64(100 + 40*((r.round+i)%3)))
 		r.latency[i].Observe(0.004 * float64(i%9+1))
 	}
 	r.text.Reset()
@@ -82,50 +122,53 @@ func (r *controlRound) run(tb testing.TB) map[string]core.BackendMetrics {
 	for _, s := range samples {
 		r.db.AppendSample(s.Name, s.Labels, s.Kind, at, s.Value)
 	}
-	var last map[string]core.BackendMetrics
-	for _, service := range r.services {
-		last = r.collector.Collect(at, service, r.backends[service])
+	writes, suppressed := r.writes, r.gate.SuppressedTotal()
+	r.engine.RunUntil(at) // the reconcile
+	if got := r.writes - writes + int(r.gate.SuppressedTotal()-suppressed); got != r.services {
+		tb.Fatalf("round %d wrote or suppressed %d splits, want %d", r.round, got, r.services)
 	}
-	return last
 }
 
 // TestControlRoundMallocs guards the numbers the repo benchmark reports as
 // control_fleet allocs_per_op and alloc_bytes_per_op. A warm round re-reads
-// series it has seen before, so it allocates per service, not per sample:
-// at 102 backends (34 services, 9 600 samples) fewer than 100 mallocs, the
-// Collect result maps and nothing a sample makes, and fewer than 700 000
-// bytes, the parse's result slice and no copy of the 1.1 MB text. At 1 020
-// backends a scrape spells 96 000 series, past the parse table's 65 536-series
-// floor, and a warm round stays under 1 000 mallocs: the table holds every
-// series a scrape spells, so no sample comes with a fresh label map.
+// series it has seen before and reuses every reconcile's scratch, so what it
+// allocates is the parse's result slice and reader and each written split's
+// next version (the split and its backends): at most 2 a written split plus
+// 10, at 102 backends (34 services, 9 600 samples) and at 1 020, where a
+// scrape spells 96 000 series, past the parse table's 65 536-series floor —
+// the table holds every series a scrape spells, so no sample comes with a
+// fresh label map. A warm 102-backend round also allocates fewer than 700 000
+// bytes: the parse's result slice and no copy of the 1.1 MB text.
 func TestControlRoundMallocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	for _, c := range []struct {
-		backends int
-		mallocs  float64
-	}{{102, 100}, {1020, 1000}} {
-		r := newControlRound(t, c.backends)
+	for _, backends := range []int{102, 1020} {
+		r := newControlRound(t, backends)
 		for i := 0; i < 8; i++ { // until retention trims every series and its points stop growing
 			r.run(t)
 		}
-		perRound := testing.AllocsPerRun(10, func() { r.run(t) })
-		t.Logf("%.0f mallocs per warm round at %d backends", perRound, c.backends)
-		if perRound >= c.mallocs {
-			t.Errorf("%.0f mallocs per warm round at %d backends, want < %.0f", perRound, c.backends, c.mallocs)
+		const runs = 10
+		writes := r.writes
+		perRound := testing.AllocsPerRun(runs, func() { r.run(t) })
+		perRoundWrites := float64(r.writes-writes) / (runs + 1)
+		t.Logf("%.0f mallocs per warm round at %d backends, %.1f split writes of %d", perRound, backends, perRoundWrites, r.services)
+		if perRoundWrites < float64(r.services)/2 {
+			t.Errorf("%.1f split writes a round of %d splits: the fixture no longer exercises the write", perRoundWrites, r.services)
 		}
-		if c.backends != 102 {
+		if limit := 2*perRoundWrites + 10; perRound > limit {
+			t.Errorf("%.0f mallocs per warm round at %d backends, want <= %.0f (2 a written split + 10)", perRound, backends, limit)
+		}
+		if backends != 102 {
 			continue
 		}
-		const rounds = 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
+		for i := 0; i < runs; i++ {
 			r.run(t)
 		}
 		runtime.ReadMemStats(&after)
-		perRoundBytes := (after.TotalAlloc - before.TotalAlloc) / rounds
+		perRoundBytes := (after.TotalAlloc - before.TotalAlloc) / runs
 		t.Logf("%d bytes allocated per warm round at 102 backends", perRoundBytes)
 		if perRoundBytes >= 700_000 {
 			t.Errorf("%d bytes allocated per warm round, want < 700 000", perRoundBytes)
@@ -182,8 +225,9 @@ func TestWarmScrapeTickDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkControlRound is ROADMAP item 3's sweep (`make sweep` runs the
-// first three sizes): ns/op divided by the backend count should stay flat
-// from 102 to 10 200 backends. The last size holds 950 000 series, 2.0 GB
+// first three sizes): a whole round, exposition to split writes and their
+// fan-out. ns/op divided by the backend count should stay flat from 102 to
+// 10 200 backends. The last size holds 950 000 series, 2.0 GB
 // live and 2.8 GB in use at its peak, and is for `go test -bench` only.
 func BenchmarkControlRound(b *testing.B) {
 	for _, n := range []int{102, 1020, 3060, 10200} {
@@ -195,10 +239,7 @@ func BenchmarkControlRound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := r.run(b)
-				if len(m) != 3 {
-					b.Fatalf("last service collected %d backends, want 3", len(m))
-				}
+				r.run(b)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/backend")
 		})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"l3/internal/ewma"
@@ -118,6 +117,10 @@ type Weighter struct {
 	cfg     WeightingConfig
 	filters map[string]*backendFilters
 	last    map[string]float64 // most recent weights, for instrumentation
+	// names (m's keys, sorted) and out are the last Update's, reused by the
+	// next.
+	names []string
+	out   map[string]float64
 }
 
 // NewWeighter returns a Weighter with cfg (zero fields take the paper's
@@ -127,6 +130,7 @@ func NewWeighter(cfg WeightingConfig) *Weighter {
 		cfg:     cfg.withDefaults(),
 		filters: make(map[string]*backendFilters),
 		last:    make(map[string]float64),
+		out:     make(map[string]float64),
 	}
 }
 
@@ -152,16 +156,13 @@ func (w *Weighter) filtersFor(b string) *backendFilters {
 // Update folds the collected metrics in and returns the weight of every
 // backend present in m, per Algorithm 1. Backends without traffic relax
 // toward their filter defaults (§4). Weights are in Equation 4's natural
-// unit (1/seconds); callers scale them to integers for TrafficSplits.
+// unit (1/seconds); callers scale them to integers for TrafficSplits. The
+// returned map is the weighter's: the next Update clears and refills it.
 func (w *Weighter) Update(now time.Duration, m map[string]BackendMetrics) map[string]float64 {
-	names := make([]string, 0, len(m))
-	for b := range m {
-		names = append(names, b)
-	}
-	sort.Strings(names)
-
-	out := make(map[string]float64, len(names))
-	for _, b := range names {
+	w.names = sortedKeys(w.names, m)
+	out := w.out
+	clear(out)
+	for _, b := range w.names {
 		bm := m[b]
 		f := w.filtersFor(b)
 		if bm.HasTraffic {

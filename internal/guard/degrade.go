@@ -1,7 +1,7 @@
 package guard
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"l3/internal/core"
@@ -34,12 +34,23 @@ type Assigner struct {
 	held  map[string]float64
 
 	holds, decays, frozen *metrics.Counter
+
+	// Assign's scratch, kept from call to call: the round's backend names
+	// sorted and each one's class, the fresh backends' metrics handed to
+	// inner, and the weights Assign returns.
+	names   []string
+	classes []backendClass
+	fresh   map[string]core.BackendMetrics
+	out     map[string]float64
 }
 
 // NewAssigner wraps inner with degraded-mode handling. reg receives the
 // guard's own counters when non-nil.
 func NewAssigner(inner core.Assigner, cfg Config, reg *metrics.Registry) *Assigner {
-	a := &Assigner{inner: inner, cfg: cfg.withDefaults(), held: make(map[string]float64)}
+	a := &Assigner{
+		inner: inner, cfg: cfg.withDefaults(), held: make(map[string]float64),
+		fresh: make(map[string]core.BackendMetrics), out: make(map[string]float64),
+	}
 	if reg == nil {
 		a.holds, a.decays, a.frozen = &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
 	} else {
@@ -80,23 +91,26 @@ func (a *Assigner) classify(now time.Duration, bm core.BackendMetrics) backendCl
 	return classFresh
 }
 
-// Assign implements core.Assigner.
+// Assign implements core.Assigner. The map it returns is the assigner's:
+// the next Assign clears and refills it.
 func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) map[string]float64 {
-	names := make([]string, 0, len(m))
+	names := a.names[:0]
 	for b := range m {
 		names = append(names, b)
 	}
-	sort.Strings(names)
-
-	classes := make(map[string]backendClass, len(m))
+	slices.Sort(names)
+	classes := a.classes[:0]
 	fresh := 0
 	for _, b := range names {
 		c := a.classify(now, m[b])
-		classes[b] = c
+		classes = append(classes, c)
 		if c == classFresh {
 			fresh++
 		}
 	}
+	a.names, a.classes = names, classes
+	out := a.out
+	clear(out)
 
 	// Partial-visibility quorum: reweighting from a sliver of the fleet
 	// amplifies the survivors, so freeze instead. Only meaningful once
@@ -104,7 +118,6 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 	if len(names) > 0 && len(a.held) > 0 &&
 		float64(fresh) < a.cfg.Quorum*float64(len(names)) {
 		a.frozen.Inc()
-		out := make(map[string]float64, len(names))
 		anchor := a.anchor(names)
 		for _, b := range names {
 			out[b] = a.heldOr(b, anchor)
@@ -112,18 +125,18 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 		return out
 	}
 
-	mFresh := make(map[string]core.BackendMetrics, fresh)
-	for _, b := range names {
-		if classes[b] == classFresh {
+	mFresh := a.fresh
+	clear(mFresh)
+	for i, b := range names {
+		if classes[i] == classFresh {
 			mFresh[b] = m[b]
 		}
 	}
 	inner := a.inner.Assign(now, mFresh)
 
-	out := make(map[string]float64, len(names))
 	anchor := a.anchor(names)
-	for _, b := range names {
-		switch classes[b] {
+	for i, b := range names {
+		switch classes[i] {
 		case classFresh:
 			w := inner[b]
 			out[b] = w

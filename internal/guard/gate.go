@@ -2,7 +2,7 @@ package guard
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,6 +17,9 @@ import (
 // single backend's share velocity), scales shares to integers through
 // smi.ScaleWeights (preserving the sum invariant), and suppresses writes
 // that would not change the stored split.
+//
+// Observe and LastRound are safe from any goroutine; Guard calls must be
+// serialized, as the controllers that share a gate run on one clock.
 type WriteGate struct {
 	mu        sync.Mutex
 	cfg       Config
@@ -24,12 +27,24 @@ type WriteGate struct {
 	haveRound bool
 
 	suppressed, clamped, rejected *metrics.Counter
+
+	// Guard's scratch, kept from call to call: the weights' names sorted,
+	// the split's current weights, the proposed and clamped shares, and the
+	// integer weights it returns.
+	names          []string
+	current        map[string]int64
+	proposed, next map[string]float64
+	ints           map[string]int64
 }
 
 // NewWriteGate returns a write gate. reg receives the gate's own counters
 // when non-nil.
 func NewWriteGate(cfg Config, reg *metrics.Registry) *WriteGate {
-	g := &WriteGate{cfg: cfg.withDefaults()}
+	g := &WriteGate{
+		cfg:     cfg.withDefaults(),
+		current: make(map[string]int64), ints: make(map[string]int64),
+		proposed: make(map[string]float64), next: make(map[string]float64),
+	}
 	if reg == nil {
 		g.suppressed, g.clamped, g.rejected = &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
 	} else {
@@ -57,33 +72,37 @@ func (g *WriteGate) LastRound() (time.Duration, bool) {
 }
 
 // Guard implements core.WriteGuard. ok=false means the round's write is
-// suppressed (invalid vector or no-op churn); the caller must not mutate
-// the split.
+// suppressed (invalid vector or no-op churn); the caller must not write the
+// split. The map it returns is the gate's: the next Guard refills it.
 func (g *WriteGate) Guard(now time.Duration, ts *smi.TrafficSplit, weights map[string]float64) (map[string]int64, bool) {
 	g.Observe(now)
 
-	names := make([]string, 0, len(weights))
-	sum := 0.0
+	names := g.names[:0]
 	for b, w := range weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			g.rejected.Inc()
 			return nil, false
 		}
 		names = append(names, b)
-		sum += w
+	}
+	slices.Sort(names)
+	g.names = names
+	sum := 0.0 // in name order, so one input is one bit pattern
+	for _, b := range names {
+		sum += weights[b]
 	}
 	if len(names) == 0 || sum <= 0 {
 		g.rejected.Inc()
 		return nil, false
 	}
-	sort.Strings(names)
 
 	// Proposed and current traffic shares.
-	proposed := make(map[string]float64, len(names))
+	proposed, current := g.proposed, g.current
+	clear(proposed)
+	clear(current)
 	for _, b := range names {
 		proposed[b] = weights[b] / sum
 	}
-	current := make(map[string]int64, len(ts.Backends))
 	var curTotal int64
 	for _, be := range ts.Backends {
 		current[be.Service] = be.Weight
@@ -96,7 +115,8 @@ func (g *WriteGate) Guard(now time.Duration, ts *smi.TrafficSplit, weights map[s
 	shares := proposed
 	if curTotal > 0 {
 		clamped := false
-		next := make(map[string]float64, len(names))
+		next := g.next
+		clear(next)
 		total := 0.0
 		for _, b := range names {
 			cur := float64(current[b]) / float64(curTotal)
@@ -124,8 +144,8 @@ func (g *WriteGate) Guard(now time.Duration, ts *smi.TrafficSplit, weights map[s
 		}
 	}
 
-	ints, err := smi.ScaleWeights(shares, g.cfg.WeightScale)
-	if err != nil {
+	ints := g.ints
+	if err := smi.ScaleWeights(ints, names, shares, g.cfg.WeightScale); err != nil {
 		g.rejected.Inc()
 		return nil, false
 	}

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -47,7 +48,8 @@ func TestWriteGateScalesAndPreservesSum(t *testing.T) {
 	if ints["a"] != 250 || ints["b"] != 250 || ints["c"] != 500 {
 		t.Fatalf("ints = %v, want 250/250/500", ints)
 	}
-	if err := ts.ApplyWeights(ints); err != nil {
+	ts, err := ts.WithWeights(ints)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ts.CheckScaledSum(1000); err != nil {
@@ -73,7 +75,8 @@ func TestWriteGateClampsShareDelta(t *testing.T) {
 	// Repeated rounds converge to the proposal despite the clamp.
 	for i := 0; i < 10; i++ {
 		if ints, ok = g.Guard(0, ts, map[string]float64{"a": 9, "b": 1}); ok {
-			if err := ts.ApplyWeights(ints); err != nil {
+			var err error
+			if ts, err = ts.WithWeights(ints); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,5 +114,24 @@ func TestWriteGateObserveTracksRounds(t *testing.T) {
 	g.Guard(50*time.Second, newSplit(1, 1), map[string]float64{"a": 1, "b": 1})
 	if last, _ := g.LastRound(); last != 50*time.Second {
 		t.Fatalf("LastRound after Guard = %v, want 50s", last)
+	}
+}
+
+// The gate adds a vector in name order, not in map order: weights 0.1, 0.2
+// and 0.3 add to 0.6 or to 0.6000000000000001 depending on the order, and at
+// scale 3 the two sums are two different writes.
+func TestWriteGateIsOneResultWhateverTheMapOrder(t *testing.T) {
+	var first map[string]int64
+	for i := 0; i < 200; i++ {
+		g := NewWriteGate(Config{WeightScale: 3, MaxShareDelta: 1}, nil)
+		ints, ok := g.Guard(0, newSplit(0, 0, 0), map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3})
+		if !ok {
+			t.Fatal("valid vector suppressed")
+		}
+		if first == nil {
+			first = maps.Clone(ints)
+		} else if !maps.Equal(ints, first) {
+			t.Fatalf("call %d wrote %v, the first %v", i, ints, first)
+		}
 	}
 }

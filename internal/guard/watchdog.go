@@ -108,28 +108,30 @@ func (w *Watchdog) degradeSplit(ts *smi.TrafficSplit) {
 	if len(ts.Backends) == 0 {
 		return
 	}
-	baseline := make(map[string]float64, len(ts.Backends))
-	for _, b := range ts.Backends {
+	names := ts.BackendNames()
+	baseline := make(map[string]float64, len(names))
+	for _, b := range names {
 		bw := 1.0
 		if len(w.cfg.BaselineWeights) > 0 {
-			bw = w.cfg.BaselineWeights[b.Service]
+			bw = w.cfg.BaselineWeights[b]
 		}
-		baseline[b.Service] = bw
+		baseline[b] = bw
 	}
-	ints, err := smi.ScaleWeights(baseline, w.cfg.WeightScale)
-	if err != nil {
+	ints := make(map[string]int64, len(names))
+	if err := smi.ScaleWeights(ints, names, baseline, w.cfg.WeightScale); err != nil {
 		// A degenerate baseline (all zero) falls back to uniform.
 		for b := range baseline {
 			baseline[b] = 1
 		}
-		if ints, err = smi.ScaleWeights(baseline, w.cfg.WeightScale); err != nil {
+		if err := smi.ScaleWeights(ints, names, baseline, w.cfg.WeightScale); err != nil {
 			return
 		}
 	}
-	if err := ts.ApplyWeights(ints); err != nil {
+	next, err := ts.WithWeights(ints)
+	if err != nil {
 		return
 	}
-	_ = w.splits.Update(ts)
+	_ = w.splits.Update(next)
 }
 
 // Degraded reports whether the watchdog currently holds splits degraded.

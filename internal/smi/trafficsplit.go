@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,8 +43,8 @@ type TrafficSplit struct {
 // ObjectName implements cluster.Object.
 func (ts *TrafficSplit) ObjectName() string { return ts.Name }
 
-// Clone returns a deep copy, so mutations of the copy never alias stored
-// state.
+// Clone returns a deep copy: the way to edit a stored split is to edit a
+// clone and Update with it.
 func (ts *TrafficSplit) Clone() *TrafficSplit {
 	c := &TrafficSplit{Name: ts.Name, RootService: ts.RootService}
 	c.Backends = make([]Backend, len(ts.Backends))
@@ -69,44 +70,32 @@ func (ts *TrafficSplit) BackendNames() []string {
 	return out
 }
 
-// SetWeight updates one backend's weight in place. Unlike the historical
-// behaviour (silently clamping negatives to zero), invalid writes are an
-// explicit error: a negative weight returns ErrNegativeWeight and an unknown
-// backend returns ErrUnknownBackend, both without mutating the split.
-func (ts *TrafficSplit) SetWeight(service string, weight int64) error {
-	if weight < 0 {
-		return fmt.Errorf("%w: %s=%d", ErrNegativeWeight, service, weight)
-	}
-	for i := range ts.Backends {
-		if ts.Backends[i].Service == service {
-			ts.Backends[i].Weight = weight
-			return nil
+// WithWeights returns the next version of the split: a copy carrying w's
+// weight for every backend w names, and the current weight for the rest. A
+// negative weight (ErrNegativeWeight) or a service not in the split
+// (ErrUnknownBackend) returns no version at all. ts itself never changes: a
+// stored split is shared by the store, its watchers and the pickers.
+func (ts *TrafficSplit) WithWeights(w map[string]int64) (*TrafficSplit, error) {
+	next := ts.Clone()
+	found := 0
+	for i := range next.Backends {
+		b := &next.Backends[i]
+		if v, ok := w[b.Service]; ok {
+			if v < 0 {
+				return nil, fmt.Errorf("%w: %s=%d", ErrNegativeWeight, b.Service, v)
+			}
+			b.Weight = v
+			found++
 		}
 	}
-	return fmt.Errorf("%w: %s", ErrUnknownBackend, service)
-}
-
-// ApplyWeights replaces the weights of every named backend atomically: the
-// whole vector is validated first (non-negative, all backends present) and
-// the split is only mutated when every entry is applicable. Backends of the
-// split absent from w keep their weight.
-func (ts *TrafficSplit) ApplyWeights(w map[string]int64) error {
-	idx := make(map[string]int, len(ts.Backends))
-	for i, b := range ts.Backends {
-		idx[b.Service] = i
-	}
-	for svc, weight := range w {
-		if weight < 0 {
-			return fmt.Errorf("%w: %s=%d", ErrNegativeWeight, svc, weight)
-		}
-		if _, ok := idx[svc]; !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownBackend, svc)
+	if found < len(w) {
+		for svc := range w {
+			if !slices.ContainsFunc(ts.Backends, func(b Backend) bool { return b.Service == svc }) {
+				return nil, fmt.Errorf("%w: %s", ErrUnknownBackend, svc)
+			}
 		}
 	}
-	for svc, weight := range w {
-		ts.Backends[idx[svc]].Weight = weight
-	}
-	return nil
+	return next, nil
 }
 
 // CheckScaledSum asserts the integer-scaling sum invariant: a weight vector
@@ -126,30 +115,34 @@ func (ts *TrafficSplit) CheckScaledSum(scale int64) error {
 
 // ScaleWeights converts a float weight vector to TrafficSplit integers while
 // preserving shares: weights are normalised, multiplied by scale, rounded,
-// and floored at 1 so every backend stays measurable. NaN, ±Inf and negative
-// inputs are rejected (ErrWeightNotFinite / ErrNegativeWeight), as is a
-// vector with no positive mass.
-func ScaleWeights(weights map[string]float64, scale int64) (map[string]int64, error) {
+// and floored at 1 so every backend stays measurable. names lists weights'
+// keys in the order their mass is summed, so one input is one bit pattern
+// whatever the map's order; out is cleared and refilled, so a caller that
+// keeps it allocates nothing. NaN, ±Inf and negative inputs are rejected
+// (ErrWeightNotFinite / ErrNegativeWeight), as is a vector with no positive
+// mass; out is then left empty.
+func ScaleWeights(out map[string]int64, names []string, weights map[string]float64, scale int64) error {
+	clear(out)
 	if scale <= 0 {
 		scale = 1000
 	}
 	var sum float64
-	for svc, w := range weights {
+	for _, svc := range names {
+		w := weights[svc]
 		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("%w: %s=%v", ErrWeightNotFinite, svc, w)
+			return fmt.Errorf("%w: %s=%v", ErrWeightNotFinite, svc, w)
 		}
 		if w < 0 {
-			return nil, fmt.Errorf("%w: %s=%v", ErrNegativeWeight, svc, w)
+			return fmt.Errorf("%w: %s=%v", ErrNegativeWeight, svc, w)
 		}
 		sum += w
 	}
-	if len(weights) == 0 || sum <= 0 {
-		return nil, fmt.Errorf("%w: no positive weight mass", ErrWeightSum)
+	if len(names) == 0 || sum <= 0 {
+		return fmt.Errorf("%w: no positive weight mass", ErrWeightSum)
 	}
-	out := make(map[string]int64, len(weights))
 	var total int64
-	for svc, w := range weights {
-		v := int64(math.Round(w / sum * float64(scale)))
+	for _, svc := range names {
+		v := int64(math.Round(weights[svc] / sum * float64(scale)))
 		if v < 1 {
 			v = 1
 		}
@@ -162,10 +155,11 @@ func ScaleWeights(weights map[string]float64, scale int64) (map[string]int64, er
 	if drift < 0 {
 		drift = -drift
 	}
-	if drift > int64(len(weights)) {
-		return nil, fmt.Errorf("%w: scaled total %d vs scale %d", ErrWeightSum, total, scale)
+	if drift > int64(len(names)) {
+		clear(out)
+		return fmt.Errorf("%w: scaled total %d vs scale %d", ErrWeightSum, total, scale)
 	}
-	return out, nil
+	return nil
 }
 
 // String renders the split compactly for logs.
@@ -221,67 +215,38 @@ func (ts *TrafficSplit) Validate() error {
 	return nil
 }
 
-// Store is a validating store of TrafficSplits with watch support. Objects
-// are stored and returned by value semantics: every read hands out a clone,
-// so callers can mutate freely and write back via Update.
-type Store struct {
-	inner *cluster.Store[*TrafficSplit]
-}
+// Store is a validating store of TrafficSplits with watch support. A stored
+// split is an immutable version: Create and Update take ownership of the
+// split they are handed, and Get, List and watch events all return that very
+// object, so nobody may change a split after handing it to the store or
+// receiving it from it. A write builds the next version (WithWeights, or a
+// Clone edited before Update). Delete, List, Len, ResourceVersion and Watch
+// are cluster.Store's.
+type Store struct{ *splitStore }
+
+type splitStore = cluster.Store[*TrafficSplit]
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{inner: cluster.NewStore[*TrafficSplit]()}
-}
+func NewStore() *Store { return &Store{cluster.NewStore[*TrafficSplit]()} }
 
-// Create validates and inserts a split.
+// Create validates a split and stores it.
 func (s *Store) Create(ts *TrafficSplit) error {
 	if err := ts.Validate(); err != nil {
 		return err
 	}
-	return s.inner.Create(ts.Clone())
+	return s.splitStore.Create(ts)
 }
 
-// Update validates and replaces a split.
+// Update validates a split and stores it in place of the one of its name.
 func (s *Store) Update(ts *TrafficSplit) error {
 	if err := ts.Validate(); err != nil {
 		return err
 	}
-	return s.inner.Update(ts.Clone())
+	return s.splitStore.Update(ts)
 }
 
-// Delete removes a split by name.
-func (s *Store) Delete(name string) error { return s.inner.Delete(name) }
-
-// Get returns a clone of the named split.
+// Get returns the stored version of the named split.
 func (s *Store) Get(name string) (*TrafficSplit, bool) {
-	ts, _, ok := s.inner.Get(name)
-	if !ok {
-		return nil, false
-	}
-	return ts.Clone(), true
-}
-
-// List returns clones of all splits, sorted by name.
-func (s *Store) List() []*TrafficSplit {
-	stored := s.inner.List()
-	out := make([]*TrafficSplit, len(stored))
-	for i, ts := range stored {
-		out[i] = ts.Clone()
-	}
-	return out
-}
-
-// Len returns the number of stored splits.
-func (s *Store) Len() int { return s.inner.Len() }
-
-// ResourceVersion moves on every Create, Update and Delete and is read
-// without a lock: what a reader got from Get holds while it stands still.
-func (s *Store) ResourceVersion() uint64 { return s.inner.ResourceVersion() }
-
-// Watch registers fn for mutation events (cloned objects). With replay, fn
-// first receives synthetic Added events for existing splits.
-func (s *Store) Watch(replay bool, fn func(cluster.Event[*TrafficSplit])) (cancel func()) {
-	return s.inner.Watch(replay, func(e cluster.Event[*TrafficSplit]) {
-		fn(cluster.Event[*TrafficSplit]{Type: e.Type, Object: e.Object.Clone()})
-	})
+	ts, _, ok := s.splitStore.Get(name)
+	return ts, ok
 }

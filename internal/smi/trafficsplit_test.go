@@ -2,6 +2,7 @@ package smi
 
 import (
 	"errors"
+	"maps"
 	"testing"
 
 	"l3/internal/cluster"
@@ -58,23 +59,31 @@ func TestTotalWeightAndNames(t *testing.T) {
 	}
 }
 
-func TestSetWeight(t *testing.T) {
+func TestWithWeights(t *testing.T) {
 	ts := split()
-	if err := ts.SetWeight("books-west", 123); err != nil {
-		t.Fatalf("SetWeight of existing backend failed: %v", err)
+	next, err := ts.WithWeights(map[string]int64{"books-west": 123})
+	if err != nil {
+		t.Fatalf("WithWeights of an existing backend failed: %v", err)
 	}
-	if ts.Backends[1].Weight != 123 {
-		t.Fatalf("weight = %d", ts.Backends[1].Weight)
+	if next == ts || next.Backends[0].Weight != 500 || next.Backends[1].Weight != 123 {
+		t.Fatalf("next version = %v, want books-east=500 books-west=123 in a new split", next)
 	}
-	if err := ts.SetWeight("missing", 1); !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("SetWeight of unknown backend: err = %v, want ErrUnknownBackend", err)
+	if ts.Backends[1].Weight != 500 {
+		t.Fatalf("WithWeights changed the version it was called on: %v", ts)
 	}
-	before := ts.Backends[0].Weight
-	if err := ts.SetWeight("books-east", -5); !errors.Is(err, ErrNegativeWeight) {
-		t.Fatalf("negative SetWeight: err = %v, want ErrNegativeWeight", err)
+	for _, c := range []struct {
+		w    map[string]int64
+		want error
+	}{
+		{map[string]int64{"books-east": 1, "missing": 1}, ErrUnknownBackend},
+		{map[string]int64{"books-west": 1, "books-east": -5}, ErrNegativeWeight},
+	} {
+		if next, err := ts.WithWeights(c.w); !errors.Is(err, c.want) || next != nil {
+			t.Errorf("WithWeights(%v) = %v, %v; want no version and %v", c.w, next, err, c.want)
+		}
 	}
-	if ts.Backends[0].Weight != before {
-		t.Fatalf("rejected write mutated the split: %d", ts.Backends[0].Weight)
+	if ts.Backends[0].Weight != 500 || ts.Backends[1].Weight != 500 {
+		t.Fatalf("a rejected write changed the split: %v", ts)
 	}
 }
 
@@ -87,24 +96,31 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// A stored split is one immutable version: Create keeps the split it is
+// handed, Get returns it, and a write stores the next version without
+// touching the one a reader holds.
 func TestStoreValueSemantics(t *testing.T) {
 	s := NewStore()
 	ts := split()
 	if err := s.Create(ts); err != nil {
 		t.Fatal(err)
 	}
-	ts.Backends[0].Weight = 7 // mutate caller copy after Create
 	got, ok := s.Get("books")
-	if !ok {
-		t.Fatal("Get failed")
+	if !ok || got != ts {
+		t.Fatalf("Get = %p, want the created split %p", got, ts)
+	}
+	next, err := got.WithWeights(map[string]int64{"books-east": 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(next); err != nil {
+		t.Fatal(err)
 	}
 	if got.Backends[0].Weight != 500 {
-		t.Fatal("Create aliased caller memory")
+		t.Fatal("a write changed the version a reader holds")
 	}
-	got.Backends[0].Weight = 8 // mutate read copy
-	again, _ := s.Get("books")
-	if again.Backends[0].Weight != 500 {
-		t.Fatal("Get handed out aliased memory")
+	if again, _ := s.Get("books"); again != next || s.List()[0] != next {
+		t.Fatal("Get or List does not return the stored version")
 	}
 }
 
@@ -127,7 +143,7 @@ func TestStoreUpdateDeleteList(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(split())
 	ts, _ := s.Get("books")
-	ts.SetWeight("books-east", 900)
+	ts, _ = ts.WithWeights(map[string]int64{"books-east": 900})
 	if err := s.Update(ts); err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +168,35 @@ func TestStoreUpdateDeleteList(t *testing.T) {
 	}
 }
 
-func TestStoreWatchDeliversClones(t *testing.T) {
+func TestStoreWatchDeliversTheStoredVersion(t *testing.T) {
 	s := NewStore()
-	var seen *TrafficSplit
-	s.Watch(false, func(e cluster.Event[*TrafficSplit]) { seen = e.Object })
-	_ = s.Create(split())
-	if seen == nil {
-		t.Fatal("watch not notified")
+	var seen []*TrafficSplit
+	s.Watch(false, func(e cluster.Event[*TrafficSplit]) { seen = append(seen, e.Object) })
+	ts := split()
+	_ = s.Create(ts)
+	next, _ := ts.WithWeights(map[string]int64{"books-east": 1})
+	_ = s.Update(next)
+	if len(seen) != 2 || seen[0] != ts || seen[1] != next {
+		t.Fatalf("watch saw %v, want the created split then its next version", seen)
 	}
-	seen.Backends[0].Weight = 12345
-	got, _ := s.Get("books")
-	if got.Backends[0].Weight != 500 {
-		t.Fatal("watch event aliases stored object")
+}
+
+// ScaleWeights sums in the order of names, not of the map: weights whose
+// mass adds to 0.6 or to 0.6000000000000001 depending on the order scale to
+// 1/1/2 or 1/1/1 at scale 3.
+func TestScaleWeightsIsOneResultWhateverTheMapOrder(t *testing.T) {
+	var first map[string]int64
+	for i := 0; i < 200; i++ {
+		w := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}
+		out := make(map[string]int64)
+		if err := ScaleWeights(out, []string{"a", "b", "c"}, w, 3); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = out
+		} else if !maps.Equal(out, first) {
+			t.Fatalf("call %d scaled to %v, the first to %v", i, out, first)
+		}
 	}
 }
 

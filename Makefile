@@ -40,7 +40,9 @@ race:
 ## (X-L3-Deadline: a budget in (0, default] or the default; X-L3-Criticality:
 ## always a valid tier) and the resilience and overload policy grammars (no
 ## NaN or infinity accepted, String re-parses to itself) — beyond their seed
-## corpora.
+## corpora; and the latency histogram's window arithmetic, whose Record,
+## Merge, Reset and Snapshot sequences must answer every query as the dense
+## whole-layout histogram does, bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
@@ -48,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTier -fuzztime 5s ./internal/overload
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/resilience
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/overload
+	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesDense -fuzztime 5s ./internal/histogram
 
 ## serve-smoke: the wall-clock serving mode end to end under the race
 ## detector — l3serve + stub backends on ephemeral ports, ~1.8k proxied

@@ -39,16 +39,17 @@ func RunChaosScenario(scenarioName string, algo Algorithm, opts Options) (*Chaos
 	if opts.Chaos == nil {
 		return nil, fmt.Errorf("bench: RunChaosScenario requires Options.Chaos")
 	}
-	runs, err := runReps(named(scenarioName), algo, opts)
+	runs, rec, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	return chaosStats(runs, opts), nil
+	return chaosStats(runs, rec, opts), nil
 }
 
-// chaosStats folds a chaos configuration's repetitions into its scorecard.
-func chaosStats(runs []repRun, opts Options) *ChaosStats {
-	stats := &ChaosStats{Recorder: mergeRuns(runs), Report: scoreRuns(runs, opts)}
+// chaosStats folds a chaos configuration's repetitions and their merged
+// recorder into its scorecard.
+func chaosStats(runs []repRun, rec *loadgen.Recorder, opts Options) *ChaosStats {
+	stats := &ChaosStats{Recorder: rec, Report: scoreRuns(runs, opts)}
 	for _, run := range runs {
 		stats.Ejections += run.art.ejections
 		stats.Restores += run.art.restores

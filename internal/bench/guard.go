@@ -13,7 +13,7 @@ import (
 // one).
 func runChaosWithGuard(scenarioName string, algo Algorithm, opts Options) (*ChaosStats, guardCounters, []chaos.WeightSnapshot, error) {
 	opts = opts.withDefaults()
-	runs, err := runReps(named(scenarioName), algo, opts)
+	runs, rec, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, guardCounters{}, nil, err
 	}
@@ -30,7 +30,7 @@ func runChaosWithGuard(scenarioName string, algo Algorithm, opts Options) (*Chao
 		g.writeRejected += a.writeRejected
 		g.watchdogDegrades += a.watchdogDegrades
 	}
-	return chaosStats(runs, opts), g, runs[0].art.snaps, nil
+	return chaosStats(runs, rec, opts), g, runs[0].art.snaps, nil
 }
 
 // peakShare is the largest traffic share one backend reached across a run's

@@ -65,11 +65,11 @@ func RunOverloadScenario(scenarioName string, algo Algorithm, opts Options) (*Ov
 // scorecard, in index order.
 func runOverload(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) (*OverloadStats, error) {
 	opts = opts.withDefaults()
-	runs, err := runReps(scenario, algo, opts)
+	runs, rec, err := runReps(scenario, algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	stats := &OverloadStats{Recorder: mergeRuns(runs)}
+	stats := &OverloadStats{Recorder: rec}
 	if len(opts.OverloadTierMix) > 0 {
 		for tier := range stats.TierRecorders {
 			stats.TierRecorders[tier] = loadgen.NewRecorder(time.Second)

@@ -64,11 +64,11 @@ func (s *ResilienceStats) DuplicateLoad() float64 {
 // recovery scorecard is filled in too.
 func RunResilienceScenario(scenarioName string, algo Algorithm, opts Options) (*ResilienceStats, error) {
 	opts = opts.withDefaults()
-	runs, err := runReps(named(scenarioName), algo, opts)
+	runs, rec, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	stats := &ResilienceStats{Recorder: mergeRuns(runs)}
+	stats := &ResilienceStats{Recorder: rec}
 	for _, run := range runs {
 		art := run.art
 		stats.Requests += art.res.requests

@@ -238,11 +238,11 @@ type ScenarioStats struct {
 // RunScenarioWithStats is RunScenario returning traffic accounting too.
 func RunScenarioWithStats(scenarioName string, algo Algorithm, opts Options) (*ScenarioStats, error) {
 	opts = opts.withDefaults()
-	runs, err := runReps(named(scenarioName), algo, opts)
+	runs, rec, err := runReps(named(scenarioName), algo, opts)
 	if err != nil {
 		return nil, err
 	}
-	stats := &ScenarioStats{Recorder: mergeRuns(runs)}
+	stats := &ScenarioStats{Recorder: rec}
 	model := cost.NewModel(cost.DefaultRates(), 0)
 	var local, remote float64
 	for _, run := range runs {
@@ -269,22 +269,16 @@ func RunScenarioWithStats(scenarioName string, algo Algorithm, opts Options) (*S
 // and (for L3/C3) the controller pipeline — scraper, TSDB, collector,
 // assigner — updating one TrafficSplit every 5 s.
 func RunScenario(scenarioName string, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
-	runs, err := runReps(named(scenarioName), algo, opts.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuns(runs), nil
+	_, rec, err := runReps(named(scenarioName), algo, opts.withDefaults())
+	return rec, err
 }
 
 // RunScenarioTrace is RunScenario for a caller-built scenario (custom RPS
 // shapes, synthetic latency processes). Repetitions rerun the same trace
 // with different simulation seeds.
 func RunScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
-	runs, err := runReps(fixed(sc), algo, opts.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuns(runs), nil
+	_, rec, err := runReps(fixed(sc), algo, opts.withDefaults())
+	return rec, err
 }
 
 // repRun is what one repetition yields: its recorder, the per-(src,
@@ -309,11 +303,12 @@ func fixed(sc *trace.Scenario) func(seed uint64) (*trace.Scenario, error) {
 
 // runReps is the one repetition fan-out behind every scenario entry point:
 // opts.Reps independent runs across opts.Parallel workers, each on its own
-// derived seed, returned in index order — the order every reduction over
-// them folds in, which is what keeps output identical at any -parallel.
-// opts must already carry its defaults.
-func runReps(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) ([]repRun, error) {
+// derived seed, returned in index order with their recorders merged in that
+// order — the order every reduction over them folds in, which is what keeps
+// output identical at any -parallel. opts must already carry its defaults.
+func runReps(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) ([]repRun, *loadgen.Recorder, error) {
 	runs := make([]repRun, opts.Reps)
+	recs := make([]*loadgen.Recorder, opts.Reps)
 	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
 		seed := DeriveSeed(opts.Seed, rep)
 		sc, err := scenario(seed)
@@ -321,26 +316,24 @@ func runReps(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm
 			return err
 		}
 		runs[rep], err = runOnceCounted(sc, algo, opts, seed)
+		recs[rep] = runs[rep].rec
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return runs, nil
+	return runs, mergeRecorders(recs), nil
 }
 
-// mergeRuns folds the repetitions' recorders into one, in index order.
-func mergeRuns(runs []repRun) *loadgen.Recorder {
-	merged := loadgen.NewRecorder(time.Second)
-	for _, run := range runs {
-		merged.Merge(run.rec)
-	}
-	return merged
-}
-
-// mergeRecorders folds per-repetition recorders into one, in index order —
-// the deterministic reduction behind every parallel fan-out here.
+// mergeRecorders folds recorders into one, in index order — the
+// deterministic reduction behind every parallel fan-out here. A lone
+// recorder is handed back itself: every bench recorder is 1 s wide, so the
+// merge would copy it bucket for bucket, and nothing writes a run's
+// recorder once the run is over.
 func mergeRecorders(recs []*loadgen.Recorder) *loadgen.Recorder {
+	if len(recs) == 1 {
+		return recs[0]
+	}
 	merged := loadgen.NewRecorder(time.Second)
 	for _, rec := range recs {
 		merged.Merge(rec)

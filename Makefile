@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz-smoke serve-smoke serve-chaos-smoke serve-soak overload-smoke benchmark-smoke loc sweep
+.PHONY: check fmt vet build test race allocs fuzz-smoke serve-smoke serve-chaos-smoke serve-soak overload-smoke benchmark-smoke loc sweep
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector (which runs every CLI figure golden, chaos, resilience,
@@ -8,7 +8,7 @@ GO ?= go
 ## the nested benchmark module, and a short fuzz pass over the parsers that
 ## eat outside input. Run before every merge; CI and the tier-1 verify in
 ## ROADMAP.md assume it passes.
-check: fmt vet build race fuzz-smoke serve-smoke serve-chaos-smoke overload-smoke benchmark-smoke
+check: fmt vet build race allocs fuzz-smoke serve-smoke serve-chaos-smoke overload-smoke benchmark-smoke
 
 ## fmt: fail if any file needs gofmt (prints the offenders).
 fmt:
@@ -29,6 +29,25 @@ test:
 ## report shown) so the 25 s pass doesn't run twice per check.
 race:
 	$(GO) test -race -short ./...
+
+## allocs: the allocation pins, without the race detector, under which
+## most of them skip — so race alone never runs them. With -v each prints its
+## reading. They are: sim_trace's mallocs and bytes a request
+## (TestScenarioMallocsPerRequest, TestScenarioBytesPerRequest) and one DSB
+## world's mallocs, cold and warm (TestDSBRunMallocs), in internal/bench; a
+## warm control round and scrape tick (TestControlRoundMallocs,
+## TestWarmScrapeTickDoesNotAllocate), in internal/core; one registration's
+## layout rebuild (TestRegistrationRebuildAllocs) and a histogram
+## re-registration (TestHistogramBoundsMismatchPanics), in internal/metrics;
+## a second's latency window (TestOneSecondCostsOneWindow), in
+## internal/histogram; the admit path and a proxied request's bytes
+## (TestAdmitPathAllocsPinned, TestProxiedRequestBytes), in internal/serve;
+## and the series and gate-state chunks that fill their size class
+## (TestSeriesChunkFillsItsSizeClass, TestStateChunkFillsItsSizeClass), in
+## internal/timeseries and internal/guard.
+allocs:
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|AdmitPathAllocsPinned|ProxiedRequestBytes|SeriesChunkFillsItsSizeClass|StateChunkFillsItsSizeClass)$$' \
+		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/serve ./internal/timeseries ./internal/guard
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip

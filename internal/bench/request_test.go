@@ -151,25 +151,35 @@ func TestScenarioBytesPerRequest(t *testing.T) {
 // TestDSBRunMallocs guards the number the repo benchmark reports as sim_dsb
 // allocs_per_op without running it: one world of its shape (L3, 200 rps, 30 s
 // of warm-up and 20 measured) is 6 909 series met for the first time and ten
-// control rounds over them. The ceiling is the measured count (34 400) plus
-// 5 %: it holds while the stores keep the label map they are handed, a new
-// series is one allocation and a split write one new version; a store that
-// copies each series' map again, or each split it hands out, exceeds it.
+// control rounds over them. The world runs twice. The first run may be the
+// first of its series in the process, and pays for their descriptors — label
+// maps and sample templates, which the metrics package keeps process-wide —
+// so its ceiling is a cold world's count (28 009) plus 5 %. The second run
+// finds every descriptor in place; its ceiling is a warm world's count
+// (12 911) plus 5 %. An earlier test that built such a world leaves the first
+// run warm, under both ceilings. A registry that clones each series' map
+// again, a store that allocates each series or state on its own, or a split
+// write that copies more than one version, exceeds them.
 func TestDSBRunMallocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("process-wide allocation counts are not meaningful under -race")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rec, err := RunDSB(AlgoL3, 200, 20*time.Second, Options{Seed: 1, Parallel: 1})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mallocs := after.Mallocs - before.Mallocs
-	t.Logf("%d mallocs for one 50 s DSB world, %d recorded requests", mallocs, rec.Count())
-	if mallocs > 36120 {
-		t.Errorf("%d mallocs for one 50 s DSB world, want <= 36 120", mallocs)
+	for i, run := range []struct {
+		name    string
+		ceiling uint64
+	}{{"cold", 29409}, {"warm", 13557}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := RunDSB(AlgoL3, 200, 20*time.Second, Options{Seed: 1, Parallel: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("run %d (%s ceiling): %d mallocs for one 50 s DSB world, %d recorded requests", i+1, run.name, mallocs, rec.Count())
+		if mallocs > run.ceiling {
+			t.Errorf("run %d: %d mallocs for one 50 s DSB world, want <= %d (%s)", i+1, mallocs, run.ceiling, run.name)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"l3/internal/metrics"
 )
@@ -47,6 +48,8 @@ type Hygiene struct {
 	// mapped and hashed count states resolved through the name map and by
 	// the hash path, for the tests.
 	mapped, hashed uint64
+	// spare is the rest of the chunk new states are handed out of.
+	spare []seriesState
 
 	rejNaN, rejNegative, rejOutOfOrder, rejDuplicate, rejAnomaly *metrics.Counter
 	resets                                                       *metrics.Counter
@@ -186,7 +189,8 @@ func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, cr
 			st = st.next
 		}
 		if st == nil {
-			st = &seriesState{labels: labels, next: named.byHash[hash], name: named.ordinal}
+			st = h.newState()
+			st.labels, st.next, st.name = labels, named.byHash[hash], named.ordinal
 			named.byHash[hash] = st
 			created = true
 		} else {
@@ -198,6 +202,21 @@ func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, cr
 	}
 	h.last = st
 	return st, created
+}
+
+// stateChunk is how many states one allocation makes: as many as fill the
+// 16 KiB size class beside the 8-byte header of a pointer-holding object.
+const stateChunk = int((16<<10 - 8) / unsafe.Sizeof(seriesState{}))
+
+// newState hands out the next zeroed state of the current chunk, making a
+// chunk when none is left; called under mu.
+func (h *Hygiene) newState() *seriesState {
+	if len(h.spare) == 0 {
+		h.spare = make([]seriesState, stateChunk)
+	}
+	st := &h.spare[0]
+	h.spare = h.spare[1:]
+	return st
 }
 
 // LastReset implements core.ResetSource: the most recent splice time among

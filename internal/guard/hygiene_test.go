@@ -257,6 +257,68 @@ func TestStateFitsItsSizeClass(t *testing.T) {
 	}
 }
 
+// New states are carved from chunks that fill the 16 KiB size class: a chunk
+// costs the heap at most 16 384 bytes, with no room left in it for one more
+// state beside the 8-byte header, and no state is handed out twice.
+func TestStateChunkFillsItsSizeClass(t *testing.T) {
+	h := NewHygiene(Config{}, nil)
+	cost := uint64(math.MaxUint64)
+	seen := make(map[*seriesState]bool)
+	handed := make([]*seriesState, stateChunk)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range handed {
+			handed[i] = h.newState()
+		}
+		runtime.ReadMemStats(&after)
+		cost = min(cost, after.TotalAlloc-before.TotalAlloc)
+		for _, st := range handed {
+			if seen[st] {
+				t.Fatalf("chunk %d hands out a state twice", try+1)
+			}
+			seen[st] = true
+		}
+	}
+	size := uint64(unsafe.Sizeof(seriesState{}))
+	if want := uint64(stateChunk) * size; cost < want || cost-want >= size+8 || cost > 16<<10 {
+		t.Fatalf("a chunk of %d states costs %d bytes, want %d to %d and at most 16 384", stateChunk, cost, want, want+size+7)
+	}
+	t.Logf("a chunk of %d states costs %d bytes", stateChunk, cost)
+}
+
+// States carved from one chunk, and from the next, keep their own frontier
+// and reset offset: every series is admitted at its own times, so a state
+// handed out twice would reject its twin's samples as duplicates or splice
+// its resets.
+func TestStatesSharingAChunkStayApart(t *testing.T) {
+	h := NewHygiene(Config{}, nil)
+	n := stateChunk + 3
+	labels := make([]metrics.Labels, n)
+	for i := range labels {
+		labels[i] = metrics.Labels{"backend": fmt.Sprint(i)}
+	}
+	for step := 1; step <= 4; step++ {
+		for i, l := range labels {
+			v := float64(100 * step)
+			if i%2 == 1 && step == 4 {
+				v = 1 // a restart on every odd series
+			}
+			got, ok := h.Admit("response_total", l, metrics.KindCounter, sec(n*step+i), v)
+			want := v
+			if i%2 == 1 && step == 4 {
+				want = 301
+			}
+			if !ok || got != want {
+				t.Fatalf("series %d step %d: admitted %v, %v; want %v", i, step, got, ok, want)
+			}
+		}
+	}
+	if h.RejectedTotal() != 0 || h.ResetsTotal() != float64(n/2) {
+		t.Fatalf("%v rejected, %v resets; want 0 and %d", h.RejectedTotal(), h.ResetsTotal(), n/2)
+	}
+}
+
 // TestIndexedHygieneMatchesHashedTwin drives one gate with one label map per
 // series — turned over mid-stream now and then, some maps serving two metric
 // names, some nil or empty — and a twin with a clone per sample, which

@@ -42,11 +42,11 @@ func genRegistry(r *Registry, series int, choose func(n int) int) {
 		case 1:
 			r.Gauge(name, labels).Set(v)
 		case 2:
-			bounds := genBounds[choose(len(genBounds))]
-			if len(r.Histogram(name, labels, bounds[:1]).Bounds()) == 1 {
-				bounds = bounds[:1] // registered before with one bound: a mismatch panics
+			bounds := genBounds[choose(len(genBounds))][:1]
+			if h, ok := r.histograms[seriesKey(name, labels)]; ok {
+				bounds = h.Bounds() // registered before: other bounds panic
 			}
-			if h := r.Histogram(name, labels, bounds); len(h.Bounds()) == len(bounds) && v == v && !math.IsInf(v, 0) {
+			if h := r.Histogram(name, labels, bounds); v == v && !math.IsInf(v, 0) {
 				h.Observe(v)
 			}
 		}
@@ -372,6 +372,30 @@ func TestParserMatchesOracle(t *testing.T) {
 	if rejected < cases/10 || rejected > cases*9/10 {
 		t.Fatalf("%d of %d damaged texts rejected: the mutations no longer exercise both outcomes", rejected, cases)
 	}
+}
+
+// appendSeriesPrefix appends a sample line up to its value: the sanitized
+// name, the labels sorted by name with escaped values, and a space.
+func appendSeriesPrefix(buf []byte, name string, labels Labels) []byte {
+	buf = append(buf, sanitizeName(name)...)
+	if len(labels) > 0 {
+		buf = append(buf, '{')
+		names := make([]string, 0, len(labels))
+		for k := range labels {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		for i, k := range names {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, sanitizeName(k)...)
+			buf = append(buf, '=')
+			buf = appendEscapedLabelValue(buf, labels[k])
+		}
+		buf = append(buf, '}')
+	}
+	return append(buf, ' ')
 }
 
 // roundTrips requires WritePrometheus -> ParseExposition to return exactly

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -107,13 +106,13 @@ func (r *Registry) buildExposition() *exposition {
 	for i := range r.order {
 		reg := &r.order[i]
 		if reg.templates == nil {
-			reg.buildTemplates(r.le)
+			reg.templates = described.templates(reg)
 		}
 		if reg.layout == nil {
 			scratch = reg.layOut(scratch)
 		}
 		size += reg.layout.size
-		_, le := reg.labels["le"]
+		_, le := reg.desc.labels["le"]
 		e := expoEntry{name: reg.name, key: reg.layout.key, reg: reg, base: samples, n: 1, le: le}
 		if reg.histogram == nil {
 			entries = append(entries, e)
@@ -263,7 +262,7 @@ func (reg *registered) layOut(scratch []byte) []byte {
 	var stack [8]string
 	names := stack[:0]
 	unescaped := 0 // the pairs' length when no value needs escaping
-	for k, v := range reg.labels {
+	for k, v := range reg.desc.labels {
 		if k != "le" {
 			names = append(names, k)
 			unescaped += len(`,=""`) + len(k) + len(v)
@@ -274,7 +273,7 @@ func (reg *registered) layOut(scratch []byte) []byte {
 	key := buf[:0]
 	l := &seriesLayout{pairs: make([]byte, 0, unescaped)}
 	for i, k := range names {
-		v := reg.labels[k]
+		v := reg.desc.labels[k]
 		if i > 0 {
 			key = append(key, ',')
 		}
@@ -305,7 +304,7 @@ func (reg *registered) le(t int) (string, bool) {
 	if les := reg.layout.les; t < len(les) {
 		return les[t], true
 	}
-	le, ok := reg.labels["le"]
+	le, ok := reg.desc.labels["le"]
 	return le, ok
 }
 
@@ -334,36 +333,6 @@ func leBound(v string) float64 {
 		return math.Inf(1)
 	}
 	return f
-}
-
-// appendSeriesPrefix appends a sample line up to its value: the sanitized
-// name, the labels sorted by name with escaped values, and a space.
-func appendSeriesPrefix(buf []byte, name string, labels Labels) []byte {
-	buf = append(buf, sanitizeName(name)...)
-	if len(labels) > 0 {
-		buf = append(buf, '{')
-		names := make([]string, 0, len(labels))
-		for k := range labels {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for i, k := range names {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, sanitizeName(k)...)
-			buf = append(buf, '=')
-			buf = appendEscapedLabelValue(buf, labels[k])
-		}
-		buf = append(buf, '}')
-	}
-	return append(buf, ' ')
-}
-
-func writeSample(w io.Writer, s Sample) error {
-	buf := appendValue(appendSeriesPrefix(nil, s.Name, s.Labels), s.Value)
-	_, err := w.Write(append(buf, '\n'))
-	return err
 }
 
 // appendEscapedLabelValue quotes a label value with the exposition format's
@@ -438,22 +407,4 @@ func sanitizeRunes(name string) string {
 		}
 	}
 	return b.String()
-}
-
-// Fprint renders one family's samples with a HELP/TYPE header — a
-// convenience for debugging dumps.
-func Fprint(w io.Writer, r *Registry, family, help, kind string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-		sanitizeName(family), help, sanitizeName(family), kind); err != nil {
-		return err
-	}
-	for _, s := range r.Snapshot() {
-		if s.Name != family && !strings.HasPrefix(s.Name, family+"_") {
-			continue
-		}
-		if err := writeSample(w, s); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -102,22 +102,3 @@ func TestFormatValueSpecials(t *testing.T) {
 		t.Fatalf("plain formatting: %s", string(appendValue(nil, 1.5)))
 	}
 }
-
-func TestFprintFamilyHeader(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("reqs", nil).Add(5)
-	r.Counter("other", nil).Add(9)
-	var b strings.Builder
-	if err := Fprint(&b, r, "reqs", "requests served", "counter"); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "# HELP reqs requests served") ||
-		!strings.Contains(out, "# TYPE reqs counter") ||
-		!strings.Contains(out, "reqs 5") {
-		t.Fatalf("Fprint output:\n%s", out)
-	}
-	if strings.Contains(out, "other") {
-		t.Fatalf("Fprint leaked other families:\n%s", out)
-	}
-}

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,7 +37,8 @@ import (
 // timeseries.Gate — is never modified afterwards: the store keeps that map,
 // not a copy, for the series' life, and recognises the series by its map
 // object (MapIndex). The registry's sample templates and ParseExposition's
-// series table hand out such maps, one per series.
+// series table hand out such maps, one per series; equal series in different
+// registries hand out one map (see descriptor).
 type Labels map[string]string
 
 // Clone returns an independent copy of the label set.
@@ -236,13 +238,6 @@ type Histogram struct {
 	sum    atomicFloat
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-}
-
 // Observe records one value (same unit as the bounds).
 func (h *Histogram) Observe(v float64) {
 	// Inlined sort.SearchFloat64s: find the first bound >= v.
@@ -325,22 +320,20 @@ type Registry struct {
 	// expoScratch is the idle render scratch WritePrometheus passes reuse.
 	expo        *exposition
 	expoScratch *expoScratch
-	// le holds every histogram bound's "le" text, by bit pattern, for the
-	// sample templates.
-	le map[uint64]string
 }
 
 // registered is one series in registration order, holding the series
 // directly so a scrape never goes back through the lookup maps, plus the
 // series' sample templates: everything about a sample except its value is
 // fixed once, so the scrape path fills in values and allocates nothing.
-// Templates build lazily on the series' first snapshot — not at
+// Templates come from the series' descriptor on its first snapshot — not at
 // registration, which keeps lazy first-request registration on the data
-// plane's hot path as cheap as it always was. Template label maps are
-// shared across scrapes by contract (see SnapshotAppend).
+// plane's hot path as cheap as it always was. The series' label map and its
+// templates' are the descriptor's, shared across scrapes and with every
+// registry that registers an equal series (see SnapshotAppend).
 type registered struct {
 	name      string
-	labels    Labels
+	desc      *descriptor
 	counter   *Counter
 	gauge     *Gauge
 	histogram *Histogram
@@ -353,37 +346,104 @@ type registered struct {
 	layout *seriesLayout
 }
 
-// buildTemplates fills reg.templates; called under the registry lock on the
-// series' first snapshot. le is the registry's bound text by bit pattern,
-// filled here, so each bound is formatted once per registry.
-func (reg *registered) buildTemplates(le map[uint64]string) {
+// descriptor is what a series shares with every equal series in the
+// process — of one kind, name and label set, and for a histogram bounds: the
+// label map, a histogram's sorted bounds, and the sample templates, built on
+// the first snapshot in any registry. None of it changes once published.
+type descriptor struct {
+	labels    Labels
+	bounds    []float64
+	templates []Sample // nil until the first snapshot; written under described.mu
+}
+
+// descriptorCap bounds the descriptor table at the parse table's floor. A full
+// table is cleared, which changes no output: holders keep their descriptors,
+// and a later registration builds an equal one.
+const descriptorCap = seriesCacheCap
+
+// described is the process-wide descriptor table. Its lock is taken under a
+// registry's, never the other way round, and it calls back into nothing.
+var described = descriptors{m: make(map[descriptorKey]*descriptor), le: make(map[uint64]string)}
+
+type descriptors struct {
+	mu sync.Mutex
+	m  map[descriptorKey]*descriptor
+	le map[uint64]string // every bucket bound's "le" text, by bit pattern
+}
+
+// descriptorKey files a series by its registry table — KindCounter,
+// KindGauge, or 0 for a histogram — and seriesKey(name, labels).
+type descriptorKey struct {
+	kind Kind
+	key  string
+}
+
+// get returns the descriptor of series key of this kind with these labels and
+// sorted bounds (nil but for a histogram), entering copies of both on a miss;
+// a histogram whose entry holds other bounds gets one of its own, unentered.
+func (t *descriptors) get(kind Kind, key string, labels Labels, bounds []float64) *descriptor {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k := descriptorKey{kind, key}
+	d := t.m[k]
+	if d != nil && sameBounds(d.bounds, bounds) {
+		return d
+	}
+	fresh := &descriptor{labels: labels.Clone(), bounds: slices.Clone(bounds)}
+	if d == nil {
+		if len(t.m) >= descriptorCap {
+			clear(t.m)
+		}
+		t.m[k] = fresh
+	}
+	return fresh
+}
+
+// templates returns reg's sample templates, building its descriptor's on the
+// first snapshot of the series in any registry; called under reg's registry
+// lock. Each bound's "le" text is formatted once per process.
+func (t *descriptors) templates(reg *registered) []Sample {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d := reg.desc
+	if d.templates != nil {
+		return d.templates
+	}
 	switch {
 	case reg.counter != nil:
-		reg.templates = []Sample{{Name: reg.name, Labels: reg.labels, Kind: KindCounter}}
+		d.templates = []Sample{{Name: reg.name, Labels: d.labels, Kind: KindCounter}}
 	case reg.gauge != nil:
-		reg.templates = []Sample{{Name: reg.name, Labels: reg.labels, Kind: KindGauge}}
+		d.templates = []Sample{{Name: reg.name, Labels: d.labels, Kind: KindGauge}}
 	case reg.histogram != nil:
-		h := reg.histogram
-		templates := make([]Sample, 0, len(h.counts)+2)
+		templates := make([]Sample, 0, len(d.bounds)+3)
 		bucket := reg.name + "_bucket"
-		for i := range h.counts {
+		for i := 0; i <= len(d.bounds); i++ {
 			text := "+Inf"
-			if i < len(h.bounds) {
-				bits := math.Float64bits(h.bounds[i])
-				if text = le[bits]; text == "" {
-					text = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-					le[bits] = text
+			if i < len(d.bounds) {
+				bits := math.Float64bits(d.bounds[i])
+				if text = t.le[bits]; text == "" {
+					if len(t.le) >= descriptorCap {
+						clear(t.le)
+					}
+					text = strconv.FormatFloat(d.bounds[i], 'g', -1, 64)
+					t.le[bits] = text
 				}
 			}
 			templates = append(templates, Sample{
-				Name: bucket, Labels: reg.labels.With("le", text), Kind: KindCounter,
+				Name: bucket, Labels: d.labels.With("le", text), Kind: KindCounter,
 			})
 		}
-		reg.templates = append(templates,
-			Sample{Name: reg.name + "_sum", Labels: reg.labels, Kind: KindCounter},
-			Sample{Name: reg.name + "_count", Labels: reg.labels, Kind: KindCounter},
+		d.templates = append(templates,
+			Sample{Name: reg.name + "_sum", Labels: d.labels, Kind: KindCounter},
+			Sample{Name: reg.name + "_count", Labels: d.labels, Kind: KindCounter},
 		)
 	}
+	return d.templates
+}
+
+// sameBounds reports whether two bound lists are equal bit for bit ("-0" ≠ "0").
+func sameBounds(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // NewRegistry returns an empty registry.
@@ -392,7 +452,6 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		le:         make(map[uint64]string),
 	}
 }
 
@@ -447,9 +506,7 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 		checkLabelNames(name, labels)
 		c = &Counter{}
 		r.counters[key] = c
-		r.order = append(r.order, registered{name: name, labels: labels.Clone(), counter: c})
-		r.samples++
-		r.expo = nil
+		r.add(registered{name: name, desc: described.get(KindCounter, key, labels, nil), counter: c}, 1)
 	}
 	return c
 }
@@ -465,20 +522,22 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 		checkLabelNames(name, labels)
 		g = &Gauge{}
 		r.gauges[key] = g
-		r.order = append(r.order, registered{name: name, labels: labels.Clone(), gauge: g})
-		r.samples++
-		r.expo = nil
+		r.add(registered{name: name, desc: described.get(KindGauge, key, labels, nil), gauge: g}, 1)
 	}
 	return g
 }
 
 // Histogram returns the histogram series for (name, labels), creating it
-// with the given bounds on first use. Later calls must pass equal bounds; a
-// mismatch panics, as it indicates two incompatible registrations of the
-// same family.
+// with the given bounds on first use. Later calls must pass equal bounds, in
+// any order; a mismatch panics, as it indicates two incompatible
+// registrations of the same family.
 func (r *Registry) Histogram(name string, labels Labels, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("metrics: Histogram registered with no bounds")
+	}
+	if !sort.Float64sAreSorted(bounds) {
+		bounds = slices.Clone(bounds)
+		sort.Float64s(bounds)
 	}
 	key := seriesKey(name, labels)
 	r.mu.Lock()
@@ -486,17 +545,24 @@ func (r *Registry) Histogram(name string, labels Labels, bounds []float64) *Hist
 	h, ok := r.histograms[key]
 	if !ok {
 		checkLabelNames(name, labels)
-		h = newHistogram(bounds)
+		d := described.get(0, key, labels, bounds)
+		h = &Histogram{bounds: d.bounds, counts: make([]atomic.Uint64, len(d.bounds)+1)}
 		r.histograms[key] = h
-		r.order = append(r.order, registered{name: name, labels: labels.Clone(), histogram: h})
-		r.samples += len(h.counts) + 2
-		r.expo = nil
+		r.add(registered{name: name, desc: d, histogram: h}, len(h.counts)+2)
 		return h
 	}
-	if len(h.bounds) != len(bounds) {
+	if !sameBounds(h.bounds, bounds) {
 		panic(fmt.Sprintf("metrics: histogram %s re-registered with different bounds", name))
 	}
 	return h
+}
+
+// add appends a new series, which flattens into samples samples, and drops
+// the layout.
+func (r *Registry) add(reg registered, samples int) {
+	r.order = append(r.order, reg)
+	r.samples += samples
+	r.expo = nil
 }
 
 // Snapshot renders every series into flat samples, in registration order
@@ -520,7 +586,8 @@ func (r *Registry) Snapshot() []Sample {
 // stored each sample (core.Scraper keeps a timeseries.Ref per position).
 //
 // Sample label maps are the registry's registration-time sets, shared
-// across snapshots and across callers: they must be treated as read-only.
+// across snapshots and across callers, and with every registry of the
+// process that registers an equal series: they must be treated as read-only.
 // Consumers that retain labels past the scrape (the time-series DB, the
 // hygiene gate) keep the template's map itself and recognise a series by it
 // (MapIndex).
@@ -545,7 +612,7 @@ func (r *Registry) snapshotLocked(out []Sample) []Sample {
 	for i := range r.order {
 		reg := &r.order[i]
 		if reg.templates == nil {
-			reg.buildTemplates(r.le)
+			reg.templates = described.templates(reg)
 		}
 		switch {
 		case reg.counter != nil:
@@ -589,7 +656,7 @@ func (r *Registry) ResetCounters(match Labels) int {
 	n := 0
 	for i := range r.order {
 		reg := &r.order[i]
-		if !reg.labels.Matches(match) {
+		if !reg.desc.labels.Matches(match) {
 			continue
 		}
 		switch {

@@ -12,11 +12,11 @@ func TestFamilyKeepsCollidingLabelSetsApart(t *testing.T) {
 	f := newFamily(0)
 	a, b, c := metrics.Labels{"backend": "a"}, metrics.Labels{"backend": "b"}, metrics.Labels{"backend": "c"}
 	const hash = 42
-	sa := f.insert(hash, a)
+	sa := f.insert(new(series), hash, a)
 	if got := f.find(hash, b); got != nil {
 		t.Fatalf("find(b) returned the series of %v", got.labels)
 	}
-	sb := f.insert(hash, b)
+	sb := f.insert(new(series), hash, b)
 	if f.find(hash, a) != sa || f.find(hash, b) != sb {
 		t.Fatal("colliding series not found behind each other")
 	}

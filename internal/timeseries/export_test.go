@@ -35,6 +35,17 @@ func MapPathResolved(db *DB) uint64 {
 // SeriesSize is the size of one stored series' struct.
 const SeriesSize = unsafe.Sizeof(series{})
 
+// SeriesChunk is how many series one chunk holds.
+const SeriesChunk = seriesChunk
+
+// NewSeries hands out the database's next new series, as an insert takes it,
+// and returns its address.
+func NewSeries(db *DB) unsafe.Pointer {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return unsafe.Pointer(db.newSeries())
+}
+
 // Indexed returns how many label maps the database's identity index holds.
 func Indexed(db *DB) int {
 	db.mu.Lock()

@@ -3,10 +3,13 @@ package timeseries_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"l3/internal/guard"
 	"l3/internal/histogram"
@@ -155,6 +158,68 @@ func TestPredictedSeriesMatchesClonedTwin(t *testing.T) {
 func TestSeriesFitsItsSizeClass(t *testing.T) {
 	if n := timeseries.SeriesSize; n > 320 {
 		t.Fatalf("a series is %d bytes, want at most 320", n)
+	}
+}
+
+// New series are carved from chunks that fill the 16 KiB size class: a
+// chunk costs the heap at most 16 384 bytes, with no room left in it for one
+// more series beside the 8-byte header, and no series is handed out twice. A
+// chunk that spilled into the next class, or left a series' worth of its
+// class unused, fails.
+func TestSeriesChunkFillsItsSizeClass(t *testing.T) {
+	db := timeseries.NewDB(time.Minute)
+	cost := uint64(math.MaxUint64)
+	seen := make(map[unsafe.Pointer]bool)
+	handed := make([]unsafe.Pointer, timeseries.SeriesChunk)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range handed {
+			handed[i] = timeseries.NewSeries(db)
+		}
+		runtime.ReadMemStats(&after)
+		cost = min(cost, after.TotalAlloc-before.TotalAlloc)
+		for _, p := range handed {
+			if seen[p] {
+				t.Fatalf("chunk %d hands out a series twice", try+1)
+			}
+			seen[p] = true
+		}
+	}
+	want := uint64(timeseries.SeriesChunk) * uint64(timeseries.SeriesSize)
+	if cost < want || cost-want >= uint64(timeseries.SeriesSize)+8 || cost > 16<<10 {
+		t.Fatalf("a chunk of %d series costs %d bytes, want %d to %d and at most 16 384",
+			timeseries.SeriesChunk, cost, want, want+uint64(timeseries.SeriesSize)+7)
+	}
+	t.Logf("a chunk of %d series costs %d bytes", timeseries.SeriesChunk, cost)
+}
+
+// Series carved from one chunk keep their own point windows, past the
+// capacity a series starts with and across chunks.
+func TestSeriesSharingAChunkStayApart(t *testing.T) {
+	db := timeseries.NewDB(time.Hour)
+	n := timeseries.SeriesChunk + 3
+	labels := make([]metrics.Labels, n)
+	for i := range labels {
+		labels[i] = metrics.Labels{"backend": fmt.Sprint(i)}
+	}
+	const points = 3 * 16
+	for p := 1; p <= points; p++ {
+		for i, l := range labels {
+			db.Append("response_total", l, time.Duration(p)*time.Second, float64(1000*i+p))
+		}
+	}
+	dump := timeseries.Dump(db)
+	for i, l := range labels {
+		got := dump["response_total"+l.String()]
+		if len(got) != points {
+			t.Fatalf("series %d holds %d points, want %d", i, len(got), points)
+		}
+		for p, pt := range got {
+			if pt.T != time.Duration(p+1)*time.Second || pt.V != float64(1000*i+p+1) {
+				t.Fatalf("series %d point %d is %v, want its own", i, p, pt)
+			}
+		}
 	}
 }
 

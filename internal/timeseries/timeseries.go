@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"l3/internal/histogram"
 	"l3/internal/metrics"
@@ -29,7 +30,10 @@ type Point struct {
 	V float64
 }
 
-// A series is one allocation of 320 bytes, its first point window included.
+// A series is 320 bytes, its first point window included, carved from a
+// chunk (DB.newSeries). Its label map may be shared with equal series of
+// other registries, since a registry takes it from the process-wide
+// descriptor.
 type series struct {
 	// labels is the map the series was created with, or the last other equal
 	// map the hash path resolved it under; indexed says the family's byMap
@@ -79,13 +83,13 @@ func (f *family) find(hash uint64, labels metrics.Labels) *series {
 
 // pointWindow is the capacity a new series' points start with, inside the
 // series (window0): a minute of 5 s scrapes is 13 points, so a series and
-// the window it keeps for life are one allocation.
+// the window it keeps for life are one slot of a chunk.
 const pointWindow = 16
 
-// insert adds a series under its label hash, holding the labels map it was
-// handed, and indexes every pair.
-func (f *family) insert(hash uint64, labels metrics.Labels) *series {
-	s := &series{labels: labels, family: f.ordinal, next: f.byHash[hash]}
+// insert adds s, a zeroed series, under its label hash, holding the labels
+// map it was handed, and indexes every pair.
+func (f *family) insert(s *series, hash uint64, labels metrics.Labels) *series {
+	s.labels, s.family, s.next = labels, f.ordinal, f.byHash[hash]
 	s.points = s.window0[:0]
 	for k, v := range s.labels {
 		byValue := f.postings[k]
@@ -138,6 +142,8 @@ type DB struct {
 	// buckets maps a histogram's base name to its "<name>_bucket" family, so
 	// HistogramQuantile concatenates no name per call.
 	buckets map[string]*family
+	// spare is the rest of the chunk new series are handed out of.
+	spare []series
 
 	// Query scratch, reused under mu: the series a label-taking query
 	// matched, and HistogramQuantile's per-bound merge.
@@ -285,7 +291,7 @@ func (db *DB) resolve(name string, labels metrics.Labels) *series {
 		db.hashed++
 		hash := hashLabels(labels)
 		if s = f.find(hash, labels); s == nil {
-			s = f.insert(hash, labels)
+			s = f.insert(db.newSeries(), hash, labels)
 		} else {
 			f.byMap.Resolved(labels, s, &s.labels, &s.indexed)
 		}
@@ -294,6 +300,21 @@ func (db *DB) resolve(name string, labels metrics.Labels) *series {
 		prev.succ = s
 	}
 	db.last = s
+	return s
+}
+
+// seriesChunk is how many series one allocation makes: as many as fill the
+// 16 KiB size class beside the 8-byte header of a pointer-holding object.
+const seriesChunk = int((16<<10 - 8) / unsafe.Sizeof(series{}))
+
+// newSeries hands out the next zeroed series of the current chunk, making a
+// chunk when none is left; called under mu.
+func (db *DB) newSeries() *series {
+	if len(db.spare) == 0 {
+		db.spare = make([]series, seriesChunk)
+	}
+	s := &db.spare[0]
+	db.spare = db.spare[1:]
 	return s
 }
 

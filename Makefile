@@ -40,13 +40,14 @@ race:
 ## layout rebuild (TestRegistrationRebuildAllocs) and a histogram
 ## re-registration (TestHistogramBoundsMismatchPanics), in internal/metrics;
 ## a second's latency window (TestOneSecondCostsOneWindow), in
-## internal/histogram; the admit path and a proxied request's bytes
-## (TestAdmitPathAllocsPinned, TestProxiedRequestBytes), in internal/serve;
+## internal/histogram; the admit path and a proxied request's bytes and
+## mallocs (TestAdmitPathAllocsPinned, TestProxiedRequestBytes,
+## TestProxiedRequestMallocs), in internal/serve;
 ## and the series and gate-state chunks that fill their size class
 ## (TestSeriesChunkFillsItsSizeClass, TestStateChunkFillsItsSizeClass), in
 ## internal/timeseries and internal/guard.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|AdmitPathAllocsPinned|ProxiedRequestBytes|SeriesChunkFillsItsSizeClass|StateChunkFillsItsSizeClass)$$' \
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|SeriesChunkFillsItsSizeClass|StateChunkFillsItsSizeClass)$$' \
 		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/serve ./internal/timeseries ./internal/guard
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"l3/internal/mesh"
+	"l3/internal/metrics"
+	"l3/internal/resilience"
 )
 
 // TestServeChaosSmoke is the wall-clock chaos gate: the quick schedule —
@@ -223,32 +228,149 @@ func TestFailStaticEngagesAndReleases(t *testing.T) {
 	}
 }
 
+// scraped sums the samples named name on srv's /metrics whose labels
+// include match — what an operator reads.
+func scraped(t *testing.T, srv *Server, name string, match metrics.Labels) float64 {
+	t.Helper()
+	resp, err := http.Get(srv.URL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := metrics.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	var sum float64
+next:
+	for _, s := range samples {
+		if s.Name != name {
+			continue
+		}
+		for k, v := range match {
+			if s.Labels[k] != v {
+				continue next
+			}
+		}
+		sum += s.Value
+	}
+	return sum
+}
+
+// deadlineExceeded reads resilience_deadline_exceeded_total off /metrics.
+func deadlineExceeded(t *testing.T, srv *Server) float64 {
+	t.Helper()
+	return scraped(t, srv, resilience.MetricDeadlineExceededTotal, nil)
+}
+
+// getWithBudget sends a GET through srv with an X-L3-Deadline of budget
+// under ctx and returns its status (0 for a client-side error) and how long
+// it took. It may run off the test's goroutine.
+func getWithBudget(ctx context.Context, t *testing.T, srv *Server, budget string) (int, time.Duration) {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL()+"/", nil)
+	if err != nil {
+		t.Error(err)
+		return 0, 0
+	}
+	req.Header.Set(HeaderDeadline, budget)
+	start := time.Now()
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+	if err != nil {
+		return 0, time.Since(start)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, time.Since(start)
+}
+
 // TestDeadlineBudgetReturns504 sends a request whose X-L3-Deadline is far
 // shorter than the only backend's stall: the proxy must answer 504 at
-// roughly the budget, not ride its policy's larger 10 s deadline.
+// roughly the budget, not ride its policy's larger 10 s deadline, and
+// /metrics must count exactly one request failed by its deadline.
 func TestDeadlineBudgetReturns504(t *testing.T) {
 	srv, stubs := chaosServer(t, 1, nil)
 	defer srv.ShutdownTimeout()
 	stubs[0].SetStalled(true)
 
-	req, err := http.NewRequest(http.MethodGet, srv.URL()+"/", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(HeaderDeadline, "200")
-	start := time.Now()
-	resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
-	took := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", resp.StatusCode)
+	before := deadlineExceeded(t, srv)
+	status, took := getWithBudget(context.Background(), t, srv, "200")
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504", status)
 	}
 	if took > 2*time.Second {
 		t.Fatalf("504 took %v, want ~200ms budget", took)
+	}
+	if got := deadlineExceeded(t, srv) - before; got != 1 {
+		t.Fatalf("resilience_deadline_exceeded_total rose by %v, want 1", got)
+	}
+}
+
+// TestPerTryLongerThanBudgetEndsAtTheBudget pins the attempt deadline's min
+// rule: with a per-try bound of 5 s and a header budget of 200 ms, the one
+// attempt ends at the budget, and the request answers 504 about then.
+func TestPerTryLongerThanBudgetEndsAtTheBudget(t *testing.T) {
+	srv, stubs := chaosServer(t, 1, func(c *Config) { c.Resilience = DefaultResilience + ",pertry=5s" })
+	defer srv.ShutdownTimeout()
+	stubs[0].SetStalled(true)
+
+	before := deadlineExceeded(t, srv)
+	status, took := getWithBudget(context.Background(), t, srv, "200")
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504", status)
+	}
+	if took < 150*time.Millisecond || took > time.Second {
+		t.Fatalf("504 took %v, want about the 200ms budget, not the 5s per-try bound", took)
+	}
+	if got := deadlineExceeded(t, srv) - before; got != 1 {
+		t.Fatalf("resilience_deadline_exceeded_total rose by %v, want 1", got)
+	}
+}
+
+// TestClientCancelIsNotADeadline: a client that hangs up while its request
+// stalls upstream has not been failed by its deadline. Nothing is counted,
+// and the attempt leaves the backend's in-flight gauge and the handler.
+func TestClientCancelIsNotADeadline(t *testing.T) {
+	srv, stubs := chaosServer(t, 1, nil)
+	defer srv.ShutdownTimeout()
+	stubs[0].SetStalled(true)
+
+	before := deadlineExceeded(t, srv)
+	inflight := func() float64 {
+		return scraped(t, srv, mesh.MetricInflight, metrics.Labels{"backend": "cb-0"})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan int)
+	go func() {
+		status, _ := getWithBudget(ctx, t, srv, "2000")
+		done <- status
+	}()
+	for end := time.Now().Add(2 * time.Second); inflight() != 1 && time.Now().Before(end); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := inflight(); got != 1 {
+		t.Fatalf("backend in-flight gauge = %v while the request stalls, want 1", got)
+	}
+	cancel()
+	if status := <-done; status != 0 {
+		t.Fatalf("status = %d, want the client's own cancel", status)
+	}
+	for end := time.Now().Add(3 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if srv.Handler().Inflight() == 0 && inflight() == 0 {
+			break
+		}
+	}
+	if got := srv.Handler().Inflight(); got != 0 {
+		t.Errorf("handler in-flight = %d after the client left, want 0", got)
+	}
+	if got := inflight(); got != 0 {
+		t.Errorf("backend in-flight gauge = %v after the client left, want 0", got)
+	}
+	// The budget (2 s) has not run out: had the proxy kept the request, the
+	// in-flight checks above would have failed first.
+	if got := deadlineExceeded(t, srv) - before; got != 0 {
+		t.Errorf("resilience_deadline_exceeded_total rose by %v after a client cancel, want 0", got)
 	}
 }
 

@@ -166,3 +166,57 @@ func TestAdmitPathAllocsPinned(t *testing.T) {
 		t.Fatalf("admit fast path allocs = %v per op, contract is 0", allocs)
 	}
 }
+
+// TestQueuedRequestShedAtItsDeadline parks a request with a 300 ms
+// X-L3-Deadline behind a stalled one that holds the only admission slot:
+// its deadline ends the wait, so it leaves the queue counted as shed and is
+// answered about when its budget runs out.
+func TestQueuedRequestShedAtItsDeadline(t *testing.T) {
+	srv, stubs := chaosServer(t, 1, func(c *Config) {
+		// One slot; a drop law too slow to act within the budget.
+		c.Overload = "limit=1,max=1,target=5s,maxwait=10s,qcap=8,tiers=off"
+		c.Resilience = DefaultResilience + ",deadline=10s,pertry=5s,hedge=p0"
+	})
+	defer srv.ShutdownTimeout()
+	stubs[0].SetStalled(true)
+
+	holder := make(chan int, 1)
+	go func() {
+		status, _ := getWithBudget(context.Background(), t, srv, "4000")
+		holder <- status
+	}()
+	for end := time.Now().Add(2 * time.Second); srv.Admitter().Stats().Admitted < 1 && time.Now().Before(end); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := srv.Admitter().Stats().Admitted; got != 1 {
+		t.Fatalf("admitted = %d before queueing, want 1", got)
+	}
+
+	status, took := getWithBudget(context.Background(), t, srv, "300")
+	if status != http.StatusServiceUnavailable {
+		t.Errorf("queued request: status %d, want 503", status)
+	}
+	if took < 250*time.Millisecond || took > 1500*time.Millisecond {
+		t.Errorf("queued request answered after %v, want about its 300ms budget", took)
+	}
+	st := srv.Admitter().Stats()
+	var shed int64
+	for tier := 0; tier < overload.NumTiers; tier++ {
+		shed += st.Shed[tier]
+	}
+	if shed != 1 {
+		t.Errorf("admitter shed %d, want the 1 request whose deadline ended its wait", shed)
+	}
+	// Its queue entry is skipped, not admitted, once the slot comes free.
+	stubs[0].SetStalled(false)
+	if status := <-holder; status != http.StatusOK {
+		t.Errorf("slot holder: status %d after the stall lifted, want 200", status)
+	}
+	// The holder's slot is released just after its answer went out.
+	for end := time.Now().Add(time.Second); srv.Admitter().Stats().QueueLen != 0 && time.Now().Before(end); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := srv.Admitter().Stats(); st.Admitted != 1 || st.QueueLen != 0 {
+		t.Errorf("after the slot came free: admitted %d, %d queued; want 1 and 0", st.Admitted, st.QueueLen)
+	}
+}

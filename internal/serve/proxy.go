@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,9 +47,12 @@ func headerBudget(req *http.Request) time.Duration {
 // Every request of every method takes one path — exchange.try on the shared
 // transport. Every resilience decision is res's: the shared core's budget,
 // breaker, hedge delay and deadline. Pick, those decisions and metric
-// recording are allocation-free; what forwarding allocates (two contexts,
-// the outbound request, its URL and header map) is this package's own cost,
-// itemized in DESIGN.md § Serving mode.
+// recording are allocation-free, and so is arming a hedge (its race is
+// pooled). What forwarding allocates is one context per attempt and the
+// outbound request's shallow copy — net/http offers no other way to set a
+// request's context — and the deadline's decimal text; the URL, header map
+// and body an attempt sends come from a pool. DESIGN.md § Serving mode
+// itemizes the rest, which is net/http's own.
 type proxyHandler struct {
 	router *Router
 	nowFn  func() time.Duration
@@ -80,21 +84,16 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	defer p.inflight.Add(-1)
 
 	now := p.nowFn()
-	x := exchange{p: p, in: req, ctx: req.Context(), deadline: p.res.deadline(now, headerBudget(req))}
-	if x.deadline > 0 {
-		var cancel context.CancelFunc
-		x.ctx, cancel = context.WithTimeout(x.ctx, x.deadline-now)
-		defer cancel()
-	}
+	x := exchange{p: p, in: req, deadline: p.res.deadline(now, headerBudget(req))}
 
 	// Admission runs before the retry-budget deposit and before any backend
 	// pick: a shed request must cost nothing downstream. A queued request
-	// parks inside Admit (bounded by the drop law's MaxWait flush and its
-	// own deadline above); its wait spends the request's deadline, whose
-	// remainder each attempt then propagates downstream. The admitted fast
-	// path is allocation-free.
+	// parks inside Admit (bounded by the drop law's MaxWait flush and by its
+	// deadline); its wait spends the request's deadline, whose remainder
+	// each attempt then propagates downstream. The admitted fast path is
+	// allocation-free.
 	if p.admitter != nil {
-		v := p.admitter.Admit(x.ctx, time.Now(), overload.ParseTier(req.Header.Get(HeaderCriticality)))
+		v := p.admit(req, now, x.deadline)
 		if v.Shed() {
 			shedResponse(w, v)
 			return
@@ -140,10 +139,15 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	var b *Backend // the backend that just failed; nil before the first attempt
 	wait := pol.Retry.Backoff
 	for launched := 0; ; {
-		if err := x.ctx.Err(); err != nil {
-			if err == context.DeadlineExceeded {
-				p.res.core.DeadlineExceeded()
-			}
+		// The deadline is read off the proxy clock: no context carries it
+		// beyond the attempts. A client that went away is answered alike
+		// but counts nothing.
+		if x.deadline > 0 && p.nowFn() >= x.deadline {
+			p.res.core.DeadlineExceeded()
+			http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
+			return
+		}
+		if req.Context().Err() != nil {
 			http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 			return
 		}
@@ -183,25 +187,37 @@ func (p *proxyHandler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
+// admit asks the admitter for a slot. Admit waits under a context, so a
+// request with a deadline gets one that ends there, for that wait alone.
+func (p *proxyHandler) admit(req *http.Request, now, deadline time.Duration) overload.Verdict {
+	ctx := req.Context()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline-now)
+		defer cancel()
+	}
+	return p.admitter.Admit(ctx, time.Now(), overload.ParseTier(req.Header.Get(HeaderCriticality)))
+}
+
 // exchange is one client request's forwarding state, passed by value to the
 // attempts made for it (a hedge runs on its own goroutine with its own copy).
 type exchange struct {
 	p        *proxyHandler
-	in       *http.Request   // the inbound request; never modified
-	ctx      context.Context // in's context under the request's deadline
-	deadline time.Duration   // absolute, on the proxy clock; 0 = none
-	perTry   time.Duration   // 0 = unbounded
+	in       *http.Request // the inbound request; never modified. Its context is every attempt's parent
+	deadline time.Duration // absolute, on the proxy clock; 0 = none
+	perTry   time.Duration // 0 = unbounded
 }
 
-// backoff waits out a retry's backoff under the request's context and
-// reports whether the wait ran to its end.
+// backoff waits out a retry's backoff and reports whether the wait ran to
+// its end; the client going away cuts it short. (The retry decision already
+// ended the backoff before the deadline.)
 func (x exchange) backoff(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-x.ctx.Done():
+	case <-x.in.Context().Done():
 		return false
 	}
 }
@@ -209,11 +225,12 @@ func (x exchange) backoff(d time.Duration) bool {
 // attempt is one upstream round trip. Whoever holds it last passes it to
 // finish exactly once (deliver does, after the body).
 type attempt struct {
-	b      *Backend
-	start  time.Duration // launch instant on the proxy clock
-	cancel context.CancelFunc
-	resp   *http.Response
-	err    error
+	b       *Backend
+	start   time.Duration // launch instant on the proxy clock
+	cancel  context.CancelFunc
+	scratch *outboundScratch // what the outbound request points at
+	resp    *http.Response
+	err     error
 }
 
 // ok reports an answer the client should get without looking further.
@@ -223,20 +240,22 @@ func (a attempt) ok() bool {
 
 // try makes one attempt against b on the calling goroutine and returns when
 // its response headers or its failure are in, with the number of attempts
-// launched. With hedgeDelay > 0 a timer runs beside it; only if the timer
-// fires does a second attempt, to a different backend, start on a goroutine
-// of its own — then the first acceptable answer wins and cancels the other,
-// and try waits for both, so no attempt outlives it. The returned attempt
-// is the caller's to finish; the other is finished here.
+// launched. With hedgeDelay > 0 a pooled race's timer runs beside it; only
+// if the timer fires does a second attempt, to a different backend, start
+// on a goroutine of its own — then the first acceptable answer wins and
+// cancels the other, and try waits for both, so no attempt outlives it. The
+// returned attempt is the caller's to finish; the other is finished here.
 func (x exchange) try(b *Backend, hedgeDelay time.Duration) (attempt, int) {
 	ctx, cancel := x.tryContext()
 	if hedgeDelay <= 0 {
 		return x.launch(ctx, cancel, b), 1
 	}
-	r := &hedgeRace{cancelPrimary: cancel, result: make(chan attempt, 1)}
-	timer := time.AfterFunc(hedgeDelay, func() { r.result <- x.hedge(r, b) })
+	r := hedgeRacePool.Get().(*hedgeRace)
+	r.x, r.primary, r.cancelPrimary = x, b, cancel
+	r.timer.Reset(hedgeDelay)
 	a := x.launch(ctx, cancel, b)
-	if timer.Stop() {
+	if r.timer.Stop() {
+		r.recycle()
 		return a, 1
 	}
 	r.mu.Lock()
@@ -248,11 +267,14 @@ func (x exchange) try(b *Backend, hedgeDelay time.Duration) (attempt, int) {
 		}
 	}
 	r.mu.Unlock()
-	h := <-r.result // prompt after a cancel; bounded by its per-try context
+	h := <-r.result // prompt after a cancel; bounded by its attempt context
+	// The hedge's goroutine is done with the race: its send was the last touch.
+	raced := r.won
+	r.recycle()
 	if h.b == nil { // no second backend, or no budget for one
 		return a, 1
 	}
-	if r.won {
+	if raced {
 		x.p.res.core.Duplicate() // the race's loser
 	}
 	switch {
@@ -274,7 +296,9 @@ func (x exchange) try(b *Backend, hedgeDelay time.Duration) (attempt, int) {
 	return h, 2
 }
 
-// hedgeRace is what a primary attempt and its hedge share.
+// hedgeRace is what a primary attempt and its hedge share. Races are pooled
+// with their channel and timer, so arming a hedge allocates nothing; one
+// goes back zeroed, so the pool holds no request.
 type hedgeRace struct {
 	mu sync.Mutex
 	// won is set by the first attempt to bring an acceptable answer, which
@@ -282,19 +306,39 @@ type hedgeRace struct {
 	won           bool
 	cancelPrimary context.CancelFunc
 	cancelHedge   context.CancelFunc // nil until the hedge launches
+	x             exchange
+	primary       *Backend
 	// result carries the hedge goroutine's one send; the zero attempt means
 	// no hedge was launched.
 	result chan attempt
+	// timer runs fire after the hedge delay; try arms it with Reset.
+	timer *time.Timer
 }
 
-// hedge runs on the hedge timer's goroutine: a second attempt to a backend
-// other than primary, paid from the shared retry budget so hedging cannot
-// storm either.
-func (x exchange) hedge(r *hedgeRace, primary *Backend) attempt {
+var hedgeRacePool = sync.Pool{New: func() any {
+	r := &hedgeRace{result: make(chan attempt, 1)}
+	r.timer = time.AfterFunc(time.Hour, r.fire)
+	r.timer.Stop()
+	return r
+}}
+
+// fire runs on the hedge timer's goroutine.
+func (r *hedgeRace) fire() { r.result <- r.hedge() }
+
+// recycle returns the race to the pool with only its channel and timer.
+func (r *hedgeRace) recycle() {
+	*r = hedgeRace{result: r.result, timer: r.timer}
+	hedgeRacePool.Put(r)
+}
+
+// hedge is a second attempt to a backend other than the primary, paid from
+// the shared retry budget so hedging cannot storm either.
+func (r *hedgeRace) hedge() attempt {
+	x := r.x
 	p := x.p
 	r.mu.Lock()
-	nb := p.router.PickAvoiding(p.nowFn(), primary)
-	if r.won || nb == nil || nb == primary || !p.res.hedge() {
+	nb := p.router.PickAvoiding(p.nowFn(), r.primary)
+	if r.won || nb == nil || nb == r.primary || !p.res.hedge() {
 		r.mu.Unlock()
 		return attempt{}
 	}
@@ -311,13 +355,19 @@ func (x exchange) hedge(r *hedgeRace, primary *Backend) attempt {
 	return h
 }
 
-// tryContext bounds one attempt by the per-try timeout (the request deadline
-// already bounds x.ctx) and makes it cancellable on its own.
+// tryContext is an attempt's one context: the inbound request's, ending at
+// the request deadline or the per-try bound, whichever comes first, and
+// cancellable on its own.
 func (x exchange) tryContext() (context.Context, context.CancelFunc) {
-	if x.perTry > 0 {
-		return context.WithTimeout(x.ctx, x.perTry)
+	end := x.deadline
+	now := x.p.nowFn()
+	if x.perTry > 0 && (end == 0 || x.perTry < end-now) {
+		end = now + x.perTry
 	}
-	return context.WithCancel(x.ctx)
+	if end == 0 {
+		return context.WithCancel(x.in.Context())
+	}
+	return context.WithTimeout(x.in.Context(), end-now)
 }
 
 // launch round-trips the request to b under ctx. A panicking RoundTripper
@@ -332,18 +382,25 @@ func (x exchange) launch(ctx context.Context, cancel context.CancelFunc, b *Back
 			a.resp, a.err = nil, fmt.Errorf("transport panic: %v", r)
 		}
 	}()
-	a.resp, a.err = x.p.transport.RoundTrip(x.outbound(ctx, b, a.start))
+	var out *http.Request
+	out, a.scratch = x.outbound(ctx, b, a.start)
+	a.resp, a.err = x.p.transport.RoundTrip(out)
 	return a
 }
 
 // outbound builds the request an attempt sends, the one place the inbound
 // request is translated: URL rewritten onto the backend, hop-by-hop headers
 // dropped, the client appended to X-Forwarded-For, the time left before the
-// deadline restamped (budgets shrink hop by hop), the body bounded.
-func (x exchange) outbound(ctx context.Context, b *Backend, now time.Duration) *http.Request {
+// deadline restamped (budgets shrink hop by hop), the body bounded. The
+// request is a shallow copy under ctx; its URL, header map, the values the
+// proxy writes and its body are the returned scratch's.
+func (x exchange) outbound(ctx context.Context, b *Backend, now time.Duration) (*http.Request, *outboundScratch) {
 	in := x.in
-	out := in.WithContext(ctx) // shallow copy; Host stays the client's
-	out.URL = b.target(in.URL)
+	s := scratchPool.Get().(*outboundScratch)
+	s.holds.Store(1)
+	out := in.WithContext(ctx) // Host stays the client's
+	b.target(&s.url, in.URL)
+	out.URL = &s.url
 	out.RequestURI = "" // client-side only; must be empty on a transport request
 	out.Close = false
 	switch {
@@ -356,39 +413,81 @@ func (x exchange) outbound(ctx context.Context, b *Backend, now time.Duration) *
 		// tear the upstream connection down and truncate the answer still
 		// streaming from it. Bounded here, the probe reads io.EOF. (A
 		// chunked body has no length to bound and passes through as is.)
-		out.Body = &boundedBody{io.LimitedReader{R: in.Body, N: in.ContentLength}}
+		s.holds.Store(2)
+		s.body.R, s.body.N, s.body.s = in.Body, in.ContentLength, s
+		out.Body = &s.body
 	}
 
 	// Values are shared with the inbound header (the transport only reads
-	// them); the two the proxy writes get one backing array.
-	h := make(http.Header, len(in.Header)+3)
+	// them); the two the proxy writes live in the scratch.
+	h := s.header
 	copyEndToEnd(h, in.Header)
-	own := new([2]string)
 	if ip, _, err := net.SplitHostPort(in.RemoteAddr); err == nil {
 		if prior := in.Header["X-Forwarded-For"]; len(prior) > 0 {
 			ip = strings.Join(prior, ", ") + ", " + ip
 		}
-		own[0] = ip
-		h["X-Forwarded-For"] = own[0:1:1]
+		s.own[0] = ip
+		h["X-Forwarded-For"] = s.own[0:1:1]
 	}
 	if x.deadline > 0 {
-		own[1] = strconv.FormatInt(max(1, (x.deadline-now).Milliseconds()), 10)
-		h[HeaderDeadline] = own[1:2:2]
+		s.own[1] = strconv.FormatInt(max(1, (x.deadline-now).Milliseconds()), 10)
+		h[HeaderDeadline] = s.own[1:2:2]
 	}
 	if _, ok := h["User-Agent"]; !ok {
 		h["User-Agent"] = noUserAgent // or the transport invents one
 	}
 	out.Header = h
-	return out
+	return out, s
+}
+
+// outboundScratch is what an attempt's outbound request points at besides
+// the request itself. Under the RoundTripper contract it may be reused once
+// the response body is closed (finish's hold) and, when the request carries
+// a body, once the transport has closed that body — on its own goroutine,
+// perhaps after the answer (the body's hold). The last hold let go returns
+// it, emptied, to the pool. An attempt whose RoundTrip failed never lets go
+// of finish's hold, so its scratch is left to the GC.
+type outboundScratch struct {
+	url    url.URL
+	header http.Header
+	own    [2]string // the X-Forwarded-For and X-L3-Deadline values
+	body   boundedBody
+	holds  atomic.Int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return &outboundScratch{header: make(http.Header)} }}
+
+// release lets go of one hold.
+func (s *outboundScratch) release() {
+	if s.holds.Add(-1) != 0 {
+		return
+	}
+	clear(s.header)
+	s.url, s.own = url.URL{}, [2]string{}
+	s.body.R, s.body.s = nil, nil
+	s.body.closed.Store(false)
+	scratchPool.Put(s)
 }
 
 var noUserAgent = []string{""}
 
 // boundedBody is an outbound request body that ends at the declared length.
-// Close is a no-op: the inbound body it reads from is net/http's to close.
-type boundedBody struct{ io.LimitedReader }
+// Its first Close lets go of its scratch's body hold; the inbound body it
+// reads from is net/http's to close. The transport closes a body more than
+// once only on a failed round trip, whose scratch never goes back, so one
+// guarded Close per use is enough.
+type boundedBody struct {
+	io.LimitedReader
+	s      *outboundScratch
+	closed atomic.Bool
+}
 
-func (*boundedBody) Close() error { return nil }
+func (b *boundedBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.s.release()
+	}
+	return nil
+}
 
 // copyEndToEnd copies src's headers into dst, sharing value slices and
 // leaving out the hop-by-hop ones (RFC 9110 §7.6.1): the fixed set, anything
@@ -482,6 +581,7 @@ func copyBody(w http.ResponseWriter, body io.Reader, flush bool) (readErr, write
 func (p *proxyHandler) finish(a attempt, bodyErr error) {
 	if a.resp != nil {
 		a.resp.Body.Close()
+		a.scratch.release()
 	}
 	ok := bodyErr == nil && a.ok()
 	now := p.nowFn()

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -443,6 +446,103 @@ func TestHedgeRaceBooksEveryAttemptOnce(t *testing.T) {
 	if sent := float64(clients * each); booked < sent || booked > sent+float64(hedges) {
 		t.Errorf("booked %v attempts for %v requests and %d hedges", booked, sent, hedges)
 	}
+	// Every race the pool holds went back empty: no exchange, backend or
+	// cancel func pins a finished request, and no stale result waits.
+	for i := 0; i < 16; i++ {
+		r := hedgeRacePool.Get().(*hedgeRace)
+		if r.won || r.x != (exchange{}) || r.primary != nil || r.cancelPrimary != nil || r.cancelHedge != nil || len(r.result) != 0 {
+			t.Fatalf("pooled hedge race not empty: won %v, exchange %+v, primary %v, cancels %v/%v, %d results queued",
+				r.won, r.x, r.primary, r.cancelPrimary != nil, r.cancelHedge != nil, len(r.result))
+		}
+		defer hedgeRacePool.Put(r)
+	}
+}
+
+// failedRequest is what faultTripper saw of a request it failed: the
+// request, its header map and URL, and their contents then.
+type failedRequest struct {
+	req    *http.Request
+	header uintptr // the map's identity
+	url    *url.URL
+	text   string // the URL and header as they were
+}
+
+// faultTripper fails every third request — closing its body, as a
+// RoundTripper must — and forwards the rest to next. Each request it sees
+// is checked against every one it failed: a failed attempt's request,
+// header map and URL are never reused, and never change.
+type faultTripper struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	seen int
+	bad  []string
+	kept []failedRequest
+}
+
+func describe(req *http.Request) string {
+	return fmt.Sprintf("%s %v", req.URL, req.Header)
+}
+
+func (f *faultTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.mu.Lock()
+	h := reflect.ValueOf(req.Header).Pointer()
+	for _, k := range f.kept {
+		if k.req == req || k.header == h || k.url == req.URL {
+			f.bad = append(f.bad, "a failed attempt's request, header map or URL was reused by "+describe(req))
+		}
+		if now := describe(k.req); now != k.text {
+			f.bad = append(f.bad, fmt.Sprintf("a failed attempt's request changed from %q to %q", k.text, now))
+		}
+	}
+	f.seen++
+	fail := f.seen%3 == 0
+	if fail {
+		f.kept = append(f.kept, failedRequest{req: req, header: h, url: req.URL, text: describe(req)})
+	}
+	f.mu.Unlock()
+	if fail {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errors.New("injected transport fault")
+	}
+	return f.next.RoundTrip(req)
+}
+
+// TestFailedAttemptScratchIsNeverReused drives GETs and POSTs through a
+// transport that fails one attempt in three. An attempt whose RoundTrip
+// errored may still be referenced by the transport, so its outbound scratch
+// must be left to the GC, while the others return to the pool and are
+// reused.
+func TestFailedAttemptScratchIsNeverReused(t *testing.T) {
+	up := fixedAnswer(2)
+	srv := proxyOver(t, nil, up, up)
+	ft := &faultTripper{next: srv.Handler().transport}
+	srv.Handler().transport = ft
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	body := make([]byte, 1<<10)
+	for i := 0; i < 300; i++ {
+		method, b := http.MethodGet, []byte(nil)
+		if i%2 == 1 {
+			method, b = http.MethodPost, body
+		}
+		if _, _, err := send(client, method, srv.URL()+"/", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if len(ft.kept) < 50 {
+		t.Fatalf("only %d attempts failed; the fault was not exercised", len(ft.kept))
+	}
+	for i, msg := range ft.bad {
+		if i == 5 {
+			t.Errorf("… and %d more", len(ft.bad)-i)
+			break
+		}
+		t.Error(msg)
+	}
 }
 
 // proxyShapes are the request shapes whose allocation cost is pinned: the
@@ -487,6 +587,31 @@ func BenchmarkProxyRequest(b *testing.B) {
 	}
 }
 
+// perProxiedRequest sends 200 requests of shape through a live proxy to warm
+// its pools and connections, then 2 000 more, and returns the process-wide
+// bytes and mallocs each of those took (runtime.MemStats, so client, proxy
+// and upstream alike — the numbers serve_get and serve_post report).
+func perProxiedRequest(t *testing.T, method string, body []byte, answer int) (bytes, mallocs float64) {
+	t.Helper()
+	srv := proxyOver(t, nil, fixedAnswer(answer))
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if status, got, err := send(client, method, srv.URL()+"/", body); err != nil || status != http.StatusOK || got != int64(answer) {
+				t.Fatalf("status %d, %d bytes, %v", status, got, err)
+			}
+		}
+	}
+	run(200)
+	const n = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(n)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
+}
+
 // TestProxiedRequestBytes holds the process-wide bytes one proxied request
 // allocates under 24 000 — with a 32 KiB copy buffer allocated per answer
 // it reads about 48 000. The GET case guards a trap: io.Copy(w, resp.Body)
@@ -497,26 +622,32 @@ func TestProxiedRequestBytes(t *testing.T) {
 	}
 	for _, shape := range proxyShapes[1:3] {
 		t.Run(shape.name, func(t *testing.T) {
-			srv := proxyOver(t, nil, fixedAnswer(shape.answer))
-			client := &http.Client{Transport: &http.Transport{}}
-			defer client.CloseIdleConnections()
-			run := func(n int) {
-				for i := 0; i < n; i++ {
-					if status, got, err := send(client, shape.method, srv.URL()+"/", shape.body); err != nil || status != http.StatusOK || got != int64(shape.answer) {
-						t.Fatalf("status %d, %d bytes, %v", status, got, err)
-					}
-				}
-			}
-			run(200)
-			const n = 2000
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run(n)
-			runtime.ReadMemStats(&after)
-			perOp := float64(after.TotalAlloc-before.TotalAlloc) / n
-			t.Logf("%s: %.0f B and %.1f allocs per proxied request, process-wide", shape.name, perOp, float64(after.Mallocs-before.Mallocs)/n)
+			perOp, mallocs := perProxiedRequest(t, shape.method, shape.body, shape.answer)
+			t.Logf("%s: %.0f B and %.1f allocs per proxied request, process-wide", shape.name, perOp, mallocs)
 			if perOp >= 24000 {
 				t.Errorf("%s: %.0f B per proxied request, want < 24000", shape.name, perOp)
+			}
+		})
+	}
+}
+
+// TestProxiedRequestMallocs holds the process-wide mallocs of the benchmark
+// module's two request shapes at what they read with one context per
+// attempt, a pooled hedge race and pooled outbound scratch, plus 3 %. A
+// second context per request costs 7, an unpooled race 5 and unpooled
+// scratch 4 or 5.
+func TestProxiedRequestMallocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; the pin only holds without it")
+	}
+	ceiling := map[string]float64{"get_2B": 147.5, "post_1KiB_3KiB": 178.4}
+	for _, shape := range []int{0, 2} {
+		shape := proxyShapes[shape]
+		t.Run(shape.name, func(t *testing.T) {
+			_, mallocs := perProxiedRequest(t, shape.method, shape.body, shape.answer)
+			t.Logf("%s: %.1f mallocs per proxied request, process-wide (ceiling %.1f)", shape.name, mallocs, ceiling[shape.name])
+			if mallocs > ceiling[shape.name] {
+				t.Errorf("%s: %.1f mallocs per proxied request, want <= %.1f", shape.name, mallocs, ceiling[shape.name])
 			}
 		})
 	}

@@ -83,10 +83,11 @@ func newBackend(cfg BackendConfig, serviceName string, reg *metrics.Registry) (*
 	return b, nil
 }
 
-// target maps an inbound URL onto the backend: its scheme and host, its path
-// prefix joined by exactly one slash, its query ahead of the request's.
-func (b *Backend) target(in *url.URL) *url.URL {
-	u := *in
+// target maps an inbound URL onto the backend into u: its scheme and host,
+// its path prefix joined by exactly one slash, its query ahead of the
+// request's.
+func (b *Backend) target(u, in *url.URL) {
+	*u = *in
 	u.Scheme, u.Host = b.URL.Scheme, b.URL.Host
 	if prefix := b.URL.Path; prefix != "" && prefix != "/" {
 		if b.URL.RawPath != "" || in.RawPath != "" {
@@ -100,7 +101,6 @@ func (b *Backend) target(in *url.URL) *url.URL {
 		}
 		u.RawQuery = q
 	}
-	return &u
 }
 
 func joinSlash(a, b string) string {

@@ -39,16 +39,18 @@ race:
 ## TestWarmScrapeTickDoesNotAllocate), in internal/core; one registration's
 ## layout rebuild (TestRegistrationRebuildAllocs) and a histogram
 ## re-registration (TestHistogramBoundsMismatchPanics), in internal/metrics;
-## a second's latency window (TestOneSecondCostsOneWindow), in
-## internal/histogram; the admit path and a proxied request's bytes and
+## what one ten-minute recorder keeps live (TestTenMinuteRecorderHolds), in
+## internal/bench; a second's latency window (TestOneSecondCostsOneWindow), in
+## internal/histogram; a recorder's chunked seconds
+## (TestRecorderSecondsAreChunked), in internal/loadgen; the admit path and a proxied request's bytes and
 ## mallocs (TestAdmitPathAllocsPinned, TestProxiedRequestBytes,
 ## TestProxiedRequestMallocs), in internal/serve;
 ## and the series and gate-state chunks that fill their size class
 ## (TestSeriesChunkFillsItsSizeClass, TestStateChunkFillsItsSizeClass), in
 ## internal/timeseries and internal/guard.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|SeriesChunkFillsItsSizeClass|StateChunkFillsItsSizeClass)$$' \
-		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/serve ./internal/timeseries ./internal/guard
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|SeriesChunkFillsItsSizeClass|StateChunkFillsItsSizeClass)$$' \
+		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/timeseries ./internal/guard
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
@@ -61,8 +63,11 @@ allocs:
 ## always a valid tier) and the resilience and overload policy grammars (no
 ## NaN or infinity accepted, String re-parses to itself) — beyond their seed
 ## corpora; and the latency histogram's window arithmetic, whose Record,
-## Merge, Reset and Snapshot sequences must answer every query as the dense
-## whole-layout histogram does, bit for bit.
+## Merge, Reset and Snapshot sequences, bursts past the 65 535 observations
+## it counts in 16 bits included, must answer every query as the dense
+## whole-layout histogram does, bit for bit; and the latency recorder's
+## chunked seconds, whose Record and Merge sequences must answer every read
+## as the flat recorder does, bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
@@ -71,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/resilience
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/overload
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesDense -fuzztime 5s ./internal/histogram
+	$(GO) test -run '^$$' -fuzz FuzzRecorderMatchesFlat -fuzztime 5s ./internal/loadgen
 
 ## serve-smoke: the wall-clock serving mode end to end under the race
 ## detector — l3serve + stub backends on ephemeral ports, ~1.8k proxied

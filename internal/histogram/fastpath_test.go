@@ -85,11 +85,12 @@ func TestRecordAllocationFree(t *testing.T) {
 
 // TestOneSecondCostsOneWindow pins what one second of a load generator's
 // traffic costs: 200 log-normal latencies with P99/P50 = 5, in a fresh
-// histogram, for 100 seeds. The first Record allocates the first window, one
-// object of at most 2.5 KB; at most one regrowth follows, in fewer than half
-// of the seconds; and a second costs at most 5 KB on average (the whole
-// layout was 7 464 B). The log-normal is symmetric where latency is skewed
-// right, so the first window's placement misses more here than in a
+// histogram, for 100 seeds. The first Record allocates the first window of
+// 16-bit counts, one object of at most 640 B; at most one regrowth follows,
+// in fewer than half of the seconds; and a second costs at most 1 280 B on
+// average. It read 1 025 B; with 64-bit counts it read ≈ 4 200 B, and the
+// whole layout was 7 464 B. The log-normal is symmetric where latency is
+// skewed right, so the first window's placement misses more here than in a
 // simulated run (where 82 % of the seconds never regrow).
 func TestOneSecondCostsOneWindow(t *testing.T) {
 	if raceEnabled {
@@ -113,8 +114,8 @@ func TestOneSecondCostsOneWindow(t *testing.T) {
 			h.Record(v)
 		}
 		runtime.ReadMemStats(&after)
-		if n, b := first.Mallocs-before.Mallocs, first.TotalAlloc-before.TotalAlloc; n != 1 || b > 2560 {
-			t.Fatalf("seed %d: the first Record made %d allocations of %d B, want one of <= 2 560 B", seed, n, b)
+		if n, b := first.Mallocs-before.Mallocs, first.TotalAlloc-before.TotalAlloc; n != 1 || b > 640 {
+			t.Fatalf("seed %d: the first Record made %d allocations of %d B, want one of <= 640 B", seed, n, b)
 		}
 		switch n := after.Mallocs - before.Mallocs; {
 		case n == 1:
@@ -128,8 +129,8 @@ func TestOneSecondCostsOneWindow(t *testing.T) {
 	if one < seconds/2 {
 		t.Errorf("%d of %d seconds cost one allocation, want at least half", one, seconds)
 	}
-	if mean := totalBytes / seconds; mean > 5120 {
-		t.Errorf("a second costs %d B on average, want <= 5 120", mean)
+	if mean := totalBytes / seconds; mean > 1280 {
+		t.Errorf("a second costs %d B on average, want <= 1 280", mean)
 	}
 }
 

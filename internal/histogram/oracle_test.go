@@ -10,9 +10,9 @@ import (
 )
 
 // denseHistogram is the histogram as it was before its counts became a
-// window: one count per bucket of the whole layout, allocated by the first
-// Record or Merge. It is the oracle the windowed histogram must match bit
-// for bit.
+// window of widening counts: one 64-bit count per bucket of the whole
+// layout, allocated by the first Record or Merge. It is the oracle the
+// windowed histogram, narrow or wide, must match bit for bit.
 type denseHistogram struct {
 	counts []uint64
 	total  uint64
@@ -142,14 +142,24 @@ func check(t testing.TB, h *Histogram, d *denseHistogram, format string, args ..
 			t.Fatalf("%s: Quantile(%v) = %v, dense oracle %v", step(), q, got, want)
 		}
 	}
-	if h.lo < 0 || h.lo+len(h.counts) > numBuckets {
-		t.Fatalf("%s: window [%d, %d) outside the %d-bucket layout", step(), h.lo, h.lo+len(h.counts), numBuckets)
+	if h.counts != nil && h.wide != nil {
+		t.Fatalf("%s: a window of both widths, %d narrow and %d wide buckets", step(), len(h.counts), len(h.wide))
 	}
-	if h.counts != nil && len(h.counts) < firstWindow {
-		t.Fatalf("%s: window of %d buckets, narrower than the first window %d", step(), len(h.counts), firstWindow)
+	if h.wide == nil && h.total > maxNarrow {
+		t.Fatalf("%s: %d observations counted in 16 bits", step(), h.total)
+	}
+	n := len(h.counts) + len(h.wide)
+	if h.lo < 0 || h.lo+n > numBuckets {
+		t.Fatalf("%s: window [%d, %d) outside the %d-bucket layout", step(), h.lo, h.lo+n, numBuckets)
+	}
+	if (h.counts != nil || h.wide != nil) && n < firstWindow {
+		t.Fatalf("%s: window of %d buckets, narrower than the first window %d", step(), n, firstWindow)
 	}
 	var inWindow uint64
 	for _, c := range h.counts {
+		inWindow += uint64(c)
+	}
+	for _, c := range h.wide {
 		inWindow += c
 	}
 	if inWindow != h.total {
@@ -219,6 +229,54 @@ func TestHistogramMatchesDenseOracle(t *testing.T) {
 		self := at(300)
 		merge("self-merge", self, self)
 	})
+	t.Run("named widths", func(t *testing.T) {
+		// burst records n observations spread over 40 buckets from i.
+		burst := func(p pair, i, n int) pair {
+			for k := 0; k < n; k++ {
+				v := bucketStarts[i+k%40]
+				p.h.Record(v)
+				p.d.Record(v)
+			}
+			return p
+		}
+		merge := func(name string, dst, src pair) {
+			dst.h.Merge(src.h)
+			dst.d.Merge(src.d)
+			check(t, dst.h, dst.d, "%s", name)
+		}
+		edge := burst(newPair(), 300, maxNarrow)
+		check(t, edge.h, edge.d, "%d observations", maxNarrow)
+		if edge.h.wide != nil {
+			t.Fatalf("%d observations widened the histogram", maxNarrow)
+		}
+		burst(edge, 300, 1)
+		check(t, edge.h, edge.d, "%d observations", maxNarrow+1)
+		if edge.h.wide == nil {
+			t.Fatalf("%d observations left the histogram narrow", maxNarrow+1)
+		}
+		merge("narrow and narrow across the threshold", burst(newPair(), 300, 40000), burst(newPair(), 320, 30000))
+		refilled := burst(newPair(), 500, maxNarrow+1)
+		refilled.h.Reset()
+		refilled.d.Reset()
+		burst(refilled, 520, 300)
+		merge("narrow target, wide source refilled after a Reset", burst(newPair(), 300, 100), refilled)
+		merge("empty target, wide source", newPair(), refilled)
+		self := burst(newPair(), 300, 40000)
+		merge("self-merge across the threshold", self, self)
+		wide := burst(newPair(), 200, 70000)
+		snap := pair{wide.h.Snapshot(), wide.d.Snapshot()}
+		check(t, snap.h, snap.d, "snapshot of a wide histogram")
+		burst(wide, 250, 10)
+		check(t, snap.h, snap.d, "snapshot after its source recorded on")
+		wide.h.Reset()
+		wide.d.Reset()
+		check(t, wide.h, wide.d, "reset of a wide histogram")
+		if wide.h.wide == nil {
+			t.Fatal("Reset dropped the width")
+		}
+		burst(wide, 700, 50)
+		check(t, wide.h, wide.d, "a wide histogram refilled after a Reset")
+	})
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := sim.NewRand(seed)
 		ps := make([]pair, 4)
@@ -263,11 +321,14 @@ func TestHistogramMatchesDenseOracle(t *testing.T) {
 // oracles, and wants every query to agree after every call. An operation
 // is three bytes: the call and its target, an argument, and for a Record
 // where the value lies — on a bucket edge or a tick either side, inside the
-// bucket, at or below zero, within the first bucket, or past 1000 s.
+// bucket, at or below zero, within the first bucket, or past 1000 s. A
+// burst records one such value arg × 1 024 times, so that a few operations
+// take a histogram past the 65 535 observations it counts in 16 bits.
 func FuzzHistogramMatchesDense(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 200, 1, 12, 0, 0})
 	f.Add([]byte{0, 233, 2, 1, 0, 3, 13, 0, 0, 18, 0, 0, 21, 1, 0, 12, 2, 0})
 	f.Add([]byte{0, 3, 160, 1, 240, 5, 13, 0, 0, 19, 0, 0, 12, 1, 0, 0, 250, 4})
+	f.Add([]byte{24, 40, 0, 24, 25, 2, 25, 64, 0, 12, 1, 0, 18, 0, 0, 24, 1, 0, 14, 0, 0, 13, 0, 0, 12, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ps [3]pair
 		for i := range ps {
@@ -276,8 +337,8 @@ func FuzzHistogramMatchesDense(f *testing.F) {
 		for ; len(data) >= 3; data = data[3:] {
 			op, arg, pos := data[0], data[1], data[2]
 			p := ps[op%3]
-			switch op / 3 % 8 {
-			case 0, 1, 2, 3:
+			switch kind := op / 3 % 9; kind {
+			case 0, 1, 2, 3, 8:
 				i := (int(arg)*4 + int(pos>>6)) % numBuckets
 				var v time.Duration
 				switch pos & 7 {
@@ -296,8 +357,14 @@ func FuzzHistogramMatchesDense(f *testing.F) {
 				default:
 					v = bucketStarts[i] + time.Duration(pos)
 				}
-				p.h.Record(v)
-				p.d.Record(v)
+				n := 1
+				if kind == 8 {
+					n = int(arg) * 1024
+				}
+				for ; n > 0; n-- {
+					p.h.Record(v)
+					p.d.Record(v)
+				}
 			case 4, 5:
 				o := ps[int(arg)%len(ps)]
 				p.h.Merge(o.h)

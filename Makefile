@@ -67,7 +67,10 @@ allocs:
 ## it counts in 16 bits included, must answer every query as the dense
 ## whole-layout histogram does, bit for bit; and the latency recorder's
 ## chunked seconds, whose Record and Merge sequences must answer every read
-## as the flat recorder does, bit for bit.
+## as the flat recorder does, bit for bit; and the admission core, whose
+## verdicts, their delivery order and every count must match the old sim
+## admission queue's on any stream of arrivals, completions, time steps and
+## limit changes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
@@ -77,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/overload
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesDense -fuzztime 5s ./internal/histogram
 	$(GO) test -run '^$$' -fuzz FuzzRecorderMatchesFlat -fuzztime 5s ./internal/loadgen
+	$(GO) test -run '^$$' -fuzz FuzzAdmissionMatchesOracle -fuzztime 5s ./internal/overload
 
 ## serve-smoke: the wall-clock serving mode end to end under the race
 ## detector — l3serve + stub backends on ephemeral ports, ~1.8k proxied

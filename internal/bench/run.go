@@ -677,8 +677,8 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 		}
 	}
 	if ovClient != nil {
-		if limit, admitMax, maxSojourn, ok := ovClient.State(apiService); ok {
-			art.ovl.limit, art.ovl.admitMax, art.ovl.maxSojourn = limit, admitMax, maxSojourn
+		if st, ok := ovClient.Stats(apiService); ok {
+			art.ovl.limit, art.ovl.admitMax, art.ovl.maxSojourn = st.TotalLimit, st.AdmitMax, st.MaxSojourn
 		}
 	}
 	pool.closed = true

@@ -5,34 +5,19 @@ import (
 	"time"
 
 	"l3/internal/mesh"
-	"l3/internal/metrics"
 	"l3/internal/resilience"
 	"l3/internal/sim"
 )
 
 // svcState is a service's admission policy resolved once at Apply time
-// (the same pattern as resilience's svcState): limiter, drop law, tier
-// gate, the bounded queue and metric handles, so the per-request path
-// touches no maps beyond the service lookup and no label machinery.
+// (the same pattern as resilience's svcState): the limiter, the admission
+// core it sets the limit of, and the registry mirror of the core's counts,
+// so the per-request path touches no maps beyond the service lookup and no
+// label machinery.
 type svcState struct {
-	name    string
-	policy  Policy
 	limiter Limiter
-	codel   CoDel
-	gate    TierGate
-
-	// queue is a ring buffer of waiting ops: head+qlen index it, lifo
-	// flips the dequeue end under a standing queue.
-	queue []*op
-	qhead int
-	qlen  int
-	lifo  bool
-
-	maxSojourn time.Duration
-
-	mAdmitted, mCodelDrop, mOverflow, mLifoFlips, mReadmits *metrics.Counter
-	mShed                                                   [NumTiers]*metrics.Counter
-	gLimit                                                  *metrics.Gauge
+	q       *queue[*op]
+	m       *Metrics
 }
 
 // Client composes admission control over one source cluster's view of a
@@ -86,53 +71,36 @@ func (c *Client) Apply(service string, p Policy) error {
 		delete(c.services, service)
 		return nil
 	}
-	reg := c.proxy.Registry()
-	labels := metrics.Labels{"service": service}
 	st := &svcState{
-		name:       service,
-		policy:     p,
-		limiter:    NewLimiter(p.Limiter),
-		codel:      NewCoDel(p.Queue),
-		gate:       NewTierGate(p.Tiers, p.Queue.Target),
-		mAdmitted:  reg.Counter(MetricAdmittedTotal, labels),
-		mCodelDrop: reg.Counter(MetricCodelDroppedTotal, labels),
-		mOverflow:  reg.Counter(MetricQueueOverflowTotal, labels),
-		mLifoFlips: reg.Counter(MetricLifoFlipsTotal, labels),
-		mReadmits:  reg.Counter(MetricReadmitsTotal, labels),
-		gLimit:     reg.Gauge(MetricConcurrencyLimit, labels),
+		limiter: NewLimiter(p.Limiter),
+		q:       newQueue(p, c.deliver),
+		m:       NewMetrics(c.proxy.Registry(), service),
 	}
-	if p.Queue.Capacity > 0 {
-		st.queue = make([]*op, p.Queue.Capacity)
-	}
-	for tier := 0; tier < NumTiers; tier++ {
-		st.mShed[tier] = reg.Counter(MetricShedTotal, labels.With("tier", TierName(tier)))
-	}
-	st.gLimit.Set(float64(st.limiter.Limit()))
+	st.q.limit = st.limiter.Limit()
+	st.m.Sync(st.q.snapshot())
 	c.services[service] = st
 	return nil
 }
 
-// State exposes a service's admission internals for figures and tests
-// (limit, highest admitted tier, max queue sojourn); ok is false when the
-// service has no policy.
-func (c *Client) State(service string) (limit, admitMax int, maxSojourn time.Duration, ok bool) {
-	st, found := c.services[service]
-	if !found {
-		return 0, 0, 0, false
+// Stats snapshots a service's admission counters for figures and tests
+// (with its limit, highest admitted tier and longest admitted sojourn);
+// ok is false when the service has no policy.
+func (c *Client) Stats(service string) (st Stats, ok bool) {
+	svc, ok := c.services[service]
+	if !ok {
+		return st, false
 	}
-	return st.limiter.Limit(), st.gate.AdmitMax(), st.maxSojourn, true
+	return svc.q.snapshot(), true
 }
 
 // op is the pooled state of one request crossing the admission layer: the
-// tier, the timestamps the limiter and drop law need, and the completion
-// callbacks bound once per struct.
+// issue time the limiter needs and the completion callbacks bound once per
+// struct.
 type op struct {
 	c        *Client
 	svc      *svcState // nil on the pass-through path
 	service  string
-	tier     int
 	admitted bool
-	queuedAt time.Duration
 	issuedAt time.Duration
 	done     func(mesh.Result)
 
@@ -151,8 +119,7 @@ func (c *Client) getOp() *op {
 		o.fire = func(r mesh.Result) { o.onResult(r) }
 		o.fireRes = func(r resilience.Result) { o.onResult(r.Result) }
 	}
-	o.admitted = false
-	o.queuedAt, o.issuedAt = 0, 0
+	o.admitted, o.issuedAt = false, 0
 	return o
 }
 
@@ -176,61 +143,27 @@ func (c *Client) CallTier(src, service string, tier int, done func(mesh.Result))
 	if src != c.src {
 		return fmt.Errorf("overload: client bound to %q cannot call from %q", c.src, src)
 	}
-	if tier < 0 {
-		tier = 0
-	} else if tier >= NumTiers {
-		tier = NumTiers - 1
-	}
 	svc := c.services[service]
+	o := c.getOp()
+	o.svc, o.service, o.done = svc, service, done
 	if svc == nil {
-		o := c.getOp()
-		o.svc, o.service, o.tier = nil, service, tier
-		o.done = done
 		return c.issue(o)
 	}
+	tier = clampTier(tier)
 	now := c.engine.Now()
-	if !svc.gate.Admit(tier) {
-		svc.mShed[tier].Inc()
-		done(mesh.Result{Success: false})
-		return nil
-	}
-	o := c.getOp()
-	o.svc, o.service, o.tier = svc, service, tier
-	o.done = done
-	if svc.limiter.TryAcquire() {
-		o.admitted = true
-		o.issuedAt = now
-		svc.mAdmitted.Inc()
-		if svc.gate.Signal(now, 0) {
-			svc.mReadmits.Inc()
-		}
-		if err := c.issue(o); err != nil {
-			svc.limiter.Release()
+	var err error
+	switch v := svc.q.admit(now, tier); v {
+	case queued:
+		svc.q.enqueue(now, tier, o)
+	case Admitted:
+		if err = c.start(o); err != nil {
 			c.putOp(o)
-			return err
 		}
-		return nil
+	default:
+		c.settle(o, mesh.Result{})
 	}
-	if svc.qlen >= len(svc.queue) {
-		// Full (or zero-capacity) queue: shed on arrival.
-		svc.mOverflow.Inc()
-		svc.mShed[tier].Inc()
-		svc.gate.Overloaded(now)
-		done := o.done
-		c.putOp(o)
-		done(mesh.Result{Success: false})
-		return nil
-	}
-	o.queuedAt = now
-	svc.queue[(svc.qhead+svc.qlen)%len(svc.queue)] = o
-	svc.qlen++
-	if !svc.policy.Queue.DisableLIFO {
-		if !svc.lifo && svc.qlen > len(svc.queue)/2 {
-			svc.lifo = true
-			svc.mLifoFlips.Inc()
-		}
-	}
-	return nil
+	svc.m.Sync(svc.q.snapshot())
+	return err
 }
 
 // issue launches an admitted request through the inner layer.
@@ -241,126 +174,43 @@ func (c *Client) issue(o *op) error {
 	return c.proxy.Call(o.service, o.fire)
 }
 
-// onResult is the completion path: release and adapt the limiter, drain
-// the queue into the freed capacity, then settle the caller. The op
-// recycles before the callback, which may issue nested calls.
-func (o *op) onResult(r mesh.Result) {
-	c, svc := o.c, o.svc
-	if svc != nil && o.admitted {
-		now := c.engine.Now()
-		svc.limiter.Release()
-		svc.limiter.Observe(now-o.issuedAt, r.Success)
-		svc.gLimit.Set(float64(svc.limiter.Limit()))
-		c.drain(svc, now)
+// start issues an admitted op; if the inner layer refuses it, its slot
+// goes back.
+func (c *Client) start(o *op) error {
+	o.admitted, o.issuedAt = true, c.engine.Now()
+	err := c.issue(o)
+	if err != nil {
+		o.svc.q.release()
 	}
+	return err
+}
+
+// settle recycles the op and fires its callback, which may issue nested
+// calls. A shed op settles at once with a zero-latency failure.
+func (c *Client) settle(o *op, r mesh.Result) {
 	done := o.done
 	c.putOp(o)
 	done(r)
 }
 
-// stealWorstTier removes and returns the oldest queued op whose tier is
-// strictly more sheddable than tier, or nil when none remains. The ring
-// compacts toward the head so FIFO order is preserved.
-func (s *svcState) stealWorstTier(tier int) *op {
-	best, bestTier := -1, tier
-	for i := 0; i < s.qlen; i++ {
-		if o := s.queue[(s.qhead+i)%len(s.queue)]; o.tier > bestTier {
-			best, bestTier = i, o.tier
-		}
+// deliver is the core's verdict on a queued op.
+func (c *Client) deliver(o *op, v Verdict) {
+	if v != Admitted || c.start(o) != nil {
+		c.settle(o, mesh.Result{})
 	}
-	if best < 0 {
-		return nil
-	}
-	o := s.queue[(s.qhead+best)%len(s.queue)]
-	for ; best > 0; best-- {
-		s.queue[(s.qhead+best)%len(s.queue)] = s.queue[(s.qhead+best-1)%len(s.queue)]
-	}
-	s.queue[s.qhead] = nil
-	s.qhead = (s.qhead + 1) % len(s.queue)
-	s.qlen--
-	return o
 }
 
-// drain admits queued requests into freed limiter slots, applying the
-// CoDel verdict to each dequeued sojourn. Under a standing queue the
-// dequeue end flips to LIFO so fresh requests ride over the backlog.
-func (c *Client) drain(svc *svcState, now time.Duration) {
-	for svc.qlen > 0 && svc.limiter.TryAcquire() {
-		var q *op
-		if svc.lifo {
-			q = svc.queue[(svc.qhead+svc.qlen-1)%len(svc.queue)]
-			svc.queue[(svc.qhead+svc.qlen-1)%len(svc.queue)] = nil
-		} else {
-			q = svc.queue[svc.qhead]
-			svc.queue[svc.qhead] = nil
-			svc.qhead = (svc.qhead + 1) % len(svc.queue)
-		}
-		svc.qlen--
-		if svc.lifo && svc.qlen <= len(svc.queue)/8 {
-			svc.lifo = false
-		}
-		sojourn := now - q.queuedAt
-		if svc.gate.Signal(now, sojourn) {
-			svc.mReadmits.Inc()
-		}
-		// MaxWait is the hard staleness ceiling: under adaptive LIFO the
-		// backlog end can outwait any drop schedule, and issuing a request
-		// that old serves nobody.
-		if sojourn >= svc.policy.Queue.MaxWait {
-			svc.limiter.Release()
-			svc.mCodelDrop.Inc()
-			svc.mShed[q.tier].Inc()
-			svc.gate.Overloaded(now)
-			done := q.done
-			c.putOp(q)
-			done(mesh.Result{Success: false})
-			continue
-		}
-		if svc.codel.OnDequeue(now, sojourn) {
-			// The drop law decides when to shed; criticality decides who: a
-			// strictly more sheddable op still queued takes the drop in q's
-			// place (DAGOR-style), so a critical request is never discarded
-			// while sheddable backlog remains. With tiers on, the drop law
-			// never discards the top tier at all — an all-critical standing
-			// queue is bounded by MaxWait and qcap, trading latency for
-			// availability, which is what the tier promises.
-			v := svc.stealWorstTier(q.tier)
-			if v == nil && svc.policy.Tiers.Enabled && q.tier == TierCritical {
-				svc.gate.Overloaded(now)
-			} else if v == nil {
-				svc.limiter.Release()
-				svc.mCodelDrop.Inc()
-				svc.mShed[q.tier].Inc()
-				svc.gate.Overloaded(now)
-				done := q.done
-				c.putOp(q)
-				done(mesh.Result{Success: false})
-				continue
-			} else {
-				svc.mCodelDrop.Inc()
-				svc.mShed[v.tier].Inc()
-				svc.gate.Overloaded(now)
-				done := v.done
-				c.putOp(v)
-				done(mesh.Result{Success: false})
-				// q itself is admitted below: the law shed one request at
-				// this drop instant, which is all its pacing asks for.
-			}
-		}
-		// maxSojourn tracks admitted requests only: a CoDel-dropped entry
-		// (stale LIFO backlog) was discarded, not served, so its wait is
-		// not part of the delay bound admitted traffic experiences.
-		if sojourn > svc.maxSojourn {
-			svc.maxSojourn = sojourn
-		}
-		svc.mAdmitted.Inc()
-		q.admitted = true
-		q.issuedAt = now
-		if err := c.issue(q); err != nil {
-			svc.limiter.Release()
-			done := q.done
-			c.putOp(q)
-			done(mesh.Result{Success: false})
-		}
+// onResult is the completion path: release the slot, adapt the limiter,
+// drain the queue into the freed capacity, then settle the caller.
+func (o *op) onResult(r mesh.Result) {
+	c, svc := o.c, o.svc
+	if svc != nil && o.admitted {
+		now := c.engine.Now()
+		svc.q.release()
+		svc.limiter.Observe(now-o.issuedAt, r.Success)
+		svc.q.limit = svc.limiter.Limit()
+		svc.q.drain(now)
+		svc.m.Sync(svc.q.snapshot())
 	}
+	c.settle(o, r)
 }

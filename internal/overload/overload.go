@@ -42,10 +42,13 @@
 //	    has stayed below Target/2 for Readmit — hysteresis, so a tier does
 //	    not flap in and out at the overload boundary.
 //
-// The layer preserves the mesh's zero-allocation discipline: policies
-// resolve to per-service state once, request state recycles through free
-// lists with pre-bound callbacks, and the wall-clock admitter's
-// no-queueing fast path is lock-then-counters only.
+// Both clocks run one admission core (queue.go): the gate, the in-flight
+// count, the ring, the drop law and every count, on a clock-relative now.
+// Client (sim) and WallAdmitter (wall) are adapters that pass it a limit —
+// one limiter's, or the sum of per-backend ones — and deliver its verdicts:
+// a callback or an issued call on the engine, a channel send under the
+// admitter's mutex. Request state recycles through free lists and pools,
+// and the wall's no-queueing fast path is lock-then-counters only.
 package overload
 
 import (
@@ -384,11 +387,11 @@ const minRTTWindows = 8
 
 // Limiter is the adaptive concurrency limiter. It is a plain
 // single-threaded value — the sim client runs it on an engine timeline and
-// the wall admitter guards it with its own mutex.
+// the wall admitter guards it with its own mutex. It holds the limit only;
+// the admission core counts the slots held against it.
 type Limiter struct {
-	cfg      LimiterConfig
-	limit    float64
-	inflight int
+	cfg   LimiterConfig
+	limit float64
 
 	// Current adaptation window.
 	winMin    time.Duration
@@ -409,25 +412,6 @@ func NewLimiter(cfg LimiterConfig) Limiter {
 
 // Limit is the current concurrency limit.
 func (l *Limiter) Limit() int { return int(l.limit) }
-
-// Inflight is the number of held slots.
-func (l *Limiter) Inflight() int { return l.inflight }
-
-// TryAcquire takes a slot if one is free.
-func (l *Limiter) TryAcquire() bool {
-	if l.inflight >= int(l.limit) {
-		return false
-	}
-	l.inflight++
-	return true
-}
-
-// Release returns a slot.
-func (l *Limiter) Release() {
-	if l.inflight > 0 {
-		l.inflight--
-	}
-}
 
 // Observe feeds one response outcome into the adaptation loop. A failure
 // (timeout, 5xx, shed downstream) is the AIMD decrease signal, applied at
@@ -562,7 +546,6 @@ type TierGate struct {
 	// goodSince is when queue delay last became healthy (0 = unhealthy).
 	goodSince time.Duration
 	lastClamp time.Duration
-	readmits  int
 }
 
 // NewTierGate returns a gate for already-defaulted tier and queue configs;
@@ -578,9 +561,6 @@ func (g *TierGate) Admit(tier int) bool {
 
 // AdmitMax is the highest currently admitted tier.
 func (g *TierGate) AdmitMax() int { return g.admitMax }
-
-// Readmits counts tiers re-admitted after hysteresis.
-func (g *TierGate) Readmits() int { return g.readmits }
 
 // Overloaded is the clamp signal (a CoDel drop or queue overflow): shed
 // one more tier, at most once per ClampHold.
@@ -611,7 +591,6 @@ func (g *TierGate) Signal(now, sojourn time.Duration) bool {
 	}
 	if g.admitMax < NumTiers-1 && now-g.goodSince >= g.cfg.Readmit {
 		g.admitMax++
-		g.readmits++
 		// Restart the clock: the next tier needs its own healthy period.
 		g.goodSince = now
 		return true

@@ -3,7 +3,10 @@ package overload
 import (
 	"context"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,7 +167,7 @@ func TestTierGateHysteresisSquareWave(t *testing.T) {
 	}.withDefaults()
 	g := NewTierGate(p.Tiers, p.Queue.Target)
 
-	transitions := 0
+	transitions, readmits := 0, 0
 	last := g.AdmitMax()
 	record := func() {
 		if g.AdmitMax() != last {
@@ -188,7 +191,9 @@ func TestTierGateHysteresisSquareWave(t *testing.T) {
 		// Recovery phase: 2s of healthy signals every 10ms.
 		for i := 0; i < 200; i++ {
 			now += 10 * time.Millisecond
-			g.Signal(now, time.Millisecond)
+			if g.Signal(now, time.Millisecond) {
+				readmits++
+			}
 			record()
 		}
 		if g.AdmitMax() != NumTiers-1 {
@@ -199,8 +204,8 @@ func TestTierGateHysteresisSquareWave(t *testing.T) {
 	if want := 3 * 4; transitions != want {
 		t.Fatalf("admitMax transitions = %d, want %d (no flapping)", transitions, want)
 	}
-	if g.Readmits() != 6 {
-		t.Fatalf("readmits = %d, want 6", g.Readmits())
+	if readmits != 6 {
+		t.Fatalf("readmits = %d, want 6", readmits)
 	}
 	// A short healthy blip must NOT re-admit (hysteresis).
 	g2 := NewTierGate(p.Tiers, p.Queue.Target)
@@ -479,4 +484,127 @@ func FuzzParseTier(f *testing.F) {
 			t.Fatalf("ParseTier(%q) = %d, want %d", v, got, want)
 		}
 	})
+}
+
+// TestWallAdmitterCanceledWaiterFreesItsSlot: a waiter whose context ends
+// leaves the queue when it cancels. Behind one held slot, two waiters queue
+// and cancel one after the other; the queue is empty after each, and a
+// third arrival still finds room (no overflow, no LIFO flip) and takes the
+// slot when it frees.
+func TestWallAdmitterCanceledWaiterFreesItsSlot(t *testing.T) {
+	p, err := ParsePolicy("limit=1,max=1,qcap=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewWallAdmitter(p, 1, time.Now())
+	if v := a.Admit(context.Background(), time.Now(), TierDefault); v != Admitted {
+		t.Fatalf("first admit = %v", v)
+	}
+	await := func(got <-chan Verdict) Verdict {
+		t.Helper()
+		select {
+		case v := <-got:
+			return v
+		case <-time.After(2 * time.Second):
+			t.Fatal("waiter never returned")
+			return 0
+		}
+	}
+	queue := func(ctx context.Context) <-chan Verdict {
+		t.Helper()
+		got := make(chan Verdict, 1)
+		go func() { got <- a.Admit(ctx, time.Now(), TierDefault) }()
+		for end := time.Now().Add(2 * time.Second); a.Stats().QueueLen == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatalf("waiter never queued: %+v", a.Stats())
+			}
+		}
+		return got
+	}
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		got := queue(ctx)
+		cancel()
+		if v := await(got); v != ShedCanceled {
+			t.Fatalf("canceled waiter %d: verdict %v", i, v)
+		}
+		if st := a.Stats(); st.QueueLen != 0 {
+			t.Fatalf("canceled waiter %d still queued: %+v", i, st)
+		}
+	}
+	got := queue(context.Background())
+	if st := a.Stats(); st.QueueLen != 1 || st.QueueOverflow != 0 || st.LifoFlips != 0 {
+		t.Fatalf("third arrival: %+v, want it alone in the queue, no overflow, no flip", st)
+	}
+	a.Release()
+	if v := await(got); v != Admitted {
+		t.Fatalf("third arrival: verdict %v", v)
+	}
+	a.Release()
+	if st := a.Stats(); st.Admitted != 2 || st.Shed[TierDefault] != 2 || st.QueueLen != 0 {
+		t.Fatalf("at rest: %+v, want 2 admitted and 2 shed", st)
+	}
+}
+
+// TestWallAdmitterConservesRequests hammers one admitter from many
+// goroutines: random tiers, contexts canceled before the call or while it
+// waits, held slots released, limits moved by Observe, and a DrainFlush
+// partway through. At quiescence every arrival is counted once — admitted,
+// or shed in its tier — the admitted count equals the Admitted verdicts
+// handed out, and no slot is held. Run it with -race.
+func TestWallAdmitterConservesRequests(t *testing.T) {
+	p, err := ParsePolicy("limit=3,max=8,target=1ms,interval=5ms,qcap=8,maxwait=20ms,tiers=on,readmit=10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewWallAdmitter(p, 2, time.Now())
+	const workers, calls = 16, 200
+	var arrivals, admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < calls; i++ {
+				if g == 0 && i == calls*3/4 {
+					a.DrainFlush()
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				switch rng.Intn(4) {
+				case 0:
+					cancel()
+				case 1:
+					time.AfterFunc(time.Duration(rng.Intn(2000))*time.Microsecond, cancel)
+				}
+				arrivals.Add(1)
+				if a.Admit(ctx, time.Now(), rng.Intn(NumTiers+2)-1) == Admitted {
+					admitted.Add(1)
+					time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
+					a.Observe(rng.Intn(2), time.Duration(1+rng.Intn(4))*time.Millisecond, rng.Intn(8) != 0)
+					a.Release()
+				}
+				cancel()
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := a.Stats()
+	shed := int64(0)
+	for _, n := range st.Shed {
+		shed += n
+	}
+	if st.Admitted+shed != arrivals.Load() {
+		t.Errorf("admitted %d + shed %d != %d arrivals", st.Admitted, shed, arrivals.Load())
+	}
+	if st.Admitted != admitted.Load() {
+		t.Errorf("admitted count %d, but %d Admitted verdicts returned", st.Admitted, admitted.Load())
+	}
+	a.mu.Lock()
+	inflight := a.q.inflight
+	a.mu.Unlock()
+	if inflight != 0 || st.QueueLen != 0 {
+		t.Errorf("at rest: %d in flight, %d queued", inflight, st.QueueLen)
+	}
+	t.Logf("%d arrivals: %+v", arrivals.Load(), st)
 }

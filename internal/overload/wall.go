@@ -3,113 +3,21 @@ package overload
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Verdict is the outcome of one wall-clock admission decision.
-type Verdict int8
-
-const (
-	// Admitted grants a concurrency slot; the caller must Release it.
-	Admitted Verdict = iota
-	// ShedTier rejects a tier the gate has clamped.
-	ShedTier
-	// ShedQueueFull rejects an arrival into a full admission queue.
-	ShedQueueFull
-	// ShedCoDel drops a queued request whose sojourn tripped the drop law.
-	ShedCoDel
-	// ShedCanceled abandons a queued request whose context ended first.
-	ShedCanceled
-	// ShedDraining rejects a queued request flushed by shutdown.
-	ShedDraining
-)
-
-// String names the verdict for logs and reports.
-func (v Verdict) String() string {
-	switch v {
-	case Admitted:
-		return "admitted"
-	case ShedTier:
-		return "shed-tier"
-	case ShedQueueFull:
-		return "shed-queue-full"
-	case ShedCoDel:
-		return "shed-codel"
-	case ShedCanceled:
-		return "shed-canceled"
-	case ShedDraining:
-		return "shed-draining"
-	}
-	return "unknown"
-}
-
-// Shed reports whether the verdict rejected the request.
-func (v Verdict) Shed() bool { return v != Admitted }
-
-// waiter states: a queued waiter is granted (woken with a verdict) or
-// canceled (its context ended); the loser of the race leaves the struct
-// for the other side to recycle.
-const (
-	waiterQueued int32 = iota
-	waiterGranted
-	waiterCanceled
-)
-
-// waiter is one goroutine parked in the admission queue.
-type waiter struct {
-	state   atomic.Int32
-	verdict Verdict
-	ch      chan struct{}
-	enq     time.Time
-	tier    int
-}
-
-// WallAdmitterStats is a snapshot of the admitter's counters for /metrics,
-// figures and assertions.
-type WallAdmitterStats struct {
-	Admitted      int64
-	Shed          [NumTiers]int64
-	CodelDropped  int64
-	QueueOverflow int64
-	LifoFlips     int64
-	Readmits      int64
-	// MaxSojourn is the longest queue wait of any woken (granted or
-	// CoDel-dropped) request — the bounded-queue-delay assertion reads it.
-	MaxSojourn time.Duration
-	// TotalLimit is the current sum of per-backend limits; AdmitMax the
-	// highest admitted tier.
-	TotalLimit int
-	AdmitMax   int
-	QueueLen   int
-}
-
-// WallAdmitter is the proxy's admission gate: per-backend adaptive
-// limiters summed into one concurrency budget, a CoDel admission queue
-// ahead of backend pick, and the criticality tier gate. The no-queueing
-// fast path (tier admitted, slot free) is one mutex hold over plain
-// counters — zero allocations. Queued requests park on pooled waiters
-// woken by Release in FIFO or, under a standing queue, LIFO order.
+// WallAdmitter is the proxy's admission gate: the admission core on the
+// wall clock, under one mutex, with per-backend adaptive limiters summed
+// into its concurrency budget. The no-queueing fast path (tier admitted,
+// slot free) is one mutex hold over plain counters — zero allocations.
+// A queued request parks on a pooled one-slot channel, into which the core
+// sends its verdict under the mutex.
 type WallAdmitter struct {
-	mu     sync.Mutex
-	policy Policy
-	base   time.Time // wall origin for the duration-typed control laws
-
-	limiters   []Limiter
-	totalLimit int
-	inflight   int
-	codel      CoDel
-	gate       TierGate
-
-	queue []*waiter
-	qhead int
-	qlen  int
-	lifo  bool
-
-	pool sync.Pool
-
-	stats    WallAdmitterStats
-	draining bool
+	mu       sync.Mutex
+	base     time.Time // wall origin for the duration-typed control laws
+	limiters []Limiter
+	q        *queue[chan Verdict]
+	pool     sync.Pool
 }
 
 // NewWallAdmitter returns an admitter for nBackends upstream backends
@@ -117,24 +25,16 @@ type WallAdmitter struct {
 // server's start time.
 func NewWallAdmitter(p Policy, nBackends int, base time.Time) *WallAdmitter {
 	p = p.withDefaults()
-	if nBackends < 1 {
-		nBackends = 1
-	}
 	a := &WallAdmitter{
-		policy: p,
-		base:   base,
-		codel:  NewCoDel(p.Queue),
-		gate:   NewTierGate(p.Tiers, p.Queue.Target),
+		base:     base,
+		limiters: make([]Limiter, max(nBackends, 1)),
+		q:        newQueue(p, func(w chan Verdict, v Verdict) { w <- v }),
 	}
-	a.limiters = make([]Limiter, nBackends)
 	for i := range a.limiters {
 		a.limiters[i] = NewLimiter(p.Limiter)
-		a.totalLimit += a.limiters[i].Limit()
+		a.q.limit += a.limiters[i].Limit()
 	}
-	if p.Queue.Capacity > 0 {
-		a.queue = make([]*waiter, p.Queue.Capacity)
-	}
-	a.pool.New = func() any { return &waiter{ch: make(chan struct{}, 1)} }
+	a.pool.New = func() any { return make(chan Verdict, 1) }
 	return a
 }
 
@@ -143,75 +43,35 @@ func NewWallAdmitter(p Policy, nBackends int, base time.Time) *WallAdmitter {
 // the limit is reached the caller parks in the admission queue until a
 // slot frees, the drop law rejects it, shutdown flushes it, or ctx ends.
 func (a *WallAdmitter) Admit(ctx context.Context, now time.Time, tier int) Verdict {
-	if tier < 0 {
-		tier = 0
-	} else if tier >= NumTiers {
-		tier = NumTiers - 1
-	}
+	tier = clampTier(tier)
+	rel := now.Sub(a.base)
 	a.mu.Lock()
-	if a.draining {
-		a.stats.Shed[tier]++
+	v := a.q.admit(rel, tier)
+	if v != queued {
 		a.mu.Unlock()
-		return ShedDraining
+		return v
 	}
-	if !a.gate.Admit(tier) {
-		a.stats.Shed[tier]++
-		a.mu.Unlock()
-		return ShedTier
-	}
-	if a.inflight < a.totalLimit {
-		a.inflight++
-		a.stats.Admitted++
-		if a.gate.Signal(now.Sub(a.base), 0) {
-			a.stats.Readmits++
-		}
-		a.mu.Unlock()
-		return Admitted
-	}
-	if a.qlen >= len(a.queue) {
-		a.stats.QueueOverflow++
-		a.stats.Shed[tier]++
-		a.gate.Overloaded(now.Sub(a.base))
-		a.mu.Unlock()
-		return ShedQueueFull
-	}
-	w := a.pool.Get().(*waiter)
-	w.state.Store(waiterQueued)
-	w.enq = now
-	w.tier = tier
-	a.queue[(a.qhead+a.qlen)%len(a.queue)] = w
-	a.qlen++
-	if !a.policy.Queue.DisableLIFO && !a.lifo && a.qlen > len(a.queue)/2 {
-		a.lifo = true
-		a.stats.LifoFlips++
-	}
+	w := a.pool.Get().(chan Verdict)
+	a.q.enqueue(rel, tier, w)
 	a.mu.Unlock()
 
 	select {
-	case <-w.ch:
-		v := w.verdict
-		a.pool.Put(w)
-		return v
+	case v = <-w:
 	case <-ctx.Done():
-		if w.state.CompareAndSwap(waiterQueued, waiterCanceled) {
-			// Still queued; the dequeuer will skip and recycle it.
-			a.mu.Lock()
-			a.stats.Shed[tier]++
-			a.mu.Unlock()
-			return ShedCanceled
+		a.mu.Lock()
+		if a.q.cancel(w) {
+			v = ShedCanceled
+		} else if v = <-w; v == Admitted {
+			// The verdict was sent under a.mu before we took it, so the
+			// receive cannot block. A grant goes back: the request left, and
+			// it counts once, as a canceled shed.
+			a.q.revoke(time.Since(a.base), tier)
+			v = ShedCanceled
 		}
-		// The waker won the race: consume its grant and undo it.
-		<-w.ch
-		v := w.verdict
-		a.pool.Put(w)
-		if v == Admitted {
-			a.Release()
-		}
-		if v.Shed() {
-			return v
-		}
-		return ShedCanceled
+		a.mu.Unlock()
 	}
+	a.pool.Put(w)
+	return v
 }
 
 // Release returns an admitted request's slot and wakes queued waiters into
@@ -219,10 +79,8 @@ func (a *WallAdmitter) Admit(ctx context.Context, now time.Time, tier int) Verdi
 func (a *WallAdmitter) Release() {
 	now := time.Now()
 	a.mu.Lock()
-	if a.inflight > 0 {
-		a.inflight--
-	}
-	a.drainLocked(now)
+	a.q.release()
+	a.q.drain(now.Sub(a.base))
 	a.mu.Unlock()
 }
 
@@ -230,133 +88,17 @@ func (a *WallAdmitter) Release() {
 // refreshes the aggregate limit. A false ok (transport error, 5xx,
 // timeout) is the AIMD decrease signal.
 func (a *WallAdmitter) Observe(backend int, rtt time.Duration, ok bool) {
+	now := time.Now()
 	a.mu.Lock()
 	if backend >= 0 && backend < len(a.limiters) {
 		l := &a.limiters[backend]
 		old := l.Limit()
 		l.Observe(rtt, ok)
-		a.totalLimit += l.Limit() - old
+		a.q.limit += l.Limit() - old
 	}
 	// A raised limit may free capacity for queued waiters.
-	if a.qlen > 0 && a.inflight < a.totalLimit {
-		a.drainLocked(time.Now())
-	}
+	a.q.drain(now.Sub(a.base))
 	a.mu.Unlock()
-}
-
-// drainLocked wakes queued waiters while capacity lasts, applying the
-// CoDel verdict to each sojourn. Callers hold a.mu.
-func (a *WallAdmitter) drainLocked(now time.Time) {
-	rel := now.Sub(a.base)
-	for a.qlen > 0 && a.inflight < a.totalLimit {
-		var w *waiter
-		if a.lifo {
-			i := (a.qhead + a.qlen - 1) % len(a.queue)
-			w = a.queue[i]
-			a.queue[i] = nil
-		} else {
-			w = a.queue[a.qhead]
-			a.queue[a.qhead] = nil
-			a.qhead = (a.qhead + 1) % len(a.queue)
-		}
-		a.qlen--
-		if a.lifo && a.qlen <= len(a.queue)/8 {
-			a.lifo = false
-		}
-		if !w.state.CompareAndSwap(waiterQueued, waiterGranted) {
-			// Canceled while queued; recycle and move on.
-			a.pool.Put(w)
-			continue
-		}
-		sojourn := now.Sub(w.enq)
-		if a.gate.Signal(rel, sojourn) {
-			a.stats.Readmits++
-		}
-		// MaxWait is the hard staleness ceiling (see the sim client): LIFO
-		// backlog entries past it are discarded, not served.
-		if sojourn >= a.policy.Queue.MaxWait {
-			a.stats.CodelDropped++
-			a.stats.Shed[w.tier]++
-			a.gate.Overloaded(rel)
-			w.verdict = ShedCoDel
-			w.ch <- struct{}{}
-			continue
-		}
-		if a.codel.OnDequeue(rel, sojourn) {
-			// The drop law decides when to shed; criticality decides who: a
-			// strictly more sheddable waiter still queued takes the drop in
-			// w's place (DAGOR-style), so a critical request is never
-			// discarded while sheddable backlog remains. With tiers on, the
-			// drop law never discards the top tier at all — an all-critical
-			// standing queue is bounded by MaxWait and qcap, trading latency
-			// for availability, which is what the tier promises.
-			v := a.stealWorstTierLocked(w.tier)
-			if v == nil && a.policy.Tiers.Enabled && w.tier == TierCritical {
-				a.gate.Overloaded(rel)
-			} else if v == nil {
-				a.stats.CodelDropped++
-				a.stats.Shed[w.tier]++
-				a.gate.Overloaded(rel)
-				w.verdict = ShedCoDel
-				w.ch <- struct{}{}
-				continue
-			} else {
-				a.stats.CodelDropped++
-				a.stats.Shed[v.tier]++
-				a.gate.Overloaded(rel)
-				v.verdict = ShedCoDel
-				v.ch <- struct{}{}
-				// w itself is admitted below: the law shed one request at
-				// this drop instant, which is all its pacing asks for.
-			}
-		}
-		// MaxSojourn tracks admitted waiters only: a CoDel-dropped entry
-		// was discarded, not served, so its wait is not part of the delay
-		// bound admitted traffic experiences.
-		if sojourn > a.stats.MaxSojourn {
-			a.stats.MaxSojourn = sojourn
-		}
-		a.inflight++
-		a.stats.Admitted++
-		w.verdict = Admitted
-		w.ch <- struct{}{}
-	}
-}
-
-// stealWorstTierLocked removes and returns the oldest queued waiter whose
-// tier is strictly more sheddable than tier, or nil when none remains.
-// A chosen entry that lost its wake race to cancellation recycles and the
-// scan retries. Callers hold a.mu.
-func (a *WallAdmitter) stealWorstTierLocked(tier int) *waiter {
-	for {
-		best, bestTier := -1, tier
-		for i := 0; i < a.qlen; i++ {
-			if w := a.queue[(a.qhead+i)%len(a.queue)]; w.tier > bestTier {
-				best, bestTier = i, w.tier
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		w := a.removeAtLocked(best)
-		if w.state.CompareAndSwap(waiterQueued, waiterGranted) {
-			return w
-		}
-		a.pool.Put(w) // canceled while queued; recycle and rescan
-	}
-}
-
-// removeAtLocked removes the waiter at offset i from qhead, compacting the
-// ring toward the head so FIFO order is preserved. Callers hold a.mu.
-func (a *WallAdmitter) removeAtLocked(i int) *waiter {
-	w := a.queue[(a.qhead+i)%len(a.queue)]
-	for ; i > 0; i-- {
-		a.queue[(a.qhead+i)%len(a.queue)] = a.queue[(a.qhead+i-1)%len(a.queue)]
-	}
-	a.queue[a.qhead] = nil
-	a.qhead = (a.qhead + 1) % len(a.queue)
-	a.qlen--
-	return w
 }
 
 // DrainFlush rejects every queued waiter with ShedDraining and stops
@@ -364,38 +106,13 @@ func (a *WallAdmitter) removeAtLocked(i int) *waiter {
 // the admission queue.
 func (a *WallAdmitter) DrainFlush() {
 	a.mu.Lock()
-	a.draining = true
-	for a.qlen > 0 {
-		w := a.queue[a.qhead]
-		a.queue[a.qhead] = nil
-		a.qhead = (a.qhead + 1) % len(a.queue)
-		a.qlen--
-		if !w.state.CompareAndSwap(waiterQueued, waiterGranted) {
-			a.pool.Put(w)
-			continue
-		}
-		a.stats.Shed[w.tier]++
-		w.verdict = ShedDraining
-		w.ch <- struct{}{}
-	}
+	a.q.close()
 	a.mu.Unlock()
 }
 
 // Stats snapshots the admitter's counters.
-func (a *WallAdmitter) Stats() WallAdmitterStats {
+func (a *WallAdmitter) Stats() Stats {
 	a.mu.Lock()
-	s := a.stats
-	s.TotalLimit = a.totalLimit
-	s.AdmitMax = a.gate.AdmitMax()
-	s.QueueLen = a.qlen
-	a.mu.Unlock()
-	return s
-}
-
-// TotalLimit is the current aggregate concurrency limit.
-func (a *WallAdmitter) TotalLimit() int {
-	a.mu.Lock()
-	n := a.totalLimit
-	a.mu.Unlock()
-	return n
+	defer a.mu.Unlock()
+	return a.q.snapshot()
 }

@@ -15,11 +15,10 @@ import (
 // staleness ceiling, never by the gate or by the drop law.
 const HeaderCriticality = "X-L3-Criticality"
 
-// Serve-side admission metric families, alongside the overload package's
-// own counter names (which the sim client registers per service). The
-// admitter keeps its counters under its own mutex for the hot path;
-// serveMetrics folds a snapshot into these handles at scrape time, so
-// /metrics shows them without the request path touching the registry.
+// Serve-side admission gauges, beside the counters and limit gauge that
+// overload.Metrics mirrors on both clocks. The admitter counts under its own
+// mutex; each scrape folds a snapshot into these series, so /metrics shows
+// them without the request path touching the registry.
 const (
 	// MetricAdmissionQueueDepth gauges requests parked in the admission
 	// queue right now.
@@ -32,52 +31,26 @@ const (
 	MetricMaxSojournSeconds = "overload_queue_max_sojourn_seconds"
 )
 
-// admissionMetrics are the /metrics handles for the admission layer. The
-// counters mirror the admitter's internal stats; sync advances each by the
-// snapshot delta (the stats are monotonic), gauges are set outright.
+// admissionMetrics are the /metrics handles for the admission layer: the
+// shared mirror plus the three gauges only the wall plane exports.
 type admissionMetrics struct {
-	admitted, codelDrop, overflow, lifoFlips, readmits *metrics.Counter
-	shed                                               [overload.NumTiers]*metrics.Counter
-	gLimit, gQueue, gAdmitMax, gMaxSojourn             *metrics.Gauge
+	*overload.Metrics
+	gQueue, gAdmitMax, gMaxSojourn *metrics.Gauge
 }
 
 func newAdmissionMetrics(reg *metrics.Registry, service string) *admissionMetrics {
 	labels := metrics.Labels{"service": service}
-	m := &admissionMetrics{
-		admitted:    reg.Counter(overload.MetricAdmittedTotal, labels),
-		codelDrop:   reg.Counter(overload.MetricCodelDroppedTotal, labels),
-		overflow:    reg.Counter(overload.MetricQueueOverflowTotal, labels),
-		lifoFlips:   reg.Counter(overload.MetricLifoFlipsTotal, labels),
-		readmits:    reg.Counter(overload.MetricReadmitsTotal, labels),
-		gLimit:      reg.Gauge(overload.MetricConcurrencyLimit, labels),
+	return &admissionMetrics{
+		Metrics:     overload.NewMetrics(reg, service),
 		gQueue:      reg.Gauge(MetricAdmissionQueueDepth, labels),
 		gAdmitMax:   reg.Gauge(MetricAdmitMaxTier, labels),
 		gMaxSojourn: reg.Gauge(MetricMaxSojournSeconds, labels),
 	}
-	for tier := 0; tier < overload.NumTiers; tier++ {
-		m.shed[tier] = reg.Counter(overload.MetricShedTotal, labels.With("tier", overload.TierName(tier)))
-	}
-	return m
 }
 
-// sync folds an admitter snapshot into the registry. Only sync writes these
-// counters, so each handle's current value is the last synced snapshot and
-// the delta is exact.
-func (m *admissionMetrics) sync(st overload.WallAdmitterStats) {
-	catchUp := func(c *metrics.Counter, v int64) {
-		if d := float64(v) - c.Value(); d > 0 {
-			c.Add(d)
-		}
-	}
-	catchUp(m.admitted, st.Admitted)
-	catchUp(m.codelDrop, st.CodelDropped)
-	catchUp(m.overflow, st.QueueOverflow)
-	catchUp(m.lifoFlips, st.LifoFlips)
-	catchUp(m.readmits, st.Readmits)
-	for tier := 0; tier < overload.NumTiers; tier++ {
-		catchUp(m.shed[tier], st.Shed[tier])
-	}
-	m.gLimit.Set(float64(st.TotalLimit))
+// sync folds an admitter snapshot into the registry.
+func (m *admissionMetrics) sync(st overload.Stats) {
+	m.Sync(st)
 	m.gQueue.Set(float64(st.QueueLen))
 	m.gAdmitMax.Set(float64(st.AdmitMax))
 	m.gMaxSojourn.Set(st.MaxSojourn.Seconds())

@@ -87,7 +87,7 @@ type TierOutcome struct {
 type OverloadReport struct {
 	Policy string                         `json:"policy"`
 	Tiers  [overload.NumTiers]TierOutcome `json:"tiers"`
-	Stats  overload.WallAdmitterStats     `json:"admitter_stats"`
+	Stats  overload.Stats                 `json:"admitter_stats"`
 	// MaxWait is the policy's hard sojourn ceiling, the bound Stats.MaxSojourn
 	// is asserted against.
 	MaxWait time.Duration `json:"max_wait_ns"`
@@ -238,7 +238,7 @@ func RunOverloadChaostest(opts OverloadOptions, out io.Writer) (*OverloadReport,
 			}
 			inflightSum := sumGauge(body, mesh.MetricInflight)
 			qdepth := sumGauge(body, MetricAdmissionQueueDepth)
-			if limit := float64(srv.Admitter().TotalLimit()); limit > peakLimit {
+			if limit := float64(srv.Admitter().Stats().TotalLimit); limit > peakLimit {
 				peakLimit = limit
 			}
 			if inflightSum > report.PeakInflightSum {

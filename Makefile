@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race allocs fuzz-smoke serve-smoke serve-chaos-smoke serve-soak overload-smoke benchmark-smoke loc sweep
+.PHONY: check fmt vet build test race allocs fuzz-smoke serve-soak benchmark-smoke loc sweep
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector (which runs every CLI figure golden, chaos, resilience,
-## guard, overload and sharded runs included), the wall-clock serve smokes,
-## the nested benchmark module, and a short fuzz pass over the parsers that
-## eat outside input. Run before every merge; CI and the tier-1 verify in
-## ROADMAP.md assume it passes.
-check: fmt vet build race allocs fuzz-smoke serve-smoke serve-chaos-smoke overload-smoke benchmark-smoke
+## guard, overload and sharded runs included, and the wall plane's one smoke
+## test), the allocation pins, the nested benchmark module, and a short fuzz
+## pass over the parsers that eat outside input. Run before every merge; CI
+## and the tier-1 verify in ROADMAP.md assume it passes.
+check: fmt vet build race allocs fuzz-smoke benchmark-smoke
 
 ## fmt: fail if any file needs gofmt (prints the offenders).
 fmt:
@@ -24,9 +24,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the full suite under the race detector. -short skips only the
-## wall-clock serve smoke, which serve-smoke below runs explicitly (with its
-## report shown) so the 25 s pass doesn't run twice per check.
+## race: the full suite under the race detector. -short skips only the long
+## runs: TestServeSoak, which serve-soak runs, and three long simulations. The
+## wall plane's one smoke test, TestServeWallSmoke (~3 s), runs here.
 race:
 	$(GO) test -race -short ./...
 
@@ -82,22 +82,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecorderMatchesFlat -fuzztime 5s ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionMatchesOracle -fuzztime 5s ./internal/overload
 
-## serve-smoke: the wall-clock serving mode end to end under the race
-## detector — l3serve + stub backends on ephemeral ports, ~1.8k proxied
-## requests of open-loop load per run, asserting the self-scraped /metrics
-## parse, the L3 weight shift off the slow backend, the p99 win over
-## round-robin and zero dropped requests across every graceful drain.
-serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke$$' -count=1 -v ./internal/serve
-
-## serve-chaos-smoke: the wall-clock chaos harness end to end under the race
-## detector — the compressed fault schedule (backend stall, connection-reset
-## burst, control-plane scrape outage) against the live proxy, asserting the
-## breaker ejects within its failure bound, windowed p99 re-converges with a
-## measured time-to-recover, and fail-static engages and releases.
-serve-chaos-smoke:
-	$(GO) test -race -run 'TestServeChaosSmoke' -count=1 -v ./internal/serve
-
 ## serve-soak: 10^6 POSTs each with 4 KiB and 64 KiB answers through a live
 ## proxy (closed loop, two clients, plain net/http upstreams), failing on any
 ## non-200, short body or transport error — the answer sizes at which the
@@ -106,13 +90,6 @@ serve-chaos-smoke:
 ## 20 000 requests per size.
 serve-soak:
 	$(GO) test -run 'TestServeSoak$$' -count=1 -timeout 60m -v ./internal/serve -args -soak-requests 1000000
-
-## overload-smoke: the wall-clock overload scene under the race detector —
-## a saturating square wave against the live admission-controlled proxy,
-## asserting bounded queue delay, tier-ordered shedding, live in-flight
-## gauges and full tier re-admission.
-overload-smoke:
-	$(GO) test -race -run 'TestServeOverloadScene' -count=1 -v ./internal/serve
 
 ## benchmark-smoke: vet and test the repo benchmark (BENCHMARK.json). It is
 ## its own module (benchmark/go.mod replaces l3 with this checkout), so

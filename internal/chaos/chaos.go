@@ -168,17 +168,13 @@ func (in *Injector) check(ev Event) error {
 		if in.targets.Metrics == nil {
 			return fmt.Errorf("chaos: counterreset event but no metric resetter")
 		}
-	case Stall, ConnReset, SlowLoris, ErrorBurst, LatencyRamp, BackendFlap:
-		// A simulated backend has no TCP connection to reset or socket to
-		// stall; these kinds exist for the wall-clock serving mode only.
-		return fmt.Errorf("chaos: %s is a wall-clock fault; run it through chaos.WallRunner (l3serve -chaostest), not the simulator", ev.Kind)
 	}
 	return nil
 }
 
 // scrapeFault resolves a control-plane scrape event against one scraper: the
 // call that injects (on) or heals it, or nil when the scraper lacks the
-// capability. It is the one table of scrape faults both runners inject.
+// capability. It is the one table of the scrape faults Injector injects.
 func scrapeFault(s ScrapeGate, ev Event, on bool) func() {
 	if !on {
 		ev.Skew, ev.SlowFactor = 0, 0

@@ -61,35 +61,6 @@ const (
 	// SlowScrape stretches the effective scrape interval SlowFactor-fold by
 	// letting only every n-th scheduled scrape run.
 	SlowScrape
-
-	// Wall-clock fault kinds: real-socket misbehaviour injected into the
-	// serving mode's stub fleet (chaos.WallRunner + serve.ChaosStub). They
-	// share this grammar so a schedule written for `l3serve -chaostest`
-	// reads exactly like one written for `l3bench -chaos`; the simulator's
-	// Injector rejects them loudly — a sim backend has no TCP connection to
-	// reset.
-
-	// Stall makes the named Backend accept connections but never answer
-	// until healed — the slow-loris server, the wedged runtime, the full
-	// accept queue. Clients hang until their deadline fires.
-	Stall
-	// ConnReset makes the named Backend reset (TCP RST) every connection at
-	// the first request — a crashed process with a live listener socket.
-	ConnReset
-	// SlowLoris makes the named Backend answer headers promptly, then drip
-	// the response body one byte per Extra interval until healed.
-	SlowLoris
-	// ErrorBurst makes the named Backend answer 500 to Factor of requests.
-	ErrorBurst
-	// LatencyRamp linearly ramps the named Backend's added latency from 0
-	// to Extra across the event window, then drops it back at heal — the
-	// degrading-disk / saturating-neighbour shape that breaks controllers
-	// tuned only for step faults.
-	LatencyRamp
-	// BackendFlap alternates the named Backend between resetting
-	// connections and serving normally every Flap interval — a
-	// crash-looping process behind a stable address.
-	BackendFlap
 )
 
 // String returns the schedule-format keyword of the kind.
@@ -117,18 +88,6 @@ func (k Kind) String() string {
 		return "clockskew"
 	case SlowScrape:
 		return "slowscrape"
-	case Stall:
-		return "stall"
-	case ConnReset:
-		return "reset"
-	case SlowLoris:
-		return "slowloris"
-	case ErrorBurst:
-		return "errorburst"
-	case LatencyRamp:
-		return "ramp"
-	case BackendFlap:
-		return "bflap"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -208,14 +167,6 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, ":%s", e.Skew)
 	case SlowScrape:
 		fmt.Fprintf(&b, ":%d", e.SlowFactor)
-	case Stall, ConnReset:
-		fmt.Fprintf(&b, ":%s", e.Backend)
-	case SlowLoris, LatencyRamp:
-		fmt.Fprintf(&b, ":%s/%s", e.Backend, e.Extra)
-	case ErrorBurst:
-		fmt.Fprintf(&b, ":%s/%g", e.Backend, e.Factor)
-	case BackendFlap:
-		fmt.Fprintf(&b, ":%s/%s", e.Backend, e.Flap)
 	}
 	return b.String()
 }
@@ -287,39 +238,6 @@ func (e Event) Validate() error {
 		}
 		if e.Duration == 0 {
 			return fmt.Errorf("chaos: slowscrape needs a heal time")
-		}
-	case Stall, ConnReset:
-		if e.Backend == "" {
-			return fmt.Errorf("chaos: %s needs a backend name", e.Kind)
-		}
-	case SlowLoris:
-		if e.Backend == "" || e.Extra <= 0 {
-			return fmt.Errorf("chaos: slowloris needs a backend and a positive drip interval")
-		}
-	case ErrorBurst:
-		// Positive range check so NaN cannot slip through (as Saturate).
-		if e.Backend == "" || !(e.Factor > 0 && e.Factor <= 1) {
-			return fmt.Errorf("chaos: errorburst needs a backend and an error fraction in (0, 1]")
-		}
-		if e.Duration == 0 {
-			return fmt.Errorf("chaos: errorburst needs a heal time (errors must stop)")
-		}
-	case LatencyRamp:
-		if e.Backend == "" || e.Extra <= 0 {
-			return fmt.Errorf("chaos: ramp needs a backend and a positive target latency")
-		}
-		if e.Duration == 0 {
-			return fmt.Errorf("chaos: ramp needs a duration (the ramp's length is the window)")
-		}
-	case BackendFlap:
-		if e.Backend == "" || e.Flap <= 0 {
-			return fmt.Errorf("chaos: bflap needs a backend and a flap period")
-		}
-		if e.Duration == 0 {
-			return fmt.Errorf("chaos: bflap needs a heal time (flapping must stop)")
-		}
-		if e.Flap >= e.Duration {
-			return fmt.Errorf("chaos: bflap period %v must be shorter than the window %v", e.Flap, e.Duration)
 		}
 	default:
 		return fmt.Errorf("chaos: unknown event kind %d", int(e.Kind))
@@ -410,16 +328,6 @@ func (s *Schedule) String() string {
 //	garbage@2m+30s:negative/api-cluster-1   negate one backend's samples
 //	clockskew@2m+1m:6s                      back-date alternating scrapes 6 s
 //	slowscrape@2m+1m:3                      scrape every 15 s instead of 5 s
-//
-// Wall-clock fault kinds (injected by WallRunner into the serving mode's
-// chaos stubs; the simulator rejects them):
-//
-//	stall@5s+4s:api-a                       accept connections, never answer
-//	reset@5s+4s:api-a                       TCP-reset every connection
-//	slowloris@5s+4s:api-a/100ms             drip body bytes every 100 ms
-//	errorburst@5s+4s:api-a/0.8              80 % of requests answer 500
-//	ramp@5s+6s:api-a/300ms                  latency ramps 0→300 ms over 6 s
-//	bflap@5s+8s:api-a/1s                    resets come and go every 1 s
 func ParseSchedule(s string) (*Schedule, error) {
 	sched := &Schedule{}
 	for _, part := range strings.Split(s, ";") {
@@ -469,18 +377,6 @@ func parseEvent(s string) (Event, error) {
 		ev.Kind = ClockSkew
 	case "slowscrape":
 		ev.Kind = SlowScrape
-	case "stall":
-		ev.Kind = Stall
-	case "reset":
-		ev.Kind = ConnReset
-	case "slowloris":
-		ev.Kind = SlowLoris
-	case "errorburst":
-		ev.Kind = ErrorBurst
-	case "ramp":
-		ev.Kind = LatencyRamp
-	case "bflap":
-		ev.Kind = BackendFlap
 	default:
 		return ev, fmt.Errorf("chaos: unknown event kind %q", kindName)
 	}
@@ -609,39 +505,6 @@ func (e *Event) parseOperands(fields []string) error {
 		if _, err := fmt.Sscanf(fields[0], "%d", &e.SlowFactor); err != nil {
 			return fmt.Errorf("bad slowscrape factor %q: %w", fields[0], err)
 		}
-	case Stall, ConnReset:
-		if err := need(1); err != nil {
-			return err
-		}
-		e.Backend = fields[0]
-	case SlowLoris, LatencyRamp:
-		if err := need(2); err != nil {
-			return err
-		}
-		e.Backend = fields[0]
-		d, err := time.ParseDuration(fields[1])
-		if err != nil {
-			return err
-		}
-		e.Extra = d
-	case ErrorBurst:
-		if err := need(2); err != nil {
-			return err
-		}
-		e.Backend = fields[0]
-		if _, err := fmt.Sscanf(fields[1], "%g", &e.Factor); err != nil {
-			return fmt.Errorf("bad errorburst fraction %q: %w", fields[1], err)
-		}
-	case BackendFlap:
-		if err := need(2); err != nil {
-			return err
-		}
-		e.Backend = fields[0]
-		d, err := time.ParseDuration(fields[1])
-		if err != nil {
-			return err
-		}
-		e.Flap = d
 	}
 	return nil
 }

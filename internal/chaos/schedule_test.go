@@ -28,42 +28,6 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseScheduleWallKindsRoundTrip(t *testing.T) {
-	in := "stall@5s+4s:api-a; reset@10s+2s:api-b; slowloris@3s+6s:api-a/50ms; " +
-		"errorburst@8s+3s:api-b/0.8; ramp@2s+10s:api-a/300ms; bflap@4s+8s:api-b/2s"
-	sched, err := ParseSchedule(in)
-	if err != nil {
-		t.Fatalf("ParseSchedule: %v", err)
-	}
-	if len(sched.Events) != 6 {
-		t.Fatalf("got %d events, want 6", len(sched.Events))
-	}
-	again, err := ParseSchedule(sched.String())
-	if err != nil {
-		t.Fatalf("re-parse %q: %v", sched.String(), err)
-	}
-	if got, want := again.String(), sched.String(); got != want {
-		t.Fatalf("round trip drifted:\n got %s\nwant %s", got, want)
-	}
-	ev := sched.Events[4]
-	if ev.Kind != LatencyRamp || ev.Backend != "api-a" || ev.Extra != 300*time.Millisecond {
-		t.Fatalf("bad ramp event: %+v", ev)
-	}
-	for _, s := range []string{
-		"stall@5s",                // stall needs a backend
-		"slowloris@3s+6s:api-a",   // slowloris needs a drip interval
-		"errorburst@8s+3s:a/1.5",  // rate out of range
-		"errorburst@8s:a/0.5",     // errorburst must heal
-		"ramp@2s:api-a/300ms",     // ramp needs a window
-		"bflap@4s+2s:api-b/5s",    // flap period longer than window
-		"reset@10s+2s:api-b/oops", // reset takes one operand
-	} {
-		if _, err := ParseSchedule(s); err == nil {
-			t.Errorf("ParseSchedule(%q) = nil error, want failure", s)
-		}
-	}
-}
-
 func TestParseScheduleEvents(t *testing.T) {
 	sched, err := ParseSchedule("crash@3m+30s:api-cluster-2/15s")
 	if err != nil {
@@ -104,6 +68,12 @@ func TestParseScheduleRejects(t *testing.T) {
 		"delay@2m+1m:a/b/not-a-duration", // bad duration operand
 		"partition@-5s+1m:a/b",           // negative time
 		"scrapedrop@1m+30s:extra",        // scrapedrop takes no operands
+		"stall@5s+4s:api-a",              // the wall-clock kinds are gone
+		"reset@5s+4s:api-a",
+		"slowloris@5s+4s:api-a/100ms",
+		"errorburst@5s+4s:api-a/0.8",
+		"ramp@5s+6s:api-a/300ms",
+		"bflap@5s+8s:api-a/1s",
 	}
 	for _, s := range bad {
 		if _, err := ParseSchedule(s); err == nil {
@@ -125,7 +95,7 @@ func TestScrapeSkewAndSlowTakeNoBackend(t *testing.T) {
 
 // Every kind prints the keyword the grammar reads it by.
 func TestKindStringIsTheKeyword(t *testing.T) {
-	for k := Partition; k <= BackendFlap; k++ {
+	for k := Partition; k <= SlowScrape; k++ {
 		if _, err := parseEvent(k.String() + "@1s"); err != nil && strings.Contains(err.Error(), "unknown event kind") {
 			t.Errorf("kind %d prints %q, which the grammar does not know", int(k), k)
 		}

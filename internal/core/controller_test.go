@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,6 +26,9 @@ type testRig struct {
 	db         *timeseries.DB
 	controller *Controller
 	selfReg    *metrics.Registry
+	// latencies holds every completed request's latency, in completion
+	// order; a test may truncate it to start a measurement window.
+	latencies []time.Duration
 }
 
 func newRig(t *testing.T, elector *cluster.Elector, fastLat, slowLat time.Duration) *testRig {
@@ -65,11 +69,12 @@ func newRig(t *testing.T, elector *cluster.Elector, fastLat, slowLat time.Durati
 	})
 	ctrl.Start()
 
+	r := &testRig{engine: engine, m: m, db: db, controller: ctrl, selfReg: selfReg}
 	// Open-loop load: 50 RPS from cluster-1.
 	engine.Every(20*time.Millisecond, func() {
-		_ = m.Call("cluster-1", "api", func(mesh.Result) {})
+		_ = m.Call("cluster-1", "api", func(res mesh.Result) { r.latencies = append(r.latencies, res.Latency) })
 	})
-	return &testRig{engine: engine, m: m, db: db, controller: ctrl, selfReg: selfReg}
+	return r
 }
 
 func (r *testRig) weights(t *testing.T) (fast, slow int64) {
@@ -103,6 +108,39 @@ func TestControllerShiftsWeightToFastBackend(t *testing.T) {
 	if r.controller.Updates() == 0 {
 		t.Fatal("controller performed no updates")
 	}
+}
+
+// TestControllerSkewedFleetBeatsRoundRobin runs a 5 ms backend against a
+// 1 s one. L3 must push the slow weight below a fifth of the fast one, and
+// its p99 over the second minute must be at most a third of round-robin's
+// over the same minute of the same rig.
+func TestControllerSkewedFleetBeatsRoundRobin(t *testing.T) {
+	run := func(l3 bool) (r *testRig, p99 time.Duration) {
+		r = newRig(t, nil, 5*time.Millisecond, time.Second)
+		if !l3 {
+			r.controller.Stop()
+			if err := r.m.SetPicker("api", balancer.NewRoundRobin()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.engine.RunUntil(time.Minute)
+		r.latencies = r.latencies[:0]
+		r.engine.RunUntil(2 * time.Minute)
+		lat := slices.Clone(r.latencies)
+		slices.Sort(lat)
+		return r, lat[(len(lat)*99+99)/100-1]
+	}
+	l3, l3P99 := run(true)
+	_, rrP99 := run(false)
+
+	fast, slow := l3.weights(t)
+	if slow >= fast/5 {
+		t.Errorf("weights fast=%d slow=%d, want slow < fast/5 for a 200x latency gap", fast, slow)
+	}
+	if l3P99 > rrP99/3 {
+		t.Errorf("p99 l3 %v, rr %v: want l3 <= rr/3", l3P99, rrP99)
+	}
+	t.Logf("weights fast=%d slow=%d; p99 l3 %v, rr %v", fast, slow, l3P99, rrP99)
 }
 
 func TestControllerTracksSplitLifecycle(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 	"l3/internal/sim"
 )
 
-// TestAdmissionSquareWaveOnSimTime holds the core to the overload scene's
-// policy on simulated time: a square wave of mixed tiers at three times
+// TestAdmissionSquareWaveOnSimTime holds the core to its admission policy
+// on simulated time: a square wave of mixed tiers at three times
 // capacity, then a calm of a tenth, four times over, against a backend whose
 // service time grows with concurrency so the limiter moves the limit the
 // core is given. It asserts that admitted sojourn stays under MaxWait, that

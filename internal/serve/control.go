@@ -114,7 +114,7 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 	if cfg.Algo == AlgoL3 || cfg.Algo == AlgoC3 {
 		// The paper's filter half-lives (5 s latency/in-flight, 10 s
 		// success/RPS) assume its 5 s reconcile interval. Serve configs may
-		// reconcile faster (the selftest runs at 500 ms); scaling the
+		// reconcile faster (the tests run at 250 ms); scaling the
 		// half-lives with the interval keeps the paper's convergence
 		// behaviour — N rounds to settle — instead of its absolute seconds.
 		wcfg := core.WeightingConfig{
@@ -327,15 +327,9 @@ func (c *control) decayWeights() {
 	}
 }
 
-// The chaos scrape faults (chaos.ScrapeGate and its capabilities) forward to
-// the scraper on the control clock: the runner that calls them ticks on a
-// clock of its own, and tests call from their goroutine.
-func (c *control) SetDropping(on bool)     { c.wall.Do(func() { c.scraper.SetDropping(on) }) }
-func (c *control) SetSkew(d time.Duration) { c.wall.Do(func() { c.scraper.SetSkew(d) }) }
-func (c *control) SetSlowFactor(n int)     { c.wall.Do(func() { c.scraper.SetSlowFactor(n) }) }
-func (c *control) SetGarbage(backend, mode string, on bool) {
-	c.wall.Do(func() { c.scraper.SetGarbage(backend, mode, on) })
-}
+// SetDropping makes the scraper drop (or stop dropping) every scrape. It
+// forwards on the control clock, since tests call it from their goroutine.
+func (c *control) SetDropping(on bool) { c.wall.Do(func() { c.scraper.SetDropping(on) }) }
 
 // FailStaticActive reports whether the data plane is in fail-static
 // degraded mode (safe from any goroutine).

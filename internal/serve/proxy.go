@@ -604,6 +604,3 @@ func (p *proxyHandler) Retries() int64 { return p.res.core.Retries() }
 // Hedges returns hedge attempts launched — the core's
 // resilience_hedges_total.
 func (p *proxyHandler) Hedges() int64 { return p.res.core.Hedges() }
-
-// Panics returns panics recovered in the request path.
-func (p *proxyHandler) Panics() int64 { return p.panics.Load() }

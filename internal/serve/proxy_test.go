@@ -334,6 +334,7 @@ func TestColdWarmGetAndPostParity(t *testing.T) {
 // POST alike, in the backend's histogram; and, since Record hands the same
 // value to the resilience core, in the learned hedge delay.
 func TestAttemptLatencyEndsWithTheBody(t *testing.T) {
+	t.Parallel() // its answers mostly sleep
 	const gap = 150 * time.Millisecond
 	var slow atomic.Bool
 	var pause atomic.Int64
@@ -663,6 +664,7 @@ func TestServeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak needs seconds to minutes of wall clock; run make serve-soak")
 	}
+	t.Parallel() // beside the wall tests that mostly wait
 	for _, answer := range []int{4 << 10, 64 << 10} {
 		up := fixedAnswer(answer)
 		srv := proxyOver(t, func(c *Config) { c.Algo = AlgoL3 }, up, up, up)

@@ -71,8 +71,8 @@ func TestBreakerOpensAndReArms(t *testing.T) {
 
 // TestStragglersDoNotReopenCircuit: attempts in flight when a circuit opens
 // fail inside its window. They must neither extend the window nor count a
-// second ejection. The old breaker did both, which inflated the chaostest's
-// ejection counts and kept a backend out longer than its window.
+// second ejection. The old breaker did both, which inflated ejection counts
+// and kept a backend out longer than its window.
 func TestStragglersDoNotReopenCircuit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Backends = []BackendConfig{{Name: "a", URL: "http://127.0.0.1:1"}}

@@ -111,7 +111,7 @@ func (s *Server) Start() error {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Fail-static is degraded-but-serving: the proxy still answers, so
 		// the health check stays green with the mode on the wire for
-		// operators (and chaostest) to see.
+		// operators to see.
 		w.WriteHeader(http.StatusOK)
 		if s.control.FailStaticActive() {
 			fmt.Fprintln(w, "degraded: fail-static (control plane stale)")
@@ -169,14 +169,11 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // Handler exposes the proxy handler (tests, drain accounting).
 func (s *Server) Handler() *proxyHandler { return s.handler }
 
-// Router exposes the routing table (tests, selftest reporting).
+// Router exposes the routing table.
 func (s *Server) Router() *Router { return s.router }
 
-// Control exposes the control plane (tests, selftest reporting).
+// Control exposes the control plane.
 func (s *Server) Control() *control { return s.control }
-
-// Admitter exposes the overload-control gate (nil when disabled).
-func (s *Server) Admitter() *overload.WallAdmitter { return s.admitter }
 
 // DataRegistry exposes the data-plane metric registry.
 func (s *Server) DataRegistry() *metrics.Registry { return s.dataReg }
@@ -229,7 +226,7 @@ func (s *Server) ShutdownTimeout() (int64, error) {
 func (s *Server) WaitErr() <-chan error { return s.serveErr }
 
 // ScrapeWait blocks until the control plane has completed at least n
-// successful self-scrapes or the timeout passes (tests and selftest).
+// successful self-scrapes or the timeout passes.
 func (s *Server) ScrapeWait(n int64, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race allocs fuzz-smoke serve-soak benchmark-smoke loc sweep
+.PHONY: check fmt vet build test race allocs fuzz-smoke serve-soak benchmark-smoke loc deadcode sweep
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector (which runs every CLI figure golden, chaos, resilience,
@@ -103,6 +103,13 @@ benchmark-smoke:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l
+
+## deadcode: exported package-level funcs and types in internal/ that no
+## non-test file of the module reads, benchmark/ included (stdlib go/ast, no
+## type checking). Not part of check: a name it prints gets a verdict, not a
+## failure.
+deadcode:
+	$(GO) run scripts/deadcode.go
 
 ## sweep: the whole control round at 102, 1 020 and 3 060 backends
 ## (exposition, parse, gated append, then the reconcile — collect, assign,

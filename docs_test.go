@@ -20,16 +20,22 @@ var (
 	// A Go file, bare ("proxy.go") or with some of its directories
 	// ("serve/proxy.go"); "_test.go" alone names a kind of file, not one.
 	citedFile = regexp.MustCompile(`(?:^|[^\w./-])((?:[\w.-]+/)*[A-Za-z0-9][\w.-]*\.go)\b`)
-	declared  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// A package path as a command line cites it ("go run ./cmd/l3sim"); a
+	// trailing "/..." or sentence period is not part of it, and a path to a
+	// .go file is citedFile's.
+	citedPackage = regexp.MustCompile(`(?:^|[^\w./-])\./((?:cmd|examples|internal)(?:/[\w.-]+)*)`)
+	declared     = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 )
 
 // TestDocsCiteWhatExists fails when a document cites a test, benchmark or
-// fuzz target that no _test.go file declares, or a Go file that is not in
-// the tree. A cited path must be the end of some file's path from the module
-// root, at a directory boundary.
+// fuzz target that no _test.go file declares, a Go file that is not in the
+// tree, or a ./cmd, ./examples or ./internal package path that is not a
+// directory. A cited file must be the end of some file's path from the module
+// root, at a directory boundary; a cited package path is from the root.
 func TestDocsCiteWhatExists(t *testing.T) {
 	names := map[string]bool{}
 	files := map[string]bool{} // every path and each of its directory-boundary suffixes
+	dirs := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -38,6 +44,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			if path != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
+			dirs[filepath.ToSlash(path)] = true
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") {
@@ -79,6 +86,12 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, m := range citedFile.FindAllStringSubmatch(line, -1) {
 				if !files[m[1]] {
 					t.Errorf("%s:%d cites %s, which is not in the tree", doc, i+1, m[1])
+				}
+			}
+			for _, m := range citedPackage.FindAllStringSubmatch(line, -1) {
+				dir := strings.TrimRight(strings.TrimSuffix(m[1], "/..."), ".")
+				if !strings.HasSuffix(dir, ".go") && !dirs[dir] {
+					t.Errorf("%s:%d cites ./%s, which is not a directory in the tree", doc, i+1, dir)
 				}
 			}
 		}

@@ -7,8 +7,6 @@
 //     the mechanism L3 (and the C3 adaptation) steer through.
 //   - P2C — power-of-two-choices over PeakEWMA-scored backends, Linkerd's
 //     in-cluster per-request balancer, kept as an ablation baseline.
-//   - PreferCluster — locality-style routing (cluster-local first), the
-//     static strategy cloud meshes offer.
 package balancer
 
 import (
@@ -236,49 +234,9 @@ func (p *P2C) Observe(now time.Duration, src, backendName string, latency time.D
 	s.latency.Observe(now, latency.Seconds())
 }
 
-// PreferCluster routes to backends in a fixed cluster when any exist, and
-// otherwise delegates to Fallback (or uniform round-robin order). It models
-// the static locality-aware policies of Istio/Linkerd/Traffic Director the
-// related-work section contrasts L3 with.
-type PreferCluster struct {
-	Cluster  string
-	Fallback mesh.Picker
-
-	rr    RoundRobin
-	local []*mesh.Backend // Pick's scratch buffer (single-threaded)
-}
-
-// NewPreferCluster returns a locality picker for the given cluster.
-func NewPreferCluster(cluster string, fallback mesh.Picker) *PreferCluster {
-	return &PreferCluster{
-		Cluster:  cluster,
-		Fallback: fallback,
-		rr:       RoundRobin{counters: make(map[routeKey]*int)},
-	}
-}
-
-// Pick implements mesh.Picker.
-func (p *PreferCluster) Pick(now time.Duration, src, service string, backends []*mesh.Backend) *mesh.Backend {
-	local := p.local[:0]
-	for _, b := range backends {
-		if b.Cluster == p.Cluster {
-			local = append(local, b)
-		}
-	}
-	p.local = local
-	if len(local) > 0 {
-		return p.rr.Pick(now, src, service, local)
-	}
-	if p.Fallback != nil {
-		return p.Fallback.Pick(now, src, service, backends)
-	}
-	return p.rr.Pick(now, src, service, backends)
-}
-
 var (
 	_ mesh.Picker   = (*RoundRobin)(nil)
 	_ mesh.Picker   = (*WeightedSplit)(nil)
 	_ mesh.Picker   = (*P2C)(nil)
 	_ mesh.Observer = (*P2C)(nil)
-	_ mesh.Picker   = (*PreferCluster)(nil)
 )

@@ -212,36 +212,3 @@ func TestP2CObserveUnknownBackendSafe(t *testing.T) {
 	p := NewP2C(sim.NewRand(1), time.Second, time.Second)
 	p.Observe(0, "c1", "never-picked", time.Millisecond, true) // must not panic
 }
-
-func TestPreferClusterRoutesLocally(t *testing.T) {
-	p := NewPreferCluster("cluster-a", nil)
-	bs := backends("a", "b") // clusters cluster-a, cluster-b
-	for i := 0; i < 10; i++ {
-		if got := p.Pick(0, "c1", "svc", bs).Name; got != "a" {
-			t.Fatalf("pick = %s, want local backend a", got)
-		}
-	}
-}
-
-func TestPreferClusterFallsBack(t *testing.T) {
-	p := NewPreferCluster("cluster-z", nil)
-	bs := backends("a", "b")
-	got := map[string]bool{}
-	for i := 0; i < 10; i++ {
-		got[p.Pick(0, "c1", "svc", bs).Name] = true
-	}
-	if !got["a"] || !got["b"] {
-		t.Fatalf("fallback round-robin did not cycle: %v", got)
-	}
-	// Explicit fallback picker is honoured.
-	p2 := NewPreferCluster("cluster-z", pickLast{})
-	if p2.Pick(0, "c1", "svc", bs).Name != "b" {
-		t.Fatal("explicit fallback ignored")
-	}
-}
-
-type pickLast struct{}
-
-func (pickLast) Pick(_ time.Duration, _, _ string, bs []*mesh.Backend) *mesh.Backend {
-	return bs[len(bs)-1]
-}

@@ -181,9 +181,9 @@ func AblationScrapeInterval(opts Options) (*Result, error) {
 	return r, nil
 }
 
-// AblationBaselines compares the full strategy roster, including the two
-// the paper discusses but does not plot: Linkerd's per-request P2C
-// PeakEWMA (in-cluster default) and static locality routing.
+// AblationBaselines compares the full strategy roster, including the one
+// the paper discusses but does not plot: Linkerd's per-request P2C over
+// PeakEWMA (its in-cluster default).
 func AblationBaselines(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-baselines", Title: "All strategies on scenario-1 (P99)"}

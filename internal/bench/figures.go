@@ -202,20 +202,12 @@ func Fig8(opts Options) (*Result, error) {
 // paperFig9 holds Figure 9's reported P99 values (ms).
 var paperFig9 = map[Algorithm]float64{AlgoRoundRobin: 93.0, AlgoC3: 88.3, AlgoL3: 68.8}
 
-// Fig9 regenerates Figure 9: the DeathStarBench hotel-reservation P99 under
-// round-robin, C3 and L3 at 200 RPS with 100 % success (paper: 93.0 / 88.3
-// / 68.8 ms over 20-minute runs).
-func Fig9(opts Options) (*Result, error) {
-	return fig9At(opts, 200, 5*time.Minute)
-}
-
-// Fig9WithDuration is Fig9 with a custom measured duration (the paper ran
-// 20 minutes; the default here is 5).
+// Fig9WithDuration regenerates Figure 9 over the given measured duration:
+// the DeathStarBench hotel-reservation P99 under round-robin, C3 and L3 at
+// 200 RPS with 100 % success (paper: 93.0 / 88.3 / 68.8 ms over 20-minute
+// runs).
 func Fig9WithDuration(opts Options, duration time.Duration) (*Result, error) {
-	return fig9At(opts, 200, duration)
-}
-
-func fig9At(opts Options, rps float64, duration time.Duration) (*Result, error) {
+	const rps float64 = 200
 	opts = opts.withDefaults()
 	r := &Result{ID: "fig9", Title: "DeathStarBench hotel-reservation (P99)"}
 	algos := []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3}

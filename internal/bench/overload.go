@@ -49,23 +49,11 @@ func (s *OverloadStats) ShedTotal() float64 {
 // RunOverloadScenarioTrace replays a caller-built scenario with
 // opts.Overload composing admission control over the client, and collects
 // the admission scorecard. Repetitions rerun the same trace under
-// different simulation seeds, exactly like RunScenarioTrace.
+// different simulation seeds, exactly like RunScenarioTrace, and their
+// artifacts fold into the scorecard in index order.
 func RunOverloadScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*OverloadStats, error) {
-	return runOverload(fixed(sc), algo, opts)
-}
-
-// RunOverloadScenario is RunOverloadScenarioTrace for a named trace
-// scenario (each repetition regenerates the trace from its derived seed,
-// like RunScenario).
-func RunOverloadScenario(scenarioName string, algo Algorithm, opts Options) (*OverloadStats, error) {
-	return runOverload(named(scenarioName), algo, opts)
-}
-
-// runOverload runs the repetitions and folds their artifacts into one
-// scorecard, in index order.
-func runOverload(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) (*OverloadStats, error) {
 	opts = opts.withDefaults()
-	runs, rec, err := runReps(scenario, algo, opts)
+	runs, rec, err := runReps(fixed(sc), algo, opts)
 	if err != nil {
 		return nil, err
 	}

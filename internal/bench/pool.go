@@ -33,11 +33,6 @@ var (
 	selfBusy     = selfRegistry.Counter(MetricRunBusySeconds, nil)
 )
 
-// SelfMetrics returns the harness's own instrumentation registry (runs
-// completed, busy seconds). Counters are cumulative per process; callers
-// wanting per-invocation numbers snapshot with SelfStats before and after.
-func SelfMetrics() *metrics.Registry { return selfRegistry }
-
 // SelfStats reads the harness's self-metrics: the number of completed
 // simulation runs and the total wall-clock time spent inside them. Dividing
 // busy by the observed elapsed wall-clock gives the effective speedup over

@@ -1,8 +1,8 @@
 // Package cluster provides the Kubernetes-flavoured control-plane substrate
 // the L3 operator runs on: a typed object store with resource versions and
-// watch notifications, a retrying reconcile work-queue, and lease-based
-// leader election (§4 of the paper describes L3 as a Kubernetes operator
-// with control loops and a lease-locked leader).
+// watch notifications, and lease-based leader election (§4 of the paper
+// describes L3 as a Kubernetes operator with control loops and a
+// lease-locked leader).
 //
 // The substrate is event-driven on the virtual clock of internal/sim rather
 // than goroutine-driven, which keeps simulations deterministic.

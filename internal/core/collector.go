@@ -182,6 +182,15 @@ func (c *Collector) percentile() float64 {
 // backend name otherwise). The map it returns is the collector's: the next
 // Collect clears and refills it.
 func (c *Collector) Collect(at time.Duration, service string, backends []string) map[string]BackendMetrics {
+	return c.collect(at, service, backends, 0)
+}
+
+// collect is Collect at latency quantile q (0 = Percentile): one split's
+// policy asks for its own quantile from the selectors every split shares.
+func (c *Collector) collect(at time.Duration, service string, backends []string, q float64) map[string]BackendMetrics {
+	if q == 0 {
+		q = c.percentile()
+	}
 	if c.out == nil {
 		c.out = make(map[string]BackendMetrics, len(backends))
 	}
@@ -225,8 +234,8 @@ func (c *Collector) Collect(at time.Duration, service string, backends []string)
 			m.SuccessRate = 1
 		}
 
-		if q, ok := sel.latency.HistogramQuantile(c.percentile(), at, w); ok {
-			m.P99 = q
+		if v, ok := sel.latency.HistogramQuantile(q, at, w); ok {
+			m.P99 = v
 			m.P99Valid = true
 		}
 		sumRate, okSum := sel.succSum.Rate(at, w)

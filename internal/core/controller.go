@@ -324,12 +324,19 @@ type ControllerConfig struct {
 	// WeightScale converts float weights to TrafficSplit integers
 	// (default 1000; ratios are what matters).
 	WeightScale float64
-	// NewAssigner builds one assigner per TrafficSplit. Required.
+	// NewAssigner builds one assigner per TrafficSplit that no policy
+	// configures. Required unless Policies is set.
 	NewAssigner func() Assigner
 	// SplitFilter restricts the controller to TrafficSplits it returns
 	// true for (nil = manage every split). Per-cluster L3 instances
 	// sharing one store each manage their own cluster's splits.
 	SplitFilter func(name string) bool
+	// Policies, when set, declares what the controller manages (§4's
+	// user-defined objects): a split is tracked only while some
+	// OptimizationPolicy targets it (and SplitFilter passes it), and that
+	// policy sets its assigner and latency percentile. Nil manages every
+	// split with NewAssigner.
+	Policies *PolicyStore
 	// Elector gates writes when set: only the leader mutates splits.
 	Elector *cluster.Elector
 	// SelfRegistry receives the controller's own metrics when set.
@@ -376,6 +383,9 @@ type Controller struct {
 
 type trackedSplit struct {
 	assigner Assigner
+	// policy is the policy the assigner was built from (nil = NewAssigner's);
+	// its Percentile, when set, replaces the collector's for this split.
+	policy *OptimizationPolicy
 	// service and names are the split's root service and backend names, in
 	// split order, as the watch last saw them: what a round collects, and the
 	// keys of what the assigner, the self-metrics and the collector's selector
@@ -409,7 +419,8 @@ func (t *trackedSplit) retire(backend string) {
 }
 
 // NewController wires the operator together on the simulation engine's
-// virtual clock. splits, collector and cfg.NewAssigner are required.
+// virtual clock. splits, collector and cfg.NewAssigner (or cfg.Policies) are
+// required.
 func NewController(engine *sim.Engine, splits *smi.Store, collector *Collector, cfg ControllerConfig) *Controller {
 	return NewControllerClock(clock.Sim(engine), splits, collector, cfg)
 }
@@ -421,8 +432,8 @@ func NewControllerClock(clk clock.Clock, splits *smi.Store, collector *Collector
 	if clk == nil {
 		panic("core: NewControllerClock requires a clock")
 	}
-	if splits == nil || collector == nil || cfg.NewAssigner == nil {
-		panic("core: NewController requires splits, collector and NewAssigner")
+	if splits == nil || collector == nil || (cfg.NewAssigner == nil && cfg.Policies == nil) {
+		panic("core: NewController requires splits, collector and NewAssigner or Policies")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
@@ -440,9 +451,15 @@ func NewControllerClock(clk clock.Clock, splits *smi.Store, collector *Collector
 }
 
 // Start begins both control loops: the split watcher (with replay of
-// existing splits) and the periodic weight updater.
+// existing splits, and a policy watcher with replay when Policies is set)
+// and the periodic weight updater.
 func (c *Controller) Start() {
 	c.cancelWatch = c.splits.Watch(true, c.onSplitEvent)
+	if store := c.cfg.Policies; store != nil {
+		cancelSplits, cancelPolicies := c.cancelWatch, store.Watch(true, c.onPolicyEvent)
+		c.cancelWatch = func() { cancelSplits(); cancelPolicies() }
+		c.resyncTracked() // a policy deleted while stopped left its split tracked
+	}
 	c.ticker = c.clk.Every(c.cfg.Interval, c.updateAll)
 	if c.cfg.Elector != nil {
 		c.cfg.Elector.Run()
@@ -507,7 +524,9 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 	case cluster.Added, cluster.Updated:
 		t, ok := c.tracked[name]
 		if !ok {
-			c.track(e.Object)
+			if p := c.policyFor(name); p != nil || c.cfg.Policies == nil {
+				c.track(e.Object, p)
+			}
 			return
 		}
 		ts := e.Object
@@ -527,28 +546,38 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 		}
 		t.service, t.names = ts.RootService, ts.BackendNames()
 	case cluster.Deleted:
-		if t, ok := c.tracked[name]; ok {
-			for b := range t.gauges {
-				t.retire(b)
-			}
-			for _, b := range t.names {
-				c.collector.forget(t.service, b)
-			}
-			if t.relativeChange != nil {
-				t.relativeChange.Set(0)
-			}
-		}
-		delete(c.tracked, name)
-		c.reorder()
+		c.untrack(name)
 	}
 }
 
-func (c *Controller) track(ts *smi.TrafficSplit) {
-	c.tracked[ts.Name] = &trackedSplit{
-		assigner: c.cfg.NewAssigner(),
-		service:  ts.RootService,
-		names:    ts.BackendNames(),
+// track starts managing ts with an assigner built from p, or from
+// NewAssigner when p is nil.
+func (c *Controller) track(ts *smi.TrafficSplit, p *OptimizationPolicy) {
+	t := &trackedSplit{service: ts.RootService, names: ts.BackendNames()}
+	if p != nil {
+		t.configure(p)
+	} else {
+		t.assigner = c.cfg.NewAssigner()
 	}
+	c.tracked[ts.Name] = t
+	c.reorder()
+}
+
+// untrack stops managing a split whose object or policy is gone: its
+// self-metrics are zeroed and the collector forgets its backends.
+func (c *Controller) untrack(name string) {
+	if t, ok := c.tracked[name]; ok {
+		for b := range t.gauges {
+			t.retire(b)
+		}
+		for _, b := range t.names {
+			c.collector.forget(t.service, b)
+		}
+		if t.relativeChange != nil {
+			t.relativeChange.Set(0)
+		}
+	}
+	delete(c.tracked, name)
 	c.reorder()
 }
 
@@ -592,7 +621,11 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	if !ok {
 		return
 	}
-	m := c.collector.Collect(now, ts.RootService, t.names)
+	var q float64
+	if t.policy != nil {
+		q = t.policy.Percentile
+	}
+	m := c.collector.collect(now, ts.RootService, t.names, q)
 	weights := t.assigner.Assign(now, m)
 
 	if reg := c.cfg.SelfRegistry; reg != nil {

@@ -7,9 +7,6 @@ import (
 
 	"l3/internal/cluster"
 	"l3/internal/ewma"
-	"l3/internal/sim"
-	"l3/internal/smi"
-	"l3/internal/timeseries"
 )
 
 // OptimizationPolicy is the user-defined object the L3 operator manages
@@ -26,7 +23,7 @@ type OptimizationPolicy struct {
 	// named like the policy.
 	TargetSplit string
 	// Percentile of successful-request latency to optimise (0 = the
-	// paper's default 0.99).
+	// controller's Collector.Percentile).
 	Percentile float64
 	// Penalty is P (0 = the paper's default 600 ms).
 	Penalty time.Duration
@@ -60,7 +57,7 @@ func (p *OptimizationPolicy) Validate() error {
 	if p.Name == "" {
 		return ErrPolicyNoName
 	}
-	if p.Percentile != 0 && (p.Percentile <= 0 || p.Percentile >= 1) {
+	if p.Percentile != 0 && !(p.Percentile > 0 && p.Percentile < 1) {
 		return fmt.Errorf("%w: %v", ErrPolicyBadPercentile, p.Percentile)
 	}
 	if p.Penalty < 0 {
@@ -107,163 +104,66 @@ func (s *PolicyStore) Get(name string) (*OptimizationPolicy, bool) {
 	return p, ok
 }
 
-// PolicyControllerConfig parameterises the policy-driven operator.
-type PolicyControllerConfig struct {
-	// Interval is the reconcile period (default 5 s).
-	Interval time.Duration
-	// WeightScale converts float weights to TrafficSplit integers
-	// (default 1000).
-	WeightScale float64
-	// Window is the collectors' query window (default 10 s).
-	Window time.Duration
-	// Match scopes metric queries (e.g. {"src": "cluster-1"} for a
-	// per-cluster instance).
-	Match metricLabels
-	// Elector gates writes when set.
-	Elector *cluster.Elector
+// onPolicyEvent re-derives the management of the event's target and of
+// every tracked split, since an update may have moved a policy off one.
+func (c *Controller) onPolicyEvent(e cluster.Event[*OptimizationPolicy]) {
+	c.resyncTracked()
+	c.resync(e.Object.Target())
 }
 
-// metricLabels aliases the metrics label type without forcing callers of
-// the zero value to import it.
-type metricLabels = map[string]string
-
-// PolicyController is the declarative flavour of the operator: the managed
-// set is whatever OptimizationPolicies exist, each reconciled with an L3
-// pipeline configured from its policy. Policy create/update/delete takes
-// effect immediately (update rebuilds the policy's filters, as a changed
-// percentile or filter kind invalidates the old EWMA state).
-type PolicyController struct {
-	engine   *sim.Engine
-	splits   *smi.Store
-	db       *timeseries.DB
-	policies *PolicyStore
-	cfg      PolicyControllerConfig
-
-	managed     map[string]*managedPolicy
-	ticker      *sim.Timer
-	cancelWatch func()
-	updates     uint64
-	ints        map[string]int64 // a write's integer weights, refilled by the next
-}
-
-type managedPolicy struct {
-	policy    OptimizationPolicy
-	assigner  *L3Assigner
-	collector *Collector
-}
-
-// NewPolicyController wires the operator; call Start to begin.
-func NewPolicyController(engine *sim.Engine, splits *smi.Store, db *timeseries.DB, policies *PolicyStore, cfg PolicyControllerConfig) *PolicyController {
-	if engine == nil || splits == nil || db == nil || policies == nil {
-		panic("core: NewPolicyController requires engine, splits, db and policies")
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Second
-	}
-	if cfg.WeightScale <= 0 {
-		cfg.WeightScale = 1000
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Second
-	}
-	return &PolicyController{
-		engine:   engine,
-		splits:   splits,
-		db:       db,
-		policies: policies,
-		cfg:      cfg,
-		managed:  make(map[string]*managedPolicy),
+func (c *Controller) resyncTracked() {
+	for _, name := range c.order {
+		c.resync(name)
 	}
 }
 
-// Start begins watching policies (with replay) and reconciling.
-func (c *PolicyController) Start() {
-	c.cancelWatch = c.policies.Watch(true, c.onPolicyEvent)
-	c.ticker = c.engine.Every(c.cfg.Interval, c.updateAll)
-	if c.cfg.Elector != nil {
-		c.cfg.Elector.Run()
+// policyFor returns the policy that configures split: of those targeting it,
+// the one with the least name, so two policies on one split resolve the same
+// way in every run. It is nil when no policy targets split or Policies is
+// unset.
+func (c *Controller) policyFor(split string) *OptimizationPolicy {
+	if c.cfg.Policies == nil {
+		return nil
 	}
-}
-
-// Stop halts the control loops.
-func (c *PolicyController) Stop() {
-	if c.cancelWatch != nil {
-		c.cancelWatch()
-	}
-	if c.ticker != nil {
-		c.ticker.Cancel()
-	}
-	if c.cfg.Elector != nil {
-		c.cfg.Elector.Stop()
-	}
-}
-
-// Updates returns the number of applied weight-update rounds.
-func (c *PolicyController) Updates() uint64 { return c.updates }
-
-// Managed returns the names of policies under management.
-func (c *PolicyController) Managed() []string {
-	out := make([]string, 0, len(c.managed))
-	for name := range c.managed {
-		out = append(out, name)
-	}
-	return out
-}
-
-func (c *PolicyController) onPolicyEvent(e cluster.Event[*OptimizationPolicy]) {
-	switch e.Type {
-	case cluster.Added, cluster.Updated:
-		c.managed[e.Object.Name] = c.build(*e.Object)
-	case cluster.Deleted:
-		delete(c.managed, e.Object.Name)
-	}
-}
-
-func (c *PolicyController) build(p OptimizationPolicy) *managedPolicy {
-	match := make(map[string]string, len(c.cfg.Match))
-	for k, v := range c.cfg.Match {
-		match[k] = v
-	}
-	return &managedPolicy{
-		policy: p,
-		assigner: NewL3Assigner(WeightingConfig{
-			Penalty:    p.Penalty,
-			FilterKind: p.FilterKind,
-		}, RateControlConfig{}, !p.DisableRateControl),
-		collector: &Collector{
-			DB:         c.db,
-			Window:     c.cfg.Window,
-			Percentile: p.Percentile,
-			Match:      match,
-		},
-	}
-}
-
-func (c *PolicyController) isLeader() bool {
-	return c.cfg.Elector == nil || c.cfg.Elector.IsLeader()
-}
-
-func (c *PolicyController) updateAll() {
-	now := c.engine.Now()
-	leader := c.isLeader()
-	for _, m := range c.managed {
-		ts, ok := c.splits.Get(m.policy.Target())
-		if !ok {
-			continue // target not created yet; retry next round
+	for _, p := range c.cfg.Policies.List() { // sorted by name
+		if p.Target() == split {
+			return p
 		}
-		metrics := m.collector.Collect(now, ts.RootService, ts.BackendNames())
-		weights := m.assigner.Assign(now, metrics)
-		if !leader {
-			continue
+	}
+	return nil
+}
+
+// resync brings one split's management in line with the policies: untracked
+// when none targets it, tracked once one does and the split exists, and its
+// assigner rebuilt when the configuring policy changes, since a new filter or
+// percentile invalidates the old filters' state.
+func (c *Controller) resync(split string) {
+	p := c.policyFor(split)
+	t, tracked := c.tracked[split]
+	switch {
+	case p == nil:
+		if tracked {
+			c.untrack(split)
 		}
-		c.ints = scaledWeights(c.ints, ts, weights, c.cfg.WeightScale)
-		next, err := ts.WithWeights(c.ints)
-		if err != nil {
-			continue
+	case !tracked:
+		if c.cfg.SplitFilter != nil && !c.cfg.SplitFilter(split) {
+			return
 		}
-		if err := c.splits.Update(next); err != nil {
-			continue
+		if ts, ok := c.splits.Get(split); ok {
+			c.track(ts, p)
 		}
-		c.updates++
+	case t.policy != p:
+		t.configure(p)
+	}
+}
+
+// configure builds the split's assigner from its policy: Algorithm 1 with
+// the policy's penalty and filter, then Algorithm 2 unless it is turned off,
+// in which case no round sets the relative-change gauge again.
+func (t *trackedSplit) configure(p *OptimizationPolicy) {
+	t.policy = p
+	t.assigner = NewL3Assigner(WeightingConfig{Penalty: p.Penalty, FilterKind: p.FilterKind}, RateControlConfig{}, !p.DisableRateControl)
+	if p.DisableRateControl && t.relativeChange != nil {
+		t.relativeChange.Set(0)
 	}
 }

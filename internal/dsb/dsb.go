@@ -161,8 +161,11 @@ type App struct {
 
 type installOptions struct {
 	perfVariation bool
-	perfHorizon   time.Duration
 }
+
+// perfHorizon bounds the precomputed variation series; beyond it the last
+// value holds.
+const perfHorizon = 40 * time.Minute
 
 // InstallOption customises Install.
 type InstallOption func(*installOptions)
@@ -176,12 +179,6 @@ func WithPerfVariation() InstallOption {
 	return func(o *installOptions) { o.perfVariation = true }
 }
 
-// WithPerfHorizon bounds the precomputed variation series (default 40
-// minutes; beyond the horizon the last value holds).
-func WithPerfHorizon(d time.Duration) InstallOption {
-	return func(o *installOptions) { o.perfHorizon = d }
-}
-
 // Install deploys the given service graph into the mesh, one backend per
 // (service, cluster), named "<service>-<cluster>".
 func Install(m *mesh.Mesh, clusters []string, rng *sim.Rand, specs []ServiceSpec, opts ...InstallOption) (*App, error) {
@@ -192,7 +189,6 @@ func Install(m *mesh.Mesh, clusters []string, rng *sim.Rand, specs []ServiceSpec
 		mesh:     m,
 		clusters: append([]string(nil), clusters...),
 		specs:    make(map[string]ServiceSpec, len(specs)),
-		options:  installOptions{perfHorizon: 40 * time.Minute},
 	}
 	for _, o := range opts {
 		o(&app.options)
@@ -302,7 +298,7 @@ func (a *App) computeProfile(spec ServiceSpec, rng *sim.Rand) backend.Profile {
 			return dist.Sample(r), true
 		}
 	}
-	n := int(a.options.perfHorizon/time.Second) + 1
+	n := int(perfHorizon/time.Second) + 1
 	// Two components of multi-tenant noise: a mild drift of the whole
 	// distribution, and degradation episodes that manifest as intermittent
 	// stalls — a fraction of requests slowed by an order of magnitude —

@@ -467,26 +467,11 @@ func (m *Mesh) shardRng(sh *meshShard) *sim.Rand {
 // SetSpanRecorder installs a tracing sink (nil disables tracing). In
 // sharded mode the same recorder is installed on every shard: spans record
 // on the *source* shard's timeline, so shards write it concurrently during
-// windows — the recorder must either be safe for concurrent use or (for
-// deterministic traces) be installed per shard with SetShardSpanRecorder,
-// the way tracing.NewSharded wires one buffer per cluster and merges
-// canonically.
+// windows, and the recorder must be safe for concurrent use.
 func (m *Mesh) SetSpanRecorder(r SpanRecorder) {
 	for _, sh := range m.shards {
 		sh.spans = r
 	}
-}
-
-// SetShardSpanRecorder installs the tracing sink for spans whose *source* is
-// the given cluster. The recorder is private to that shard's timeline, so an
-// unsynchronized single-threaded recorder is safe.
-func (m *Mesh) SetShardSpanRecorder(cluster string, r SpanRecorder) error {
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return err
-	}
-	sh.spans = r
-	return nil
 }
 
 // AddService registers a service. It errors if the name is taken.

@@ -198,13 +198,13 @@ func (c Config) Validate() error {
 	if c.ScrapeInterval <= 0 {
 		bad("scrape_interval must be positive")
 	}
-	if c.Percentile <= 0 || c.Percentile >= 1 {
+	if !(c.Percentile > 0 && c.Percentile < 1) {
 		bad("percentile %v is outside (0, 1)", c.Percentile)
 	}
 	if _, err := c.ResiliencePolicy(); err != nil {
 		bad("resilience policy: %v", err)
 	}
-	if c.DecayFactor <= 0 || c.DecayFactor > 1 {
+	if !(c.DecayFactor > 0 && c.DecayFactor <= 1) {
 		bad("decay_factor %v is outside (0, 1]", c.DecayFactor)
 	}
 	if _, err := c.OverloadPolicy(); err != nil {

@@ -95,6 +95,26 @@ func TestValidateCollectsAllProblems(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsNaN: strconv reads "NaN" as a float, and every
+// comparison with NaN is false, so each bound must be written to fail on it.
+func TestLoadConfigRejectsNaN(t *testing.T) {
+	for _, tt := range []struct{ key, problem string }{
+		{"L3SERVE_PERCENTILE", "percentile NaN is outside (0, 1)"},
+		{"L3SERVE_DECAY_FACTOR", "decay_factor NaN is outside (0, 1]"},
+	} {
+		cfg, err := loadConfig(envMap(map[string]string{
+			"L3SERVE_BACKENDS": "a=http://h:1",
+			tt.key:             "NaN",
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tt.problem) {
+			t.Errorf("%s=NaN: err = %v, want %q", tt.key, err, tt.problem)
+		}
+	}
+}
+
 func TestParseBackendList(t *testing.T) {
 	got, err := ParseBackendList("a=http://h:1, b=http://h:2,")
 	if err != nil {

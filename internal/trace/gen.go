@@ -183,17 +183,3 @@ func Walk(rng *sim.Rand, step time.Duration, n int, lo, hi, vol float64) Series 
 func EpisodeMultipliers(rng *sim.Rand, step time.Duration, n, count, minLen, maxLen int, magLo, magHi float64) Series {
 	return Series{Step: step, Values: episodes(rng, n, count, minLen, maxLen, magLo, magHi)}
 }
-
-// Mul returns the element-wise product of two equal-step series, truncated
-// to the shorter length.
-func Mul(a, b Series) Series {
-	n := len(a.Values)
-	if len(b.Values) < n {
-		n = len(b.Values)
-	}
-	out := Series{Step: a.Step, Values: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		out.Values[i] = a.Values[i] * b.Values[i]
-	}
-	return out
-}

@@ -190,7 +190,7 @@ func Generate(name string, seed uint64) (*Scenario, error) {
 }
 
 // MustGenerate is Generate for known-good names; it panics on error and is
-// intended for benchmarks and examples.
+// intended for benchmarks and tests.
 func MustGenerate(name string, seed uint64) *Scenario {
 	sc, err := Generate(name, seed)
 	if err != nil {

@@ -34,6 +34,16 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 	}{
 		{"fig6", []string{"-fig", "6"},
 			"019743b524369cce596ee98dbcd267e9e41b2262935e979dbf235a9361b8fe51"},
+		{"fig7-quick", []string{"-fig", "7", "-quick"},
+			"83bd3f5b77fc79643b8f6f5a8cbb0b6b144b93c707f61299207c3c659b358865"},
+		{"fig8-quick", []string{"-fig", "8", "-quick"},
+			"d4703cff1b3f4d4eacc02daeb5a4af6c297fca977231e87c6c3e3618d9cc7aca"},
+		{"fig9-quick", []string{"-fig", "9", "-quick"},
+			"6a52b5105f2a82b6565ec0addefdc8e69916f2144cc9101c7071cc402da7cbc1"},
+		{"fig11-quick", []string{"-fig", "11", "-quick"},
+			"4b0aac804323fcc8af7b6c901865ee97435a64d49155680d817a33b1b9c5cc6d"},
+		{"fig12-quick", []string{"-fig", "12", "-quick"},
+			"5cb1bbb764ba9412c2f9aa6ab7a6f7588c75a22617141ef80bff2fab03d1cc4a"},
 		{"chaos-partition", []string{
 			"-chaos", "partition@48s+24s:cluster-1/cluster-2",
 			"-scenario", "scenario-1", "-quick"},

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"l3/internal/autoscale"
-	"l3/internal/loadgen"
+	"l3/internal/cost"
 	"l3/internal/resilience"
 	"l3/internal/trace"
 )
@@ -20,17 +20,18 @@ func AblationInflightExponent(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-inflight-exponent", Title: "Equation 4 exponent on (Ri+1), scenario-2 P99"}
 	exps := []float64{1, 2, 3}
-	recs := make([]*loadgen.Recorder, len(exps))
-	err := ForEach(opts.Parallel, len(exps), func(i int) error {
-		rec, err := runScenarioWithExponent(trace.Scenario2, opts, exps[i])
-		recs[i] = rec
-		return err
-	})
+	var cells []cell
+	for _, exp := range exps {
+		o := opts
+		o.inflightExponent = exp
+		cells = append(cells, cell{scenario: trace.Scenario2, algo: AlgoL3, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, exp := range exps {
-		r.AddRow(fmt.Sprintf("exponent %.0f", exp), msOf(recs[i].Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(fmt.Sprintf("exponent %.0f", exp), p99ms(out[i].rec), "ms", NoPaper)
 	}
 	r.Note("paper default is 2 (squaring); 1 under-reacts to queue build-up, 3 overreacts")
 	return r, nil
@@ -43,19 +44,18 @@ func AblationPercentile(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-percentile", Title: "Latency percentile feeding Algorithm 1, scenario-1 P99"}
 	percentiles := []float64{0.90, 0.98, 0.99, 0.999}
-	recs := make([]*loadgen.Recorder, len(percentiles))
-	err := ForEach(opts.Parallel, len(percentiles), func(i int) error {
+	var cells []cell
+	for _, p := range percentiles {
 		o := opts
-		o.Percentile = percentiles[i]
-		rec, err := RunScenario(trace.Scenario1, AlgoL3, o)
-		recs[i] = rec
-		return err
-	})
+		o.Percentile = p
+		cells = append(cells, cell{scenario: trace.Scenario1, algo: AlgoL3, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range percentiles {
-		r.AddRow(fmt.Sprintf("P%g", p*100), msOf(recs[i].Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(fmt.Sprintf("P%g", p*100), p99ms(out[i].rec), "ms", NoPaper)
 	}
 	return r, nil
 }
@@ -76,8 +76,9 @@ func AblationRateControl(opts Options) (*Result, error) {
 			combos = append(combos, combo{autoscaled, disabled})
 		}
 	}
-	recs := make([]*loadgen.Recorder, len(combos))
-	err := ForEach(opts.Parallel, len(combos), func(i int) error {
+	surge := SurgeScenario()
+	var cells []cell
+	for _, c := range combos {
 		o := opts
 		// The fast deployment is small (cap ≈ 180 RPS at its ~22 ms
 		// mean); the slower ones are wide (cap ≈ 350 RPS each).
@@ -89,19 +90,18 @@ func AblationRateControl(opts Options) (*Result, error) {
 		o.ConcurrencyByCluster = map[string]int{
 			"cluster-1": 4, "cluster-2": 40, "cluster-3": 40,
 		}
-		o.DisableRateControl = combos[i].disabled
-		if combos[i].autoscaled {
+		o.DisableRateControl = c.disabled
+		if c.autoscaled {
 			o.Autoscale = &autoscale.Config{Interval: 15 * time.Second}
 		}
-		rec, err := RunScenarioTrace(SurgeScenario(), AlgoL3, o)
-		recs[i] = rec
-		return err
-	})
+		cells = append(cells, cell{trace: surge, algo: AlgoL3, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range combos {
-		rec := recs[i]
+		rec := out[i].rec
 		// Report the quantile of the surge onset window (30 s from
 		// the step, offset by the run's warm-up).
 		onset := rec.WindowQuantile(0.99, opts.WarmUp+3*time.Minute, opts.WarmUp+3*time.Minute+30*time.Second)
@@ -162,20 +162,19 @@ func AblationScrapeInterval(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-scrape-interval", Title: "Scrape interval (data freshness), scenario-4 P99"}
 	intervals := []time.Duration{time.Second, 5 * time.Second, 15 * time.Second}
-	recs := make([]*loadgen.Recorder, len(intervals))
-	err := ForEach(opts.Parallel, len(intervals), func(i int) error {
+	var cells []cell
+	for _, iv := range intervals {
 		o := opts
-		o.ScrapeInterval = intervals[i]
-		o.Window = 2 * intervals[i]
-		rec, err := RunScenario(trace.Scenario4, AlgoL3, o)
-		recs[i] = rec
-		return err
-	})
+		o.ScrapeInterval = iv
+		o.Window = 2 * iv
+		cells = append(cells, cell{scenario: trace.Scenario4, algo: AlgoL3, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, iv := range intervals {
-		r.AddRow(fmt.Sprintf("scrape %v", iv), msOf(recs[i].Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(fmt.Sprintf("scrape %v", iv), p99ms(out[i].rec), "ms", NoPaper)
 	}
 	r.Note("faster scraping tracks scenario-4's short episodes better at higher pipeline cost (§4)")
 	return r, nil
@@ -188,17 +187,12 @@ func AblationBaselines(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-baselines", Title: "All strategies on scenario-1 (P99)"}
 	algos := []Algorithm{AlgoRoundRobin, AlgoP2C, AlgoC3, AlgoL3}
-	recs := make([]*loadgen.Recorder, len(algos))
-	err := ForEach(opts.Parallel, len(algos), func(i int) error {
-		rec, err := RunScenario(trace.Scenario1, algos[i], opts)
-		recs[i] = rec
-		return err
-	})
+	out, err := sweep(opts.Parallel, algoCells(trace.Scenario1, opts, algos)...)
 	if err != nil {
 		return nil, err
 	}
 	for i, algo := range algos {
-		r.AddRow(algo.String(), msOf(recs[i].Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(algo.String(), p99ms(out[i].rec), "ms", NoPaper)
 	}
 	return r, nil
 }
@@ -213,26 +207,18 @@ func AblationDynamicPenalty(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-dynamic-penalty", Title: "Static vs dynamic penalty factor on failure-1"}
 	statics := []time.Duration{100 * time.Millisecond, 600 * time.Millisecond, 1500 * time.Millisecond}
-	recs := make([]*loadgen.Recorder, len(statics)+1)
-	err := ForEach(opts.Parallel, len(statics)+1, func(i int) error {
-		o := opts
-		if i < len(statics) {
-			o.Penalty = statics[i]
-		} else {
-			o.DynamicPenalty = true
-		}
-		rec, err := RunScenario(trace.Failure1, AlgoL3, o)
-		recs[i] = rec
-		return err
-	})
+	dynamic := opts
+	dynamic.DynamicPenalty = true
+	cells := append(penaltyCells(trace.Failure1, opts, statics), cell{scenario: trace.Failure1, algo: AlgoL3, opts: dynamic})
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range statics {
-		r.AddRow(fmt.Sprintf("static P=%v (P99)", p), msOf(recs[i].Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(fmt.Sprintf("static P=%v (success)", p), recs[i].SuccessRate()*100, "%", NoPaper)
+		r.AddRow(fmt.Sprintf("static P=%v (P99)", p), p99ms(out[i].rec), "ms", NoPaper)
+		r.AddRow(fmt.Sprintf("static P=%v (success)", p), out[i].rec.SuccessRate()*100, "%", NoPaper)
 	}
-	dyn := recs[len(statics)]
+	dyn := out[len(statics)].rec
 	r.AddRow("dynamic P (P99)", msOf(dyn.Quantile(0.99)), "ms", NoPaper)
 	r.AddRow("dynamic P (success)", dyn.SuccessRate()*100, "%", NoPaper)
 	return r, nil
@@ -253,29 +239,19 @@ func AblationPenaltyWithRetries(opts Options) (*Result, error) {
 	}}
 	r := &Result{ID: "ablation-penalty-retries", Title: "Penalty factor with client retries, failure-2"}
 	penalties := []time.Duration{100 * time.Millisecond, 600 * time.Millisecond, 1500 * time.Millisecond}
-	var rr *loadgen.Recorder
-	recs := make([]*loadgen.Recorder, len(penalties))
-	err := ForEach(opts.Parallel, len(penalties)+1, func(i int) error {
-		if i == 0 {
-			rec, err := RunScenario(trace.Failure2, AlgoRoundRobin, opts)
-			rr = rec
-			return err
-		}
-		o := opts
-		o.Penalty = penalties[i-1]
-		rec, err := RunScenario(trace.Failure2, AlgoL3, o)
-		recs[i-1] = rec
-		return err
-	})
+	baseline := cell{scenario: trace.Failure2, algo: AlgoRoundRobin, opts: opts}
+	out, err := sweep(opts.Parallel, append([]cell{baseline}, penaltyCells(trace.Failure2, opts, penalties)...)...)
 	if err != nil {
 		return nil, err
 	}
+	rr := out[0].rec
 	r.AddRow("Round-robin (P99)", msOf(rr.Quantile(0.99)), "ms", NoPaper)
 	r.AddRow("Round-robin (success)", rr.SuccessRate()*100, "%", NoPaper)
 	for i, p := range penalties {
-		dec := (1 - recs[i].Quantile(0.99).Seconds()/rr.Quantile(0.99).Seconds()) * 100
+		rec := out[i+1].rec
+		dec := (1 - rec.Quantile(0.99).Seconds()/rr.Quantile(0.99).Seconds()) * 100
 		r.AddRow(fmt.Sprintf("L3 P=%v (P99 decrease)", p), dec, "%", NoPaper)
-		r.AddRow(fmt.Sprintf("L3 P=%v (success)", p), recs[i].SuccessRate()*100, "%", NoPaper)
+		r.AddRow(fmt.Sprintf("L3 P=%v (success)", p), rec.SuccessRate()*100, "%", NoPaper)
 	}
 	r.Note("retried latency spans all attempts, so every strategy's tail includes genuine failure costs")
 	return r, nil
@@ -292,29 +268,51 @@ func AblationCostAwareness(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-cost", Title: "Cost-aware L3 on scenario-1 (λ sweep)"}
 	lambdas := []float64{0, 1e5, 3e5, 1e6, 3e6}
-	allStats := make([]*ScenarioStats, len(lambdas))
-	err := ForEach(opts.Parallel, len(lambdas), func(i int) error {
+	var cells []cell
+	for _, lambda := range lambdas {
 		o := opts
-		o.CostLambda = lambdas[i]
-		stats, err := RunScenarioWithStats(trace.Scenario1, AlgoL3, o)
-		allStats[i] = stats
-		return err
-	})
+		o.CostLambda = lambda
+		cells = append(cells, cell{scenario: trace.Scenario1, algo: AlgoL3, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, lambda := range lambdas {
-		stats := allStats[i]
+		rec := out[i].rec
 		label := fmt.Sprintf("λ=%.0es/$", lambda)
 		if lambda == 0 {
 			label = "λ=0 (plain L3)"
 		}
-		r.AddRow(label+" (P99)", msOf(stats.Recorder.Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(label+" (remote traffic)", stats.RemoteShare*100, "%", NoPaper)
-		perMillion := stats.TransferCost / float64(stats.Recorder.Count()) * 1e6
-		r.AddRow(label+" (cost/M req)", perMillion, "$", NoPaper)
+		remoteShare, bill := out[i].traffic()
+		r.AddRow(label+" (P99)", p99ms(rec), "ms", NoPaper)
+		r.AddRow(label+" (remote traffic)", remoteShare*100, "%", NoPaper)
+		r.AddRow(label+" (cost/M req)", bill/float64(rec.Count())*1e6, "$", NoPaper)
 	}
 	return r, nil
+}
+
+// traffic reads a cell's traffic-cost accounting off its repetitions' count
+// matrices, in rep order: the fraction of requests served outside the
+// source cluster, and the inter-cluster transfer bill in dollars, priced by
+// cost.DefaultRates at 16 KiB per request.
+func (r *record) traffic() (remoteShare, bill float64) {
+	model := cost.NewModel(cost.DefaultRates(), 0)
+	var local, remote float64
+	for _, run := range r.reps {
+		bill += model.TrafficCost(run.counts)
+		for _, link := range sortedLinks(run.counts) {
+			if link[0] == link[1] {
+				local += run.counts[link]
+			} else {
+				remote += run.counts[link]
+			}
+		}
+	}
+	if local+remote > 0 {
+		remoteShare = remote / (local + remote)
+	}
+	return remoteShare, bill
 }
 
 // AblationFailover compares L3's proactive symptom-based steering with the
@@ -327,27 +325,14 @@ func AblationFailover(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "ablation-failover", Title: "Health-check failover vs L3 on failure-1"}
 	algos := []Algorithm{AlgoRoundRobin, AlgoFailover, AlgoL3}
-	recs := make([]*loadgen.Recorder, len(algos))
-	err := ForEach(opts.Parallel, len(algos), func(i int) error {
-		rec, err := RunScenario(trace.Failure1, algos[i], opts)
-		recs[i] = rec
-		return err
-	})
+	out, err := sweep(opts.Parallel, algoCells(trace.Failure1, opts, algos)...)
 	if err != nil {
 		return nil, err
 	}
 	for i, algo := range algos {
-		r.AddRow(algo.String()+" (P99)", msOf(recs[i].Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(algo.String()+" (success)", recs[i].SuccessRate()*100, "%", NoPaper)
+		r.AddRow(algo.String()+" (P99)", p99ms(out[i].rec), "ms", NoPaper)
+		r.AddRow(algo.String()+" (success)", out[i].rec.SuccessRate()*100, "%", NoPaper)
 	}
 	r.Note("probes answer with the backend's probabilistic success, so a 30%%-success dip needs 3 consecutive probe failures (p≈0.34 per round) to eject — L3 steers on the measured rate instead")
 	return r, nil
-}
-
-// runScenarioWithExponent is RunScenario with a custom Equation 4 exponent
-// (plumbed through an unexported Options field to keep the public surface
-// aligned with the paper's knobs).
-func runScenarioWithExponent(name string, opts Options, exponent float64) (*loadgen.Recorder, error) {
-	opts.inflightExponent = exponent
-	return RunScenario(name, AlgoL3, opts)
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"l3/internal/chaos"
-	"l3/internal/loadgen"
+	"l3/internal/health"
 	"l3/internal/trace"
 )
 
@@ -19,43 +19,6 @@ const (
 	chaosSustainBuckets = 5
 	chaosReconvergeTol  = 0.05
 )
-
-// ChaosStats is one algorithm's outcome under a fault schedule: the merged
-// latency recorder plus the recovery scorecard averaged across
-// repetitions in index order.
-type ChaosStats struct {
-	Recorder *loadgen.Recorder
-	Report   chaos.Report
-	// Ejections and Restores total the health checker's transitions
-	// (non-zero only for AlgoFailover).
-	Ejections float64
-	Restores  float64
-}
-
-// RunChaosScenario replays a trace scenario under one algorithm with
-// opts.Chaos injected into every repetition, and scores the recovery.
-func RunChaosScenario(scenarioName string, algo Algorithm, opts Options) (*ChaosStats, error) {
-	opts = opts.withDefaults()
-	if opts.Chaos == nil {
-		return nil, fmt.Errorf("bench: RunChaosScenario requires Options.Chaos")
-	}
-	runs, rec, err := runReps(named(scenarioName), algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	return chaosStats(runs, rec, opts), nil
-}
-
-// chaosStats folds a chaos configuration's repetitions and their merged
-// recorder into its scorecard.
-func chaosStats(runs []repRun, rec *loadgen.Recorder, opts Options) *ChaosStats {
-	stats := &ChaosStats{Recorder: rec, Report: scoreRuns(runs, opts)}
-	for _, run := range runs {
-		stats.Ejections += run.art.ejections
-		stats.Restores += run.art.restores
-	}
-	return stats
-}
 
 // scoreRuns scores every repetition against opts.Chaos and averages the
 // reports in index order.
@@ -86,11 +49,11 @@ func scoreRun(run repRun, warm time.Duration, sched *chaos.Schedule) chaos.Repor
 	r.Trough = chaos.Trough(series, width, faultAbs)
 
 	if end, ok := sched.End(); ok {
-		r.Reconverge, r.ReconvergeOK = chaos.ReconvergeTime(run.art.snaps, warm+end, chaosReconvergeTol)
+		r.Reconverge, r.ReconvergeOK = chaos.ReconvergeTime(run.snaps, warm+end, chaosReconvergeTol)
 	}
 	for _, ev := range sched.Events {
 		if ev.Kind == chaos.LeaderKill {
-			r.FailoverGap = chaos.FailoverGap(run.art.updates, warm+ev.At, warm+run.duration)
+			r.FailoverGap = chaos.FailoverGap(run.updates, warm+ev.At, warm+run.duration)
 			break
 		}
 	}
@@ -117,6 +80,29 @@ func mergeReports(reports []chaos.Report) chaos.Report {
 		out.FailoverGap += r.FailoverGap / n
 	}
 	return out
+}
+
+// addRecovery writes one configuration's recovery rows. By default they
+// are the trough, the SLO violation and the time-to-recover; afterHeal, the
+// storm figures' layout, the time-to-recover and then the SLO violation. A
+// configuration that never recovered gets a note in place of its
+// time-to-recover.
+func addRecovery(r *Result, label string, rep chaos.Report, afterHeal bool) {
+	if !afterHeal {
+		r.AddRow(label+" trough", rep.Trough*100, "%", NoPaper)
+		r.AddRow(label+" SLO violation", rep.SLOViolation.Seconds(), "s", NoPaper)
+	}
+	switch {
+	case rep.Recovered:
+		r.AddRow(label+" time-to-recover", rep.TimeToRecover.Seconds(), "s", NoPaper)
+	case afterHeal:
+		r.Note("%s never recovered above %.0f%% success after the heal", label, chaosSLOThreshold*100)
+	default:
+		r.Note("%s never recovered above %.0f%% success", label, chaosSLOThreshold*100)
+	}
+	if afterHeal {
+		r.AddRow(label+" SLO violation", rep.SLOViolation.Seconds(), "s", NoPaper)
+	}
 }
 
 // chaosWindow places the standard fault window inside the measured
@@ -146,37 +132,26 @@ func FigC1(opts Options) (*Result, error) {
 	opts.Chaos = sched
 
 	algos := []Algorithm{AlgoL3, AlgoC3, AlgoRoundRobin, AlgoFailover}
-	stats := make([]*ChaosStats, len(algos))
-	err := ForEach(opts.Parallel, len(algos), func(i int) error {
-		s, err := RunChaosScenario(trace.Scenario1, algos[i], opts)
-		stats[i] = s
-		return err
-	})
+	out, err := sweep(opts.Parallel, algoCells(trace.Scenario1, opts, algos)...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figC1", Title: "Partition recovery (WAN blackhole + heal)", SeriesStep: time.Second}
 	for i, algo := range algos {
-		s := stats[i]
+		s := out[i]
 		label := algo.String()
-		r.AddRow(label+" P99", msOf(s.Recorder.Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
-		r.AddRow(label+" trough", s.Report.Trough*100, "%", NoPaper)
-		r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
-		if s.Report.Recovered {
-			r.AddRow(label+" time-to-recover", s.Report.TimeToRecover.Seconds(), "s", NoPaper)
-		} else {
-			r.Note("%s never recovered above %.0f%% success", label, chaosSLOThreshold*100)
-		}
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		r.AddRow(label+" P99", msOf(s.rec.Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
+		addRecovery(r, label, s.report, false)
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
-	if l3 := stats[0]; l3.Report.ReconvergeOK {
-		r.AddRow("L3 weight reconverge", l3.Report.Reconverge.Seconds(), "s", NoPaper)
+	if l3 := out[0]; l3.report.ReconvergeOK {
+		r.AddRow("L3 weight reconverge", l3.report.Reconverge.Seconds(), "s", NoPaper)
 	}
-	fo := stats[len(stats)-1]
-	r.AddRow("RR+failover ejections", fo.Ejections, "", NoPaper)
-	r.AddRow("RR+failover restores", fo.Restores, "", NoPaper)
+	fo := out[len(out)-1]
+	r.AddRow("RR+failover ejections", fo.total(health.MetricEjectionsTotal), "", NoPaper)
+	r.AddRow("RR+failover restores", fo.total(health.MetricRestoresTotal), "", NoPaper)
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("expectation: L3 recovers fastest (symptom-driven reweighting); health-check failover waits out probe thresholds; plain round-robin stays degraded until the heal")
 	return r, nil
@@ -195,31 +170,23 @@ func FigC2(opts Options) (*Result, error) {
 		Kind: chaos.LeaderKill, At: at, Duration: dur,
 	}}}
 
-	var killed *ChaosStats
-	var baseline *loadgen.Recorder
-	err := ForEach(opts.Parallel, 2, func(i int) error {
-		if i == 0 {
-			chaosOpts := opts
-			chaosOpts.Chaos = sched
-			s, err := RunChaosScenario(trace.Scenario1, AlgoL3, chaosOpts)
-			killed = s
-			return err
-		}
-		rec, err := RunScenario(trace.Scenario1, AlgoL3, opts)
-		baseline = rec
-		return err
-	})
+	chaosOpts := opts
+	chaosOpts.Chaos = sched
+	out, err := sweep(opts.Parallel,
+		cell{scenario: trace.Scenario1, algo: AlgoL3, opts: chaosOpts},
+		cell{scenario: trace.Scenario1, algo: AlgoL3, opts: opts})
 	if err != nil {
 		return nil, err
 	}
+	killed, baseline := out[0], out[1].rec
 
 	r := &Result{ID: "figC2", Title: "Leader-kill failover transparency (lease TTL takeover)", SeriesStep: time.Second}
-	r.AddRow("leader-killed P99", msOf(killed.Recorder.Quantile(0.99)), "ms", NoPaper)
+	r.AddRow("leader-killed P99", msOf(killed.rec.Quantile(0.99)), "ms", NoPaper)
 	r.AddRow("baseline P99", msOf(baseline.Quantile(0.99)), "ms", NoPaper)
-	r.AddRow("leader-killed success", killed.Recorder.SuccessRate()*100, "%", NoPaper)
+	r.AddRow("leader-killed success", killed.rec.SuccessRate()*100, "%", NoPaper)
 	r.AddRow("baseline success", baseline.SuccessRate()*100, "%", NoPaper)
-	r.AddRow("failover gap", killed.Report.FailoverGap.Seconds(), "s", NoPaper)
-	r.AddSeries("success_killed", killed.Recorder.SuccessRateSeries())
+	r.AddRow("failover gap", killed.report.FailoverGap.Seconds(), "s", NoPaper)
+	r.AddSeries("success_killed", killed.rec.SuccessRateSeries())
 	r.AddSeries("success_baseline", baseline.SuccessRateSeries())
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("expectation: failover gap ≈ lease TTL (15 s) + one reconcile interval; data-plane latency and success match the baseline — stale weights keep routing while no leader writes")
@@ -252,12 +219,7 @@ func FigChaosCustom(scenarioName string, sched *chaos.Schedule, opts Options) (*
 		algos = []Algorithm{AlgoL3, AlgoC3}
 		opts.LeaderElection = true
 	}
-	stats := make([]*ChaosStats, len(algos))
-	err := ForEach(opts.Parallel, len(algos), func(i int) error {
-		s, err := RunChaosScenario(scenarioName, algos[i], opts)
-		stats[i] = s
-		return err
-	})
+	out, err := sweep(opts.Parallel, algoCells(scenarioName, opts, algos)...)
 	if err != nil {
 		return nil, err
 	}
@@ -267,21 +229,15 @@ func FigChaosCustom(scenarioName string, sched *chaos.Schedule, opts Options) (*
 	}
 	r := &Result{ID: "chaos", Title: title, SeriesStep: time.Second}
 	for i, algo := range algos {
-		s := stats[i]
+		s := out[i]
 		label := algo.String()
-		r.AddRow(label+" P99", msOf(s.Recorder.Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
-		r.AddRow(label+" trough", s.Report.Trough*100, "%", NoPaper)
-		r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
-		if s.Report.Recovered {
-			r.AddRow(label+" time-to-recover", s.Report.TimeToRecover.Seconds(), "s", NoPaper)
-		} else {
-			r.Note("%s never recovered above %.0f%% success", label, chaosSLOThreshold*100)
-		}
+		r.AddRow(label+" P99", msOf(s.rec.Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
+		addRecovery(r, label, s.report, false)
 		if needsLeaders {
-			r.AddRow(label+" failover gap", s.Report.FailoverGap.Seconds(), "s", NoPaper)
+			r.AddRow(label+" failover gap", s.report.FailoverGap.Seconds(), "s", NoPaper)
 		}
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	return r, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"l3/internal/chaos"
+	"l3/internal/health"
 	"l3/internal/trace"
 )
 
@@ -21,29 +22,31 @@ func partitionQuick() *chaos.Schedule {
 	}}}
 }
 
-func TestRunChaosScenarioRequiresSchedule(t *testing.T) {
-	if _, err := RunChaosScenario(trace.Scenario1, AlgoL3, chaosQuick()); err == nil {
-		t.Fatal("missing schedule accepted")
-	}
-}
-
-func TestChaosPartitionDipsAndRecovers(t *testing.T) {
+// partitionRuns sweeps scenario-1 under the quick partition, one record per
+// algorithm.
+func partitionRuns(t *testing.T, algos ...Algorithm) []*record {
+	t.Helper()
 	opts := chaosQuick()
 	opts.Chaos = partitionQuick()
-	s, err := RunChaosScenario(trace.Scenario1, AlgoL3, opts)
+	out, err := sweep(opts.Parallel, algoCells(trace.Scenario1, opts, algos)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Report.Trough >= chaosSLOThreshold {
-		t.Fatalf("trough = %v, partition of 1/3 of capacity should dip below the SLO", s.Report.Trough)
+	return out
+}
+
+func TestChaosPartitionDipsAndRecovers(t *testing.T) {
+	rep := partitionRuns(t, AlgoL3)[0].report
+	if rep.Trough >= chaosSLOThreshold {
+		t.Fatalf("trough = %v, partition of 1/3 of capacity should dip below the SLO", rep.Trough)
 	}
-	if !s.Report.Recovered {
+	if !rep.Recovered {
 		t.Fatal("L3 never recovered from the partition")
 	}
-	if s.Report.SLOViolation <= 0 {
+	if rep.SLOViolation <= 0 {
 		t.Fatal("no SLO violation recorded despite the dip")
 	}
-	if !s.Report.ReconvergeOK {
+	if !rep.ReconvergeOK {
 		t.Fatal("weights never reconverged after the heal")
 	}
 }
@@ -53,33 +56,24 @@ func TestChaosPartitionDipsAndRecovers(t *testing.T) {
 // probe-threshold reaction, and both must beat round-robin (which only
 // "recovers" when the partition heals underneath it).
 func TestChaosRecoveryOrdering(t *testing.T) {
-	opts := chaosQuick()
-	opts.Chaos = partitionQuick()
-	run := func(algo Algorithm) *ChaosStats {
-		t.Helper()
-		s, err := RunChaosScenario(trace.Scenario1, algo, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	l3, fo, rr := run(AlgoL3), run(AlgoFailover), run(AlgoRoundRobin)
+	out := partitionRuns(t, AlgoL3, AlgoFailover, AlgoRoundRobin)
+	l3, fo, rr := out[0].report, out[1].report, out[2].report
 
-	if !l3.Report.Recovered {
+	if !l3.Recovered {
 		t.Fatal("L3 did not recover")
 	}
-	if !fo.Report.Recovered {
+	if !fo.Recovered {
 		t.Fatal("failover did not recover")
 	}
-	if l3.Report.TimeToRecover >= fo.Report.TimeToRecover {
+	if l3.TimeToRecover >= fo.TimeToRecover {
 		t.Fatalf("L3 time-to-recover %v not below failover's %v",
-			l3.Report.TimeToRecover, fo.Report.TimeToRecover)
+			l3.TimeToRecover, fo.TimeToRecover)
 	}
-	if l3.Report.SLOViolation >= rr.Report.SLOViolation {
+	if l3.SLOViolation >= rr.SLOViolation {
 		t.Fatalf("L3 SLO violation %v not below round-robin's %v",
-			l3.Report.SLOViolation, rr.Report.SLOViolation)
+			l3.SLOViolation, rr.SLOViolation)
 	}
-	if fo.Ejections == 0 {
+	if out[1].total(health.MetricEjectionsTotal) == 0 {
 		t.Fatal("health checker never ejected the partitioned backend")
 	}
 }

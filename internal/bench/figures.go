@@ -115,28 +115,16 @@ func Fig7(opts Options) (*Result, error) {
 		700 * time.Millisecond, 800 * time.Millisecond, 900 * time.Millisecond,
 		1000 * time.Millisecond, 1500 * time.Millisecond,
 	}
-	// Job 0 is the round-robin baseline; jobs 1..n sweep the penalty. All
-	// run concurrently; the reduction below walks the original order.
-	var rr *loadgen.Recorder
-	runs := make([]*loadgen.Recorder, len(penalties))
-	err = ForEach(opts.Parallel, len(penalties)+1, func(i int) error {
-		if i == 0 {
-			rec, err := RunScenario(trace.Failure2, AlgoRoundRobin, opts)
-			rr = rec
-			return err
-		}
-		o := opts
-		o.Penalty = penalties[i-1]
-		rec, err := RunScenario(trace.Failure2, AlgoL3, o)
-		runs[i-1] = rec
-		return err
-	})
+	// Cell 0 is the round-robin baseline; cells 1..n sweep the penalty.
+	baseline := cell{scenario: trace.Failure2, algo: AlgoRoundRobin, opts: opts}
+	out, err := sweep(opts.Parallel, append([]cell{baseline}, penaltyCells(trace.Failure2, opts, penalties)...)...)
 	if err != nil {
 		return nil, err
 	}
+	rr := out[0].rec
 	var ps, succ, d50, d90, d99 []float64
 	for i, p := range penalties {
-		rec := runs[i]
+		rec := out[i+1].rec
 		dec := func(q float64) float64 {
 			base := rr.Quantile(q).Seconds()
 			if base <= 0 {
@@ -162,6 +150,17 @@ func Fig7(opts Options) (*Result, error) {
 	return r, nil
 }
 
+// penaltyCells is a penalty sweep on one scenario: L3 at each penalty.
+func penaltyCells(scenario string, opts Options, penalties []time.Duration) []cell {
+	var cells []cell
+	for _, p := range penalties {
+		o := opts
+		o.Penalty = p
+		cells = append(cells, cell{scenario: scenario, algo: AlgoL3, opts: o})
+	}
+	return cells
+}
+
 // Fig8 regenerates Figure 8: P99 latency on scenario-4 under round-robin,
 // L3 with PeakEWMA and L3 with EWMA (paper: 805.7 / 590.4 / 577.1 ms; each
 // configuration ran three times).
@@ -179,21 +178,20 @@ func Fig8(opts Options) (*Result, error) {
 		{AlgoL3, ewma.KindPeak, "L3 (PeakEWMA)", 590.4},
 		{AlgoL3, ewma.KindEWMA, "L3 (EWMA)", 577.1},
 	}
-	recs := make([]*loadgen.Recorder, len(configs))
-	err := ForEach(opts.Parallel, len(configs), func(i int) error {
+	var cells []cell
+	for _, cfg := range configs {
 		o := opts
-		if configs[i].filter != 0 {
-			o.FilterKind = configs[i].filter
+		if cfg.filter != 0 {
+			o.FilterKind = cfg.filter
 		}
-		rec, err := RunScenario(trace.Scenario4, configs[i].algo, o)
-		recs[i] = rec
-		return err
-	})
+		cells = append(cells, cell{scenario: trace.Scenario4, algo: cfg.algo, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, cfg := range configs {
-		r.AddRow(cfg.label, msOf(recs[i].Quantile(0.99)), "ms", cfg.paper)
+		r.AddRow(cfg.label, msOf(out[i].rec.Quantile(0.99)), "ms", cfg.paper)
 	}
 	r.Note("paper: both variants beat round-robin; EWMA edges PeakEWMA by ~2.3%%")
 	return r, nil
@@ -211,18 +209,17 @@ func Fig9WithDuration(opts Options, duration time.Duration) (*Result, error) {
 	opts = opts.withDefaults()
 	r := &Result{ID: "fig9", Title: "DeathStarBench hotel-reservation (P99)"}
 	algos := []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3}
-	recs := make([]*loadgen.Recorder, len(algos))
-	err := ForEach(opts.Parallel, len(algos), func(i int) error {
-		rec, err := RunDSB(algos[i], rps, duration, opts)
-		recs[i] = rec
-		return err
-	})
+	var cells []cell
+	for _, algo := range algos {
+		cells = append(cells, cell{dsb: &dsbLoad{rps: rps, duration: duration}, algo: algo, opts: opts})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 	for i, algo := range algos {
-		r.AddRow(algo.String(), msOf(recs[i].Quantile(0.99)), "ms", paperFig9[algo])
-		if sr := recs[i].SuccessRate(); sr < 0.999 {
+		r.AddRow(algo.String(), msOf(out[i].rec.Quantile(0.99)), "ms", paperFig9[algo])
+		if sr := out[i].rec.SuccessRate(); sr < 0.999 {
 			r.Note("%s success rate %.3f (expected ~1.0)", algo, sr)
 		}
 	}
@@ -239,32 +236,38 @@ var paperFig10 = map[string]map[Algorithm]float64{
 	trace.Scenario5: {AlgoRoundRobin: 116.4, AlgoC3: 109.2, AlgoL3: 105.7},
 }
 
+// gridAlgos is the algorithm roster of Figures 10–12.
+var gridAlgos = []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3}
+
+// gridRows sweeps every scenario under every gridAlgos algorithm and adds
+// one row per cell, scenario-major, valued by value against the paper's
+// figure.
+func gridRows(r *Result, opts Options, scenarios []string, paper map[string]map[Algorithm]float64,
+	unit string, value func(*loadgen.Recorder) float64) error {
+	var cells []cell
+	for _, sc := range scenarios {
+		cells = append(cells, algoCells(sc, opts, gridAlgos)...)
+	}
+	out, err := sweep(opts.Parallel, cells...)
+	if err != nil {
+		return err
+	}
+	for i, c := range cells {
+		r.AddRow(fmt.Sprintf("%s %s", c.scenario, c.algo), value(out[i].rec), unit, paper[c.scenario][c.algo])
+	}
+	return nil
+}
+
+// p99ms reads a recorder's P99 in milliseconds.
+func p99ms(rec *loadgen.Recorder) float64 { return msOf(rec.Quantile(0.99)) }
+
 // Fig10 regenerates Figure 10: P99 latency of round-robin, C3 and L3 on
 // scenario-1 through scenario-5 (three repetitions each in the paper).
 func Fig10(opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	r := &Result{ID: "fig10", Title: "P99 latency per scenario (RR / C3 / L3)"}
-	type cell struct {
-		sc   string
-		algo Algorithm
-	}
-	var cells []cell
-	for _, sc := range []string{trace.Scenario1, trace.Scenario2, trace.Scenario3, trace.Scenario4, trace.Scenario5} {
-		for _, algo := range []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3} {
-			cells = append(cells, cell{sc, algo})
-		}
-	}
-	recs := make([]*loadgen.Recorder, len(cells))
-	err := ForEach(opts.Parallel, len(cells), func(i int) error {
-		rec, err := RunScenario(cells[i].sc, cells[i].algo, opts)
-		recs[i] = rec
-		return err
-	})
-	if err != nil {
+	scenarios := []string{trace.Scenario1, trace.Scenario2, trace.Scenario3, trace.Scenario4, trace.Scenario5}
+	if err := gridRows(r, opts, scenarios, paperFig10, "ms", p99ms); err != nil {
 		return nil, err
-	}
-	for i, c := range cells {
-		r.AddRow(fmt.Sprintf("%s %s", c.sc, c.algo), msOf(recs[i].Quantile(0.99)), "ms", paperFig10[c.sc][c.algo])
 	}
 	r.Note("paper: L3 < C3 < round-robin on every scenario")
 	return r, nil
@@ -282,73 +285,25 @@ var (
 	}
 )
 
-// failureRuns executes the failure scenarios once per algorithm and feeds
-// both Figure 11 (P99) and Figure 12 (success rate).
-func failureRuns(opts Options) (map[string]map[Algorithm]*runStats, error) {
-	opts = opts.withDefaults()
-	type cell struct {
-		sc   string
-		algo Algorithm
-	}
-	var cells []cell
-	for _, sc := range []string{trace.Failure1, trace.Failure2} {
-		for _, algo := range []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3} {
-			cells = append(cells, cell{sc, algo})
-		}
-	}
-	stats := make([]*runStats, len(cells))
-	err := ForEach(opts.Parallel, len(cells), func(i int) error {
-		rec, err := RunScenario(cells[i].sc, cells[i].algo, opts)
-		if err != nil {
-			return err
-		}
-		stats[i] = &runStats{p99: rec.Quantile(0.99), success: rec.SuccessRate()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[Algorithm]*runStats)
-	for i, c := range cells {
-		if out[c.sc] == nil {
-			out[c.sc] = make(map[Algorithm]*runStats)
-		}
-		out[c.sc][c.algo] = stats[i]
-	}
-	return out, nil
-}
-
-type runStats struct {
-	p99     time.Duration
-	success float64
-}
+// failureScenarios feed both Figure 11 (P99) and Figure 12 (success rate).
+var failureScenarios = []string{trace.Failure1, trace.Failure2}
 
 // Fig11 regenerates Figure 11: P99 latency on failure-1 and failure-2.
 func Fig11(opts Options) (*Result, error) {
-	stats, err := failureRuns(opts)
-	if err != nil {
-		return nil, err
-	}
 	r := &Result{ID: "fig11", Title: "P99 latency under failure injection"}
-	for _, sc := range []string{trace.Failure1, trace.Failure2} {
-		for _, algo := range []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3} {
-			r.AddRow(fmt.Sprintf("%s %s", sc, algo), msOf(stats[sc][algo].p99), "ms", paperFig11[sc][algo])
-		}
+	if err := gridRows(r, opts, failureScenarios, paperFig11, "ms", p99ms); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
 // Fig12 regenerates Figure 12: success rate on failure-1 and failure-2.
 func Fig12(opts Options) (*Result, error) {
-	stats, err := failureRuns(opts)
-	if err != nil {
-		return nil, err
-	}
 	r := &Result{ID: "fig12", Title: "Success rate under failure injection"}
-	for _, sc := range []string{trace.Failure1, trace.Failure2} {
-		for _, algo := range []Algorithm{AlgoRoundRobin, AlgoC3, AlgoL3} {
-			r.AddRow(fmt.Sprintf("%s %s", sc, algo), stats[sc][algo].success*100, "%", paperFig12[sc][algo])
-		}
+	if err := gridRows(r, opts, failureScenarios, paperFig12, "%", func(rec *loadgen.Recorder) float64 {
+		return rec.SuccessRate() * 100
+	}); err != nil {
+		return nil, err
 	}
 	r.Note("paper: L3 lifts failure-1 success above round-robin; C3 trails both (no success-rate term)")
 	return r, nil

@@ -4,34 +4,9 @@ import (
 	"time"
 
 	"l3/internal/chaos"
+	"l3/internal/guard"
 	"l3/internal/trace"
 )
-
-// runChaosWithGuard is RunChaosScenario keeping the guard-layer counters and
-// the first repetition's weight snapshots, which the G figures report
-// (survivor amplification is a weight-trajectory property, not a latency
-// one).
-func runChaosWithGuard(scenarioName string, algo Algorithm, opts Options) (*ChaosStats, guardCounters, []chaos.WeightSnapshot, error) {
-	opts = opts.withDefaults()
-	runs, rec, err := runReps(named(scenarioName), algo, opts)
-	if err != nil {
-		return nil, guardCounters{}, nil, err
-	}
-	var g guardCounters
-	for _, run := range runs {
-		a := run.art.grd
-		g.rejected += a.rejected
-		g.resets += a.resets
-		g.holds += a.holds
-		g.decays += a.decays
-		g.frozen += a.frozen
-		g.writeSuppressed += a.writeSuppressed
-		g.writeClamped += a.writeClamped
-		g.writeRejected += a.writeRejected
-		g.watchdogDegrades += a.watchdogDegrades
-	}
-	return chaosStats(runs, rec, opts), g, runs[0].art.snaps, nil
-}
 
 // peakShare is the largest traffic share one backend reached across a run's
 // TrafficSplit snapshots — the survivor-amplification metric of FigG2.
@@ -54,23 +29,40 @@ func peakShare(snaps []chaos.WeightSnapshot, backend string) float64 {
 	return best
 }
 
+// guardRows names the guard layer's counter families as the G figures
+// report them.
+var guardRows = []struct{ label, metric string }{
+	{"samples rejected", guard.MetricRejectedTotal},
+	{"resets spliced", guard.MetricResetsTotal},
+	{"weight holds", guard.MetricHoldsTotal},
+	{"blind decays", guard.MetricDecaysTotal},
+	{"quorum-frozen rounds", guard.MetricFrozenTotal},
+	{"writes suppressed", guard.MetricWriteSuppressedTotal},
+	{"writes clamped", guard.MetricWriteClampedTotal},
+	{"writes rejected", guard.MetricWriteRejectedTotal},
+	{"watchdog degrades", guard.MetricWatchdogDegradesTotal},
+}
+
 // addGuardRows reports the guard layer's own accounting for one
 // configuration (all-zero rows are skipped: the unguarded runs have none).
-func addGuardRows(r *Result, label string, g guardCounters) {
-	add := func(name string, v float64) {
-		if v > 0 {
-			r.AddRow(label+" "+name, v, "", NoPaper)
+func addGuardRows(r *Result, label string, out *record) {
+	for _, row := range guardRows {
+		if v := out.total(row.metric); v > 0 {
+			r.AddRow(label+" "+row.label, v, "", NoPaper)
 		}
 	}
-	add("samples rejected", g.rejected)
-	add("resets spliced", g.resets)
-	add("weight holds", g.holds)
-	add("blind decays", g.decays)
-	add("quorum-frozen rounds", g.frozen)
-	add("writes suppressed", g.writeSuppressed)
-	add("writes clamped", g.writeClamped)
-	add("writes rejected", g.writeRejected)
-	add("watchdog degrades", g.watchdogDegrades)
+}
+
+// guardCells is one named scenario under L3 with the control plane guarded
+// and unguarded, in guardConfigs order.
+func guardCells(scenario string, opts Options) []cell {
+	cells := make([]cell, len(guardConfigs))
+	for i, cfg := range guardConfigs {
+		o := opts
+		o.Guard = cfg.guard
+		cells[i] = cell{scenario: scenario, algo: AlgoL3, opts: o}
+	}
+	return cells
 }
 
 // guardConfigs is the two-column comparison every G figure runs: the same
@@ -117,40 +109,32 @@ func FigG1(opts Options) (*Result, error) {
 	}}
 	opts.Chaos = sched
 
-	stats := make([]*ChaosStats, len(guardConfigs))
-	counters := make([]guardCounters, len(guardConfigs))
-	err := ForEach(opts.Parallel, len(guardConfigs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Guard = guardConfigs[i].guard
-		s, g, _, err := runChaosWithGuard(trace.Scenario1, AlgoL3, cfgOpts)
-		stats[i], counters[i] = s, g
-		return err
-	})
+	out, err := sweep(opts.Parallel, guardCells(trace.Scenario1, opts)...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figG1", Title: "Metric hygiene under garbage + saturate (guarded vs unguarded L3)", SeriesStep: time.Second}
 	for i, cfg := range guardConfigs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
-		r.AddRow(label+" trough", s.Report.Trough*100, "%", NoPaper)
-		r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
+		r.AddRow(label+" trough", s.report.Trough*100, "%", NoPaper)
+		r.AddRow(label+" SLO violation", s.report.SLOViolation.Seconds(), "s", NoPaper)
 		// Time-to-recover is anchored at the schedule's first event, which
 		// here is the benign counter reset both planes shrug off — the
 		// fault-relative clock reads ~0 for both, so total SLO violation is
 		// the comparable number.
-		if !s.Report.Recovered {
+		if !s.report.Recovered {
 			r.Note("%s never recovered above %.0f%% success", label, chaosSLOThreshold*100)
 		}
-		if s.Report.ReconvergeOK {
-			r.AddRow(label+" weight reconverge", s.Report.Reconverge.Seconds(), "s", NoPaper)
+		if s.report.ReconvergeOK {
+			r.AddRow(label+" weight reconverge", s.report.Reconverge.Seconds(), "s", NoPaper)
 		} else {
 			r.Note("%s weights never reconverged after the heal", label)
 		}
-		addGuardRows(r, label, counters[i])
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		addGuardRows(r, label, s)
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("expectation: unguarded EWMAs go NaN on the first corrupt scrape and freeze mid-steer until the saturate heals; guarded rejects the garbage, holds through the blackout, and re-steers as soon as clean samples return")
@@ -196,35 +180,22 @@ func FigG2(opts Options) (*Result, error) {
 	opts.Chaos = sched
 	survivor := apiService + "-cluster-3"
 
-	stats := make([]*ChaosStats, len(guardConfigs))
-	counters := make([]guardCounters, len(guardConfigs))
-	snaps := make([][]chaos.WeightSnapshot, len(guardConfigs))
-	err := ForEach(opts.Parallel, len(guardConfigs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Guard = guardConfigs[i].guard
-		s, g, sn, err := runChaosWithGuard(trace.Scenario5, AlgoL3, cfgOpts)
-		stats[i], counters[i], snaps[i] = s, g, sn
-		return err
-	})
+	out, err := sweep(opts.Parallel, guardCells(trace.Scenario5, opts)...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figG2", Title: "Partial visibility: quorum freeze vs survivor amplification", SeriesStep: time.Second}
 	for i, cfg := range guardConfigs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
-		r.AddRow(label+" trough", s.Report.Trough*100, "%", NoPaper)
-		r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
-		if s.Report.Recovered {
-			r.AddRow(label+" time-to-recover", s.Report.TimeToRecover.Seconds(), "s", NoPaper)
-		} else {
-			r.Note("%s never recovered above %.0f%% success", label, chaosSLOThreshold*100)
-		}
-		r.AddRow(label+" survivor peak share", peakShare(snaps[i], survivor)*100, "%", NoPaper)
-		addGuardRows(r, label, counters[i])
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
+		addRecovery(r, label, s.report, false)
+		// Survivor amplification is a weight-trajectory property, read off
+		// the first repetition's snapshots.
+		r.AddRow(label+" survivor peak share", peakShare(s.reps[0].snaps, survivor)*100, "%", NoPaper)
+		addGuardRows(r, label, s)
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("testbed: scenario-5 (symmetric clusters), concurrency 6/backend, queue 192 — one backend carries ~100 rps of ~185 offered, so amplifying the survivor overloads it while a balanced third has headroom")

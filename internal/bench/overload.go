@@ -10,85 +10,6 @@ import (
 	"l3/internal/trace"
 )
 
-// OverloadStats is one configuration's outcome under an admission-control
-// policy: the merged recorder (plus one per criticality tier when a tier
-// mix was issued), the recovery scorecard when a chaos schedule ran, and
-// the admission layer's summed counters across repetitions.
-type OverloadStats struct {
-	Recorder *loadgen.Recorder
-	// TierRecorders split the recorder by criticality tier; entries are
-	// nil unless Options.OverloadTierMix was set.
-	TierRecorders [overload.NumTiers]*loadgen.Recorder
-	Report        chaos.Report
-	HasReport     bool
-	// Admission accounting, summed across repetitions.
-	Admitted      float64
-	Shed          [overload.NumTiers]float64
-	CodelDropped  float64
-	QueueOverflow float64
-	LifoFlips     float64
-	Readmits      float64
-	// FinalLimit and AdmitMax are the first repetition's end-of-run
-	// limiter value and highest admitted tier (reps are deterministic, so
-	// rep 0 is representative); MaxSojourn is the longest admission-queue
-	// wait across all repetitions — the bounded-queue-delay number.
-	FinalLimit int
-	AdmitMax   int
-	MaxSojourn time.Duration
-}
-
-// ShedTotal sums sheds across tiers.
-func (s *OverloadStats) ShedTotal() float64 {
-	var t float64
-	for _, v := range s.Shed {
-		t += v
-	}
-	return t
-}
-
-// RunOverloadScenarioTrace replays a caller-built scenario with
-// opts.Overload composing admission control over the client, and collects
-// the admission scorecard. Repetitions rerun the same trace under
-// different simulation seeds, exactly like RunScenarioTrace, and their
-// artifacts fold into the scorecard in index order.
-func RunOverloadScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*OverloadStats, error) {
-	opts = opts.withDefaults()
-	runs, rec, err := runReps(fixed(sc), algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	stats := &OverloadStats{Recorder: rec}
-	if len(opts.OverloadTierMix) > 0 {
-		for tier := range stats.TierRecorders {
-			stats.TierRecorders[tier] = loadgen.NewRecorder(time.Second)
-		}
-	}
-	for rep, run := range runs {
-		art := run.art
-		stats.Admitted += art.ovl.admitted
-		stats.CodelDropped += art.ovl.codelDropped
-		stats.QueueOverflow += art.ovl.overflow
-		stats.LifoFlips += art.ovl.lifoFlips
-		stats.Readmits += art.ovl.readmits
-		for tier := 0; tier < overload.NumTiers; tier++ {
-			stats.Shed[tier] += art.ovl.shed[tier]
-			if stats.TierRecorders[tier] != nil {
-				stats.TierRecorders[tier].Merge(art.tierRecs[tier])
-			}
-		}
-		if rep == 0 {
-			stats.FinalLimit, stats.AdmitMax = art.ovl.limit, art.ovl.admitMax
-		}
-		if art.ovl.maxSojourn > stats.MaxSojourn {
-			stats.MaxSojourn = art.ovl.maxSojourn
-		}
-	}
-	if opts.Chaos != nil {
-		stats.Report, stats.HasReport = scoreRuns(runs, opts), true
-	}
-	return stats, nil
-}
-
 // windowGoodput averages successful requests per second over [from, to) —
 // the pre-fault companion to postHealGoodput, so goodput-retention ratios
 // compare like windows of the same run.
@@ -199,57 +120,49 @@ func FigO1(opts Options) (*Result, error) {
 		{"uncontrolled", nil},
 		{"limiter+codel", figO1OverloadPolicy()},
 	}
-	stats := make([]*OverloadStats, len(configs))
-	err := ForEach(opts.Parallel, len(configs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Resilience = resPolicy
-		cfgOpts.Overload = configs[i].policy
-		if cfgOpts.Overload == nil {
+	opts.Resilience = resPolicy
+	var cells []cell
+	for _, cfg := range configs {
+		o := opts
+		o.Overload = cfg.policy
+		if o.Overload == nil {
 			// The uncontrolled arm still runs through the (empty) overload
 			// layer so both arms share one client stack; a disabled policy
 			// is a pure pass-through.
-			cfgOpts.Overload = &overload.Policy{}
+			o.Overload = &overload.Policy{}
 		}
-		s, err := RunOverloadScenarioTrace(sc, AlgoRoundRobin, cfgOpts)
-		stats[i] = s
-		return err
-	})
+		cells = append(cells, cell{trace: sc, algo: AlgoRoundRobin, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figO1", Title: "Overload control: adaptive limit + CoDel vs uncontrolled saturation collapse", SeriesStep: time.Second}
 	for i, cfg := range configs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		base := windowGoodput(s.Recorder, opts.Reps, opts.WarmUp+10*time.Second, faultAbs)
-		post := postHealGoodput(s.Recorder, opts.Reps, healAbs, 10*time.Second)
+		base := windowGoodput(s.rec, opts.Reps, opts.WarmUp+10*time.Second, faultAbs)
+		post := postHealGoodput(s.rec, opts.Reps, healAbs, 10*time.Second)
 		retention := 0.0
 		if base > 0 {
 			retention = post / base
 		}
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
 		r.AddRow(label+" baseline goodput", base, "rps", NoPaper)
 		r.AddRow(label+" post-heal goodput", post, "rps", NoPaper)
 		r.AddRow(label+" goodput retention", retention*100, "%", NoPaper)
-		r.AddRow(label+" P99", msOf(s.Recorder.Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(label+" post-heal P99", msOf(s.Recorder.WindowQuantile(0.99, healAbs+10*time.Second, opts.WarmUp+total)), "ms", NoPaper)
+		r.AddRow(label+" P99", msOf(s.rec.Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(label+" post-heal P99", msOf(s.rec.WindowQuantile(0.99, healAbs+10*time.Second, opts.WarmUp+total)), "ms", NoPaper)
 		if cfg.policy != nil {
-			r.AddRow(label+" shed", s.ShedTotal(), "", NoPaper)
-			r.AddRow(label+" codel drops", s.CodelDropped, "", NoPaper)
-			r.AddRow(label+" queue overflow", s.QueueOverflow, "", NoPaper)
-			r.AddRow(label+" final limit", float64(s.FinalLimit), "", NoPaper)
-			r.AddRow(label+" max queue delay", msOf(s.MaxSojourn), "ms", NoPaper)
+			r.AddRow(label+" shed", s.total(overload.MetricShedTotal), "", NoPaper)
+			r.AddRow(label+" codel drops", s.total(overload.MetricCodelDroppedTotal), "", NoPaper)
+			r.AddRow(label+" queue overflow", s.total(overload.MetricQueueOverflowTotal), "", NoPaper)
+			r.AddRow(label+" final limit", float64(s.limit), "", NoPaper)
+			r.AddRow(label+" max queue delay", msOf(s.maxSojourn), "ms", NoPaper)
 		}
-		if s.HasReport {
-			if s.Report.Recovered {
-				r.AddRow(label+" time-to-recover", s.Report.TimeToRecover.Seconds(), "s", NoPaper)
-			} else {
-				r.Note("%s never recovered above %.0f%% success after the heal", label, chaosSLOThreshold*100)
-			}
-			r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
-		}
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		addRecovery(r, label, s.report, true)
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("testbed: 300 rps constant over three 55ms-median clusters (concurrency 10/backend, queue 192, ~460 rps capacity); R1's storm client (2s deadline, naive x3, 500ms per-try); the controlled arm adds limit 32 (min 4), CoDel target 20ms/interval 100ms, qcap 128")
@@ -325,26 +238,25 @@ func FigO2(opts Options) (*Result, error) {
 		{"no control", &overload.Policy{}},
 		{"tiered shedding", figO2OverloadPolicy()},
 	}
-	stats := make([]*OverloadStats, len(configs))
-	err := ForEach(opts.Parallel, len(configs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Resilience = resPolicy
-		cfgOpts.Overload = configs[i].policy
-		s, err := RunOverloadScenarioTrace(sc, AlgoRoundRobin, cfgOpts)
-		stats[i] = s
-		return err
-	})
+	opts.Resilience = resPolicy
+	var cells []cell
+	for _, cfg := range configs {
+		o := opts
+		o.Overload = cfg.policy
+		cells = append(cells, cell{trace: sc, algo: AlgoRoundRobin, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figO2", Title: "Flash crowd: criticality-tiered shedding vs undifferentiated collapse", SeriesStep: time.Second}
 	for i, cfg := range configs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
 		for tier := 0; tier < overload.NumTiers; tier++ {
-			trec := s.TierRecorders[tier]
+			trec := s.tiers[tier]
 			if trec == nil {
 				continue
 			}
@@ -358,15 +270,15 @@ func FigO2(opts Options) (*Result, error) {
 			r.AddRow(label+" "+tname+" success", trec.SuccessRate()*100, "%", NoPaper)
 			r.AddRow(label+" "+tname+" SLO violation", viol.Seconds(), "s", NoPaper)
 			if cfg.policy.Enabled() {
-				r.AddRow(label+" "+tname+" shed", s.Shed[tier], "", NoPaper)
+				r.AddRow(label+" "+tname+" shed", s.shed[tier], "", NoPaper)
 			}
 			r.AddSeries("success_"+label+"_"+tname, series)
 		}
 		if cfg.policy.Enabled() {
-			r.AddRow(label+" codel drops", s.CodelDropped, "", NoPaper)
-			r.AddRow(label+" tier re-admits", s.Readmits, "", NoPaper)
-			r.AddRow(label+" max queue delay", msOf(s.MaxSojourn), "ms", NoPaper)
-			r.AddRow(label+" final limit", float64(s.FinalLimit), "", NoPaper)
+			r.AddRow(label+" codel drops", s.total(overload.MetricCodelDroppedTotal), "", NoPaper)
+			r.AddRow(label+" tier re-admits", s.total(overload.MetricReadmitsTotal), "", NoPaper)
+			r.AddRow(label+" max queue delay", msOf(s.maxSojourn), "ms", NoPaper)
+			r.AddRow(label+" final limit", float64(s.limit), "", NoPaper)
 		}
 	}
 	r.Note("flash crowd: 250 rps → 1200 rps (2.4x the ~500 rps capacity) from %v to %v after warm-up; tiers cycle critical/default/sheddable; deadline 500ms, no retries", flashFrom, flashTo)

@@ -104,7 +104,7 @@ func TestFigO2Thresholds(t *testing.T) {
 func TestOverloadOptionValidation(t *testing.T) {
 	sc, _, _ := flashCrowdScenario(time.Minute)
 	opts := Options{Reps: 1, WarmUp: time.Second, Duration: time.Second, OverloadTierMix: []int{0}}
-	if _, err := runOnceCounted(sc, AlgoRoundRobin, opts.withDefaults(), 1); err == nil {
+	if _, err := sweep(1, cell{trace: sc, algo: AlgoRoundRobin, opts: opts}); err == nil {
 		t.Fatalf("OverloadTierMix without Overload accepted; want an error")
 	}
 }
@@ -121,25 +121,25 @@ func TestOverloadShardedMatchesClassic(t *testing.T) {
 		OverloadTierMix: []int{overload.TierCritical, overload.TierDefault, overload.TierSheddable},
 		Resilience:      &resilience.Policy{Deadline: 500 * time.Millisecond},
 	}
-	classic, err := RunOverloadScenarioTrace(sc, AlgoRoundRobin, base)
-	if err != nil {
-		t.Fatalf("classic: %v", err)
-	}
 	sharded := base
 	sharded.Shards = 2
-	shardedStats, err := RunOverloadScenarioTrace(sc, AlgoRoundRobin, sharded)
+	out, err := sweep(base.Parallel,
+		cell{trace: sc, algo: AlgoRoundRobin, opts: base},
+		cell{trace: sc, algo: AlgoRoundRobin, opts: sharded})
 	if err != nil {
-		t.Fatalf("sharded: %v", err)
+		t.Fatal(err)
 	}
-	if got, want := shardedStats.Recorder.String(), classic.Recorder.String(); got != want {
+	classic, shardedOut := out[0], out[1]
+	if got, want := shardedOut.rec.String(), classic.rec.String(); got != want {
 		t.Errorf("sharded recorder diverged from classic:\nclassic: %s\nsharded: %s", want, got)
 	}
-	if shardedStats.Admitted != classic.Admitted || shardedStats.ShedTotal() != classic.ShedTotal() {
-		t.Errorf("admission counters diverged: classic admitted %.0f shed %.0f, sharded admitted %.0f shed %.0f",
-			classic.Admitted, classic.ShedTotal(), shardedStats.Admitted, shardedStats.ShedTotal())
+	admitted := overload.MetricAdmittedTotal
+	if shardedOut.total(admitted) != classic.total(admitted) || shardedOut.shed != classic.shed {
+		t.Errorf("admission counters diverged: classic admitted %.0f shed %v, sharded admitted %.0f shed %v",
+			classic.total(admitted), classic.shed, shardedOut.total(admitted), shardedOut.shed)
 	}
-	for tier := range classic.TierRecorders {
-		if got, want := shardedStats.TierRecorders[tier].String(), classic.TierRecorders[tier].String(); got != want {
+	for tier := range classic.tiers {
+		if got, want := shardedOut.tiers[tier].String(), classic.tiers[tier].String(); got != want {
 			t.Errorf("tier %d recorder diverged:\nclassic: %s\nsharded: %s", tier, want, got)
 		}
 	}

@@ -9,6 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/chaos"
+	"l3/internal/guard"
+	"l3/internal/overload"
+	"l3/internal/resilience"
 	"l3/internal/trace"
 )
 
@@ -149,31 +153,59 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelStatsMatchSerial covers the cost-accounting path, whose
-// floating-point reductions (transfer cost, remote share) are the easiest
-// place to silently lose determinism.
-func TestParallelStatsMatchSerial(t *testing.T) {
-	base := Options{Seed: 1, WarmUp: 30 * time.Second, Duration: time.Minute, Reps: 3}
-
-	serial := base
-	serial.Parallel = 1
-	a, err := RunScenarioWithStats(trace.Scenario1, AlgoL3, serial)
+// TestSweepMatchesAtAnyParallel is the sweep's determinism guarantee: one
+// mixed cell list — a plain trace run with cost accounting, a chaos,
+// resilience and overload run with a tier mix, a guarded chaos run and a DSB
+// run, two repetitions each, all in one fan-out — must yield records that
+// are deeply equal at -parallel 1 and 8: every recorder bucket, counter
+// total, count matrix, weight snapshot and score.
+func TestSweepMatchesAtAnyParallel(t *testing.T) {
+	base := Options{Seed: 1, Reps: 2, WarmUp: 10 * time.Second, Duration: 40 * time.Second}
+	costly := base
+	costly.CostLambda = 1e5
+	storm := resilienceLoadOptions(base)
+	storm.Chaos = saturateSchedule(storm, 0.1, apiService+"-cluster-1", apiService+"-cluster-2")
+	storm.Resilience = &resilience.Policy{
+		Deadline: time.Second,
+		Retry:    resilience.RetryConfig{MaxAttempts: 3, AttemptTimeout: 300 * time.Millisecond, Jitter: 0.2, BudgetRatio: 0.2},
+		Hedge:    resilience.HedgeConfig{Percentile: 0.95},
+	}
+	storm.Overload = figO2OverloadPolicy()
+	storm.OverloadTierMix = []int{overload.TierCritical, overload.TierDefault, overload.TierSheddable}
+	guarded := base
+	guarded.Guard = true
+	guarded.Chaos = &chaos.Schedule{Events: []chaos.Event{{Kind: chaos.Garbage, At: 15 * time.Second, Duration: 10 * time.Second, Mode: "nan"}}}
+	cells := []cell{
+		{scenario: trace.Scenario1, algo: AlgoL3, opts: costly},
+		{scenario: trace.Scenario1, algo: AlgoRoundRobin, opts: storm},
+		{scenario: trace.Scenario1, algo: AlgoL3, opts: guarded},
+		{dsb: &dsbLoad{rps: 100, duration: 10 * time.Second}, algo: AlgoL3, opts: base},
+	}
+	serial, err := sweep(1, cells...)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	wide := base
-	wide.Parallel = 8
-	b, err := RunScenarioWithStats(trace.Scenario1, AlgoL3, wide)
+	wide, err := sweep(8, cells...)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if a.TransferCost != b.TransferCost || a.RemoteShare != b.RemoteShare {
-		t.Fatalf("cost accounting diverged: cost=%v/%v remote=%v/%v",
-			a.TransferCost, b.TransferCost, a.RemoteShare, b.RemoteShare)
+	for i := range cells {
+		if !reflect.DeepEqual(serial[i], wide[i]) {
+			t.Fatalf("cell %d: the record at -parallel 8 diverged from -parallel 1", i)
+		}
 	}
-	if !reflect.DeepEqual(a.Recorder, b.Recorder) {
-		t.Fatal("recorders diverged")
+	// The records carry what each layer counted, so the equality above
+	// compares more than recorders.
+	if len(serial[0].reps) != 2 || len(serial[0].reps[1].counts) == 0 {
+		t.Fatal("the cost cell kept no per-rep count matrices")
+	}
+	if serial[1].total(resilience.MetricRetriesTotal) == 0 || serial[1].total(overload.MetricAdmittedTotal) == 0 || serial[1].tiers[overload.TierCritical] == nil {
+		t.Fatal("the storm cell recorded no retries, admissions or tier recorders")
+	}
+	if serial[2].total(guard.MetricRejectedTotal) == 0 {
+		t.Fatal("the guarded cell rejected no garbage")
+	}
+	if serial[3].rec.Count() == 0 {
+		t.Fatal("the DSB cell recorded no requests")
 	}
 }

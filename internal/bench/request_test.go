@@ -251,7 +251,7 @@ func TestSettleRunsStragglersAndFindsLostRequests(t *testing.T) {
 			t.Fatalf("shards=%d: issued %d, completed %d after the drain: want exactly the straggler in flight",
 				shards, gen.Issued(), gen.Completed())
 		}
-		if err := w.settle(gen); err != nil {
+		if err := w.settle(nil, gen); err != nil {
 			t.Fatal(err)
 		}
 		if gen.Issued() != gen.Completed() || gen.Recorder().Count() != recorded {
@@ -264,7 +264,7 @@ func TestSettleRunsStragglersAndFindsLostRequests(t *testing.T) {
 		lost.Start()
 		w.runUntil(w.ctrl.Now() + time.Second)
 		lost.Stop()
-		if err := w.settle(lost); err == nil {
+		if err := w.settle(nil, lost); err == nil {
 			t.Fatalf("shards=%d: settle accepted requests that never complete", shards)
 		}
 	}

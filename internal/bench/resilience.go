@@ -4,90 +4,21 @@ import (
 	"time"
 
 	"l3/internal/chaos"
+	"l3/internal/health"
 	"l3/internal/loadgen"
 	"l3/internal/resilience"
 	"l3/internal/trace"
 )
 
-// ResilienceStats is one configuration's outcome under a resilience
-// policy: the merged recorder, the recovery scorecard (when a chaos
-// schedule ran), and the resilience layer's summed counters across
-// repetitions.
-type ResilienceStats struct {
-	Recorder *loadgen.Recorder
-	// Report carries the chaos recovery scorecard; valid only when
-	// HasReport (a chaos schedule was injected).
-	Report    chaos.Report
-	HasReport bool
-	// Requests counts logical requests entering the resilience layer;
-	// Attempts counts what the data plane actually carried (retries and
-	// hedges included).
-	Requests float64
-	Attempts float64
-	// Retries/Hedges are extra attempts launched; BudgetDenied counts
-	// retries/hedges the token bucket refused; DeadlineExceeded and
-	// Duplicates are the deadline layer's accounting.
-	Retries          float64
-	Hedges           float64
-	BudgetDenied     float64
-	DeadlineExceeded float64
-	Duplicates       float64
-	// Breaker and health-checker activity, for the R3 comparison.
-	BreakerEjections float64
-	BreakerRestores  float64
-	BreakerDenied    float64
-	HealthEjections  float64
-	HealthRestores   float64
-}
-
-// RetryRatio is extra attempts per logical request (the quantity a retry
-// budget bounds: ≤ BudgetRatio in steady state, plus the initial burst).
-func (s *ResilienceStats) RetryRatio() float64 {
-	if s.Requests == 0 {
+// perRequest is one resilience counter family per logical request entering
+// the layer: the retry ratio a budget bounds, or the duplicate load hedging
+// buys its tail cut with.
+func (r *record) perRequest(name string) float64 {
+	requests := r.total(resilience.MetricRequestsTotal)
+	if requests == 0 {
 		return 0
 	}
-	return s.Retries / s.Requests
-}
-
-// DuplicateLoad is hedge attempts per logical request — the extra
-// capacity hedging buys its tail cut with.
-func (s *ResilienceStats) DuplicateLoad() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return s.Hedges / s.Requests
-}
-
-// RunResilienceScenario replays a trace scenario under one algorithm with
-// opts.Resilience routing the client through the resilience layer. Unlike
-// RunChaosScenario the chaos schedule is optional; when present the
-// recovery scorecard is filled in too.
-func RunResilienceScenario(scenarioName string, algo Algorithm, opts Options) (*ResilienceStats, error) {
-	opts = opts.withDefaults()
-	runs, rec, err := runReps(named(scenarioName), algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	stats := &ResilienceStats{Recorder: rec}
-	for _, run := range runs {
-		art := run.art
-		stats.Requests += art.res.requests
-		stats.Attempts += art.res.attempts
-		stats.Retries += art.res.retries
-		stats.Hedges += art.res.hedges
-		stats.BudgetDenied += art.res.budgetDenied
-		stats.DeadlineExceeded += art.res.deadline
-		stats.Duplicates += art.res.duplicates
-		stats.BreakerEjections += art.res.breakerEjects
-		stats.BreakerRestores += art.res.breakerRestores
-		stats.BreakerDenied += art.res.breakerDenied
-		stats.HealthEjections += art.ejections
-		stats.HealthRestores += art.restores
-	}
-	if opts.Chaos != nil {
-		stats.Report, stats.HasReport = scoreRuns(runs, opts), true
-	}
-	return stats, nil
+	return r.total(name) / requests
 }
 
 // resilienceLoadOptions is the shared testbed of the R1/R3 figures: a
@@ -196,38 +127,30 @@ func FigR1(opts Options) (*Result, error) {
 		{"naive x3", &resilience.Policy{Deadline: deadline, Retry: retryCfg}},
 		{"budget 0.1", &resilience.Policy{Deadline: deadline, Retry: budgetCfg}},
 	}
-	stats := make([]*ResilienceStats, len(configs))
-	err := ForEach(opts.Parallel, len(configs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Resilience = configs[i].policy
-		s, err := RunResilienceScenario(trace.Scenario1, AlgoRoundRobin, cfgOpts)
-		stats[i] = s
-		return err
-	})
+	var cells []cell
+	for _, cfg := range configs {
+		o := opts
+		o.Resilience = cfg.policy
+		cells = append(cells, cell{scenario: trace.Scenario1, algo: AlgoRoundRobin, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figR1", Title: "Retry storm: naive vs budgeted retries under a saturate fault", SeriesStep: time.Second}
 	for i, cfg := range configs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
-		r.AddRow(label+" post-heal goodput", postHealGoodput(s.Recorder, opts.Reps, healAbs, 10*time.Second), "rps", NoPaper)
-		r.AddRow(label+" retry ratio", s.RetryRatio(), "retries/req", NoPaper)
-		r.AddRow(label+" P99", msOf(s.Recorder.Quantile(0.99)), "ms", NoPaper)
-		if s.HasReport {
-			if s.Report.Recovered {
-				r.AddRow(label+" time-to-recover", s.Report.TimeToRecover.Seconds(), "s", NoPaper)
-			} else {
-				r.Note("%s never recovered above %.0f%% success after the heal", label, chaosSLOThreshold*100)
-			}
-			r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
+		r.AddRow(label+" post-heal goodput", postHealGoodput(s.rec, opts.Reps, healAbs, 10*time.Second), "rps", NoPaper)
+		r.AddRow(label+" retry ratio", s.perRequest(resilience.MetricRetriesTotal), "retries/req", NoPaper)
+		r.AddRow(label+" P99", msOf(s.rec.Quantile(0.99)), "ms", NoPaper)
+		addRecovery(r, label, s.report, true)
+		if denied := s.total(resilience.MetricBudgetExhaustedTotal); denied > 0 {
+			r.AddRow(label+" budget-denied", denied, "", NoPaper)
 		}
-		if s.BudgetDenied > 0 {
-			r.AddRow(label+" budget-denied", s.BudgetDenied, "", NoPaper)
-		}
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("testbed: concurrency 10/backend, queue 192, deadline 2s, per-try timeout 500ms — offered ~300 rps vs ~430 rps capacity; a full queue waits ~1-1.6s, past the per-try timeout")
@@ -250,27 +173,26 @@ func FigR2(opts Options) (*Result, error) {
 		{"hedge p95", &resilience.Policy{Hedge: resilience.HedgeConfig{Percentile: 0.95}}},
 		{"hedge p90", &resilience.Policy{Hedge: resilience.HedgeConfig{Percentile: 0.90}}},
 	}
-	stats := make([]*ResilienceStats, len(configs))
-	err := ForEach(opts.Parallel, len(configs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Resilience = configs[i].policy
-		s, err := RunResilienceScenario(trace.Scenario2, AlgoRoundRobin, cfgOpts)
-		stats[i] = s
-		return err
-	})
+	var cells []cell
+	for _, cfg := range configs {
+		o := opts
+		o.Resilience = cfg.policy
+		cells = append(cells, cell{scenario: trace.Scenario2, algo: AlgoRoundRobin, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figR2", Title: "Hedged requests: tail latency vs hedge threshold", SeriesStep: time.Second}
 	for i, cfg := range configs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		r.AddRow(label+" P50", msOf(s.Recorder.Quantile(0.50)), "ms", NoPaper)
-		r.AddRow(label+" P99", msOf(s.Recorder.Quantile(0.99)), "ms", NoPaper)
-		r.AddRow(label+" P999", msOf(s.Recorder.Quantile(0.999)), "ms", NoPaper)
-		r.AddRow(label+" duplicate load", s.DuplicateLoad()*100, "%", NoPaper)
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
+		r.AddRow(label+" P50", msOf(s.rec.Quantile(0.50)), "ms", NoPaper)
+		r.AddRow(label+" P99", msOf(s.rec.Quantile(0.99)), "ms", NoPaper)
+		r.AddRow(label+" P999", msOf(s.rec.Quantile(0.999)), "ms", NoPaper)
+		r.AddRow(label+" duplicate load", s.perRequest(resilience.MetricHedgesTotal)*100, "%", NoPaper)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
 	}
 	r.Note("scenario-2 under round-robin; hedge threshold learned online from successful-response latency")
 	r.Note("expectation: p99/p999 drop as the threshold tightens, while duplicate load grows ~(1-percentile); p50 is untouched — hedges fire only past the threshold")
@@ -310,37 +232,30 @@ func FigR3(opts Options) (*Result, error) {
 		{"RR+failover", AlgoFailover, nil},
 		{"failover+breaker", AlgoFailover, breakerPolicy},
 	}
-	stats := make([]*ResilienceStats, len(configs))
-	err := ForEach(opts.Parallel, len(configs), func(i int) error {
-		cfgOpts := opts
-		cfgOpts.Resilience = configs[i].policy
-		s, err := RunResilienceScenario(trace.Scenario1, configs[i].algo, cfgOpts)
-		stats[i] = s
-		return err
-	})
+	var cells []cell
+	for _, cfg := range configs {
+		o := opts
+		o.Resilience = cfg.policy
+		cells = append(cells, cell{scenario: trace.Scenario1, algo: cfg.algo, opts: o})
+	}
+	out, err := sweep(opts.Parallel, cells...)
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Result{ID: "figR3", Title: "Circuit breaking vs probe-driven ejection under partial degradation", SeriesStep: time.Second}
 	for i, cfg := range configs {
-		s := stats[i]
+		s := out[i]
 		label := cfg.label
-		r.AddRow(label+" success", s.Recorder.SuccessRate()*100, "%", NoPaper)
-		r.AddRow(label+" trough", s.Report.Trough*100, "%", NoPaper)
-		r.AddRow(label+" SLO violation", s.Report.SLOViolation.Seconds(), "s", NoPaper)
-		if s.Report.Recovered {
-			r.AddRow(label+" time-to-recover", s.Report.TimeToRecover.Seconds(), "s", NoPaper)
-		} else {
-			r.Note("%s never recovered above %.0f%% success", label, chaosSLOThreshold*100)
+		r.AddRow(label+" success", s.rec.SuccessRate()*100, "%", NoPaper)
+		addRecovery(r, label, s.report, false)
+		if ejected := s.total(resilience.MetricBreakerEjectionsTotal); ejected > 0 || s.total(resilience.MetricBreakerDeniedTotal) > 0 {
+			r.AddRow(label+" breaker ejections", ejected, "", NoPaper)
 		}
-		if s.BreakerEjections > 0 || s.BreakerDenied > 0 {
-			r.AddRow(label+" breaker ejections", s.BreakerEjections, "", NoPaper)
+		if probed := s.total(health.MetricEjectionsTotal); probed > 0 {
+			r.AddRow(label+" probe ejections", probed, "", NoPaper)
 		}
-		if s.HealthEjections > 0 {
-			r.AddRow(label+" probe ejections", s.HealthEjections, "", NoPaper)
-		}
-		r.AddSeries("success_"+label, s.Recorder.SuccessRateSeries())
+		r.AddSeries("success_"+label, s.rec.SuccessRateSeries())
 	}
 	r.Note("chaos schedule: %s (shifted by %v warm-up)", sched, opts.WarmUp)
 	r.Note("expectation: the breaker ejects on the data path within ~5 failed responses; probe failover waits out 3 probes x 10 s; max-ejection-percent 0.5 keeps at most half the backends out")

@@ -223,44 +223,6 @@ const sourceCluster = "cluster-1"
 // apiService is the service name of the trace-driven REST API workload.
 const apiService = "api"
 
-// ScenarioStats augments a run's latency recorder with traffic-cost
-// accounting for the cost-awareness experiments.
-type ScenarioStats struct {
-	Recorder *loadgen.Recorder
-	// RemoteShare is the fraction of requests served outside the source
-	// cluster.
-	RemoteShare float64
-	// TransferCost is the run's inter-cluster transfer bill in dollars,
-	// priced by cost.DefaultRates at 16 KiB per request.
-	TransferCost float64
-}
-
-// RunScenarioWithStats is RunScenario returning traffic accounting too.
-func RunScenarioWithStats(scenarioName string, algo Algorithm, opts Options) (*ScenarioStats, error) {
-	opts = opts.withDefaults()
-	runs, rec, err := runReps(named(scenarioName), algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	stats := &ScenarioStats{Recorder: rec}
-	model := cost.NewModel(cost.DefaultRates(), 0)
-	var local, remote float64
-	for _, run := range runs {
-		stats.TransferCost += model.TrafficCost(run.counts)
-		for _, link := range sortedLinks(run.counts) {
-			if link[0] == link[1] {
-				local += run.counts[link]
-			} else {
-				remote += run.counts[link]
-			}
-		}
-	}
-	if local+remote > 0 {
-		stats.RemoteShare = remote / (local + remote)
-	}
-	return stats, nil
-}
-
 // RunScenario replays a trace scenario under one algorithm and returns the
 // merged recorder across repetitions. The setup mirrors §5.1's second
 // testbed: an HTTP/2 REST API deployed in all three clusters whose response
@@ -269,60 +231,7 @@ func RunScenarioWithStats(scenarioName string, algo Algorithm, opts Options) (*S
 // and (for L3/C3) the controller pipeline — scraper, TSDB, collector,
 // assigner — updating one TrafficSplit every 5 s.
 func RunScenario(scenarioName string, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
-	_, rec, err := runReps(named(scenarioName), algo, opts.withDefaults())
-	return rec, err
-}
-
-// RunScenarioTrace is RunScenario for a caller-built scenario (custom RPS
-// shapes, synthetic latency processes). Repetitions rerun the same trace
-// with different simulation seeds.
-func RunScenarioTrace(sc *trace.Scenario, algo Algorithm, opts Options) (*loadgen.Recorder, error) {
-	_, rec, err := runReps(fixed(sc), algo, opts.withDefaults())
-	return rec, err
-}
-
-// repRun is what one repetition yields: its recorder, the per-(src,
-// dst-cluster) request counts read from the data-plane metrics, the run's
-// artifacts (never nil) and the measured duration it actually ran for.
-type repRun struct {
-	rec      *loadgen.Recorder
-	counts   map[[2]string]float64
-	art      *chaosArtifacts
-	duration time.Duration
-}
-
-// named regenerates a trace scenario from each repetition's derived seed;
-// fixed reruns one caller-built trace under every seed.
-func named(scenarioName string) func(seed uint64) (*trace.Scenario, error) {
-	return func(seed uint64) (*trace.Scenario, error) { return trace.Generate(scenarioName, seed) }
-}
-
-func fixed(sc *trace.Scenario) func(seed uint64) (*trace.Scenario, error) {
-	return func(uint64) (*trace.Scenario, error) { return sc, nil }
-}
-
-// runReps is the one repetition fan-out behind every scenario entry point:
-// opts.Reps independent runs across opts.Parallel workers, each on its own
-// derived seed, returned in index order with their recorders merged in that
-// order — the order every reduction over them folds in, which is what keeps
-// output identical at any -parallel. opts must already carry its defaults.
-func runReps(scenario func(seed uint64) (*trace.Scenario, error), algo Algorithm, opts Options) ([]repRun, *loadgen.Recorder, error) {
-	runs := make([]repRun, opts.Reps)
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		sc, err := scenario(seed)
-		if err != nil {
-			return err
-		}
-		runs[rep], err = runOnceCounted(sc, algo, opts, seed)
-		recs[rep] = runs[rep].rec
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return runs, mergeRecorders(recs), nil
+	return recorderOf(cell{scenario: scenarioName, algo: algo, opts: opts})
 }
 
 // mergeRecorders folds recorders into one, in index order — the
@@ -357,59 +266,6 @@ func sortedLinks(counts map[[2]string]float64) [][2]string {
 	return links
 }
 
-// chaosArtifacts is what one run yields beyond its recorder: the observed
-// TrafficSplit write times and weight snapshots (for reconvergence and
-// failover-gap metrics; chaos runs only), the health checker's
-// ejection/restore totals, the injector's own accounting, and the
-// resilience, guard and admission layers' counters (zero when the layer is
-// off).
-type chaosArtifacts struct {
-	injector  *chaos.Injector
-	updates   []time.Duration
-	snaps     []chaos.WeightSnapshot
-	ejections float64
-	restores  float64
-	res       resCounters
-	grd       guardCounters
-	ovl       ovlCounters
-	// tierRecs holds one recorder per criticality tier, filled only when
-	// Options.OverloadTierMix is set (the O2 figure's per-tier SLO view).
-	tierRecs [overload.NumTiers]*loadgen.Recorder
-}
-
-// resCounters aggregates one run's resilience-layer activity from the
-// metrics registry, plus the data-plane attempt total the retry ratio is
-// measured against.
-type resCounters struct {
-	requests, retries, hedges, budgetDenied, deadline, duplicates float64
-	breakerEjects, breakerRestores, breakerDenied                 float64
-	// attempts is the sum of mesh response_total across routes: every
-	// attempt the data plane actually carried, retries and hedges
-	// included.
-	attempts float64
-}
-
-// ovlCounters aggregates one run's admission-layer activity from the
-// metrics registry plus the client's end-of-run state (all zero when
-// Options.Overload is off).
-type ovlCounters struct {
-	admitted, codelDropped, overflow, lifoFlips, readmits float64
-	shed                                                  [overload.NumTiers]float64
-	// limit and admitMax are the client's final limiter value and highest
-	// admitted tier; maxSojourn the longest queue wait any admitted or
-	// dropped request saw.
-	limit, admitMax int
-	maxSojourn      time.Duration
-}
-
-// guardCounters aggregates one run's guard-layer activity from the metrics
-// registry (all zero when Options.Guard is off).
-type guardCounters struct {
-	rejected, resets, holds, decays, frozen      float64
-	writeSuppressed, writeClamped, writeRejected float64
-	watchdogDegrades                             float64
-}
-
 // backendResetter adapts the data-plane registries to the chaos
 // MetricResetter: a counterreset event zeroes the backend's cumulative
 // series, exactly what a pod restart does to its /metrics endpoint. The
@@ -422,24 +278,25 @@ func (r backendResetter) ResetBackendCounters(backend string) {
 	}
 }
 
-// runOnceCounted runs one scenario replay: the API service in every cluster
-// of the trace, one TrafficSplit, the algorithm's wiring, chaos and the
-// client layers, on whichever engine newWorld picked. Every call is fully
+// runTrace runs one scenario replay: the API service in every cluster of
+// the trace, one TrafficSplit, the algorithm's wiring, chaos and the client
+// layers, on whichever engine newWorld picked. Every call is fully
 // self-contained — own engines, RNG, WAN model and metrics registries —
-// which is what makes the rep/sweep fan-outs safe and deterministic.
-func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (repRun, error) {
+// which is what makes the sweep's fan-out safe and deterministic. opts must
+// already carry its defaults.
+func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*record, error) {
 	if opts.Overload == nil && len(opts.OverloadTierMix) > 0 {
-		return repRun{}, fmt.Errorf("bench: OverloadTierMix requires Overload")
+		return nil, fmt.Errorf("bench: OverloadTierMix requires Overload")
 	}
 	defer func(start time.Time) { recordRun(time.Since(start)) }(time.Now())
 	w, err := newWorld(sc.ClusterNames(), seed, wan.DefaultConfig(), opts)
 	if err != nil {
-		return repRun{}, err
+		return nil, err
 	}
 	m := w.mesh
 
 	if _, err := m.AddService(apiService); err != nil {
-		return repRun{}, err
+		return nil, err
 	}
 	warm := opts.WarmUp
 	var backends []smi.Backend
@@ -458,7 +315,7 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 		b, err := m.AddBackend(apiService, name, ct.Cluster,
 			backend.Config{Concurrency: conc, QueueCapacity: opts.QueueCapacity}, profile)
 		if err != nil {
-			return repRun{}, err
+			return nil, err
 		}
 		replica, isReplica := b.Server.(*backend.Replica)
 		if isReplica {
@@ -466,7 +323,7 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 		}
 		if opts.Autoscale != nil {
 			if !isReplica {
-				return repRun{}, fmt.Errorf("bench: backend %s is not a replica pool", name)
+				return nil, fmt.Errorf("bench: backend %s is not a replica pool", name)
 			}
 			cfg := *opts.Autoscale
 			if cfg.Max == 0 {
@@ -477,7 +334,7 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 			}
 			eng, err := m.EngineFor(ct.Cluster)
 			if err != nil {
-				return repRun{}, err
+				return nil, err
 			}
 			autoscale.New(eng, replica, cfg).Start()
 		}
@@ -486,20 +343,22 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 	if err := m.Splits().Create(&smi.TrafficSplit{
 		Name: apiService, RootService: apiService, Backends: backends,
 	}); err != nil {
-		return repRun{}, err
+		return nil, err
 	}
 
 	handles, err := installAlgorithm(w, algo, opts, []string{apiService}, nil, globalController())
 	if err != nil {
-		return repRun{}, err
+		return nil, err
 	}
 
-	art := &chaosArtifacts{}
+	out := &record{totals: make(map[string]float64)}
 	if len(opts.OverloadTierMix) > 0 {
-		for tier := range art.tierRecs {
-			art.tierRecs[tier] = loadgen.NewRecorder(time.Second)
+		for tier := range out.tiers {
+			out.tiers[tier] = loadgen.NewRecorder(time.Second)
 		}
 	}
+	var updates []time.Duration
+	var snaps []chaos.WeightSnapshot
 	if opts.Chaos != nil {
 		m.Splits().Watch(false, func(e cluster.Event[*smi.TrafficSplit]) {
 			if e.Type != cluster.Updated || e.Object.Name != apiService {
@@ -510,8 +369,8 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 				weights[b.Service] = b.Weight
 			}
 			// Splits are written on the control timeline.
-			art.updates = append(art.updates, w.ctrl.Now())
-			art.snaps = append(art.snaps, chaos.WeightSnapshot{At: w.ctrl.Now(), Weights: weights})
+			updates = append(updates, w.ctrl.Now())
+			snaps = append(snaps, chaos.WeightSnapshot{At: w.ctrl.Now(), Weights: weights})
 		})
 		scrapers := make([]chaos.ScrapeGate, len(handles.scrapers))
 		for i, s := range handles.scrapers {
@@ -526,9 +385,8 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 			Metrics:  backendResetter{m.Registries()},
 		}, warm)
 		if err := inj.Start(); err != nil {
-			return repRun{}, err
+			return nil, err
 		}
-		art.injector = inj
 	}
 
 	// Client layers, each bound to the source cluster: their timers, budget
@@ -543,10 +401,10 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 		// strategy the algorithm installed (round-robin, failover, split).
 		resClient, err = resilience.NewClient(m, sourceCluster, w.rng.Fork())
 		if err != nil {
-			return repRun{}, err
+			return nil, err
 		}
 		if err := resClient.Apply(apiService, *opts.Resilience); err != nil {
-			return repRun{}, err
+			return nil, err
 		}
 	}
 	var ovClient *overload.Client
@@ -556,19 +414,19 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 		// the fork order — and every overload-off figure — untouched.
 		ovClient, err = overload.NewClient(m, sourceCluster)
 		if err != nil {
-			return repRun{}, err
+			return nil, err
 		}
 		if resClient != nil {
 			ovClient.SetInner(resClient)
 		}
 		if err := ovClient.Apply(apiService, *opts.Overload); err != nil {
-			return repRun{}, err
+			return nil, err
 		}
 	}
 
 	proxy, err := m.Proxy(sourceCluster)
 	if err != nil {
-		return repRun{}, err
+		return nil, err
 	}
 	srcEngine := proxy.Engine()
 	var tierSeq int
@@ -582,7 +440,7 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 				tier = opts.OverloadTierMix[tierSeq%n]
 				tierSeq++
 			}
-			r.tierRec, r.start = art.tierRecs[tier], srcEngine.Now()
+			r.tierRec, r.start = out.tiers[tier], srcEngine.Now()
 			return r.issued(ovClient.CallTier(sourceCluster, apiService, tier, r.mesh))
 		case resClient != nil:
 			return r.issued(resClient.Call(sourceCluster, apiService, r.resilience))
@@ -606,83 +464,45 @@ func runOnceCounted(sc *trace.Scenario, algo Algorithm, opts Options, seed uint6
 	gen.Stop()
 	w.runUntil(warm + duration + 30*time.Second) // drain in-flight
 
+	// The end-of-run reduction: one snapshot of the scrape set, every
+	// counter family summed by name in sample order.
 	counts := make(map[[2]string]float64)
-	var buf []metrics.Sample
-	for _, reg := range w.scrape {
-		buf = reg.SnapshotAppend(buf[:0])
-		for _, sample := range buf {
-			switch sample.Name {
-			case mesh.MetricResponseTotal:
-				src := sample.Labels["src"]
-				dst := strings.TrimPrefix(sample.Labels["backend"], apiService+"-")
-				counts[[2]string{src, dst}] += sample.Value
-				art.res.attempts += sample.Value
-			case health.MetricEjectionsTotal:
-				art.ejections += sample.Value
-			case health.MetricRestoresTotal:
-				art.restores += sample.Value
-			case resilience.MetricRequestsTotal:
-				art.res.requests += sample.Value
-			case resilience.MetricRetriesTotal:
-				art.res.retries += sample.Value
-			case resilience.MetricHedgesTotal:
-				art.res.hedges += sample.Value
-			case resilience.MetricBudgetExhaustedTotal:
-				art.res.budgetDenied += sample.Value
-			case resilience.MetricDeadlineExceededTotal:
-				art.res.deadline += sample.Value
-			case resilience.MetricDuplicatesTotal:
-				art.res.duplicates += sample.Value
-			case resilience.MetricBreakerEjectionsTotal:
-				art.res.breakerEjects += sample.Value
-			case resilience.MetricBreakerRestoresTotal:
-				art.res.breakerRestores += sample.Value
-			case resilience.MetricBreakerDeniedTotal:
-				art.res.breakerDenied += sample.Value
-			case guard.MetricRejectedTotal:
-				art.grd.rejected += sample.Value
-			case guard.MetricResetsTotal:
-				art.grd.resets += sample.Value
-			case guard.MetricHoldsTotal:
-				art.grd.holds += sample.Value
-			case guard.MetricDecaysTotal:
-				art.grd.decays += sample.Value
-			case guard.MetricFrozenTotal:
-				art.grd.frozen += sample.Value
-			case guard.MetricWriteSuppressedTotal:
-				art.grd.writeSuppressed += sample.Value
-			case guard.MetricWriteClampedTotal:
-				art.grd.writeClamped += sample.Value
-			case guard.MetricWriteRejectedTotal:
-				art.grd.writeRejected += sample.Value
-			case guard.MetricWatchdogDegradesTotal:
-				art.grd.watchdogDegrades += sample.Value
-			case overload.MetricAdmittedTotal:
-				art.ovl.admitted += sample.Value
-			case overload.MetricCodelDroppedTotal:
-				art.ovl.codelDropped += sample.Value
-			case overload.MetricQueueOverflowTotal:
-				art.ovl.overflow += sample.Value
-			case overload.MetricLifoFlipsTotal:
-				art.ovl.lifoFlips += sample.Value
-			case overload.MetricReadmitsTotal:
-				art.ovl.readmits += sample.Value
-			case overload.MetricShedTotal:
-				for tier := 0; tier < overload.NumTiers; tier++ {
-					if sample.Labels["tier"] == overload.TierName(tier) {
-						art.ovl.shed[tier] += sample.Value
-					}
+	buf, busy := w.scan(nil, func(sample metrics.Sample) {
+		switch sample.Name {
+		case mesh.MetricResponseTotal:
+			src := sample.Labels["src"]
+			dst := strings.TrimPrefix(sample.Labels["backend"], apiService+"-")
+			counts[[2]string{src, dst}] += sample.Value
+		case overload.MetricShedTotal:
+			for tier := range out.shed {
+				if sample.Labels["tier"] == overload.TierName(tier) {
+					out.shed[tier] += sample.Value
 				}
 			}
 		}
-	}
+		if sample.Kind == metrics.KindCounter {
+			out.totals[sample.Name] += sample.Value
+		}
+	})
 	if ovClient != nil {
 		if st, ok := ovClient.Stats(apiService); ok {
-			art.ovl.limit, art.ovl.admitMax, art.ovl.maxSojourn = st.TotalLimit, st.AdmitMax, st.MaxSojourn
+			out.limit, out.admitMax, out.maxSojourn = st.TotalLimit, st.AdmitMax, st.MaxSojourn
 		}
 	}
+	out.rec = gen.Recorder()
+	out.reps = []repRun{{rec: out.rec, counts: counts, updates: updates, snaps: snaps, duration: duration}}
 	pool.closed = true
-	return repRun{rec: gen.Recorder(), counts: counts, art: art, duration: duration}, w.settle(gen)
+	// Attempt conservation: stragglers aside, every request_inflight gauge
+	// must return to zero, read again through the same buffer only once the
+	// world has moved on from the reduction's snapshot.
+	scanned := w.ctrl.Now()
+	return out, w.settle(func() bool {
+		if now := w.ctrl.Now(); now != scanned {
+			buf, busy = w.scan(buf, nil)
+			scanned = now
+		}
+		return !busy
+	}, gen)
 }
 
 // algoHandles exposes the control-plane pieces installAlgorithm built, so
@@ -788,7 +608,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 			db.SetGate(hyg)
 			gate = guard.NewWriteGate(guard.Config{}, w.ctrlReg)
 		}
-		scraper := core.NewScraperMulti(w.ctrl, db, w.scrape, opts.ScrapeInterval)
+		scraper := core.NewScraperClock(clock.Sim(w.ctrl), db, w.scrape, opts.ScrapeInterval)
 		scraper.Start()
 		handles.scrapers = append(handles.scrapers, scraper)
 		newAssigner := func() core.Assigner {
@@ -833,7 +653,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				if gate != nil {
 					cfg.WriteGuard = gate
 				}
-				return core.NewController(w.ctrl, m.Splits(), collector, cfg)
+				return core.NewControllerClock(clock.Sim(w.ctrl), m.Splits(), collector, cfg)
 			}
 			if !opts.LeaderElection {
 				newController(nil).Start()
@@ -895,27 +715,16 @@ func perClusterControllers(clusters []string) []controllerSpec {
 // experiment) under one algorithm: the full application in every cluster,
 // load entering at the cluster-local frontend at a constant rate.
 func RunDSB(algo Algorithm, rps float64, duration time.Duration, opts Options) (*loadgen.Recorder, error) {
-	opts = opts.withDefaults()
+	return recorderOf(cell{dsb: &dsbLoad{rps: rps, duration: duration}, algo: algo, opts: opts})
+}
+
+// runDSBOnce runs one repetition of the DSB workload. It takes no
+// end-of-run snapshot: the application's thousands of series would cost the
+// run more than its requests do, so its record carries no counters.
+func runDSBOnce(algo Algorithm, load dsbLoad, opts Options, seed uint64) (*record, error) {
 	if opts.Shards > 0 {
 		return nil, fmt.Errorf("bench: the DSB workload (cross-service call graph) requires the classic single-timeline engine; run without sharding (-shards 0)")
 	}
-	recs := make([]*loadgen.Recorder, opts.Reps)
-	err := ForEach(opts.Parallel, opts.Reps, func(rep int) error {
-		seed := DeriveSeed(opts.Seed, rep)
-		rec, err := runDSBOnce(algo, rps, duration, opts, seed)
-		if err != nil {
-			return err
-		}
-		recs[rep] = rec
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeRecorders(recs), nil
-}
-
-func runDSBOnce(algo Algorithm, rps float64, duration time.Duration, opts Options, seed uint64) (*loadgen.Recorder, error) {
 	defer func(start time.Time) { recordRun(time.Since(start)) }(time.Now())
 	clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
 	w, err := newWorld(clusters, seed, wan.DefaultConfig(), opts)
@@ -935,14 +744,15 @@ func runDSBOnce(algo Algorithm, rps float64, duration time.Duration, opts Option
 	}
 
 	gen, err := w.directLoad(sourceCluster, dsb.EntryService, loadgen.Config{
-		Rate:   loadgen.ConstantRate(rps),
+		Rate:   loadgen.ConstantRate(load.rps),
 		WarmUp: opts.WarmUp,
 	})
 	if err != nil {
 		return nil, err
 	}
-	w.runUntil(opts.WarmUp + duration)
+	w.runUntil(opts.WarmUp + load.duration)
 	gen.Stop()
-	w.runUntil(opts.WarmUp + duration + 30*time.Second)
-	return gen.Recorder(), w.settle(gen)
+	w.runUntil(opts.WarmUp + load.duration + 30*time.Second)
+	rec := gen.Recorder()
+	return &record{rec: rec, reps: []repRun{{rec: rec, duration: load.duration}}}, w.settle(nil, gen)
 }

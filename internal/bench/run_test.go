@@ -185,37 +185,37 @@ func TestFig6SeriesShape(t *testing.T) {
 	}
 }
 
-func TestRunScenarioWithStatsAccounting(t *testing.T) {
-	stats, err := RunScenarioWithStats(trace.Scenario5, AlgoRoundRobin, quick())
+func TestTrafficAccounting(t *testing.T) {
+	out, err := sweep(1, cell{scenario: trace.Scenario5, algo: AlgoRoundRobin, opts: quick()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Recorder.Count() == 0 {
+	if out[0].rec.Count() == 0 {
 		t.Fatal("no requests recorded")
 	}
 	// Round-robin sends 2/3 of traffic to remote clusters.
-	if stats.RemoteShare < 0.60 || stats.RemoteShare > 0.72 {
-		t.Fatalf("RemoteShare = %v, want ~2/3 under round-robin", stats.RemoteShare)
+	remoteShare, bill := out[0].traffic()
+	if remoteShare < 0.60 || remoteShare > 0.72 {
+		t.Fatalf("remote share = %v, want ~2/3 under round-robin", remoteShare)
 	}
-	if stats.TransferCost <= 0 {
-		t.Fatalf("TransferCost = %v, want positive", stats.TransferCost)
+	if bill <= 0 {
+		t.Fatalf("transfer bill = %v, want positive", bill)
 	}
 }
 
 func TestCostLambdaReducesRemoteShare(t *testing.T) {
-	plain, err := RunScenarioWithStats(trace.Scenario5, AlgoL3, quick())
+	costly := quick()
+	costly.CostLambda = 3e6
+	out, err := sweep(0,
+		cell{scenario: trace.Scenario5, algo: AlgoL3, opts: quick()},
+		cell{scenario: trace.Scenario5, algo: AlgoL3, opts: costly})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := quick()
-	o.CostLambda = 3e6
-	costly, err := RunScenarioWithStats(trace.Scenario5, AlgoL3, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costly.RemoteShare >= plain.RemoteShare {
-		t.Fatalf("cost-aware remote share %v not below plain %v",
-			costly.RemoteShare, plain.RemoteShare)
+	plain, _ := out[0].traffic()
+	aware, _ := out[1].traffic()
+	if aware >= plain {
+		t.Fatalf("cost-aware remote share %v not below plain %v", aware, plain)
 	}
 }
 

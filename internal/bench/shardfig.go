@@ -117,7 +117,7 @@ func runShardWorkload(workers int, seed uint64) (*shardFigRun, error) {
 	for i, g := range gens {
 		recs[i] = g.Recorder()
 	}
-	return &shardFigRun{rec: mergeRecorders(recs), stats: w.stats(), lookahead: w.lookahead}, w.settle(gens...)
+	return &shardFigRun{rec: mergeRecorders(recs), stats: w.stats(), lookahead: w.lookahead}, w.settle(nil, gens...)
 }
 
 // FigS1 renders the sharded-core figure: the scaling workload's simulated

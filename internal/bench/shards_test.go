@@ -10,6 +10,7 @@ import (
 	"l3/internal/backend"
 	"l3/internal/chaos"
 	"l3/internal/guard"
+	"l3/internal/health"
 	"l3/internal/metrics"
 	"l3/internal/resilience"
 	"l3/internal/sim"
@@ -19,9 +20,9 @@ import (
 )
 
 // shardDigest captures everything observable from one sharded run: the
-// recorder's full per-second series, the per-route count matrix, and (under
-// chaos) the split-write trace and health accounting. Two runs with equal
-// digests produced byte-identical figures.
+// recorder's full per-second series, the per-route count matrix, every
+// counter family's total and (under chaos) the split-write trace. Two runs
+// with equal digests produced byte-identical figures.
 type shardDigest struct {
 	count       uint64
 	successRate float64
@@ -35,7 +36,7 @@ type shardDigest struct {
 	snaps       string
 	ejections   float64
 	restores    float64
-	res         string
+	totals      string
 }
 
 // shardRun digests one run: workers ≥ 1 runs on the sharded core, 0 on the
@@ -49,11 +50,11 @@ func shardRun(t *testing.T, scenario string, algo Algorithm, opts Options, worke
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := runOnceCounted(sc, algo, opts, opts.Seed)
+	out, err := runTrace(sc, algo, opts, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, art := run.rec, run.art
+	rec, run := out.rec, out.reps[0]
 	return shardDigest{
 		count:       rec.Count(),
 		successRate: rec.SuccessRate(),
@@ -64,11 +65,11 @@ func shardRun(t *testing.T, scenario string, algo Algorithm, opts Options, worke
 		rpsSeries:   rec.RPSSeries(),
 		succSeries:  rec.SuccessRateSeries(),
 		counts:      run.counts,
-		updates:     art.updates,
-		snaps:       fmt.Sprint(art.snaps),
-		ejections:   art.ejections,
-		restores:    art.restores,
-		res:         fmt.Sprint(art.res),
+		updates:     run.updates,
+		snaps:       fmt.Sprint(run.snaps),
+		ejections:   out.total(health.MetricEjectionsTotal),
+		restores:    out.total(health.MetricRestoresTotal),
+		totals:      fmt.Sprint(out.totals),
 	}
 }
 
@@ -299,9 +300,9 @@ func TestShardedResilienceMatchesClassic(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				sharded := shardRun(t, trace.Scenario1, AlgoRoundRobin, opts, workers)
 				if !reflect.DeepEqual(classic, sharded) {
-					t.Fatalf("sharded workers=%d diverged from classic:\n  classic n=%d p99=%v res=%s counts=%v\n  sharded n=%d p99=%v res=%s counts=%v",
-						workers, classic.count, classic.p99, classic.res, classic.counts,
-						sharded.count, sharded.p99, sharded.res, sharded.counts)
+					t.Fatalf("sharded workers=%d diverged from classic:\n  classic n=%d p99=%v totals=%s counts=%v\n  sharded n=%d p99=%v totals=%s counts=%v",
+						workers, classic.count, classic.p99, classic.totals, classic.counts,
+						sharded.count, sharded.p99, sharded.totals, sharded.counts)
 				}
 			}
 		})

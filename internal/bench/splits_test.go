@@ -82,7 +82,7 @@ func TestDeliveredSplitsNeverChange(t *testing.T) {
 			}
 			w.runUntil(2 * time.Minute)
 			gen.Stop()
-			if err := w.settle(gen); err != nil {
+			if err := w.settle(nil, gen); err != nil {
 				t.Fatal(err)
 			}
 

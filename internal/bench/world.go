@@ -108,13 +108,36 @@ func (w *world) directLoad(src, service string, cfg loadgen.Config) (*loadgen.Ge
 	return gen, nil
 }
 
+// scan snapshots the scrape set, registry by registry, through buf, hands
+// each sample to each (when non-nil), and reports whether any
+// request_inflight gauge read nonzero: an attempt the data plane has not
+// answered.
+func (w *world) scan(buf []metrics.Sample, each func(metrics.Sample)) ([]metrics.Sample, bool) {
+	busy := false
+	for _, reg := range w.scrape {
+		buf = reg.SnapshotAppend(buf[:0])
+		for _, sample := range buf {
+			if sample.Name == mesh.MetricInflight && sample.Value != 0 {
+				busy = true
+			}
+			if each != nil {
+				each(sample)
+			}
+		}
+	}
+	return buf, busy
+}
+
 // settle checks request conservation at the end of a run, once its outputs
 // are taken: every request the generators issued was rejected at issue or
 // completes exactly once (a second completion panics in loadgen). A request
 // may outlive the 30 s drain — scenario-4's service-time tail reaches
 // minutes — so stragglers are run to completion first, unrecorded; one that
-// a further day of virtual time does not complete is lost.
-func (w *world) settle(gens ...*loadgen.Generator) error {
+// a further day of virtual time does not complete is lost. When quiet is
+// non-nil the run must also reach attempt conservation: quiet reports
+// whether every request_inflight gauge reads zero, and an attempt still
+// counted in flight after that day is an error too.
+func (w *world) settle(quiet func() bool, gens ...*loadgen.Generator) error {
 	for _, g := range gens {
 		g.Close()
 	}
@@ -123,11 +146,14 @@ func (w *world) settle(gens ...*loadgen.Generator) error {
 		for _, g := range gens {
 			inFlight += g.Issued() - g.Completed() - g.IssueErrors()
 		}
-		if inFlight == 0 {
+		if inFlight == 0 && (quiet == nil || quiet()) {
 			return nil
 		}
 		if w.ctrl.Now() >= start+24*time.Hour {
-			return fmt.Errorf("bench: request conservation violated: %d requests issued, never completed", inFlight)
+			if inFlight > 0 {
+				return fmt.Errorf("bench: request conservation violated: %d requests issued, never completed", inFlight)
+			}
+			return fmt.Errorf("bench: attempt conservation violated: a request_inflight gauge never returned to zero")
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/metrics"
-	"l3/internal/sim"
 	"l3/internal/smi"
 	"l3/internal/timeseries"
 )
@@ -113,25 +112,15 @@ type Scraper struct {
 	ticks      uint64
 }
 
-// NewScraper returns a scraper; call Start to begin scraping.
-func NewScraper(engine *sim.Engine, db *timeseries.DB, reg *metrics.Registry, interval time.Duration) *Scraper {
-	return NewScraperMulti(engine, db, []*metrics.Registry{reg}, interval)
-}
-
-// NewScraperMulti returns a scraper over several registries — the sharded
-// world keeps one registry per cluster shard, and a scrape round reads them
-// all in shard order, exactly as a Prometheus instance federating per-cluster
-// endpoints would. The pass runs on the given engine (the control engine in
-// sharded runs, where all shards are paused at the scrape's timestamp).
-func NewScraperMulti(engine *sim.Engine, db *timeseries.DB, regs []*metrics.Registry, interval time.Duration) *Scraper {
-	return NewScraperClock(clock.Sim(engine), db, regs, interval)
-}
-
-// NewScraperClock returns a scraper driven by an arbitrary clock — the wall
-// clock under cmd/l3serve, where the scrape pass is the moral equivalent of
-// Prometheus pulling /metrics. Like every sim-era component it is
-// single-threaded: its methods must run serialized with the clock's
-// callbacks.
+// NewScraperClock returns a scraper driven by an arbitrary clock — a
+// simulation engine through clock.Sim, or the wall clock under cmd/l3serve,
+// where the scrape pass is the moral equivalent of Prometheus pulling
+// /metrics. A round reads regs in order: the sharded world keeps one
+// registry per cluster shard, as a Prometheus instance federating
+// per-cluster endpoints would, and scrapes on the control engine, where all
+// shards are paused at the scrape's timestamp. Call Start to begin
+// scraping. Like every sim-era component it is single-threaded: its methods
+// must run serialized with the clock's callbacks.
 func NewScraperClock(clk clock.Clock, db *timeseries.DB, regs []*metrics.Registry, interval time.Duration) *Scraper {
 	if clk == nil {
 		panic("core: NewScraperClock requires a clock")
@@ -418,13 +407,6 @@ func (t *trackedSplit) retire(backend string) {
 	}
 }
 
-// NewController wires the operator together on the simulation engine's
-// virtual clock. splits, collector and cfg.NewAssigner (or cfg.Policies) are
-// required.
-func NewController(engine *sim.Engine, splits *smi.Store, collector *Collector, cfg ControllerConfig) *Controller {
-	return NewControllerClock(clock.Sim(engine), splits, collector, cfg)
-}
-
 // NewControllerClock wires the operator on an arbitrary clock. The
 // controller is single-threaded: its loops run as clock callbacks, and any
 // outside caller (tests, a drain path) must serialize with them.
@@ -433,7 +415,7 @@ func NewControllerClock(clk clock.Clock, splits *smi.Store, collector *Collector
 		panic("core: NewControllerClock requires a clock")
 	}
 	if splits == nil || collector == nil || (cfg.NewAssigner == nil && cfg.Policies == nil) {
-		panic("core: NewController requires splits, collector and NewAssigner or Policies")
+		panic("core: NewControllerClock requires splits, collector and NewAssigner or Policies")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second

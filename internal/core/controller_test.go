@@ -9,6 +9,7 @@ import (
 
 	"l3/internal/backend"
 	"l3/internal/balancer"
+	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
@@ -59,10 +60,10 @@ func newRig(t *testing.T, elector *cluster.Elector, fastLat, slowLat time.Durati
 	}
 
 	db := timeseries.NewDB(time.Minute)
-	NewScraper(engine, db, m.Registry(), 5*time.Second).Start()
+	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
 
 	selfReg := metrics.NewRegistry()
-	ctrl := NewController(engine, m.Splits(), NewCollector(db), ControllerConfig{
+	ctrl := NewControllerClock(clock.Sim(engine), m.Splits(), NewCollector(db), ControllerConfig{
 		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		Elector:      elector,
 		SelfRegistry: selfReg,
@@ -218,8 +219,8 @@ func newRigWithEngine(t *testing.T, engine *sim.Engine, elector *cluster.Elector
 	})
 	_ = m.SetPicker("api", balancer.NewWeightedSplit(m.Splits(), rng.Fork(), nil))
 	db := timeseries.NewDB(time.Minute)
-	NewScraper(engine, db, m.Registry(), 5*time.Second).Start()
-	ctrl := NewController(engine, m.Splits(), NewCollector(db), ControllerConfig{
+	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
+	ctrl := NewControllerClock(clock.Sim(engine), m.Splits(), NewCollector(db), ControllerConfig{
 		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		Elector:     elector,
 	})
@@ -292,7 +293,7 @@ func TestControllerBoundsCollectorSelectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	collector := NewCollector(timeseries.NewDB(time.Minute))
-	ctrl := NewController(engine, splits, collector, ControllerConfig{
+	ctrl := NewControllerClock(clock.Sim(engine), splits, collector, ControllerConfig{
 		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 	})
 	ctrl.Start()
@@ -396,10 +397,10 @@ func TestControllerSelfMetricsFollowTheSplit(t *testing.T) {
 func TestControllerRequiresDeps(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewController without deps did not panic")
+			t.Fatal("NewControllerClock without deps did not panic")
 		}
 	}()
-	NewController(sim.NewEngine(), nil, nil, ControllerConfig{})
+	NewControllerClock(clock.Sim(sim.NewEngine()), nil, nil, ControllerConfig{})
 }
 
 func TestScaleWeight(t *testing.T) {
@@ -434,7 +435,7 @@ func TestControllerUpdatesSplitsInNameOrder(t *testing.T) {
 		}
 	}
 	selfReg := metrics.NewRegistry()
-	ctrl := NewController(engine, splits, NewCollector(timeseries.NewDB(time.Minute)), ControllerConfig{
+	ctrl := NewControllerClock(clock.Sim(engine), splits, NewCollector(timeseries.NewDB(time.Minute)), ControllerConfig{
 		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		SelfRegistry: selfReg,
 	})

@@ -17,7 +17,7 @@ func TestScraperScrapesAtInterval(t *testing.T) {
 	counter := reg.Counter("reqs", nil)
 	db := timeseries.NewDB(time.Minute)
 
-	s := NewScraper(engine, db, reg, 5*time.Second)
+	s := NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 5*time.Second)
 	s.Start()
 	engine.Every(time.Second, func() { counter.Add(10) })
 
@@ -36,7 +36,7 @@ func TestScraperStop(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("x", nil).Inc()
 	db := timeseries.NewDB(time.Minute)
-	s := NewScraper(engine, db, reg, 5*time.Second)
+	s := NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 5*time.Second)
 	s.Start()
 	engine.RunUntil(12 * time.Second)
 	s.Stop()
@@ -53,7 +53,7 @@ func TestScraperDefaultInterval(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Gauge("g", nil).Set(1)
 	db := timeseries.NewDB(time.Minute)
-	NewScraper(engine, db, reg, 0).Start() // default 5s
+	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 0).Start() // default 5s
 	engine.RunUntil(6 * time.Second)
 	if _, ok := db.Latest("g", nil, 6*time.Second); !ok {
 		t.Fatal("default-interval scraper produced no samples by 6s")

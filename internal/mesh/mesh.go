@@ -403,7 +403,7 @@ func (m *Mesh) Splits() *smi.Store { return m.splits }
 func (m *Mesh) Registry() *metrics.Registry { return m.shards[0].registry }
 
 // Registries returns every shard's registry in shard order — what a scrape
-// round reads in sharded mode (core.NewScraperMulti consumes it).
+// round reads in sharded mode (core.NewScraperClock consumes it).
 func (m *Mesh) Registries() []*metrics.Registry {
 	regs := make([]*metrics.Registry, len(m.shards))
 	for i, sh := range m.shards {

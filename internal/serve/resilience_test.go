@@ -188,6 +188,8 @@ func TestAdapterConcurrentUse(t *testing.T) {
 	reg := metrics.NewRegistry()
 	res, backends := newTestAdapter(t, mustPolicy(t, DefaultResilience), reg, "a", "b", "c")
 	router := NewRouter(backends)
+	retries := reg.Counter(resilience.MetricRetriesTotal, metrics.Labels{"service": "api"})
+	hedges := reg.Counter(resilience.MetricHedgesTotal, metrics.Labels{"service": "api"})
 	var clock atomic.Int64
 	const workers, each = 8, 2000
 	var wg sync.WaitGroup
@@ -209,7 +211,7 @@ func TestAdapterConcurrentUse(t *testing.T) {
 						res.core.Retried()
 					}
 				}
-				_ = res.core.Retries() + res.core.Hedges()
+				_ = retries.Value() + hedges.Value()
 			}
 		}()
 	}

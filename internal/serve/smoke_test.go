@@ -252,7 +252,7 @@ func TestRetryRecoversTransportError(t *testing.T) {
 					t.Fatalf("request %d: status %d body %q (transport errors should retry)", i, code, body)
 				}
 			}
-			if srv.Handler().Retries() == 0 {
+			if scraped(t, srv, resilience.MetricRetriesTotal, nil) == 0 {
 				t.Fatal("no retries recorded against a dead backend in rotation")
 			}
 			failed := scraped(t, srv, mesh.MetricResponseTotal, metrics.Labels{"backend": "dead", "classification": mesh.ClassFailure})

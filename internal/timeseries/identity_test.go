@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/clock"
 	"l3/internal/core"
 	"l3/internal/guard"
 	"l3/internal/metrics"
@@ -41,7 +42,7 @@ func TestHistogramSumAndCountKeepTheirOwnHygieneState(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
 	hyg := guard.NewHygiene(guard.Config{}, hygReg)
 	db.SetGate(hyg)
-	core.NewScraper(engine, db, reg, 5*time.Second).Start()
+	core.NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 5*time.Second).Start()
 	engine.Every(time.Second, func() { h.Observe(0.25) })
 	const ticks = 8
 	engine.RunUntil(ticks*5*time.Second + time.Second)

@@ -324,7 +324,7 @@ func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 	for c := 0; c < cases; c++ {
 		w := newScrapeWorld(c, 3)
 		oracle := &labelScraper{engine: w.engine, db: w.dbs[0], registries: w.regs}
-		scraper := core.NewScraperMulti(w.engine, w.dbs[1], w.regs, 5*time.Second)
+		scraper := core.NewScraperClock(clock.Sim(w.engine), w.dbs[1], w.regs, 5*time.Second)
 		scraper.Start()
 		twin := &labelScraper{engine: w.engine, db: w.dbs[2], registries: w.regs, clone: true}
 		w.engine.Every(5*time.Second, oracle.tick)

@@ -45,12 +45,12 @@ race:
 ## (TestRecorderSecondsAreChunked), in internal/loadgen; the admit path and a proxied request's bytes and
 ## mallocs (TestAdmitPathAllocsPinned, TestProxiedRequestBytes,
 ## TestProxiedRequestMallocs), in internal/serve;
-## and the series and gate-state chunks that fill their size class
-## (TestSeriesChunkFillsItsSizeClass, TestStateChunkFillsItsSizeClass), in
-## internal/timeseries and internal/guard.
+## and the series index's chunks, which fill their size class for a series
+## and for a gate state (TestIndexChunkFillsItsSizeClass), in
+## internal/metrics.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|SeriesChunkFillsItsSizeClass|StateChunkFillsItsSizeClass)$$' \
-		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/timeseries ./internal/guard
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass)$$' \
+		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
@@ -70,7 +70,11 @@ allocs:
 ## as the flat recorder does, bit for bit; and the admission core, whose
 ## verdicts, their delivery order and every count must match the old sim
 ## admission queue's on any stream of arrivals, completions, time steps and
-## limit changes.
+## limit changes; and the series index, which must hand out one entry per
+## series of a plain map keyed by name and Labels.Key(), create it exactly on
+## the map's first sight and never twice, whatever maps, clones, turnovers,
+## nil and empty maps, passes in either order and forced hash collisions it
+## is fed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
 	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
@@ -81,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesDense -fuzztime 5s ./internal/histogram
 	$(GO) test -run '^$$' -fuzz FuzzRecorderMatchesFlat -fuzztime 5s ./internal/loadgen
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionMatchesOracle -fuzztime 5s ./internal/overload
+	$(GO) test -run '^$$' -fuzz FuzzIndexMatchesOracle -fuzztime 5s ./internal/metrics
 
 ## serve-soak: 10^6 POSTs each with 4 KiB and 64 KiB answers through a live
 ## proxy (closed loop, two clients, plain net/http upstreams), failing on any

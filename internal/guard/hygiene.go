@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"time"
-	"unsafe"
 
 	"l3/internal/metrics"
 )
@@ -31,60 +30,33 @@ import (
 //     what stops raw increase()'s "any decrease is a reset" heuristic from
 //     double-counting corrupt samples.
 type Hygiene struct {
-	mu  sync.Mutex
-	cfg Config
-	// series finds a series' state by metric name, then by label-map identity
-	// or else by label hash — no key string is built per sample.
-	series map[string]*states
-	// names lists the metric names in first-sight order; a state names its
-	// metric by an index here.
-	names []string
-	// last is the state the previous resolution landed on: its succ is the
-	// next resolution's guess.
-	last *seriesState
+	mu    sync.Mutex
+	cfg   Config
+	index metrics.Index[seriesState]
 	// reset lists the series that have ever spliced a reset, all LastReset
 	// has to look at.
-	reset []*seriesState
-	// mapped and hashed count states resolved through the name map and by
-	// the hash path, for the tests.
-	mapped, hashed uint64
-	// spare is the rest of the chunk new states are handed out of.
-	spare []seriesState
+	reset []*metrics.Entry[seriesState]
 
 	rejNaN, rejNegative, rejOutOfOrder, rejDuplicate, rejAnomaly *metrics.Counter
 	resets                                                       *metrics.Counter
 }
 
-// states is one metric name's series states: by the label maps the index
-// has recognised, and by label hash with colliding label sets chained.
-type states struct {
-	ordinal uint32 // the index of its name in Hygiene.names
-	byMap   metrics.MapIndex[seriesState]
-	byHash  map[uint64]*seriesState
-}
-
-// hashLabels is the hash path's label hash; the collision tests force it.
-var hashLabels = metrics.Labels.Hash
-
+// seriesState is what the gate keeps of one series: 32 bytes, so that with
+// the index's fields a state is one 64-byte slot of a chunk.
 type seriesState struct {
-	// labels is the map the state was created with, or the last other equal
-	// map the hash path resolved it under; indexed says the name's byMap holds
-	// it for the state.
-	labels            metrics.Labels
-	next              *seriesState // next state of the family with the same label hash
-	succ              *seriesState // what the resolution after this state's landed on last time
-	lastT             time.Duration
-	lastRaw           float64
-	offset            float64
-	lastReset         time.Duration
-	hasReset, indexed bool
-	name              uint32 // the metric name's index in Hygiene.names: a number, not a pointer, keeps a state at 64 bytes
+	lastT     time.Duration
+	lastRaw   float64
+	offset    float64
+	lastReset time.Duration // never until the series splices a reset
 }
+
+// never is lastReset before a series' first splice.
+const never = time.Duration(math.MinInt64)
 
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
 // when non-nil (they are created eagerly so registration order is stable).
 func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
-	h := &Hygiene{cfg: cfg.withDefaults(), series: make(map[string]*states)}
+	h := &Hygiene{cfg: cfg.withDefaults()}
 	counter := func(reason string) *metrics.Counter {
 		if reg == nil {
 			return &metrics.Counter{}
@@ -107,7 +79,7 @@ func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
 // Admit implements timeseries.Gate. The labels map is never modified
 // afterwards: the gate keeps it as the state's labels, and finds the state of
 // a map it has resolved twice in a row under one name by the map object
-// alone (see metrics.MapIndex).
+// alone (see metrics.Index).
 func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) (float64, bool) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		h.rejNaN.Inc()
@@ -122,10 +94,10 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st, created := h.state(name, labels)
+	e, created := h.index.Resolve(name, labels)
+	st := &e.Value
 	if created {
-		st.lastT = t
-		st.lastRaw = v
+		st.lastT, st.lastRaw, st.lastReset = t, v, never
 		return v, true
 	}
 	if t == st.lastT {
@@ -140,11 +112,10 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 		if v <= st.lastRaw*h.cfg.ResetFraction {
 			// Genuine restart: splice onto the cumulative offset.
 			st.offset += st.lastRaw
-			st.lastReset = t
-			if !st.hasReset {
-				st.hasReset = true
-				h.reset = append(h.reset, st)
+			if st.lastReset == never {
+				h.reset = append(h.reset, e)
 			}
+			st.lastReset = t
 			h.resets.Inc()
 		} else {
 			h.rejAnomaly.Inc()
@@ -159,66 +130,6 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 	return v, true
 }
 
-// state returns the series' state, creating it on first sight. Like
-// timeseries.DB's resolve, it first guesses the state that followed the
-// previous resolution's last time, and takes it when the name's index holds
-// the labels' map for it and it is of this name: exactly when the name map
-// and the index would find it. Otherwise the name's states find it by the
-// labels' map object when indexed, else by hash, where distinct label sets
-// that collide share a chain; it becomes the previous state's successor.
-func (h *Hygiene) state(name string, labels metrics.Labels) (st *seriesState, created bool) {
-	prev := h.last
-	if prev != nil {
-		if st = prev.succ; st != nil && st.indexed && metrics.SameMap(st.labels, labels) && h.names[st.name] == name {
-			h.last = st
-			return st, false
-		}
-	}
-	h.mapped++
-	named, ok := h.series[name]
-	if !ok {
-		named = &states{ordinal: uint32(len(h.names)), byHash: make(map[uint64]*seriesState)}
-		h.series[name] = named
-		h.names = append(h.names, name)
-	}
-	if st = named.byMap.Lookup(labels); st == nil {
-		h.hashed++
-		hash := hashLabels(labels)
-		st = named.byHash[hash]
-		for st != nil && !st.labels.Equal(labels) {
-			st = st.next
-		}
-		if st == nil {
-			st = h.newState()
-			st.labels, st.next, st.name = labels, named.byHash[hash], named.ordinal
-			named.byHash[hash] = st
-			created = true
-		} else {
-			named.byMap.Resolved(labels, st, &st.labels, &st.indexed)
-		}
-	}
-	if prev != nil {
-		prev.succ = st
-	}
-	h.last = st
-	return st, created
-}
-
-// stateChunk is how many states one allocation makes: as many as fill the
-// 16 KiB size class beside the 8-byte header of a pointer-holding object.
-const stateChunk = int((16<<10 - 8) / unsafe.Sizeof(seriesState{}))
-
-// newState hands out the next zeroed state of the current chunk, making a
-// chunk when none is left; called under mu.
-func (h *Hygiene) newState() *seriesState {
-	if len(h.spare) == 0 {
-		h.spare = make([]seriesState, stateChunk)
-	}
-	st := &h.spare[0]
-	h.spare = h.spare[1:]
-	return st
-}
-
 // LastReset implements core.ResetSource: the most recent splice time among
 // series matching the label set (subset match).
 func (h *Hygiene) LastReset(match metrics.Labels) (time.Duration, bool) {
@@ -226,10 +137,10 @@ func (h *Hygiene) LastReset(match metrics.Labels) (time.Duration, bool) {
 	defer h.mu.Unlock()
 	var best time.Duration
 	any := false
-	for _, st := range h.reset {
-		if st.labels.Matches(match) {
-			if !any || st.lastReset > best {
-				best = st.lastReset
+	for _, e := range h.reset {
+		if e.Labels().Matches(match) {
+			if !any || e.Value.lastReset > best {
+				best = e.Value.lastReset
 			}
 			any = true
 		}

@@ -6,6 +6,9 @@ import (
 	"strconv"
 )
 
+// SameMap reports whether a and b are one map object, not merely equal ones.
+func SameMap(a, b Labels) bool { return identity(a) == identity(b) }
+
 // holds reports whether the descriptor table holds an entry under k.
 func (t *descriptors) holds(k descriptorKey) bool {
 	t.mu.Lock()

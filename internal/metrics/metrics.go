@@ -36,7 +36,7 @@ import (
 // A label map handed to a store — timeseries.DB's appends, a
 // timeseries.Gate — is never modified afterwards: the store keeps that map,
 // not a copy, for the series' life, and recognises the series by its map
-// object (MapIndex). The registry's sample templates and ParseExposition's
+// object (Index). The registry's sample templates and ParseExposition's
 // series table hand out such maps, one per series; equal series in different
 // registries hand out one map (see descriptor).
 type Labels map[string]string
@@ -590,7 +590,7 @@ func (r *Registry) Snapshot() []Sample {
 // process that registers an equal series: they must be treated as read-only.
 // Consumers that retain labels past the scrape (the time-series DB, the
 // hygiene gate) keep the template's map itself and recognise a series by it
-// (MapIndex).
+// (Index).
 //
 // The whole pass runs under one lock acquisition, so a scrape sees a single
 // coherent registration state instead of re-locking per series (the old

@@ -198,6 +198,15 @@ func (c Config) Validate() error {
 	if c.ScrapeInterval <= 0 {
 		bad("scrape_interval must be positive")
 	}
+	if c.HealthInterval <= 0 {
+		bad("health_interval must be positive")
+	}
+	if c.HealthTimeout <= 0 {
+		bad("health_timeout must be positive")
+	}
+	if c.DrainTimeout <= 0 {
+		bad("drain_timeout must be positive")
+	}
 	if !(c.Percentile > 0 && c.Percentile < 1) {
 		bad("percentile %v is outside (0, 1)", c.Percentile)
 	}

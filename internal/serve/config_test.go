@@ -72,8 +72,9 @@ func TestLoadConfigUnknownKey(t *testing.T) {
 
 func TestValidateCollectsAllProblems(t *testing.T) {
 	cfg := Config{
-		Algo:     "fancy",
-		Backends: []BackendConfig{{Name: "", URL: "not-a-url"}, {Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"}},
+		Algo:           "fancy",
+		Backends:       []BackendConfig{{Name: "", URL: "not-a-url"}, {Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"}},
+		HealthInterval: -time.Second, // and a zero health_timeout and drain_timeout
 	}
 	err := cfg.Validate()
 	if err == nil {
@@ -87,6 +88,9 @@ func TestValidateCollectsAllProblems(t *testing.T) {
 		`name "a" is duplicated`,
 		"not an absolute http(s) URL",
 		"scrape_interval must be positive",
+		"health_interval must be positive",
+		"health_timeout must be positive",
+		"drain_timeout must be positive",
 		"percentile",
 	} {
 		if !strings.Contains(err.Error(), sub) {

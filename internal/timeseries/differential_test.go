@@ -90,26 +90,27 @@ func oracleDump(db *oracleDB) map[string][]timeseries.Point {
 // mid-stream, duplicate and out-of-order stamps, retention compaction,
 // counter resets, and (every other case) a hygiene gate rejecting garbage and
 // splicing resets — and requires every query to return the same bits, the
-// stored points to be equal and the two gates to count alike. The indexed side
-// keeps one label map per series across steps, as the parse table does, and
-// turns some over mid-stream; some maps serve two families, some are nil or
-// empty, and in half the cases every label set hashes alike. The oracle side
-// clones the labels for every sample, so its gate resolves each by hash.
+// stored points to be equal and the two gates to count and answer LastReset
+// alike. The indexed side keeps one label map per series across steps, as
+// the parse table does, and turns some over mid-stream; some maps serve two
+// families, some are nil or empty. The oracle side clones the labels for
+// every sample, so its gate resolves each by hash. Postings never hash, so
+// forcing label hashes to collide is the index's own test
+// (metrics.TestIndexKeepsCollidingLabelSetsApart).
 func TestQueriesMatchLinearScanOracle(t *testing.T) {
 	const cases = 1200
-	queries, appends, hashed := 0, 0, uint64(0)
-	defer timeseries.ForceHashCollisions(false)
+	queries, appends := 0, 0
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		retention := time.Duration(10+rng.Intn(50)) * time.Second
 		db, oracle := timeseries.NewDB(retention), newOracleDB(retention)
 		gated := c%2 == 1
 		hygReg, oracleHygReg := metrics.NewRegistry(), metrics.NewRegistry()
+		hyg, oracleHyg := guard.NewHygiene(guard.Config{}, hygReg), guard.NewHygiene(guard.Config{}, oracleHygReg)
 		if gated {
-			db.SetGate(guard.NewHygiene(guard.Config{}, hygReg))
-			oracle.SetGate(guard.NewHygiene(guard.Config{}, oracleHygReg))
+			db.SetGate(hyg)
+			oracle.SetGate(oracleHyg)
 		}
-		timeseries.ForceHashCollisions(c%4 >= 2)
 		type live struct {
 			family int
 			labels metrics.Labels
@@ -168,6 +169,13 @@ func TestQueriesMatchLinearScanOracle(t *testing.T) {
 			if err := sameCounters(hygReg, oracleHygReg); err != nil {
 				t.Fatalf("case %d step %d: hygiene: %v", c, step, err)
 			}
+			for _, match := range []metrics.Labels{nil, {"backend": "b1"}, {"classification": "failure"}} {
+				gt, gok := hyg.LastReset(match)
+				wt, wok := oracleHyg.LastReset(match)
+				if gt != wt || gok != wok {
+					t.Fatalf("case %d step %d: LastReset(%v) = (%v, %v), oracle gate (%v, %v)", c, step, match, gt, gok, wt, wok)
+				}
+			}
 			for n := 0; n < 6; n++ {
 				match := randomSelector(rng)
 				at := now + time.Duration(rng.Intn(12)-4)*time.Second
@@ -199,10 +207,6 @@ func TestQueriesMatchLinearScanOracle(t *testing.T) {
 				check(fmt.Sprintf("HistogramQuantile q=%v", q), g, gok, w, wok)
 			}
 		}
-		hashed += timeseries.HashResolved(db)
 	}
-	if hashed > uint64(appends)/2 {
-		t.Fatalf("%d of %d appends resolved by hash: the identity index is barely exercised", hashed, appends)
-	}
-	t.Logf("%d cases, %d queries bit-identical to the linear-scan oracle; %d of %d appends resolved by hash", cases, queries, hashed, appends)
+	t.Logf("%d cases, %d queries bit-identical to the linear-scan oracle over %d appends", cases, queries, appends)
 }

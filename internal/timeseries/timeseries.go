@@ -12,13 +12,13 @@
 package timeseries
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"l3/internal/histogram"
 	"l3/internal/metrics"
@@ -30,55 +30,27 @@ type Point struct {
 	V float64
 }
 
-// A series is 320 bytes, its first point window included, carved from a
-// chunk (DB.newSeries). Its label map may be shared with equal series of
-// other registries, since a registry takes it from the process-wide
-// descriptor.
-type series struct {
-	// labels is the map the series was created with, or the last other equal
-	// map the hash path resolved it under; indexed says the family's byMap
-	// holds it for the series.
-	labels metrics.Labels
+// seriesData is what the database keeps of one series. A series, its index
+// fields and its first point window are 320 bytes, one slot of a chunk the
+// index carves. Its label map may be shared with equal series of other
+// registries, since a registry takes it from the process-wide descriptor.
+type seriesData struct {
 	points []Point
-	// bound is the "le" label parsed once at creation: bucket marks a series
-	// HistogramQuantile can use (le is "+Inf" or parses to a number, NaN
-	// excluded), inf the +Inf overflow bucket.
-	bound                float64
-	bucket, inf, indexed bool
-	family               uint32  // the family's index in DB.names: a number, not a pointer, keeps the header at 64 bytes
-	next                 *series // next series of the family with the same label hash
-	succ                 *series // what the resolution after this series' landed on last time
-	window0              [pointWindow]Point
+	// bound is the "le" label parsed once at creation: NaN unless the series
+	// is a bucket HistogramQuantile can use, +Inf for the overflow bucket.
+	bound   float64
+	window0 [pointWindow]Point
 }
 
-// family is one metric name's series: in insertion order, by label hash for
-// ingest, by label-map identity ahead of the hash, and by postings (label
-// name -> value -> series, each list in insertion order) for selector
+// series is a stored series: the database's value inside the index's entry.
+type series = metrics.Entry[seriesData]
+
+// family is one metric name's series: in insertion order, and by postings
+// (label name -> value -> series, each list in insertion order) for selector
 // queries — the index layout Prometheus's own head block uses.
 type family struct {
-	ordinal  uint32 // the index of its name in DB.names
 	series   []*series
-	byHash   map[uint64]*series
-	byMap    metrics.MapIndex[series]
 	postings map[string]map[string][]*series
-}
-
-// hashLabels is the hash path's label hash; the collision tests force it.
-var hashLabels = metrics.Labels.Hash
-
-func newFamily(ordinal uint32) *family {
-	return &family{ordinal: ordinal, byHash: make(map[uint64]*series), postings: make(map[string]map[string][]*series)}
-}
-
-// find returns the family's series with exactly these labels. hash is
-// labels.Hash(); distinct label sets that collide share a chain.
-func (f *family) find(hash uint64, labels metrics.Labels) *series {
-	for s := f.byHash[hash]; s != nil; s = s.next {
-		if s.labels.Equal(labels) {
-			return s
-		}
-	}
-	return nil
 }
 
 // pointWindow is the capacity a new series' points start with, inside the
@@ -86,29 +58,27 @@ func (f *family) find(hash uint64, labels metrics.Labels) *series {
 // the window it keeps for life are one slot of a chunk.
 const pointWindow = 16
 
-// insert adds s, a zeroed series, under its label hash, holding the labels
-// map it was handed, and indexes every pair.
-func (f *family) insert(s *series, hash uint64, labels metrics.Labels) *series {
-	s.labels, s.family, s.next = labels, f.ordinal, f.byHash[hash]
-	s.points = s.window0[:0]
-	for k, v := range s.labels {
+// insert adds s, a series the index has just created, and indexes every
+// pair of its labels. An "le" that parses to +Inf marks the overflow bucket,
+// as in Prometheus.
+func (f *family) insert(s *series) {
+	d := &s.Value
+	d.points = d.window0[:0]
+	d.bound = math.NaN()
+	for k, v := range s.Labels() {
 		byValue := f.postings[k]
 		if byValue == nil {
 			byValue = make(map[string][]*series)
 			f.postings[k] = byValue
 		}
 		byValue[v] = append(byValue[v], s)
-	}
-	if le, ok := s.labels["le"]; ok {
-		if le == "+Inf" {
-			s.bucket, s.inf = true, true
-		} else if b, err := strconv.ParseFloat(le, 64); err == nil && b == b {
-			s.bucket, s.bound = true, b
+		if k == "le" {
+			if b, err := strconv.ParseFloat(v, 64); err == nil {
+				d.bound = b
+			}
 		}
 	}
-	f.byHash[hash] = s
 	f.series = append(f.series, s)
-	return s
 }
 
 // Gate screens samples before ingestion. A gate may rewrite the admitted
@@ -132,18 +102,11 @@ type DB struct {
 
 	mu        sync.Mutex
 	retention time.Duration
+	index     metrics.Index[seriesData]
 	families  map[string]*family
-	// names lists the family names in creation order; a series names its
-	// family by an index here.
-	names []string
-	// last is the series the previous resolution landed on: its succ is the
-	// next resolution's guess.
-	last *series
 	// buckets maps a histogram's base name to its "<name>_bucket" family, so
 	// HistogramQuantile concatenates no name per call.
 	buckets map[string]*family
-	// spare is the rest of the chunk new series are handed out of.
-	spare []series
 
 	// Query scratch, reused under mu: the series a label-taking query
 	// matched, and HistogramQuantile's per-bound merge.
@@ -153,10 +116,8 @@ type DB struct {
 	counts  []float64
 	// visited counts series examined while resolving selectors, for the tests
 	// that pin a collect round's cost as linear in the backends it asks about
-	// on first sight and as nothing once its selectors stand; mapped and
-	// hashed count series resolved through the family map and by the hash
-	// path, for those that pin a scrape's.
-	visited, mapped, hashed uint64
+	// on first sight and as nothing once its selectors stand.
+	visited uint64
 }
 
 // NewDB returns a database that retains at least the given duration of
@@ -211,7 +172,7 @@ func (db *DB) SetGate(g Gate) {
 // gate it is equivalent to Append. The labels map is never modified
 // afterwards: the database keeps it as the series' labels, and finds the
 // series of a map it has resolved twice in a row by the map object alone
-// (see metrics.MapIndex).
+// (see metrics.Index).
 func (db *DB) AppendSample(name string, labels metrics.Labels, kind metrics.Kind, t time.Duration, v float64) {
 	var ref Ref
 	db.AppendSampleRef(&ref, name, labels, kind, t, v)
@@ -235,87 +196,45 @@ func (db *DB) AppendSampleRef(ref *Ref, name string, labels metrics.Labels, kind
 	db.mu.Unlock()
 }
 
-// store appends one point to ref's series, resolving ref first when it is
-// empty or another database's. Called under mu.
+// store appends one point to ref's series, resolving ref through the index
+// first when it is empty or another database's. Called under mu.
 func (db *DB) store(ref *Ref, name string, labels metrics.Labels, t time.Duration, v float64) {
 	s := ref.s
 	if s == nil || ref.db != db {
-		s = db.resolve(name, labels)
+		var created bool
+		if s, created = db.index.Resolve(name, labels); created {
+			db.add(name, s)
+		}
 		ref.db, ref.s = db, s
 	}
-	if n := len(s.points); n > 0 && s.points[n-1].T >= t {
+	d := &s.Value
+	if n := len(d.points); n > 0 && d.points[n-1].T >= t {
 		return
 	}
-	s.points = append(s.points, Point{T: t, V: v})
+	d.points = append(d.points, Point{T: t, V: v})
 	// Compact: drop points older than retention, keeping at least two.
 	cutoff := t - db.retention
 	drop := 0
-	for drop < len(s.points)-2 && s.points[drop].T < cutoff {
+	for drop < len(d.points)-2 && d.points[drop].T < cutoff {
 		drop++
 	}
 	if drop > 0 {
-		s.points = append(s.points[:0], s.points[drop:]...)
+		d.points = append(d.points[:0], d.points[drop:]...)
 	}
 }
 
-// resolve returns the series for (name, labels), creating family and series
-// on first sight. A scrape lists its series in the same order every round, so
-// it first guesses the series that followed the previous resolution's last
-// time, and takes it when the family index holds the labels' map for it and
-// it is of this name: exactly when the family map and the index would find
-// it, since an index entry for a series exists iff it is indexed under the
-// map it holds. A guess makes, drops and hashes nothing. Otherwise the family
-// finds the series by the labels' map object when it has indexed it, else by
-// hash, which then tells the index what it found, unless it just created it;
-// the series becomes the previous one's successor.
-func (db *DB) resolve(name string, labels metrics.Labels) *series {
-	prev := db.last
-	if prev != nil {
-		if s := prev.succ; s != nil && s.indexed && metrics.SameMap(s.labels, labels) && db.names[s.family] == name {
-			db.last = s
-			return s
-		}
-	}
-	db.mapped++
-	f, ok := db.families[name]
-	if !ok {
-		f = newFamily(uint32(len(db.names)))
+// add files s, a series the index has just created, in its family, which
+// it creates on the name's first sight. Called under mu.
+func (db *DB) add(name string, s *series) {
+	f := db.families[name]
+	if f == nil {
+		f = &family{postings: make(map[string]map[string][]*series)}
 		db.families[name] = f
-		db.names = append(db.names, name)
 		if base, ok := strings.CutSuffix(name, "_bucket"); ok {
 			db.buckets[base] = f
 		}
 	}
-	s := f.byMap.Lookup(labels)
-	if s == nil {
-		db.hashed++
-		hash := hashLabels(labels)
-		if s = f.find(hash, labels); s == nil {
-			s = f.insert(db.newSeries(), hash, labels)
-		} else {
-			f.byMap.Resolved(labels, s, &s.labels, &s.indexed)
-		}
-	}
-	if prev != nil {
-		prev.succ = s
-	}
-	db.last = s
-	return s
-}
-
-// seriesChunk is how many series one allocation makes: as many as fill the
-// 16 KiB size class beside the 8-byte header of a pointer-holding object.
-const seriesChunk = int((16<<10 - 8) / unsafe.Sizeof(series{}))
-
-// newSeries hands out the next zeroed series of the current chunk, making a
-// chunk when none is left; called under mu.
-func (db *DB) newSeries() *series {
-	if len(db.spare) == 0 {
-		db.spare = make([]series, seriesChunk)
-	}
-	s := &db.spare[0]
-	db.spare = db.spare[1:]
-	return s
+	f.insert(s)
 }
 
 // SeriesCount returns the number of distinct series stored, for tests and
@@ -330,11 +249,11 @@ func (db *DB) SeriesCount() int {
 	return n
 }
 
-// window extracts the points of s inside (from, to] — Prometheus range
+// window extracts the series' points inside (from, to] — Prometheus range
 // semantics — by binary search: Append keeps points in strictly increasing
 // time order.
-func (s *series) window(from, to time.Duration) []Point {
-	pts := s.points
+func (d *seriesData) window(from, to time.Duration) []Point {
+	pts := d.points
 	lo := sort.Search(len(pts), func(i int) bool { return pts[i].T > from })
 	hi := lo + sort.Search(len(pts)-lo, func(i int) bool { return pts[lo+i].T > to })
 	return pts[lo:hi]
@@ -392,7 +311,7 @@ func (f *family) candidates(match metrics.Labels) (list []*series, label, value 
 func (db *DB) verify(candidates []*series, match metrics.Labels) []*series {
 	out := db.matched[:0]
 	for _, s := range candidates {
-		if s.labels.Matches(match) {
+		if s.Labels().Matches(match) {
 			out = append(out, s)
 		}
 	}
@@ -506,7 +425,7 @@ func rateOver(matched []*series, at, window time.Duration) (float64, bool) {
 		any   bool
 	)
 	for _, s := range matched {
-		pts := s.window(at-window, at)
+		pts := s.Value.window(at-window, at)
 		delta, ok := increase(pts)
 		if !ok {
 			continue
@@ -541,7 +460,7 @@ func gaugeAvgOver(matched []*series, at, window time.Duration) (float64, bool) {
 	var sum float64
 	var n int
 	for _, s := range matched {
-		for _, p := range s.window(at-window, at) {
+		for _, p := range s.Value.window(at-window, at) {
 			sum += p.V
 			n++
 		}
@@ -561,7 +480,7 @@ func (db *DB) Latest(name string, match metrics.Labels, at time.Duration) (v flo
 	var sum float64
 	any := false
 	for _, s := range db.matching(name, match) {
-		pts := s.points
+		pts := s.Value.points
 		for i := len(pts) - 1; i >= 0; i-- {
 			if pts[i].T <= at {
 				sum += pts[i].V
@@ -591,8 +510,8 @@ func (sel *Selector) NewestSample() (time.Duration, bool) {
 
 func newestOver(matched []*series) (t time.Duration, ok bool) {
 	for _, s := range matched {
-		if n := len(s.points); n > 0 {
-			if last := s.points[n-1].T; !ok || last > t {
+		if n := len(s.Value.points); n > 0 {
+			if last := s.Value.points[n-1].T; !ok || last > t {
 				t = last
 			}
 			ok = true
@@ -636,28 +555,29 @@ func (db *DB) quantileOver(q float64, matched []*series, at, window time.Duratio
 	var infRate float64
 	var haveInf bool
 	for _, s := range matched {
-		if !s.bucket {
+		bound := s.Value.bound
+		if bound != bound {
 			continue
 		}
-		delta, ok := increase(s.window(at-window, at))
+		delta, ok := increase(s.Value.window(at-window, at))
 		if !ok {
 			continue
 		}
-		if s.inf {
+		if math.IsInf(bound, 1) {
 			infRate += delta
 			haveInf = true
 			continue
 		}
 		i := len(bounds)
-		for i > 0 && bounds[i-1] >= s.bound {
+		for i > 0 && bounds[i-1] >= bound {
 			i--
 		}
-		if i == len(bounds) || bounds[i] != s.bound {
+		if i == len(bounds) || bounds[i] != bound {
 			bounds = append(bounds, 0)
 			rates = append(rates, 0)
 			copy(bounds[i+1:], bounds[i:])
 			copy(rates[i+1:], rates[i:])
-			bounds[i], rates[i] = s.bound, 0
+			bounds[i], rates[i] = bound, 0
 		}
 		rates[i] += delta
 	}

@@ -124,6 +124,11 @@ deadcode:
 ## builds: the parse's result and two objects a written split. Beside
 ## it, ExpositionChurn: the round in which a series appears, one registration
 ## and the WritePrometheus that lays the text out again; its ns/sample should
-## stay flat too, and small next to a warm round's.
+## stay flat too, and small next to a warm round's. Then the round's two
+## per-sample lines on the 102-backend text: ParseExposition, a warm parse
+## (internal/metrics), and GatedAppend, every parsed sample through the
+## hygiene gate into the DB (internal/timeseries); each prints ns/sample.
 sweep:
 	$(GO) test -run '^$$' -bench '(ControlRound|ExpositionChurn)/backends=(102|1020|3060)$$' -benchtime 10x -cpu 1 ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkParseExposition$$' -cpu 1 ./internal/metrics
+	$(GO) test -run '^$$' -bench '^BenchmarkGatedAppend$$' -cpu 1 ./internal/timeseries

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -347,6 +348,7 @@ func TestParserMatchesOracle(t *testing.T) {
 		"ok 1\nbad{ 1\nnever 2\n",
 		"x 0\nx 007\nx 999999999999999\nx 1000000000000000\nx 9007199254740993\nx +1\nx -0\nx 1.\nx .5\nx 1e3\nx 0b1\nx 1 -1\nx 1 +1\n",
 		"x 1\u00852\n", "x\u00851 2\n", "x 1\v\f2\n", "x{a=\"1\",a=\"2\"} 1\n", "x{le=\"+Inf\"} 3\n", "x_bucket{le=\"0.5\"} 3\n# TYPE x gauge\nx_bucket 4\n",
+		"x 1\n# TYPE x counter\nx 2\nx_total 3\n", "# TYPE x summary\nx{quantile=\"0.5\"} 1\nx 2\nx_sum 3\nx_count 4\nx_bucket 5\n",
 	} {
 		agreeWithOracleParser(t, []byte(text))
 	}
@@ -372,6 +374,61 @@ func TestParserMatchesOracle(t *testing.T) {
 	if rejected < cases/10 || rejected > cases*9/10 {
 		t.Fatalf("%d of %d damaged texts rejected: the mutations no longer exercise both outcomes", rejected, cases)
 	}
+}
+
+// predictionEdges are lines that follow "p 1" where an earlier text had
+// predictionBase: each spells, or starts like, the series text predicted for
+// it, and the line decides whether the prediction holds.
+var (
+	predictionBase  = []string{`x{a="b"} 1`, `x 1`}
+	predictionEdges = []string{
+		"x{a=\"b\"}\t2", "x{a=\"b\"}\u00a02", "x{a=\"b\"}\u00852", "x{a=\"b\"}\v2", `x{a="b"}2`, `x{a="b"}`, `x{a="b"} `,
+		`x{a="b"} 1}`, `x{a="b"} }`, `x{a="b"} 1 2}`, `x{a="b"} {}`, `x{a="b"}}`, `x{a="b"}} 1`, `x{a="b",} 1`, `x{a="bc"} 1`,
+		`x_total 2`, `xy 2`, `x{} 2`, `x {a="b"} 2`, "x\t2", "x\u00a02", `x`, `x 1}`,
+		`x 123456789012345`, `x 1234567890123456`, `x 12345678901234567890`, `x 999999999999999`, `x 9007199254740993`,
+		`x 007`, `x 0`, `x -0`, `x +1`, `x 1e3`, `x 1.5`, `x 1 1700000000000`, `x 1 2 3`, `x  1`, `x 1 `, `x 1x`, `x 0x10`,
+	}
+)
+
+// TestPredictionMatchesOracle: one table reads two texts in alternation, so
+// that each text's lines are predicted from the other's. In the first pair,
+// every edge line follows the line whose successor last time was a base
+// series: the prediction is checked against a line that spells that text and
+// then whitespace, other whitespace, a brace, a longer name or label block,
+// or a value on either side of the whole-number path. In the second, every
+// line of a text follows another line than it did in the text before, so
+// every prediction misses. Each text also runs through agreeWithOracleParser.
+func TestPredictionMatchesOracle(t *testing.T) {
+	agree := func(table *seriesCache, text string) {
+		t.Helper()
+		got, err := table.read(strings.NewReader(text))
+		want, wantErr := oracleParseExposition(strings.NewReader(text))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !sameSamples(got, want) {
+			t.Fatalf("parsing %q: %v, %v; the oracle's %v, %v", text, got, err, want, wantErr)
+		}
+	}
+	for _, base := range predictionBase {
+		for _, edge := range predictionEdges {
+			table := &seriesCache{limit: seriesCacheCap}
+			first, second := "p 1\n"+base+"\nq 1\n", "p 1\n"+edge+"\nq 1\n"
+			for _, text := range []string{first, second, first, second, first} {
+				agree(table, text)
+			}
+			agreeWithOracleParser(t, []byte(second))
+		}
+	}
+	all := "x 1\nx_total 2\nxy 3\n" + strings.Join(predictionBase, "\n") + "\nx{a=\"b\",} 4\nx{} 5\n"
+	table := &seriesCache{limit: seriesCacheCap}
+	for _, text := range []string{all, reversed(all), all, rotated(all), reversed(all)} {
+		agree(table, text)
+	}
+	agreeWithOracleParser(t, []byte(all))
+}
+
+// rotated is text with its first line moved to the end.
+func rotated(text string) string {
+	first, rest, _ := strings.Cut(text, "\n")
+	return rest + first + "\n"
 }
 
 // appendSeriesPrefix appends a sample line up to its value: the sanitized

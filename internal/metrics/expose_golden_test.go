@@ -119,6 +119,10 @@ depth 4
 lat_bucket{le="+Inf"} 1
 lat_sum 0.5
 lat_count 1
+# TYPE rpc summary
+rpc{quantile="0.99"} 0.2
+rpc_sum 3.5
+rpc_count 7
 free_form 9
 hits_total 2
 `
@@ -136,6 +140,9 @@ hits_total 2
 		"lat_bucket": KindCounter, // family TYPE histogram
 		"lat_sum":    KindCounter,
 		"lat_count":  KindCounter,
+		"rpc":        KindGauge, // a summary's quantiles go up and down
+		"rpc_sum":    KindCounter,
+		"rpc_count":  KindCounter,
 		"free_form":  KindGauge,   // untyped, no suffix
 		"hits_total": KindCounter, // _total convention
 	} {

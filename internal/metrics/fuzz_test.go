@@ -28,6 +28,10 @@ func FuzzParseExposition(f *testing.F) {
 		"x{ a = \"b\" } +Inf\n\n  \nx -Inf\n",
 		"x{a=\"b\\q\"} 1\n", "x{a=\"b", "x 1 2 3\n", "1x 1\n", "x 1 2\n", "x{a=b} 1\n",
 		"x 999999999999999\nx 1000000000000000\nx -0\nx 007 1\nx 1\n",
+		"x{a=\"b\"} 1\nx{a=\"b\"}\t2\nx{a=\"b\"}\u00a03\nx{a=\"b\"}\u00854\nx{a=\"b\"} 5}\n",
+		"x 1\nx_total 2\nx 3\nx{a=\"b\"} 4\nx{a=\"b\"}} 5\n",
+		"x 123456789012345\nx 1234567890123456\nx 12345678901234567890\nx 007\nx -0\nx +1\nx 1e3\nx 1 1700000000000\nx 1 2\n",
+		"x 1\n# TYPE x counter\nx 2\nx_total 3\n# TYPE x summary\nx{quantile=\"0.5\"} 1\nx_sum 2\n",
 	} {
 		f.Add([]byte(seed))
 	}

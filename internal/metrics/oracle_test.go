@@ -139,7 +139,7 @@ func oracleParseExposition(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var out []Sample
-	types := make(map[string]Kind)
+	types := make(map[string]string)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

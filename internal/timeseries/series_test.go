@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,36 @@ import (
 	"l3/internal/metrics"
 	"l3/internal/timeseries"
 )
+
+// TestSummaryQuantileIsNotSpliced: a scraped summary's quantile goes up and
+// down. Through a hygiene-gated DB, a shallow fall and a deep one are stored
+// as they were scraped: neither rejected as an anomaly nor spliced as a
+// counter reset. Its _count stays a counter, and a restart of it splices.
+func TestSummaryQuantileIsNotSpliced(t *testing.T) {
+	db := timeseries.NewDB(time.Minute)
+	hygiene := guard.NewHygiene(guard.Config{}, nil)
+	db.SetGate(hygiene)
+	for i, scrape := range []struct{ quantile, count float64 }{{0.5, 10}, {0.4, 12}, {0.1, 1}} {
+		at := time.Duration(i+1) * 5 * time.Second
+		text := fmt.Sprintf("# TYPE rpc summary\nrpc{quantile=\"0.99\"} %v\nrpc_sum 3.5\nrpc_count %v\n", scrape.quantile, scrape.count)
+		samples, err := metrics.ParseExposition(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			db.AppendSample(s.Name, s.Labels, s.Kind, at, s.Value)
+		}
+		if v, ok := db.Latest("rpc", nil, at); !ok || v != scrape.quantile {
+			t.Fatalf("scrape %d: the quantile reads %v, %v; want %v as scraped", i, v, ok, scrape.quantile)
+		}
+	}
+	if v, ok := db.Latest("rpc_count", nil, time.Minute); !ok || v != 13 {
+		t.Fatalf("rpc_count reads %v, %v; want 13, the restart spliced onto 12", v, ok)
+	}
+	if hygiene.RejectedTotal() != 0 || hygiene.ResetsTotal() != 1 {
+		t.Fatalf("the gate rejected %v samples and spliced %v resets; want 0 and 1 (rpc_count's)", hygiene.RejectedTotal(), hygiene.ResetsTotal())
+	}
+}
 
 // TestPredictedSeriesMatchesClonedTwin drives three databases through the
 // same seeded passes. The first gets one label map per series, in the case's

@@ -45,12 +45,14 @@ race:
 ## (TestRecorderSecondsAreChunked), in internal/loadgen; the admit path and a proxied request's bytes and
 ## mallocs (TestAdmitPathAllocsPinned, TestProxiedRequestBytes,
 ## TestProxiedRequestMallocs), in internal/serve;
-## and the series index's chunks, which fill their size class for a series
+## the series index's chunks, which fill their size class for a series
 ## and for a gate state (TestIndexChunkFillsItsSizeClass), in
-## internal/metrics.
+## internal/metrics; and a filtered pick — health failover's and the
+## breaker's — over round-robin and a weighted split while the allowed
+## subset changes (TestFilterPickAllocs), in internal/balancer.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass)$$' \
-		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|FilterPickAllocs)$$' \
+		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/balancer
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
@@ -74,18 +76,20 @@ allocs:
 ## series of a plain map keyed by name and Labels.Key(), create it exactly on
 ## the map's first sight and never twice, whatever maps, clones, turnovers,
 ## nil and empty maps, passes in either order and forced hash collisions it
-## is fed.
+## is fed. Each line caps the minimizing of a new input at one second: with
+## Go's default of 60 s, four of the ten targets spent most of their five
+## seconds minimizing and stopped executing inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/chaos
-	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s ./internal/metrics
-	$(GO) test -run '^$$' -fuzz FuzzDeadlineBudget -fuzztime 5s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzParseTier -fuzztime 5s ./internal/overload
-	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/resilience
-	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/overload
-	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesDense -fuzztime 5s ./internal/histogram
-	$(GO) test -run '^$$' -fuzz FuzzRecorderMatchesFlat -fuzztime 5s ./internal/loadgen
-	$(GO) test -run '^$$' -fuzz FuzzAdmissionMatchesOracle -fuzztime 5s ./internal/overload
-	$(GO) test -run '^$$' -fuzz FuzzIndexMatchesOracle -fuzztime 5s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime 5s -fuzzminimizetime 1s ./internal/chaos
+	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime 5s -fuzzminimizetime 1s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzDeadlineBudget -fuzztime 5s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzParseTier -fuzztime 5s -fuzzminimizetime 1s ./internal/overload
+	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s -fuzzminimizetime 1s ./internal/resilience
+	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s -fuzzminimizetime 1s ./internal/overload
+	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesDense -fuzztime 5s -fuzzminimizetime 1s ./internal/histogram
+	$(GO) test -run '^$$' -fuzz FuzzRecorderMatchesFlat -fuzztime 5s -fuzzminimizetime 1s ./internal/loadgen
+	$(GO) test -run '^$$' -fuzz FuzzAdmissionMatchesOracle -fuzztime 5s -fuzzminimizetime 1s ./internal/overload
+	$(GO) test -run '^$$' -fuzz FuzzIndexMatchesOracle -fuzztime 5s -fuzzminimizetime 1s ./internal/metrics
 
 ## serve-soak: 10^6 POSTs each with 4 KiB and 64 KiB answers through a live
 ## proxy (closed loop, two clients, plain net/http upstreams), failing on any

@@ -5,6 +5,8 @@
 //     comparison point.
 //   - WeightedSplit — proportional distribution over TrafficSplit weights,
 //     the mechanism L3 (and the C3 adaptation) steer through.
+//   - Filter — health-check failover and breaker ejection: a per-name
+//     predicate in front of any of them.
 //   - P2C — power-of-two-choices over PeakEWMA-scored backends, Linkerd's
 //     in-cluster per-request balancer, kept as an ablation baseline.
 package balancer
@@ -57,8 +59,9 @@ func (r *RoundRobin) Pick(_ time.Duration, src, service string, backends []*mesh
 // WeightedSplit distributes requests proportionally to the weights of the
 // service's TrafficSplit, implementing the SMI contract the paper's data
 // plane enforces: a backend with twice the weight receives twice the
-// traffic. Backends absent from the split (or with all-zero weights) fall
-// back to uniform selection, mirroring how a mesh treats an inert split.
+// traffic. It picks through a Table, so backends absent from the split (or
+// with all-zero weights) fall back to uniform selection, mirroring how a
+// mesh treats an inert split.
 //
 // Like a proxy that holds the current weights and is told when they change,
 // the picker reads the store once per split write, not once per request, and
@@ -78,13 +81,11 @@ type splitRoute struct {
 	name    string            // the governing TrafficSplit, from WeightedSplit.name
 	version uint64            // store version split was read at
 	split   *smi.TrafficSplit // the stored version; nil while the store holds none under name
-	// weights[i] is split's weight for backends[i], total their sum.
-	// backends is a copy, compared element by element: filtering pickers
-	// (breaker, failover) pass one reused scratch slice whose members change
-	// under the same first element and length.
+	// backends is a copy of the slice table was resolved against, compared
+	// element by element: a Filter passes one reused scratch slice whose
+	// members change under the same first element and length.
 	backends []*mesh.Backend
-	weights  []int64
-	total    int64
+	table    Table
 }
 
 // NewWeightedSplit returns a picker reading weights from splits. splitName
@@ -117,39 +118,150 @@ func (w *WeightedSplit) Pick(_ time.Duration, src, service string, backends []*m
 			rt.split, rt.backends = ts, rt.backends[:0]
 		}
 	}
-	if rt.split == nil {
-		return backends[w.rng.IntN(len(backends))]
-	}
 	if !slices.Equal(rt.backends, backends) {
-		rt.resolve(backends)
+		rt.backends = append(rt.backends[:0], backends...)
+		rt.table.Resolve(rt.split, len(backends), func(i int) string { return backends[i].Name })
 	}
-	if rt.total <= 0 {
-		return backends[w.rng.IntN(len(backends))]
-	}
-	r := int64(w.rng.Float64() * float64(rt.total))
-	for i, b := range backends {
-		if r < rt.weights[i] {
-			return b
-		}
-		r -= rt.weights[i]
-	}
-	return backends[len(backends)-1]
+	return backends[rt.table.Pick(w.rng, nil, -1)]
 }
 
-// resolve matches the split's weights to backends by name, in place.
-func (rt *splitRoute) resolve(backends []*mesh.Backend) {
-	rt.backends = append(rt.backends[:0], backends...)
-	rt.weights, rt.total = rt.weights[:0], 0
-	for _, b := range backends {
+// Rand is a Table's random source: *sim.Rand on the simulated clock,
+// math/rand/v2 on the wall clock.
+type Rand interface {
+	IntN(n int) int
+	Float64() float64
+}
+
+// Table is one TrafficSplit's weights resolved by name against a backend
+// list: the one weighted pick both clocks make. Pick never writes it, so a
+// published table may be read from any goroutine.
+type Table struct {
+	weights []int64 // weights[i] is the split's weight for backend i
+	total   int64   // their sum
+	split   bool    // false: no split, every pick is uniform
+}
+
+// Resolve sets t, in place, to split's weights for n backends, backend i
+// named name(i); a backend the split does not name weighs 0. A nil split is
+// no split.
+func (t *Table) Resolve(split *smi.TrafficSplit, n int, name func(i int) string) {
+	t.weights, t.total, t.split = t.weights[:0], 0, split != nil
+	for i := 0; i < n; i++ {
 		var weight int64
-		for _, tb := range rt.split.Backends {
-			if tb.Service == b.Name {
-				weight = tb.Weight
-				break
+		if split != nil {
+			nm := name(i)
+			for _, tb := range split.Backends {
+				if tb.Service == nm {
+					weight = tb.Weight
+					break
+				}
 			}
 		}
-		rt.weights = append(rt.weights, weight)
-		rt.total += weight
+		t.weights = append(t.weights, weight)
+		t.total += weight
+	}
+}
+
+// Weight returns backend i's weight.
+func (t *Table) Weight(i int) int64 { return t.weights[i] }
+
+// Pick returns the index of the backend to send to, -1 over no backends.
+// available(i) says whether backend i may take the request (nil: all may);
+// avoid is an index to pass over (-1: none). The rule:
+//
+//  1. A is the available backends; if none is, A is all of them (fail open).
+//  2. avoid leaves A, unless it is all A holds.
+//  3. With no split, or when A's weights sum to 0, draw rng.IntN(|A|) over A.
+//  4. Otherwise draw int64(rng.Float64()·Σ_A w) and scan A in order; a scan
+//     that falls through takes A's last backend.
+//
+// available may be asked twice per backend; if its answers change under
+// the pick (the wall clock), the pick is still one of the table's backends.
+func (t *Table) Pick(rng Rand, available func(i int) bool, avoid int) int {
+	n := len(t.weights)
+	if n == 0 {
+		return -1
+	}
+	count, sum := n, t.total
+	if available != nil {
+		count, sum = 0, 0
+		for i, w := range t.weights {
+			if available(i) {
+				count++
+				sum += w
+			}
+		}
+		if count == 0 || count == n { // A is all of them
+			available, count, sum = nil, n, t.total
+		}
+	}
+	if avoid >= 0 && count > 1 && (available == nil || available(avoid)) {
+		count, sum = count-1, sum-t.weights[avoid]
+	} else {
+		avoid = -1
+	}
+	weighted := t.split && sum > 0
+	r := int64(0)
+	if weighted {
+		r = int64(rng.Float64() * float64(sum))
+	} else {
+		r = int64(rng.IntN(count))
+	}
+	last := n - 1
+	for i, w := range t.weights {
+		if i == avoid || available != nil && !available(i) {
+			continue
+		}
+		if !weighted {
+			w = 1
+		}
+		if r < w {
+			return i
+		}
+		r, last = r-w, i
+	}
+	return last
+}
+
+// Filter hands an inner strategy only the backends a per-name predicate
+// allows — health-check failover and breaker ejection are each one — and
+// all of them when it allows none (fail open). It filters into one reused
+// scratch slice, so it allocates nothing in the steady state, and is
+// single-threaded like the mesh that calls it.
+type Filter struct {
+	allowed func(now time.Duration, name string) bool
+	inner   mesh.Picker // nil: a uniform draw from rng
+	rng     *sim.Rand
+	scratch []*mesh.Backend
+}
+
+// NewFilter returns a Filter over inner; rng serves a nil inner.
+func NewFilter(allowed func(now time.Duration, name string) bool, inner mesh.Picker, rng *sim.Rand) *Filter {
+	return &Filter{allowed: allowed, inner: inner, rng: rng}
+}
+
+// Pick implements mesh.Picker.
+func (f *Filter) Pick(now time.Duration, src, service string, backends []*mesh.Backend) *mesh.Backend {
+	allowed := f.scratch[:0]
+	for _, b := range backends {
+		if f.allowed(now, b.Name) {
+			allowed = append(allowed, b)
+		}
+	}
+	f.scratch = allowed
+	if len(allowed) == 0 {
+		allowed = backends
+	}
+	if f.inner == nil {
+		return allowed[f.rng.IntN(len(allowed))]
+	}
+	return f.inner.Pick(now, src, service, allowed)
+}
+
+// Observe implements mesh.Observer: P2C under a filter keeps learning.
+func (f *Filter) Observe(now time.Duration, src, backendName string, latency time.Duration, success bool) {
+	if obs, ok := f.inner.(mesh.Observer); ok {
+		obs.Observe(now, src, backendName, latency, success)
 	}
 }
 
@@ -237,6 +349,8 @@ func (p *P2C) Observe(now time.Duration, src, backendName string, latency time.D
 var (
 	_ mesh.Picker   = (*RoundRobin)(nil)
 	_ mesh.Picker   = (*WeightedSplit)(nil)
+	_ mesh.Picker   = (*Filter)(nil)
+	_ mesh.Observer = (*Filter)(nil)
 	_ mesh.Picker   = (*P2C)(nil)
 	_ mesh.Observer = (*P2C)(nil)
 )

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/dsb"
 	"l3/internal/mesh"
 	"l3/internal/sim"
 	"l3/internal/smi"
@@ -211,4 +212,64 @@ func TestP2CInflightPressureSpreadsLoad(t *testing.T) {
 func TestP2CObserveUnknownBackendSafe(t *testing.T) {
 	p := NewP2C(sim.NewRand(1), time.Second, time.Second)
 	p.Observe(0, "c1", "never-picked", time.Millisecond, true) // must not panic
+}
+
+// TestFilterPickAllocs pins the Filter's scratch slice: no allocation per
+// pick over round-robin or a weighted split, while the allowed subset
+// changes from pick to pick (all, two, one, none — which fails open).
+func TestFilterPickAllocs(t *testing.T) {
+	splits := smi.NewStore()
+	if err := splits.Create(split("c1/svc", "a", 100, "b", 800, "c", 100)); err != nil {
+		t.Fatal(err)
+	}
+	all := backends("a", "b", "c")
+	var step int
+	allowed := func(_ time.Duration, name string) bool {
+		switch step % 4 {
+		case 0:
+			return true
+		case 1:
+			return name != "b"
+		case 2:
+			return name == "c"
+		}
+		return false
+	}
+	for name, inner := range map[string]mesh.Picker{
+		"round-robin": NewRoundRobin(),
+		"weighted":    NewWeightedSplit(splits, sim.NewRand(1), dsb.SplitName),
+	} {
+		f := NewFilter(allowed, inner, nil)
+		pick := func() {
+			step++
+			if f.Pick(0, "c1", "svc", all) == nil {
+				t.Fatal("nil pick")
+			}
+		}
+		for i := 0; i < 4; i++ {
+			pick()
+		}
+		if allocs := testing.AllocsPerRun(500, pick); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per filtered pick, want 0", name, allocs)
+		}
+	}
+}
+
+func TestFilterSkipsDisallowedAndFailsOpen(t *testing.T) {
+	all := backends("a", "b", "c")
+	out := map[string]bool{"b": true}
+	f := NewFilter(func(_ time.Duration, name string) bool { return !out[name] }, nil, sim.NewRand(1))
+	for i := 0; i < 200; i++ {
+		if got := f.Pick(0, "c1", "svc", all); got.Name == "b" {
+			t.Fatal("picked a disallowed backend")
+		}
+	}
+	out["a"], out["c"] = true, true
+	seen := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		seen[f.Pick(0, "c1", "svc", all).Name] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("with nothing allowed the filter picked only %v, want all three", seen)
+	}
 }

@@ -127,8 +127,8 @@ func TestWeightedSplitMatchesOracle(t *testing.T) {
 			case op < 12:
 				p.pick(src, service, all)
 			case op < 16:
-				// What breakerPicker and FailoverPicker do: filter into one
-				// scratch slice that keeps its backing array across picks.
+				// What a Filter does: filter into one scratch slice that
+				// keeps its backing array across picks.
 				scratch = scratch[:0]
 				for _, b := range all {
 					if script.Bool(0.6) {
@@ -227,5 +227,81 @@ func TestWeightedSplitPickAllocs(t *testing.T) {
 	w.Pick(0, "c1", "svc", all)
 	if allocs := testing.AllocsPerRun(500, func() { w.Pick(0, "c1", "svc", all) }); allocs != 0 {
 		t.Errorf("after a split write: %.1f allocations per pick, want 0", allocs)
+	}
+}
+
+// TestTablePredicateMatchesFilter is the proof that both clocks pick alike.
+// The wall's path asks one table over every backend, with availability and
+// the backend to avoid as arguments. The sim's path filters first — a
+// Filter by availability (failing open to all), then one that leaves the
+// avoided backend out (failing open to what it was handed, so the avoided
+// backend stays when it is all that is left) — and picks over what remains
+// with the fetch-per-request oracle. Seeded streams of picks, availability
+// masks, avoids and split writes must choose the same backend every time
+// and leave the rng streams at the same position.
+func TestTablePredicateMatchesFilter(t *testing.T) {
+	all := backends("a", "b", "c", "d", "e")
+	index := map[string]int{}
+	for i, b := range all {
+		index[b.Name] = i
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		splits := smi.NewStore()
+		oracle := &oracleSplit{splits: splits, name: func(_, s string) string { return s }, rng: sim.NewRand(seed)}
+		rng, script := sim.NewRand(seed), sim.NewRand(seed+100)
+		var mask, avoid int
+		available := func(i int) bool { return mask&(1<<i) != 0 }
+		filtered := NewFilter(func(_ time.Duration, name string) bool { return available(index[name]) },
+			NewFilter(func(_ time.Duration, name string) bool { return index[name] != avoid }, oracle, nil), nil)
+		var table Table
+		resolve := func() {
+			ts, _ := splits.Get("svc")
+			table.Resolve(ts, len(all), func(i int) string { return all[i].Name })
+		}
+		resolve()
+		for step := 0; step < 4000; step++ {
+			switch op := script.IntN(20); {
+			case op < 16:
+				mask, avoid = script.IntN(1<<len(all)), script.IntN(len(all)+1)-1
+				got, want := all[table.Pick(rng, available, avoid)], filtered.Pick(0, "c1", "svc", all)
+				if got != want {
+					t.Fatalf("seed %d step %d (mask %05b, avoid %d): table chose %v, filter then oracle %v",
+						seed, step, mask, avoid, got, want)
+				}
+			case op < 19:
+				ts := &smi.TrafficSplit{Name: "svc", RootService: "svc"}
+				for _, b := range all {
+					if script.Bool(0.15) {
+						continue // a split missing a backend
+					}
+					var weight int64
+					if script.Bool(0.7) {
+						weight = int64(script.IntN(1000))
+					}
+					ts.Backends = append(ts.Backends, smi.Backend{Service: b.Name, Weight: weight})
+				}
+				if len(ts.Backends) == 0 {
+					continue
+				}
+				write := splits.Update
+				if cur, _ := splits.Get("svc"); cur == nil {
+					write = splits.Create
+				}
+				if err := write(ts); err != nil {
+					t.Fatal(err)
+				}
+				resolve()
+			default:
+				if cur, _ := splits.Get("svc"); cur != nil {
+					if err := splits.Delete("svc"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				resolve()
+			}
+		}
+		if rng.Uint64() != oracle.rng.Uint64() {
+			t.Fatalf("seed %d: rng streams diverged", seed)
+		}
 	}
 }

@@ -573,11 +573,12 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 			}
 		}
 		// The checker probes and ejects on the control timeline; shard
-		// pickers read its healthy-set through the FailoverPicker filter,
+		// pickers read its healthy-set through a balancer.Filter,
 		// which is safe during windows because ejection state only changes
 		// at barriers.
 		checker := health.NewChecker(clock.Sim(w.ctrl), hcfg)
 		handles.checker = checker
+		healthy := func(_ time.Duration, name string) bool { return checker.Healthy(name) }
 		for _, svc := range services {
 			s, ok := m.Service(svc)
 			if !ok {
@@ -585,7 +586,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 			}
 			checker.WatchAll(s.Backends())
 			if err := w.setPickers(svc, nil, func(*sim.Rand) mesh.Picker {
-				return &health.FailoverPicker{Checker: checker, Inner: balancer.NewRoundRobin()}
+				return balancer.NewFilter(healthy, balancer.NewRoundRobin(), nil)
 			}); err != nil {
 				return nil, err
 			}

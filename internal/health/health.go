@@ -225,36 +225,3 @@ func (c *Checker) String() string {
 	return fmt.Sprintf("health{every=%v timeout=%v thresholds=%d/%d}",
 		c.cfg.Interval, c.cfg.Timeout, c.cfg.UnhealthyThreshold, c.cfg.HealthyThreshold)
 }
-
-// FailoverPicker filters unhealthy backends out of the rotation before
-// delegating to the inner strategy — round-robin plus failover, the
-// baseline configuration of Istio/Linkerd multi-cluster deployments. If
-// every backend is unhealthy it fails open and delegates unfiltered
-// (sending somewhere beats sending nowhere).
-type FailoverPicker struct {
-	Checker *Checker
-	Inner   mesh.Picker
-}
-
-var _ mesh.Picker = (*FailoverPicker)(nil)
-
-// Pick implements mesh.Picker.
-func (p *FailoverPicker) Pick(now time.Duration, src, service string, backends []*mesh.Backend) *mesh.Backend {
-	healthy := make([]*mesh.Backend, 0, len(backends))
-	for _, b := range backends {
-		if p.Checker.Healthy(b.Name) {
-			healthy = append(healthy, b)
-		}
-	}
-	if len(healthy) == 0 {
-		healthy = backends
-	}
-	return p.Inner.Pick(now, src, service, healthy)
-}
-
-// Observe forwards feedback to the inner picker when it wants it.
-func (p *FailoverPicker) Observe(now time.Duration, src, backendName string, latency time.Duration, success bool) {
-	if obs, ok := p.Inner.(mesh.Observer); ok {
-		obs.Observe(now, src, backendName, latency, success)
-	}
-}

@@ -150,7 +150,7 @@ func TestFailoverPickerFiltersUnhealthy(t *testing.T) {
 	badSrv.fail = true
 	e.RunUntil(15 * time.Second)
 
-	p := &FailoverPicker{Checker: c, Inner: balancer.NewRoundRobin()}
+	p := balancer.NewFilter(func(_ time.Duration, name string) bool { return c.Healthy(name) }, balancer.NewRoundRobin(), nil)
 	for i := 0; i < 10; i++ {
 		if got := p.Pick(0, "c1", "svc", []*mesh.Backend{good, bad}); got.Name != "good" {
 			t.Fatalf("picked ejected backend %s", got.Name)
@@ -166,7 +166,7 @@ func TestFailoverPickerFailsOpen(t *testing.T) {
 	c.WatchAll([]*mesh.Backend{a, b})
 	aSrv.fail, bSrv.fail = true, true
 	e.RunUntil(15 * time.Second)
-	p := &FailoverPicker{Checker: c, Inner: balancer.NewRoundRobin()}
+	p := balancer.NewFilter(func(_ time.Duration, name string) bool { return c.Healthy(name) }, balancer.NewRoundRobin(), nil)
 	if got := p.Pick(0, "c1", "svc", []*mesh.Backend{a, b}); got == nil {
 		t.Fatal("all-unhealthy must fail open, not return nil")
 	}

@@ -3,9 +3,7 @@ package resilience
 import (
 	"time"
 
-	"l3/internal/mesh"
 	"l3/internal/metrics"
-	"l3/internal/sim"
 )
 
 // Breaker is a per-backend circuit breaker / outlier ejector in the style
@@ -18,8 +16,8 @@ import (
 // Compared with internal/health's active probing, the breaker reacts on
 // the data path itself: ejection latency is a handful of in-flight
 // requests rather than FailureThreshold probe intervals. The two compose —
-// the breaker filters whatever picker is installed, including a health
-// FailoverPicker — which figure R3 quantifies.
+// the breaker's balancer.Filter wraps whatever picker is installed,
+// health-check failover's own Filter included — which figure R3 quantifies.
 //
 // Restores are lazy: an expired window is noticed the next time the
 // backend is consulted (in the sim every pick filters over all backends, so
@@ -162,43 +160,4 @@ func (b *Breaker) EjectedCount(now time.Duration) int {
 		b.maybeRestore(b.states[name], now)
 	}
 	return b.ejected
-}
-
-// breakerPicker filters the ejected backends out of every pick and
-// delegates to the strategy that was installed when the policy was
-// applied, forwarding per-response feedback to it. The filter fails open:
-// if every backend is ejected (possible only transiently, since the
-// ejection-percent guard blocks ejecting the last ones) the unfiltered
-// set is used. The allowed slice is a reusable scratch buffer, so
-// filtering allocates nothing in the steady state.
-type breakerPicker struct {
-	breaker *Breaker
-	inner   mesh.Picker // nil means the mesh's uniform-random fallback
-	rng     *sim.Rand
-	scratch []*mesh.Backend
-}
-
-func (p *breakerPicker) Pick(now time.Duration, src, service string, backends []*mesh.Backend) *mesh.Backend {
-	allowed := p.scratch[:0]
-	for _, b := range backends {
-		if p.breaker.Allowed(now, b.Name) {
-			allowed = append(allowed, b)
-		}
-	}
-	p.scratch = allowed
-	if len(allowed) == 0 {
-		allowed = backends
-	}
-	if p.inner == nil {
-		return allowed[p.rng.IntN(len(allowed))]
-	}
-	return p.inner.Pick(now, src, service, allowed)
-}
-
-// Observe forwards response feedback to the wrapped strategy, preserving
-// per-request balancers (P2C, PeakEWMA) under the filter.
-func (p *breakerPicker) Observe(now time.Duration, src, backendName string, latency time.Duration, success bool) {
-	if obs, ok := p.inner.(mesh.Observer); ok {
-		obs.Observe(now, src, backendName, latency, success)
-	}
 }

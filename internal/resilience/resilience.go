@@ -48,6 +48,7 @@ import (
 	"strings"
 	"time"
 
+	"l3/internal/balancer"
 	"l3/internal/mesh"
 	"l3/internal/sim"
 )
@@ -407,11 +408,7 @@ func (c *Client) Apply(service string, p Policy) error {
 		if err != nil {
 			return err
 		}
-		if err := c.mesh.SetShardPicker(service, c.src, &breakerPicker{
-			breaker: core.breaker,
-			inner:   inner,
-			rng:     c.rng,
-		}); err != nil {
+		if err := c.mesh.SetShardPicker(service, c.src, balancer.NewFilter(core.breaker.Allowed, inner, c.rng)); err != nil {
 			return err
 		}
 	}

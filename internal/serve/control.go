@@ -182,11 +182,7 @@ func (c *control) start(router *Router) {
 		if c.failStatic.Load() {
 			return
 		}
-		weights := make(map[string]int64, len(ts.Backends))
-		for _, b := range ts.Backends {
-			weights[b.Service] = b.Weight
-		}
-		router.rebuild(c.backends, weights)
+		router.publish(c.backends, ts)
 	})
 
 	c.scraper.Start()
@@ -309,21 +305,21 @@ func (c *control) decayWeights() {
 		return
 	}
 	u := total / float64(len(c.backends))
-	nw := make(map[string]int64, len(c.backends))
+	nw := &smi.TrafficSplit{Backends: make([]smi.Backend, len(c.backends))}
 	changed := false
-	for _, b := range c.backends {
+	for i, b := range c.backends {
 		cur := float64(w[b.Name])
 		decayed := int64(u + c.cfg.DecayFactor*(cur-u) + 0.5)
 		if decayed < 1 {
 			decayed = 1
 		}
-		nw[b.Name] = decayed
+		nw.Backends[i] = smi.Backend{Service: b.Name, Weight: decayed}
 		if decayed != int64(cur) {
 			changed = true
 		}
 	}
 	if changed {
-		c.router.rebuild(c.backends, nw)
+		c.router.publish(c.backends, nw)
 	}
 }
 

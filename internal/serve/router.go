@@ -19,13 +19,16 @@ package serve
 import (
 	"math/rand/v2"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"l3/internal/balancer"
 	"l3/internal/histogram"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
+	"l3/internal/smi"
 )
 
 // Backend is one upstream server with its hot-path state: pre-resolved
@@ -135,119 +138,81 @@ func (b *Backend) Healthy() bool { return b.healthy.Load() }
 // SetHealthy is the control plane's push of the checker's verdict.
 func (b *Backend) SetHealthy(v bool) { b.healthy.Store(v) }
 
-// Router picks backends proportionally to an atomically swapped weight
-// table — the serve-mode analogue of balancer.WeightedSplit. The sim
-// picker reads the SMI store on every pick (Get clones, which allocates);
-// the serve hot path instead reads a prebuilt cumulative-weight snapshot
-// that the control plane republishes on every split write, keeping Pick at
-// zero allocations.
+// Router is the serve-mode adapter over balancer.Table, the pick the sim's
+// balancer.WeightedSplit makes too: the control plane publishes a route on
+// every split write with one atomic store, and Pick asks its table with
+// each backend's Available as the predicate, allocating nothing.
 type Router struct {
-	table atomic.Pointer[weightTable]
+	route atomic.Pointer[route]
 }
 
-type weightTable struct {
-	entries []weightEntry
-	total   uint64
+// route is one published split: the fleet backends it names, in fleet
+// order, and their weights. One it names at weight 0 is picked only when
+// every available one weighs 0; one it does not name is never picked.
+type route struct {
+	backends []*Backend
+	table    balancer.Table
 }
 
-type weightEntry struct {
-	b *Backend
-	// cum is the cumulative weight at and below this entry; a uniform
-	// draw from [0, total) lands in exactly one entry's slice.
-	cum uint64
-}
+// wallRand is the wall clock's balancer.Rand, safe from any goroutine.
+type wallRand struct{}
+
+func (wallRand) IntN(n int) int   { return rand.IntN(n) }
+func (wallRand) Float64() float64 { return rand.Float64() }
 
 // NewRouter returns a router over the backends with uniform weights — the
 // state before (or without) a controller, and the rr algorithm's permanent
 // state.
 func NewRouter(backends []*Backend) *Router {
-	r := &Router{}
-	uniform := make(map[string]int64, len(backends))
+	uniform := &smi.TrafficSplit{}
 	for _, b := range backends {
-		uniform[b.Name] = 1
+		uniform.Backends = append(uniform.Backends, smi.Backend{Service: b.Name, Weight: 1})
 	}
-	r.rebuild(backends, uniform)
+	r := &Router{}
+	r.publish(backends, uniform)
 	return r
 }
 
-// rebuild publishes a new weight table. Backends absent from weights (or
-// at weight 0) leave the rotation.
-func (r *Router) rebuild(backends []*Backend, weights map[string]int64) {
-	t := &weightTable{entries: make([]weightEntry, 0, len(backends))}
+func (r *Router) publish(backends []*Backend, split *smi.TrafficSplit) {
+	rt := &route{}
 	for _, b := range backends {
-		w := weights[b.Name]
-		if w <= 0 {
-			continue
+		if slices.ContainsFunc(split.Backends, func(tb smi.Backend) bool { return tb.Service == b.Name }) {
+			rt.backends = append(rt.backends, b)
 		}
-		t.total += uint64(w)
-		t.entries = append(t.entries, weightEntry{b: b, cum: t.total})
 	}
-	r.table.Store(t)
+	rt.table.Resolve(split, len(rt.backends), func(i int) string { return rt.backends[i].Name })
+	r.route.Store(rt)
 }
 
-// Pick selects a backend proportionally to the current weights, skipping
-// unavailable backends (unhealthy or open-circuit). If every backend is
-// unavailable it fails open to the pure weighted choice — sending somewhere
-// beats sending nowhere, same as health.FailoverPicker. Returns nil only
-// for an empty table. Zero allocations.
+// Pick selects a backend by balancer.Table's rule over the available
+// (healthy, circuit closed) ones, failing open to all of them when none
+// is. Returns nil only for an empty table.
 func (r *Router) Pick(now time.Duration) *Backend {
-	t := r.table.Load()
-	if t == nil || len(t.entries) == 0 || t.total == 0 {
-		return nil
-	}
-	x := rand.Uint64N(t.total)
-	// Find the entry whose cumulative slice contains x. Tables are a
-	// handful of backends, so a linear scan beats binary search's branch
-	// misses.
-	i := 0
-	for t.entries[i].cum <= x {
-		i++
-	}
-	if b := t.entries[i].b; b.Available(now) {
-		return b
-	}
-	// Weighted choice is unavailable: take the next available entry in
-	// ring order, preserving rough weight proportions among survivors.
-	for j := 1; j < len(t.entries); j++ {
-		if b := t.entries[(i+j)%len(t.entries)].b; b.Available(now) {
-			return b
-		}
-	}
-	return t.entries[i].b
+	return r.route.Load().pick(now, -1)
 }
 
-// PickAvoiding is Pick for retries: it prefers any available backend other
-// than avoid, falling back to Pick's own fail-open result when avoid is the
-// only choice.
+// PickAvoiding is Pick for retries: avoid is passed over unless it is the
+// only choice left.
 func (r *Router) PickAvoiding(now time.Duration, avoid *Backend) *Backend {
-	t := r.table.Load()
-	if t == nil || len(t.entries) == 0 {
+	rt := r.route.Load()
+	return rt.pick(now, slices.Index(rt.backends, avoid))
+}
+
+func (rt *route) pick(now time.Duration, avoid int) *Backend {
+	i := rt.table.Pick(wallRand{}, func(i int) bool { return rt.backends[i].Available(now) }, avoid)
+	if i < 0 {
 		return nil
 	}
-	b := r.Pick(now)
-	if b != avoid {
-		return b
-	}
-	for j := 0; j < len(t.entries); j++ {
-		if c := t.entries[j].b; c != avoid && c.Available(now) {
-			return c
-		}
-	}
-	return b
+	return rt.backends[i]
 }
 
 // Weights returns the published table as name → weight (control-plane
 // introspection and tests; allocates, not for the hot path).
 func (r *Router) Weights() map[string]uint64 {
-	t := r.table.Load()
-	out := make(map[string]uint64)
-	if t == nil {
-		return out
-	}
-	prev := uint64(0)
-	for _, e := range t.entries {
-		out[e.b.Name] = e.cum - prev
-		prev = e.cum
+	rt := r.route.Load()
+	out := make(map[string]uint64, len(rt.backends))
+	for i, b := range rt.backends {
+		out[b.Name] = uint64(rt.table.Weight(i))
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"l3/internal/metrics"
+	"l3/internal/smi"
 )
 
 func testBackends(t *testing.T, names ...string) []*Backend {
@@ -76,6 +77,88 @@ func TestRouterPickAvoiding(t *testing.T) {
 	r.rebuild(backends, map[string]int64{"a": 1})
 	if got := r.PickAvoiding(0, backends[0]); got != backends[0] {
 		t.Fatalf("PickAvoiding sole-backend = %v, want fail-open to a", got)
+	}
+}
+
+// rebuild publishes weights as a split naming exactly their keys.
+func (r *Router) rebuild(backends []*Backend, weights map[string]int64) {
+	split := &smi.TrafficSplit{}
+	for name, w := range weights {
+		split.Backends = append(split.Backends, smi.Backend{Service: name, Weight: w})
+	}
+	r.publish(backends, split)
+}
+
+// shares picks n times and returns each backend's share.
+func shares(n int, pick func() *Backend) map[string]float64 {
+	out := map[string]float64{}
+	for i := 0; i < n; i++ {
+		out[pick().Name] += 1 / float64(n)
+	}
+	return out
+}
+
+// TestRouterSurvivorsKeepProportion: with a out, b and c split its traffic
+// at their own ratio, 190:10 — c gets 5 %, not the 1 % a ring-order
+// fallback that hands all of a's share to b leaves it.
+func TestRouterSurvivorsKeepProportion(t *testing.T) {
+	backends := testBackends(t, "a", "b", "c")
+	r := NewRouter(backends)
+	r.rebuild(backends, map[string]int64{"a": 800, "b": 190, "c": 10})
+	backends[0].SetHealthy(false)
+	got := shares(100000, func() *Backend { return r.Pick(0) })
+	if got["a"] != 0 {
+		t.Fatalf("unavailable a got %v of the picks", got["a"])
+	}
+	if got["c"] < 0.04 || got["c"] > 0.06 {
+		t.Fatalf("c share = %v, want ~0.05", got["c"])
+	}
+}
+
+func TestRouterAllZeroWeightsUniform(t *testing.T) {
+	backends := testBackends(t, "a", "b", "c")
+	r := NewRouter(backends)
+	r.rebuild(backends, map[string]int64{"a": 0, "b": 0, "c": 0})
+	got := shares(30000, func() *Backend { return r.Pick(0) })
+	for _, b := range backends {
+		if s := got[b.Name]; s < 0.30 || s > 0.37 {
+			t.Fatalf("%s share = %v over an all-zero split, want ~1/3", b.Name, s)
+		}
+	}
+}
+
+// TestRouterPickAvoidingSpreadsInProportion: a retry leaving a goes to the
+// available others at their own ratio, 1:3, not to whichever comes first.
+func TestRouterPickAvoidingSpreadsInProportion(t *testing.T) {
+	backends := testBackends(t, "a", "b", "c", "d")
+	r := NewRouter(backends)
+	r.rebuild(backends, map[string]int64{"a": 8, "b": 1, "c": 3, "d": 4})
+	backends[3].SetHealthy(false)
+	got := shares(100000, func() *Backend { return r.PickAvoiding(0, backends[0]) })
+	if got["a"] != 0 || got["d"] != 0 {
+		t.Fatalf("PickAvoiding chose the avoided or an unavailable backend: %v", got)
+	}
+	if got["b"] < 0.23 || got["b"] > 0.27 {
+		t.Fatalf("b share = %v, want ~0.25", got["b"])
+	}
+}
+
+// TestRouterAllUnavailableFailsOpen: with every backend out the pick is the
+// weighted one over all of them, and a retry still leaves the avoided one.
+func TestRouterAllUnavailableFailsOpen(t *testing.T) {
+	backends := testBackends(t, "a", "b")
+	r := NewRouter(backends)
+	r.rebuild(backends, map[string]int64{"a": 3, "b": 1})
+	for _, b := range backends {
+		b.SetHealthy(false)
+	}
+	if got := shares(40000, func() *Backend { return r.Pick(0) }); got["a"] < 0.72 || got["a"] > 0.78 {
+		t.Fatalf("a share = %v with every backend unavailable, want ~0.75", got["a"])
+	}
+	for i := 0; i < 1000; i++ {
+		if got := r.PickAvoiding(0, backends[0]); got != backends[1] {
+			t.Fatalf("PickAvoiding = %v with every backend unavailable, want b", got)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ func run(args []string) error {
 	}
 
 	wall := clock.NewWall()
-	gen := loadgen.NewClock(wall, loadgen.Config{
+	gen := loadgen.New(wall, loadgen.Config{
 		Rate:    loadgen.ConstantRate(*rate),
 		WarmUp:  *warmup,
 		CatchUp: true,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"l3/internal/backend"
+	"l3/internal/clock"
 	"l3/internal/sim"
 )
 
@@ -70,14 +71,14 @@ type Autoscaler struct {
 	replica *backend.Replica
 	cfg     Config
 
-	ticker *sim.Timer
+	ticker clock.Timer
 	// belowSince tracks how long utilisation has been below target, for
 	// the scale-down stabilisation window; -1 means "not below".
 	belowSince time.Duration
 
 	// samples accumulated between control rounds (utilisation is sampled
 	// every second for a steadier signal than one instantaneous read).
-	sampler              *sim.Timer
+	sampler              clock.Timer
 	sampleΣ              float64
 	sampleN              int
 	scaleUps, scaleDowns int

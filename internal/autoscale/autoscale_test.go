@@ -9,7 +9,7 @@ import (
 )
 
 // load drives a replica at the given RPS with a constant service time.
-func load(engine *sim.Engine, r *backend.Replica, rps float64) *sim.Timer {
+func load(engine *sim.Engine, r *backend.Replica, rps float64) interface{ Cancel() } {
 	gap := time.Duration(float64(time.Second) / rps)
 	return engine.Every(gap, func() {
 		r.Serve(func(backend.Result) {})

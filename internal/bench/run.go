@@ -12,7 +12,6 @@ import (
 	"l3/internal/balancer"
 	"l3/internal/c3"
 	"l3/internal/chaos"
-	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/core"
 	"l3/internal/cost"
@@ -576,7 +575,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 		// pickers read its healthy-set through a balancer.Filter,
 		// which is safe during windows because ejection state only changes
 		// at barriers.
-		checker := health.NewChecker(clock.Sim(w.ctrl), hcfg)
+		checker := health.NewChecker(w.ctrl, hcfg)
 		handles.checker = checker
 		healthy := func(_ time.Duration, name string) bool { return checker.Healthy(name) }
 		for _, svc := range services {
@@ -609,7 +608,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 			db.SetGate(hyg)
 			gate = guard.NewWriteGate(guard.Config{}, w.ctrlReg)
 		}
-		scraper := core.NewScraperClock(clock.Sim(w.ctrl), db, w.scrape, opts.ScrapeInterval)
+		scraper := core.NewScraperClock(w.ctrl, db, w.scrape, opts.ScrapeInterval)
 		scraper.Start()
 		handles.scrapers = append(handles.scrapers, scraper)
 		newAssigner := func() core.Assigner {
@@ -654,7 +653,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				if gate != nil {
 					cfg.WriteGuard = gate
 				}
-				return core.NewControllerClock(clock.Sim(w.ctrl), m.Splits(), collector, cfg)
+				return core.NewControllerClock(w.ctrl, m.Splits(), collector, cfg)
 			}
 			if !opts.LeaderElection {
 				newController(nil).Start()

@@ -24,10 +24,9 @@ import (
 // Timer is a handle to a scheduled callback. Cancel prevents an unfired
 // callback from running; cancelling an already-fired or already-cancelled
 // timer is a no-op. For timers returned by Every, Cancel stops all future
-// ticks.
-type Timer interface {
-	Cancel()
-}
+// ticks. It is an alias of the unnamed interface so that sim.Engine, which
+// this package imports and so cannot import, returns the very same type.
+type Timer = interface{ Cancel() }
 
 // Clock schedules callbacks against a monotonic clock measured from an
 // epoch. Implementations serialize callbacks: no two callbacks of one clock
@@ -43,31 +42,15 @@ type Clock interface {
 	Every(interval time.Duration, fn func()) Timer
 }
 
-// simClock adapts a sim.Engine to the Clock interface. The adapter is pure
-// forwarding: scheduling through it is byte-identical to scheduling on the
-// engine directly, so components refactored onto Clock keep their golden
-// outputs.
-type simClock struct {
-	e *sim.Engine
-}
+// The engine is a Clock itself: scheduling through this interface is
+// scheduling on the engine, byte for byte.
+var _ Clock = (*sim.Engine)(nil)
 
-// Sim wraps a simulation engine as a Clock.
+// Sim returns the engine as a Clock. It stays only because benchmark/ calls
+// it; the engine can be passed wherever a Clock is taken.
 func Sim(e *sim.Engine) Clock {
 	if e == nil {
 		panic("clock: Sim requires an engine")
 	}
-	return simClock{e}
-}
-
-func (c simClock) Now() time.Duration { return c.e.Now() }
-
-func (c simClock) After(d time.Duration, fn func()) Timer { return c.e.After(d, fn) }
-
-func (c simClock) Every(interval time.Duration, fn func()) Timer { return c.e.Every(interval, fn) }
-
-// AfterTimer is After through a caller-owned handle (sim.Engine.AtTimer):
-// the same event, no Timer allocated. Not part of Clock — a high-rate caller
-// asserts for it and falls back to After. t must have fired or been cancelled.
-func (c simClock) AfterTimer(t *sim.Timer, d time.Duration, fn func()) {
-	c.e.AtTimer(t, c.e.Now()+max(d, 0), fn)
+	return e
 }

@@ -9,12 +9,12 @@ import (
 	"l3/internal/sim"
 )
 
-// TestSimAdapterForwards pins that the adapter is pure forwarding: the same
-// schedule on the adapter and on the engine directly produces identical
-// firing times and order.
+// TestSimAdapterForwards pins the engine's own Clock methods: a schedule made
+// through the interface fires at the engine's times and in its order, and a
+// cancelled Every leaves nothing pending.
 func TestSimAdapterForwards(t *testing.T) {
 	e := sim.NewEngine()
-	c := Sim(e)
+	var c Clock = e
 	var fired []time.Duration
 	c.After(10*time.Millisecond, func() { fired = append(fired, c.Now()) })
 	c.After(5*time.Millisecond, func() { fired = append(fired, c.Now()) })
@@ -42,11 +42,11 @@ func TestSimAdapterForwards(t *testing.T) {
 	}
 }
 
-// TestSimAdapterCancel pins that cancelling through the adapter's Timer
-// reaches the engine event.
+// TestSimAdapterCancel pins that cancelling the Timer the engine hands out
+// through the Clock interface reaches the engine event.
 func TestSimAdapterCancel(t *testing.T) {
 	e := sim.NewEngine()
-	c := Sim(e)
+	var c Clock = e
 	ran := false
 	timer := c.After(time.Millisecond, func() { ran = true })
 	timer.Cancel()

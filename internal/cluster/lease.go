@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"l3/internal/clock"
 	"l3/internal/sim"
 )
 
@@ -89,7 +90,7 @@ type Elector struct {
 	lock    *LeaseLock
 	cfg     ElectorConfig
 	leading bool
-	timer   *sim.Timer
+	timer   clock.Timer
 	stopped bool
 }
 

@@ -113,7 +113,7 @@ type Scraper struct {
 }
 
 // NewScraperClock returns a scraper driven by an arbitrary clock — a
-// simulation engine through clock.Sim, or the wall clock under cmd/l3serve,
+// simulation engine, or the wall clock under cmd/l3serve,
 // where the scrape pass is the moral equivalent of Prometheus pulling
 // /metrics. A round reads regs in order: the sharded world keeps one
 // registry per cluster shard, as a Prometheus instance federating

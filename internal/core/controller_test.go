@@ -9,7 +9,6 @@ import (
 
 	"l3/internal/backend"
 	"l3/internal/balancer"
-	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
@@ -60,10 +59,10 @@ func newRig(t *testing.T, elector *cluster.Elector, fastLat, slowLat time.Durati
 	}
 
 	db := timeseries.NewDB(time.Minute)
-	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
+	NewScraperClock(engine, db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
 
 	selfReg := metrics.NewRegistry()
-	ctrl := NewControllerClock(clock.Sim(engine), m.Splits(), NewCollector(db), ControllerConfig{
+	ctrl := NewControllerClock(engine, m.Splits(), NewCollector(db), ControllerConfig{
 		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		Elector:      elector,
 		SelfRegistry: selfReg,
@@ -219,8 +218,8 @@ func newRigWithEngine(t *testing.T, engine *sim.Engine, elector *cluster.Elector
 	})
 	_ = m.SetPicker("api", balancer.NewWeightedSplit(m.Splits(), rng.Fork(), nil))
 	db := timeseries.NewDB(time.Minute)
-	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
-	ctrl := NewControllerClock(clock.Sim(engine), m.Splits(), NewCollector(db), ControllerConfig{
+	NewScraperClock(engine, db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
+	ctrl := NewControllerClock(engine, m.Splits(), NewCollector(db), ControllerConfig{
 		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		Elector:     elector,
 	})
@@ -293,7 +292,7 @@ func TestControllerBoundsCollectorSelectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	collector := NewCollector(timeseries.NewDB(time.Minute))
-	ctrl := NewControllerClock(clock.Sim(engine), splits, collector, ControllerConfig{
+	ctrl := NewControllerClock(engine, splits, collector, ControllerConfig{
 		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 	})
 	ctrl.Start()
@@ -400,7 +399,7 @@ func TestControllerRequiresDeps(t *testing.T) {
 			t.Fatal("NewControllerClock without deps did not panic")
 		}
 	}()
-	NewControllerClock(clock.Sim(sim.NewEngine()), nil, nil, ControllerConfig{})
+	NewControllerClock(sim.NewEngine(), nil, nil, ControllerConfig{})
 }
 
 func TestScaleWeight(t *testing.T) {
@@ -435,7 +434,7 @@ func TestControllerUpdatesSplitsInNameOrder(t *testing.T) {
 		}
 	}
 	selfReg := metrics.NewRegistry()
-	ctrl := NewControllerClock(clock.Sim(engine), splits, NewCollector(timeseries.NewDB(time.Minute)), ControllerConfig{
+	ctrl := NewControllerClock(engine, splits, NewCollector(timeseries.NewDB(time.Minute)), ControllerConfig{
 		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		SelfRegistry: selfReg,
 	})

@@ -9,7 +9,6 @@ import (
 
 	"l3/internal/backend"
 	"l3/internal/balancer"
-	"l3/internal/clock"
 	"l3/internal/ewma"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
@@ -114,8 +113,8 @@ func newPolicyRig(t *testing.T) *policyRig {
 	_ = m.SetPicker("api", balancer.NewWeightedSplit(m.Splits(), rng.Fork(), nil))
 
 	db := timeseries.NewDB(time.Minute)
-	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
-	r.ctrl = NewControllerClock(clock.Sim(engine), m.Splits(), NewCollector(db), ControllerConfig{
+	NewScraperClock(engine, db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
+	r.ctrl = NewControllerClock(engine, m.Splits(), NewCollector(db), ControllerConfig{
 		Policies:     r.policies,
 		SelfRegistry: r.selfReg,
 	})

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/core"
 	"l3/internal/guard"
@@ -86,7 +85,7 @@ func newControlRound(tb testing.TB, backends int) *controlRound {
 	wcfg := core.WeightingConfig{LatencyHalfLife: interval, InflightHalfLife: interval, SuccessHalfLife: 2 * interval, RPSHalfLife: 2 * interval}
 	rcfg := core.RateControlConfig{RPSHalfLife: 2 * interval}
 	selfReg := metrics.NewRegistry()
-	core.NewControllerClock(clock.Sim(r.engine), r.splits, collector, core.ControllerConfig{
+	core.NewControllerClock(r.engine, r.splits, collector, core.ControllerConfig{
 		Interval: interval,
 		NewAssigner: func() core.Assigner {
 			return guard.NewAssigner(core.NewL3Assigner(wcfg, rcfg, true), guard.Config{}, selfReg)
@@ -201,7 +200,7 @@ func TestWarmScrapeTickDoesNotAllocate(t *testing.T) {
 		if gated {
 			db.SetGate(guard.NewHygiene(guard.Config{}, nil))
 		}
-		core.NewScraperClock(clock.Sim(engine), db, regs, 5*time.Second).Start()
+		core.NewScraperClock(engine, db, regs, 5*time.Second).Start()
 		pass := func() { // one scrape tick
 			for _, c := range counters {
 				c.Inc()
@@ -303,7 +302,7 @@ func BenchmarkScrapeTick(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("series=%d/refs", n), func(b *testing.B) {
 			engine := sim.NewEngine()
-			core.NewScraperClock(clock.Sim(engine), timeseries.NewDB(time.Minute), []*metrics.Registry{reg}, roundInterval).Start()
+			core.NewScraperClock(engine, timeseries.NewDB(time.Minute), []*metrics.Registry{reg}, roundInterval).Start()
 			engine.RunUntil(16 * roundInterval) // every ref resolved, every window past retention
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"l3/internal/clock"
 	"l3/internal/metrics"
 	"l3/internal/sim"
 	"l3/internal/timeseries"
@@ -17,7 +16,7 @@ func TestScraperScrapesAtInterval(t *testing.T) {
 	counter := reg.Counter("reqs", nil)
 	db := timeseries.NewDB(time.Minute)
 
-	s := NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 5*time.Second)
+	s := NewScraperClock(engine, db, []*metrics.Registry{reg}, 5*time.Second)
 	s.Start()
 	engine.Every(time.Second, func() { counter.Add(10) })
 
@@ -36,7 +35,7 @@ func TestScraperStop(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("x", nil).Inc()
 	db := timeseries.NewDB(time.Minute)
-	s := NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 5*time.Second)
+	s := NewScraperClock(engine, db, []*metrics.Registry{reg}, 5*time.Second)
 	s.Start()
 	engine.RunUntil(12 * time.Second)
 	s.Stop()
@@ -53,7 +52,7 @@ func TestScraperDefaultInterval(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Gauge("g", nil).Set(1)
 	db := timeseries.NewDB(time.Minute)
-	NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 0).Start() // default 5s
+	NewScraperClock(engine, db, []*metrics.Registry{reg}, 0).Start() // default 5s
 	engine.RunUntil(6 * time.Second)
 	if _, ok := db.Latest("g", nil, 6*time.Second); !ok {
 		t.Fatal("default-interval scraper produced no samples by 6s")
@@ -66,7 +65,7 @@ func TestScraperDefaultInterval(t *testing.T) {
 func TestTextSourceFailuresAndPendingPasses(t *testing.T) {
 	engine := sim.NewEngine()
 	db := timeseries.NewDB(time.Minute)
-	s := NewScraperClock(clock.Sim(engine), db, nil, 5*time.Second)
+	s := NewScraperClock(engine, db, nil, 5*time.Second)
 	var fail error
 	var hold bool
 	var held func([]metrics.Sample, error)

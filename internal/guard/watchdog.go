@@ -5,7 +5,6 @@ import (
 
 	"l3/internal/clock"
 	"l3/internal/metrics"
-	"l3/internal/sim"
 	"l3/internal/smi"
 )
 
@@ -27,30 +26,20 @@ type Watchdog struct {
 	degrades *metrics.Counter
 }
 
-// NewWatchdog builds a watchdog over the given write gates (at least one),
-// on the simulation engine's virtual clock. filter restricts which splits
-// are degraded on a stall (nil = all). reg receives the watchdog's counter
-// when non-nil.
-func NewWatchdog(engine *sim.Engine, splits *smi.Store, cfg Config, reg *metrics.Registry, filter func(name string) bool, gates ...*WriteGate) *Watchdog {
-	if engine == nil {
-		panic("guard: NewWatchdog requires engine, splits and at least one gate")
-	}
-	return NewWatchdogClock(clock.Sim(engine), splits, cfg, reg, filter, gates...)
-}
-
-// NewWatchdogClock builds a watchdog on an arbitrary clock. Single-threaded
-// like the rest of the control plane: run it on the clock that drives the
+// NewWatchdog builds a watchdog over the given write gates (at least one).
+// filter restricts which splits are degraded on a stall (nil = all). reg
+// receives the watchdog's counter; nil keeps it private. Single-threaded like
+// the rest of the control plane: run it on the clock that drives the
 // controller whose stalls it guards.
-func NewWatchdogClock(clk clock.Clock, splits *smi.Store, cfg Config, reg *metrics.Registry, filter func(name string) bool, gates ...*WriteGate) *Watchdog {
+func NewWatchdog(clk clock.Clock, splits *smi.Store, cfg Config, reg *metrics.Registry, filter func(name string) bool, gates ...*WriteGate) *Watchdog {
 	if clk == nil || splits == nil || len(gates) == 0 {
 		panic("guard: NewWatchdog requires a clock, splits and at least one gate")
 	}
 	w := &Watchdog{clk: clk, splits: splits, gates: gates, cfg: cfg.withDefaults(), filter: filter}
 	if reg == nil {
-		w.degrades = &metrics.Counter{}
-	} else {
-		w.degrades = reg.Counter(MetricWatchdogDegradesTotal, nil)
+		reg = metrics.NewRegistry()
 	}
+	w.degrades = reg.Counter(MetricWatchdogDegradesTotal, nil)
 	return w
 }
 

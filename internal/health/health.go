@@ -95,8 +95,8 @@ type Checker struct {
 	stopped bool
 }
 
-// NewChecker returns a checker driven by a clock — clock.Sim(engine) for
-// virtual time, a clock.Wall for real time; register backends with Watch.
+// NewChecker returns a checker driven by a clock — a sim.Engine for virtual
+// time, a clock.Wall for real time; register backends with Watch.
 // The checker is single-threaded: all its methods must run serialized with
 // the clock's callbacks (automatic on a sim engine; via clock.Wall.Do — or by
 // only touching it from clock callbacks — on a wall clock).

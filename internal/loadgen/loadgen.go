@@ -57,12 +57,12 @@ type Config struct {
 // the timer is rebound in place, per-request state comes from a free list.
 type Generator struct {
 	clk      clock.Clock
-	rebinder rebinder // clk's allocation-free After; nil on a clock without one
+	eng      *sim.Engine // clk when it is the engine: arrivals rebind simTimer
 	issue    IssueFunc
 	cfg      Config
 	recorder *Recorder
 	timer    clock.Timer   // the pending arrival or rate poll
-	simTimer sim.Timer     // what timer points at under a rebinder
+	simTimer sim.Timer     // what timer points at on the engine
 	tick     func()        // fire: one arrival, then scheduleNext
 	poll     func()        // scheduleNext alone, while the rate is zero
 	next     time.Duration // absolute cursor for CatchUp scheduling
@@ -73,12 +73,6 @@ type Generator struct {
 	issued, completed, errors uint64
 }
 
-// rebinder is After through a caller-owned sim.Timer, the optional clock
-// capability clock.Sim's adapter has; other clocks get After's handle per call.
-type rebinder interface {
-	AfterTimer(t *sim.Timer, d time.Duration, fn func())
-}
-
 // arrival is one request's pooled state; done is bound when it is first made.
 type arrival struct {
 	g        *Generator
@@ -87,18 +81,12 @@ type arrival struct {
 	done     func(latency time.Duration, success bool)
 }
 
-// New returns a generator on the simulation engine's virtual clock; call
-// Start to begin offering load.
-func New(engine *sim.Engine, cfg Config, issue IssueFunc) *Generator {
-	return NewClock(clock.Sim(engine), cfg, issue)
-}
-
-// NewClock returns a generator driven by an arbitrary clock. Completions
-// are recorded on whatever goroutine calls done; on a wall clock the caller
-// must serialize those with each other and with arrivals (clock.Wall.Do) —
-// the generator and its Recorder are single-threaded, like every sim-era
-// component.
-func NewClock(clk clock.Clock, cfg Config, issue IssueFunc) *Generator {
+// New returns a generator driven by clk; call Start to begin offering load.
+// Completions are recorded on whatever goroutine calls done; on a wall clock
+// the caller must serialize those with each other and with arrivals
+// (clock.Wall.Do) — the generator and its Recorder are single-threaded, like
+// every sim-era component.
+func New(clk clock.Clock, cfg Config, issue IssueFunc) *Generator {
 	if clk == nil {
 		panic("loadgen: nil clock")
 	}
@@ -118,8 +106,8 @@ func NewClock(clk clock.Clock, cfg Config, issue IssueFunc) *Generator {
 		recorder: NewRecorder(cfg.BucketWidth),
 	}
 	g.tick, g.poll = g.fire, g.scheduleNext
-	if rb, ok := clk.(rebinder); ok {
-		g.rebinder, g.timer = rb, &g.simTimer
+	if eng, ok := clk.(*sim.Engine); ok {
+		g.eng, g.timer = eng, &g.simTimer
 	}
 	return g
 }
@@ -160,8 +148,8 @@ func (g *Generator) Close() { g.closed = true }
 
 // after schedules fn, d from now, as the generator's one pending callback.
 func (g *Generator) after(d time.Duration, fn func()) {
-	if g.rebinder != nil {
-		g.rebinder.AfterTimer(&g.simTimer, d, fn)
+	if g.eng != nil {
+		g.eng.AtTimer(&g.simTimer, g.eng.Now()+max(d, 0), fn)
 		return
 	}
 	g.timer = g.clk.After(d, fn)

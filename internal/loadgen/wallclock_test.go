@@ -9,15 +9,20 @@ import (
 	"l3/internal/sim"
 )
 
-// TestNewClockSimEquivalent pins that New(engine, ...) and
-// NewClock(clock.Sim(engine), ...) produce the identical arrival sequence —
-// the guarantee that keeps every sim golden byte-identical across the clock
-// refactor.
+// hiddenEngine is the engine seen only through the Clock interface: New
+// cannot find the *sim.Engine behind it, so arrivals take After's handle.
+type hiddenEngine struct{ clock.Clock }
+
+// TestNewClockSimEquivalent pins that a generator on the engine (arrivals
+// rebound in place through AtTimer) and one on a clock that hides the engine
+// (a fresh After handle per arrival) produce the identical arrival sequence —
+// the guarantee that keeps every sim golden byte-identical whichever path
+// schedules.
 func TestNewClockSimEquivalent(t *testing.T) {
-	run := func(build func(e *sim.Engine, cfg Config, issue IssueFunc) *Generator) []time.Duration {
+	run := func(wrap func(e *sim.Engine) clock.Clock) []time.Duration {
 		e := sim.NewEngine()
 		var arrivals []time.Duration
-		g := build(e, Config{Rate: ConstantRate(100)}, func(done func(time.Duration, bool)) error {
+		g := New(wrap(e), Config{Rate: ConstantRate(100)}, func(done func(time.Duration, bool)) error {
 			arrivals = append(arrivals, e.Now())
 			done(time.Millisecond, true)
 			return nil
@@ -26,10 +31,8 @@ func TestNewClockSimEquivalent(t *testing.T) {
 		e.RunUntil(time.Second)
 		return arrivals
 	}
-	direct := run(New)
-	viaClock := run(func(e *sim.Engine, cfg Config, issue IssueFunc) *Generator {
-		return NewClock(clock.Sim(e), cfg, issue)
-	})
+	direct := run(func(e *sim.Engine) clock.Clock { return e })
+	viaClock := run(func(e *sim.Engine) clock.Clock { return hiddenEngine{e} })
 	if len(direct) == 0 || len(direct) != len(viaClock) {
 		t.Fatalf("arrival counts differ: %d vs %d", len(direct), len(viaClock))
 	}
@@ -49,7 +52,7 @@ func TestCatchUpHoldsOfferedRate(t *testing.T) {
 	defer w.Stop()
 	var mu sync.Mutex
 	issued := 0
-	g := NewClock(w, Config{Rate: ConstantRate(2000), CatchUp: true}, func(done func(time.Duration, bool)) error {
+	g := New(w, Config{Rate: ConstantRate(2000), CatchUp: true}, func(done func(time.Duration, bool)) error {
 		mu.Lock()
 		issued++
 		mu.Unlock()

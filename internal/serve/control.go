@@ -146,7 +146,7 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 		}
 		c.controller = core.NewControllerClock(wall, c.splits, c.collector, ctrlCfg)
 		if c.gate != nil {
-			c.watchdog = guard.NewWatchdogClock(wall, c.splits, guard.Config{}, ctrlReg, nil, c.gate)
+			c.watchdog = guard.NewWatchdog(wall, c.splits, guard.Config{}, ctrlReg, nil, c.gate)
 		}
 	}
 

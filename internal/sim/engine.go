@@ -109,8 +109,10 @@ func (e *Engine) At(t time.Duration, fn func()) *Timer {
 }
 
 // After schedules fn to run d from the current virtual time. Negative
-// durations are clamped to zero.
-func (e *Engine) After(d time.Duration, fn func()) *Timer {
+// durations are clamped to zero. The handle's type is clock.Timer's, spelled
+// out because clock imports sim: with After and Every, the engine is a
+// clock.Clock.
+func (e *Engine) After(d time.Duration, fn func()) interface{ Cancel() } {
 	if d < 0 {
 		d = 0
 	}
@@ -149,7 +151,7 @@ func (e *Engine) AtTimer(t *Timer, at time.Duration, fn func()) {
 
 // Every schedules fn to run every interval, starting one interval from now,
 // until the returned Timer is cancelled. The interval must be positive.
-func (e *Engine) Every(interval time.Duration, fn func()) *Timer {
+func (e *Engine) Every(interval time.Duration, fn func()) interface{ Cancel() } {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: Every called with non-positive interval %v", interval))
 	}

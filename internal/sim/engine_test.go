@@ -133,7 +133,7 @@ func TestEveryTicksAtInterval(t *testing.T) {
 func TestEveryCancelFromWithinCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tm *Timer
+	var tm interface{ Cancel() }
 	tm = e.Every(time.Second, func() {
 		count++
 		if count == 2 {

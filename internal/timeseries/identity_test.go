@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"l3/internal/clock"
 	"l3/internal/core"
 	"l3/internal/guard"
 	"l3/internal/metrics"
@@ -42,7 +41,7 @@ func TestHistogramSumAndCountKeepTheirOwnHygieneState(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
 	hyg := guard.NewHygiene(guard.Config{}, hygReg)
 	db.SetGate(hyg)
-	core.NewScraperClock(clock.Sim(engine), db, []*metrics.Registry{reg}, 5*time.Second).Start()
+	core.NewScraperClock(engine, db, []*metrics.Registry{reg}, 5*time.Second).Start()
 	engine.Every(time.Second, func() { h.Observe(0.25) })
 	const ticks = 8
 	engine.RunUntil(ticks*5*time.Second + time.Second)

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"l3/internal/clock"
 	"l3/internal/core"
 	"l3/internal/guard"
 	"l3/internal/metrics"
@@ -324,7 +323,7 @@ func TestRefScraperStoresWhatLabelScraperStores(t *testing.T) {
 	for c := 0; c < cases; c++ {
 		w := newScrapeWorld(c, 3)
 		oracle := &labelScraper{engine: w.engine, db: w.dbs[0], registries: w.regs}
-		scraper := core.NewScraperClock(clock.Sim(w.engine), w.dbs[1], w.regs, 5*time.Second)
+		scraper := core.NewScraperClock(w.engine, w.dbs[1], w.regs, 5*time.Second)
 		scraper.Start()
 		twin := &labelScraper{engine: w.engine, db: w.dbs[2], registries: w.regs, clone: true}
 		w.engine.Every(5*time.Second, oracle.tick)
@@ -345,7 +344,7 @@ func TestTextScraperStoresWhatLabelScraperStores(t *testing.T) {
 	for c := 0; c < cases; c++ {
 		w := newScrapeWorld(c, 2)
 		oracle := &labelScraper{engine: w.engine, db: w.dbs[0], registries: w.regs, text: true}
-		scraper := core.NewScraperClock(clock.Sim(w.engine), w.dbs[1], nil, 5*time.Second)
+		scraper := core.NewScraperClock(w.engine, w.dbs[1], nil, 5*time.Second)
 		scraper.SetSource(func(done func([]metrics.Sample, error)) { done(expose(w.regs)) })
 		scraper.Start()
 		w.engine.Every(5*time.Second, oracle.tick)

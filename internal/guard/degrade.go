@@ -45,19 +45,18 @@ type Assigner struct {
 }
 
 // NewAssigner wraps inner with degraded-mode handling. reg receives the
-// guard's own counters when non-nil.
+// guard's own counters; nil keeps them private.
 func NewAssigner(inner core.Assigner, cfg Config, reg *metrics.Registry) *Assigner {
 	a := &Assigner{
 		inner: inner, cfg: cfg.withDefaults(), held: make(map[string]float64),
 		fresh: make(map[string]core.BackendMetrics), out: make(map[string]float64),
 	}
 	if reg == nil {
-		a.holds, a.decays, a.frozen = &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
-	} else {
-		a.holds = reg.Counter(MetricHoldsTotal, nil)
-		a.decays = reg.Counter(MetricDecaysTotal, nil)
-		a.frozen = reg.Counter(MetricFrozenTotal, nil)
+		reg = metrics.NewRegistry()
 	}
+	a.holds = reg.Counter(MetricHoldsTotal, nil)
+	a.decays = reg.Counter(MetricDecaysTotal, nil)
+	a.frozen = reg.Counter(MetricFrozenTotal, nil)
 	return a
 }
 

@@ -37,8 +37,8 @@ type WriteGate struct {
 	ints           map[string]int64
 }
 
-// NewWriteGate returns a write gate. reg receives the gate's own counters
-// when non-nil.
+// NewWriteGate returns a write gate. reg receives the gate's own counters;
+// nil keeps them private.
 func NewWriteGate(cfg Config, reg *metrics.Registry) *WriteGate {
 	g := &WriteGate{
 		cfg:     cfg.withDefaults(),
@@ -46,12 +46,11 @@ func NewWriteGate(cfg Config, reg *metrics.Registry) *WriteGate {
 		proposed: make(map[string]float64), next: make(map[string]float64),
 	}
 	if reg == nil {
-		g.suppressed, g.clamped, g.rejected = &metrics.Counter{}, &metrics.Counter{}, &metrics.Counter{}
-	} else {
-		g.suppressed = reg.Counter(MetricWriteSuppressedTotal, nil)
-		g.clamped = reg.Counter(MetricWriteClampedTotal, nil)
-		g.rejected = reg.Counter(MetricWriteRejectedTotal, nil)
+		reg = metrics.NewRegistry()
 	}
+	g.suppressed = reg.Counter(MetricWriteSuppressedTotal, nil)
+	g.clamped = reg.Counter(MetricWriteClampedTotal, nil)
+	g.rejected = reg.Counter(MetricWriteRejectedTotal, nil)
 	return g
 }
 

@@ -54,13 +54,13 @@ type seriesState struct {
 const never = time.Duration(math.MinInt64)
 
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
-// when non-nil (they are created eagerly so registration order is stable).
+// (created eagerly so registration order is stable); nil keeps them private.
 func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	h := &Hygiene{cfg: cfg.withDefaults()}
 	counter := func(reason string) *metrics.Counter {
-		if reg == nil {
-			return &metrics.Counter{}
-		}
 		return reg.Counter(MetricRejectedTotal, metrics.Labels{"reason": reason})
 	}
 	h.rejNaN = counter("nan")
@@ -68,11 +68,7 @@ func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
 	h.rejOutOfOrder = counter("outoforder")
 	h.rejDuplicate = counter("duplicate")
 	h.rejAnomaly = counter("anomaly")
-	if reg == nil {
-		h.resets = &metrics.Counter{}
-	} else {
-		h.resets = reg.Counter(MetricResetsTotal, nil)
-	}
+	h.resets = reg.Counter(MetricResetsTotal, nil)
 	return h
 }
 

@@ -44,23 +44,24 @@ type breakerState struct {
 }
 
 // NewBreaker builds a breaker over a fixed backend set. cfg must already
-// have defaults applied (Policy.withDefaults); reg may be nil for tests.
+// have defaults applied (Policy.withDefaults); reg receives its counters,
+// and nil keeps them private.
 func NewBreaker(cfg BreakerConfig, service string, backends []string, reg *metrics.Registry) *Breaker {
 	b := &Breaker{
 		cfg:    cfg,
 		states: make(map[string]*breakerState, len(backends)),
 		names:  append([]string(nil), backends...),
 	}
-	if reg != nil {
-		b.mDenied = reg.Counter(MetricBreakerDeniedTotal, metrics.Labels{"service": service})
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
+	b.mDenied = reg.Counter(MetricBreakerDeniedTotal, metrics.Labels{"service": service})
 	for _, name := range backends {
-		st := &breakerState{name: name}
-		if reg != nil {
-			st.mEject = reg.Counter(MetricBreakerEjectionsTotal, metrics.Labels{"service": service, "backend": name})
-			st.mRestore = reg.Counter(MetricBreakerRestoresTotal, metrics.Labels{"service": service, "backend": name})
+		b.states[name] = &breakerState{
+			name:     name,
+			mEject:   reg.Counter(MetricBreakerEjectionsTotal, metrics.Labels{"service": service, "backend": name}),
+			mRestore: reg.Counter(MetricBreakerRestoresTotal, metrics.Labels{"service": service, "backend": name}),
 		}
-		b.states[name] = st
 	}
 	return b
 }
@@ -89,9 +90,7 @@ func (b *Breaker) Record(now time.Duration, backend string, success bool) time.D
 		// consecutive count so the backend must earn ejection afresh
 		// once capacity frees up.
 		st.consecFails = 0
-		if b.mDenied != nil {
-			b.mDenied.Inc()
-		}
+		b.mDenied.Inc()
 		return 0
 	}
 	st.ejected = true
@@ -99,9 +98,7 @@ func (b *Breaker) Record(now time.Duration, backend string, success bool) time.D
 	st.ejections++
 	st.consecFails = 0
 	b.ejected++
-	if st.mEject != nil {
-		st.mEject.Inc()
-	}
+	st.mEject.Inc()
 	return st.until
 }
 
@@ -136,9 +133,7 @@ func (b *Breaker) maybeRestore(st *breakerState, now time.Duration) {
 		st.ejected = false
 		st.consecFails = 0
 		b.ejected--
-		if st.mRestore != nil {
-			st.mRestore.Inc()
-		}
+		st.mRestore.Inc()
 	}
 }
 

@@ -46,12 +46,13 @@ race:
 ## mallocs (TestAdmitPathAllocsPinned, TestProxiedRequestBytes,
 ## TestProxiedRequestMallocs), in internal/serve;
 ## the series index's chunks, which fill their size class for a series
-## and for a gate state (TestIndexChunkFillsItsSizeClass), in
+## and for a gate state (TestIndexChunkFillsItsSizeClass), and a warm parse
+## of commented text (TestWarmCommentedParseAllocatesTheResult), in
 ## internal/metrics; and a filtered pick — health failover's and the
 ## breaker's — over round-robin and a weighted split while the allowed
 ## subset changes (TestFilterPickAllocs), in internal/balancer.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|FilterPickAllocs)$$' \
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|FilterPickAllocs)$$' \
 		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/balancer
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that

@@ -111,7 +111,7 @@ func fleetRegistry(n int) *Registry {
 
 // A warm parse allocates the result slice and the reader — however many
 // samples the text holds: the text is read into the table's buffer, and the
-// types map stays on the stack.
+// types map is the table's.
 func TestWarmParseAllocatesAConstant(t *testing.T) {
 	allocs := func(backends int) float64 {
 		text := fleetExposition(t, backends)
@@ -127,6 +127,31 @@ func TestWarmParseAllocatesAConstant(t *testing.T) {
 	small, fleet := allocs(3), allocs(102)
 	if small != fleet || fleet > 2 {
 		t.Fatalf("warm parse: %v allocs at 3 backends, %v at 102; want equal and at most 2", small, fleet)
+	}
+}
+
+// TestWarmCommentedParseAllocatesTheResult: a HELP and a TYPE comment before
+// each of 100 counters cost a warm parse nothing beyond the result slice —
+// the comments are split without a slice per line, and the TYPE map is the
+// table's, kept from parse to parse.
+func TestWarmCommentedParseAllocatesTheResult(t *testing.T) {
+	text := seriesLines("# HELP c%[1]d_total Requests.\n# TYPE c%[1]d_total counter\nc%[1]d_total{backend=\"b\"} 1\n", 0, 100)
+	want, err := oracleParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := &seriesCache{limit: seriesCacheCap}
+	for range 2 {
+		got, err := table.parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSamples(got, want) {
+			t.Fatal("commented text parses differently from the oracle")
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { table.parse(text) }); n > 1 {
+		t.Fatalf("warm parse of 100 commented counters: %v allocs, want at most 1", n)
 	}
 }
 

@@ -126,6 +126,9 @@ rpc_count 7
 free_form 9
 hits_total 2
 `
+	// Fields split as strings.Fields splits them: U+00A0 and U+0085 are
+	// spaces, and a fifth field makes the comment freeform.
+	in += "#\u00a0TYPE\u0085up_total gauge\nup_total 1\n# TYPE down_total gauge extra\ndown_total 1\n"
 	samples, err := ParseExposition(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +148,8 @@ hits_total 2
 		"rpc_count":  KindCounter,
 		"free_form":  KindGauge,   // untyped, no suffix
 		"hits_total": KindCounter, // _total convention
+		"up_total":   KindGauge,
+		"down_total": KindCounter,
 	} {
 		if kinds[name] != want {
 			t.Errorf("%s parsed as kind %v, want %v", name, kinds[name], want)

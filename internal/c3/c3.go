@@ -26,9 +26,10 @@
 // With only aggregated data, the server-side queue length q̄ and service
 // rate µ̄ are not observable separately: the queue estimate falls back to
 // the aggregate outstanding-request gauge (exactly os summed over clients),
-// and the response/service-time signal to the same P99 latency the
-// aggregated Linkerd histograms provide — §5.3.1 of the paper confirms the
-// 99th percentile "plays a decisive role in the C3 and L3 algorithms".
+// halved by default (Config.QueueScale), and the response/service-time
+// signal to the same P99 latency the aggregated Linkerd histograms provide
+// — §5.3.1 of the paper confirms the 99th percentile "plays a decisive role
+// in the C3 and L3 algorithms".
 package c3
 
 import (
@@ -59,11 +60,12 @@ type Config struct {
 	// re-applies a floor of 1).
 	MinWeight float64
 	// QueueScale divides the aggregate outstanding-request gauge before
-	// the cube: q̂ = 1 + inflight/QueueScale. The default of 1 keeps the
-	// raw aggregate, as a direct adaptation of C3's q̂ = 1 + os·w + q̄
-	// does; under load the cube then dominates the score and pushes C3
-	// toward outstanding-request equalisation — the behaviour consistent
-	// with C3 trailing L3 across the paper's evaluation.
+	// the cube: q̂ = 1 + inflight/QueueScale. The default of 2 halves the
+	// aggregate, q̂ = 1 + os/2; a direct adaptation of C3's q̂ = 1 + os·w +
+	// q̄ would keep it raw (1). Under load the cube dominates the score
+	// either way and pushes C3 toward outstanding-request equalisation —
+	// the behaviour consistent with C3 trailing L3 across the paper's
+	// evaluation.
 	QueueScale float64
 }
 

@@ -115,9 +115,10 @@ loc:
 		| xargs -0 cat | wc -l
 
 ## deadcode: exported package-level funcs and types in internal/ that no
-## non-test file of the module reads, benchmark/ included (stdlib go/ast, no
-## type checking). Not part of check: a name it prints gets a verdict, not a
-## failure.
+## non-test file of the module reads, benchmark/ included, then exported
+## struct fields in internal/ that no non-test file outside their package
+## writes (stdlib go/ast, no type checking). Not part of check: a name it
+## prints gets a verdict, not a failure.
 deadcode:
 	$(GO) run scripts/deadcode.go
 

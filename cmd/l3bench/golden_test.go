@@ -32,6 +32,14 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 		args   []string
 		sha256 string
 	}{
+		// Figures 1 and 2 are the motivation traces and Figure 4 the rate
+		// control's curves: no run of the mesh, under 0.1 s each.
+		{"fig1", []string{"-fig", "1"},
+			"9ac30254573b491e49619bb234c480600b6e366fece5a5e3f7aa7f15a70330bd"},
+		{"fig2", []string{"-fig", "2"},
+			"17323650888dbed372da04f16af619e65ca8a879c7e834dc6d0731496dd7dd19"},
+		{"fig4", []string{"-fig", "4"},
+			"d526b0e1e645adddca0e81ccf0031650b70a14943d995dae763ab020365fe47f"},
 		{"fig6", []string{"-fig", "6"},
 			"019743b524369cce596ee98dbcd267e9e41b2262935e979dbf235a9361b8fe51"},
 		{"fig7-quick", []string{"-fig", "7", "-quick"},

@@ -97,3 +97,38 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// TestReadmeNamesEveryServeVariable fails when README.md names an L3SERVE_*
+// variable that internal/serve/config.go does not read, or config.go reads
+// one that README.md does not name.
+func TestReadmeNamesEveryServeVariable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	config, err := os.ReadFile("internal/serve/config.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, name := range regexp.MustCompile(`L3SERVE_[A-Z_]+`).FindAllString(string(readme), -1) {
+		named[name] = true
+	}
+	read := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\bset\("(L3SERVE_[A-Z_]+)"`).FindAllStringSubmatch(string(config), -1) {
+		read[m[1]] = true
+	}
+	if len(read) == 0 {
+		t.Fatal("config.go reads no L3SERVE_ variable through set(: the pattern is stale")
+	}
+	for name := range named {
+		if !read[name] {
+			t.Errorf("README.md names %s, which config.go does not read", name)
+		}
+	}
+	for name := range read {
+		if !named[name] {
+			t.Errorf("config.go reads %s, which README.md does not name", name)
+		}
+	}
+}

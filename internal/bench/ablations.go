@@ -166,7 +166,6 @@ func AblationScrapeInterval(opts Options) (*Result, error) {
 	for _, iv := range intervals {
 		o := opts
 		o.ScrapeInterval = iv
-		o.Window = 2 * iv
 		cells = append(cells, cell{scenario: trace.Scenario4, algo: AlgoL3, opts: o})
 	}
 	out, err := sweep(opts.Parallel, cells...)

@@ -137,11 +137,10 @@ type Options struct {
 	FilterKind ewma.Kind
 	// DisableRateControl turns Algorithm 2 off (ablation).
 	DisableRateControl bool
-	// ScrapeInterval is the metrics pipeline's scrape period
-	// (default 5 s).
+	// ScrapeInterval is the metrics pipeline's scrape period (default
+	// 5 s). The reconcile period, the collector's query window (2×) and the
+	// guard's thresholds follow it.
 	ScrapeInterval time.Duration
-	// Window is the collector's query window (default 2×scrape).
-	Window time.Duration
 	// Percentile is L3's latency percentile (default 0.99).
 	Percentile float64
 	// RPSScale multiplies the scenario's offered load (default 1).
@@ -202,9 +201,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScrapeInterval <= 0 {
 		o.ScrapeInterval = 5 * time.Second
-	}
-	if o.Window <= 0 {
-		o.Window = 2 * o.ScrapeInterval
 	}
 	if o.Percentile <= 0 || o.Percentile >= 1 {
 		o.Percentile = 0.99
@@ -603,10 +599,11 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 		handles.db = db
 		var hyg *guard.Hygiene
 		var gate *guard.WriteGate
+		gcfg := guard.Config{Interval: opts.ScrapeInterval}
 		if opts.Guard {
-			hyg = guard.NewHygiene(guard.Config{}, w.ctrlReg)
+			hyg = guard.NewHygiene(gcfg, w.ctrlReg)
 			db.SetGate(hyg)
-			gate = guard.NewWriteGate(guard.Config{}, w.ctrlReg)
+			gate = guard.NewWriteGate(gcfg, w.ctrlReg)
 		}
 		scraper := core.NewScraperClock(w.ctrl, db, w.scrape, opts.ScrapeInterval)
 		scraper.Start()
@@ -630,7 +627,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				}
 			}
 			if opts.Guard {
-				assigner = guard.NewAssigner(assigner, guard.Config{}, w.ctrlReg)
+				assigner = guard.NewAssigner(assigner, gcfg, w.ctrlReg)
 			}
 			return assigner
 		}
@@ -638,7 +635,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 		for si, spec := range controllers {
 			newController := func(elector *cluster.Elector) *core.Controller {
 				collector := &core.Collector{
-					DB: db, Window: opts.Window, Percentile: opts.Percentile,
+					DB: db, Window: 2 * opts.ScrapeInterval, Percentile: opts.Percentile,
 					Match: spec.match,
 				}
 				if hyg != nil {
@@ -676,7 +673,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 			}
 		}
 		if gate != nil {
-			guard.NewWatchdog(w.ctrl, m.Splits(), guard.Config{}, w.ctrlReg, nil, gate).Start()
+			guard.NewWatchdog(w.ctrl, m.Splits(), gcfg, w.ctrlReg, nil, gate).Start()
 		}
 		return handles, nil
 	default:

@@ -306,13 +306,15 @@ const (
 	MetricLeader         = "l3_is_leader"
 )
 
+// WeightScale converts float weights to TrafficSplit integers: a written
+// split's weights add up to about this (ratios are what matters). The guard
+// layer's write gate and watchdog scale by it too.
+const WeightScale = 1000
+
 // ControllerConfig parameterises the operator.
 type ControllerConfig struct {
 	// Interval is the reconcile period (default 5 s, §4).
 	Interval time.Duration
-	// WeightScale converts float weights to TrafficSplit integers
-	// (default 1000; ratios are what matters).
-	WeightScale float64
 	// NewAssigner builds one assigner per TrafficSplit that no policy
 	// configures. Required unless Policies is set.
 	NewAssigner func() Assigner
@@ -419,9 +421,6 @@ func NewControllerClock(clk clock.Clock, splits *smi.Store, collector *Collector
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
-	}
-	if cfg.WeightScale <= 0 {
-		cfg.WeightScale = 1000
 	}
 	return &Controller{
 		clk:       clk,
@@ -625,7 +624,7 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 			return // gate suppressed or rejected this round's write
 		}
 	} else {
-		c.ints = scaledWeights(c.ints, ts, weights, c.cfg.WeightScale)
+		c.ints = scaledWeights(c.ints, ts, weights, WeightScale)
 		ints = c.ints
 	}
 	next, err := ts.WithWeights(ints)

@@ -14,15 +14,14 @@ type backendClass int
 const (
 	classFresh backendClass = iota
 	classStale              // data gap or in-window reset: hold last-good weight
-	classBlind              // past the blind TTL: decay toward the baseline
+	classBlind              // past the blind TTL: decay toward uniform
 )
 
 // Assigner wraps a core.Assigner with the staleness-aware degraded modes:
 // only backends with fresh data reach the inner algorithm, stale backends
 // hold their last-good weight (instead of letting the inner filters relax
-// toward defaults and drift the split), blind backends decay toward a
-// uniform-or-locality baseline, and a failed visibility quorum freezes the
-// whole round.
+// toward defaults and drift the split), blind backends decay toward
+// uniform, and a failed visibility quorum freezes the whole round.
 //
 // Holding works because the inner assigner never observes a held backend's
 // round: its EWMAs stay at the last trustworthy state and resume seamlessly
@@ -48,7 +47,7 @@ type Assigner struct {
 // guard's own counters; nil keeps them private.
 func NewAssigner(inner core.Assigner, cfg Config, reg *metrics.Registry) *Assigner {
 	a := &Assigner{
-		inner: inner, cfg: cfg.withDefaults(), held: make(map[string]float64),
+		inner: inner, cfg: cfg, held: make(map[string]float64),
 		fresh: make(map[string]core.BackendMetrics), out: make(map[string]float64),
 	}
 	if reg == nil {
@@ -69,10 +68,10 @@ func (a *Assigner) classify(now time.Duration, bm core.BackendMetrics) backendCl
 		return classFresh
 	}
 	age := now - bm.LastSample
-	if age > a.cfg.BlindAfter {
+	if age > a.cfg.blindAfter() {
 		return classBlind
 	}
-	if age > a.cfg.StaleAfter {
+	if age > a.cfg.StaleAfter() {
 		return classStale
 	}
 	if bm.Starved {
@@ -115,7 +114,7 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 	// amplifies the survivors, so freeze instead. Only meaningful once
 	// weights have been held at least once (cold start passes through).
 	if len(names) > 0 && len(a.held) > 0 &&
-		float64(fresh) < a.cfg.Quorum*float64(len(names)) {
+		float64(fresh) < quorum*float64(len(names)) {
 		a.frozen.Inc()
 		anchor := a.anchor(names)
 		for _, b := range names {
@@ -147,8 +146,7 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 			a.held[b] = w
 		case classBlind:
 			a.decays.Inc()
-			cur := a.heldOr(b, anchor)
-			w := cur + a.cfg.DecayFraction*(a.baseline(b, names, anchor)-cur)
+			w := Decay(a.heldOr(b, anchor), anchor)
 			out[b] = w
 			a.held[b] = w
 		}
@@ -157,7 +155,8 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 }
 
 // anchor is the mean held weight across the round's backends — the scale
-// that "uniform" means at, since weights are only meaningful as ratios.
+// that "uniform" means at, since weights are only meaningful as ratios, and
+// so the weight a blind backend decays toward.
 func (a *Assigner) anchor(names []string) float64 {
 	sum, n := 0.0, 0
 	for _, b := range names {
@@ -177,23 +176,6 @@ func (a *Assigner) heldOr(b string, fallback float64) float64 {
 		return w
 	}
 	return fallback
-}
-
-// baseline is the degraded-mode target weight for one blind backend:
-// uniform (the anchor) by default, or the configured locality split
-// renormalised to the anchor's scale.
-func (a *Assigner) baseline(b string, names []string, anchor float64) float64 {
-	if len(a.cfg.BaselineWeights) == 0 {
-		return anchor
-	}
-	sum := 0.0
-	for _, n := range names {
-		sum += a.cfg.BaselineWeights[n]
-	}
-	if sum <= 0 {
-		return anchor
-	}
-	return a.cfg.BaselineWeights[b] / sum * float64(len(names)) * anchor
 }
 
 // Forget implements core.Assigner.

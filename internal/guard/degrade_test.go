@@ -2,6 +2,7 @@ package guard
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -67,13 +68,14 @@ func TestAssignerFreshPassesThrough(t *testing.T) {
 
 func TestAssignerHoldsStaleBackend(t *testing.T) {
 	inner := &spyAssigner{weights: map[string]float64{"a": 2, "b": 8}}
-	a := NewAssigner(inner, Config{StaleAfter: 15 * time.Second, BlindAfter: time.Hour}, nil)
+	a := NewAssigner(inner, Config{}, nil)
 
 	// Round 1: both fresh, weights land at 2/8.
 	now := 60 * time.Second
 	a.Assign(now, map[string]core.BackendMetrics{"a": fresh(now), "b": fresh(now)})
 
-	// Round 2: b's data is 20s old — stale. Inner only sees a; b holds 8.
+	// Round 2: b's data is 20s old — past three 5s intervals, not six:
+	// stale. Inner only sees a; b holds 8.
 	now = 80 * time.Second
 	inner.weights["a"] = 4
 	out := a.Assign(now, map[string]core.BackendMetrics{
@@ -92,19 +94,19 @@ func TestAssignerHoldsStaleBackend(t *testing.T) {
 
 func TestAssignerStarvedAndResetSeenHold(t *testing.T) {
 	inner := &spyAssigner{}
-	// Quorum 0.3 so one fresh backend of three keeps the round live; the
-	// degraded backends then hold individually instead of freezing the round.
-	a := NewAssigner(inner, Config{Quorum: 0.3}, nil)
+	// Two fresh backends of four meet the half quorum, so the round stays
+	// live and the degraded backends hold individually.
+	a := NewAssigner(inner, Config{}, nil)
 	now := 60 * time.Second
-	a.Assign(now, map[string]core.BackendMetrics{"a": fresh(now), "b": fresh(now), "c": fresh(now)})
+	a.Assign(now, map[string]core.BackendMetrics{"a": fresh(now), "b": fresh(now), "c": fresh(now), "d": fresh(now)})
 
 	now = 65 * time.Second
 	starved := core.BackendMetrics{LastSample: now, Starved: true}
 	resetSeen := fresh(now)
 	resetSeen.ResetSeen = true
-	a.Assign(now, map[string]core.BackendMetrics{"a": starved, "b": resetSeen, "c": fresh(now)})
-	if got := inner.lastCall(t); len(got) != 1 || got[0] != "c" {
-		t.Fatalf("inner saw %v, want only c (a starved, b reset-seen)", got)
+	a.Assign(now, map[string]core.BackendMetrics{"a": starved, "b": resetSeen, "c": fresh(now), "d": fresh(now)})
+	if got := inner.lastCall(t); len(got) != 2 || got[0] != "c" || got[1] != "d" {
+		t.Fatalf("inner saw %v, want only c and d (a starved, b reset-seen)", got)
 	}
 	if a.holds.Value() != 2 {
 		t.Fatalf("holds = %v, want 2", a.holds.Value())
@@ -113,30 +115,27 @@ func TestAssignerStarvedAndResetSeenHold(t *testing.T) {
 
 func TestAssignerBlindDecaysTowardBaseline(t *testing.T) {
 	inner := &spyAssigner{weights: map[string]float64{"a": 9, "b": 1}}
-	a := NewAssigner(inner, Config{
-		StaleAfter:    10 * time.Second,
-		BlindAfter:    20 * time.Second,
-		DecayFraction: 0.5,
-		Quorum:        0.4, // one fresh of two passes
-	}, nil)
+	a := NewAssigner(inner, Config{}, nil) // one fresh of two meets the half quorum
 	now := 60 * time.Second
 	a.Assign(now, map[string]core.BackendMetrics{"a": fresh(now), "b": fresh(now)})
 
-	// b blind: its weight decays toward the anchor (mean held = 5).
+	// b blind (40s > six 5s intervals): its weight decays toward the anchor
+	// (mean held = 5).
 	now = 100 * time.Second
 	out := a.Assign(now, map[string]core.BackendMetrics{
 		"a": fresh(now), "b": fresh(60 * time.Second),
 	})
-	// cur=1, baseline=anchor=5, decay 0.5 -> 3.
-	if math.Abs(out["b"]-3) > 1e-9 {
-		t.Fatalf("blind weight = %v, want 3 (1 + 0.5*(5-1))", out["b"])
+	// cur=1, anchor=5, decay step 0.2 -> 1.8.
+	if math.Abs(out["b"]-1.8) > 1e-9 {
+		t.Fatalf("blind weight = %v, want 1.8 (1 + 0.2*(5-1))", out["b"])
 	}
 	if a.decays.Value() != 1 {
 		t.Fatalf("decays = %v, want 1", a.decays.Value())
 	}
 
-	// Repeated blindness converges to the baseline.
-	for i := 0; i < 40; i++ {
+	// Repeated blindness converges to uniform: the gap to a shrinks by a
+	// tenth a round (the anchor is the mean of a and b).
+	for i := 0; i < 60; i++ {
 		now += 5 * time.Second
 		out = a.Assign(now, map[string]core.BackendMetrics{
 			"a": fresh(now), "b": fresh(60 * time.Second),
@@ -149,31 +148,45 @@ func TestAssignerBlindDecaysTowardBaseline(t *testing.T) {
 	}
 }
 
-func TestAssignerBlindDecaysTowardConfiguredBaseline(t *testing.T) {
-	inner := &spyAssigner{weights: map[string]float64{"a": 1, "b": 1}}
-	a := NewAssigner(inner, Config{
-		StaleAfter:      10 * time.Second,
-		BlindAfter:      20 * time.Second,
-		DecayFraction:   1, // jump straight to the baseline
-		Quorum:          0.4,
-		BaselineWeights: map[string]float64{"a": 3, "b": 1},
-	}, nil)
-	now := 60 * time.Second
-	a.Assign(now, map[string]core.BackendMetrics{"a": fresh(now), "b": fresh(now)})
-
-	now = 100 * time.Second
-	out := a.Assign(now, map[string]core.BackendMetrics{
-		"a": fresh(now), "b": fresh(60 * time.Second),
-	})
-	// Anchor = 1; baseline share of b = 1/4 of (2 backends * anchor) = 0.5.
-	if math.Abs(out["b"]-0.5) > 1e-9 {
-		t.Fatalf("baseline-decayed weight = %v, want 0.5", out["b"])
+// TestGuardThresholdsFollowTheInterval: stale and blind are three and six
+// scrape intervals, whatever the interval. At 250ms a backend whose newest
+// sample is 1s old holds and one 2s old decays; at the 5s default both ages
+// are fresh.
+func TestGuardThresholdsFollowTheInterval(t *testing.T) {
+	for _, tt := range []struct {
+		cfg           Config
+		inner         []string // what reaches the inner assigner, sorted
+		holds, decays float64
+	}{
+		{Config{Interval: 250 * time.Millisecond}, []string{"a", "b"}, 1, 1},
+		{Config{}, []string{"a", "b", "decayed", "held"}, 0, 0},
+	} {
+		inner := &spyAssigner{}
+		a := NewAssigner(inner, tt.cfg, nil)
+		now := 60 * time.Second
+		a.Assign(now, map[string]core.BackendMetrics{
+			"a": fresh(now), "b": fresh(now), "held": fresh(now), "decayed": fresh(now),
+		})
+		last := now
+		now += 2 * time.Second
+		// Two fresh backends of four meet the half quorum.
+		a.Assign(now, map[string]core.BackendMetrics{
+			"a": fresh(now), "b": fresh(now),
+			"held": fresh(now - time.Second), "decayed": fresh(last),
+		})
+		if got := inner.lastCall(t); !slices.Equal(got, tt.inner) {
+			t.Errorf("interval %v: inner saw %v, want %v", tt.cfg.Interval, got, tt.inner)
+		}
+		if a.holds.Value() != tt.holds || a.decays.Value() != tt.decays {
+			t.Errorf("interval %v: holds, decays = %v, %v; want %v, %v",
+				tt.cfg.Interval, a.holds.Value(), a.decays.Value(), tt.holds, tt.decays)
+		}
 	}
 }
 
 func TestAssignerQuorumFreeze(t *testing.T) {
 	inner := &spyAssigner{weights: map[string]float64{"a": 2, "b": 4, "c": 6}}
-	a := NewAssigner(inner, Config{StaleAfter: 10 * time.Second, BlindAfter: time.Hour, Quorum: 0.5}, nil)
+	a := NewAssigner(inner, Config{}, nil)
 	now := 60 * time.Second
 	all := map[string]core.BackendMetrics{"a": fresh(now), "b": fresh(now), "c": fresh(now)}
 	a.Assign(now, all)
@@ -181,7 +194,7 @@ func TestAssignerQuorumFreeze(t *testing.T) {
 
 	// 1 fresh of 3 < 0.5 quorum: the round freezes, the inner assigner is
 	// not consulted, every backend keeps its held weight.
-	now = 90 * time.Second
+	now = 80 * time.Second
 	old := fresh(60 * time.Second)
 	out := a.Assign(now, map[string]core.BackendMetrics{
 		"a": fresh(now), "b": old, "c": old,
@@ -197,7 +210,7 @@ func TestAssignerQuorumFreeze(t *testing.T) {
 	}
 
 	// 2 fresh of 3 passes quorum again: b is stale (held), a and c fresh.
-	now = 95 * time.Second
+	now = 85 * time.Second
 	out = a.Assign(now, map[string]core.BackendMetrics{
 		"a": fresh(now), "b": old, "c": fresh(now),
 	})

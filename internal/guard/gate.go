@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"l3/internal/core"
 	"l3/internal/metrics"
 	"l3/internal/smi"
 )
@@ -22,7 +23,6 @@ import (
 // serialized, as the controllers that share a gate run on one clock.
 type WriteGate struct {
 	mu        sync.Mutex
-	cfg       Config
 	lastRound time.Duration
 	haveRound bool
 
@@ -38,10 +38,10 @@ type WriteGate struct {
 }
 
 // NewWriteGate returns a write gate. reg receives the gate's own counters;
-// nil keeps them private.
-func NewWriteGate(cfg Config, reg *metrics.Registry) *WriteGate {
+// nil keeps them private. The gate's bounds are shares, not ages, so it
+// reads nothing from the Config.
+func NewWriteGate(_ Config, reg *metrics.Registry) *WriteGate {
 	g := &WriteGate{
-		cfg:     cfg.withDefaults(),
 		current: make(map[string]int64), ints: make(map[string]int64),
 		proposed: make(map[string]float64), next: make(map[string]float64),
 	}
@@ -109,7 +109,7 @@ func (g *WriteGate) Guard(now time.Duration, ts *smi.TrafficSplit, weights map[s
 	}
 
 	// Per-round delta clamp: no backend's share moves more than
-	// MaxShareDelta in one write. Only applicable once the split carries
+	// maxShareDelta in one write. Only applicable once the split carries
 	// weight (an inert all-zero split takes the proposal as-is).
 	shares := proposed
 	if curTotal > 0 {
@@ -120,11 +120,11 @@ func (g *WriteGate) Guard(now time.Duration, ts *smi.TrafficSplit, weights map[s
 		for _, b := range names {
 			cur := float64(current[b]) / float64(curTotal)
 			d := proposed[b] - cur
-			if d > g.cfg.MaxShareDelta {
-				d = g.cfg.MaxShareDelta
+			if d > maxShareDelta {
+				d = maxShareDelta
 				clamped = true
-			} else if d < -g.cfg.MaxShareDelta {
-				d = -g.cfg.MaxShareDelta
+			} else if d < -maxShareDelta {
+				d = -maxShareDelta
 				clamped = true
 			}
 			v := cur + d
@@ -144,7 +144,7 @@ func (g *WriteGate) Guard(now time.Duration, ts *smi.TrafficSplit, weights map[s
 	}
 
 	ints := g.ints
-	if err := smi.ScaleWeights(ints, names, shares, g.cfg.WeightScale); err != nil {
+	if err := smi.ScaleWeights(ints, names, shares, core.WeightScale); err != nil {
 		g.rejected.Inc()
 		return nil, false
 	}

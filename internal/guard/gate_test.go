@@ -39,8 +39,8 @@ func TestWriteGateRejectsInvalidVectors(t *testing.T) {
 }
 
 func TestWriteGateScalesAndPreservesSum(t *testing.T) {
-	g := NewWriteGate(Config{WeightScale: 1000, MaxShareDelta: 1}, nil)
-	ts := newSplit(0, 0, 0)
+	g := NewWriteGate(Config{}, nil)
+	ts := newSplit(0, 0, 0) // an all-zero split takes the proposal unclamped
 	ints, ok := g.Guard(0, ts, map[string]float64{"a": 1, "b": 1, "c": 2})
 	if !ok {
 		t.Fatal("valid vector suppressed")
@@ -58,16 +58,16 @@ func TestWriteGateScalesAndPreservesSum(t *testing.T) {
 }
 
 func TestWriteGateClampsShareDelta(t *testing.T) {
-	g := NewWriteGate(Config{WeightScale: 1000, MaxShareDelta: 0.1}, nil)
+	g := NewWriteGate(Config{}, nil)
 	// Current split: 50/50. Proposal: 90/10 — a 0.4 share move, clamped to
-	// 0.1 per round: 60/40.
+	// 0.25 per round: 75/25.
 	ts := newSplit(500, 500)
 	ints, ok := g.Guard(0, ts, map[string]float64{"a": 9, "b": 1})
 	if !ok {
 		t.Fatal("clamped vector suppressed")
 	}
-	if ints["a"] != 600 || ints["b"] != 400 {
-		t.Fatalf("ints = %v, want 600/400", ints)
+	if ints["a"] != 750 || ints["b"] != 250 {
+		t.Fatalf("ints = %v, want 750/250", ints)
 	}
 	if g.ClampedTotal() != 1 {
 		t.Fatalf("ClampedTotal = %v, want 1", g.ClampedTotal())
@@ -87,7 +87,7 @@ func TestWriteGateClampsShareDelta(t *testing.T) {
 }
 
 func TestWriteGateSuppressesNoOpWrites(t *testing.T) {
-	g := NewWriteGate(Config{WeightScale: 1000, MaxShareDelta: 1}, nil)
+	g := NewWriteGate(Config{}, nil)
 	ts := newSplit(250, 750)
 	if _, ok := g.Guard(0, ts, map[string]float64{"a": 1, "b": 3}); ok {
 		t.Fatal("no-op write not suppressed")
@@ -95,7 +95,7 @@ func TestWriteGateSuppressesNoOpWrites(t *testing.T) {
 	if g.SuppressedTotal() != 1 {
 		t.Fatalf("SuppressedTotal = %v, want 1", g.SuppressedTotal())
 	}
-	// A genuinely different vector still goes through.
+	// A genuinely different vector still goes through (clamped to 500/500).
 	if _, ok := g.Guard(0, ts, map[string]float64{"a": 3, "b": 1}); !ok {
 		t.Fatal("changed vector suppressed")
 	}
@@ -117,21 +117,19 @@ func TestWriteGateObserveTracksRounds(t *testing.T) {
 	}
 }
 
-// The gate adds a vector in name order, not in map order: weights 0.1, 0.2
-// and 0.3 add to 0.6 or to 0.6000000000000001 depending on the order, and at
-// scale 3 the two sums are two different writes.
+// The gate adds a vector in name order, not in map order: weights 0.002,
+// 0.019 and 0.059 scale to 25/238/738 added a, b, c, and to 25/238/737 added
+// a, c, b, so the two orders are two different writes.
 func TestWriteGateIsOneResultWhateverTheMapOrder(t *testing.T) {
-	var first map[string]int64
+	want := map[string]int64{"a": 25, "b": 238, "c": 738}
 	for i := 0; i < 200; i++ {
-		g := NewWriteGate(Config{WeightScale: 3, MaxShareDelta: 1}, nil)
-		ints, ok := g.Guard(0, newSplit(0, 0, 0), map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3})
+		g := NewWriteGate(Config{}, nil)
+		ints, ok := g.Guard(0, newSplit(0, 0, 0), map[string]float64{"a": 0.002, "b": 0.019, "c": 0.059})
 		if !ok {
 			t.Fatal("valid vector suppressed")
 		}
-		if first == nil {
-			first = maps.Clone(ints)
-		} else if !maps.Equal(ints, first) {
-			t.Fatalf("call %d wrote %v, the first %v", i, ints, first)
+		if !maps.Equal(ints, want) {
+			t.Fatalf("call %d wrote %v, want %v (the name order's sum)", i, ints, want)
 		}
 	}
 }

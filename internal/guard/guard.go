@@ -11,14 +11,15 @@
 //   - Reweighting (Assigner, wrapping a core.Assigner): each backend is
 //     classified fresh / stale / blind from its sample freshness. Stale
 //     backends hold their last-good weight instead of relaxing toward
-//     defaults; blind backends decay toward a uniform-or-locality baseline;
-//     and when fewer than a quorum fraction of backends report, reweighting
-//     freezes entirely rather than amplify the survivors.
+//     defaults; blind backends decay toward uniform; and when fewer than a
+//     quorum fraction of backends report, reweighting freezes entirely
+//     rather than amplify the survivors.
 //   - Writes (WriteGate, a core.WriteGuard, plus Watchdog): weight vectors
 //     are validated (finite, non-negative, share-preserving under integer
 //     scaling), per-round share movement is clamped beyond Algorithm 2's
 //     damping, no-op churn is suppressed, and a watchdog degrades managed
-//     splits to the baseline when the reconcile loop stalls.
+//     splits to uniform when the reconcile loop stalls (on simulated
+//     time, where a leader kill can stall it).
 //
 // Everything here runs on the scrape/control path (once per scrape or
 // reconcile interval); the request fast path never touches it.
@@ -37,7 +38,7 @@ const (
 	// last-good weight.
 	MetricHoldsTotal = "guard_stale_holds_total"
 	// MetricDecaysTotal counts backend-rounds where a blind backend decayed
-	// toward the baseline.
+	// toward uniform.
 	MetricDecaysTotal = "guard_blind_decays_total"
 	// MetricFrozenTotal counts reconcile rounds frozen by the
 	// partial-visibility quorum.
@@ -51,68 +52,50 @@ const (
 	// outright (non-finite, negative or mass-less).
 	MetricWriteRejectedTotal = "guard_writes_rejected_total"
 	// MetricWatchdogDegradesTotal counts watchdog firings that degraded
-	// splits to the baseline.
+	// splits to uniform.
 	MetricWatchdogDegradesTotal = "guard_watchdog_degrades_total"
 )
 
-// Config parameterises the guard layer. The zero value takes the defaults
-// documented per field (applied by withDefaults).
+// Config parameterises the guard layer: every time threshold in it is a
+// multiple of the scrape interval, the control plane's one period (§4: a 5 s
+// scrape, a 10 s rate() window, a 5 s reconcile).
 type Config struct {
-	// ResetFraction classifies a counter decrease: a new value at or below
-	// ResetFraction of the previous one is a genuine reset (spliced); a
-	// shallower decrease is a corrupt sample (rejected). Default 0.5.
-	ResetFraction float64
-	// StaleAfter is the sample age beyond which a backend is stale and
-	// holds its last-good weight. Default 15s (three scrape intervals).
-	StaleAfter time.Duration
-	// BlindAfter is the sample age beyond which a stale backend is blind
-	// and decays toward the baseline. Default 30s.
-	BlindAfter time.Duration
-	// DecayFraction is the per-round step a blind backend takes toward the
-	// baseline weight, in (0, 1]. Default 0.2.
-	DecayFraction float64
-	// Quorum is the minimum fraction of backends that must report fresh
-	// data for reweighting to proceed; below it the round freezes. Default
-	// 0.5.
-	Quorum float64
-	// BaselineWeights is the degraded-mode target split (relative weights,
-	// e.g. a locality preference). Empty means uniform.
-	BaselineWeights map[string]float64
-	// WeightScale is the integer scale of gated TrafficSplit writes.
-	// Default 1000.
-	WeightScale int64
-	// MaxShareDelta clamps how far one backend's traffic share may move in
-	// a single write, beyond Algorithm 2's damping. Default 0.25.
-	MaxShareDelta float64
-	// WatchdogTTL is how long the reconcile loop may stall before the
-	// watchdog degrades managed splits to the baseline. Default 30s.
-	WatchdogTTL time.Duration
+	// Interval is the scrape interval. Zero means 5 s, the paper's.
+	Interval time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.ResetFraction <= 0 || c.ResetFraction >= 1 {
-		c.ResetFraction = 0.5
+// The ratios the guard layer applies, whatever the interval.
+const (
+	// resetFraction classifies a counter decrease: a new value at or below
+	// this fraction of the previous one is a genuine reset (spliced); a
+	// shallower decrease is a corrupt sample (rejected).
+	resetFraction = 0.5
+	// decayStep is the share of its distance to uniform that Decay moves.
+	decayStep = 0.2
+	// quorum is the fraction of backends that must report fresh data for
+	// reweighting to proceed; below it the round freezes.
+	quorum = 0.5
+	// maxShareDelta clamps how far one backend's traffic share may move in
+	// a single write, beyond Algorithm 2's damping.
+	maxShareDelta = 0.25
+)
+
+func (c Config) interval() time.Duration {
+	if c.Interval <= 0 {
+		return 5 * time.Second
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 15 * time.Second
-	}
-	if c.BlindAfter <= c.StaleAfter {
-		c.BlindAfter = 2 * c.StaleAfter
-	}
-	if c.DecayFraction <= 0 || c.DecayFraction > 1 {
-		c.DecayFraction = 0.2
-	}
-	if c.Quorum <= 0 || c.Quorum > 1 {
-		c.Quorum = 0.5
-	}
-	if c.WeightScale <= 0 {
-		c.WeightScale = 1000
-	}
-	if c.MaxShareDelta <= 0 || c.MaxShareDelta > 1 {
-		c.MaxShareDelta = 0.25
-	}
-	if c.WatchdogTTL <= 0 {
-		c.WatchdogTTL = 30 * time.Second
-	}
-	return c
+	return c.Interval
 }
+
+// StaleAfter is the sample age beyond which a backend is stale and holds its
+// last-good weight: three scrape intervals.
+func (c Config) StaleAfter() time.Duration { return 3 * c.interval() }
+
+// blindAfter is the sample age beyond which a stale backend is blind and
+// decays toward uniform, and how long the reconcile loop may stall before
+// the watchdog degrades managed splits to uniform: six scrape intervals.
+func (c Config) blindAfter() time.Duration { return 6 * c.interval() }
+
+// Decay moves cur one step toward base: a fifth of the distance, the step a
+// blind backend's weight and a fail-static routing table take each round.
+func Decay(cur, base float64) float64 { return cur + decayStep*(base-cur) }

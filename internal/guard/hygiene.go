@@ -20,7 +20,7 @@ import (
 //   - An out-of-order timestamp is rejected (Prometheus semantics: the
 //     series frontier only moves forward), but the rejection is counted so
 //     skew is observable rather than silent.
-//   - A counter falling to at most ResetFraction of its previous value is a
+//   - A counter falling to at most half of its previous value is a
 //     genuine restart: the previous raw value is added to a cumulative
 //     offset and the series continues spliced, so windowed increases never
 //     misread the restart as negative growth. The splice time is recorded
@@ -31,7 +31,6 @@ import (
 //     double-counting corrupt samples.
 type Hygiene struct {
 	mu    sync.Mutex
-	cfg   Config
 	index metrics.Index[seriesState]
 	// reset lists the series that have ever spliced a reset, all LastReset
 	// has to look at.
@@ -55,11 +54,13 @@ const never = time.Duration(math.MinInt64)
 
 // NewHygiene returns a hygiene gate. reg receives the gate's own counters
 // (created eagerly so registration order is stable); nil keeps them private.
-func NewHygiene(cfg Config, reg *metrics.Registry) *Hygiene {
+// The gate's rules are ratios and orderings, not ages, so it reads nothing
+// from the Config.
+func NewHygiene(_ Config, reg *metrics.Registry) *Hygiene {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	h := &Hygiene{cfg: cfg.withDefaults()}
+	h := &Hygiene{}
 	counter := func(reason string) *metrics.Counter {
 		return reg.Counter(MetricRejectedTotal, metrics.Labels{"reason": reason})
 	}
@@ -105,7 +106,7 @@ func (h *Hygiene) Admit(name string, labels metrics.Labels, kind metrics.Kind, t
 		return 0, false
 	}
 	if kind == metrics.KindCounter && v < st.lastRaw {
-		if v <= st.lastRaw*h.cfg.ResetFraction {
+		if v <= st.lastRaw*resetFraction {
 			// Genuine restart: splice onto the cumulative offset.
 			st.offset += st.lastRaw
 			if st.lastReset == never {

@@ -4,15 +4,16 @@ import (
 	"time"
 
 	"l3/internal/clock"
+	"l3/internal/core"
 	"l3/internal/metrics"
 	"l3/internal/smi"
 )
 
 // Watchdog detects a stalled reconcile loop — no write gate has observed a
-// round for WatchdogTTL — and degrades the managed TrafficSplits to the
-// baseline split (uniform, or Config.BaselineWeights), so a dead controller
-// leaves behind a safe static split instead of whatever weights it last
-// wrote. It re-arms automatically once rounds resume.
+// round for six scrape intervals — and degrades the managed TrafficSplits to
+// uniform, so a dead controller leaves behind a safe static split instead of
+// whatever weights it last wrote. It re-arms automatically once rounds
+// resume.
 type Watchdog struct {
 	clk    clock.Clock
 	splits *smi.Store
@@ -35,7 +36,7 @@ func NewWatchdog(clk clock.Clock, splits *smi.Store, cfg Config, reg *metrics.Re
 	if clk == nil || splits == nil || len(gates) == 0 {
 		panic("guard: NewWatchdog requires a clock, splits and at least one gate")
 	}
-	w := &Watchdog{clk: clk, splits: splits, gates: gates, cfg: cfg.withDefaults(), filter: filter}
+	w := &Watchdog{clk: clk, splits: splits, gates: gates, cfg: cfg, filter: filter}
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
@@ -43,10 +44,11 @@ func NewWatchdog(clk clock.Clock, splits *smi.Store, cfg Config, reg *metrics.Re
 	return w
 }
 
-// Start arms the watchdog; the stall check runs at a third of the TTL.
+// Start arms the watchdog; the stall check runs at a third of the TTL
+// (blindAfter).
 func (w *Watchdog) Start() {
 	w.start = w.clk.Now()
-	interval := w.cfg.WatchdogTTL / 3
+	interval := w.cfg.blindAfter() / 3
 	if interval < time.Second {
 		interval = time.Second
 	}
@@ -74,12 +76,12 @@ func (w *Watchdog) tick() {
 	if !have {
 		last = w.start // grace period from arming until the first round
 	}
-	if now-last <= w.cfg.WatchdogTTL {
+	if now-last <= w.cfg.blindAfter() {
 		w.degraded = false
 		return
 	}
 	if w.degraded {
-		return // already degraded for this stall; write the baseline once
+		return // already degraded for this stall; write uniform once
 	}
 	w.degraded = true
 	w.degrades.Inc()
@@ -91,30 +93,19 @@ func (w *Watchdog) tick() {
 	}
 }
 
-// degradeSplit writes the baseline split: uniform shares, or the configured
-// locality baseline, scaled to WeightScale.
+// degradeSplit writes uniform shares, scaled to core.WeightScale.
 func (w *Watchdog) degradeSplit(ts *smi.TrafficSplit) {
 	if len(ts.Backends) == 0 {
 		return
 	}
 	names := ts.BackendNames()
-	baseline := make(map[string]float64, len(names))
+	uniform := make(map[string]float64, len(names))
 	for _, b := range names {
-		bw := 1.0
-		if len(w.cfg.BaselineWeights) > 0 {
-			bw = w.cfg.BaselineWeights[b]
-		}
-		baseline[b] = bw
+		uniform[b] = 1
 	}
 	ints := make(map[string]int64, len(names))
-	if err := smi.ScaleWeights(ints, names, baseline, w.cfg.WeightScale); err != nil {
-		// A degenerate baseline (all zero) falls back to uniform.
-		for b := range baseline {
-			baseline[b] = 1
-		}
-		if err := smi.ScaleWeights(ints, names, baseline, w.cfg.WeightScale); err != nil {
-			return
-		}
+	if err := smi.ScaleWeights(ints, names, uniform, core.WeightScale); err != nil {
+		return
 	}
 	next, err := ts.WithWeights(ints)
 	if err != nil {
@@ -126,5 +117,5 @@ func (w *Watchdog) degradeSplit(ts *smi.TrafficSplit) {
 // Degraded reports whether the watchdog currently holds splits degraded.
 func (w *Watchdog) Degraded() bool { return w.degraded }
 
-// DegradesTotal returns how many stalls triggered a baseline write.
+// DegradesTotal returns how many stalls triggered a uniform write.
 func (w *Watchdog) DegradesTotal() float64 { return w.degrades.Value() }

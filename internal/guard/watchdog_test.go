@@ -16,7 +16,7 @@ func TestWatchdogDegradesStalledSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := NewWriteGate(Config{}, nil)
-	w := NewWatchdog(engine, splits, Config{WatchdogTTL: 30 * time.Second, WeightScale: 1000}, nil, nil, gate)
+	w := NewWatchdog(engine, splits, Config{}, nil, nil, gate) // TTL six 5s intervals
 	w.Start()
 
 	// Rounds keep coming for a minute: no degrade.
@@ -45,18 +45,14 @@ func TestWatchdogDegradesStalledSplit(t *testing.T) {
 	}
 }
 
-func TestWatchdogUsesBaselineWeightsAndRearms(t *testing.T) {
+func TestWatchdogRearmsAfterRoundsResume(t *testing.T) {
 	engine := sim.NewEngine()
 	splits := smi.NewStore()
 	if err := splits.Create(newSplit(900, 100)); err != nil {
 		t.Fatal(err)
 	}
 	gate := NewWriteGate(Config{}, nil)
-	w := NewWatchdog(engine, splits, Config{
-		WatchdogTTL:     10 * time.Second,
-		WeightScale:     1000,
-		BaselineWeights: map[string]float64{"a": 3, "b": 1},
-	}, nil, nil, gate)
+	w := NewWatchdog(engine, splits, Config{Interval: 2 * time.Second}, nil, nil, gate) // TTL 12s
 	w.Start()
 
 	engine.RunUntil(time.Minute)
@@ -64,19 +60,25 @@ func TestWatchdogUsesBaselineWeightsAndRearms(t *testing.T) {
 		t.Fatal("no degrade (grace period never expired?)")
 	}
 	got, _ := splits.Get("t")
-	if got.Backends[0].Weight != 750 || got.Backends[1].Weight != 250 {
-		t.Fatalf("degraded split = %v, want locality baseline 750/250", got.Backends)
+	if got.Backends[0].Weight != 500 || got.Backends[1].Weight != 500 {
+		t.Fatalf("degraded split = %v, want uniform 500/500", got.Backends)
 	}
 
-	// Rounds resume: the watchdog re-arms, and a second stall degrades again.
-	engine.At(engine.Now()+time.Second, func() { gate.Observe(engine.Now()) })
-	engine.RunUntil(engine.Now() + 5*time.Second)
+	// Rounds resume: the watchdog re-arms, and a second stall degrades again
+	// at the first check (every 4s) more than the TTL after the last round.
+	last := engine.Now() + time.Second
+	engine.At(last, func() { gate.Observe(engine.Now()) })
+	engine.RunUntil(last + 4*time.Second)
 	if w.Degraded() {
 		t.Fatal("watchdog did not re-arm after rounds resumed")
 	}
-	engine.RunUntil(engine.Now() + time.Minute)
+	engine.RunUntil(last + 12*time.Second)
+	if w.DegradesTotal() != 1 {
+		t.Fatalf("DegradesTotal = %v within the 12s TTL of the last round, want 1", w.DegradesTotal())
+	}
+	engine.RunUntil(last + 16*time.Second)
 	if w.DegradesTotal() != 2 {
-		t.Fatalf("DegradesTotal = %v, want 2 after second stall", w.DegradesTotal())
+		t.Fatalf("DegradesTotal = %v a check past the TTL, want 2 after second stall", w.DegradesTotal())
 	}
 }
 
@@ -93,7 +95,7 @@ func TestWatchdogFilterLimitsScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := NewWriteGate(Config{}, nil)
-	w := NewWatchdog(engine, splits, Config{WatchdogTTL: 10 * time.Second, WeightScale: 1000}, nil,
+	w := NewWatchdog(engine, splits, Config{Interval: 2 * time.Second}, nil,
 		func(name string) bool { return name == "t" }, gate)
 	w.Start()
 	engine.RunUntil(time.Minute)

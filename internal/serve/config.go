@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,22 +50,15 @@ type Config struct {
 
 	// ScrapeInterval is how often the control plane scrapes its own
 	// /metrics endpoint over HTTP (default 5s, the paper's Prometheus
-	// interval; the smoke tests shrink it).
+	// interval; the smoke tests shrink it). It is the control plane's one
+	// period: the controller reweights on it, a self-scrape gets half of
+	// it, the collector queries a window of twice it (at least 2s), and
+	// fail-static and the guard layer count staleness in it.
 	ScrapeInterval time.Duration
-	// ScrapeTimeout bounds one self-scrape GET (default and cap:
-	// ScrapeInterval/2, so a stalled /metrics can never push the next
-	// control round late).
-	ScrapeTimeout time.Duration
-	// ReconcileInterval is the controller's reweighting period (default
-	// matches ScrapeInterval).
-	ReconcileInterval time.Duration
-	// Window is the collector's trailing query window (default 2×
-	// ScrapeInterval, min 2s).
-	Window time.Duration
 	// Percentile is the latency quantile steering L3 (default 0.99).
 	Percentile float64
 	// Guard enables the internal/guard hardening layer — ingestion
-	// hygiene, write gating, stall watchdog (default true).
+	// hygiene, staleness-aware reweighting, write gating (default true).
 	Guard bool
 
 	// HealthInterval is the HTTP health-probe period (default 2s).
@@ -79,17 +74,6 @@ type Config struct {
 	// disables every mechanism). Without pertry each attempt gets an even
 	// share of the remaining deadline.
 	Resilience string
-
-	// StaleAfter is how long the control plane may go without a
-	// successful self-scrape before the data plane enters fail-static
-	// mode: the routing table freezes against further control writes and
-	// decays toward uniform (default 3× ScrapeInterval; negative
-	// disables).
-	StaleAfter time.Duration
-	// DecayFactor is the per-reconcile-tick multiplier pulling fail-static
-	// weights toward uniform: 1 freezes the last table forever, smaller
-	// values forget the stale signal faster (default 0.8).
-	DecayFactor float64
 
 	// DrainTimeout bounds graceful shutdown (default 15s).
 	DrainTimeout time.Duration
@@ -130,32 +114,11 @@ func DefaultConfig() Config {
 		HealthTimeout:  time.Second,
 		HealthPath:     "/healthz",
 		Resilience:     DefaultResilience,
-		DecayFactor:    0.8,
 		DrainTimeout:   15 * time.Second,
 
 		MaxIdleConnsPerHost: 32,
 		IdleConnTimeout:     90 * time.Second,
 	}
-}
-
-// withDerived fills the intervals that default relative to others.
-func (c Config) withDerived() Config {
-	if c.ReconcileInterval <= 0 {
-		c.ReconcileInterval = c.ScrapeInterval
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * c.ScrapeInterval
-		if c.Window < 2*time.Second {
-			c.Window = 2 * time.Second
-		}
-	}
-	if c.ScrapeTimeout <= 0 || c.ScrapeTimeout > c.ScrapeInterval/2 {
-		c.ScrapeTimeout = c.ScrapeInterval / 2
-	}
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 3 * c.ScrapeInterval
-	}
-	return c
 }
 
 // Validate checks the configuration, returning every problem at once so an
@@ -213,9 +176,6 @@ func (c Config) Validate() error {
 	if _, err := c.ResiliencePolicy(); err != nil {
 		bad("resilience policy: %v", err)
 	}
-	if !(c.DecayFactor > 0 && c.DecayFactor <= 1) {
-		bad("decay_factor %v is outside (0, 1]", c.DecayFactor)
-	}
 	if _, err := c.OverloadPolicy(); err != nil {
 		bad("overload policy: %v", err)
 	}
@@ -225,38 +185,53 @@ func (c Config) Validate() error {
 	if c.IdleConnTimeout <= 0 {
 		bad("idle_conn_timeout must be positive")
 	}
+	return problemList("config", problems)
+}
+
+// problemList is every problem found in what, as one error; nil if none.
+func problemList(what string, problems []string) error {
 	if len(problems) == 0 {
 		return nil
 	}
-	return fmt.Errorf("serve: invalid config:\n  - %s", strings.Join(problems, "\n  - "))
+	return fmt.Errorf("serve: invalid %s:\n  - %s", what, strings.Join(problems, "\n  - "))
 }
 
 // LoadConfig builds the effective configuration: defaults, then L3SERVE_*
-// environment overrides. Validation happens in NewServer, after any
+// environment overrides. Every variable that does not parse, and every
+// L3SERVE_* variable it does not read (a typo, or a retired name), is named
+// in the one error it returns. Validation happens in NewServer, after any
 // command-line overrides land on top.
 func LoadConfig() (Config, error) {
-	return loadConfig(os.LookupEnv)
+	return loadConfig(os.Environ())
 }
 
-func loadConfig(lookup func(string) (string, bool)) (Config, error) {
+// loadConfig is LoadConfig over an environment in os.Environ's key=value
+// form.
+func loadConfig(environ []string) (Config, error) {
 	cfg := DefaultConfig()
-	if err := cfg.applyEnv(lookup); err != nil {
-		return cfg, err
-	}
-	return cfg.withDerived(), nil
+	err := cfg.applyEnv(environ)
+	return cfg, err
 }
 
 // applyEnv folds L3SERVE_* variables over the config. Every scalar key has
 // an override; backends use L3SERVE_BACKENDS="name=url,name=url". A value
-// that does not parse leaves its key as it was and is the error returned
-// (the first, if several).
-func (c *Config) applyEnv(lookup func(string) (string, bool)) error {
-	var firstErr error
+// that does not parse leaves its key as it was.
+func (c *Config) applyEnv(environ []string) error {
+	unread := make(map[string]string)
+	for _, kv := range environ {
+		if name, v, ok := strings.Cut(kv, "="); ok && strings.HasPrefix(name, "L3SERVE_") {
+			unread[name] = v
+		}
+	}
+	var problems []string
 	set := func(name string, parse func(string) error) {
-		if v, ok := lookup(name); ok {
-			if err := parse(v); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("serve: %s: %w", name, err)
-			}
+		v, ok := unread[name]
+		if !ok {
+			return
+		}
+		delete(unread, name)
+		if err := parse(v); err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", name, err))
 		}
 	}
 	text := func(v string) (string, error) { return v, nil }
@@ -268,20 +243,18 @@ func (c *Config) applyEnv(lookup func(string) (string, bool)) error {
 	set("L3SERVE_OVERLOAD", into(&c.Overload, text))
 	set("L3SERVE_RESILIENCE", into(&c.Resilience, text))
 	set("L3SERVE_SCRAPE_INTERVAL", into(&c.ScrapeInterval, time.ParseDuration))
-	set("L3SERVE_SCRAPE_TIMEOUT", into(&c.ScrapeTimeout, time.ParseDuration))
-	set("L3SERVE_STALE_AFTER", into(&c.StaleAfter, time.ParseDuration))
-	set("L3SERVE_RECONCILE_INTERVAL", into(&c.ReconcileInterval, time.ParseDuration))
-	set("L3SERVE_WINDOW", into(&c.Window, time.ParseDuration))
 	set("L3SERVE_HEALTH_INTERVAL", into(&c.HealthInterval, time.ParseDuration))
 	set("L3SERVE_HEALTH_TIMEOUT", into(&c.HealthTimeout, time.ParseDuration))
 	set("L3SERVE_DRAIN_TIMEOUT", into(&c.DrainTimeout, time.ParseDuration))
 	set("L3SERVE_IDLE_CONN_TIMEOUT", into(&c.IdleConnTimeout, time.ParseDuration))
 	set("L3SERVE_PERCENTILE", into(&c.Percentile, float))
-	set("L3SERVE_DECAY_FACTOR", into(&c.DecayFactor, float))
 	set("L3SERVE_GUARD", into(&c.Guard, strconv.ParseBool))
 	set("L3SERVE_MAX_IDLE_CONNS_PER_HOST", into(&c.MaxIdleConnsPerHost, strconv.Atoi))
 	set("L3SERVE_BACKENDS", into(&c.Backends, ParseBackendList))
-	return firstErr
+	for _, name := range slices.Sorted(maps.Keys(unread)) {
+		problems = append(problems, name+" is not a variable l3serve reads")
+	}
+	return problemList("environment", problems)
 }
 
 // into returns a setter that parses a value into dst, leaving dst alone when

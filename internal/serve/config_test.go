@@ -6,15 +6,17 @@ import (
 	"time"
 )
 
-func envMap(m map[string]string) func(string) (string, bool) {
-	return func(k string) (string, bool) {
-		v, ok := m[k]
-		return v, ok
+// envMap is m in os.Environ's form.
+func envMap(m map[string]string) []string {
+	var env []string
+	for k, v := range m {
+		env = append(env, k+"="+v)
 	}
+	return env
 }
 
 func TestLoadConfigLayering(t *testing.T) {
-	// The environment over defaults; derived intervals follow.
+	// The environment over defaults.
 	cfg, err := loadConfig(envMap(map[string]string{
 		"L3SERVE_LISTEN":          "127.0.0.1:9999",
 		"L3SERVE_ALGO":            "failover",
@@ -38,12 +40,8 @@ func TestLoadConfigLayering(t *testing.T) {
 	if pol.Deadline != 3*time.Second || pol.Retry.MaxAttempts != 3 || pol.Retry.BudgetRatio != 0.1 || pol.Breaker.ConsecutiveFailures != 7 || pol.Hedge.Percentile != 0 {
 		t.Fatalf("resilience policy = %+v, want the env string's, with no hedge", pol)
 	}
-	// Derived: reconcile follows scrape, window = 2× scrape floored at 2s.
-	if cfg.ReconcileInterval != time.Second {
-		t.Fatalf("ReconcileInterval = %v, want 1s (derived from scrape)", cfg.ReconcileInterval)
-	}
-	if cfg.Window != 2*time.Second {
-		t.Fatalf("Window = %v, want 2s floor", cfg.Window)
+	if cfg.ScrapeInterval != time.Second {
+		t.Fatalf("ScrapeInterval = %v, want the env's 1s", cfg.ScrapeInterval)
 	}
 	// Untouched keys keep documented defaults.
 	if cfg.Service != "api" || cfg.Percentile != 0.99 || !cfg.Guard {
@@ -104,7 +102,6 @@ func TestValidateCollectsAllProblems(t *testing.T) {
 func TestLoadConfigRejectsNaN(t *testing.T) {
 	for _, tt := range []struct{ key, problem string }{
 		{"L3SERVE_PERCENTILE", "percentile NaN is outside (0, 1)"},
-		{"L3SERVE_DECAY_FACTOR", "decay_factor NaN is outside (0, 1]"},
 	} {
 		cfg, err := loadConfig(envMap(map[string]string{
 			"L3SERVE_BACKENDS": "a=http://h:1",
@@ -200,5 +197,40 @@ func TestLoadConfigBadEnvDuration(t *testing.T) {
 	}))
 	if err == nil || !strings.Contains(err.Error(), "L3SERVE_SCRAPE_INTERVAL") {
 		t.Fatalf("err = %v, want duration parse error naming the variable", err)
+	}
+}
+
+// TestLoadConfigNamesUnreadVariables: an L3SERVE_* variable the server does
+// not read — a retired name or a typo — is an error naming it, beside every
+// value that does not parse, and the variables it does read still apply.
+func TestLoadConfigNamesUnreadVariables(t *testing.T) {
+	cfg, err := loadConfig(envMap(map[string]string{
+		"L3SERVE_BACKENDS":           "a=http://h:1",
+		"L3SERVE_RECONCILE_INTERVAL": "1s",
+		"L3SERVE_SCRAPE_INTERAL":     "1s",
+		"L3SERVE_HEALTH_TIMEOUT":     "soon",
+		"L3SERVEX":                   "not ours",
+		"HOME":                       "/",
+	}))
+	if err == nil {
+		t.Fatal("want an error naming the unread variables")
+	}
+	for _, want := range []string{
+		"L3SERVE_RECONCILE_INTERVAL is not a variable l3serve reads",
+		"L3SERVE_SCRAPE_INTERAL is not a variable l3serve reads",
+		"L3SERVE_HEALTH_TIMEOUT: ",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error missing %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "L3SERVEX") || strings.Contains(err.Error(), "HOME") {
+		t.Errorf("error names a variable outside L3SERVE_*:\n%v", err)
+	}
+	if cfg.ScrapeInterval != 5*time.Second || len(cfg.Backends) != 1 {
+		t.Fatalf("ScrapeInterval, Backends = %v, %v; want the default and the env's one", cfg.ScrapeInterval, cfg.Backends)
+	}
+	if _, err := loadConfig(envMap(map[string]string{"L3SERVE_SCRAPE_INTERVAL": "1s"})); err != nil {
+		t.Fatalf("a read variable is an error: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -44,8 +43,6 @@ type control struct {
 	collector  *core.Collector
 	controller *core.Controller
 	checker    *health.Checker
-	watchdog   *guard.Watchdog
-	gate       *guard.WriteGate
 
 	// scraper is the one scrape loop both clocks share; here its text
 	// source GETs the server's own /metrics.
@@ -58,8 +55,10 @@ type control struct {
 
 	// failStatic is engaged and released by staleCheck, from the scraper's
 	// last-ingest time: when the control plane has stored no scrape for
-	// StaleAfter, the data plane stops trusting new split writes and decays
-	// the routing table toward uniform.
+	// staleAfter (guard's stale threshold, three scrape intervals), the data
+	// plane stops trusting new split writes and decays the routing table
+	// toward uniform.
+	staleAfter      time.Duration
 	failStatic      atomic.Bool
 	engagements     atomic.Int64
 	failStaticGauge *metrics.Gauge
@@ -71,17 +70,19 @@ type control struct {
 // metricsURL is the server's own /metrics endpoint. Nothing runs until
 // start.
 func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backend, ctrlReg *metrics.Registry, metricsURL string) *control {
+	// The collector's query window: two scrape intervals, as in the sim,
+	// but never under 2s, so a fast scrape still leaves rate() a few points.
+	window := max(2*cfg.ScrapeInterval, 2*time.Second)
 	c := &control{
 		cfg:      cfg,
 		wall:     wall,
 		router:   router,
 		backends: backends,
 		splits:   smi.NewStore(),
-		db:       timeseries.NewDB(2 * cfg.Window),
-		// The client timeout backstops the per-scrape context: both are
-		// capped well under the interval so a stalled /metrics endpoint
-		// can never push the next control round late.
-		client:     &http.Client{Timeout: cfg.ScrapeTimeout},
+		db:       timeseries.NewDB(2 * window),
+		// A scrape may take half the interval, body read included, so a
+		// stalled /metrics endpoint can never push the next round late.
+		client:     &http.Client{Timeout: cfg.ScrapeInterval / 2},
 		metricsURL: metricsURL,
 	}
 	c.failStaticGauge = ctrlReg.Gauge("serve_failstatic_active", metrics.Labels{"service": cfg.Service})
@@ -89,10 +90,13 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 	c.scraper.SetSource(c.scrapeSelf)
 
 	var hyg *guard.Hygiene
+	var gate *guard.WriteGate
+	gcfg := guard.Config{Interval: cfg.ScrapeInterval}
+	c.staleAfter = gcfg.StaleAfter()
 	if cfg.Guard {
-		hyg = guard.NewHygiene(guard.Config{}, ctrlReg)
+		hyg = guard.NewHygiene(gcfg, ctrlReg)
 		c.db.SetGate(hyg)
-		c.gate = guard.NewWriteGate(guard.Config{}, ctrlReg)
+		gate = guard.NewWriteGate(gcfg, ctrlReg)
 	}
 
 	// The TrafficSplit under management: one split, the configured
@@ -106,7 +110,7 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 		panic(fmt.Sprintf("serve: creating own split: %v", err))
 	}
 
-	c.collector = &core.Collector{DB: c.db, Window: cfg.Window, Percentile: cfg.Percentile}
+	c.collector = &core.Collector{DB: c.db, Window: window, Percentile: cfg.Percentile}
 	if hyg != nil {
 		c.collector.Resets = hyg
 	}
@@ -117,13 +121,14 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 		// reconcile faster (the tests run at 250 ms); scaling the
 		// half-lives with the interval keeps the paper's convergence
 		// behaviour — N rounds to settle — instead of its absolute seconds.
+		iv := cfg.ScrapeInterval
 		wcfg := core.WeightingConfig{
-			LatencyHalfLife:  cfg.ReconcileInterval,
-			InflightHalfLife: cfg.ReconcileInterval,
-			SuccessHalfLife:  2 * cfg.ReconcileInterval,
-			RPSHalfLife:      2 * cfg.ReconcileInterval,
+			LatencyHalfLife:  iv,
+			InflightHalfLife: iv,
+			SuccessHalfLife:  2 * iv,
+			RPSHalfLife:      2 * iv,
 		}
-		rcfg := core.RateControlConfig{RPSHalfLife: 2 * cfg.ReconcileInterval}
+		rcfg := core.RateControlConfig{RPSHalfLife: 2 * iv}
 		newAssigner := func() core.Assigner {
 			var a core.Assigner
 			if cfg.Algo == AlgoC3 {
@@ -132,22 +137,19 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 				a = core.NewL3Assigner(wcfg, rcfg, true)
 			}
 			if cfg.Guard {
-				a = guard.NewAssigner(a, guard.Config{}, ctrlReg)
+				a = guard.NewAssigner(a, gcfg, ctrlReg)
 			}
 			return a
 		}
 		ctrlCfg := core.ControllerConfig{
-			Interval:     cfg.ReconcileInterval,
+			Interval:     iv,
 			NewAssigner:  newAssigner,
 			SelfRegistry: ctrlReg,
 		}
-		if c.gate != nil {
-			ctrlCfg.WriteGuard = c.gate
+		if gate != nil {
+			ctrlCfg.WriteGuard = gate
 		}
 		c.controller = core.NewControllerClock(wall, c.splits, c.collector, ctrlCfg)
-		if c.gate != nil {
-			c.watchdog = guard.NewWatchdog(wall, c.splits, guard.Config{}, ctrlReg, nil, c.gate)
-		}
 	}
 
 	if cfg.Algo != AlgoRR {
@@ -186,9 +188,7 @@ func (c *control) start(router *Router) {
 	})
 
 	c.scraper.Start()
-	if c.cfg.StaleAfter > 0 {
-		c.staleTimer = c.wall.Every(c.cfg.ReconcileInterval, c.staleCheck)
-	}
+	c.staleTimer = c.wall.Every(c.cfg.ScrapeInterval, c.staleCheck)
 	if c.checker != nil {
 		for _, b := range c.backends {
 			// The checker keys on Name; the shell backend never serves.
@@ -208,9 +208,6 @@ func (c *control) start(router *Router) {
 	if c.controller != nil {
 		c.controller.Start()
 	}
-	if c.watchdog != nil {
-		c.watchdog.Start()
-	}
 }
 
 // stop halts every loop (the wall clock itself is stopped by the server).
@@ -219,17 +216,12 @@ func (c *control) stop() {
 		c.cancelWatch()
 	}
 	c.scraper.Stop()
-	if c.staleTimer != nil {
-		c.staleTimer.Cancel()
-	}
+	c.staleTimer.Cancel()
 	if c.pushTimer != nil {
 		c.pushTimer.Cancel()
 	}
 	if c.controller != nil {
 		c.controller.Stop()
-	}
-	if c.watchdog != nil {
-		c.watchdog.Stop()
 	}
 	if c.checker != nil {
 		c.checker.Stop()
@@ -240,7 +232,7 @@ func (c *control) stop() {
 // stand-in: GET the server's own /metrics and parse the exposition. The GET
 // and the parse run on their own goroutine (a wall callback must never block
 // on a socket — the lesson of a /metrics stall taking the whole control loop
-// down with it), bounded by ScrapeTimeout; the samples re-enter the
+// down with it), bounded by the client's timeout; the samples re-enter the
 // single-threaded world via wall.Do, the same shape as httpProber.
 func (c *control) scrapeSelf(done func([]metrics.Sample, error)) {
 	go func() {
@@ -250,13 +242,7 @@ func (c *control) scrapeSelf(done func([]metrics.Sample, error)) {
 }
 
 func (c *control) fetchMetrics() ([]metrics.Sample, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ScrapeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.metricsURL, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
+	resp, err := c.client.Get(c.metricsURL)
 	if err != nil {
 		return nil, err
 	}
@@ -267,16 +253,15 @@ func (c *control) fetchMetrics() ([]metrics.Sample, error) {
 	return metrics.ParseExposition(resp.Body)
 }
 
-// staleCheck runs every reconcile tick: when the scraper has stored nothing
-// for StaleAfter, engage fail-static (freeze the table against stale-control
-// writes) and decay the frozen weights toward uniform — the
-// graceful-degradation half of the guard story, covering the failure the
-// in-loop watchdog cannot see: a controller that keeps writing splits
-// computed from data that stopped arriving. Once scrapes are stored again it
-// releases the mode, and the controller's next reconcile republishes real
-// weights.
+// staleCheck runs every scrape interval: when the scraper has stored nothing
+// for guard's stale threshold (three intervals), engage fail-static (freeze
+// the table against stale-control writes) and decay the frozen weights
+// toward uniform — the graceful-degradation half of the guard story,
+// covering a controller that keeps writing splits computed from data that
+// stopped arriving. Once scrapes are stored again it releases the mode, and
+// the controller's next reconcile republishes real weights.
 func (c *control) staleCheck() {
-	if c.wall.Now()-c.scraper.LastIngest() <= c.cfg.StaleAfter {
+	if c.wall.Now()-c.scraper.LastIngest() <= c.staleAfter {
 		if c.failStatic.CompareAndSwap(true, false) {
 			c.failStaticGauge.Set(0)
 		}
@@ -289,9 +274,10 @@ func (c *control) staleCheck() {
 	c.decayWeights()
 }
 
-// decayWeights pulls the published table toward uniform by DecayFactor:
-// weight' = u + f·(weight − u) over every configured backend, so backends
-// the stale controller had ejected also return as the signal is forgotten.
+// decayWeights pulls the published table toward uniform by guard's decay
+// step, the one a blind backend takes: weight' = weight + 0.2·(u − weight)
+// over every configured backend, so backends the stale controller had
+// ejected also return as the signal is forgotten.
 func (c *control) decayWeights() {
 	if len(c.backends) == 0 {
 		return
@@ -309,7 +295,7 @@ func (c *control) decayWeights() {
 	changed := false
 	for i, b := range c.backends {
 		cur := float64(w[b.Name])
-		decayed := int64(u + c.cfg.DecayFactor*(cur-u) + 0.5)
+		decayed := int64(guard.Decay(cur, u) + 0.5)
 		if decayed < 1 {
 			decayed = 1
 		}

@@ -24,8 +24,6 @@ func chaosServer(t *testing.T, n int, mutate func(*Config)) (*Server, []*StubBac
 	cfg.Listen = "127.0.0.1:0"
 	cfg.Algo = AlgoL3
 	cfg.ScrapeInterval = 250 * time.Millisecond
-	cfg.ReconcileInterval = 250 * time.Millisecond
-	cfg.Window = 2 * time.Second
 	cfg.HealthInterval = 2 * time.Second
 	cfg.HealthTimeout = 500 * time.Millisecond
 	cfg.DrainTimeout = 3 * time.Second
@@ -141,13 +139,11 @@ func TestDrainMidHedge(t *testing.T) {
 }
 
 // TestFailStaticEngagesAndReleases starves the control plane of scrapes and
-// watches the degraded mode: engagement after StaleAfter, weight decay
-// toward uniform, release on the next good scrape.
+// watches the degraded mode: engagement after three scrape intervals, weight
+// decay toward uniform, release on the next good scrape.
 func TestFailStaticEngagesAndReleases(t *testing.T) {
 	t.Parallel() // it waits on control rounds
-	srv, _ := chaosServer(t, 3, func(c *Config) {
-		c.StaleAfter = 500 * time.Millisecond
-	})
+	srv, _ := chaosServer(t, 3, nil)
 	defer srv.ShutdownTimeout()
 	if !srv.ScrapeWait(1, 5*time.Second) {
 		t.Fatal("control plane never scraped")

@@ -50,7 +50,6 @@ type Server struct {
 // NewServer builds a stopped server from a validated config. Call Start to
 // listen and arm the control plane.
 func NewServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDerived()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,16 @@
 // that no non-test .go file of the module reads, benchmark/ included. A
 // name counts as read when another file selects it through an import
 // (pkg.Name) or a file of its own package mentions it outside its own
-// declaration and method receivers. Run from the repository root:
+// declaration and method receivers.
+//
+// It then lists, as dir.Type.Field, every exported field of an exported
+// struct type in internal/ that no non-test file outside its package
+// writes: a setting that only its own package's defaults, environment or
+// grammar set, or a record that only its package fills. A key of a
+// pkg.Type{...} literal writes that field. There is no type checking, so an
+// assignment through a selector, or a key of an elided-type literal, writes
+// every field of that name when its package's own structs have none. Run
+// from the repository root:
 //
 //	go run scripts/deadcode.go
 package main
@@ -18,6 +27,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,6 +85,31 @@ func main() {
 		}
 	}
 
+	fields := map[name][]string{}            // exported internal/ struct -> its exported fields
+	ownField := map[string]map[string]bool{} // dir -> the field names its structs declare
+	for dir, dirFiles := range files {
+		ownField[dir] = map[string]bool{}
+		for _, f := range dirFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, id := range fl.Names {
+								ownField[dir][id.Name] = true
+								if typ := (name{dir, ts.Name.Name}); declared[typ] && id.IsExported() {
+									fields[typ] = append(fields[typ], id.Name)
+								}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	written := map[string]bool{}         // dir.Type.Field keyed in a pkg.Type{...} literal
+	nameWritten := map[string][]string{} // field name -> dirs writing it untyped
+
 	read := map[name]bool{}
 	for dir, dirFiles := range files {
 		for _, f := range dirFiles {
@@ -90,8 +125,38 @@ func main() {
 				}
 				imports[local] = filepath.FromSlash(strings.TrimPrefix(p, "l3/"))
 			}
+			// writeName records a write of a field whose struct is not known:
+			// where its package's own structs have no field of that name, any
+			// other package's.
+			writeName := func(id *ast.Ident) {
+				if !ownField[dir][id.Name] {
+					nameWritten[id.Name] = append(nameWritten[id.Name], dir)
+				}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						if sel, ok := l.(*ast.SelectorExpr); ok {
+							writeName(sel.Sel)
+						}
+					}
+				case *ast.CompositeLit:
+					typ := "" // "dir.Type." of a pkg.Type literal
+					if sel, ok := n.Type.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+							typ = filepath.ToSlash(imports[x.Name]) + "." + sel.Sel.Name + "."
+						}
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok && typ != "" {
+								written[typ+id.Name] = true
+							} else if ok {
+								writeName(id)
+							}
+						}
+					}
 				case *ast.SelectorExpr:
 					own[n.Sel] = true // a field, method or another package's name
 					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
@@ -111,6 +176,18 @@ func main() {
 	for n := range declared {
 		if !read[n] {
 			out = append(out, filepath.ToSlash(n.dir)+"."+n.ident)
+		}
+	}
+	sort.Strings(out)
+	fmt.Print(strings.Join(append(out, ""), "\n"))
+
+	out = out[:0]
+	for typ, fls := range fields {
+		for _, fl := range fls {
+			key := filepath.ToSlash(typ.dir) + "." + typ.ident + "." + fl
+			if !written[key] && !slices.ContainsFunc(nameWritten[fl], func(d string) bool { return d != typ.dir }) {
+				out = append(out, key)
+			}
 		}
 	}
 	sort.Strings(out)

@@ -22,48 +22,22 @@ import (
 	"l3/internal/sim"
 )
 
-// Config parameterises an Autoscaler.
+// Config bounds the worker-pool size an Autoscaler may set.
 type Config struct {
-	// Target is the desired utilisation in (0, 1] (default 0.6, a common
-	// HPA setting).
-	Target float64
-	// Min and Max bound the worker-pool size (defaults 4 and 1024).
 	Min, Max int
-	// Interval is the control period (default 15 s, the HPA default).
-	Interval time.Duration
-	// ScaleDownStabilization delays shrinking until utilisation has been
-	// below target for this long (default 60 s), preventing flapping —
-	// scale-ups apply immediately, as in Kubernetes.
-	ScaleDownStabilization time.Duration
-	// Tolerance suppresses resizes within ±Tolerance of the target
-	// (default 0.1).
-	Tolerance float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Target <= 0 || c.Target > 1 {
-		c.Target = 0.6
-	}
-	if c.Min <= 0 {
-		c.Min = 4
-	}
-	if c.Max <= 0 {
-		c.Max = 1024
-	}
-	if c.Max < c.Min {
-		c.Max = c.Min
-	}
-	if c.Interval <= 0 {
-		c.Interval = 15 * time.Second
-	}
-	if c.ScaleDownStabilization <= 0 {
-		c.ScaleDownStabilization = time.Minute
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.1
-	}
-	return c
-}
+// The control law, at common HorizontalPodAutoscaler settings: every
+// interval, compare utilisation with target and resize unless it is within
+// ±tolerance of it. Scale-ups apply immediately; a scale-down waits until
+// utilisation has been below target for scaleDownStabilization, which
+// prevents flapping, as in Kubernetes.
+const (
+	target                 = 0.6
+	tolerance              = 0.1
+	interval               = 15 * time.Second
+	scaleDownStabilization = time.Minute
+)
 
 // Autoscaler resizes one Replica's worker pool on the virtual clock.
 type Autoscaler struct {
@@ -92,7 +66,7 @@ func New(engine *sim.Engine, replica *backend.Replica, cfg Config) *Autoscaler {
 	return &Autoscaler{
 		engine:     engine,
 		replica:    replica,
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		belowSince: -1,
 	}
 }
@@ -103,7 +77,7 @@ func (a *Autoscaler) Start() {
 		a.sampleΣ += a.replica.Utilization()
 		a.sampleN++
 	})
-	a.ticker = a.engine.Every(a.cfg.Interval, a.tick)
+	a.ticker = a.engine.Every(interval, a.tick)
 }
 
 // Stop halts the loops.
@@ -127,9 +101,9 @@ func (a *Autoscaler) tick() {
 	a.sampleΣ, a.sampleN = 0, 0
 
 	cur := a.replica.Concurrency()
-	ratio := util / a.cfg.Target
+	ratio := util / target
 	switch {
-	case ratio > 1+a.cfg.Tolerance:
+	case ratio > 1+tolerance:
 		// Scale up immediately, proportionally to the excess.
 		want := clamp(int(math.Ceil(float64(cur)*ratio)), a.cfg.Min, a.cfg.Max)
 		if want > cur {
@@ -137,13 +111,13 @@ func (a *Autoscaler) tick() {
 			a.scaleUps++
 		}
 		a.belowSince = -1
-	case ratio < 1-a.cfg.Tolerance:
+	case ratio < 1-tolerance:
 		now := a.engine.Now()
 		if a.belowSince < 0 {
 			a.belowSince = now
 			return
 		}
-		if now-a.belowSince < a.cfg.ScaleDownStabilization {
+		if now-a.belowSince < scaleDownStabilization {
 			return
 		}
 		want := clamp(int(math.Ceil(float64(cur)*ratio)), a.cfg.Min, a.cfg.Max)
@@ -170,5 +144,5 @@ func clamp(v, lo, hi int) int {
 // String describes the scaler.
 func (a *Autoscaler) String() string {
 	return fmt.Sprintf("autoscaler{target=%.0f%% min=%d max=%d every=%v}",
-		a.cfg.Target*100, a.cfg.Min, a.cfg.Max, a.cfg.Interval)
+		target*100, a.cfg.Min, a.cfg.Max, interval)
 }

@@ -59,7 +59,7 @@ func TestScaleDownAfterStabilization(t *testing.T) {
 	// Oversized pool at light load: should shrink, but only after the
 	// stabilisation window.
 	r := newReplica(engine, 64, 50*time.Millisecond)
-	a := New(engine, r, Config{Min: 4, Max: 64, ScaleDownStabilization: time.Minute})
+	a := New(engine, r, Config{Min: 4, Max: 64})
 	a.Start()
 	load(engine, r, 20) // needs ~1 worker
 	engine.RunUntil(45 * time.Second)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"l3/internal/autoscale"
 	"l3/internal/cost"
 	"l3/internal/resilience"
 	"l3/internal/trace"
@@ -91,9 +90,7 @@ func AblationRateControl(opts Options) (*Result, error) {
 			"cluster-1": 4, "cluster-2": 40, "cluster-3": 40,
 		}
 		o.DisableRateControl = c.disabled
-		if c.autoscaled {
-			o.Autoscale = &autoscale.Config{Interval: 15 * time.Second}
-		}
+		o.Autoscale = c.autoscaled
 		cells = append(cells, cell{trace: surge, algo: AlgoL3, opts: o})
 	}
 	out, err := sweep(opts.Parallel, cells...)
@@ -294,12 +291,11 @@ func AblationCostAwareness(opts Options) (*Result, error) {
 // traffic reads a cell's traffic-cost accounting off its repetitions' count
 // matrices, in rep order: the fraction of requests served outside the
 // source cluster, and the inter-cluster transfer bill in dollars, priced by
-// cost.DefaultRates at 16 KiB per request.
+// cost.TrafficCost.
 func (r *record) traffic() (remoteShare, bill float64) {
-	model := cost.NewModel(cost.DefaultRates(), 0)
 	var local, remote float64
 	for _, run := range r.reps {
-		bill += model.TrafficCost(run.counts)
+		bill += cost.TrafficCost(run.counts)
 		for _, link := range sortedLinks(run.counts) {
 			if link[0] == link[1] {
 				local += run.counts[link]

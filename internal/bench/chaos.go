@@ -6,6 +6,7 @@ import (
 
 	"l3/internal/chaos"
 	"l3/internal/health"
+	"l3/internal/loadgen"
 	"l3/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func scoreRuns(runs []repRun, opts Options) chaos.Report {
 // injector shifted them.
 func scoreRun(run repRun, warm time.Duration, sched *chaos.Schedule) chaos.Report {
 	var r chaos.Report
-	width := run.rec.BucketWidth()
+	width := loadgen.BucketWidth
 	series := run.rec.SuccessRateSeries()
 	faultAbs := warm + sched.Start()
 

@@ -16,8 +16,8 @@ import (
 func windowGoodput(rec *loadgen.Recorder, reps int, from, to time.Duration) float64 {
 	rps := rec.RPSSeries()
 	sr := rec.SuccessRateSeries()
-	lo := int(from / rec.BucketWidth())
-	hi := int(to / rec.BucketWidth())
+	lo := int(from / loadgen.BucketWidth)
+	hi := int(to / loadgen.BucketWidth)
 	if hi > len(rps) {
 		hi = len(rps)
 	}
@@ -213,7 +213,7 @@ func figO2OverloadPolicy() *overload.Policy {
 // Without admission control the server queues absorb the crowd until
 // waiting time alone exceeds the deadline, and every tier — critical
 // included — collapses together. With the tier gate, overload clamps
-// sheddable first and default second (each clamp one ClampHold apart),
+// sheddable first and default second (each clamp one queue interval apart),
 // re-admitting a tier only after a second of sustained health, so the
 // flash is absorbed almost entirely by the sheddable tier and the
 // critical tier rides through the crowd inside its SLO.
@@ -262,11 +262,11 @@ func FigO2(opts Options) (*Result, error) {
 			}
 			tname := overload.TierName(tier)
 			series := trec.SuccessRateSeries()
-			from := int(flashAbs / trec.BucketWidth())
+			from := int(flashAbs / loadgen.BucketWidth)
 			if from > len(series) {
 				from = len(series)
 			}
-			viol := chaos.SLOViolation(series[from:], trec.BucketWidth(), chaosSLOThreshold)
+			viol := chaos.SLOViolation(series[from:], loadgen.BucketWidth, chaosSLOThreshold)
 			r.AddRow(label+" "+tname+" success", trec.SuccessRate()*100, "%", NoPaper)
 			r.AddRow(label+" "+tname+" SLO violation", viol.Seconds(), "s", NoPaper)
 			if cfg.policy.Enabled() {

@@ -59,7 +59,7 @@ func saturateSchedule(opts Options, factor float64, backendNames ...string) *cha
 func postHealGoodput(rec *loadgen.Recorder, reps int, healAbs, grace time.Duration) float64 {
 	rps := rec.RPSSeries()
 	sr := rec.SuccessRateSeries()
-	from := int((healAbs + grace) / rec.BucketWidth())
+	from := int((healAbs + grace) / loadgen.BucketWidth)
 	if from >= len(rps) {
 		return 0
 	}

@@ -100,10 +100,10 @@ type Options struct {
 	// (heterogeneous capacities, e.g. a fast-but-small deployment next to
 	// slow-but-wide ones).
 	ConcurrencyByCluster map[string]int
-	// Autoscale attaches a horizontal autoscaler to every backend when
-	// non-nil — the mechanism §3.2's rate controller is designed to buy
-	// time for.
-	Autoscale *autoscale.Config
+	// Autoscale attaches a horizontal autoscaler to every backend, its
+	// pool bounded by the backend's concurrency and 16 times it — the
+	// mechanism §3.2's rate controller is designed to buy time for.
+	Autoscale bool
 	// Resilience routes the benchmark client through the resilience layer
 	// (deadlines, budgeted retries, hedging, circuit breaking) instead of
 	// the bare mesh proxy; recorded latency then spans all attempts. The
@@ -238,7 +238,7 @@ func mergeRecorders(recs []*loadgen.Recorder) *loadgen.Recorder {
 	if len(recs) == 1 {
 		return recs[0]
 	}
-	merged := loadgen.NewRecorder(time.Second)
+	merged := loadgen.NewRecorder()
 	for _, rec := range recs {
 		merged.Merge(rec)
 	}
@@ -316,22 +316,15 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 		if isReplica {
 			injectors[name] = replica
 		}
-		if opts.Autoscale != nil {
+		if opts.Autoscale {
 			if !isReplica {
 				return nil, fmt.Errorf("bench: backend %s is not a replica pool", name)
-			}
-			cfg := *opts.Autoscale
-			if cfg.Max == 0 {
-				cfg.Max = 16 * conc
-			}
-			if cfg.Min == 0 {
-				cfg.Min = conc
 			}
 			eng, err := m.EngineFor(ct.Cluster)
 			if err != nil {
 				return nil, err
 			}
-			autoscale.New(eng, replica, cfg).Start()
+			autoscale.New(eng, replica, autoscale.Config{Min: conc, Max: 16 * conc}).Start()
 		}
 		backends = append(backends, smi.Backend{Service: name, Weight: 500})
 	}
@@ -349,7 +342,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	out := &record{totals: make(map[string]float64)}
 	if len(opts.OverloadTierMix) > 0 {
 		for tier := range out.tiers {
-			out.tiers[tier] = loadgen.NewRecorder(time.Second)
+			out.tiers[tier] = loadgen.NewRecorder()
 		}
 	}
 	var updates []time.Duration
@@ -620,10 +613,9 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 					DynamicPenalty:   opts.DynamicPenalty,
 				}, core.RateControlConfig{}, !opts.DisableRateControl)
 				if opts.CostLambda > 0 {
-					assigner = cost.NewAssigner(assigner, cost.NewModel(cost.DefaultRates(), 0),
-						sourceCluster, func(b string) string {
-							return strings.TrimPrefix(b, apiService+"-")
-						}, opts.CostLambda)
+					assigner = cost.NewAssigner(assigner, sourceCluster, func(b string) string {
+						return strings.TrimPrefix(b, apiService+"-")
+					}, opts.CostLambda)
 				}
 			}
 			if opts.Guard {
@@ -666,7 +658,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				if len(controllers) > 1 {
 					id = fmt.Sprintf("l3-%d-%d", si, i)
 				}
-				elector := cluster.NewElector(w.ctrl, lock, cluster.ElectorConfig{ID: id})
+				elector := cluster.NewElector(w.ctrl, lock, id)
 				ctrl := newController(elector)
 				ctrl.Start()
 				handles.leaders[id] = leaderHandle{ctrl: ctrl, elector: elector}

@@ -26,10 +26,10 @@
 // With only aggregated data, the server-side queue length q̄ and service
 // rate µ̄ are not observable separately: the queue estimate falls back to
 // the aggregate outstanding-request gauge (exactly os summed over clients),
-// halved by default (Config.QueueScale), and the response/service-time
-// signal to the same P99 latency the aggregated Linkerd histograms provide
-// — §5.3.1 of the paper confirms the 99th percentile "plays a decisive role
-// in the C3 and L3 algorithms".
+// halved (queueScale), and the response/service-time signal to the same P99
+// latency the aggregated Linkerd histograms provide — §5.3.1 of the paper
+// confirms the 99th percentile "plays a decisive role in the C3 and L3
+// algorithms".
 package c3
 
 import (
@@ -43,53 +43,35 @@ import (
 
 // Config parameterises the adaptation.
 type Config struct {
-	// LatencyHalfLife smooths the latency EWMA R̄ (default 20 s — C3
-	// recovers cautiously by design, markedly slower than L3's 5 s
-	// half-life).
-	LatencyHalfLife time.Duration
-	// InflightHalfLife smooths the outstanding-request EWMA (default 5 s).
-	InflightHalfLife time.Duration
-	// DefaultLatency seeds R̄ before observations (default 5 s, aligned
-	// with L3's λ so cold starts behave the same).
-	DefaultLatency time.Duration
-	// RelaxFraction is the idle convergence step (default 0.1).
-	RelaxFraction float64
-	// MinWeight floors weights so no backend is starved of measurement
-	// traffic (default 0.01 — C3 scores span a wider range than L3
-	// weights, so the floor sits lower; the controller's integer scaling
-	// re-applies a floor of 1).
-	MinWeight float64
-	// QueueScale divides the aggregate outstanding-request gauge before
-	// the cube: q̂ = 1 + inflight/QueueScale. The default of 2 halves the
-	// aggregate, q̂ = 1 + os/2; a direct adaptation of C3's q̂ = 1 + os·w +
-	// q̄ would keep it raw (1). Under load the cube dominates the score
-	// either way and pushes C3 toward outstanding-request equalisation —
-	// the behaviour consistent with C3 trailing L3 across the paper's
-	// evaluation.
-	QueueScale float64
+	// Interval is the reconcile interval the filters' half-lives scale
+	// with. Zero means 5 s, the paper's.
+	Interval time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.LatencyHalfLife <= 0 {
-		c.LatencyHalfLife = 20 * time.Second
-	}
-	if c.InflightHalfLife <= 0 {
-		c.InflightHalfLife = 5 * time.Second
-	}
-	if c.DefaultLatency <= 0 {
-		c.DefaultLatency = 5 * time.Second
-	}
-	if c.RelaxFraction <= 0 {
-		c.RelaxFraction = 0.1
-	}
-	if c.MinWeight <= 0 {
-		c.MinWeight = 0.01
-	}
-	if c.QueueScale <= 0 {
-		c.QueueScale = 2
-	}
-	return c
-}
+// The adaptation's constants. The latency EWMA R̄ has a half-life of
+// latencyHalfLives intervals (20 s at 5 s: C3 recovers cautiously by
+// design, markedly slower than L3's one-interval half-life), the
+// outstanding-request EWMA one interval.
+const (
+	latencyHalfLives = 4
+	// defaultLatency seeds R̄ before observations, aligned with L3's λ so
+	// cold starts behave the same.
+	defaultLatency = 5 * time.Second
+	// relaxFraction is the idle convergence step.
+	relaxFraction = 0.1
+	// minWeight floors weights so no backend is starved of measurement
+	// traffic. C3 scores span a wider range than L3 weights, so the floor
+	// sits lower; the controller's integer scaling re-applies a floor of 1.
+	minWeight = 0.01
+	// queueScale divides the aggregate outstanding-request gauge before
+	// the cube: q̂ = 1 + inflight/queueScale. At 2 it halves the aggregate,
+	// q̂ = 1 + os/2; a direct adaptation of C3's q̂ = 1 + os·w + q̄ would
+	// keep it raw (1). Under load the cube dominates the score either way
+	// and pushes C3 toward outstanding-request equalisation — the
+	// behaviour consistent with C3 trailing L3 across the paper's
+	// evaluation.
+	queueScale = 2
+)
 
 type backendState struct {
 	latency  *ewma.EWMA // R̄: filtered P99 latency, seconds
@@ -100,23 +82,26 @@ type backendState struct {
 // to TrafficSplit weights (weight ∝ 1/Ψ). It implements core.Assigner so
 // it runs under the same operator shell as L3.
 type Assigner struct {
-	cfg    Config
-	states map[string]*backendState
+	interval time.Duration
+	states   map[string]*backendState
 }
 
 var _ core.Assigner = (*Assigner)(nil)
 
-// New returns an assigner with cfg (zero fields take defaults).
+// New returns an assigner for cfg.
 func New(cfg Config) *Assigner {
-	return &Assigner{cfg: cfg.withDefaults(), states: make(map[string]*backendState)}
+	if cfg.Interval <= 0 {
+		cfg.Interval = 5 * time.Second
+	}
+	return &Assigner{interval: cfg.Interval, states: make(map[string]*backendState)}
 }
 
 func (a *Assigner) stateFor(b string) *backendState {
 	s, ok := a.states[b]
 	if !ok {
 		s = &backendState{
-			latency:  ewma.New(a.cfg.LatencyHalfLife, a.cfg.DefaultLatency.Seconds()),
-			inflight: ewma.New(a.cfg.InflightHalfLife, 0),
+			latency:  ewma.New(latencyHalfLives*a.interval, defaultLatency.Seconds()),
+			inflight: ewma.New(a.interval, 0),
 		}
 		a.states[b] = s
 	}
@@ -141,8 +126,8 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 			}
 			s.inflight.Observe(now, bm.Inflight)
 		} else {
-			s.latency.Relax(now, a.cfg.RelaxFraction)
-			s.inflight.Relax(now, a.cfg.RelaxFraction)
+			s.latency.Relax(now, relaxFraction)
+			s.inflight.Relax(now, relaxFraction)
 		}
 		out[b] = a.weightOf(s)
 	}
@@ -155,13 +140,13 @@ func (a *Assigner) weightOf(s *backendState) float64 {
 	if rBar <= 0 {
 		rBar = 1e-6
 	}
-	qHat := 1 + math.Max(0, s.inflight.Value())/a.cfg.QueueScale
+	qHat := 1 + math.Max(0, s.inflight.Value())/queueScale
 	// Adapted Ψ = R̄ + q̂³·T̄ with T̄ = R̄ (the −1/µ̄ term cancels against
 	// the service-time proxy, see the package comment).
 	score := rBar + qHat*qHat*qHat*rBar
 	w := 1 / score
-	if w < a.cfg.MinWeight {
-		w = a.cfg.MinWeight
+	if w < minWeight {
+		w = minWeight
 	}
 	return w
 }

@@ -42,10 +42,10 @@ func TestFasterBackendScoresBetter(t *testing.T) {
 }
 
 func TestCubicQueuePenalty(t *testing.T) {
-	a := New(Config{QueueScale: 1})
+	a := New(Config{})
 	w := converge(a, map[string]core.BackendMetrics{
 		"idle": metricsFor(0.100, 0), // q̂=1
-		"busy": metricsFor(0.100, 3), // q̂=4
+		"busy": metricsFor(0.100, 6), // q̂=1+6/2=4
 	})
 	// Ψ ratio: (1+64)/(1+1) = 32.5.
 	ratio := w["idle"] / w["busy"]
@@ -107,8 +107,8 @@ func TestRelaxationOnNoTraffic(t *testing.T) {
 func TestMinWeightFloor(t *testing.T) {
 	a := New(Config{})
 	w := converge(a, map[string]core.BackendMetrics{"awful": metricsFor(5.0, 50)})
-	if w["awful"] != a.cfg.MinWeight {
-		t.Fatalf("weight = %v, want floored at %v", w["awful"], a.cfg.MinWeight)
+	if w["awful"] != minWeight {
+		t.Fatalf("weight = %v, want floored at %v", w["awful"], minWeight)
 	}
 }
 

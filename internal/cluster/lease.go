@@ -64,23 +64,14 @@ func (l *LeaseLock) Holder(now time.Duration) (string, bool) {
 	return l.lease.Holder, true
 }
 
-// ElectorConfig parameterises an Elector.
-type ElectorConfig struct {
-	// ID identifies this candidate (e.g. pod name). Required.
-	ID string
-	// LeaseDuration is how long an un-renewed lease stays valid
-	// (default 15 s, Kubernetes' default).
-	LeaseDuration time.Duration
-	// RenewInterval is how often the leader renews (default 5 s).
-	RenewInterval time.Duration
-	// RetryInterval is how often a non-leader retries acquisition
-	// (default 2 s).
-	RetryInterval time.Duration
-	// OnStartedLeading fires when this candidate becomes leader.
-	OnStartedLeading func()
-	// OnStoppedLeading fires when leadership is lost or resigned.
-	OnStoppedLeading func()
-}
+// Election timing, Kubernetes' defaults: an un-renewed lease stays valid for
+// leaseDuration, the leader renews every renewInterval and a non-leader
+// retries acquisition every retryInterval.
+const (
+	leaseDuration = 15 * time.Second
+	renewInterval = 5 * time.Second
+	retryInterval = 2 * time.Second
+)
 
 // Elector campaigns for a LeaseLock on the virtual clock. Only the leader
 // replica of L3 writes TrafficSplit weights; standbys keep campaigning and
@@ -88,27 +79,19 @@ type ElectorConfig struct {
 type Elector struct {
 	engine  *sim.Engine
 	lock    *LeaseLock
-	cfg     ElectorConfig
+	id      string
 	leading bool
 	timer   clock.Timer
 	stopped bool
 }
 
-// NewElector returns an elector; call Run to start campaigning.
-func NewElector(engine *sim.Engine, lock *LeaseLock, cfg ElectorConfig) *Elector {
-	if cfg.ID == "" {
+// NewElector returns an elector for the candidate id (e.g. a pod name),
+// which must not be empty; call Run to start campaigning.
+func NewElector(engine *sim.Engine, lock *LeaseLock, id string) *Elector {
+	if id == "" {
 		panic("cluster: Elector requires an ID")
 	}
-	if cfg.LeaseDuration <= 0 {
-		cfg.LeaseDuration = 15 * time.Second
-	}
-	if cfg.RenewInterval <= 0 {
-		cfg.RenewInterval = 5 * time.Second
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 2 * time.Second
-	}
-	return &Elector{engine: engine, lock: lock, cfg: cfg}
+	return &Elector{engine: engine, lock: lock, id: id}
 }
 
 // Run starts the campaign loop. The first acquisition attempt happens
@@ -127,17 +110,14 @@ func (e *Elector) Stop() {
 	}
 	if e.leading {
 		e.leading = false
-		e.lock.Release(e.cfg.ID)
-		if e.cfg.OnStoppedLeading != nil {
-			e.cfg.OnStoppedLeading()
-		}
+		e.lock.Release(e.id)
 	}
 }
 
-// Crash halts campaigning without releasing the lease and without firing
-// OnStoppedLeading — the failure mode of a killed leader process. A held
-// lease stays on the books until it expires, so standbys take over only
-// after the lease TTL, matching Kubernetes leader-election semantics.
+// Crash halts campaigning without releasing the lease — the failure mode
+// of a killed leader process. A held lease stays on the books until it
+// expires, so standbys take over only after the lease TTL, matching
+// Kubernetes leader-election semantics.
 func (e *Elector) Crash() {
 	e.stopped = true
 	if e.timer != nil {
@@ -153,23 +133,10 @@ func (e *Elector) tick() {
 	if e.stopped {
 		return
 	}
-	now := e.engine.Now()
-	acquired := e.lock.TryAcquire(e.cfg.ID, now, e.cfg.LeaseDuration)
-	switch {
-	case acquired && !e.leading:
-		e.leading = true
-		if e.cfg.OnStartedLeading != nil {
-			e.cfg.OnStartedLeading()
-		}
-	case !acquired && e.leading:
-		e.leading = false
-		if e.cfg.OnStoppedLeading != nil {
-			e.cfg.OnStoppedLeading()
-		}
-	}
-	interval := e.cfg.RetryInterval
+	e.leading = e.lock.TryAcquire(e.id, e.engine.Now(), leaseDuration)
+	interval := retryInterval
 	if e.leading {
-		interval = e.cfg.RenewInterval
+		interval = renewInterval
 	}
 	e.timer = e.engine.After(interval, e.tick)
 }

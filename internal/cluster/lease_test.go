@@ -47,20 +47,23 @@ func TestLeaseLockAcquireReleaseExpiry(t *testing.T) {
 func TestSingleElectorBecomesLeader(t *testing.T) {
 	e := sim.NewEngine()
 	lock := NewLeaseLock()
-	started := 0
-	el := NewElector(e, lock, ElectorConfig{
-		ID:               "a",
-		OnStartedLeading: func() { started++ },
-	})
+	el := NewElector(e, lock, "a")
 	el.Run()
 	e.RunUntil(time.Second)
-	if !el.IsLeader() || started != 1 {
-		t.Fatalf("leader=%v started=%d", el.IsLeader(), started)
+	if !el.IsLeader() {
+		t.Fatal("sole candidate is not leader")
 	}
-	// Leadership is stable across many renew cycles.
+	// Leadership is stable across many renew cycles: sampled finer than
+	// any renew or retry interval, it never lapses.
+	lapses := 0
+	e.Every(500*time.Millisecond, func() {
+		if !el.IsLeader() {
+			lapses++
+		}
+	})
 	e.RunUntil(5 * time.Minute)
-	if !el.IsLeader() || started != 1 {
-		t.Fatalf("leadership flapped: leader=%v started=%d", el.IsLeader(), started)
+	if lapses != 0 {
+		t.Fatalf("leadership flapped: %d samples without it", lapses)
 	}
 }
 
@@ -69,7 +72,7 @@ func TestOnlyOneLeaderAmongCandidates(t *testing.T) {
 	lock := NewLeaseLock()
 	var electors []*Elector
 	for _, id := range []string{"a", "b", "c"} {
-		el := NewElector(e, lock, ElectorConfig{ID: id})
+		el := NewElector(e, lock, id)
 		electors = append(electors, el)
 		el.Run()
 	}
@@ -88,8 +91,8 @@ func TestOnlyOneLeaderAmongCandidates(t *testing.T) {
 func TestFailoverAfterLeaderStops(t *testing.T) {
 	e := sim.NewEngine()
 	lock := NewLeaseLock()
-	a := NewElector(e, lock, ElectorConfig{ID: "a"})
-	b := NewElector(e, lock, ElectorConfig{ID: "b"})
+	a := NewElector(e, lock, "a")
+	b := NewElector(e, lock, "b")
 	a.Run()
 	e.RunUntil(time.Second) // a acquires first
 	b.Run()
@@ -110,14 +113,12 @@ func TestFailoverAfterLeaderCrashes(t *testing.T) {
 	// standby must take over only after lease expiry.
 	e := sim.NewEngine()
 	lock := NewLeaseLock()
-	var onStopped int
-	a := NewElector(e, lock, ElectorConfig{ID: "a", LeaseDuration: 15 * time.Second})
-	b := NewElector(e, lock, ElectorConfig{ID: "b", LeaseDuration: 15 * time.Second,
-		OnStoppedLeading: func() { onStopped++ }})
+	a := NewElector(e, lock, "a")
+	b := NewElector(e, lock, "b")
 	a.Run()
 	b.Run()
 	e.RunUntil(10 * time.Second)
-	a.Crash() // stops renewing without Release and without OnStoppedLeading
+	a.Crash() // stops renewing without Release
 	crash := e.Now()
 	e.RunUntil(crash + 10*time.Second)
 	if b.IsLeader() {
@@ -136,9 +137,8 @@ func TestFailoverAfterLeaderCrashes(t *testing.T) {
 func TestLeaderKillFailoverWithinTTL(t *testing.T) {
 	e := sim.NewEngine()
 	lock := NewLeaseLock()
-	const ttl = 15 * time.Second
-	a := NewElector(e, lock, ElectorConfig{ID: "a", LeaseDuration: ttl})
-	b := NewElector(e, lock, ElectorConfig{ID: "b", LeaseDuration: ttl})
+	a := NewElector(e, lock, "a")
+	b := NewElector(e, lock, "b")
 	a.Run()
 	e.RunUntil(time.Second) // deterministic initial leader
 	b.Run()
@@ -160,12 +160,12 @@ func TestLeaderKillFailoverWithinTTL(t *testing.T) {
 	a.Crash()
 
 	// The standby must NOT lead before the crashed leader's lease expires…
-	e.RunUntil(kill + ttl - time.Second)
+	e.RunUntil(kill + leaseDuration - time.Second)
 	if b.IsLeader() {
 		t.Fatal("b led before the crashed leader's lease expired")
 	}
 	// …and MUST lead within TTL + one retry interval.
-	e.RunUntil(kill + ttl + 2*time.Second + time.Second)
+	e.RunUntil(kill + leaseDuration + retryInterval + time.Second)
 	if !b.IsLeader() {
 		t.Fatal("b did not take over within lease TTL + retry interval")
 	}
@@ -187,5 +187,5 @@ func TestElectorRequiresID(t *testing.T) {
 			t.Fatal("empty ID did not panic")
 		}
 	}()
-	NewElector(sim.NewEngine(), NewLeaseLock(), ElectorConfig{})
+	NewElector(sim.NewEngine(), NewLeaseLock(), "")
 }

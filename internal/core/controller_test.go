@@ -187,7 +187,7 @@ func TestControllerNonLeaderDoesNotWrite(t *testing.T) {
 	if !lock.TryAcquire("other", 0, time.Hour) {
 		t.Fatal("setup: could not seed lease")
 	}
-	elector := cluster.NewElector(engine, lock, cluster.ElectorConfig{ID: "standby"})
+	elector := cluster.NewElector(engine, lock, "standby")
 
 	r := newRigWithEngine(t, engine, elector)
 	r.engine.RunUntil(2 * time.Minute)
@@ -233,8 +233,8 @@ func newRigWithEngine(t *testing.T, engine *sim.Engine, elector *cluster.Elector
 func TestControllerLeaderFailover(t *testing.T) {
 	engine := sim.NewEngine()
 	lock := cluster.NewLeaseLock()
-	leaderElector := cluster.NewElector(engine, lock, cluster.ElectorConfig{ID: "leader"})
-	standbyElector := cluster.NewElector(engine, lock, cluster.ElectorConfig{ID: "standby"})
+	leaderElector := cluster.NewElector(engine, lock, "leader")
+	standbyElector := cluster.NewElector(engine, lock, "standby")
 
 	// The "leader" elector campaigns but has no controller; the controller
 	// under test runs as the standby.

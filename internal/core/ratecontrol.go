@@ -13,21 +13,11 @@ type RateControlConfig struct {
 	// change is computed against (default 10 s, like the per-backend RPS
 	// filter).
 	RPSHalfLife time.Duration
-	// MinWeight floors adjusted weights so braking can never zero a
-	// backend out (default 0.001). Algorithm 2 line 13's floor of one
-	// weight unit is in *integer* TrafficSplit units, which the
-	// controller's scaling already enforces; flooring at 1 in natural
-	// 1/seconds units would override Algorithm 1's verdict on degraded
-	// backends, whose healthy weights are the same order of magnitude.
-	MinWeight float64
 }
 
 func (c RateControlConfig) withDefaults() RateControlConfig {
 	if c.RPSHalfLife <= 0 {
 		c.RPSHalfLife = 10 * time.Second
-	}
-	if c.MinWeight <= 0 {
-		c.MinWeight = 0.001
 	}
 	return c
 }
@@ -101,8 +91,8 @@ func (rc *RateController) Apply(now time.Duration, weights map[string]float64, r
 
 	for _, b := range rc.names {
 		w := RateControlAdjust(c, weights[b], wMu)
-		if w < rc.cfg.MinWeight {
-			w = rc.cfg.MinWeight
+		if w < minWeight { // braking never zeroes a backend out
+			w = minWeight
 		}
 		weights[b] = w
 	}

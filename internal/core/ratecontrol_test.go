@@ -150,25 +150,27 @@ func TestRateControllerDropShiftsToFastBackends(t *testing.T) {
 }
 
 func TestRateControllerFloor(t *testing.T) {
-	rc := NewRateController(RateControlConfig{MinWeight: 1})
+	// Braking at c ≈ -0.9 divides a slow weight by ≈ 4.2: 0.002 falls
+	// below the floor and is held there.
+	rc := NewRateController(RateControlConfig{})
 	for i := 0; i < 20; i++ {
-		rc.Apply(time.Duration(i)*5*time.Second, map[string]float64{"a": 1000, "b": 1.2}, 100)
+		rc.Apply(time.Duration(i)*5*time.Second, map[string]float64{"a": 1000, "b": 0.002}, 100)
 	}
-	w := map[string]float64{"a": 1000, "b": 1.2}
+	w := map[string]float64{"a": 1000, "b": 0.002}
 	rc.Apply(100*time.Second, w, 10)
-	if w["b"] < 1 {
-		t.Fatalf("weight %v below the floor", w["b"])
+	if w["b"] != minWeight {
+		t.Fatalf("weight = %v, want floored to %v", w["b"], minWeight)
 	}
-	// The default floor is only a keep-positive guard, so braking is free
-	// to push a weight well below 1 natural unit.
+	// The floor is only a keep-positive guard, so braking is free to push
+	// a weight well below 1 natural unit.
 	rc = NewRateController(RateControlConfig{})
 	for i := 0; i < 20; i++ {
 		rc.Apply(time.Duration(i)*5*time.Second, map[string]float64{"a": 1000, "b": 1.2}, 100)
 	}
 	w = map[string]float64{"a": 1000, "b": 1.2}
 	rc.Apply(100*time.Second, w, 10)
-	if w["b"] >= 1.2 || w["b"] < rc.cfg.MinWeight {
-		t.Fatalf("weight = %v, want shrunk but no lower than %v", w["b"], rc.cfg.MinWeight)
+	if w["b"] >= 1.2 || w["b"] < minWeight {
+		t.Fatalf("weight = %v, want shrunk but no lower than %v", w["b"], minWeight)
 	}
 }
 

@@ -27,14 +27,6 @@ type WeightingConfig struct {
 	// (default 2; exposed for the ablation the paper motivates when it
 	// says squaring is a deliberate trade-off).
 	InflightExponent float64
-	// MinWeight floors Equation 4's output so weights stay positive and
-	// finite (default 0.001). Algorithm 1 line 16's floor of one weight
-	// unit applies to the *integer* TrafficSplit weight — the controller's
-	// scaling already clamps every backend to at least 1 of ~1000 units —
-	// so the natural-unit floor here is only a numerical guard: flooring
-	// at 1 in 1/seconds units would pin a quarter of a healthy backend's
-	// share onto a backend that answers nothing.
-	MinWeight float64
 
 	// Filter half-lives (§4): latency and in-flight 5 s; success rate and
 	// RPS 10 s.
@@ -42,16 +34,31 @@ type WeightingConfig struct {
 	InflightHalfLife time.Duration
 	SuccessHalfLife  time.Duration
 	RPSHalfLife      time.Duration
-
-	// Defaults (λ per filter, §4): 5 s latency, 100 % success, 0 RPS.
-	DefaultLatency time.Duration
-	DefaultSuccess float64
-	DefaultRPS     float64
-
-	// RelaxFraction is the per-update step toward the default when a
-	// backend has no traffic (§4's "small increments"; default 0.1).
-	RelaxFraction float64
 }
+
+// The paper fixes these against its 5 s reconcile period (§4).
+const (
+	// The filters' defaults (λ per filter): 5 s latency, 100 % success,
+	// 0 RPS; in-flight starts at 0 too.
+	defaultLatency = 5 * time.Second
+	defaultSuccess = 1
+	defaultRPS     = 0
+
+	// relaxFraction is the per-update step toward the default when a
+	// backend has no traffic (§4's "small increments").
+	relaxFraction = 0.1
+
+	// minWeight floors Equation 4's output, and Algorithm 2's, so weights
+	// stay positive and finite. Algorithms 1 and 2 floor at one weight
+	// unit of the *integer* TrafficSplit weight — the controller's scaling
+	// already clamps every backend to at least 1 of ~1000 units — so the
+	// natural-unit floor here is only a numerical guard: flooring at 1 in
+	// 1/seconds units would pin a quarter of a healthy backend's share onto
+	// a backend that answers nothing, and override Algorithm 1's verdict on
+	// degraded backends, whose healthy weights are the same order of
+	// magnitude.
+	minWeight = 0.001
+)
 
 // withDefaults fills zero fields with the paper's values.
 func (c WeightingConfig) withDefaults() WeightingConfig {
@@ -64,9 +71,6 @@ func (c WeightingConfig) withDefaults() WeightingConfig {
 	if c.InflightExponent <= 0 {
 		c.InflightExponent = 2
 	}
-	if c.MinWeight <= 0 {
-		c.MinWeight = 0.001
-	}
 	if c.LatencyHalfLife <= 0 {
 		c.LatencyHalfLife = 5 * time.Second
 	}
@@ -78,15 +82,6 @@ func (c WeightingConfig) withDefaults() WeightingConfig {
 	}
 	if c.RPSHalfLife <= 0 {
 		c.RPSHalfLife = 10 * time.Second
-	}
-	if c.DefaultLatency <= 0 {
-		c.DefaultLatency = 5 * time.Second
-	}
-	if c.DefaultSuccess <= 0 {
-		c.DefaultSuccess = 1
-	}
-	if c.RelaxFraction <= 0 {
-		c.RelaxFraction = 0.1
 	}
 	return c
 }
@@ -142,9 +137,9 @@ func (w *Weighter) filtersFor(b string) *backendFilters {
 	if !ok {
 		c := w.cfg
 		f = &backendFilters{
-			latency:  ewma.NewFilter(c.FilterKind, c.LatencyHalfLife, c.DefaultLatency.Seconds()),
-			success:  ewma.NewFilter(ewma.KindEWMA, c.SuccessHalfLife, c.DefaultSuccess),
-			rps:      ewma.NewFilter(ewma.KindEWMA, c.RPSHalfLife, c.DefaultRPS),
+			latency:  ewma.NewFilter(c.FilterKind, c.LatencyHalfLife, defaultLatency.Seconds()),
+			success:  ewma.NewFilter(ewma.KindEWMA, c.SuccessHalfLife, defaultSuccess),
+			rps:      ewma.NewFilter(ewma.KindEWMA, c.RPSHalfLife, defaultRPS),
 			inflight: ewma.NewFilter(ewma.KindEWMA, c.InflightHalfLife, 0),
 			failRTT:  ewma.NewFilter(ewma.KindEWMA, c.SuccessHalfLife, c.Penalty.Seconds()),
 		}
@@ -176,13 +171,12 @@ func (w *Weighter) Update(now time.Duration, m map[string]BackendMetrics) map[st
 				f.failRTT.Observe(now, bm.FailureMeanLatency)
 			}
 		} else {
-			frac := w.cfg.RelaxFraction
-			f.latency.Relax(now, frac)
-			f.success.Relax(now, frac)
-			f.rps.Relax(now, frac)
-			f.inflight.Relax(now, frac)
+			f.latency.Relax(now, relaxFraction)
+			f.success.Relax(now, relaxFraction)
+			f.rps.Relax(now, relaxFraction)
+			f.inflight.Relax(now, relaxFraction)
 			if w.cfg.DynamicPenalty {
-				f.failRTT.Relax(now, frac)
+				f.failRTT.Relax(now, relaxFraction)
 			}
 		}
 		out[b] = w.weightOf(f)
@@ -222,8 +216,8 @@ func (w *Weighter) weightOf(f *backendFilters) float64 {
 
 	// Equation 4 with the configurable exponent (paper default 2).
 	wb := 1 / (math.Pow(ri+1, w.cfg.InflightExponent) * lest)
-	if wb < w.cfg.MinWeight {
-		wb = w.cfg.MinWeight
+	if wb < minWeight {
+		wb = minWeight
 	}
 	return wb
 }

@@ -28,14 +28,11 @@ func TestWeighterDefaultsApplied(t *testing.T) {
 	if cfg.FilterKind != ewma.KindEWMA {
 		t.Fatalf("FilterKind default = %v", cfg.FilterKind)
 	}
-	if cfg.InflightExponent != 2 || cfg.MinWeight != 0.001 {
-		t.Fatalf("exponent/min = %v/%v", cfg.InflightExponent, cfg.MinWeight)
+	if cfg.InflightExponent != 2 {
+		t.Fatalf("exponent = %v", cfg.InflightExponent)
 	}
 	if cfg.LatencyHalfLife != 5*time.Second || cfg.SuccessHalfLife != 10*time.Second {
 		t.Fatalf("half-lives = %v/%v", cfg.LatencyHalfLife, cfg.SuccessHalfLife)
-	}
-	if cfg.DefaultLatency != 5*time.Second || cfg.DefaultSuccess != 1 {
-		t.Fatalf("defaults = %v/%v", cfg.DefaultLatency, cfg.DefaultSuccess)
 	}
 }
 
@@ -117,8 +114,8 @@ func TestZeroSuccessRateUsesLsBranch(t *testing.T) {
 	if math.IsInf(weights["dead"], 0) || math.IsNaN(weights["dead"]) {
 		t.Fatalf("weight = %v", weights["dead"])
 	}
-	if weights["dead"] != w.Config().MinWeight {
-		t.Fatalf("weight = %v, want floored to MinWeight %v", weights["dead"], w.Config().MinWeight)
+	if weights["dead"] != minWeight {
+		t.Fatalf("weight = %v, want floored to minWeight %v", weights["dead"], minWeight)
 	}
 }
 
@@ -192,20 +189,22 @@ func TestZeroRPSMeansZeroNormalizedInflight(t *testing.T) {
 }
 
 func TestMinWeightFloor(t *testing.T) {
-	// An explicit floor clamps: Lest = 5s -> raw weight 0.2 -> floored to 1.
-	w := NewWeighter(WeightingConfig{MinWeight: 1})
-	m := map[string]BackendMetrics{"slow": observed(5.0, 1, 100, 0)}
+	// The floor clamps: 100 requests in flight per RPS at Lest = 0.5s is a
+	// raw weight of 1/(101²·0.5) ≈ 2e-4 -> floored to minWeight.
+	w := NewWeighter(WeightingConfig{})
+	m := map[string]BackendMetrics{"stuck": observed(0.5, 1, 1, 100)}
 	var weights map[string]float64
 	for i := 0; i < 30; i++ {
 		weights = w.Update(time.Duration(i)*5*time.Second, m)
 	}
-	if weights["slow"] != 1 {
-		t.Fatalf("weight = %v, want floored to 1", weights["slow"])
+	if weights["stuck"] != minWeight {
+		t.Fatalf("weight = %v, want floored to %v", weights["stuck"], minWeight)
 	}
-	// The default floor is only a numerical guard: the same slow backend
+	// The floor is only a numerical guard: a slow backend (Lest = 5s)
 	// keeps its honest Equation 4 weight (the integer TrafficSplit floor
 	// downstream is what keeps it measurable).
 	w = NewWeighter(WeightingConfig{})
+	m = map[string]BackendMetrics{"slow": observed(5.0, 1, 100, 0)}
 	for i := 0; i < 30; i++ {
 		weights = w.Update(time.Duration(i)*5*time.Second, m)
 	}
@@ -294,7 +293,7 @@ func TestWeightsAlwaysPositiveFiniteProperty(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			weights := w.Update(time.Duration(i)*5*time.Second, m)
 			v := weights["b"]
-			if v < w.Config().MinWeight || math.IsNaN(v) || math.IsInf(v, 0) {
+			if v < minWeight || math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
 			}
 		}

@@ -13,66 +13,33 @@
 package cost
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"l3/internal/core"
 )
 
-// Rates is a transfer price table in dollars per GB.
-type Rates struct {
-	// IntraCluster covers same-cluster traffic (free on every cloud).
-	IntraCluster float64
-	// InterCluster is the default price between distinct clusters
-	// (AWS-like cross-AZ/region transfer, default $0.02/GB).
-	InterCluster float64
-	// Links overrides specific directed links.
-	Links map[[2]string]float64
-}
-
-// DefaultRates mirrors common public-cloud pricing: free in-cluster,
-// $0.02/GB between clusters.
-func DefaultRates() Rates {
-	return Rates{InterCluster: 0.02}
-}
-
-// PerGB returns the price of moving a gigabyte from src to dst.
-func (r Rates) PerGB(src, dst string) float64 {
-	if rate, ok := r.Links[[2]string{src, dst}]; ok {
-		return rate
-	}
-	if src == dst {
-		return r.IntraCluster
-	}
-	return r.InterCluster
-}
-
-// Model prices request traffic.
-type Model struct {
-	rates Rates
-	// bytesPerRequest approximates the request+response payload.
-	bytesPerRequest float64
-}
-
-// NewModel returns a model; bytesPerRequest <= 0 defaults to 16 KiB
-// (a modest request plus a JSON response).
-func NewModel(rates Rates, bytesPerRequest float64) *Model {
-	if bytesPerRequest <= 0 {
-		bytesPerRequest = 16 << 10
-	}
-	return &Model{rates: rates, bytesPerRequest: bytesPerRequest}
-}
+// The price of a request, as common public-cloud pricing puts it: transfer
+// within a cluster is free, and between clusters it costs interClusterPerGB
+// dollars a GB (AWS-like cross-AZ/region transfer). A request moves
+// bytesPerRequest, a modest request plus a JSON response.
+const (
+	interClusterPerGB = 0.02
+	bytesPerRequest   = 16 << 10
+)
 
 // RequestCost returns the dollar cost of one request from src to dst.
-func (m *Model) RequestCost(src, dst string) float64 {
-	return m.rates.PerGB(src, dst) * m.bytesPerRequest / (1 << 30)
+func RequestCost(src, dst string) float64 {
+	if src == dst {
+		return 0
+	}
+	return interClusterPerGB * bytesPerRequest / (1 << 30)
 }
 
 // TrafficCost prices a request-count matrix keyed by (src, dst) cluster.
 // Links are summed in sorted order so the floating-point total is
 // reproducible across runs (map iteration order is not).
-func (m *Model) TrafficCost(counts map[[2]string]float64) float64 {
+func TrafficCost(counts map[[2]string]float64) float64 {
 	links := make([][2]string, 0, len(counts))
 	for link := range counts {
 		links = append(links, link)
@@ -85,14 +52,9 @@ func (m *Model) TrafficCost(counts map[[2]string]float64) float64 {
 	})
 	var total float64
 	for _, link := range links {
-		total += counts[link] * m.RequestCost(link[0], link[1])
+		total += counts[link] * RequestCost(link[0], link[1])
 	}
 	return total
-}
-
-// String describes the model.
-func (m *Model) String() string {
-	return fmt.Sprintf("cost{inter=$%.3f/GB req=%.0fB}", m.rates.InterCluster, m.bytesPerRequest)
 }
 
 // Assigner decorates a core.Assigner with cost awareness: every backend's
@@ -103,7 +65,6 @@ func (m *Model) String() string {
 // become virtual milliseconds.
 type Assigner struct {
 	inner     core.Assigner
-	model     *Model
 	src       string
 	clusterOf func(backend string) string
 	// lambda converts dollars per request into seconds of virtual
@@ -116,11 +77,11 @@ var _ core.Assigner = (*Assigner)(nil)
 // NewAssigner wraps inner. clusterOf maps a TrafficSplit backend name to
 // its cluster; lambda is the dollars→latency exchange rate in seconds per
 // dollar (0 disables cost awareness).
-func NewAssigner(inner core.Assigner, model *Model, src string, clusterOf func(string) string, lambda float64) *Assigner {
-	if inner == nil || model == nil || clusterOf == nil {
-		panic("cost: NewAssigner requires inner assigner, model and clusterOf")
+func NewAssigner(inner core.Assigner, src string, clusterOf func(string) string, lambda float64) *Assigner {
+	if inner == nil || clusterOf == nil {
+		panic("cost: NewAssigner requires inner assigner and clusterOf")
 	}
-	return &Assigner{inner: inner, model: model, src: src, clusterOf: clusterOf, lambda: lambda}
+	return &Assigner{inner: inner, src: src, clusterOf: clusterOf, lambda: lambda}
 }
 
 // Assign implements core.Assigner.
@@ -130,7 +91,7 @@ func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) m
 		return weights
 	}
 	for b, w := range weights {
-		costSeconds := a.lambda * a.model.RequestCost(a.src, a.clusterOf(b))
+		costSeconds := a.lambda * RequestCost(a.src, a.clusterOf(b))
 		weights[b] = w / (1 + costSeconds*w)
 	}
 	return weights

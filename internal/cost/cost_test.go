@@ -9,43 +9,32 @@ import (
 )
 
 func TestRatesLookup(t *testing.T) {
-	r := DefaultRates()
-	if r.PerGB("a", "a") != 0 {
+	if RequestCost("a", "a") != 0 {
 		t.Fatal("intra-cluster transfer should be free")
 	}
-	if r.PerGB("a", "b") != 0.02 {
-		t.Fatalf("inter-cluster = %v", r.PerGB("a", "b"))
+	if got := RequestCost("a", "b") / bytesPerRequest * (1 << 30); math.Abs(got-0.02) > 1e-12 {
+		t.Fatalf("inter-cluster = $%v/GB, want $0.02", got)
 	}
-	r.Links = map[[2]string]float64{{"a", "b"}: 0.09}
-	if r.PerGB("a", "b") != 0.09 {
-		t.Fatal("link override ignored")
-	}
-	if r.PerGB("b", "a") != 0.02 {
-		t.Fatal("override leaked to the reverse direction")
+	if RequestCost("b", "a") != RequestCost("a", "b") {
+		t.Fatal("the two directions of a link are priced differently")
 	}
 }
 
 func TestRequestAndTrafficCost(t *testing.T) {
-	m := NewModel(DefaultRates(), 1<<30) // 1 GiB per request for easy numbers
-	if got := m.RequestCost("a", "b"); math.Abs(got-0.02) > 1e-12 {
-		t.Fatalf("RequestCost = %v", got)
-	}
-	if got := m.RequestCost("a", "a"); got != 0 {
-		t.Fatalf("local RequestCost = %v", got)
-	}
-	total := m.TrafficCost(map[[2]string]float64{
+	req := RequestCost("a", "b")
+	total := TrafficCost(map[[2]string]float64{
 		{"a", "a"}: 100, // free
-		{"a", "b"}: 10,  // 10 x $0.02
+		{"a", "b"}: 10,  // 10 requests
+		{"b", "a"}: 5,   // 5 more, the other way
 	})
-	if math.Abs(total-0.2) > 1e-9 {
-		t.Fatalf("TrafficCost = %v", total)
+	if math.Abs(total-15*req) > 1e-15 {
+		t.Fatalf("TrafficCost = %v, want %v", total, 15*req)
 	}
 }
 
 func TestModelDefaultBytes(t *testing.T) {
-	m := NewModel(DefaultRates(), 0)
-	want := 0.02 * float64(16<<10) / float64(1<<30)
-	if got := m.RequestCost("a", "b"); math.Abs(got-want) > 1e-15 {
+	want := 0.02 * float64(16<<10) / float64(1<<30) // 16 KiB a request
+	if got := RequestCost("a", "b"); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("default-bytes cost = %v, want %v", got, want)
 	}
 }
@@ -73,7 +62,7 @@ func clusterOf(b string) string {
 
 func TestAssignerZeroLambdaIsIdentity(t *testing.T) {
 	inner := &staticAssigner{weights: map[string]float64{"svc-c1": 10, "svc-c2": 10}}
-	a := NewAssigner(inner, NewModel(DefaultRates(), 0), "c1", clusterOf, 0)
+	a := NewAssigner(inner, "c1", clusterOf, 0)
 	w := a.Assign(0, nil)
 	if w["svc-c1"] != 10 || w["svc-c2"] != 10 {
 		t.Fatalf("lambda=0 changed weights: %v", w)
@@ -82,11 +71,10 @@ func TestAssignerZeroLambdaIsIdentity(t *testing.T) {
 
 func TestAssignerPenalizesRemoteBackends(t *testing.T) {
 	inner := &staticAssigner{weights: map[string]float64{"svc-c1": 10, "svc-c2": 10}}
-	model := NewModel(DefaultRates(), 16<<10)
 	// λ chosen so a remote request costs ~10ms of virtual latency:
 	// 0.01s / RequestCost.
-	lambda := 0.01 / model.RequestCost("c1", "c2")
-	a := NewAssigner(inner, model, "c1", clusterOf, lambda)
+	lambda := 0.01 / RequestCost("c1", "c2")
+	a := NewAssigner(inner, "c1", clusterOf, lambda)
 	w := a.Assign(0, nil)
 	if w["svc-c1"] != 10 {
 		t.Fatalf("local weight changed: %v", w["svc-c1"])
@@ -98,11 +86,10 @@ func TestAssignerPenalizesRemoteBackends(t *testing.T) {
 }
 
 func TestAssignerLambdaMonotone(t *testing.T) {
-	model := NewModel(DefaultRates(), 16<<10)
 	prev := math.Inf(1)
 	for _, lambda := range []float64{0, 1e4, 1e5, 1e6} {
 		inner := &staticAssigner{weights: map[string]float64{"svc-c2": 10}}
-		a := NewAssigner(inner, model, "c1", clusterOf, lambda)
+		a := NewAssigner(inner, "c1", clusterOf, lambda)
 		w := a.Assign(0, nil)["svc-c2"]
 		if w > prev {
 			t.Fatalf("remote weight not monotone in lambda: %v after %v", w, prev)
@@ -113,7 +100,7 @@ func TestAssignerLambdaMonotone(t *testing.T) {
 
 func TestAssignerForgetDelegates(t *testing.T) {
 	inner := &staticAssigner{weights: map[string]float64{}}
-	a := NewAssigner(inner, NewModel(DefaultRates(), 0), "c1", clusterOf, 1)
+	a := NewAssigner(inner, "c1", clusterOf, 1)
 	a.Forget("svc-c9")
 	if len(inner.forgot) != 1 || inner.forgot[0] != "svc-c9" {
 		t.Fatalf("Forget not delegated: %v", inner.forgot)
@@ -126,5 +113,5 @@ func TestAssignerNilDepsPanics(t *testing.T) {
 			t.Fatal("nil deps did not panic")
 		}
 	}()
-	NewAssigner(nil, nil, "c1", nil, 1)
+	NewAssigner(nil, "c1", nil, 1)
 }

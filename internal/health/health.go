@@ -49,12 +49,6 @@ type Config struct {
 	// Timeout after which an unanswered probe counts as failed
 	// (default 1 s).
 	Timeout time.Duration
-	// UnhealthyThreshold is the consecutive failures that eject a backend
-	// (default 3).
-	UnhealthyThreshold int
-	// HealthyThreshold is the consecutive successes that restore it
-	// (default 2).
-	HealthyThreshold int
 	// Probe overrides how probes reach backends (default: direct serve).
 	Probe Prober
 	// Registry receives ejection/restore counters when set.
@@ -68,14 +62,15 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = time.Second
 	}
-	if c.UnhealthyThreshold <= 0 {
-		c.UnhealthyThreshold = 3
-	}
-	if c.HealthyThreshold <= 0 {
-		c.HealthyThreshold = 2
-	}
 	return c
 }
+
+// A backend leaves rotation after unhealthyThreshold consecutive failed
+// probes and returns after healthyThreshold consecutive successes.
+const (
+	unhealthyThreshold = 3
+	healthyThreshold   = 2
+)
 
 type probeState struct {
 	name        string
@@ -200,7 +195,7 @@ func (c *Checker) record(st *probeState, ok bool) {
 	if ok {
 		st.consecOK++
 		st.consecFail = 0
-		if !st.healthy && st.consecOK >= c.cfg.HealthyThreshold {
+		if !st.healthy && st.consecOK >= healthyThreshold {
 			st.healthy = true
 			st.transitions++
 			if c.cfg.Registry != nil {
@@ -211,7 +206,7 @@ func (c *Checker) record(st *probeState, ok bool) {
 	}
 	st.consecFail++
 	st.consecOK = 0
-	if st.healthy && st.consecFail >= c.cfg.UnhealthyThreshold {
+	if st.healthy && st.consecFail >= unhealthyThreshold {
 		st.healthy = false
 		st.transitions++
 		if c.cfg.Registry != nil {
@@ -223,5 +218,5 @@ func (c *Checker) record(st *probeState, ok bool) {
 // String describes the checker.
 func (c *Checker) String() string {
 	return fmt.Sprintf("health{every=%v timeout=%v thresholds=%d/%d}",
-		c.cfg.Interval, c.cfg.Timeout, c.cfg.UnhealthyThreshold, c.cfg.HealthyThreshold)
+		c.cfg.Interval, c.cfg.Timeout, unhealthyThreshold, healthyThreshold)
 }

@@ -48,7 +48,7 @@ func TestBackendStartsHealthy(t *testing.T) {
 
 func TestEjectionAfterConsecutiveFailures(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 3})
+	c := NewChecker(e, Config{Interval: 10 * time.Second})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	srv.fail = true
@@ -67,7 +67,7 @@ func TestEjectionAfterConsecutiveFailures(t *testing.T) {
 
 func TestRecoveryAfterConsecutiveSuccesses(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 3, HealthyThreshold: 2})
+	c := NewChecker(e, Config{Interval: 10 * time.Second})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	srv.fail = true
@@ -88,7 +88,7 @@ func TestRecoveryAfterConsecutiveSuccesses(t *testing.T) {
 
 func TestIntermittentFailuresDoNotEject(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 3})
+	c := NewChecker(e, Config{Interval: 10 * time.Second})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	// Alternate failure and success: consecFail never reaches 3.
@@ -101,11 +101,11 @@ func TestIntermittentFailuresDoNotEject(t *testing.T) {
 
 func TestTimeoutCountsAsFailure(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 2})
+	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second})
 	b, srv := newBackend(e, "b")
 	c.Watch(b)
 	srv.hang = true
-	e.RunUntil(30 * time.Second)
+	e.RunUntil(35 * time.Second) // third probe times out at 31 s
 	if c.Healthy("b") {
 		t.Fatal("hanging backend not ejected via probe timeout")
 	}
@@ -113,7 +113,7 @@ func TestTimeoutCountsAsFailure(t *testing.T) {
 
 func TestLateAnswerAfterTimeoutIgnored(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 2})
+	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second})
 	b, srv := newBackend(e, "b")
 	srv.latency = 3 * time.Second // always answers, but after the timeout
 	c.Watch(b)
@@ -142,12 +142,15 @@ func TestWatchIsIdempotentAndStopHalts(t *testing.T) {
 
 func TestFailoverPickerFiltersUnhealthy(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 1})
+	c := NewChecker(e, Config{Interval: 10 * time.Second})
 	good, _ := newBackend(e, "good")
 	bad, badSrv := newBackend(e, "bad")
 	c.WatchAll([]*mesh.Backend{good, bad})
 	badSrv.fail = true
-	e.RunUntil(15 * time.Second)
+	e.RunUntil(35 * time.Second)
+	if c.Healthy("bad") {
+		t.Fatal("setup: not ejected")
+	}
 
 	p := balancer.NewFilter(func(_ time.Duration, name string) bool { return c.Healthy(name) }, balancer.NewRoundRobin(), nil)
 	for i := 0; i < 10; i++ {
@@ -159,12 +162,15 @@ func TestFailoverPickerFiltersUnhealthy(t *testing.T) {
 
 func TestFailoverPickerFailsOpen(t *testing.T) {
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, UnhealthyThreshold: 1})
+	c := NewChecker(e, Config{Interval: 10 * time.Second})
 	a, aSrv := newBackend(e, "a")
 	b, bSrv := newBackend(e, "b")
 	c.WatchAll([]*mesh.Backend{a, b})
 	aSrv.fail, bSrv.fail = true, true
-	e.RunUntil(15 * time.Second)
+	e.RunUntil(35 * time.Second)
+	if c.Healthy("a") || c.Healthy("b") {
+		t.Fatal("setup: not both ejected")
+	}
 	p := balancer.NewFilter(func(_ time.Duration, name string) bool { return c.Healthy(name) }, balancer.NewRoundRobin(), nil)
 	if got := p.Pick(0, "c1", "svc", []*mesh.Backend{a, b}); got == nil {
 		t.Fatal("all-unhealthy must fail open, not return nil")
@@ -187,12 +193,13 @@ func TestStopSilencesInFlightProbeTimeout(t *testing.T) {
 	// shut down.
 	e := sim.NewEngine()
 	reg := metrics.NewRegistry()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second,
-		UnhealthyThreshold: 1, Registry: reg})
+	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, Registry: reg})
 	b, srv := newBackend(e, "b")
 	srv.hang = true // probe will never answer; only the timeout could record
 	c.Watch(b)
-	e.RunUntil(10 * time.Second) // probe fires now; timeout armed for t=11s
+	// Two probes have timed out; the third fires now and its timeout,
+	// armed for t=31s, would be the ejecting failure.
+	e.RunUntil(30 * time.Second)
 	c.Stop()
 	e.RunUntil(time.Minute)
 	if !c.Healthy("b") {
@@ -229,7 +236,7 @@ func TestStopDuringRunInterleavesCleanly(t *testing.T) {
 	// racing the same tick that launches a probe: timestamp-ordered
 	// delivery must leave no probe activity after the stop event.
 	e := sim.NewEngine()
-	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second, UnhealthyThreshold: 1})
+	c := NewChecker(e, Config{Interval: 10 * time.Second, Timeout: time.Second})
 	b, srv := newBackend(e, "b")
 	srv.fail = true
 	c.Watch(b)
@@ -246,8 +253,7 @@ func TestEjectionRestoreCountersStayConsistent(t *testing.T) {
 	// restores == the reverse, and the difference matches the final state.
 	e := sim.NewEngine()
 	reg := metrics.NewRegistry()
-	c := NewChecker(e, Config{Interval: time.Second, Timeout: 100 * time.Millisecond,
-		UnhealthyThreshold: 2, HealthyThreshold: 2, Registry: reg})
+	c := NewChecker(e, Config{Interval: time.Second, Timeout: 100 * time.Millisecond, Registry: reg})
 	b, srv := newBackend(e, "b")
 	srv.latency = time.Millisecond
 	c.Watch(b)
@@ -283,8 +289,7 @@ func TestCheckersAreIndependentUnderRace(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			e := sim.NewEngine()
 			reg := metrics.NewRegistry()
-			c := NewChecker(e, Config{Interval: time.Second, Timeout: 100 * time.Millisecond,
-				UnhealthyThreshold: 2, HealthyThreshold: 2, Registry: reg})
+			c := NewChecker(e, Config{Interval: time.Second, Timeout: 100 * time.Millisecond, Registry: reg})
 			b, srv := newBackend(e, "b")
 			srv.latency = time.Millisecond
 			c.Watch(b)

@@ -17,20 +17,16 @@ import (
 // chunks: one slice of every bucket, grown by append. It is the oracle the
 // chunked recorder must match bit for bit.
 type flatRecorder struct {
-	bucketWidth time.Duration
-	buckets     []outcomes
-	rest        outcomes
-	sums        *totals
+	buckets []outcomes
+	sums    *totals
 }
 
-func newFlatRecorder(bucketWidth time.Duration) *flatRecorder {
-	return &flatRecorder{bucketWidth: bucketWidth}
-}
+func newFlatRecorder() *flatRecorder { return &flatRecorder{} }
 
 // Record adds one outcome observed for a request that started at virtual
 // time at.
 func (r *flatRecorder) Record(at, latency time.Duration, success bool) {
-	b, k := r.bucket(int(at/r.bucketWidth)), 0
+	b, k := r.bucket(int(at/BucketWidth)), 0
 	if success {
 		k = 1
 	}
@@ -53,7 +49,6 @@ func (r *flatRecorder) totals() *totals {
 		for i := range r.buckets {
 			r.sums.add(&r.buckets[i])
 		}
-		r.sums.add(&r.rest)
 	}
 	return r.sums
 }
@@ -71,7 +66,7 @@ func (r *flatRecorder) SuccessRate() float64 {
 
 // count sums one kind of outcome, [0] or [1], without the aggregates.
 func (r *flatRecorder) count(k int) uint64 {
-	n := r.rest[k].Count()
+	var n uint64
 	for i := range r.buckets {
 		n += r.buckets[i][k].Count()
 	}
@@ -94,8 +89,8 @@ func (r *flatRecorder) Buckets() int { return len(r.buckets) }
 // in [from, to) — e.g. the P99 of just a surge window.
 func (r *flatRecorder) WindowQuantile(q float64, from, to time.Duration) time.Duration {
 	var merged histogram.Histogram
-	hi := int(to / r.bucketWidth)
-	for i := max(int(from/r.bucketWidth), 0); i < hi && i < len(r.buckets); i++ {
+	hi := int(to / BucketWidth)
+	for i := max(int(from/BucketWidth), 0); i < hi && i < len(r.buckets); i++ {
 		merged.Merge(&r.buckets[i][0])
 		merged.Merge(&r.buckets[i][1])
 	}
@@ -120,7 +115,7 @@ func (r *flatRecorder) QuantileSeries(q float64) []float64 {
 // RPSSeries returns the per-bucket request rate.
 func (r *flatRecorder) RPSSeries() []float64 {
 	out := make([]float64, len(r.buckets))
-	w := r.bucketWidth.Seconds()
+	w := BucketWidth.Seconds()
 	for i := range r.buckets {
 		b := &r.buckets[i]
 		out[i] = float64(b[0].Count()+b[1].Count()) / w
@@ -142,21 +137,12 @@ func (r *flatRecorder) SuccessRateSeries() []float64 {
 	return out
 }
 
-// Merge folds another recorder's overall statistics into this one
-// (per-bucket series are merged when bucket widths match; mismatched
-// widths merge only the aggregate histograms).
+// Merge folds another recorder's outcomes into this one, bucket by bucket.
 func (r *flatRecorder) Merge(o *flatRecorder) {
 	if o == nil {
 		return
 	}
 	r.sums = nil
-	r.rest.merge(&o.rest)
-	if o.bucketWidth != r.bucketWidth {
-		for i := range o.buckets {
-			r.rest.merge(&o.buckets[i])
-		}
-		return
-	}
 	for i := range o.buckets {
 		r.bucket(i).merge(&o.buckets[i])
 	}
@@ -184,7 +170,7 @@ func sameAsFlat(t testing.TB, where string, got *Recorder, want *flatRecorder) {
 	if !sameBits(got.RPSSeries(), want.RPSSeries()) || !sameBits(got.SuccessRateSeries(), want.SuccessRateSeries()) {
 		t.Fatalf("%s: rate series differ from the flat recorder's", where)
 	}
-	w := want.bucketWidth
+	const w = BucketWidth
 	windows := [][2]time.Duration{{0, 1 << 62}, {-w, 3 * w}, {127*w + w/2, 129*w + w/3},
 		{255 * w, 257 * w}, {w / 2, 1000*w + w/2}, {1000 * w, 1001 * w}, {4 * w, 4 * w}}
 	for _, q := range oracleQuantiles {
@@ -209,7 +195,7 @@ func sameAsFlat(t testing.TB, where string, got *Recorder, want *flatRecorder) {
 // instant of one of chunkSeconds' buckets, latencies from below the
 // histogram's floor to minutes.
 func recordBoth(rng *rand.Rand, n int, got *Recorder, want *flatRecorder) {
-	w := want.bucketWidth
+	const w = BucketWidth
 	for range n {
 		at := time.Duration(chunkSeconds[rng.IntN(len(chunkSeconds))])*w + time.Duration(rng.Int64N(int64(w)))
 		latency := time.Duration(rng.NormFloat64()*float64(15*time.Millisecond)) + 40*time.Millisecond
@@ -227,11 +213,11 @@ func recordBoth(rng *rand.Rand, n int, got *Recorder, want *flatRecorder) {
 
 // TestRecorderMatchesFlat drives seeded streams of Record and Merge across
 // four chunks into the chunked recorder and the flat oracle, merging in
-// recorders of the same width, of another width, the recorder itself and
-// empty ones, and compares every read after every step.
+// other recorders, the recorder itself and empty ones, and compares every
+// read after every step.
 func TestRecorderMatchesFlat(t *testing.T) {
 	t.Run("window rounds down to buckets", func(t *testing.T) {
-		got, want := NewRecorder(time.Second), newFlatRecorder(time.Second)
+		got, want := NewRecorder(), newFlatRecorder()
 		for _, o := range []struct{ at, latency time.Duration }{
 			{400 * time.Millisecond, time.Millisecond},      // before from, in from's bucket: counted
 			{1600 * time.Millisecond, 2 * time.Millisecond}, // inside the window
@@ -250,23 +236,17 @@ func TestRecorderMatchesFlat(t *testing.T) {
 		}
 		sameAsFlat(t, "rounding", got, want)
 	})
-	widths := []time.Duration{time.Second, 500 * time.Millisecond, 2 * time.Second}
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xc4))
-		width := widths[rng.IntN(len(widths))]
-		got, want := NewRecorder(width), newFlatRecorder(width)
+		got, want := NewRecorder(), newFlatRecorder()
 		sameAsFlat(t, "empty", got, want)
 		for round := range 6 {
 			where := fmt.Sprintf("seed %d round %d", seed, round)
 			recordBoth(rng, rng.IntN(3000), got, want)
 			sameAsFlat(t, where+" recorded", got, want)
 			switch round % 4 {
-			case 0, 1: // same width, then another
-				otherWidth := width
-				if round%4 == 1 {
-					otherWidth = widths[(slices.Index(widths, width)+1)%len(widths)]
-				}
-				og, ow := NewRecorder(otherWidth), newFlatRecorder(otherWidth)
+			case 0, 1:
+				og, ow := NewRecorder(), newFlatRecorder()
 				recordBoth(rng, rng.IntN(2000), og, ow)
 				got.Merge(og)
 				want.Merge(ow)
@@ -276,8 +256,8 @@ func TestRecorderMatchesFlat(t *testing.T) {
 				want.Merge(want)
 				sameAsFlat(t, where+" merged itself", got, want)
 			default:
-				got.Merge(NewRecorder(width))
-				want.Merge(newFlatRecorder(width))
+				got.Merge(NewRecorder())
+				want.Merge(newFlatRecorder())
 				got.Merge(nil)
 				want.Merge(nil)
 				sameAsFlat(t, where+" merged an empty recorder", got, want)
@@ -287,8 +267,8 @@ func TestRecorderMatchesFlat(t *testing.T) {
 }
 
 // FuzzRecorderMatchesFlat decodes its input into Record and Merge calls over
-// three chunked recorders and their flat oracles, two of one bucket width
-// and one of twice that, and wants every read to agree after every call. An
+// three chunked recorders and their flat oracles, and wants every read to
+// agree after every call. An
 // operation is three bytes: the call and its target; then, for a Record,
 // the bucket (one of chunkSeconds, or arg × 4) and the instant within it,
 // latency and outcome; for a Merge, the source, which may be the target.
@@ -302,15 +282,14 @@ func FuzzRecorderMatchesFlat(f *testing.F) {
 		}
 		var ps [3]pair
 		for i := range ps {
-			w := time.Second * time.Duration(1+i/2)
-			ps[i] = pair{NewRecorder(w), newFlatRecorder(w)}
+			ps[i] = pair{NewRecorder(), newFlatRecorder()}
 		}
 		for ; len(data) >= 3; data = data[3:] {
 			op, arg, pos := data[0], data[1], data[2]
 			p := ps[op%3]
 			switch op / 3 % 5 {
 			case 0, 1, 2:
-				w := p.want.bucketWidth
+				const w = BucketWidth
 				second := int(arg) * 4
 				if arg < 128 {
 					second = chunkSeconds[int(arg)%len(chunkSeconds)]
@@ -324,8 +303,8 @@ func FuzzRecorderMatchesFlat(f *testing.F) {
 				p.got.Merge(o.got)
 				p.want.Merge(o.want)
 			default:
-				p.got.Merge(NewRecorder(p.want.bucketWidth))
-				p.want.Merge(newFlatRecorder(p.want.bucketWidth))
+				p.got.Merge(NewRecorder())
+				p.want.Merge(newFlatRecorder())
 			}
 			sameAsFlat(t, fmt.Sprintf("recorder %d after %v", op%3, data[:3]), p.got, p.want)
 		}
@@ -358,7 +337,7 @@ func TestRecorderSecondsAreChunked(t *testing.T) {
 		t.Fatalf("no bucket holds the %d B size class", chunkClass)
 		return 0
 	}
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	before := chunkMallocs()
 	for s := range 640 {
 		r.Record(time.Duration(s)*time.Second, 40*time.Millisecond, true)

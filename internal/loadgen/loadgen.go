@@ -37,9 +37,6 @@ type Config struct {
 	// the paper's warm-up period that populates caches and EWMAs before
 	// measurement starts.
 	WarmUp time.Duration
-	// BucketWidth is the recorder's time-series granularity (default 1 s,
-	// the granularity the paper's coordinator retrieves).
-	BucketWidth time.Duration
 	// CatchUp schedules arrivals from an absolute cursor instead of
 	// relative gaps: if the clock delivers a callback late (wall-clock
 	// scheduling jitter, a long callback ahead in the queue), the next
@@ -96,14 +93,11 @@ func New(clk clock.Clock, cfg Config, issue IssueFunc) *Generator {
 	if cfg.Rate == nil {
 		panic("loadgen: nil rate function")
 	}
-	if cfg.BucketWidth <= 0 {
-		cfg.BucketWidth = time.Second
-	}
 	g := &Generator{
 		clk:      clk,
 		issue:    issue,
 		cfg:      cfg,
-		recorder: NewRecorder(cfg.BucketWidth),
+		recorder: NewRecorder(),
 	}
 	g.tick, g.poll = g.fire, g.scheduleNext
 	if eng, ok := clk.(*sim.Engine); ok {
@@ -236,15 +230,15 @@ func (a *arrival) complete(latency time.Duration, success bool) {
 // scenarios and three algorithms; with 64-bit windows in a slice grown by
 // doubling it held 1.49–2.25 MB.
 type Recorder struct {
-	bucketWidth time.Duration
-	chunks      [][]outcomes
-	n           int // buckets in use
-	// rest holds what Merge took from recorders of another bucket width:
-	// outcomes with no time axis in common, counted in the aggregates only.
-	rest outcomes
+	chunks [][]outcomes
+	n      int // buckets in use
 	// sums caches the aggregates until the next write drops them.
 	sums *totals
 }
+
+// BucketWidth is a Recorder's time-bucket width: the granularity the
+// paper's coordinator retrieves.
+const BucketWidth = time.Second
 
 // chunkLen is the number of time buckets one chunk holds: 128 × 176 B =
 // 22 528 B, in the 24 576 B size class, so a ten-minute run makes five.
@@ -269,18 +263,13 @@ func (t *totals) add(b *outcomes) {
 	t.ok.Merge(&b[1])
 }
 
-// NewRecorder returns a recorder with the given time-bucket width.
-func NewRecorder(bucketWidth time.Duration) *Recorder {
-	if bucketWidth <= 0 {
-		bucketWidth = time.Second
-	}
-	return &Recorder{bucketWidth: bucketWidth}
-}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Record adds one outcome observed for a request that started at virtual
 // time at.
 func (r *Recorder) Record(at, latency time.Duration, success bool) {
-	b, k := r.bucket(int(at/r.bucketWidth)), 0
+	b, k := r.bucket(int(at/BucketWidth)), 0
 	if success {
 		k = 1
 	}
@@ -307,7 +296,6 @@ func (r *Recorder) totals() *totals {
 		for i := range r.n {
 			r.sums.add(r.at(i))
 		}
-		r.sums.add(&r.rest)
 	}
 	return r.sums
 }
@@ -325,7 +313,7 @@ func (r *Recorder) SuccessRate() float64 {
 
 // count sums one kind of outcome, [0] or [1], without the aggregates.
 func (r *Recorder) count(k int) uint64 {
-	n := r.rest[k].Count()
+	var n uint64
 	for i := range r.n {
 		n += r.at(i)[k].Count()
 	}
@@ -344,17 +332,14 @@ func (r *Recorder) Mean() time.Duration { return r.totals().all.Mean() }
 // Buckets returns the number of time buckets with data capacity.
 func (r *Recorder) Buckets() int { return r.n }
 
-// BucketWidth returns the configured bucket granularity.
-func (r *Recorder) BucketWidth() time.Duration { return r.bucketWidth }
-
 // WindowQuantile returns the latency quantile over requests that started
 // in [from, to) — e.g. the P99 of just a surge window — with both ends
 // rounded down to a bucket boundary: a from inside a bucket takes in the
 // bucket's earlier requests, and a to inside one leaves out all of its.
 func (r *Recorder) WindowQuantile(q float64, from, to time.Duration) time.Duration {
 	var merged histogram.Histogram
-	hi := min(int(to/r.bucketWidth), r.n)
-	for i := max(int(from/r.bucketWidth), 0); i < hi; i++ {
+	hi := min(int(to/BucketWidth), r.n)
+	for i := max(int(from/BucketWidth), 0); i < hi; i++ {
 		merged.Merge(&r.at(i)[0])
 		merged.Merge(&r.at(i)[1])
 	}
@@ -379,7 +364,7 @@ func (r *Recorder) QuantileSeries(q float64) []float64 {
 // RPSSeries returns the per-bucket request rate.
 func (r *Recorder) RPSSeries() []float64 {
 	out := make([]float64, r.n)
-	w := r.bucketWidth.Seconds()
+	w := BucketWidth.Seconds()
 	for i := range out {
 		b := r.at(i)
 		out[i] = float64(b[0].Count()+b[1].Count()) / w
@@ -401,21 +386,12 @@ func (r *Recorder) SuccessRateSeries() []float64 {
 	return out
 }
 
-// Merge folds another recorder's overall statistics into this one
-// (per-bucket series are merged when bucket widths match; mismatched
-// widths merge only the aggregate histograms).
+// Merge folds another recorder's outcomes into this one, bucket by bucket.
 func (r *Recorder) Merge(o *Recorder) {
 	if o == nil {
 		return
 	}
 	r.sums = nil
-	r.rest.merge(&o.rest)
-	if o.bucketWidth != r.bucketWidth {
-		for i := range o.n {
-			r.rest.merge(o.at(i))
-		}
-		return
-	}
 	for i := range o.n {
 		r.bucket(i).merge(o.at(i))
 	}

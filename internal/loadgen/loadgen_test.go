@@ -109,7 +109,7 @@ type errString string
 func (e errString) Error() string { return string(e) }
 
 func TestRecorderQuantilesAndRates(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	for i := 0; i < 99; i++ {
 		r.Record(time.Duration(i)*10*time.Millisecond, 10*time.Millisecond, true)
 	}
@@ -132,7 +132,7 @@ func TestRecorderQuantilesAndRates(t *testing.T) {
 }
 
 func TestRecorderSeriesOutputs(t *testing.T) {
-	r := NewRecorder(time.Second)
+	r := NewRecorder()
 	// Bucket 0: 10 fast successes; bucket 2: 5 slow failures.
 	for i := 0; i < 10; i++ {
 		r.Record(500*time.Millisecond, 10*time.Millisecond, true)
@@ -155,17 +155,14 @@ func TestRecorderSeriesOutputs(t *testing.T) {
 }
 
 func TestRecorderEmptyDefaults(t *testing.T) {
-	r := NewRecorder(0)
-	if r.BucketWidth() != time.Second {
-		t.Fatalf("default bucket width = %v", r.BucketWidth())
-	}
+	r := NewRecorder()
 	if r.SuccessRate() != 1 || r.Quantile(0.99) != 0 || r.Buckets() != 0 {
 		t.Fatal("empty recorder defaults wrong")
 	}
 }
 
 func TestRecorderMerge(t *testing.T) {
-	a, b := NewRecorder(time.Second), NewRecorder(time.Second)
+	a, b := NewRecorder(), NewRecorder()
 	a.Record(0, 10*time.Millisecond, true)
 	b.Record(0, 20*time.Millisecond, false)
 	b.Record(1500*time.Millisecond, 30*time.Millisecond, true)
@@ -180,12 +177,8 @@ func TestRecorderMerge(t *testing.T) {
 		t.Fatalf("merged buckets = %d", a.Buckets())
 	}
 	a.Merge(nil) // no-op
-	// Mismatched widths merge aggregates only.
-	c := NewRecorder(2 * time.Second)
-	c.Record(0, 40*time.Millisecond, true)
-	a.Merge(c)
-	if a.Count() != 4 || a.Buckets() != 2 {
-		t.Fatalf("mismatched merge: count=%d buckets=%d", a.Count(), a.Buckets())
+	if a.Count() != 3 {
+		t.Fatalf("count after a nil merge = %d", a.Count())
 	}
 }
 

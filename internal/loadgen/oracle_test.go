@@ -13,7 +13,6 @@ import (
 // once: every Record writes the overall histogram, the successes-only one
 // and the time bucket's, and keeps success/failure counts beside them.
 type oracleRecorder struct {
-	bucketWidth time.Duration
 	overall     *histogram.Histogram
 	successOnly *histogram.Histogram
 	buckets     []*histogram.Histogram
@@ -23,8 +22,8 @@ type oracleRecorder struct {
 	failures    uint64
 }
 
-func newOracleRecorder(bucketWidth time.Duration) *oracleRecorder {
-	return &oracleRecorder{bucketWidth: bucketWidth, overall: histogram.New(), successOnly: histogram.New()}
+func newOracleRecorder() *oracleRecorder {
+	return &oracleRecorder{overall: histogram.New(), successOnly: histogram.New()}
 }
 
 func (r *oracleRecorder) grow(i int) {
@@ -43,7 +42,7 @@ func (r *oracleRecorder) Record(at, latency time.Duration, success bool) {
 	} else {
 		r.failures++
 	}
-	i := int(at / r.bucketWidth)
+	i := int(at / BucketWidth)
 	r.grow(i)
 	r.buckets[i].Record(latency)
 	r.bucketAll[i]++
@@ -63,8 +62,8 @@ func (r *oracleRecorder) SuccessRate() float64 {
 
 func (r *oracleRecorder) WindowQuantile(q float64, from, to time.Duration) time.Duration {
 	merged := histogram.New()
-	lo := max(int(from/r.bucketWidth), 0)
-	for i := lo; i < int(to/r.bucketWidth) && i < len(r.buckets); i++ {
+	lo := max(int(from/BucketWidth), 0)
+	for i := lo; i < int(to/BucketWidth) && i < len(r.buckets); i++ {
 		merged.Merge(r.buckets[i])
 	}
 	return merged.Quantile(q)
@@ -81,7 +80,7 @@ func (r *oracleRecorder) QuantileSeries(q float64) []float64 {
 func (r *oracleRecorder) RPSSeries() []float64 {
 	out := make([]float64, len(r.buckets))
 	for i, n := range r.bucketAll {
-		out[i] = float64(n) / r.bucketWidth.Seconds()
+		out[i] = float64(n) / BucketWidth.Seconds()
 	}
 	return out
 }
@@ -103,9 +102,6 @@ func (r *oracleRecorder) Merge(o *oracleRecorder) {
 	r.successOnly.Merge(o.successOnly)
 	r.successes += o.successes
 	r.failures += o.failures
-	if o.bucketWidth != r.bucketWidth {
-		return
-	}
 	for i, h := range o.buckets {
 		r.grow(i)
 		r.buckets[i].Merge(h)
@@ -135,7 +131,7 @@ func requireSameReads(t *testing.T, where string, got *Recorder, want *oracleRec
 			t.Fatalf("%s: q%v series %v, oracle %v", where, q, got.QuantileSeries(q), want.QuantileSeries(q))
 		}
 	}
-	w := want.bucketWidth
+	const w = BucketWidth
 	windows := [][2]time.Duration{{0, 1 << 62}, {-w, 3 * w}, {2 * w, 7 * w}, {5*w + w/2, 9 * w}, {4 * w, 4 * w}}
 	for _, q := range oracleQuantiles {
 		if got.Quantile(q) != want.overall.Quantile(q) || got.SuccessQuantile(q) != want.successOnly.Quantile(q) {
@@ -153,7 +149,8 @@ func requireSameReads(t *testing.T, where string, got *Recorder, want *oracleRec
 // feed records one seeded outcome stream into both recorders: bursts of
 // failures, empty buckets and jumps past warm-up-sized gaps, latencies from
 // below the histogram's floor to minutes.
-func feed(rng *rand.Rand, n int, width time.Duration, got *Recorder, want *oracleRecorder) {
+func feed(rng *rand.Rand, n int, got *Recorder, want *oracleRecorder) {
+	const width = BucketWidth
 	at := time.Duration(rng.Int64N(int64(5 * width)))
 	failRate := rng.IntN(4) // 0: no failures at all
 	for i := 0; i < n; i++ {
@@ -181,31 +178,24 @@ func feed(rng *rand.Rand, n int, width time.Duration, got *Recorder, want *oracl
 
 // TestRecorderMatchesThreeHistogramOracle drives seeded outcome streams into
 // the recorder and the three-histogram oracle, reads every method between
-// writes (so the cached aggregates are rebuilt and reused), and folds
-// recorders of equal and of different widths together; every read must be
-// equal.
+// writes (so the cached aggregates are rebuilt and reused), and folds other
+// recorders in, some carrying merges of their own; every read must be equal.
 func TestRecorderMatchesThreeHistogramOracle(t *testing.T) {
-	widths := []time.Duration{time.Second, 500 * time.Millisecond, 2 * time.Second}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x10ad))
-		width := widths[rng.IntN(len(widths))]
-		got, want := NewRecorder(width), newOracleRecorder(width)
+		got, want := NewRecorder(), newOracleRecorder()
 		requireSameReads(t, "empty", got, want)
 		for round := 0; round < 4; round++ {
-			feed(rng, rng.IntN(1500), width, got, want)
+			feed(rng, rng.IntN(1500), got, want)
 			requireSameReads(t, "recorded", got, want)
 
-			// A second recorder, of this width or another, merged in.
-			otherWidth := width
-			if rng.IntN(2) == 0 {
-				otherWidth = widths[rng.IntN(len(widths))]
-			}
-			og, ow := NewRecorder(otherWidth), newOracleRecorder(otherWidth)
-			feed(rng, rng.IntN(1000), otherWidth, og, ow)
+			// A second recorder merged in.
+			og, ow := NewRecorder(), newOracleRecorder()
+			feed(rng, rng.IntN(1000), og, ow)
 			if rng.IntN(3) == 0 {
-				// The merged-in recorder itself carries a mismatched merge.
-				mg, mw := NewRecorder(3*time.Second), newOracleRecorder(3*time.Second)
-				feed(rng, 200, 3*time.Second, mg, mw)
+				// The merged-in recorder itself carries a merge.
+				mg, mw := NewRecorder(), newOracleRecorder()
+				feed(rng, 200, mg, mw)
 				og.Merge(mg)
 				ow.Merge(mw)
 			}

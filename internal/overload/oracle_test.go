@@ -35,7 +35,7 @@ type oracleOp struct {
 }
 
 func newOracleQueue(p Policy, done func(id int, v Verdict)) *oracleQueue {
-	s := &oracleQueue{policy: p, codel: NewCoDel(p.Queue), gate: NewTierGate(p.Tiers, p.Queue.Target), done: done}
+	s := &oracleQueue{policy: p, codel: NewCoDel(p.Queue), gate: NewTierGate(p), done: done}
 	if p.Queue.Capacity > 0 {
 		s.queue = make([]*oracleOp, p.Queue.Capacity)
 	}
@@ -213,7 +213,7 @@ func oracleStreamPolicy(b byte) Policy {
 			MaxWait:     24 * time.Millisecond,
 			DisableLIFO: b&4 != 0,
 		},
-		Tiers: TierConfig{Enabled: b&8 != 0, Readmit: 20 * time.Millisecond, ClampHold: 4 * time.Millisecond},
+		Tiers: TierConfig{Enabled: b&8 != 0, Readmit: 20 * time.Millisecond},
 	}
 	return p.withDefaults()
 }

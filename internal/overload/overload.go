@@ -175,9 +175,6 @@ type TierConfig struct {
 	// Readmit is how long queue delay must stay below Target/2 before the
 	// next clamped tier is re-admitted (default 1 s).
 	Readmit time.Duration
-	// ClampHold is the minimum spacing between clamp steps, so one burst
-	// of drops walks down one tier, not all of them (default Interval).
-	ClampHold time.Duration
 }
 
 // Policy is a service's admission policy. The zero value disables the
@@ -241,9 +238,6 @@ func (p Policy) withDefaults() Policy {
 	if p.Tiers.Enabled {
 		if p.Tiers.Readmit <= 0 {
 			p.Tiers.Readmit = time.Second
-		}
-		if p.Tiers.ClampHold <= 0 {
-			p.Tiers.ClampHold = p.Queue.Interval
 		}
 	}
 	return p
@@ -537,21 +531,23 @@ func (c *CoDel) OnDequeue(now, sojourn time.Duration) bool {
 }
 
 // TierGate clamps and re-admits criticality tiers. Overload signals clamp
-// the highest admitted tier one step at a time (spaced by ClampHold);
+// the highest admitted tier one step at a time, at least one queue Interval
+// apart, so one burst of drops walks down one tier, not all of them;
 // re-admission needs queue delay below Target/2 sustained for Readmit.
 type TierGate struct {
 	cfg      TierConfig
 	target   time.Duration
+	hold     time.Duration // the queue's Interval: the spacing of clamp steps
 	admitMax int
 	// goodSince is when queue delay last became healthy (0 = unhealthy).
 	goodSince time.Duration
 	lastClamp time.Duration
 }
 
-// NewTierGate returns a gate for already-defaulted tier and queue configs;
-// all tiers start admitted.
-func NewTierGate(cfg TierConfig, target time.Duration) TierGate {
-	return TierGate{cfg: cfg, target: target, admitMax: NumTiers - 1}
+// NewTierGate returns a gate for an already-defaulted policy's tier and
+// queue configs; all tiers start admitted.
+func NewTierGate(p Policy) TierGate {
+	return TierGate{cfg: p.Tiers, target: p.Queue.Target, hold: p.Queue.Interval, admitMax: NumTiers - 1}
 }
 
 // Admit reports whether the tier is currently admitted.
@@ -563,13 +559,13 @@ func (g *TierGate) Admit(tier int) bool {
 func (g *TierGate) AdmitMax() int { return g.admitMax }
 
 // Overloaded is the clamp signal (a CoDel drop or queue overflow): shed
-// one more tier, at most once per ClampHold.
+// one more tier, at most once per queue Interval.
 func (g *TierGate) Overloaded(now time.Duration) {
 	if !g.cfg.Enabled {
 		return
 	}
 	g.goodSince = 0
-	if g.admitMax > 0 && (g.lastClamp == 0 || now-g.lastClamp >= g.cfg.ClampHold) {
+	if g.admitMax > 0 && (g.lastClamp == 0 || now-g.lastClamp >= g.hold) {
 		g.admitMax--
 		g.lastClamp = now
 	}

@@ -165,7 +165,7 @@ func TestTierGateHysteresisSquareWave(t *testing.T) {
 		Queue:   QueueConfig{Target: 10 * time.Millisecond, Interval: 50 * time.Millisecond, Capacity: 64},
 		Tiers:   TierConfig{Enabled: true, Readmit: 500 * time.Millisecond},
 	}.withDefaults()
-	g := NewTierGate(p.Tiers, p.Queue.Target)
+	g := NewTierGate(p)
 
 	transitions, readmits := 0, 0
 	last := g.AdmitMax()
@@ -208,7 +208,7 @@ func TestTierGateHysteresisSquareWave(t *testing.T) {
 		t.Fatalf("readmits = %d, want 6", readmits)
 	}
 	// A short healthy blip must NOT re-admit (hysteresis).
-	g2 := NewTierGate(p.Tiers, p.Queue.Target)
+	g2 := NewTierGate(p)
 	g2.Overloaded(time.Second)
 	for i := 0; i < 10; i++ {
 		g2.Signal(time.Second+time.Duration(i)*10*time.Millisecond, time.Millisecond)

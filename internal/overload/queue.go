@@ -110,7 +110,7 @@ func newQueue[E comparable](p Policy, deliver func(E, Verdict)) *queue[E] {
 	return &queue[E]{
 		policy:  p,
 		codel:   NewCoDel(p.Queue),
-		gate:    NewTierGate(p.Tiers, p.Queue.Target),
+		gate:    NewTierGate(p),
 		deliver: deliver,
 		ring:    make([]slot[E], p.Queue.Capacity),
 	}

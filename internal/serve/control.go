@@ -117,10 +117,11 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 
 	if cfg.Algo == AlgoL3 || cfg.Algo == AlgoC3 {
 		// The paper's filter half-lives (5 s latency/in-flight, 10 s
-		// success/RPS) assume its 5 s reconcile interval. Serve configs may
-		// reconcile faster (the tests run at 250 ms); scaling the
-		// half-lives with the interval keeps the paper's convergence
-		// behaviour — N rounds to settle — instead of its absolute seconds.
+		// success/RPS; C3's 20 s latency) assume its 5 s reconcile
+		// interval. Serve configs may reconcile faster (the tests run at
+		// 250 ms); scaling the half-lives with the interval keeps the
+		// paper's convergence behaviour — N rounds to settle — instead of
+		// its absolute seconds.
 		iv := cfg.ScrapeInterval
 		wcfg := core.WeightingConfig{
 			LatencyHalfLife:  iv,
@@ -132,7 +133,7 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 		newAssigner := func() core.Assigner {
 			var a core.Assigner
 			if cfg.Algo == AlgoC3 {
-				a = c3.New(c3.Config{})
+				a = c3.New(c3.Config{Interval: iv})
 			} else {
 				a = core.NewL3Assigner(wcfg, rcfg, true)
 			}

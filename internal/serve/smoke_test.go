@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -299,6 +300,63 @@ func resettingURL(t *testing.T) string {
 	return "http://" + ln.Addr().String()
 }
 
+// poll checks cond every 50 ms until it holds or d passes.
+func poll(d time.Duration, cond func() bool) bool {
+	for end := time.Now().Add(d); ; time.Sleep(50 * time.Millisecond) {
+		if cond() {
+			return true
+		}
+		if time.Now().After(end) {
+			return false
+		}
+	}
+}
+
+// closedLoop starts four closed-loop clients that keep traffic on while the
+// control plane steers and the breaker trips, and returns the function that
+// stops them and waits; calling it again is a no-op. A 500 ms budget bounds
+// each of their attempts at 250 ms, so one that meets a stalled stub fails
+// then.
+func closedLoop(t *testing.T, srv *Server) (stop func()) {
+	done := make(chan struct{})
+	var clients sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				getWithBudget(context.Background(), t, srv, "500")
+			}
+		}()
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		clients.Wait()
+	}
+}
+
+// weights reads l3_backend_weight of the three stubs off /metrics.
+func weights(t *testing.T, srv *Server) [3]float64 {
+	var w [3]float64
+	for i := range w {
+		w[i] = scraped(t, srv, core.MetricWeight, metrics.Labels{"backend": fmt.Sprintf("cb-%d", i)})
+	}
+	return w
+}
+
+// movedOffSlow reports whether /metrics shows the controller's weight moved
+// off the slow stub cb-2: below 0.8 times either fast stub's.
+func movedOffSlow(t *testing.T, srv *Server) bool {
+	w := weights(t, srv)
+	return w[2] > 0 && w[2] < 0.8*min(w[0], w[1])
+}
+
 // TestServeWallSmoke is the wall plane's one smoke test: one live server
 // over three stubs with 250 ms control rounds, checking only what needs
 // real sockets — that each policy reaches /metrics or the wire. The policies
@@ -322,56 +380,11 @@ func TestServeWallSmoke(t *testing.T) {
 		}
 		return resp, err
 	}
-	// poll checks cond every 50 ms until it holds or d passes.
-	poll := func(d time.Duration, cond func() bool) bool {
-		for end := time.Now().Add(d); ; time.Sleep(50 * time.Millisecond) {
-			if cond() {
-				return true
-			}
-			if time.Now().After(end) {
-				return false
-			}
-		}
-	}
-
-	// Four closed-loop clients keep traffic on while the control plane
-	// steers and the breaker trips. A 500 ms budget bounds each of their
-	// attempts at 250 ms, so one that meets a stalled stub fails then.
-	stop := make(chan struct{})
-	var clients sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		clients.Add(1)
-		go func() {
-			defer clients.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				getWithBudget(context.Background(), t, srv, "500")
-			}
-		}()
-	}
-	defer func() {
-		select {
-		case <-stop:
-		default:
-			close(stop)
-		}
-		clients.Wait()
-	}()
-
 	// L3 moves weight off the slow stub, as /metrics reports it.
-	weight := func(b string) float64 {
-		return scraped(t, srv, core.MetricWeight, metrics.Labels{"backend": b})
-	}
-	moved := func() bool {
-		w := weight("cb-2")
-		return w > 0 && w < 0.8*min(weight("cb-0"), weight("cb-1"))
-	}
-	if !poll(10*time.Second, moved) {
-		t.Errorf("l3_backend_weight cb-0 %v, cb-1 %v, cb-2 %v: weight did not move off the 100 ms stub", weight("cb-0"), weight("cb-1"), weight("cb-2"))
+	stop := closedLoop(t, srv)
+	defer stop()
+	if !poll(10*time.Second, func() bool { return movedOffSlow(t, srv) }) {
+		t.Errorf("l3_backend_weight %v: weight did not move off the 100 ms stub", weights(t, srv))
 	}
 
 	// A stalled stub trips its breaker.
@@ -383,8 +396,7 @@ func TestServeWallSmoke(t *testing.T) {
 		t.Error("resilience_breaker_ejections_total for the stalled stub never rose on /metrics")
 	}
 	stubs[0].SetStalled(false)
-	close(stop)
-	clients.Wait()
+	stop()
 
 	// With every stub stalled, twelve requests take the twelve slots, two
 	// park in the queue and the rest are shed on the wire.
@@ -447,5 +459,21 @@ func TestServeWallSmoke(t *testing.T) {
 		if code := <-done; code != http.StatusOK {
 			t.Errorf("request in flight across the drain: status %d, want 200", code)
 		}
+	}
+}
+
+// TestServeWallC3FollowsTheInterval runs C3 on the wall clock. Its filters
+// scale with the scrape interval as L3's do: at 250 ms rounds the latency
+// EWMA's half-life is 1 s, so within 10 s a fast stub's R̄ falls from its
+// 5 s seed to milliseconds and its weight 1/(R̄·(1+q̂³)) rises above 1. At the
+// 20 s half-life of a 5 s interval, R̄ would still be above 1.7 s (the first
+// sample halves the seed) and every weight below 0.3.
+func TestServeWallC3FollowsTheInterval(t *testing.T) {
+	t.Parallel() // it waits on control rounds
+	srv, stubs := chaosServer(t, 3, func(c *Config) { c.Algo = AlgoC3 })
+	stubs[2].SetLatency(100 * time.Millisecond)
+	defer closedLoop(t, srv)()
+	if !poll(10*time.Second, func() bool { return movedOffSlow(t, srv) && weights(t, srv)[0] > 1 }) {
+		t.Errorf("l3_backend_weight %v: C3 did not move weight off the 100 ms stub, or a fast stub's weight stayed at or below 1", weights(t, srv))
 	}
 }

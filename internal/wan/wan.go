@@ -26,42 +26,39 @@ import (
 // Config parameterises a Model.
 type Config struct {
 	// BaseRTT is the symmetric base round-trip time between distinct
-	// clusters when no explicit link override exists. The paper's testbed
-	// measured ~10 ms between its EU regions.
+	// clusters. The paper's testbed measured ~10 ms between its EU regions.
 	BaseRTT time.Duration
-	// JitterFraction scales sinusoidal-plus-noise jitter relative to the
-	// base RTT (0.2 means ±~20 %).
-	JitterFraction float64
-	// PathShiftInterval is how often a link may jump to a different
-	// routing path (a couple of seconds per the paper's reference [45]).
-	PathShiftInterval time.Duration
-	// PathShiftFraction is the maximum extra delay a path change adds,
-	// relative to base RTT.
-	PathShiftFraction float64
 	// Seed makes the jitter process reproducible.
 	Seed uint64
 }
 
-// DefaultConfig mirrors the paper's testbed: ~10 ms inter-cluster RTT with
-// moderate variability and path shifts every few seconds.
+// DefaultConfig mirrors the paper's testbed: ~10 ms inter-cluster RTT.
 func DefaultConfig() Config {
-	return Config{
-		BaseRTT:           10 * time.Millisecond,
-		JitterFraction:    0.2,
-		PathShiftInterval: 3 * time.Second,
-		PathShiftFraction: 0.5,
-		Seed:              1,
-	}
+	return Config{BaseRTT: 10 * time.Millisecond, Seed: 1}
 }
+
+// The delay dynamics, relative to a link's base delay: moderate jitter and
+// path shifts every few seconds.
+const (
+	// jitterFraction scales sinusoidal-plus-noise jitter (±~20 %).
+	jitterFraction = 0.2
+	// pathShiftInterval is how often a link may jump to a different
+	// routing path (a couple of seconds per the paper's reference [45]).
+	pathShiftInterval = 3 * time.Second
+	// pathShiftFraction is the largest extra delay a path change adds.
+	pathShiftFraction = 0.5
+	// localDelay is the intra-cluster one-way delay, covering the
+	// node-local proxy hop the Linkerd benchmark study reports as
+	// sub-millisecond at the median; no delay falls below it.
+	localDelay = 500 * time.Microsecond
+)
 
 // Model answers "what is the one-way network delay from cluster A to
 // cluster B at virtual time t". Intra-cluster delay is a small constant.
 // Model is immutable after construction except for injected link faults, and
 // safe for concurrent use.
 type Model struct {
-	cfg      Config
-	overlays map[linkKey]time.Duration
-	local    time.Duration
+	cfg Config
 
 	mu    sync.Mutex // guards links
 	links map[linkKey]*Link
@@ -90,48 +87,18 @@ type Link struct {
 	fault atomic.Pointer[linkFault]
 }
 
-// Option customises a Model.
-type Option func(*Model)
-
-// WithLink overrides the base RTT of one directed link.
-func WithLink(from, to string, rtt time.Duration) Option {
-	return func(m *Model) { m.overlays[linkKey{from, to}] = rtt }
-}
-
-// WithLocalDelay overrides the intra-cluster delay (default 500 µs,
-// covering the node-local proxy hop the Linkerd benchmark study reports as
-// sub-millisecond at the median).
-func WithLocalDelay(d time.Duration) Option {
-	return func(m *Model) { m.local = d }
-}
-
 // New returns a Model.
-func New(cfg Config, opts ...Option) *Model {
+func New(cfg Config) *Model {
 	if cfg.BaseRTT <= 0 {
 		cfg.BaseRTT = 10 * time.Millisecond
 	}
-	if cfg.PathShiftInterval <= 0 {
-		cfg.PathShiftInterval = 3 * time.Second
-	}
-	m := &Model{
-		cfg:      cfg,
-		overlays: make(map[linkKey]time.Duration),
-		local:    500 * time.Microsecond,
-		links:    make(map[linkKey]*Link),
-	}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
+	return &Model{cfg: cfg, links: make(map[linkKey]*Link)}
 }
 
-// BaseRTT returns the configured base round-trip time of a link.
+// BaseRTT returns the base round-trip time of a link.
 func (m *Model) BaseRTT(from, to string) time.Duration {
 	if from == to {
-		return 2 * m.local
-	}
-	if d, ok := m.overlays[linkKey{from, to}]; ok {
-		return d
+		return 2 * localDelay
 	}
 	return m.cfg.BaseRTT
 }
@@ -193,25 +160,24 @@ func (l *Link) Partitioned() bool {
 // and path-shift dynamics. Absent injected faults the value is a pure
 // function of (from, to, t, seed).
 func (l *Link) Delay(t time.Duration) time.Duration {
-	m := l.m
 	if l.intra {
-		return m.local
+		return localDelay
 	}
 
 	// Slow sinusoidal drift plus per-query hash noise.
 	drift := math.Sin(2*math.Pi*t.Seconds()/60 + l.phase) // ±1 over a minute
 	noise := hashUnit(l.hash, uint64(t/time.Millisecond))*2 - 1
 
-	jitter := m.cfg.JitterFraction * (0.7*drift + 0.3*noise)
+	jitter := jitterFraction * (0.7*drift + 0.3*noise)
 
-	// Path shifts: every PathShiftInterval the link picks one of several
+	// Path shifts: every pathShiftInterval the link picks one of several
 	// "paths" with distinct extra delay.
-	epoch := uint64(t / m.cfg.PathShiftInterval)
-	pathExtra := hashUnit(l.hash^0xabcdef, epoch) * m.cfg.PathShiftFraction
+	epoch := uint64(t / pathShiftInterval)
+	pathExtra := hashUnit(l.hash^0xabcdef, epoch) * pathShiftFraction
 
 	d := float64(l.base) * (1 + jitter + pathExtra)
-	if d < float64(m.local) {
-		d = float64(m.local)
+	if d < float64(localDelay) {
+		d = float64(localDelay)
 	}
 	if f := l.fault.Load(); f != nil && f.extra > 0 {
 		if f.flap <= 0 || uint64(t/f.flap)%2 == 0 {
@@ -225,37 +191,20 @@ func (l *Link) Delay(t time.Duration) time.Duration {
 // cross-cluster link and every time — the conservative lookahead a sharded
 // simulation (sim.ShardedEngine) may use when shards are keyed by cluster.
 //
-// The bound follows from the delay formula: jitter ≥ -JitterFraction (drift
-// and noise both live in [-1, 1]), pathExtra ≥ 0, injected faults only add
+// The bound follows from the delay formula: jitter ≥ −jitterFraction (drift
+// and noise both live in [−1, 1]), pathExtra ≥ 0, injected faults only add
 // delay (a partitioned link never delivers at all), and every delay is
-// clamped below at the intra-cluster constant. Hence
+// clamped below at the intra-cluster constant localDelay. Hence
 //
-//	OneWayDelay ≥ max(local, (minBaseRTT/2) · (1 − JitterFraction))
-//
-// where minBaseRTT is the smallest base RTT across the default and every
-// per-link overlay.
+//	OneWayDelay ≥ max(localDelay, (BaseRTT/2) · (1 − jitterFraction))
 func (m *Model) MinOneWayDelay() time.Duration {
-	minBase := m.cfg.BaseRTT
-	for _, rtt := range m.overlays {
-		if rtt < minBase {
-			minBase = rtt
-		}
-	}
-	frac := 1 - m.cfg.JitterFraction
-	if frac < 0 {
-		frac = 0
-	}
-	d := time.Duration(float64(minBase/2) * frac)
-	if d < m.local {
-		d = m.local
-	}
-	return d
+	return max(localDelay, time.Duration(float64(m.cfg.BaseRTT/2)*(1-jitterFraction)))
 }
 
 // String describes the model briefly.
 func (m *Model) String() string {
 	return fmt.Sprintf("wan{base=%v jitter=%.0f%% shift=%v}",
-		m.cfg.BaseRTT, m.cfg.JitterFraction*100, m.cfg.PathShiftInterval)
+		m.cfg.BaseRTT, jitterFraction*100, pathShiftInterval)
 }
 
 // hash3 mixes the seed with two strings (FNV-1a over both).

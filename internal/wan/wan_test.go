@@ -66,37 +66,22 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestLinkOverride(t *testing.T) {
-	m := New(DefaultConfig(), WithLink("c1", "c2", 100*time.Millisecond))
-	if m.BaseRTT("c1", "c2") != 100*time.Millisecond {
-		t.Fatalf("override RTT = %v", m.BaseRTT("c1", "c2"))
-	}
-	// Unoverridden direction keeps the default.
-	if m.BaseRTT("c2", "c1") != 10*time.Millisecond {
-		t.Fatalf("reverse RTT = %v, want default", m.BaseRTT("c2", "c1"))
-	}
-	d := m.OneWayDelay("c1", "c2", time.Second)
-	if d < 25*time.Millisecond {
-		t.Fatalf("override delay = %v, want ~50ms scale", d)
-	}
-}
-
-func TestLocalDelayOverride(t *testing.T) {
-	m := New(DefaultConfig(), WithLocalDelay(2*time.Millisecond))
-	if m.OneWayDelay("c1", "c1", 0) != 2*time.Millisecond {
-		t.Fatal("local delay override ignored")
-	}
-}
-
 func TestDelayNeverBelowLocal(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.JitterFraction = 5 // absurd jitter to push the delay negative
+	cfg.BaseRTT = 800 * time.Microsecond // 400 µs a way, under the floor
 	m := New(cfg)
+	floored := 0
 	for s := 0; s < 300; s++ {
 		d := m.OneWayDelay("c1", "c2", time.Duration(s)*100*time.Millisecond)
 		if d < 500*time.Microsecond {
 			t.Fatalf("delay %v fell below the local floor", d)
 		}
+		if d == 500*time.Microsecond {
+			floored++
+		}
+	}
+	if floored == 0 {
+		t.Fatal("no delay reached the local floor; the clamp went unexercised")
 	}
 }
 

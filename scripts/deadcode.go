@@ -9,11 +9,12 @@
 // It then lists, as dir.Type.Field, every exported field of an exported
 // struct type in internal/ that no non-test file outside its package
 // writes: a setting that only its own package's defaults, environment or
-// grammar set, or a record that only its package fills. A key of a
-// pkg.Type{...} literal writes that field. There is no type checking, so an
-// assignment through a selector, or a key of an elided-type literal, writes
-// every field of that name when its package's own structs have none. Run
-// from the repository root:
+// grammar set, or a record that only its package fills. Every package is
+// type-checked (stdlib go/types, its imports type-checked from source), so a
+// write is attributed to the struct that declares the field: an assignment,
+// increment or address-of through a selector, or a key of a composite
+// literal, elided types included (an unkeyed literal writes every field).
+// Run from the repository root:
 //
 //	go run scripts/deadcode.go
 package main
@@ -21,13 +22,15 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,12 +48,23 @@ func main() {
 		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !d.IsDir() {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		files[filepath.Dir(p)] = append(files[filepath.Dir(p)], f)
-		return err
+		pkg, err := build.ImportDir(p, 0) // GoFiles: the non-test files the build takes
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		for _, name := range pkg.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files[p] = append(files[p], f)
+		}
+		return nil
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
@@ -85,31 +99,6 @@ func main() {
 		}
 	}
 
-	fields := map[name][]string{}            // exported internal/ struct -> its exported fields
-	ownField := map[string]map[string]bool{} // dir -> the field names its structs declare
-	for dir, dirFiles := range files {
-		ownField[dir] = map[string]bool{}
-		for _, f := range dirFiles {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if ts, ok := n.(*ast.TypeSpec); ok {
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						for _, fl := range st.Fields.List {
-							for _, id := range fl.Names {
-								ownField[dir][id.Name] = true
-								if typ := (name{dir, ts.Name.Name}); declared[typ] && id.IsExported() {
-									fields[typ] = append(fields[typ], id.Name)
-								}
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	written := map[string]bool{}         // dir.Type.Field keyed in a pkg.Type{...} literal
-	nameWritten := map[string][]string{} // field name -> dirs writing it untyped
-
 	read := map[name]bool{}
 	for dir, dirFiles := range files {
 		for _, f := range dirFiles {
@@ -125,38 +114,8 @@ func main() {
 				}
 				imports[local] = filepath.FromSlash(strings.TrimPrefix(p, "l3/"))
 			}
-			// writeName records a write of a field whose struct is not known:
-			// where its package's own structs have no field of that name, any
-			// other package's.
-			writeName := func(id *ast.Ident) {
-				if !ownField[dir][id.Name] {
-					nameWritten[id.Name] = append(nameWritten[id.Name], dir)
-				}
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, l := range n.Lhs {
-						if sel, ok := l.(*ast.SelectorExpr); ok {
-							writeName(sel.Sel)
-						}
-					}
-				case *ast.CompositeLit:
-					typ := "" // "dir.Type." of a pkg.Type literal
-					if sel, ok := n.Type.(*ast.SelectorExpr); ok {
-						if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							typ = filepath.ToSlash(imports[x.Name]) + "." + sel.Sel.Name + "."
-						}
-					}
-					for _, e := range n.Elts {
-						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok && typ != "" {
-								written[typ+id.Name] = true
-							} else if ok {
-								writeName(id)
-							}
-						}
-					}
 				case *ast.SelectorExpr:
 					own[n.Sel] = true // a field, method or another package's name
 					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
@@ -181,17 +140,128 @@ func main() {
 	sort.Strings(out)
 	fmt.Print(strings.Join(append(out, ""), "\n"))
 
-	out = out[:0]
-	for typ, fls := range fields {
-		for _, fl := range fls {
-			key := filepath.ToSlash(typ.dir) + "." + typ.ident + "." + fl
-			if !written[key] && !slices.ContainsFunc(nameWritten[fl], func(d string) bool { return d != typ.dir }) {
-				out = append(out, key)
+	fmt.Print(strings.Join(append(unwritten(fset, files), ""), "\n"))
+}
+
+// unwritten type-checks every directory's files and returns, sorted, the
+// exported fields of exported internal/ structs that no file outside the
+// field's package writes.
+func unwritten(fset *token.FileSet, files map[string][]*ast.File) []string {
+	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	fieldKey := map[*types.Var]string{} // every exported field of an exported struct, as dir.Type.Field
+	keyed := map[*types.Package]bool{}
+	keyOf := func(v *types.Var) string {
+		v = v.Origin()
+		if p := v.Pkg(); p != nil && !keyed[p] {
+			keyed[p] = true
+			eachField(p, func(f *types.Var, key string) { fieldKey[f] = key })
+		}
+		return fieldKey[v]
+	}
+
+	var all []string
+	written := map[string]bool{}
+	for dir, dirFiles := range files {
+		abs, _ := filepath.Abs(dir)
+		conf := types.Config{Importer: importerFrom{imp, abs}}
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		self := "l3/" + filepath.ToSlash(dir)
+		pkg, err := conf.Check(self, fset, dirFiles, info)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "deadcode:", err)
+			os.Exit(1)
+		}
+		if strings.HasPrefix(dir, "internal"+string(filepath.Separator)) {
+			eachField(pkg, func(_ *types.Var, key string) { all = append(all, key) })
+		}
+		// write records a write of field v from outside its package.
+		write := func(v *types.Var) {
+			if v != nil && v.IsField() && v.Pkg() != nil && v.Pkg().Path() != self {
+				written[keyOf(v)] = true
 			}
+		}
+		field := func(e ast.Expr) *types.Var {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					v, _ := s.Obj().(*types.Var)
+					return v
+				}
+			}
+			return nil
+		}
+		for _, f := range dirFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						write(field(l))
+					}
+				case *ast.IncDecStmt:
+					write(field(n.X))
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(field(n.X))
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						v, _ := info.Uses[id].(*types.Var)
+						write(v)
+					}
+				case *ast.CompositeLit: // unkeyed: every field, in order
+					if st, ok := info.TypeOf(n).Underlying().(*types.Struct); ok && len(n.Elts) > 0 {
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+							for i := range n.Elts {
+								write(st.Field(i))
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var out []string
+	for _, k := range all {
+		if !written[k] {
+			out = append(out, k)
 		}
 	}
 	sort.Strings(out)
-	fmt.Print(strings.Join(append(out, ""), "\n"))
+	return out
+}
+
+// eachField calls fn with every exported, named field of p's exported struct
+// types and its key, dir.Type.Field.
+func eachField(p *types.Package, fn func(f *types.Var, key string)) {
+	for _, n := range p.Scope().Names() {
+		tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fn(f, strings.TrimPrefix(p.Path(), "l3/")+"."+n+"."+f.Name())
+				}
+			}
+		}
+	}
+}
+
+// importerFrom imports on behalf of the package in dir, so a module's
+// replace directives (benchmark/ replaces l3 with this checkout) apply.
+type importerFrom struct {
+	types.ImporterFrom
+	dir string
+}
+
+func (i importerFrom) Import(path string) (*types.Package, error) {
+	return i.ImportFrom(path, i.dir, 0)
 }
 
 func asIdent(n ast.Node) *ast.Ident { id, _ := n.(*ast.Ident); return id }

@@ -4,7 +4,7 @@ GO ?= go
 
 ## check: the pre-merge gate — formatting, vet, build, the full suite under
 ## the race detector (which runs every CLI figure golden, chaos, resilience,
-## guard, overload and sharded runs included, and the wall plane's one smoke
+## guard and overload runs included, and the wall plane's one smoke
 ## test), the allocation pins, the nested benchmark module, and a short fuzz
 ## pass over the parsers that eat outside input. Run before every merge; CI
 ## and the tier-1 verify in ROADMAP.md assume it passes.

@@ -118,38 +118,3 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedFigureOutputByteIdentical pins the sharded core's determinism
-// contract at the CLI: a run with -shards 1 and with more workers must
-// produce the same stdout bytes (the worker pool may not leak into results).
-// Figure S1's own output must likewise be invariant, and a resilience policy
-// under a saturate fault exercises the cross-shard continuation path. The
-// classic goldens above stay untouched: -shards 0 never enters the sharded
-// path.
-func TestShardedFigureOutputByteIdentical(t *testing.T) {
-	cases := []struct {
-		name    string
-		workers string
-		args    []string
-	}{
-		{"fig8-sharded", "4", []string{"-fig", "8", "-quick"}},
-		{"S1", "4", []string{"-fig", "S1"}},
-		{"chaos-resilience", "8", []string{
-			"-chaos", "saturate@48s+24s:api-cluster-1/0.25",
-			"-scenario", "scenario-1", "-quick",
-			"-resilience", "deadline=1s,retries=3,budget=0.2,breaker=5"}},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			one := captureStdout(t, append([]string{"-shards", "1"}, c.args...)...)
-			many := captureStdout(t, append([]string{"-shards", c.workers}, c.args...)...)
-			if len(one) == 0 {
-				t.Fatal("no output")
-			}
-			if !bytes.Equal(one, many) {
-				t.Fatalf("stdout differs between -shards 1 and -shards %s", c.workers)
-			}
-		})
-	}
-}

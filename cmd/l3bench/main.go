@@ -16,10 +16,8 @@
 //	l3bench -fig R3                  # resilience: circuit breaking vs probes
 //	l3bench -fig G1                  # guard: metric garbage, guarded vs unguarded
 //	l3bench -fig G2                  # guard: partial visibility, quorum freeze
-//	l3bench -fig S1                  # sharded core: 8-cluster scaling workload
 //	l3bench -fig O1                  # overload: adaptive limit + CoDel vs collapse
 //	l3bench -fig O2                  # overload: criticality-tiered flash crowd
-//	l3bench -fig 10 -shards 4        # scenario figures on the sharded core
 //
 // A custom fault schedule runs against any scenario, optionally with a
 // resilience policy and an admission-control policy on the client
@@ -49,17 +47,6 @@
 //
 // The harness's cost is measured by the repository benchmark
 // (benchmark/run.sh, declared in BENCHMARK.json), not by this command.
-//
-// Scenario figures run on the sharded deterministic core with -shards N
-// (N ≥ 1 caps the worker pool; the decomposition is fixed at one shard per
-// cluster, so stdout is byte-identical for every N). The default, 0, is the
-// classic single-loop engine — byte-identical to all historical goldens.
-// Both engines run under the same scenario pipeline. -shards composes with
-// -resilience and -overload policies: responses complete on the source
-// cluster's shard, where retry/hedge state lives, and the rng fork
-// discipline makes a round-robin sharded run byte-identical to the classic
-// one. Figure 9's DSB workload stays classic-only (its cross-service call
-// graph needs service-keyed sharding); figure S1 always runs sharded.
 //
 // Independent runs (figures × configurations × repetitions) fan out across
 // -parallel worker goroutines; each run derives its own seed and owns its
@@ -101,7 +88,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("l3bench", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "figure to regenerate: 1,2,4,6,7,8,9,10,11,12, C1, C2, R1, R2, R3, G1, G2, S1, O1, O2, 'ablations' or 'all'")
+		fig      = fs.String("fig", "all", "figure to regenerate: 1,2,4,6,7,8,9,10,11,12, C1, C2, R1, R2, R3, G1, G2, O1, O2, 'ablations' or 'all'")
 		chaosStr = fs.String("chaos", "", "fault schedule to inject (kind@start[+dur][:operands];...); overrides -fig")
 		scenario = fs.String("scenario", trace.Scenario1, "scenario a -chaos schedule runs against")
 		resStr   = fs.String("resilience", "",
@@ -115,8 +102,6 @@ func run(args []string) error {
 		csv      = fs.Bool("csv", false, "emit series results as CSV instead of summaries")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"worker goroutines fanning out independent runs (1 = serial); output is identical for any value")
-		shards = fs.Int("shards", 0,
-			"run scenario figures on the sharded core with this many workers (0 = classic engine; stdout is identical for every value >= 1)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
@@ -150,7 +135,7 @@ func run(args []string) error {
 		}()
 	}
 
-	opts := bench.Options{Seed: *seed, Reps: *reps, Parallel: *parallel, Guard: *guard, Shards: *shards}
+	opts := bench.Options{Seed: *seed, Reps: *reps, Parallel: *parallel, Guard: *guard}
 	if *quick {
 		opts.Duration = 2 * time.Minute
 	}
@@ -195,7 +180,6 @@ func run(args []string) error {
 		{"R3", func() (*bench.Result, error) { return bench.FigR3(opts) }},
 		{"G1", func() (*bench.Result, error) { return bench.FigG1(opts) }},
 		{"G2", func() (*bench.Result, error) { return bench.FigG2(opts) }},
-		{"S1", func() (*bench.Result, error) { return bench.FigS1(opts) }},
 		{"O1", func() (*bench.Result, error) { return bench.FigO1(opts) }},
 		{"O2", func() (*bench.Result, error) { return bench.FigO2(opts) }},
 	}

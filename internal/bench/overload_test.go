@@ -3,9 +3,6 @@ package bench
 import (
 	"testing"
 	"time"
-
-	"l3/internal/overload"
-	"l3/internal/resilience"
 )
 
 // quickOverloadOptions is the O-figures' quick preset — the same settings
@@ -106,41 +103,5 @@ func TestOverloadOptionValidation(t *testing.T) {
 	opts := Options{Reps: 1, WarmUp: time.Second, Duration: time.Second, OverloadTierMix: []int{0}}
 	if _, err := sweep(1, cell{trace: sc, algo: AlgoRoundRobin, opts: opts}); err == nil {
 		t.Fatalf("OverloadTierMix without Overload accepted; want an error")
-	}
-}
-
-// TestOverloadShardedMatchesClassic pins the mode-independence contract
-// extended to the admission layer: an overload-controlled run produces
-// byte-identical recorders on the classic and sharded cores.
-func TestOverloadShardedMatchesClassic(t *testing.T) {
-	sc, _, _ := flashCrowdScenario(30 * time.Second)
-	base := Options{
-		Seed: 7, Reps: 1, WarmUp: 5 * time.Second, Duration: 30 * time.Second,
-		Concurrency: 4, QueueCapacity: 32,
-		Overload:        figO2OverloadPolicy(),
-		OverloadTierMix: []int{overload.TierCritical, overload.TierDefault, overload.TierSheddable},
-		Resilience:      &resilience.Policy{Deadline: 500 * time.Millisecond},
-	}
-	sharded := base
-	sharded.Shards = 2
-	out, err := sweep(base.Parallel,
-		cell{trace: sc, algo: AlgoRoundRobin, opts: base},
-		cell{trace: sc, algo: AlgoRoundRobin, opts: sharded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	classic, shardedOut := out[0], out[1]
-	if got, want := shardedOut.rec.String(), classic.rec.String(); got != want {
-		t.Errorf("sharded recorder diverged from classic:\nclassic: %s\nsharded: %s", want, got)
-	}
-	admitted := overload.MetricAdmittedTotal
-	if shardedOut.total(admitted) != classic.total(admitted) || shardedOut.shed != classic.shed {
-		t.Errorf("admission counters diverged: classic admitted %.0f shed %v, sharded admitted %.0f shed %v",
-			classic.total(admitted), classic.shed, shardedOut.total(admitted), shardedOut.shed)
-	}
-	for tier := range classic.tiers {
-		if got, want := shardedOut.tiers[tier].String(), classic.tiers[tier].String(); got != want {
-			t.Errorf("tier %d recorder diverged:\nclassic: %s\nsharded: %s", tier, want, got)
-		}
 	}
 }

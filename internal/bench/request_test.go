@@ -13,11 +13,10 @@ import (
 	"l3/internal/sim"
 	"l3/internal/smi"
 	"l3/internal/trace"
-	"l3/internal/wan"
 )
 
 // TestOpenLoopRequestAllocationFree pins the whole simulated request, not
-// only mesh.Call: generator arrival → relay → picker → Proxy.Call → WAN →
+// only mesh.Call: generator arrival → relay → picker → mesh.Call → WAN →
 // replica → WAN → metrics → recorder allocates nothing on a warm engine, for
 // round-robin and for the split picker L3 and C3 steer through.
 func TestOpenLoopRequestAllocationFree(t *testing.T) {
@@ -30,10 +29,7 @@ func TestOpenLoopRequestAllocationFree(t *testing.T) {
 	for name, picker := range pickers {
 		t.Run(name, func(t *testing.T) {
 			clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
-			w, err := newWorld(clusters, 1, wan.DefaultConfig(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := newWorld(1)
 			if _, err := w.mesh.AddService(apiService); err != nil {
 				t.Fatal(err)
 			}
@@ -54,19 +50,16 @@ func TestOpenLoopRequestAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			const gap = time.Millisecond
-			gen, err := w.directLoad(sourceCluster, apiService, loadgen.Config{Rate: loadgen.ConstantRate(float64(time.Second / gap))})
-			if err != nil {
-				t.Fatal(err)
-			}
+			gen := w.directLoad(sourceCluster, apiService, loadgen.Config{Rate: loadgen.ConstantRate(float64(time.Second / gap))})
 			// Warm pools, route handles and the event heap, and stop inside a
 			// recorder bucket: the recorder opens one histogram per second of
 			// virtual time, which is per bucket, not per request.
 			now := time.Second + 50*gap
-			w.runUntil(now)
+			w.engine.RunUntil(now)
 			before := gen.Completed()
 			allocs := testing.AllocsPerRun(400, func() {
 				now += gap
-				w.runUntil(now)
+				w.engine.RunUntil(now)
 			})
 			if done := gen.Completed() - before; done < 390 {
 				t.Fatalf("%d requests completed over 401 arrivals", done)
@@ -218,54 +211,46 @@ func TestDSBRunMallocs(t *testing.T) {
 // completion without entering the recorder, and a request nothing will ever
 // complete is an error, not a wait.
 func TestSettleRunsStragglersAndFindsLostRequests(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		w, err := newWorld([]string{"cluster-1", "cluster-2"}, 1, wan.DefaultConfig(), Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
+	w := newWorld(1)
+	if _, err := w.mesh.AddService(apiService); err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	profile := func(time.Duration, *sim.Rand) (time.Duration, bool) {
+		if served++; served == 3 {
+			return 5 * time.Minute, true // the straggler
 		}
-		if _, err := w.mesh.AddService(apiService); err != nil {
-			t.Fatal(err)
-		}
-		served := 0
-		profile := func(time.Duration, *sim.Rand) (time.Duration, bool) {
-			if served++; served == 3 {
-				return 5 * time.Minute, true // the straggler
-			}
-			return time.Millisecond, true
-		}
-		if _, err := w.mesh.AddBackend(apiService, apiService+"-cluster-2", "cluster-2", backend.Config{Concurrency: 8}, profile); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.setPickers(apiService, nil, func(*sim.Rand) mesh.Picker { return balancer.NewRoundRobin() }); err != nil {
-			t.Fatal(err)
-		}
-		gen, err := w.directLoad("cluster-1", apiService, loadgen.Config{Rate: loadgen.ConstantRate(10)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.runUntil(time.Second)
-		gen.Stop()
-		w.runUntil(31 * time.Second)
-		recorded := gen.Recorder().Count()
-		if gen.Issued() != gen.Completed()+1 {
-			t.Fatalf("shards=%d: issued %d, completed %d after the drain: want exactly the straggler in flight",
-				shards, gen.Issued(), gen.Completed())
-		}
-		if err := w.settle(nil, gen); err != nil {
-			t.Fatal(err)
-		}
-		if gen.Issued() != gen.Completed() || gen.Recorder().Count() != recorded {
-			t.Fatalf("shards=%d: settle: issued %d, completed %d, recorded %d → %d; want all completed, none recorded",
-				shards, gen.Issued(), gen.Completed(), recorded, gen.Recorder().Count())
-		}
+		return time.Millisecond, true
+	}
+	if _, err := w.mesh.AddBackend(apiService, apiService+"-cluster-2", "cluster-2", backend.Config{Concurrency: 8}, profile); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.mesh.SetPicker(apiService, balancer.NewRoundRobin()); err != nil {
+		t.Fatal(err)
+	}
+	gen := w.directLoad("cluster-1", apiService, loadgen.Config{Rate: loadgen.ConstantRate(10)})
+	w.engine.RunUntil(time.Second)
+	gen.Stop()
+	w.engine.RunUntil(31 * time.Second)
+	recorded := gen.Recorder().Count()
+	if gen.Issued() != gen.Completed()+1 {
+		t.Fatalf("issued %d, completed %d after the drain: want exactly the straggler in flight",
+			gen.Issued(), gen.Completed())
+	}
+	if err := w.settle(nil, gen); err != nil {
+		t.Fatal(err)
+	}
+	if gen.Issued() != gen.Completed() || gen.Recorder().Count() != recorded {
+		t.Fatalf("settle: issued %d, completed %d, recorded %d → %d; want all completed, none recorded",
+			gen.Issued(), gen.Completed(), recorded, gen.Recorder().Count())
+	}
 
-		lost := loadgen.New(w.ctrl, loadgen.Config{Rate: loadgen.ConstantRate(10)},
-			func(func(time.Duration, bool)) error { return nil })
-		lost.Start()
-		w.runUntil(w.ctrl.Now() + time.Second)
-		lost.Stop()
-		if err := w.settle(nil, lost); err == nil {
-			t.Fatalf("shards=%d: settle accepted requests that never complete", shards)
-		}
+	lost := loadgen.New(w.engine, loadgen.Config{Rate: loadgen.ConstantRate(10)},
+		func(func(time.Duration, bool)) error { return nil })
+	lost.Start()
+	w.engine.RunUntil(w.engine.Now() + time.Second)
+	lost.Stop()
+	if err := w.settle(nil, lost); err == nil {
+		t.Fatal("settle accepted requests that never complete")
 	}
 }

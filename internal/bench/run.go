@@ -28,7 +28,6 @@ import (
 	"l3/internal/smi"
 	"l3/internal/timeseries"
 	"l3/internal/trace"
-	"l3/internal/wan"
 )
 
 // Algorithm selects the load-balancing strategy under test.
@@ -159,20 +158,9 @@ type Options struct {
 	// a stall watchdog degrading to the baseline split. Off by default so
 	// every unguarded figure is byte-identical to the historical output.
 	Guard bool
-	// Shards picks the engine under the one scenario pipeline (newWorld is
-	// its only reader). 0 is the classic single-loop engine — byte-identical
-	// to all historical figures. N > 0 is the sharded deterministic core
-	// (internal/sim.ShardedEngine): one logical shard per cluster plus a
-	// control engine, synchronised at conservative lookahead barriers
-	// derived from the WAN model's minimum one-way delay. The decomposition
-	// is fixed by the scenario and N only caps the worker pool, so output is
-	// byte-identical for every N ≥ 1 (the -parallel merge discipline,
-	// applied inside one run); the wiring replays the classic rng fork
-	// order, so round-robin workloads are byte-identical to classic too.
-	// Resilience and Overload compose via cross-shard continuations
-	// (responses complete on the source-cluster shard, where the retry/hedge
-	// state lives). The DSB workload remains classic-only: its cross-service
-	// call graph needs service-keyed sharding.
+	// Shards must be 0: every run executes on one event loop. The field
+	// stays only because the benchmark harness (benchmark/) sets it; sweep
+	// rejects any other value.
 	Shards int
 
 	// inflightExponent overrides Equation 4's exponent for the ablation
@@ -261,33 +249,26 @@ func sortedLinks(counts map[[2]string]float64) [][2]string {
 	return links
 }
 
-// backendResetter adapts the data-plane registries to the chaos
+// backendResetter adapts the data-plane registry to the chaos
 // MetricResetter: a counterreset event zeroes the backend's cumulative
-// series, exactly what a pod restart does to its /metrics endpoint. The
-// series live in whichever shards have routed to the backend.
-type backendResetter struct{ regs []*metrics.Registry }
+// series, exactly what a pod restart does to its /metrics endpoint.
+type backendResetter struct{ reg *metrics.Registry }
 
 func (r backendResetter) ResetBackendCounters(backend string) {
-	for _, reg := range r.regs {
-		reg.ResetCounters(metrics.Labels{"backend": backend})
-	}
+	r.reg.ResetCounters(metrics.Labels{"backend": backend})
 }
 
 // runTrace runs one scenario replay: the API service in every cluster of
 // the trace, one TrafficSplit, the algorithm's wiring, chaos and the client
-// layers, on whichever engine newWorld picked. Every call is fully
-// self-contained — own engines, RNG, WAN model and metrics registries —
-// which is what makes the sweep's fan-out safe and deterministic. opts must
-// already carry its defaults.
+// layers. Every call is fully self-contained — own engine, RNG, WAN model
+// and metrics registry — which is what makes the sweep's fan-out safe and
+// deterministic. opts must already carry its defaults.
 func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*record, error) {
 	if opts.Overload == nil && len(opts.OverloadTierMix) > 0 {
 		return nil, fmt.Errorf("bench: OverloadTierMix requires Overload")
 	}
 	defer func(start time.Time) { recordRun(time.Since(start)) }(time.Now())
-	w, err := newWorld(sc.ClusterNames(), seed, wan.DefaultConfig(), opts)
-	if err != nil {
-		return nil, err
-	}
+	w := newWorld(seed)
 	m := w.mesh
 
 	if _, err := m.AddService(apiService); err != nil {
@@ -320,11 +301,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 			if !isReplica {
 				return nil, fmt.Errorf("bench: backend %s is not a replica pool", name)
 			}
-			eng, err := m.EngineFor(ct.Cluster)
-			if err != nil {
-				return nil, err
-			}
-			autoscale.New(eng, replica, autoscale.Config{Min: conc, Max: 16 * conc}).Start()
+			autoscale.New(w.engine, replica, autoscale.Config{Min: conc, Max: 16 * conc}).Start()
 		}
 		backends = append(backends, smi.Backend{Service: name, Weight: 500})
 	}
@@ -356,41 +333,32 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 			for _, b := range e.Object.Backends {
 				weights[b.Service] = b.Weight
 			}
-			// Splits are written on the control timeline.
-			updates = append(updates, w.ctrl.Now())
-			snaps = append(snaps, chaos.WeightSnapshot{At: w.ctrl.Now(), Weights: weights})
+			updates = append(updates, w.engine.Now())
+			snaps = append(snaps, chaos.WeightSnapshot{At: w.engine.Now(), Weights: weights})
 		})
 		scrapers := make([]chaos.ScrapeGate, len(handles.scrapers))
 		for i, s := range handles.scrapers {
 			scrapers[i] = s
 		}
-		inj := chaos.New(w.ctrl, *opts.Chaos, chaos.Targets{
+		inj := chaos.New(w.engine, *opts.Chaos, chaos.Targets{
 			Clusters: sc.ClusterNames(),
 			Links:    w.wan,
 			Backends: injectors,
 			Scrapers: scrapers,
 			Leaders:  handles.leaders,
-			Metrics:  backendResetter{m.Registries()},
+			Metrics:  backendResetter{m.Registry()},
 		}, warm)
 		if err := inj.Start(); err != nil {
 			return nil, err
 		}
 	}
 
-	// Client layers, each bound to the source cluster: their timers, budget
-	// and breaker live on that cluster's timeline, and (sharded) retry/hedge
-	// re-entries are cross-shard continuations the mesh's return hop
-	// delivers back there. The backend streams are mode-invariant (mesh's
-	// wiring-rng discipline) and so is this fork, which makes a run a
-	// function of the seed alone, not the engine.
+	// Client layers, each bound to the source cluster.
 	var resClient *resilience.Client
 	if opts.Resilience != nil {
 		// Applied after installAlgorithm so the breaker filter wraps the
 		// strategy the algorithm installed (round-robin, failover, split).
-		resClient, err = resilience.NewClient(m, sourceCluster, w.rng.Fork())
-		if err != nil {
-			return nil, err
-		}
+		resClient = resilience.NewClient(m, sourceCluster, w.rng.Fork())
 		if err := resClient.Apply(apiService, *opts.Resilience); err != nil {
 			return nil, err
 		}
@@ -400,10 +368,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 		// The admission layer forks no rng of its own (its control laws are
 		// deterministic functions of observed RTTs), so enabling it leaves
 		// the fork order — and every overload-off figure — untouched.
-		ovClient, err = overload.NewClient(m, sourceCluster)
-		if err != nil {
-			return nil, err
-		}
+		ovClient = overload.NewClient(m, sourceCluster)
 		if resClient != nil {
 			ovClient.SetInner(resClient)
 		}
@@ -412,11 +377,6 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 		}
 	}
 
-	proxy, err := m.Proxy(sourceCluster)
-	if err != nil {
-		return nil, err
-	}
-	srcEngine := proxy.Engine()
 	var tierSeq int
 	pool := &relays{warm: warm}
 	issue := func(done func(time.Duration, bool)) error {
@@ -428,15 +388,15 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 				tier = opts.OverloadTierMix[tierSeq%n]
 				tierSeq++
 			}
-			r.tierRec, r.start = out.tiers[tier], srcEngine.Now()
+			r.tierRec, r.start = out.tiers[tier], w.engine.Now()
 			return r.issued(ovClient.CallTier(sourceCluster, apiService, tier, r.mesh))
 		case resClient != nil:
 			return r.issued(resClient.Call(sourceCluster, apiService, r.resilience))
 		default:
-			return r.issued(proxy.Call(apiService, r.mesh))
+			return r.issued(m.Call(sourceCluster, apiService, r.mesh))
 		}
 	}
-	gen := loadgen.New(srcEngine, loadgen.Config{
+	gen := loadgen.New(w.engine, loadgen.Config{
 		Rate: func(now time.Duration) float64 {
 			return sc.RPS.At(now-warm) * opts.RPSScale
 		},
@@ -448,11 +408,11 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	if duration <= 0 {
 		duration = sc.Duration
 	}
-	w.runUntil(warm + duration)
+	w.engine.RunUntil(warm + duration)
 	gen.Stop()
-	w.runUntil(warm + duration + 30*time.Second) // drain in-flight
+	w.engine.RunUntil(warm + duration + 30*time.Second) // drain in-flight
 
-	// The end-of-run reduction: one snapshot of the scrape set, every
+	// The end-of-run reduction: one snapshot of the registry, every
 	// counter family summed by name in sample order.
 	counts := make(map[[2]string]float64)
 	buf, busy := w.scan(nil, func(sample metrics.Sample) {
@@ -483,9 +443,9 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	// Attempt conservation: stragglers aside, every request_inflight gauge
 	// must return to zero, read again through the same buffer only once the
 	// world has moved on from the reduction's snapshot.
-	scanned := w.ctrl.Now()
+	scanned := w.engine.Now()
 	return out, w.settle(func() bool {
-		if now := w.ctrl.Now(); now != scanned {
+		if now := w.engine.Now(); now != scanned {
 			buf, busy = w.scan(buf, nil)
 			scanned = now
 		}
@@ -517,41 +477,37 @@ func (h leaderHandle) Revive()        { h.ctrl.Start() }
 func (h leaderHandle) IsLeader() bool { return h.elector.IsLeader() }
 
 // installAlgorithm wires the routing strategy (and, for L3/C3, the
-// controller pipeline) for the given services: pickers per shard timeline
-// (world.setPickers), every control-plane component — scraper, controllers,
-// electors, health checker, watchdog — on the control timeline with its
-// series in the control registry. splitName maps (source cluster, service)
-// to the governing TrafficSplit (nil = one global split named after the
-// service), and controllers lists the L3/C3 instances to run: the
-// single-service scenario testbed runs one instance in cluster-1 managing
-// the global split; the DSB testbed runs one per cluster, each reading its
-// own cluster's proxy metrics and managing its own splits, as §3 describes
-// for production deployments.
+// controller pipeline) for the given services: one picker per service, and
+// every control-plane component — scraper, controllers, electors, health
+// checker, watchdog — on the world's engine with its series in the mesh's
+// registry. splitName maps (source cluster, service) to the governing
+// TrafficSplit (nil = one global split named after the service), and
+// controllers lists the L3/C3 instances to run: the single-service scenario
+// testbed runs one instance in cluster-1 managing the global split; the DSB
+// testbed runs one per cluster, each reading its own cluster's proxy
+// metrics and managing its own splits, as §3 describes for production
+// deployments.
 func installAlgorithm(w *world, algo Algorithm, opts Options,
 	services []string, splitName func(src, service string) string, controllers []controllerSpec) (*algoHandles, error) {
-	m := w.mesh
+	m, reg := w.mesh, w.mesh.Registry()
 	handles := &algoHandles{}
 	switch algo {
 	case AlgoRoundRobin:
 		for _, svc := range services {
-			if err := w.setPickers(svc, nil, func(*sim.Rand) mesh.Picker {
-				return balancer.NewRoundRobin()
-			}); err != nil {
+			if err := m.SetPicker(svc, balancer.NewRoundRobin()); err != nil {
 				return nil, err
 			}
 		}
 		return handles, nil
 	case AlgoP2C:
 		for _, svc := range services {
-			if err := w.setPickers(svc, w.rng.Fork(), func(rng *sim.Rand) mesh.Picker {
-				return balancer.NewP2C(rng, 5*time.Second, time.Second)
-			}); err != nil {
+			if err := m.SetPicker(svc, balancer.NewP2C(w.rng.Fork(), 5*time.Second, time.Second)); err != nil {
 				return nil, err
 			}
 		}
 		return handles, nil
 	case AlgoFailover:
-		hcfg := health.Config{Registry: w.ctrlReg}
+		hcfg := health.Config{Registry: reg}
 		if opts.Chaos != nil {
 			// Under chaos the checker probes through the mesh so WAN
 			// faults (partitions, delay spikes) are visible to it, as they
@@ -560,11 +516,8 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				m.Probe(sourceCluster, b, done)
 			}
 		}
-		// The checker probes and ejects on the control timeline; shard
-		// pickers read its healthy-set through a balancer.Filter,
-		// which is safe during windows because ejection state only changes
-		// at barriers.
-		checker := health.NewChecker(w.ctrl, hcfg)
+		// Pickers read the checker's healthy set through a balancer.Filter.
+		checker := health.NewChecker(w.engine, hcfg)
 		handles.checker = checker
 		healthy := func(_ time.Duration, name string) bool { return checker.Healthy(name) }
 		for _, svc := range services {
@@ -573,18 +526,14 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				return nil, fmt.Errorf("bench: unknown service %q", svc)
 			}
 			checker.WatchAll(s.Backends())
-			if err := w.setPickers(svc, nil, func(*sim.Rand) mesh.Picker {
-				return balancer.NewFilter(healthy, balancer.NewRoundRobin(), nil)
-			}); err != nil {
+			if err := m.SetPicker(svc, balancer.NewFilter(healthy, balancer.NewRoundRobin(), nil)); err != nil {
 				return nil, err
 			}
 		}
 		return handles, nil
 	case AlgoL3, AlgoC3:
 		for _, svc := range services {
-			if err := w.setPickers(svc, w.rng.Fork(), func(rng *sim.Rand) mesh.Picker {
-				return balancer.NewWeightedSplit(m.Splits(), rng, splitName)
-			}); err != nil {
+			if err := m.SetPicker(svc, balancer.NewWeightedSplit(m.Splits(), w.rng.Fork(), splitName)); err != nil {
 				return nil, err
 			}
 		}
@@ -594,11 +543,11 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 		var gate *guard.WriteGate
 		gcfg := guard.Config{Interval: opts.ScrapeInterval}
 		if opts.Guard {
-			hyg = guard.NewHygiene(gcfg, w.ctrlReg)
+			hyg = guard.NewHygiene(gcfg, reg)
 			db.SetGate(hyg)
-			gate = guard.NewWriteGate(gcfg, w.ctrlReg)
+			gate = guard.NewWriteGate(gcfg, reg)
 		}
-		scraper := core.NewScraperClock(w.ctrl, db, w.scrape, opts.ScrapeInterval)
+		scraper := core.NewScraperClock(w.engine, db, []*metrics.Registry{reg}, opts.ScrapeInterval)
 		scraper.Start()
 		handles.scrapers = append(handles.scrapers, scraper)
 		newAssigner := func() core.Assigner {
@@ -619,7 +568,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				}
 			}
 			if opts.Guard {
-				assigner = guard.NewAssigner(assigner, gcfg, w.ctrlReg)
+				assigner = guard.NewAssigner(assigner, gcfg, reg)
 			}
 			return assigner
 		}
@@ -642,7 +591,7 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				if gate != nil {
 					cfg.WriteGuard = gate
 				}
-				return core.NewControllerClock(w.ctrl, m.Splits(), collector, cfg)
+				return core.NewControllerClock(w.engine, m.Splits(), collector, cfg)
 			}
 			if !opts.LeaderElection {
 				newController(nil).Start()
@@ -658,14 +607,14 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				if len(controllers) > 1 {
 					id = fmt.Sprintf("l3-%d-%d", si, i)
 				}
-				elector := cluster.NewElector(w.ctrl, lock, id)
+				elector := cluster.NewElector(w.engine, lock, id)
 				ctrl := newController(elector)
 				ctrl.Start()
 				handles.leaders[id] = leaderHandle{ctrl: ctrl, elector: elector}
 			}
 		}
 		if gate != nil {
-			guard.NewWatchdog(w.ctrl, m.Splits(), gcfg, w.ctrlReg, nil, gate).Start()
+			guard.NewWatchdog(w.engine, m.Splits(), gcfg, reg, nil, gate).Start()
 		}
 		return handles, nil
 	default:
@@ -711,15 +660,9 @@ func RunDSB(algo Algorithm, rps float64, duration time.Duration, opts Options) (
 // end-of-run snapshot: the application's thousands of series would cost the
 // run more than its requests do, so its record carries no counters.
 func runDSBOnce(algo Algorithm, load dsbLoad, opts Options, seed uint64) (*record, error) {
-	if opts.Shards > 0 {
-		return nil, fmt.Errorf("bench: the DSB workload (cross-service call graph) requires the classic single-timeline engine; run without sharding (-shards 0)")
-	}
 	defer func(start time.Time) { recordRun(time.Since(start)) }(time.Now())
 	clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
-	w, err := newWorld(clusters, seed, wan.DefaultConfig(), opts)
-	if err != nil {
-		return nil, err
-	}
+	w := newWorld(seed)
 	app, err := dsb.InstallHotelReservation(w.mesh, clusters, w.rng.Fork(), dsb.WithPerfVariation())
 	if err != nil {
 		return nil, err
@@ -732,16 +675,13 @@ func runDSBOnce(algo Algorithm, load dsbLoad, opts Options, seed uint64) (*recor
 		return nil, err
 	}
 
-	gen, err := w.directLoad(sourceCluster, dsb.EntryService, loadgen.Config{
+	gen := w.directLoad(sourceCluster, dsb.EntryService, loadgen.Config{
 		Rate:   loadgen.ConstantRate(load.rps),
 		WarmUp: opts.WarmUp,
 	})
-	if err != nil {
-		return nil, err
-	}
-	w.runUntil(opts.WarmUp + load.duration)
+	w.engine.RunUntil(opts.WarmUp + load.duration)
 	gen.Stop()
-	w.runUntil(opts.WarmUp + load.duration + 30*time.Second)
+	w.engine.RunUntil(opts.WarmUp + load.duration + 30*time.Second)
 	rec := gen.Recorder()
 	return &record{rec: rec, reps: []repRun{{rec: rec, duration: load.duration}}}, w.settle(nil, gen)
 }

@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"l3/internal/backend"
+	"l3/internal/guard"
 	"l3/internal/resilience"
+	"l3/internal/sim"
+	"l3/internal/smi"
 	"l3/internal/trace"
 )
 
@@ -23,6 +27,16 @@ func TestRunScenarioUnknownName(t *testing.T) {
 func TestRunScenarioUnknownAlgorithm(t *testing.T) {
 	if _, err := RunScenario(trace.Scenario1, Algorithm(42), quick()); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestRunScenarioRejectsShards pins Options.Shards: every run executes on
+// one engine, so a non-zero value is an error rather than ignored.
+func TestRunScenarioRejectsShards(t *testing.T) {
+	opts := quick()
+	opts.Shards = 1
+	if _, err := RunScenario(trace.Scenario1, AlgoRoundRobin, opts); err == nil {
+		t.Fatal("Options{Shards: 1} accepted")
 	}
 }
 
@@ -243,5 +257,43 @@ func TestRetryOptionLiftsSuccess(t *testing.T) {
 	if retried.SuccessRate() <= plain.SuccessRate() {
 		t.Fatalf("retries did not lift success: %v vs %v",
 			retried.SuccessRate(), plain.SuccessRate())
+	}
+}
+
+// TestGuardSeriesReachTheTSDBEveryRound pins the scrape set: the guard's
+// control-plane families share the data-plane registry, and every scrape
+// round carries them into the TSDB at that round's timestamp.
+func TestGuardSeriesReachTheTSDBEveryRound(t *testing.T) {
+	clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
+	opts := Options{Guard: true}.withDefaults()
+	w := newWorld(1)
+	if _, err := w.mesh.AddService(apiService); err != nil {
+		t.Fatal(err)
+	}
+	var backends []smi.Backend
+	for _, cl := range clusters {
+		name := apiService + "-" + cl
+		if _, err := w.mesh.AddBackend(apiService, name, cl, backend.Config{},
+			func(time.Duration, *sim.Rand) (time.Duration, bool) { return time.Millisecond, true }); err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, smi.Backend{Service: name, Weight: 500})
+	}
+	if err := w.mesh.Splits().Create(&smi.TrafficSplit{
+		Name: apiService, RootService: apiService, Backends: backends,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	handles, err := installAlgorithm(w, AlgoL3, opts, []string{apiService}, nil, globalController())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		at := time.Duration(round) * opts.ScrapeInterval
+		w.engine.RunUntil(at)
+		if got, ok := handles.db.NewestSample(guard.MetricResetsTotal, nil); !ok || got != at {
+			t.Fatalf("round %d: newest %s sample at %v (found %v), want %v",
+				round, guard.MetricResetsTotal, got, ok, at)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"l3/internal/loadgen"
 	"l3/internal/sim"
 	"l3/internal/smi"
-	"l3/internal/wan"
 )
 
 // TestDeliveredSplitsNeverChange is the guard rail of the split store's
@@ -24,25 +23,19 @@ import (
 // longer than the watchdog's TTL, so the watchdog degrades every split before
 // the instances come back. A watcher records every version the store
 // delivers, a sampler every version Get returns, each beside a deep copy; at
-// the end each must still equal its copy. The DSB world runs on the classic
-// engine, the single-service world on two shard workers too, where under
-// -race every shard's pickers read the versions the control timeline wrote.
+// the end each must still equal its copy.
 func TestDeliveredSplitsNeverChange(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		shards int
-		build  func(*testing.T, *world, []string, Options) (*algoHandles, string)
+		name  string
+		build func(*testing.T, *world, []string, Options) (*algoHandles, string)
 	}{
-		{"dsb", 0, buildDSBWorld},
-		{"api/shards=2", 2, buildAPIWorld},
+		{"dsb", buildDSBWorld},
+		{"api", buildAPIWorld},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			opts := Options{Seed: 1, Guard: true, LeaderElection: true, Shards: c.shards}.withDefaults()
+			opts := Options{Seed: 1, Guard: true, LeaderElection: true}.withDefaults()
 			clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
-			w, err := newWorld(clusters, 1, wan.DefaultConfig(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := newWorld(1)
 			handles, entry := c.build(t, w, clusters, opts)
 			store := w.mesh.Splits()
 
@@ -58,7 +51,7 @@ func TestDeliveredSplitsNeverChange(t *testing.T) {
 					writes++
 				}
 			})
-			w.ctrl.Every(time.Second, func() {
+			w.engine.Every(time.Second, func() {
 				for _, ts := range store.List() {
 					if got, ok := store.Get(ts.Name); ok {
 						record(got)
@@ -73,20 +66,17 @@ func TestDeliveredSplitsNeverChange(t *testing.T) {
 			for id := range handles.leaders {
 				sched.Events = append(sched.Events, chaos.Event{Kind: chaos.LeaderKill, At: 30 * time.Second, Duration: 50 * time.Second, Target: id})
 			}
-			if err := chaos.New(w.ctrl, sched, chaos.Targets{Leaders: handles.leaders}, 0).Start(); err != nil {
+			if err := chaos.New(w.engine, sched, chaos.Targets{Leaders: handles.leaders}, 0).Start(); err != nil {
 				t.Fatal(err)
 			}
-			gen, err := w.directLoad(sourceCluster, entry, loadgen.Config{Rate: loadgen.ConstantRate(100)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.runUntil(2 * time.Minute)
+			gen := w.directLoad(sourceCluster, entry, loadgen.Config{Rate: loadgen.ConstantRate(100)})
+			w.engine.RunUntil(2 * time.Minute)
 			gen.Stop()
 			if err := w.settle(nil, gen); err != nil {
 				t.Fatal(err)
 			}
 
-			if n := w.ctrlReg.Counter(guard.MetricWatchdogDegradesTotal, nil).Value(); n == 0 {
+			if n := w.mesh.Registry().Counter(guard.MetricWatchdogDegradesTotal, nil).Value(); n == 0 {
 				t.Fatal("the watchdog never degraded: the schedule no longer exercises its write")
 			}
 			if writes < store.Len() {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"l3/internal/chaos"
@@ -79,6 +80,9 @@ func sweep(parallel int, cells ...cell) ([]*record, error) {
 	cells = append([]cell(nil), cells...) // defaults go on the sweep's own copy
 	runs := make([][]*record, len(cells))
 	for i := range cells {
+		if cells[i].opts.Shards != 0 {
+			return nil, fmt.Errorf("bench: Options.Shards is %d; every run executes on one engine, so it must be 0", cells[i].opts.Shards)
+		}
 		cells[i].opts = cells[i].opts.withDefaults()
 		runs[i] = make([]*record, cells[i].opts.Reps)
 		for rep := range runs[i] {

@@ -158,11 +158,6 @@ type ResetSource interface {
 	LastReset(match metrics.Labels) (time.Duration, bool)
 }
 
-// NewCollector returns a collector with the paper's defaults.
-func NewCollector(db *timeseries.DB) *Collector {
-	return &Collector{DB: db, Window: 10 * time.Second, Percentile: 0.99}
-}
-
 func (c *Collector) window() time.Duration {
 	if c.Window <= 0 {
 		return 10 * time.Second

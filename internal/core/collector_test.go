@@ -50,7 +50,7 @@ func TestCollectorBasics(t *testing.T) {
 	// 100 requests over the 5s between scrapes => 20 RPS, 90% success.
 	seedMetrics(t, db, "api", "b1", 100, 0.9, 0.045, 3)
 
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"b1", "ghost"})
 
 	b1 := m["b1"]
@@ -82,7 +82,7 @@ func TestCollectorBasics(t *testing.T) {
 func TestCollectorAllFailuresNoP99(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
 	seedMetrics(t, db, "api", "dead", 50, 0, 0.1, 0)
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"dead"})
 	dead := m["dead"]
 	if !dead.HasTraffic {
@@ -100,7 +100,7 @@ func TestCollectorServiceScoping(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
 	seedMetrics(t, db, "api", "b", 100, 1, 0.05, 0)
 	seedMetrics(t, db, "web", "b", 200, 1, 0.05, 0)
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 
 	api := c.Collect(10*time.Second, "api", []string{"b"})["b"]
 	if math.Abs(api.RPS-20) > 0.01 {
@@ -115,7 +115,7 @@ func TestCollectorServiceScoping(t *testing.T) {
 func TestCollectorStaleWindow(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
 	seedMetrics(t, db, "api", "b", 100, 1, 0.05, 0)
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	// 30s later, the 10s window holds at most one sample: no traffic.
 	m := c.Collect(40*time.Second, "api", []string{"b"})
 	if m["b"].HasTraffic {
@@ -128,7 +128,7 @@ func TestCollectorStaleWindow(t *testing.T) {
 func TestCollectorFollowsItsDB(t *testing.T) {
 	busy, idle := timeseries.NewDB(time.Minute), timeseries.NewDB(time.Minute)
 	seedMetrics(t, busy, "api", "b", 100, 1, 0.05, 0)
-	c := NewCollector(busy)
+	c := &Collector{DB: busy}
 	if m := c.Collect(10*time.Second, "api", []string{"b"}); !m["b"].HasTraffic {
 		t.Fatal("no traffic collected from the seeded database")
 	}
@@ -137,7 +137,7 @@ func TestCollectorFollowsItsDB(t *testing.T) {
 		t.Fatalf("collected %+v from an empty database: selectors still read the old one", m["b"])
 	}
 	seedMetrics(t, idle, "api", "b", 50, 1, 0.05, 0)
-	got, want := c.Collect(10*time.Second, "api", []string{"b"})["b"], NewCollector(idle).Collect(10*time.Second, "api", []string{"b"})["b"]
+	got, want := c.Collect(10*time.Second, "api", []string{"b"})["b"], (&Collector{DB: idle}).Collect(10*time.Second, "api", []string{"b"})["b"]
 	if got != want || !got.HasTraffic {
 		t.Fatalf("after the swap collected %+v, a new collector %+v", got, want)
 	}
@@ -182,7 +182,7 @@ func TestCollectorFailureMeanLatency(t *testing.T) {
 	reg.Counter(mesh.MetricResponseTotal, fail).Add(10)
 	scrape(db, 10*time.Second, reg)
 
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
 	if !m.FailureMeanValid || math.Abs(m.FailureMeanLatency-0.2) > 1e-9 {
 		t.Fatalf("FailureMeanLatency = %v (valid=%v), want 0.2", m.FailureMeanLatency, m.FailureMeanValid)
@@ -200,7 +200,7 @@ func TestCollectorSingleScrapeWindowIsStarved(t *testing.T) {
 	reg.Counter(mesh.MetricResponseTotal, succ).Add(100)
 	scrape(db, 5*time.Second, reg)
 
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
 	// One sample cannot produce a rate; but a sample exists, so this is a
 	// data gap, not idleness.
@@ -217,7 +217,7 @@ func TestCollectorSingleScrapeWindowIsStarved(t *testing.T) {
 
 func TestCollectorNeverScrapedIsNotStarved(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"ghost"})["ghost"]
 	if m.Starved || m.LastSample != 0 {
 		t.Fatalf("never-scraped backend: Starved=%v LastSample=%v, want false/0", m.Starved, m.LastSample)
@@ -239,7 +239,7 @@ func TestCollectorOutOfOrderScrapesDoNotCorruptWindow(t *testing.T) {
 	ctr.Add(50)
 	scrape(db, 7*time.Second, reg)
 
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
 	if !m.HasTraffic || math.Abs(m.RPS-20) > 0.01 {
 		t.Fatalf("RPS = %v (traffic=%v), want 20 (out-of-order scrape dropped)", m.RPS, m.HasTraffic)
@@ -264,7 +264,7 @@ func TestCollectorDuplicateTimestampScrapes(t *testing.T) {
 	ctr.Add(100)
 	scrape(db, 10*time.Second, reg)
 
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
 	if !m.HasTraffic || math.Abs(m.RPS-20) > 0.01 {
 		t.Fatalf("RPS = %v (traffic=%v), want 20 (duplicate-timestamp scrape dropped)", m.RPS, m.HasTraffic)
@@ -282,7 +282,7 @@ func (f fixedResets) LastReset(match metrics.Labels) (time.Duration, bool) { ret
 func TestCollectorResetSeen(t *testing.T) {
 	db := timeseries.NewDB(time.Minute)
 	seedMetrics(t, db, "api", "b", 100, 1, 0.05, 0)
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 
 	m := c.Collect(10*time.Second, "api", []string{"b"})["b"]
 	if m.ResetSeen {
@@ -310,7 +310,7 @@ func TestCollectAllocatesOnlyItsResult(t *testing.T) {
 	for _, b := range backends {
 		seedMetrics(t, db, "api", b, 100, 0.9, 0.05, 3)
 	}
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	c.Match = metrics.Labels{"service": "api"}
 	if m := c.Collect(10*time.Second, "api", backends); !m["api-cluster-2"].P99Valid || !m["api-cluster-2"].MeanValid {
 		t.Fatalf("seeded backend not fully collected: %+v", m["api-cluster-2"])
@@ -332,7 +332,7 @@ func TestCollectorSelectorsFollowMatch(t *testing.T) {
 		db.Append(mesh.MetricResponseTotal, l, time.Second, 0)
 		db.Append(mesh.MetricResponseTotal, l, 6*time.Second, map[string]float64{"cluster-1": 50, "cluster-2": 500}[src])
 	}
-	c := NewCollector(db)
+	c := &Collector{DB: db}
 	for src, want := range map[string]float64{"cluster-1": 10, "cluster-2": 100} {
 		c.Match = metrics.Labels{"src": src}
 		if got := c.Collect(10*time.Second, "api", []string{"b"})["b"].RPS; got != want {

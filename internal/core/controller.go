@@ -115,11 +115,9 @@ type Scraper struct {
 // NewScraperClock returns a scraper driven by an arbitrary clock — a
 // simulation engine, or the wall clock under cmd/l3serve,
 // where the scrape pass is the moral equivalent of Prometheus pulling
-// /metrics. A round reads regs in order: the sharded world keeps one
-// registry per cluster shard, as a Prometheus instance federating
-// per-cluster endpoints would, and scrapes on the control engine, where all
-// shards are paused at the scrape's timestamp. Call Start to begin
-// scraping. Like every sim-era component it is single-threaded: its methods
+// /metrics. A round reads regs in order; every caller passes one registry,
+// and the slice stays only because the benchmark harness (benchmark/) passes
+// one. Call Start to begin scraping. Like every sim-era component it is single-threaded: its methods
 // must run serialized with the clock's callbacks.
 func NewScraperClock(clk clock.Clock, db *timeseries.DB, regs []*metrics.Registry, interval time.Duration) *Scraper {
 	if clk == nil {
@@ -174,8 +172,8 @@ func (s *Scraper) tick() {
 			s.refs[r] = append(s.refs[r], make([]timeseries.Ref, n-have)...)
 		}
 	}
-	// i runs across the whole round, so "mixed" garbage corrupts the sample
-	// positions of a sharded scrape that it would of one merged registry.
+	// i runs across the whole round, so "mixed" garbage corrupts the same
+	// sample positions however the round's samples split across registries.
 	i := 0
 	for _, refs := range s.refs {
 		for j := range refs {

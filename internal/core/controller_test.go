@@ -62,7 +62,7 @@ func newRig(t *testing.T, elector *cluster.Elector, fastLat, slowLat time.Durati
 	NewScraperClock(engine, db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
 
 	selfReg := metrics.NewRegistry()
-	ctrl := NewControllerClock(engine, m.Splits(), NewCollector(db), ControllerConfig{
+	ctrl := NewControllerClock(engine, m.Splits(), &Collector{DB: db}, ControllerConfig{
 		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		Elector:      elector,
 		SelfRegistry: selfReg,
@@ -219,7 +219,7 @@ func newRigWithEngine(t *testing.T, engine *sim.Engine, elector *cluster.Elector
 	_ = m.SetPicker("api", balancer.NewWeightedSplit(m.Splits(), rng.Fork(), nil))
 	db := timeseries.NewDB(time.Minute)
 	NewScraperClock(engine, db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
-	ctrl := NewControllerClock(engine, m.Splits(), NewCollector(db), ControllerConfig{
+	ctrl := NewControllerClock(engine, m.Splits(), &Collector{DB: db}, ControllerConfig{
 		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		Elector:     elector,
 	})
@@ -291,7 +291,7 @@ func TestControllerBoundsCollectorSelectors(t *testing.T) {
 	if err := splits.Create(&smi.TrafficSplit{Name: "api", RootService: "api", Backends: slots}); err != nil {
 		t.Fatal(err)
 	}
-	collector := NewCollector(timeseries.NewDB(time.Minute))
+	collector := &Collector{DB: timeseries.NewDB(time.Minute)}
 	ctrl := NewControllerClock(engine, splits, collector, ControllerConfig{
 		NewAssigner: func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 	})
@@ -434,7 +434,7 @@ func TestControllerUpdatesSplitsInNameOrder(t *testing.T) {
 		}
 	}
 	selfReg := metrics.NewRegistry()
-	ctrl := NewControllerClock(engine, splits, NewCollector(timeseries.NewDB(time.Minute)), ControllerConfig{
+	ctrl := NewControllerClock(engine, splits, &Collector{DB: timeseries.NewDB(time.Minute)}, ControllerConfig{
 		NewAssigner:  func() Assigner { return NewL3Assigner(WeightingConfig{}, RateControlConfig{}, true) },
 		SelfRegistry: selfReg,
 	})

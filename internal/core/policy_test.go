@@ -114,7 +114,7 @@ func newPolicyRig(t *testing.T) *policyRig {
 
 	db := timeseries.NewDB(time.Minute)
 	NewScraperClock(engine, db, []*metrics.Registry{m.Registry()}, 5*time.Second).Start()
-	r.ctrl = NewControllerClock(engine, m.Splits(), NewCollector(db), ControllerConfig{
+	r.ctrl = NewControllerClock(engine, m.Splits(), &Collector{DB: db}, ControllerConfig{
 		Policies:     r.policies,
 		SelfRegistry: r.selfReg,
 	})

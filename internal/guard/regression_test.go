@@ -22,7 +22,7 @@ type stack struct {
 
 func newStack(guarded bool) *stack {
 	db := timeseries.NewDB(time.Minute)
-	collector := core.NewCollector(db)
+	collector := &core.Collector{DB: db}
 	l3 := core.NewL3Assigner(core.WeightingConfig{}, core.RateControlConfig{}, false)
 	s := &stack{db: db, collector: collector, weighter: l3.Weighter()}
 	if guarded {

@@ -163,15 +163,15 @@ func TestRouteCacheResolvesOncePerRoute(t *testing.T) {
 		_ = m.Call("cluster-1", "api", func(Result) {})
 	}
 	e.RunUntil(time.Second)
-	if len(b.routes[0]) != 1 {
-		t.Fatalf("route cache has %d entries after one route, want 1", len(b.routes[0]))
+	if len(b.routes) != 1 {
+		t.Fatalf("route cache has %d entries after one route, want 1", len(b.routes))
 	}
 	_ = m.Call("cluster-2", "api", func(Result) {})
 	e.RunUntil(2 * time.Second)
-	if len(b.routes[0]) != 2 {
-		t.Fatalf("route cache has %d entries after two routes, want 2", len(b.routes[0]))
+	if len(b.routes) != 2 {
+		t.Fatalf("route cache has %d entries after two routes, want 2", len(b.routes))
 	}
-	if b.routes[0][0] == b.routes[0][1] {
+	if b.routes[0] == b.routes[1] {
 		t.Fatal("distinct source clusters share a routeStats")
 	}
 }

@@ -9,16 +9,9 @@
 // TrafficSplit-driven weighted distribution, round-robin and the C3
 // adaptation all live in internal/balancer and internal/c3.
 //
-// A Mesh runs in one of two modes. The classic mode (New) drives everything
-// on one sim.Engine. The sharded mode (NewSharded) keys one logical shard
-// per cluster on a sim.ShardedEngine: each cluster's backends, load and
-// client proxies execute on their own event loop with their own metrics
-// registry, rng stream and request pool, and a WAN-traversing call crosses
-// shards as a conservative lookahead message (forward hop to the backend's
-// shard, return hop back to the source shard, where the response metrics are
-// recorded). Since every piece of per-request state is confined to one shard
-// at a time, the sharded data plane needs no locks and stays deterministic
-// at any worker count.
+// A Mesh drives every cluster on one sim.Engine, with one metrics registry,
+// one rng stream and one request pool: the whole data plane is a single
+// timeline, so it needs no locks and a seed fixes every run.
 //
 // Fidelity note: the sidecar proxy's own forwarding overhead (~sub-ms
 // median per the Linkerd benchmark study §4 cites) is folded into the WAN
@@ -27,7 +20,6 @@ package mesh
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"l3/internal/backend"
@@ -77,13 +69,10 @@ type Backend struct {
 	// Server models the deployment's serving behaviour.
 	Server Server
 
-	// routes caches the resolved metric handles per source cluster, one
-	// bucket per mesh shard (classic mode has exactly one). Each inner
+	// routes caches the resolved metric handles per source cluster. The
 	// slice is tiny (one entry per source cluster) so a linear scan beats
 	// any map, and the steady-state request path touches no maps at all.
-	// Bucket i is only touched by shard i's execution, so the cache needs
-	// no lock in sharded mode.
-	routes [][]*routeStats
+	routes []*routeStats
 }
 
 // Picker chooses a backend for one request. Implementations may keep state
@@ -124,15 +113,13 @@ type Result struct {
 type Service struct {
 	name     string
 	backends []*Backend
-	// pickers holds the routing strategy per mesh shard (classic mode uses
-	// slot 0 only). Stateful pickers must be distinct instances per shard —
-	// they execute concurrently during windows.
-	pickers []Picker
-	// observers are the pickers' Observer views, resolved once at
-	// SetPicker/SetShardPicker time so the per-request path skips the type
-	// assertion and a mid-flight picker swap cannot feed responses to a
-	// picker that never saw the pick.
-	observers []Observer
+	// picker is the routing strategy (nil: a uniform random pick).
+	picker Picker
+	// observer is the picker's Observer view, resolved once at SetPicker
+	// time so the per-request path skips the type assertion and a
+	// mid-flight picker swap cannot feed responses to a picker that never
+	// saw the pick.
+	observer Observer
 }
 
 // Backends returns the service's deployments (shared slice; do not mutate).
@@ -143,49 +130,21 @@ func (s *Service) Backends() []*Backend { return s.backends }
 // client talking into a blackholed link.
 const DefaultLostTimeout = time.Second
 
-// meshShard is the per-shard slice of the data plane: the event loop,
-// metrics registry, rng stream and request pool owned by one cluster's
-// logical shard. Classic mode has exactly one, wrapping the caller's engine,
-// rng and registry.
-type meshShard struct {
-	id      int
-	cluster string // "" in classic mode (one shard hosts every cluster)
-	engine  *sim.Engine
-	shard   *sim.Shard // nil in classic mode
-	// rng is the shard's private stream. Classic mode holds the caller's
-	// stream; sharded shards fork theirs lazily off the wiring stream on
-	// first use, which keeps the wiring stream's draw sequence — and so the
-	// backend rngs forked from it — identical to classic mode.
-	rng      *sim.Rand
-	registry *metrics.Registry
-	// spans is the shard's tracing sink. Per-shard because finish() runs on
-	// the source shard's timeline; a recorder shared across shards would be
-	// written concurrently during windows.
-	spans SpanRecorder
-	// freeCalls recycles per-request state (and its pre-bound closures)
-	// between requests. A call struct belongs to its source shard for life:
-	// it is taken from and returned to this pool on the shard's own
-	// timeline, so the free list needs no lock.
-	freeCalls []*call
-}
-
 // Mesh wires clusters, services, WAN and metrics together.
 type Mesh struct {
+	engine *sim.Engine
+	// rng is the stream every AddBackend forks a backend rng from, in call
+	// order, and the pickerless fallback draws from.
+	rng         *sim.Rand
+	registry    *metrics.Registry
 	wan         *wan.Model
 	splits      *smi.Store
 	services    map[string]*Service
 	lostTimeout time.Duration
-
-	// wiringRng is the stream every AddBackend forks a backend rng from, in
-	// call order — the same discipline in both modes, so a sharded run's
-	// backend streams are exactly a classic run's. Classic mode aliases it
-	// to shard 0's rng.
-	wiringRng *sim.Rand
-	rngMu     sync.Mutex // guards lazy shard-rng forks off wiringRng
-
-	shards         []*meshShard
-	shardByCluster map[string]int // sharded mode only
-	se             *sim.ShardedEngine
+	spans       SpanRecorder
+	// freeCalls recycles per-request state (and its pre-bound closures)
+	// between requests.
+	freeCalls []*call
 }
 
 // classStats holds the resolved response handles of one classification
@@ -198,18 +157,14 @@ type classStats struct {
 }
 
 // routeStats caches the metric handles of one (service, backend, src)
-// route in one shard's registry. After the first few requests resolve its
-// handles, a request records its metrics through pointer loads alone: no
-// label maps, no series keys, no registry lock.
+// route. After the first few requests resolve its handles, a request
+// records its metrics through pointer loads alone: no label maps, no series
+// keys, no registry lock.
 type routeStats struct {
 	src     string
 	service string
 	backend string
-	reg     *metrics.Registry // the source shard's registry
-	// dst is the shard hosting the backend, resolved once at route-cache
-	// creation so the per-call path never touches the cluster map (classic
-	// mode: the one shard).
-	dst *meshShard
+	reg     *metrics.Registry
 	// out and back are the WAN links src→backend and backend→src, resolved
 	// with the route so a hop hashes no cluster name and takes no lock.
 	out, back *wan.Link
@@ -238,29 +193,22 @@ func (rs *routeStats) class(success bool) *classStats {
 	return cs
 }
 
-// route returns the cached routeStats for (service, b, src) in the source
-// shard's bucket, resolving the inflight gauge (and the cache entry) on the
-// route's first request.
-func (m *Mesh) route(service string, b *Backend, src string, ss *meshShard) *routeStats {
-	for _, rs := range b.routes[ss.id] {
+// route returns the cached routeStats for (service, b, src), resolving the
+// inflight gauge (and the cache entry) on the route's first request.
+func (m *Mesh) route(service string, b *Backend, src string) *routeStats {
+	for _, rs := range b.routes {
 		if rs.src == src {
 			return rs
 		}
 	}
 	labels := metrics.Labels{"service": service, "backend": b.Name, "src": src}
 	rs := &routeStats{
-		src: src, service: service, backend: b.Name, reg: ss.registry,
-		dst:      ss,
-		inflight: ss.registry.Gauge(MetricInflight, labels),
+		src: src, service: service, backend: b.Name, reg: m.registry,
+		inflight: m.registry.Gauge(MetricInflight, labels),
 		out:      m.wan.Link(src, b.Cluster),
 		back:     m.wan.Link(b.Cluster, src),
 	}
-	if m.se != nil {
-		if ds, err := m.shardFor(b.Cluster); err == nil {
-			rs.dst = ds
-		}
-	}
-	b.routes[ss.id] = append(b.routes[ss.id], rs)
+	b.routes = append(b.routes, rs)
 	return rs
 }
 
@@ -270,8 +218,6 @@ func (m *Mesh) route(service string, b *Backend, src string, ss *meshShard) *rou
 // allocates neither closures nor state.
 type call struct {
 	m         *Mesh
-	ss        *meshShard // source shard: pick, metrics, finish (never cleared)
-	dst       *meshShard // destination shard: serve, return hop
 	b         *Backend
 	rs        *routeStats
 	obs       Observer
@@ -287,99 +233,40 @@ type call struct {
 }
 
 // getCall pops a recycled request (or builds one, binding its callbacks).
-func (ss *meshShard) getCall(m *Mesh) *call {
-	if n := len(ss.freeCalls); n > 0 {
-		c := ss.freeCalls[n-1]
-		ss.freeCalls[n-1] = nil
-		ss.freeCalls = ss.freeCalls[:n-1]
+func (m *Mesh) getCall() *call {
+	if n := len(m.freeCalls); n > 0 {
+		c := m.freeCalls[n-1]
+		m.freeCalls[n-1] = nil
+		m.freeCalls = m.freeCalls[:n-1]
 		return c
 	}
-	c := &call{m: m, ss: ss}
+	c := &call{m: m}
 	c.forward = func() { c.b.Server.Serve(c.serveDone) }
 	c.serveDone = func(res backend.Result) { c.onServed(res) }
 	c.finishFn = func() { c.finish() }
 	return c
 }
 
-// putCall recycles a finished request into its source shard's pool,
-// dropping caller references.
+// putCall recycles a finished request, dropping caller references.
 func (c *call) putCall() {
-	ss := c.ss
-	c.b, c.rs, c.obs, c.done, c.dst = nil, nil, nil, nil, nil
-	ss.freeCalls = append(ss.freeCalls, c)
+	c.b, c.rs, c.obs, c.done = nil, nil, nil, nil
+	c.m.freeCalls = append(c.m.freeCalls, c)
 }
 
-// New returns an empty mesh in classic single-engine mode. All arguments
-// are required.
+// New returns an empty mesh on engine. All arguments are required.
 func New(engine *sim.Engine, rng *sim.Rand, wanModel *wan.Model, registry *metrics.Registry) *Mesh {
 	if engine == nil || rng == nil || wanModel == nil || registry == nil {
 		panic("mesh: New requires engine, rng, wan model and registry")
 	}
 	return &Mesh{
+		engine:      engine,
+		rng:         rng,
+		registry:    registry,
 		wan:         wanModel,
 		splits:      smi.NewStore(),
 		services:    make(map[string]*Service),
 		lostTimeout: DefaultLostTimeout,
-		wiringRng:   rng,
-		shards: []*meshShard{{
-			engine: engine, rng: rng, registry: registry,
-		}},
 	}
-}
-
-// NewSharded returns an empty mesh in sharded mode on se: one logical shard
-// per cluster, in the given order (shard i hosts clusters[i]). Every shard
-// gets its own metrics registry; rng becomes the wiring stream, consumed in
-// the same order a classic mesh consumes it (one fork per AddBackend, then
-// lazy per-shard forks on first RngFor), so a sharded run draws the exact
-// backend rng streams a classic run with the same seed does. se's lookahead
-// must lower-bound wanModel.MinOneWayDelay(); callers derive it from there.
-func NewSharded(se *sim.ShardedEngine, clusters []string, rng *sim.Rand, wanModel *wan.Model) (*Mesh, error) {
-	if se == nil || rng == nil || wanModel == nil {
-		panic("mesh: NewSharded requires sharded engine, rng and wan model")
-	}
-	if len(clusters) != se.NumShards() {
-		return nil, fmt.Errorf("mesh: %d clusters for %d shards", len(clusters), se.NumShards())
-	}
-	m := &Mesh{
-		wan:            wanModel,
-		splits:         smi.NewStore(),
-		services:       make(map[string]*Service),
-		lostTimeout:    DefaultLostTimeout,
-		wiringRng:      rng,
-		shards:         make([]*meshShard, len(clusters)),
-		shardByCluster: make(map[string]int, len(clusters)),
-		se:             se,
-	}
-	for i, cl := range clusters {
-		if _, dup := m.shardByCluster[cl]; dup {
-			return nil, fmt.Errorf("mesh: duplicate cluster %q", cl)
-		}
-		m.shardByCluster[cl] = i
-		m.shards[i] = &meshShard{
-			id: i, cluster: cl,
-			engine:   se.Shard(i).Engine(),
-			shard:    se.Shard(i),
-			registry: metrics.NewRegistry(),
-		}
-	}
-	return m, nil
-}
-
-// Sharded reports whether the mesh runs in sharded mode.
-func (m *Mesh) Sharded() bool { return m.se != nil }
-
-// shardFor resolves the shard hosting a cluster. Classic mode hosts every
-// cluster on shard 0.
-func (m *Mesh) shardFor(cluster string) (*meshShard, error) {
-	if m.se == nil {
-		return m.shards[0], nil
-	}
-	i, ok := m.shardByCluster[cluster]
-	if !ok {
-		return nil, fmt.Errorf("mesh: unknown cluster %q", cluster)
-	}
-	return m.shards[i], nil
 }
 
 // SetLostTimeout overrides the client timeout applied to requests lost to a
@@ -393,86 +280,18 @@ func (m *Mesh) SetLostTimeout(d time.Duration) {
 }
 
 // Splits exposes the mesh's TrafficSplit store — the write-side interface
-// controllers like L3 use. In sharded mode, writes must happen on the
-// control engine's timeline (shards paused); reads during windows are safe.
+// controllers like L3 use.
 func (m *Mesh) Splits() *smi.Store { return m.splits }
 
 // Registry exposes the data-plane metrics registry (scraped by the
-// timeseries pipeline). In sharded mode this is shard 0's registry; scrape
-// loops should use Registries.
-func (m *Mesh) Registry() *metrics.Registry { return m.shards[0].registry }
+// timeseries pipeline).
+func (m *Mesh) Registry() *metrics.Registry { return m.registry }
 
-// Registries returns every shard's registry in shard order — what a scrape
-// round reads in sharded mode (core.NewScraperClock consumes it).
-func (m *Mesh) Registries() []*metrics.Registry {
-	regs := make([]*metrics.Registry, len(m.shards))
-	for i, sh := range m.shards {
-		regs[i] = sh.registry
-	}
-	return regs
-}
+// Engine returns the mesh's simulation engine.
+func (m *Mesh) Engine() *sim.Engine { return m.engine }
 
-// Clusters returns the cluster names in shard order — the canonical
-// iteration order for per-shard wiring (pickers, scrapes, reductions).
-func (m *Mesh) Clusters() []string {
-	names := make([]string, len(m.shards))
-	for i, sh := range m.shards {
-		names[i] = sh.cluster
-	}
-	return names
-}
-
-// Engine returns the mesh's simulation engine (shard 0's in sharded mode;
-// per-cluster components should use EngineFor).
-func (m *Mesh) Engine() *sim.Engine { return m.shards[0].engine }
-
-// EngineFor returns the event loop of the shard hosting a cluster — where
-// that cluster's load generators and backends must schedule.
-func (m *Mesh) EngineFor(cluster string) (*sim.Engine, error) {
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return nil, err
-	}
-	return sh.engine, nil
-}
-
-// RngFor returns the rng stream of the shard hosting a cluster, for wiring
-// per-cluster components (load generators) deterministically. In sharded
-// mode the stream is forked off the wiring stream on first access, so a run
-// that never asks for shard streams consumes the wiring stream exactly like
-// a classic run.
-func (m *Mesh) RngFor(cluster string) (*sim.Rand, error) {
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return nil, err
-	}
-	return m.shardRng(sh), nil
-}
-
-// shardRng returns the shard's private rng, lazily forked off the wiring
-// stream. The mutex only matters for the pickerless Call fallback, which may
-// first touch a shard's stream mid-window; deterministic callers fork during
-// single-threaded wiring.
-func (m *Mesh) shardRng(sh *meshShard) *sim.Rand {
-	if sh.rng == nil {
-		m.rngMu.Lock()
-		if sh.rng == nil {
-			sh.rng = m.wiringRng.Fork()
-		}
-		m.rngMu.Unlock()
-	}
-	return sh.rng
-}
-
-// SetSpanRecorder installs a tracing sink (nil disables tracing). In
-// sharded mode the same recorder is installed on every shard: spans record
-// on the *source* shard's timeline, so shards write it concurrently during
-// windows, and the recorder must be safe for concurrent use.
-func (m *Mesh) SetSpanRecorder(r SpanRecorder) {
-	for _, sh := range m.shards {
-		sh.spans = r
-	}
-}
+// SetSpanRecorder installs a tracing sink (nil disables tracing).
+func (m *Mesh) SetSpanRecorder(r SpanRecorder) { m.spans = r }
 
 // AddService registers a service. It errors if the name is taken.
 func (m *Mesh) AddService(name string) (*Service, error) {
@@ -482,11 +301,7 @@ func (m *Mesh) AddService(name string) (*Service, error) {
 	if _, ok := m.services[name]; ok {
 		return nil, fmt.Errorf("mesh: service %q already exists", name)
 	}
-	svc := &Service{
-		name:      name,
-		pickers:   make([]Picker, len(m.shards)),
-		observers: make([]Observer, len(m.shards)),
-	}
+	svc := &Service{name: name}
 	m.services[name] = svc
 	return svc, nil
 }
@@ -498,24 +313,18 @@ func (m *Mesh) Service(name string) (*Service, bool) {
 }
 
 // AddBackend deploys a replica-pool backend of the named service into a
-// cluster. The backend name must be unique within the service. The backend
-// lives on the cluster's shard: its replicas schedule on that shard's
-// engine and draw from an rng forked off the wiring stream in AddBackend
-// order — the same fork sequence in classic and sharded mode, which is what
-// lets a sharded figure reproduce a classic one byte for byte.
+// cluster. The backend name must be unique within the service. Its replicas
+// schedule on the mesh's engine and draw from an rng forked off the mesh's
+// stream in AddBackend order.
 func (m *Mesh) AddBackend(service, backendName, cluster string, cfg backend.Config, profile backend.Profile) (*Backend, error) {
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return nil, err
-	}
 	cfg.Name = backendName
 	return m.AddServerBackend(service, backendName, cluster,
-		backend.New(sh.engine, m.wiringRng.Fork(), cfg, profile))
+		backend.New(m.engine, m.rng.Fork(), cfg, profile))
 }
 
 // AddServerBackend deploys an arbitrary Server as a backend of the named
 // service — the hook application-level models (internal/dsb) use. The
-// server must schedule exclusively on its cluster's shard engine.
+// server must schedule on the mesh's engine.
 func (m *Mesh) AddServerBackend(service, backendName, cluster string, srv Server) (*Backend, error) {
 	svc, ok := m.services[service]
 	if !ok {
@@ -524,127 +333,43 @@ func (m *Mesh) AddServerBackend(service, backendName, cluster string, srv Server
 	if srv == nil {
 		return nil, fmt.Errorf("mesh: nil server for backend %q", backendName)
 	}
-	if _, err := m.shardFor(cluster); err != nil {
-		return nil, err
-	}
 	for _, b := range svc.backends {
 		if b.Name == backendName {
 			return nil, fmt.Errorf("mesh: backend %q already exists in service %q", backendName, service)
 		}
 	}
-	b := &Backend{
-		Name: backendName, Cluster: cluster, Server: srv,
-		routes: make([][]*routeStats, len(m.shards)),
-	}
+	b := &Backend{Name: backendName, Cluster: cluster, Server: srv}
 	svc.backends = append(svc.backends, b)
 	return b, nil
 }
 
-// SetPicker installs the routing strategy for a service on every shard.
-// Classic mode has one shard, so this is the complete wiring. In sharded
-// mode it only suits stateless pickers; stateful ones (round-robin
-// counters, P2C state, split-weighted rngs) execute concurrently across
-// shards and must be installed per shard with SetShardPicker.
+// SetPicker installs the routing strategy for a service.
 func (m *Mesh) SetPicker(service string, p Picker) error {
 	svc, ok := m.services[service]
 	if !ok {
 		return fmt.Errorf("mesh: unknown service %q", service)
 	}
-	obs, _ := p.(Observer)
-	for i := range svc.pickers {
-		svc.pickers[i] = p
-		svc.observers[i] = obs
-	}
+	svc.picker = p
+	svc.observer, _ = p.(Observer)
 	return nil
 }
 
-// SetShardPicker installs the routing strategy one cluster's proxies use —
-// each shard's picker instance is private to that shard's timeline.
-func (m *Mesh) SetShardPicker(service, cluster string, p Picker) error {
-	svc, ok := m.services[service]
-	if !ok {
-		return fmt.Errorf("mesh: unknown service %q", service)
-	}
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return err
-	}
-	svc.pickers[sh.id] = p
-	svc.observers[sh.id], _ = p.(Observer)
-	return nil
-}
-
-// PickerFor returns the routing strategy installed for a service on the
-// shard hosting a cluster (nil when the shard has no picker) — what a
-// per-source wrapping layer (the resilience breaker) reads before
-// re-installing its filtered view with SetShardPicker.
-func (m *Mesh) PickerFor(service, cluster string) (Picker, error) {
+// PickerFor returns the routing strategy installed for a service (nil when
+// it has none) — what a wrapping layer (the resilience breaker) reads
+// before re-installing its filtered view with SetPicker.
+func (m *Mesh) PickerFor(service string) (Picker, error) {
 	svc, ok := m.services[service]
 	if !ok {
 		return nil, fmt.Errorf("mesh: unknown service %q", service)
 	}
-	sh, err := m.shardFor(cluster)
-	if err != nil {
-		return nil, err
-	}
-	return svc.pickers[sh.id], nil
+	return svc.picker, nil
 }
 
 // Call issues one request from srcCluster to the named service. done fires
 // exactly once with the client-observed result. The request path is:
 // client proxy (pick backend, start metrics) → WAN to the backend's cluster
 // → backend queue/execution → WAN back → client proxy (record metrics).
-//
-// In sharded mode, Call must be invoked on the source cluster's shard
-// timeline (from an event executing on that shard's engine); done fires
-// there too. A WAN hop to another cluster's shard travels as a cross-shard
-// message whose delay — the WAN one-way delay — is lower-bounded by the
-// engine's lookahead, which is what keeps barrier delivery conservative.
 func (m *Mesh) Call(srcCluster, service string, done func(Result)) error {
-	ss, err := m.shardFor(srcCluster)
-	if err != nil {
-		return err
-	}
-	return m.callFrom(ss, srcCluster, service, done)
-}
-
-// Proxy is a client-side handle bound to one source cluster's shard: the
-// per-request path skips the cluster-map lookup Call pays on every request.
-// Hot loops that always issue from the same cluster (load generators, the
-// client layers) should hold one.
-type Proxy struct {
-	m   *Mesh
-	ss  *meshShard
-	src string
-}
-
-// Proxy returns the bound client-side handle for a source cluster.
-func (m *Mesh) Proxy(cluster string) (*Proxy, error) {
-	ss, err := m.shardFor(cluster)
-	if err != nil {
-		return nil, err
-	}
-	src := cluster
-	return &Proxy{m: m, ss: ss, src: src}, nil
-}
-
-// Engine returns the event loop of the proxy's cluster — the timeline its
-// calls start and complete on, where a client layer's timers belong.
-func (p *Proxy) Engine() *sim.Engine { return p.ss.engine }
-
-// Registry returns the metrics registry of the proxy's cluster, written
-// only on that cluster's timeline.
-func (p *Proxy) Registry() *metrics.Registry { return p.ss.registry }
-
-// Call issues one request from the proxy's source cluster, exactly like
-// Mesh.Call with the source pre-resolved.
-func (p *Proxy) Call(service string, done func(Result)) error {
-	return p.m.callFrom(p.ss, p.src, service, done)
-}
-
-// callFrom is the shared request path behind Mesh.Call and Proxy.Call; ss
-// must be the shard hosting srcCluster.
-func (m *Mesh) callFrom(ss *meshShard, srcCluster, service string, done func(Result)) error {
 	svc, ok := m.services[service]
 	if !ok {
 		return fmt.Errorf("mesh: unknown service %q", service)
@@ -653,82 +378,63 @@ func (m *Mesh) callFrom(ss *meshShard, srcCluster, service string, done func(Res
 		return fmt.Errorf("mesh: service %q has no backends", service)
 	}
 
-	now := ss.engine.Now()
+	now := m.engine.Now()
 	// Bind the picker and its Observer view at pick time: a SetPicker swap
 	// mid-flight must not feed this response to a picker that never saw the
 	// pick.
-	picker, obs := svc.pickers[ss.id], svc.observers[ss.id]
+	picker, obs := svc.picker, svc.observer
 	var b *Backend
 	if picker != nil {
 		b = picker.Pick(now, srcCluster, service, svc.backends)
 	}
 	if b == nil {
-		b = svc.backends[m.shardRng(ss).IntN(len(svc.backends))]
+		b = svc.backends[m.rng.IntN(len(svc.backends))]
 	}
 
-	c := ss.getCall(m)
-	c.b, c.rs, c.obs = b, m.route(service, b, srcCluster, ss), obs
+	c := m.getCall()
+	c.b, c.rs, c.obs = b, m.route(service, b, srcCluster), obs
 	c.src, c.start, c.done = srcCluster, now, done
 	c.rs.inflight.Inc()
-	c.dst = c.rs.dst
 
 	// A partitioned forward link swallows the request: the client observes
 	// nothing until its timeout trips and counts the request as failed. The
 	// return link is checked again at response time, so a partition injected
-	// mid-request still blackholes the response. The timeout runs locally on
-	// the source shard — the request never leaves it.
+	// mid-request still blackholes the response.
 	if c.rs.out.Partitioned() {
 		c.success, c.serverDur = false, 0
-		ss.engine.Schedule(now+m.lostTimeout, c.finishFn)
+		m.engine.Schedule(now+m.lostTimeout, c.finishFn)
 		return nil
 	}
-	forward := c.rs.out.Delay(now)
-	if c.dst == ss {
-		ss.engine.Schedule(now+forward, c.forward)
-	} else {
-		ss.shard.Send(c.dst.id, now+forward, c.forward)
-	}
+	m.engine.Schedule(now+c.rs.out.Delay(now), c.forward)
 	return nil
 }
 
-// onServed is the backend-completion leg of a request, executing on the
-// destination shard: check the return link, then route the finish back to
-// the source shard after the return hop (or at the client timeout when the
-// link is partitioned — Schedule clamps to "now" when the timeout already
-// passed while the backend was serving; a cross-shard timeout delivery is
-// clamped to the next barrier, the sharded analogue).
+// onServed is the backend-completion leg of a request: check the return
+// link, then schedule the finish after the return hop (or at the client
+// timeout when the link is partitioned — Schedule clamps to "now" when the
+// timeout already passed while the backend was serving).
 func (c *call) onServed(res backend.Result) {
 	m := c.m
-	now := c.dst.engine.Now()
+	now := m.engine.Now()
 	if c.rs.back.Partitioned() {
 		c.success, c.serverDur = false, res.Latency
-		at := c.start + m.lostTimeout
-		if c.dst == c.ss {
-			c.dst.engine.Schedule(at, c.finishFn)
-		} else {
-			c.dst.shard.Send(c.ss.id, at, c.finishFn)
-		}
+		m.engine.Schedule(c.start+m.lostTimeout, c.finishFn)
 		return
 	}
 	back := c.rs.back.Delay(now)
 	c.success, c.serverDur = res.Success && !res.Rejected, res.Latency
-	if c.dst == c.ss {
-		c.dst.engine.Schedule(now+back, c.finishFn)
-	} else {
-		c.dst.shard.Send(c.ss.id, now+back, c.finishFn)
-	}
+	m.engine.Schedule(now+back, c.finishFn)
 }
 
 // finish records the response at the client proxy — inflight, spans,
 // response_total, response_latency, Observer feedback — through the route's
-// cached handles into the source shard's registry, recycles the request
-// state, and completes the caller. It executes on the source shard.
+// cached handles, recycles the request state, and completes the caller.
 func (c *call) finish() {
-	end := c.ss.engine.Now()
+	end := c.m.engine.Now()
 	latency := end - c.start
 	c.rs.inflight.Dec()
-	if c.ss.spans != nil {
-		c.ss.spans.RecordSpan(c.rs.service, c.b.Name, c.src, c.start, end, c.serverDur, c.success)
+	if c.m.spans != nil {
+		c.m.spans.RecordSpan(c.rs.service, c.b.Name, c.src, c.start, end, c.serverDur, c.success)
 	}
 	cs := c.rs.class(c.success)
 	cs.total.Inc()
@@ -747,44 +453,8 @@ func (c *call) finish() {
 // direction is partitioned, in which case done never fires and the caller's
 // probe timeout counts the probe as failed, exactly as a real checker
 // behind a blackholed link would observe.
-//
-// In sharded mode, Probe must be called from the control engine's timeline
-// (health checkers live there): the probe's serve leg is scheduled straight
-// onto the backend's shard — legal because every shard is paused at the
-// control barrier — and the response returns as a shard→control message, so
-// done fires at the first barrier after the return hop lands (quantized at
-// most one lookahead late, uniformly for every probe).
 func (m *Mesh) Probe(src string, b *Backend, done func(success bool)) {
-	if m.se == nil {
-		m.probeClassic(src, b, done)
-		return
-	}
-	ds, err := m.shardFor(b.Cluster)
-	if err != nil {
-		return
-	}
-	now := m.se.Control().Now()
-	if m.wan.Partitioned(src, b.Cluster) {
-		return
-	}
-	forward := m.wan.OneWayDelay(src, b.Cluster, now)
-	ds.engine.Schedule(now+forward, func() {
-		b.Server.Serve(func(res backend.Result) {
-			served := ds.engine.Now()
-			if m.wan.Partitioned(b.Cluster, src) {
-				return
-			}
-			back := m.wan.OneWayDelay(b.Cluster, src, served)
-			ds.shard.SendControl(served+back, func() {
-				done(res.Success && !res.Rejected)
-			})
-		})
-	})
-}
-
-// probeClassic is the single-engine probe path.
-func (m *Mesh) probeClassic(src string, b *Backend, done func(success bool)) {
-	eng := m.shards[0].engine
+	eng := m.engine
 	now := eng.Now()
 	if m.wan.Partitioned(src, b.Cluster) {
 		return

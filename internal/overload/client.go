@@ -23,13 +23,11 @@ type svcState struct {
 // Client composes admission control over one source cluster's view of a
 // mesh (or over a resilience client, so shedding happens before a rejected
 // request can spend retry budget). Like the layers it wraps, a Client is
-// single-threaded on its engine: all of its state lives on the source
-// cluster's timeline.
+// single-threaded on its engine.
 type Client struct {
 	engine   *sim.Engine
 	mesh     *mesh.Mesh
 	src      string
-	proxy    *mesh.Proxy
 	res      *resilience.Client // optional inner layer
 	services map[string]*svcState
 
@@ -37,21 +35,16 @@ type Client struct {
 }
 
 // NewClient returns an admission client for requests originating in cluster
-// src of m, running on that cluster's engine and recording into that
-// cluster's registry (a classic mesh has one of each, which every cluster
-// resolves to). Calls from any other source cluster error.
-func NewClient(m *mesh.Mesh, src string) (*Client, error) {
+// src of m, running on the mesh's engine and recording into its registry.
+// Calls from any other source cluster error.
+func NewClient(m *mesh.Mesh, src string) *Client {
 	if m == nil {
 		panic("overload: NewClient requires a mesh")
 	}
-	proxy, err := m.Proxy(src)
-	if err != nil {
-		return nil, err
-	}
 	return &Client{
-		engine: proxy.Engine(), mesh: m, src: src, proxy: proxy,
+		engine: m.Engine(), mesh: m, src: src,
 		services: make(map[string]*svcState),
-	}, nil
+	}
 }
 
 // SetInner routes admitted requests through a resilience client instead of
@@ -74,7 +67,7 @@ func (c *Client) Apply(service string, p Policy) error {
 	st := &svcState{
 		limiter: NewLimiter(p.Limiter),
 		q:       newQueue(p, c.deliver),
-		m:       NewMetrics(c.proxy.Registry(), service),
+		m:       NewMetrics(c.mesh.Registry(), service),
 	}
 	st.q.limit = st.limiter.Limit()
 	st.m.Sync(st.q.snapshot())
@@ -171,7 +164,7 @@ func (c *Client) issue(o *op) error {
 	if c.res != nil {
 		return c.res.Call(c.src, o.service, o.fireRes)
 	}
-	return c.proxy.Call(o.service, o.fire)
+	return c.mesh.Call(c.src, o.service, o.fire)
 }
 
 // start issues an admitted op; if the inner layer refuses it, its slot

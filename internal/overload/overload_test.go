@@ -253,10 +253,7 @@ func newRig(t *testing.T) *testRig {
 	if _, err := m.AddServerBackend("api", "b1", "cluster-1", srv); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(m, "cluster-1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(m, "cluster-1")
 	return &testRig{engine: e, mesh: m, client: c, reg: reg, srv: srv}
 }
 

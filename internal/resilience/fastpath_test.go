@@ -38,10 +38,7 @@ func newAllocRig(t *testing.T, profile backend.Profile) (*sim.Engine, *Client) {
 			t.Fatal(err)
 		}
 	}
-	c, err := NewClient(m, "cluster-1", sim.NewRand(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(m, "cluster-1", sim.NewRand(2))
 	return e, c
 }
 

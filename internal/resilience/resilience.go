@@ -342,17 +342,13 @@ type Result struct {
 // Client wraps one source cluster's view of a mesh with per-service
 // resilience policies: a Core per service makes every decision, and the
 // client owns what the virtual clock needs — pooled request state, the
-// engine's timers and the seeded jitter draws. All of it lives on that
-// cluster's timeline, and like the mesh it decorates it is single-threaded
-// there. On a sharded mesh every retry or hedge re-entry is a cross-shard
-// continuation: the mesh already returns responses to the source shard, so
-// the re-entering call leaves from exactly where the client's timers run.
+// engine's timers and the seeded jitter draws. Like the mesh it decorates,
+// it is single-threaded on the mesh's engine.
 type Client struct {
 	engine   *sim.Engine
 	rng      *sim.Rand
 	mesh     *mesh.Mesh
 	src      string
-	proxy    *mesh.Proxy
 	services map[string]*Core
 
 	freeOps      []*op
@@ -360,25 +356,18 @@ type Client struct {
 }
 
 // NewClient returns a resilience client for requests originating in cluster
-// src of m. The client runs on that cluster's engine, records its metrics
-// into that cluster's registry, and installs its breaker filter on that
-// cluster's picker only — on a sharded mesh other clusters' proxies keep
-// their own pickers, exactly as per-node Envoy/Linkerd sidecars keep
-// per-node outlier state; a classic mesh has one engine, registry and picker,
-// which every cluster resolves to. rng seeds backoff jitter. Calls from any
-// other source cluster error.
-func NewClient(m *mesh.Mesh, src string, rng *sim.Rand) (*Client, error) {
+// src of m. The client runs on the mesh's engine, records its metrics into
+// the mesh's registry, and installs its breaker filter around the service's
+// picker. rng seeds backoff jitter. Calls from any other source cluster
+// error.
+func NewClient(m *mesh.Mesh, src string, rng *sim.Rand) *Client {
 	if m == nil || rng == nil {
 		panic("resilience: NewClient requires mesh and rng")
 	}
-	proxy, err := m.Proxy(src)
-	if err != nil {
-		return nil, err
-	}
 	return &Client{
-		engine: proxy.Engine(), rng: rng, mesh: m, src: src, proxy: proxy,
+		engine: m.Engine(), rng: rng, mesh: m, src: src,
 		services: make(map[string]*Core),
-	}, nil
+	}
 }
 
 // Apply installs a policy for a service, resolving its metric handles and —
@@ -398,17 +387,13 @@ func (c *Client) Apply(service string, p Policy) error {
 	for _, b := range svc.Backends() {
 		names = append(names, b.Name)
 	}
-	core := NewCore(p, service, names, c.proxy.Registry())
+	core := NewCore(p, service, names, c.mesh.Registry())
 	if core.breaker != nil {
-		// The ejection filter wraps only the source cluster's picker.
-		// Breaker state mutates on response events, which execute on the
-		// source timeline — other shards' pickers must not read it
-		// mid-window.
-		inner, err := c.mesh.PickerFor(service, c.src)
+		inner, err := c.mesh.PickerFor(service)
 		if err != nil {
 			return err
 		}
-		if err := c.mesh.SetShardPicker(service, c.src, balancer.NewFilter(core.breaker.Allowed, inner, c.rng)); err != nil {
+		if err := c.mesh.SetPicker(service, balancer.NewFilter(core.breaker.Allowed, inner, c.rng)); err != nil {
 			return err
 		}
 	}
@@ -573,7 +558,7 @@ func (c *Client) launch(o *op) error {
 	a.svc, a.o, a.gen = o.svc, o, o.gen
 	o.attempts++
 	o.inFlight++
-	if err := c.proxy.Call(o.service, a.fire); err != nil {
+	if err := c.mesh.Call(c.src, o.service, a.fire); err != nil {
 		o.attempts--
 		o.inFlight--
 		c.putAttempt(a)

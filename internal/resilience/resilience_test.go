@@ -52,10 +52,7 @@ func newRig(t *testing.T, servers map[string]*scriptServer) *testRig {
 			t.Fatal(err)
 		}
 	}
-	c, err := NewClient(m, "cluster-1", sim.NewRand(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(m, "cluster-1", sim.NewRand(2))
 	return &testRig{engine: e, mesh: m, client: c, reg: reg}
 }
 
@@ -588,10 +585,7 @@ func TestRetriesLiftSuccessGeometrically(t *testing.T) {
 		}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(m, "cluster-1", sim.NewRand(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewClient(m, "cluster-1", sim.NewRand(2))
 	if err := c.Apply("api", Policy{Retry: RetryConfig{MaxAttempts: 3}}); err != nil {
 		t.Fatal(err)
 	}
@@ -619,10 +613,7 @@ func TestJitterSpreadsBackoffDeterministically(t *testing.T) {
 		// Instant failures isolate the backoff contribution; each request's
 		// total latency is 4×1ms hops + the three jittered backoffs.
 		rig := newRig(t, map[string]*scriptServer{"b1": {}})
-		c, err := NewClient(rig.mesh, "cluster-1", sim.NewRand(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := NewClient(rig.mesh, "cluster-1", sim.NewRand(seed))
 		if err := c.Apply("api", Policy{
 			Retry: RetryConfig{MaxAttempts: 4, Backoff: 10 * time.Millisecond, Jitter: 0.5},
 		}); err != nil {

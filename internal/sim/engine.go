@@ -49,19 +49,9 @@ func (e *Engine) Pending() int {
 }
 
 // Fired returns the number of events executed so far — the self-metric the
-// sharded harness aggregates into events/second.
+// benchmark harness divides into events per operation.
 func (e *Engine) Fired() uint64 {
 	return e.fired
-}
-
-// NextAt returns the timestamp of the earliest scheduled event, ok=false
-// when the queue is empty. A cancelled-but-unpopped event still reports its
-// time; the barrier scheduler treats that as a (harmless) early stop.
-func (e *Engine) NextAt() (time.Duration, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
 }
 
 // schedule enqueues fn at absolute time t (clamped to now) and returns the

@@ -189,16 +189,6 @@ func Generate(name string, seed uint64) (*Scenario, error) {
 	return sc, nil
 }
 
-// MustGenerate is Generate for known-good names; it panics on error and is
-// intended for benchmarks and tests.
-func MustGenerate(name string, seed uint64) *Scenario {
-	sc, err := Generate(name, seed)
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
-
 func hashName(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

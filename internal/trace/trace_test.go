@@ -316,3 +316,12 @@ func TestSampleLatencyMovesWithinStep(t *testing.T) {
 		t.Fatalf("same draw at step start %v and mid-step %v: ratio %v, want 1.5", atStart, midStep, ratio)
 	}
 }
+
+// MustGenerate is Generate for known-good names; it panics on error.
+func MustGenerate(name string, seed uint64) *Scenario {
+	sc, err := Generate(name, seed)
+	if err != nil {
+		panic(err)
+	}
+	return sc
+}

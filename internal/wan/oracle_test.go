@@ -176,9 +176,9 @@ func TestLinkIsResolvedOnce(t *testing.T) {
 	}
 }
 
-// TestLinkFaultsRaceFree is the sharded contract: the control timeline
-// injects and heals faults while every shard reads its held links (and a
-// probe reads through the Model) concurrently. Every read must see either
+// TestLinkFaultsRaceFree is the Link's concurrency contract: one goroutine
+// injects and heals faults while others read their held links (and read
+// through the Model) concurrently. Every read must see either
 // the healthy link or the faulted one, never anything in between.
 func TestLinkFaultsRaceFree(t *testing.T) {
 	healthy := New(DefaultConfig())

@@ -187,20 +187,6 @@ func (l *Link) Delay(t time.Duration) time.Duration {
 	return time.Duration(d)
 }
 
-// MinOneWayDelay returns a lower bound on OneWayDelay over every
-// cross-cluster link and every time — the conservative lookahead a sharded
-// simulation (sim.ShardedEngine) may use when shards are keyed by cluster.
-//
-// The bound follows from the delay formula: jitter ≥ −jitterFraction (drift
-// and noise both live in [−1, 1]), pathExtra ≥ 0, injected faults only add
-// delay (a partitioned link never delivers at all), and every delay is
-// clamped below at the intra-cluster constant localDelay. Hence
-//
-//	OneWayDelay ≥ max(localDelay, (BaseRTT/2) · (1 − jitterFraction))
-func (m *Model) MinOneWayDelay() time.Duration {
-	return max(localDelay, time.Duration(float64(m.cfg.BaseRTT/2)*(1-jitterFraction)))
-}
-
 // String describes the model briefly.
 func (m *Model) String() string {
 	return fmt.Sprintf("wan{base=%v jitter=%.0f%% shift=%v}",

@@ -260,40 +260,45 @@ func TestRetryOptionLiftsSuccess(t *testing.T) {
 	}
 }
 
-// TestGuardSeriesReachTheTSDBEveryRound pins the scrape set: the guard's
+// TestControlRegistryScrapedInBothModes pins the scrape set: the guard's
 // control-plane families share the data-plane registry, and every scrape
-// round carries them into the TSDB at that round's timestamp.
-func TestGuardSeriesReachTheTSDBEveryRound(t *testing.T) {
-	clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
-	opts := Options{Guard: true}.withDefaults()
-	w := newWorld(1)
-	if _, err := w.mesh.AddService(apiService); err != nil {
-		t.Fatal(err)
-	}
-	var backends []smi.Backend
-	for _, cl := range clusters {
-		name := apiService + "-" + cl
-		if _, err := w.mesh.AddBackend(apiService, name, cl, backend.Config{},
-			func(time.Duration, *sim.Rand) (time.Duration, bool) { return time.Millisecond, true }); err != nil {
+// round carries them into the TSDB at that round's timestamp. The name
+// keeps the test's history: it once ran on the classic and the sharded
+// engine; the sharded case went with that engine, and shards=0 is the one
+// engine that remains.
+func TestControlRegistryScrapedInBothModes(t *testing.T) {
+	t.Run("shards=0", func(t *testing.T) {
+		clusters := []string{"cluster-1", "cluster-2", "cluster-3"}
+		opts := Options{Guard: true, Shards: 0}.withDefaults()
+		w := newWorld(1)
+		if _, err := w.mesh.AddService(apiService); err != nil {
 			t.Fatal(err)
 		}
-		backends = append(backends, smi.Backend{Service: name, Weight: 500})
-	}
-	if err := w.mesh.Splits().Create(&smi.TrafficSplit{
-		Name: apiService, RootService: apiService, Backends: backends,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	handles, err := installAlgorithm(w, AlgoL3, opts, []string{apiService}, nil, globalController())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 3; round++ {
-		at := time.Duration(round) * opts.ScrapeInterval
-		w.engine.RunUntil(at)
-		if got, ok := handles.db.NewestSample(guard.MetricResetsTotal, nil); !ok || got != at {
-			t.Fatalf("round %d: newest %s sample at %v (found %v), want %v",
-				round, guard.MetricResetsTotal, got, ok, at)
+		var backends []smi.Backend
+		for _, cl := range clusters {
+			name := apiService + "-" + cl
+			if _, err := w.mesh.AddBackend(apiService, name, cl, backend.Config{},
+				func(time.Duration, *sim.Rand) (time.Duration, bool) { return time.Millisecond, true }); err != nil {
+				t.Fatal(err)
+			}
+			backends = append(backends, smi.Backend{Service: name, Weight: 500})
 		}
-	}
+		if err := w.mesh.Splits().Create(&smi.TrafficSplit{
+			Name: apiService, RootService: apiService, Backends: backends,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		handles, err := installAlgorithm(w, AlgoL3, opts, []string{apiService}, nil, globalController())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= 3; round++ {
+			at := time.Duration(round) * opts.ScrapeInterval
+			w.engine.RunUntil(at)
+			if got, ok := handles.db.NewestSample(guard.MetricResetsTotal, nil); !ok || got != at {
+				t.Fatalf("round %d: newest %s sample at %v (found %v), want %v",
+					round, guard.MetricResetsTotal, got, ok, at)
+			}
+		}
+	})
 }

@@ -10,7 +10,6 @@ import (
 	"l3/internal/autoscale"
 	"l3/internal/backend"
 	"l3/internal/balancer"
-	"l3/internal/c3"
 	"l3/internal/chaos"
 	"l3/internal/cluster"
 	"l3/internal/core"
@@ -23,10 +22,10 @@ import (
 	"l3/internal/mesh"
 	"l3/internal/metrics"
 	"l3/internal/overload"
+	"l3/internal/plane"
 	"l3/internal/resilience"
 	"l3/internal/sim"
 	"l3/internal/smi"
-	"l3/internal/timeseries"
 	"l3/internal/trace"
 )
 
@@ -336,18 +335,17 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 			updates = append(updates, w.engine.Now())
 			snaps = append(snaps, chaos.WeightSnapshot{At: w.engine.Now(), Weights: weights})
 		})
-		scrapers := make([]chaos.ScrapeGate, len(handles.scrapers))
-		for i, s := range handles.scrapers {
-			scrapers[i] = s
-		}
-		inj := chaos.New(w.engine, *opts.Chaos, chaos.Targets{
+		targets := chaos.Targets{
 			Clusters: sc.ClusterNames(),
 			Links:    w.wan,
 			Backends: injectors,
-			Scrapers: scrapers,
 			Leaders:  handles.leaders,
 			Metrics:  backendResetter{m.Registry()},
-		}, warm)
+		}
+		if handles.plane != nil {
+			targets.Scraper = handles.plane.Scraper
+		}
+		inj := chaos.New(w.engine, *opts.Chaos, targets, warm)
 		if err := inj.Start(); err != nil {
 			return nil, err
 		}
@@ -453,28 +451,13 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	}, gen)
 }
 
-// algoHandles exposes the control-plane pieces installAlgorithm built, so
-// the chaos injector can reach into them. All fields may be empty — a
-// round-robin run has no scraper, controller or checker.
+// algoHandles exposes the control plane installAlgorithm built, so the chaos
+// injector can reach into it. Both fields are empty for a strategy without
+// one, and leaders is empty unless the controllers run leader-elected.
 type algoHandles struct {
-	scrapers []*core.Scraper
-	checker  *health.Checker
-	leaders  map[string]chaos.Leader
-	// db is the TSDB the scraper fills and the collectors query (L3/C3).
-	db *timeseries.DB
+	plane   *plane.Plane
+	leaders map[string]chaos.Leader
 }
-
-// leaderHandle adapts one controller instance (controller + elector) to the
-// chaos Leader interface: Kill crashes it without releasing the lease,
-// Revive restarts it (it rejoins as standby until it re-acquires).
-type leaderHandle struct {
-	ctrl    *core.Controller
-	elector *cluster.Elector
-}
-
-func (h leaderHandle) Kill()          { h.ctrl.Crash() }
-func (h leaderHandle) Revive()        { h.ctrl.Start() }
-func (h leaderHandle) IsLeader() bool { return h.elector.IsLeader() }
 
 // installAlgorithm wires the routing strategy (and, for L3/C3, the
 // controller pipeline) for the given services: one picker per service, and
@@ -488,7 +471,7 @@ func (h leaderHandle) IsLeader() bool { return h.elector.IsLeader() }
 // metrics and managing its own splits, as §3 describes for production
 // deployments.
 func installAlgorithm(w *world, algo Algorithm, opts Options,
-	services []string, splitName func(src, service string) string, controllers []controllerSpec) (*algoHandles, error) {
+	services []string, splitName func(src, service string) string, controllers []plane.Spec) (*algoHandles, error) {
 	m, reg := w.mesh, w.mesh.Registry()
 	handles := &algoHandles{}
 	switch algo {
@@ -518,7 +501,6 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 		}
 		// Pickers read the checker's healthy set through a balancer.Filter.
 		checker := health.NewChecker(w.engine, hcfg)
-		handles.checker = checker
 		healthy := func(_ time.Duration, name string) bool { return checker.Healthy(name) }
 		for _, svc := range services {
 			s, ok := m.Service(svc)
@@ -537,25 +519,10 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 				return nil, err
 			}
 		}
-		db := timeseries.NewDB(time.Minute)
-		handles.db = db
-		var hyg *guard.Hygiene
-		var gate *guard.WriteGate
-		gcfg := guard.Config{Interval: opts.ScrapeInterval}
-		if opts.Guard {
-			hyg = guard.NewHygiene(gcfg, reg)
-			db.SetGate(hyg)
-			gate = guard.NewWriteGate(gcfg, reg)
-		}
-		scraper := core.NewScraperClock(w.engine, db, []*metrics.Registry{reg}, opts.ScrapeInterval)
-		scraper.Start()
-		handles.scrapers = append(handles.scrapers, scraper)
-		newAssigner := func() core.Assigner {
-			var assigner core.Assigner
-			if algo == AlgoC3 {
-				assigner = c3.New(c3.Config{})
-			} else {
-				assigner = core.NewL3Assigner(core.WeightingConfig{
+		var newAssigner func() core.Assigner // nil: the plane runs C3
+		if algo == AlgoL3 {
+			newAssigner = func() core.Assigner {
+				var assigner core.Assigner = core.NewL3Assigner(core.WeightingConfig{
 					Penalty:          opts.Penalty,
 					FilterKind:       opts.FilterKind,
 					InflightExponent: opts.inflightExponent,
@@ -566,55 +533,45 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 						return strings.TrimPrefix(b, apiService+"-")
 					}, opts.CostLambda)
 				}
-			}
-			if opts.Guard {
-				assigner = guard.NewAssigner(assigner, gcfg, reg)
-			}
-			return assigner
-		}
-		handles.leaders = make(map[string]chaos.Leader)
-		for si, spec := range controllers {
-			newController := func(elector *cluster.Elector) *core.Controller {
-				collector := &core.Collector{
-					DB: db, Window: 2 * opts.ScrapeInterval, Percentile: opts.Percentile,
-					Match: spec.match,
-				}
-				if hyg != nil {
-					collector.Resets = hyg
-				}
-				cfg := core.ControllerConfig{
-					Interval:    opts.ScrapeInterval,
-					NewAssigner: newAssigner,
-					SplitFilter: spec.filter,
-					Elector:     elector,
-				}
-				if gate != nil {
-					cfg.WriteGuard = gate
-				}
-				return core.NewControllerClock(w.engine, m.Splits(), collector, cfg)
-			}
-			if !opts.LeaderElection {
-				newController(nil).Start()
-				continue
-			}
-			// Leader-elected pair: both instances run the full pipeline,
-			// one lease gates the split writes. Instance 0 starts first and
-			// campaigns first, so it is deterministically the initial
-			// leader.
-			lock := cluster.NewLeaseLock()
-			for i := 0; i < 2; i++ {
-				id := fmt.Sprintf("l3-%d", i)
-				if len(controllers) > 1 {
-					id = fmt.Sprintf("l3-%d-%d", si, i)
-				}
-				elector := cluster.NewElector(w.engine, lock, id)
-				ctrl := newController(elector)
-				ctrl.Start()
-				handles.leaders[id] = leaderHandle{ctrl: ctrl, elector: elector}
+				return assigner
 			}
 		}
-		if gate != nil {
-			guard.NewWatchdog(w.engine, m.Splits(), gcfg, reg, nil, gate).Start()
+		var ids []string
+		if opts.LeaderElection {
+			// Leader-elected pairs: both instances run the full pipeline, one
+			// lease gates the split writes. Instance 0 starts first and
+			// campaigns first, so it is deterministically the initial leader.
+			handles.leaders = make(map[string]chaos.Leader)
+			var pairs []plane.Spec
+			for si, spec := range controllers {
+				lock := cluster.NewLeaseLock()
+				for i := 0; i < 2; i++ {
+					id := fmt.Sprintf("l3-%d", i)
+					if len(controllers) > 1 {
+						id = fmt.Sprintf("l3-%d-%d", si, i)
+					}
+					spec.Elector = cluster.NewElector(w.engine, lock, id)
+					pairs = append(pairs, spec)
+					ids = append(ids, id)
+				}
+			}
+			controllers = pairs
+		}
+		p := plane.New(w.engine, m.Splits(), plane.Config{
+			Interval:    opts.ScrapeInterval,
+			Percentile:  opts.Percentile,
+			Guard:       opts.Guard,
+			Registry:    reg,
+			NewAssigner: newAssigner,
+			Specs:       controllers,
+		})
+		p.Start()
+		handles.plane = p
+		for i, id := range ids {
+			handles.leaders[id] = p.Controllers[i]
+		}
+		if p.Gate != nil {
+			guard.NewWatchdog(w.engine, m.Splits(), guard.Config{Interval: opts.ScrapeInterval}, reg, nil, p.Gate).Start()
 		}
 		return handles, nil
 	default:
@@ -622,28 +579,21 @@ func installAlgorithm(w *world, algo Algorithm, opts Options,
 	}
 }
 
-// controllerSpec describes one L3/C3 instance: which metric series it may
-// read and which TrafficSplits it manages.
-type controllerSpec struct {
-	match  metrics.Labels
-	filter func(name string) bool
-}
-
 // globalController is the scenario testbed's single instance managing
 // every split from all metrics.
-func globalController() []controllerSpec {
-	return []controllerSpec{{}}
+func globalController() []plane.Spec {
+	return []plane.Spec{{}}
 }
 
 // perClusterControllers builds one instance per cluster, each scoped to its
 // cluster's source-side metrics and its cluster's splits.
-func perClusterControllers(clusters []string) []controllerSpec {
-	specs := make([]controllerSpec, 0, len(clusters))
+func perClusterControllers(clusters []string) []plane.Spec {
+	specs := make([]plane.Spec, 0, len(clusters))
 	for _, c := range clusters {
 		c := c
-		specs = append(specs, controllerSpec{
-			match:  metrics.Labels{"src": c},
-			filter: func(name string) bool { return strings.HasPrefix(name, c+"/") },
+		specs = append(specs, plane.Spec{
+			Match:  metrics.Labels{"src": c},
+			Filter: func(name string) bool { return strings.HasPrefix(name, c+"/") },
 		})
 	}
 	return specs

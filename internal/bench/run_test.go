@@ -295,7 +295,7 @@ func TestControlRegistryScrapedInBothModes(t *testing.T) {
 		for round := 1; round <= 3; round++ {
 			at := time.Duration(round) * opts.ScrapeInterval
 			w.engine.RunUntil(at)
-			if got, ok := handles.db.NewestSample(guard.MetricResetsTotal, nil); !ok || got != at {
+			if got, ok := handles.plane.DB.NewestSample(guard.MetricResetsTotal, nil); !ok || got != at {
 				t.Fatalf("round %d: newest %s sample at %v (found %v), want %v",
 					round, guard.MetricResetsTotal, got, ok, at)
 			}

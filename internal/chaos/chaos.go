@@ -55,13 +55,12 @@ type MetricResetter interface {
 	ResetBackendCounters(backend string)
 }
 
-// Leader is one killable controller instance (a core.Controller plus its
-// elector, adapted by the harness): Kill crashes it without releasing the
-// leadership lease, Revive restarts it, IsLeader reports whether it
-// currently leads.
+// Leader is one killable controller instance (implemented by
+// core.Controller): Crash kills it without releasing the leadership lease,
+// Start revives it as a standby, IsLeader reports whether it currently leads.
 type Leader interface {
-	Kill()
-	Revive()
+	Crash()
+	Start()
 	IsLeader() bool
 }
 
@@ -75,10 +74,10 @@ type Targets struct {
 	Links LinkInjector
 	// Backends maps backend name to its injector.
 	Backends map[string]BackendInjector
-	// Scrapers are the control plane's scrape gates. Gates additionally
-	// implementing ScrapeCorrupter/ScrapeSkewer/ScrapeSlower receive the
+	// Scraper is the control plane's scrape gate. A gate additionally
+	// implementing ScrapeCorrupter/ScrapeSkewer/ScrapeSlower receives the
 	// garbage, clockskew and slowscrape faults.
-	Scrapers []ScrapeGate
+	Scraper ScrapeGate
 	// Leaders maps controller instance id to its kill handle.
 	Leaders map[string]Leader
 	// Metrics receives counterreset events.
@@ -154,7 +153,9 @@ func (in *Injector) check(ev Event) error {
 			return fmt.Errorf("chaos: %s event targets unknown backend %q", ev.Kind, ev.Backend)
 		}
 	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
-		return checkScrape(in.targets.Scrapers, ev)
+		if in.targets.Scraper == nil || scrapeFault(in.targets.Scraper, ev, true) == nil {
+			return fmt.Errorf("chaos: %s event but no scraper takes it", ev.Kind)
+		}
 	case LeaderKill:
 		if len(in.targets.Leaders) == 0 {
 			return fmt.Errorf("chaos: leaderkill event but no leader handles")
@@ -172,7 +173,7 @@ func (in *Injector) check(ev Event) error {
 	return nil
 }
 
-// scrapeFault resolves a control-plane scrape event against one scraper: the
+// scrapeFault resolves a control-plane scrape event against the scraper: the
 // call that injects (on) or heals it, or nil when the scraper lacks the
 // capability. It is the one table of the scrape faults Injector injects.
 func scrapeFault(s ScrapeGate, ev Event, on bool) func() {
@@ -196,26 +197,6 @@ func scrapeFault(s ScrapeGate, ev Event, on bool) func() {
 		}
 	}
 	return nil
-}
-
-// checkScrape fails unless some scraper takes the scrape event ev.
-func checkScrape(ss []ScrapeGate, ev Event) error {
-	for _, s := range ss {
-		if scrapeFault(s, ev, true) != nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("chaos: %s event but no scraper takes it", ev.Kind)
-}
-
-// setScrape injects (on) or heals the scrape event ev on every scraper that
-// takes it.
-func setScrape(ss []ScrapeGate, ev Event, on bool) {
-	for _, s := range ss {
-		if set := scrapeFault(s, ev, on); set != nil {
-			set()
-		}
-	}
 }
 
 // links expands an event's From/To into the directed links it covers.
@@ -269,11 +250,11 @@ func (in *Injector) apply(idx int, ev Event) {
 		}
 		b.SetConcurrency(kept)
 	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
-		setScrape(in.targets.Scrapers, ev, true)
+		scrapeFault(in.targets.Scraper, ev, true)()
 	case LeaderKill:
 		l := in.leader(ev)
 		in.killed[idx] = l
-		l.Kill()
+		l.Crash()
 	case CounterReset:
 		in.targets.Metrics.ResetBackendCounters(ev.Backend)
 	}
@@ -295,10 +276,10 @@ func (in *Injector) heal(idx int, ev Event) {
 		}
 		b.SetConcurrency(restored)
 	case ScrapeDrop, Garbage, ClockSkew, SlowScrape:
-		setScrape(in.targets.Scrapers, ev, false)
+		scrapeFault(in.targets.Scraper, ev, false)()
 	case LeaderKill:
 		if l, ok := in.killed[idx]; ok {
-			l.Revive()
+			l.Start()
 		}
 	}
 }

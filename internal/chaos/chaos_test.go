@@ -43,8 +43,8 @@ type fakeLeader struct {
 	revives int
 }
 
-func (f *fakeLeader) Kill()          { f.kills++; f.leading = false }
-func (f *fakeLeader) Revive()        { f.revives++ }
+func (f *fakeLeader) Crash()         { f.kills++; f.leading = false }
+func (f *fakeLeader) Start()         { f.revives++ }
 func (f *fakeLeader) IsLeader() bool { return f.leading }
 
 func mustParse(t *testing.T, s string) Schedule {
@@ -128,7 +128,7 @@ func TestInjectorScrapeDropAndShift(t *testing.T) {
 	gate := &fakeGate{}
 	// Shift by 30s: the event written at 10s lands at 40s of engine time.
 	inj := New(engine, mustParse(t, "scrapedrop@10s+5s"), Targets{
-		Scrapers: []ScrapeGate{gate},
+		Scraper: gate,
 	}, 30*time.Second)
 	if err := inj.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -194,8 +194,8 @@ func TestInjectorHygieneFaults(t *testing.T) {
 	sched := mustParse(t,
 		"garbage@1s+10s:negative/api-1; clockskew@2s+10s:6s; slowscrape@3s+10s:3; counterreset@4s:api-1")
 	inj := New(engine, sched, Targets{
-		Scrapers: []ScrapeGate{gate},
-		Metrics:  gate,
+		Scraper: gate,
+		Metrics: gate,
 	}, 0)
 	if err := inj.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -233,9 +233,9 @@ func TestInjectorValidatesTargets(t *testing.T) {
 		{"leaderkill@1s:ghost", Targets{Leaders: map[string]Leader{"l3-0": &fakeLeader{}}}},
 		// A plain ScrapeGate lacks the corruption capabilities; counterreset
 		// needs a metric resetter.
-		{"garbage@1s+1s", Targets{Scrapers: []ScrapeGate{&fakeGate{}}}},
-		{"clockskew@1s+1s:6s", Targets{Scrapers: []ScrapeGate{&fakeGate{}}}},
-		{"slowscrape@1s+1s:3", Targets{Scrapers: []ScrapeGate{&fakeGate{}}}},
+		{"garbage@1s+1s", Targets{Scraper: &fakeGate{}}},
+		{"clockskew@1s+1s:6s", Targets{Scraper: &fakeGate{}}},
+		{"slowscrape@1s+1s:3", Targets{Scraper: &fakeGate{}}},
 		{"counterreset@1s:api", Targets{}},
 	}
 	for _, c := range cases {

@@ -571,7 +571,9 @@ func (c *Controller) reorder() {
 	c.order = order
 }
 
-func (c *Controller) isLeader() bool {
+// IsLeader reports whether the controller may write: it leads its lease, or
+// runs without one.
+func (c *Controller) IsLeader() bool {
 	if c.cfg.Elector == nil {
 		return true
 	}
@@ -580,7 +582,7 @@ func (c *Controller) isLeader() bool {
 
 func (c *Controller) updateAll() {
 	now := c.clk.Now()
-	leader := c.isLeader()
+	leader := c.IsLeader()
 	if reg := c.cfg.SelfRegistry; reg != nil {
 		v := 0.0
 		if leader {

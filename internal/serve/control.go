@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"l3/internal/c3"
 	"l3/internal/clock"
 	"l3/internal/cluster"
 	"l3/internal/core"
@@ -14,39 +13,41 @@ import (
 	"l3/internal/health"
 	"l3/internal/mesh"
 	"l3/internal/metrics"
+	"l3/internal/plane"
 	"l3/internal/smi"
-	"l3/internal/timeseries"
 )
 
-// control is the serve-mode control plane: the same component graph the
-// simulated benches wire — scraper → TSDB (guard-gated) → collector →
-// assigner → controller → SMI store → data plane — running single-threaded
-// on a clock.Wall instead of a sim.Engine.
+// control is the serve-mode control plane: the plane the simulated benches
+// build (internal/plane: scraper → TSDB, guard-gated → collector → assigner →
+// controller → SMI store → data plane), running single-threaded on a
+// clock.Wall instead of a sim.Engine.
 //
-// Two deliberate differences from the in-process sim wiring:
+// What differs from the sim's plane, and why:
 //
-//   - The scrape is a real HTTP GET of the server's own /metrics endpoint,
-//     parsed from exposition text (metrics.ParseExposition). The controller
-//     steers from what a real Prometheus would see — serialization quirks
-//     included — not from registry pointers.
-//   - Split updates additionally publish a new Router weight table, the
-//     atomic handoff from the single-threaded control world to the
-//     concurrent data plane.
+//   - The scrape source is text: a real HTTP GET of the server's own
+//     /metrics, parsed from exposition (metrics.ParseExposition). The
+//     controller steers from what a real Prometheus would see —
+//     serialization quirks included — not from registry pointers.
+//   - The controller exports its self-metrics into the control registry,
+//     which /metrics serves; the sim's runs keep none.
+//   - L3's filter half-lives scale with the interval (see newControl); the
+//     sim keeps the paper's fixed 5 s and 10 s.
+//   - There is no guard watchdog. Fail-static (staleCheck) covers a stalled
+//     feed instead, and split updates additionally publish a new Router
+//     weight table, the atomic handoff from the single-threaded control
+//     world to the concurrent data plane.
 type control struct {
 	cfg      Config
 	wall     *clock.Wall
 	router   *Router
 	backends []*Backend
 
-	splits     *smi.Store
-	db         *timeseries.DB
-	collector  *core.Collector
-	controller *core.Controller
-	checker    *health.Checker
+	splits  *smi.Store
+	plane   *plane.Plane
+	checker *health.Checker
 
-	// scraper is the one scrape loop both clocks share; here its text
-	// source GETs the server's own /metrics.
-	scraper    *core.Scraper
+	// client and metricsURL are the plane's text source: its scraper GETs
+	// the server's own /metrics.
 	client     *http.Client
 	metricsURL string
 
@@ -70,34 +71,19 @@ type control struct {
 // metricsURL is the server's own /metrics endpoint. Nothing runs until
 // start.
 func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backend, ctrlReg *metrics.Registry, metricsURL string) *control {
-	// The collector's query window: two scrape intervals, as in the sim,
-	// but never under 2s, so a fast scrape still leaves rate() a few points.
-	window := max(2*cfg.ScrapeInterval, 2*time.Second)
 	c := &control{
 		cfg:      cfg,
 		wall:     wall,
 		router:   router,
 		backends: backends,
 		splits:   smi.NewStore(),
-		db:       timeseries.NewDB(2 * window),
 		// A scrape may take half the interval, body read included, so a
 		// stalled /metrics endpoint can never push the next round late.
 		client:     &http.Client{Timeout: cfg.ScrapeInterval / 2},
 		metricsURL: metricsURL,
+		staleAfter: guard.Config{Interval: cfg.ScrapeInterval}.StaleAfter(),
 	}
 	c.failStaticGauge = ctrlReg.Gauge("serve_failstatic_active", metrics.Labels{"service": cfg.Service})
-	c.scraper = core.NewScraperClock(wall, c.db, nil, cfg.ScrapeInterval)
-	c.scraper.SetSource(c.scrapeSelf)
-
-	var hyg *guard.Hygiene
-	var gate *guard.WriteGate
-	gcfg := guard.Config{Interval: cfg.ScrapeInterval}
-	c.staleAfter = gcfg.StaleAfter()
-	if cfg.Guard {
-		hyg = guard.NewHygiene(gcfg, ctrlReg)
-		c.db.SetGate(hyg)
-		gate = guard.NewWriteGate(gcfg, ctrlReg)
-	}
 
 	// The TrafficSplit under management: one split, the configured
 	// service, uniform initial weights — the state a fresh deployment
@@ -110,18 +96,24 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 		panic(fmt.Sprintf("serve: creating own split: %v", err))
 	}
 
-	c.collector = &core.Collector{DB: c.db, Window: window, Percentile: cfg.Percentile}
-	if hyg != nil {
-		c.collector.Resets = hyg
+	pcfg := plane.Config{
+		Interval:     cfg.ScrapeInterval,
+		Percentile:   cfg.Percentile,
+		Guard:        cfg.Guard,
+		Registry:     ctrlReg,
+		Source:       c.scrapeSelf,
+		SelfRegistry: ctrlReg,
 	}
-
 	if cfg.Algo == AlgoL3 || cfg.Algo == AlgoC3 {
+		pcfg.Specs = []plane.Spec{{}}
+	}
+	if cfg.Algo == AlgoL3 {
 		// The paper's filter half-lives (5 s latency/in-flight, 10 s
-		// success/RPS; C3's 20 s latency) assume its 5 s reconcile
-		// interval. Serve configs may reconcile faster (the tests run at
-		// 250 ms); scaling the half-lives with the interval keeps the
-		// paper's convergence behaviour — N rounds to settle — instead of
-		// its absolute seconds.
+		// success/RPS) assume its 5 s reconcile interval. Serve configs may
+		// reconcile faster (the tests run at 250 ms); scaling the half-lives
+		// with the interval keeps the paper's convergence behaviour — N
+		// rounds to settle — instead of its absolute seconds. C3, which the
+		// plane builds, scales its own.
 		iv := cfg.ScrapeInterval
 		wcfg := core.WeightingConfig{
 			LatencyHalfLife:  iv,
@@ -130,28 +122,9 @@ func newControl(cfg Config, wall *clock.Wall, router *Router, backends []*Backen
 			RPSHalfLife:      2 * iv,
 		}
 		rcfg := core.RateControlConfig{RPSHalfLife: 2 * iv}
-		newAssigner := func() core.Assigner {
-			var a core.Assigner
-			if cfg.Algo == AlgoC3 {
-				a = c3.New(c3.Config{Interval: iv})
-			} else {
-				a = core.NewL3Assigner(wcfg, rcfg, true)
-			}
-			if cfg.Guard {
-				a = guard.NewAssigner(a, gcfg, ctrlReg)
-			}
-			return a
-		}
-		ctrlCfg := core.ControllerConfig{
-			Interval:     iv,
-			NewAssigner:  newAssigner,
-			SelfRegistry: ctrlReg,
-		}
-		if gate != nil {
-			ctrlCfg.WriteGuard = gate
-		}
-		c.controller = core.NewControllerClock(wall, c.splits, c.collector, ctrlCfg)
+		pcfg.NewAssigner = func() core.Assigner { return core.NewL3Assigner(wcfg, rcfg, true) }
 	}
+	c.plane = plane.New(wall, c.splits, pcfg)
 
 	if cfg.Algo != AlgoRR {
 		hcfg := health.Config{
@@ -188,7 +161,7 @@ func (c *control) start(router *Router) {
 		router.publish(c.backends, ts)
 	})
 
-	c.scraper.Start()
+	c.plane.Start()
 	c.staleTimer = c.wall.Every(c.cfg.ScrapeInterval, c.staleCheck)
 	if c.checker != nil {
 		for _, b := range c.backends {
@@ -206,9 +179,6 @@ func (c *control) start(router *Router) {
 			}
 		})
 	}
-	if c.controller != nil {
-		c.controller.Start()
-	}
 }
 
 // stop halts every loop (the wall clock itself is stopped by the server).
@@ -216,13 +186,10 @@ func (c *control) stop() {
 	if c.cancelWatch != nil {
 		c.cancelWatch()
 	}
-	c.scraper.Stop()
+	c.plane.Stop()
 	c.staleTimer.Cancel()
 	if c.pushTimer != nil {
 		c.pushTimer.Cancel()
-	}
-	if c.controller != nil {
-		c.controller.Stop()
 	}
 	if c.checker != nil {
 		c.checker.Stop()
@@ -262,7 +229,7 @@ func (c *control) fetchMetrics() ([]metrics.Sample, error) {
 // stopped arriving. Once scrapes are stored again it releases the mode, and
 // the controller's next reconcile republishes real weights.
 func (c *control) staleCheck() {
-	if c.wall.Now()-c.scraper.LastIngest() <= c.staleAfter {
+	if c.wall.Now()-c.plane.Scraper.LastIngest() <= c.staleAfter {
 		if c.failStatic.CompareAndSwap(true, false) {
 			c.failStaticGauge.Set(0)
 		}
@@ -312,7 +279,7 @@ func (c *control) decayWeights() {
 
 // SetDropping makes the scraper drop (or stop dropping) every scrape. It
 // forwards on the control clock, since tests call it from their goroutine.
-func (c *control) SetDropping(on bool) { c.wall.Do(func() { c.scraper.SetDropping(on) }) }
+func (c *control) SetDropping(on bool) { c.wall.Do(func() { c.plane.Scraper.SetDropping(on) }) }
 
 // FailStaticActive reports whether the data plane is in fail-static
 // degraded mode (safe from any goroutine).
@@ -349,4 +316,4 @@ func (c *control) httpProber() health.Prober {
 }
 
 // Scrapes counts the self-scrapes stored so far (safe from any goroutine).
-func (c *control) Scrapes() int64 { return c.scraper.Ingests() }
+func (c *control) Scrapes() int64 { return c.plane.Scraper.Ingests() }

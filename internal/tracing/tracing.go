@@ -12,7 +12,6 @@ package tracing
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"l3/internal/histogram"
@@ -46,10 +45,9 @@ func (s Span) NetworkDelay() time.Duration {
 	return d
 }
 
-// Recorder collects spans. Safe for concurrent use. The zero value is not
-// usable; construct with NewRecorder.
+// Recorder collects spans from one goroutine: the engine whose run it
+// records. The zero value is not usable; construct with NewRecorder.
 type Recorder struct {
-	mu    sync.Mutex
 	spans []Span
 	limit int
 	drops uint64
@@ -67,8 +65,6 @@ func NewRecorder(limit int) *Recorder {
 
 // Record stores one span.
 func (r *Recorder) Record(sp Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if len(r.spans) >= r.limit {
 		r.drops++
 		return
@@ -76,24 +72,13 @@ func (r *Recorder) Record(sp Span) {
 	r.spans = append(r.spans, sp)
 }
 
-// Len returns the number of stored spans.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
 // Dropped returns how many spans exceeded the cap.
 func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.drops
 }
 
 // Spans returns a copy of the stored spans.
 func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Span, len(r.spans))
 	copy(out, r.spans)
 	return out

@@ -38,8 +38,8 @@ func TestRecorderCapAndDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(span("b", 0, time.Millisecond, time.Millisecond, true))
 	}
-	if r.Len() != 2 || r.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
+	if len(r.Spans()) != 2 || r.Dropped() != 3 {
+		t.Fatalf("len=%d dropped=%d", len(r.Spans()), r.Dropped())
 	}
 	spans := r.Spans()
 	spans[0].Backend = "mutated"

@@ -175,57 +175,3 @@ func TestLinkIsResolvedOnce(t *testing.T) {
 		t.Fatal("the two directions of a link share a handle")
 	}
 }
-
-// TestLinkFaultsRaceFree is the Link's concurrency contract: one goroutine
-// injects and heals faults while others read their held links (and read
-// through the Model) concurrently. Every read must see either
-// the healthy link or the faulted one, never anything in between.
-func TestLinkFaultsRaceFree(t *testing.T) {
-	healthy := New(DefaultConfig())
-	faulted := New(DefaultConfig())
-	const extra = 30 * time.Millisecond
-	faulted.InjectLinkFault("c1", "c2", extra, false, 0)
-	m := New(DefaultConfig())
-
-	var readers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		readers.Add(1)
-		go func(w int) {
-			defer readers.Done()
-			l := m.Link("c1", "c2")
-			for i := 0; i < 20_000; i++ {
-				at := time.Duration(w*1_000_000+i) * time.Millisecond
-				d := l.Delay(at)
-				if w%2 == 1 {
-					d = m.OneWayDelay("c1", "c2", at)
-				}
-				if d != healthy.OneWayDelay("c1", "c2", at) && d != faulted.OneWayDelay("c1", "c2", at) {
-					t.Errorf("Delay(%v) = %v: neither healthy nor faulted", at, d)
-					return
-				}
-				_ = l.Partitioned()
-				_ = m.Partitioned("c1", "c2")
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		readers.Wait()
-		close(done)
-	}()
-	for i := 0; ; i++ {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		switch i % 3 {
-		case 0:
-			m.InjectLinkFault("c1", "c2", extra, false, 0)
-		case 1:
-			m.InjectLinkFault("c1", "c2", 0, true, 0)
-		default:
-			m.HealLinkFault("c1", "c2")
-		}
-	}
-}

@@ -12,14 +12,15 @@
 // hooks for chaos engineering (internal/chaos): a directed link can be
 // partitioned (blackholed), given a fixed extra delay, or made to flap
 // between its normal and degraded path. Fault state is the only mutable part
-// of a Model; each directed Link holds its own, swapped atomically.
+// of a Model; each directed Link holds its own.
+//
+// A Model is driven from one goroutine: it belongs to one simulated world,
+// one benchmark rig or one trace run, and takes no locks.
 package wan
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,12 +56,10 @@ const (
 
 // Model answers "what is the one-way network delay from cluster A to
 // cluster B at virtual time t". Intra-cluster delay is a small constant.
-// Model is immutable after construction except for injected link faults, and
-// safe for concurrent use.
+// Model is immutable after construction except for the links it creates on
+// first use and their injected faults.
 type Model struct {
-	cfg Config
-
-	mu    sync.Mutex // guards links
+	cfg   Config
 	links map[linkKey]*Link
 }
 
@@ -75,16 +74,15 @@ type linkKey struct{ from, to string }
 
 // Link is one directed link of a Model, resolved once: everything the delay
 // formula derives from the link's names is computed when the link is first
-// asked for, so a hop through a held Link hashes no string and takes no
-// lock. The injected fault is the only mutable part, swapped atomically, so
-// a Link is safe for concurrent use.
+// asked for, so a hop through a held Link hashes no string and looks nothing
+// up. The injected fault is the only mutable part.
 type Link struct {
 	m     *Model
 	intra bool          // from == to: the constant local delay, never faulted
 	base  time.Duration // half the link's base RTT
 	hash  uint64        // seeded hash of (from, to)
 	phase float64       // the drift's phase, from hash
-	fault atomic.Pointer[linkFault]
+	fault *linkFault
 }
 
 // New returns a Model.
@@ -108,8 +106,6 @@ func (m *Model) BaseRTT(from, to string) time.Duration {
 // links once and hold them.
 func (m *Model) Link(from, to string) *Link {
 	k := linkKey{from, to}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	l := m.links[k]
 	if l == nil {
 		h := hash3(m.cfg.Seed, from, to)
@@ -133,11 +129,11 @@ func (m *Model) InjectLinkFault(from, to string, extra time.Duration, partitione
 	if from == to {
 		return
 	}
-	m.Link(from, to).fault.Store(&linkFault{extra: extra, partitioned: partitioned, flap: flap})
+	m.Link(from, to).fault = &linkFault{extra: extra, partitioned: partitioned, flap: flap}
 }
 
 // HealLinkFault removes any injected fault from the directed link from→to.
-func (m *Model) HealLinkFault(from, to string) { m.Link(from, to).fault.Store(nil) }
+func (m *Model) HealLinkFault(from, to string) { m.Link(from, to).fault = nil }
 
 // Partitioned reports whether the directed link from→to is currently
 // blackholed by an injected fault.
@@ -152,8 +148,7 @@ func (m *Model) OneWayDelay(from, to string, t time.Duration) time.Duration {
 // Partitioned reports whether the link is currently blackholed by an
 // injected fault. Intra-cluster links never partition.
 func (l *Link) Partitioned() bool {
-	f := l.fault.Load()
-	return f != nil && f.partitioned
+	return l.fault != nil && l.fault.partitioned
 }
 
 // Delay returns the link's one-way delay at virtual time t, including jitter
@@ -179,7 +174,7 @@ func (l *Link) Delay(t time.Duration) time.Duration {
 	if d < float64(localDelay) {
 		d = float64(localDelay)
 	}
-	if f := l.fault.Load(); f != nil && f.extra > 0 {
+	if f := l.fault; f != nil && f.extra > 0 {
 		if f.flap <= 0 || uint64(t/f.flap)%2 == 0 {
 			d += float64(f.extra)
 		}

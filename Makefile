@@ -48,12 +48,13 @@ race:
 ## the series index's chunks, which fill their size class for a series
 ## and for a gate state (TestIndexChunkFillsItsSizeClass), and a warm parse
 ## of commented text (TestWarmCommentedParseAllocatesTheResult), in
-## internal/metrics; and a filtered pick — health failover's and the
+## internal/metrics; a warm C3 assignment (TestC3WarmAssignDoesNotAllocate),
+## in internal/c3; and a filtered pick — health failover's and the
 ## breaker's — over round-robin and a weighted split while the allowed
 ## subset changes (TestFilterPickAllocs), in internal/balancer.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|FilterPickAllocs)$$' \
-		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/balancer
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|C3WarmAssignDoesNotAllocate|FilterPickAllocs)$$' \
+		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/c3 ./internal/balancer
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip
@@ -128,7 +129,8 @@ deadcode:
 ## guard, split write and its fan-out to two watchers — ten warm rounds each
 ## on one CPU) — the fleet-size table in DESIGN.md § Control round cost.
 ## ns/backend should stay flat; allocs/op counts what a warm round still
-## builds: the parse's result and two objects a written split. Beside
+## builds: the parse's result and two objects a written split; B/series is
+## the heap in use after the rounds and a collection, per stored series. Beside
 ## it, ExpositionChurn: the round in which a series appears, one registration
 ## and the WritePrometheus that lays the text out again; its ns/sample should
 ## stay flat too, and small next to a warm round's. Then the round's two

@@ -34,7 +34,7 @@ package c3
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"l3/internal/core"
@@ -84,6 +84,10 @@ type backendState struct {
 type Assigner struct {
 	interval time.Duration
 	states   map[string]*backendState
+	// names (m's keys, sorted) and out are the last Assign's, reused by the
+	// next.
+	names []string
+	out   map[string]float64
 }
 
 var _ core.Assigner = (*Assigner)(nil)
@@ -93,7 +97,7 @@ func New(cfg Config) *Assigner {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	return &Assigner{interval: cfg.Interval, states: make(map[string]*backendState)}
+	return &Assigner{interval: cfg.Interval, states: make(map[string]*backendState), out: make(map[string]float64)}
 }
 
 func (a *Assigner) stateFor(b string) *backendState {
@@ -108,16 +112,18 @@ func (a *Assigner) stateFor(b string) *backendState {
 	return s
 }
 
-// Assign implements core.Assigner.
+// Assign implements core.Assigner. The returned map is the assigner's: the
+// next Assign clears and refills it.
 func (a *Assigner) Assign(now time.Duration, m map[string]core.BackendMetrics) map[string]float64 {
-	names := make([]string, 0, len(m))
+	a.names = a.names[:0]
 	for b := range m {
-		names = append(names, b)
+		a.names = append(a.names, b)
 	}
-	sort.Strings(names)
+	slices.Sort(a.names)
 
-	out := make(map[string]float64, len(names))
-	for _, b := range names {
+	out := a.out
+	clear(out)
+	for _, b := range a.names {
 		bm := m[b]
 		s := a.stateFor(b)
 		if bm.HasTraffic {

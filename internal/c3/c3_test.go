@@ -146,3 +146,22 @@ func TestWeightsPositiveFinite(t *testing.T) {
 		}
 	}
 }
+
+// A warm Assign reuses the last call's sorted names and weight map, so it
+// allocates nothing.
+func TestC3WarmAssignDoesNotAllocate(t *testing.T) {
+	a := New(Config{})
+	m := map[string]core.BackendMetrics{
+		"a": metricsFor(0.05, 1),
+		"b": metricsFor(0.2, 3),
+		"c": {HasTraffic: false},
+	}
+	now := 5 * time.Second
+	a.Assign(now, m)
+	if n := testing.AllocsPerRun(100, func() {
+		now += 5 * time.Second
+		a.Assign(now, m)
+	}); n != 0 {
+		t.Errorf("warm Assign: %v allocs, want 0", n)
+	}
+}

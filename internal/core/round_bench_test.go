@@ -227,8 +227,10 @@ func TestWarmScrapeTickDoesNotAllocate(t *testing.T) {
 // BenchmarkControlRound is ROADMAP item 3's sweep (`make sweep` runs the
 // first three sizes): a whole round, exposition to split writes and their
 // fan-out. ns/op divided by the backend count should stay flat from 102 to
-// 10 200 backends. The last size holds 950 000 series, 2.0 GB
-// live and 2.8 GB in use at its peak, and is for `go test -bench` only.
+// 10 200 backends. B/series is the heap in use after the timed rounds and a
+// collection — registry, text, parse table and database — over the series
+// the database stores. The last size holds 950 000 series and is for
+// `go test -bench` only.
 func BenchmarkControlRound(b *testing.B) {
 	for _, n := range []int{102, 1020, 3060, 10200} {
 		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
@@ -242,6 +244,11 @@ func BenchmarkControlRound(b *testing.B) {
 				r.run(b)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/backend")
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapInuse)/float64(r.db.SeriesCount()), "B/series")
 		})
 	}
 }
@@ -290,10 +297,11 @@ func scrapeRegistry(n int) *metrics.Registry {
 	return reg
 }
 
-// BenchmarkScrapeTick is one simulated scrape pass over a warm database:
-// refs is core.Scraper, which remembers each snapshot position's series;
-// labels is the pass it replaced, every sample found again by name, label
-// hash and label comparison.
+// BenchmarkScrapeTick is one simulated scrape pass over a warm database
+// that retains what a plane does, four intervals: refs is core.Scraper,
+// which remembers each snapshot position's series; labels is the pass it
+// replaced, every sample found again by name, label hash and label
+// comparison.
 func BenchmarkScrapeTick(b *testing.B) {
 	for _, n := range []int{612, 6909} {
 		reg := scrapeRegistry(n)
@@ -302,7 +310,7 @@ func BenchmarkScrapeTick(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("series=%d/refs", n), func(b *testing.B) {
 			engine := sim.NewEngine()
-			core.NewScraperClock(engine, timeseries.NewDB(time.Minute), []*metrics.Registry{reg}, roundInterval).Start()
+			core.NewScraperClock(engine, timeseries.NewDB(4*roundInterval), []*metrics.Registry{reg}, roundInterval).Start()
 			engine.RunUntil(16 * roundInterval) // every ref resolved, every window past retention
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -311,7 +319,7 @@ func BenchmarkScrapeTick(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("series=%d/labels", n), func(b *testing.B) {
-			db := timeseries.NewDB(time.Minute)
+			db := timeseries.NewDB(4 * roundInterval)
 			var buf []metrics.Sample
 			at := time.Duration(0)
 			tick := func() {

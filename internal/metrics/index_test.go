@@ -192,24 +192,24 @@ func keepsCollidingLabelSetsApart[T any](t *testing.T) {
 }
 
 // seriesBody and stateBody are shaped as timeseries' and guard's values: a
-// point slice, a bound and a 16-point window; four 8-byte fields.
+// point slice, a bound and a 6-point window; four 8-byte fields.
 type (
 	seriesBody struct {
 		points []struct{ t, v int64 }
 		bound  float64
-		window [16]struct{ t, v int64 }
+		window [6]struct{ t, v int64 }
 	}
 	stateBody [4]int64
 )
 
-// The index adds 32 bytes to the value, so a series is 320 bytes and a state
+// The index adds 32 bytes to the value, so a series is 160 bytes and a state
 // 64, and entries are carved from chunks that fill the 16 KiB size class: a
 // chunk costs the heap at most 16 384 bytes, with no room left in it for one
 // more entry beside the 8-byte header, and no entry is handed out twice. A
 // chunk that spilled into the next class, or left an entry's worth of its
 // class unused, fails.
 func TestIndexChunkFillsItsSizeClass(t *testing.T) {
-	t.Run("series", func(t *testing.T) { chunkFillsItsSizeClass[seriesBody](t, 320) })
+	t.Run("series", func(t *testing.T) { chunkFillsItsSizeClass[seriesBody](t, 160) })
 	t.Run("state", func(t *testing.T) { chunkFillsItsSizeClass[stateBody](t, 64) })
 }
 

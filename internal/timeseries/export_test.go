@@ -24,6 +24,22 @@ const SeriesSize = unsafe.Sizeof(series{})
 // fill the 16 KiB size class beside the 8-byte header.
 const SeriesChunk = (16<<10 - 8) / SeriesSize
 
+// Spilled returns how many stored series' points no longer alias the window
+// the series started with: each has grown onto the heap.
+func Spilled(db *DB) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := 0
+	for _, f := range db.families {
+		for _, s := range f.series {
+			if d := &s.Value; unsafe.SliceData(d.points) != &d.window0[0] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // IndexCounts returns how many of the database's index resolutions missed
 // the successor and how many took the hash path, and how many label maps the
 // index's map step holds. The index keeps these for its own tests; they are

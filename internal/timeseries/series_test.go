@@ -160,11 +160,12 @@ func TestPredictedSeriesMatchesClonedTwin(t *testing.T) {
 	}
 }
 
-// A series, the index's fields and its first point window stay one slot of
-// the 320-byte class: one more field moves every stored series to 352 bytes.
+// A series, the index's fields and its six-point window stay 160 bytes, 102
+// to a chunk: one more field moves every stored series to 176 bytes and 93 to
+// a chunk.
 func TestSeriesFitsItsSizeClass(t *testing.T) {
-	if n := timeseries.SeriesSize; n > 320 {
-		t.Fatalf("a series is %d bytes, want at most 320", n)
+	if n := timeseries.SeriesSize; n > 160 {
+		t.Fatalf("a series is %d bytes, want at most 160", n)
 	}
 }
 
@@ -177,7 +178,7 @@ func TestSeriesSharingAChunkStayApart(t *testing.T) {
 	for i := range labels {
 		labels[i] = metrics.Labels{"backend": fmt.Sprint(i)}
 	}
-	const points = 3 * 16
+	const points = 3 * 6
 	for p := 1; p <= points; p++ {
 		for i, l := range labels {
 			db.Append("response_total", l, time.Duration(p)*time.Second, float64(1000*i+p))

@@ -31,8 +31,8 @@ type Point struct {
 }
 
 // seriesData is what the database keeps of one series. A series, its index
-// fields and its first point window are 320 bytes, one slot of a chunk the
-// index carves. Its label map may be shared with equal series of other
+// fields and its point window are 160 bytes, one of the 102 slots of a chunk
+// the index carves. Its label map may be shared with equal series of other
 // registries, since a registry takes it from the process-wide descriptor.
 type seriesData struct {
 	points []Point
@@ -54,9 +54,12 @@ type family struct {
 }
 
 // pointWindow is the capacity a new series' points start with, inside the
-// series (window0): a minute of 5 s scrapes is 13 points, so a series and
-// the window it keeps for life are one slot of a chunk.
-const pointWindow = 16
+// series (window0). A control plane keeps two query windows of two
+// intervals each (internal/plane), so at any interval of 1 s or more
+// retention covers four intervals: a series keeps 5 points and holds a 6th
+// between its append and the compaction that drops the oldest. A series that
+// keeps more (a sub-second scrape, a longer retention) grows onto the heap.
+const pointWindow = 6
 
 // insert adds s, a series the index has just created, and indexes every
 // pair of its labels. An "le" that parses to +Inf marks the overflow bucket,

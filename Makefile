@@ -34,7 +34,8 @@ race:
 ## most of them skip — so race alone never runs them. With -v each prints its
 ## reading. They are: sim_trace's mallocs and bytes a request
 ## (TestScenarioMallocsPerRequest, TestScenarioBytesPerRequest) and one DSB
-## world's mallocs, cold and warm (TestDSBRunMallocs), in internal/bench; a
+## world's mallocs, cold and warm (TestDSBRunMallocs), and its bytes, warm
+## (TestDSBRunBytes), in internal/bench; a
 ## warm control round and scrape tick (TestControlRoundMallocs,
 ## TestWarmScrapeTickDoesNotAllocate), in internal/core; one registration's
 ## layout rebuild (TestRegistrationRebuildAllocs) and a histogram
@@ -53,7 +54,7 @@ race:
 ## breaker's — over round-robin and a weighted split while the allowed
 ## subset changes (TestFilterPickAllocs), in internal/balancer.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|C3WarmAssignDoesNotAllocate|FilterPickAllocs)$$' \
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|DSBRunBytes|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|C3WarmAssignDoesNotAllocate|FilterPickAllocs)$$' \
 		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/c3 ./internal/balancer
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that

@@ -48,6 +48,11 @@ func TestFigureOutputByteIdentical(t *testing.T) {
 			"d4703cff1b3f4d4eacc02daeb5a4af6c297fca977231e87c6c3e3618d9cc7aca"},
 		{"fig9-quick", []string{"-fig", "9", "-quick"},
 			"6a52b5105f2a82b6565ec0addefdc8e69916f2144cc9101c7071cc402da7cbc1"},
+		// Figure 9 at full length: its 5-minute run reads 360 s of each
+		// backend's variation series, where the quick run reads its
+		// first seconds only.
+		{"fig9", []string{"-fig", "9"},
+			"09d10e27a52dbb103071056588ccdbf275d61a4c0e1a50155b8b83337144844a"},
 		{"fig11-quick", []string{"-fig", "11", "-quick"},
 			"4b0aac804323fcc8af7b6c901865ee97435a64d49155680d817a33b1b9c5cc6d"},
 		{"fig12-quick", []string{"-fig", "12", "-quick"},

@@ -413,7 +413,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	// The end-of-run reduction: one snapshot of the registry, every
 	// counter family summed by name in sample order.
 	counts := make(map[[2]string]float64)
-	buf, busy := w.scan(nil, func(sample metrics.Sample) {
+	for _, sample := range w.mesh.Registry().Snapshot() {
 		switch sample.Name {
 		case mesh.MetricResponseTotal:
 			src := sample.Labels["src"]
@@ -429,7 +429,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 		if sample.Kind == metrics.KindCounter {
 			out.totals[sample.Name] += sample.Value
 		}
-	})
+	}
 	if ovClient != nil {
 		if st, ok := ovClient.Stats(apiService); ok {
 			out.limit, out.admitMax, out.maxSojourn = st.TotalLimit, st.AdmitMax, st.MaxSojourn
@@ -438,17 +438,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	out.rec = gen.Recorder()
 	out.reps = []repRun{{rec: out.rec, counts: counts, updates: updates, snaps: snaps, duration: duration}}
 	pool.closed = true
-	// Attempt conservation: stragglers aside, every request_inflight gauge
-	// must return to zero, read again through the same buffer only once the
-	// world has moved on from the reduction's snapshot.
-	scanned := w.engine.Now()
-	return out, w.settle(func() bool {
-		if now := w.engine.Now(); now != scanned {
-			buf, busy = w.scan(buf, nil)
-			scanned = now
-		}
-		return !busy
-	}, gen)
+	return out, w.settle(gen)
 }
 
 // algoHandles exposes the control plane installAlgorithm built, so the chaos
@@ -633,5 +623,5 @@ func runDSBOnce(algo Algorithm, load dsbLoad, opts Options, seed uint64) (*recor
 	gen.Stop()
 	w.engine.RunUntil(opts.WarmUp + load.duration + 30*time.Second)
 	rec := gen.Recorder()
-	return &record{rec: rec, reps: []repRun{{rec: rec, duration: load.duration}}}, w.settle(nil, gen)
+	return &record{rec: rec, reps: []repRun{{rec: rec, duration: load.duration}}}, w.settle(gen)
 }

@@ -45,33 +45,14 @@ func (w *world) directLoad(src, service string, cfg loadgen.Config) *loadgen.Gen
 	return gen
 }
 
-// scan snapshots the registry through buf, hands each sample to each (when
-// non-nil), and reports whether any request_inflight gauge read nonzero: an
-// attempt the data plane has not answered.
-func (w *world) scan(buf []metrics.Sample, each func(metrics.Sample)) ([]metrics.Sample, bool) {
-	busy := false
-	buf = w.mesh.Registry().SnapshotAppend(buf[:0])
-	for _, sample := range buf {
-		if sample.Name == mesh.MetricInflight && sample.Value != 0 {
-			busy = true
-		}
-		if each != nil {
-			each(sample)
-		}
-	}
-	return buf, busy
-}
-
-// settle checks request conservation at the end of a run, once its outputs
-// are taken: every request the generators issued was rejected at issue or
-// completes exactly once (a second completion panics in loadgen). A request
-// may outlive the 30 s drain — scenario-4's service-time tail reaches
-// minutes — so stragglers are run to completion first, unrecorded; one that
-// a further day of virtual time does not complete is lost. When quiet is
-// non-nil the run must also reach attempt conservation: quiet reports
-// whether every request_inflight gauge reads zero, and an attempt still
-// counted in flight after that day is an error too.
-func (w *world) settle(quiet func() bool, gens ...*loadgen.Generator) error {
+// settle checks request and attempt conservation at the end of a run, once
+// its outputs are taken: every request the generators issued was rejected
+// at issue or completes exactly once (a second completion panics in
+// loadgen), and every request_inflight gauge returns to zero. A request may
+// outlive the 30 s drain — scenario-4's service-time tail reaches minutes —
+// so stragglers are run to completion first, unrecorded; a request or an
+// attempt that a further day of virtual time does not complete is lost.
+func (w *world) settle(gens ...*loadgen.Generator) error {
 	for _, g := range gens {
 		g.Close()
 	}
@@ -80,7 +61,7 @@ func (w *world) settle(quiet func() bool, gens ...*loadgen.Generator) error {
 		for _, g := range gens {
 			inFlight += g.Issued() - g.Completed() - g.IssueErrors()
 		}
-		if inFlight == 0 && (quiet == nil || quiet()) {
+		if inFlight == 0 && w.mesh.Quiet() {
 			return nil
 		}
 		if w.engine.Now() >= start+24*time.Hour {

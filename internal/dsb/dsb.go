@@ -163,8 +163,11 @@ type installOptions struct {
 	perfVariation bool
 }
 
-// perfHorizon bounds the precomputed variation series; beyond it the last
-// value holds.
+// perfHorizon is the span of each backend's variation series, one sample a
+// second; beyond it the last value holds. It fixes where every draw of the
+// install stream falls, so every DSB golden depends on it. The series are
+// drawn on demand (trace.Walk, trace.EpisodeMultipliers): a run pays for the
+// seconds it reaches, not for the horizon.
 const perfHorizon = 40 * time.Minute
 
 // InstallOption customises Install.

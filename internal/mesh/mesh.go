@@ -287,6 +287,22 @@ func (m *Mesh) Splits() *smi.Store { return m.splits }
 // timeseries pipeline).
 func (m *Mesh) Registry() *metrics.Registry { return m.registry }
 
+// Quiet reports whether every request_inflight gauge the mesh keeps reads
+// zero: no attempt it issued is still unanswered. It reads the route
+// gauges themselves, so it allocates nothing and snapshots no registry.
+func (m *Mesh) Quiet() bool {
+	for _, s := range m.services {
+		for _, b := range s.backends {
+			for _, rs := range b.routes {
+				if rs.inflight.Value() != 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // Engine returns the mesh's simulation engine.
 func (m *Mesh) Engine() *sim.Engine { return m.engine }
 

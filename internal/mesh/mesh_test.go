@@ -313,3 +313,32 @@ func (s *srcRecorder) Pick(_ time.Duration, src, _ string, bs []*Backend) *Backe
 	s.srcs = append(s.srcs, src)
 	return bs[0]
 }
+
+// TestQuietFollowsTheInflightGauges: Quiet is false while an attempt is
+// unanswered, failed ones included, and true once every answer is in.
+func TestQuietFollowsTheInflightGauges(t *testing.T) {
+	m, e := newTestMesh(t)
+	if _, err := m.AddService("api"); err != nil {
+		t.Fatal(err)
+	}
+	addBackend(t, m, "api", "api-c1", "cluster-1", 50*time.Millisecond, false)
+	if err := m.SetPicker("api", pickFirst{}); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Quiet() {
+		t.Fatal("a mesh that has issued nothing is not quiet")
+	}
+	answered := 0
+	for _, src := range []string{"cluster-1", "cluster-2"} {
+		if err := m.Call(src, "api", func(Result) { answered++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Quiet() {
+		t.Fatal("quiet with two attempts in flight")
+	}
+	e.RunUntil(time.Minute)
+	if answered != 2 || !m.Quiet() {
+		t.Fatalf("%d of 2 answered, quiet %v: want both and quiet", answered, m.Quiet())
+	}
+}

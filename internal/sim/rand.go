@@ -9,14 +9,26 @@ import (
 // Rand is a deterministic random source with the distribution helpers the
 // simulation models need. It wraps math/rand/v2's PCG so that two Rand
 // values created with the same seed produce identical streams on every
-// platform.
+// platform. The PCG state lives inside the Rand, so a Rand is one
+// allocation and Set copies a stream without any; src points at pcg, so a
+// Rand must not be copied by assignment.
 type Rand struct {
-	src *rand.Rand
+	src rand.Rand
+	pcg rand.PCG
 }
 
 // NewRand returns a deterministic source seeded with seed.
 func NewRand(seed uint64) *Rand {
-	return &Rand{src: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	r := &Rand{pcg: *rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)}
+	r.src = *rand.New(&r.pcg)
+	return r
+}
+
+// Set makes r continue src's stream from src's current position: both then
+// draw the same values, each consuming only its own state.
+func (r *Rand) Set(src *Rand) {
+	r.pcg = src.pcg
+	r.src = *rand.New(&r.pcg)
 }
 
 // Fork derives an independent deterministic stream from this one. Models use

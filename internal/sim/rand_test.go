@@ -193,3 +193,24 @@ func absDur(d time.Duration) time.Duration {
 	}
 	return d
 }
+
+func TestSetContinuesTheStreamWithoutAllocating(t *testing.T) {
+	a := NewRand(11)
+	for i := 0; i < 17; i++ {
+		a.Normal(0, 1)
+	}
+	var b Rand
+	b.Set(a)
+	for i := 0; i < 1000; i++ {
+		if x, y := a.Normal(0, 1), b.Normal(0, 1); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("draw %d: copy read %v, source %v", i, y, x)
+		}
+	}
+	a.Uint64() // the copy's state is its own
+	if x, y := a.Uint64(), b.Uint64(); x == y {
+		t.Fatal("the copy followed its source's draws")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Set(a) }); n != 0 {
+		t.Fatalf("Set allocates %v times, want 0", n)
+	}
+}

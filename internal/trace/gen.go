@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"time"
 
 	"l3/internal/sim"
 )
@@ -14,17 +13,32 @@ import (
 // granularity and interpolating reproduces that temporal structure.
 const walkCoarseStep = 20
 
+// walkJitter is the standard deviation of the walk's per-sample relative
+// jitter.
+const walkJitter = 0.02
+
 // walk produces n samples of a mean-reverting random walk confined to
 // [lo, hi], varying on multi-ten-second timescales with a little
 // sample-level jitter on top. vol controls the coarse-step volatility
 // relative to the band width.
 func walk(rng *sim.Rand, n int, lo, hi, vol float64) []float64 {
+	coarse, hi := walkCoarse(rng, n, lo, hi, vol)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = walkSample(coarse, i, rng.Normal(0, walkJitter), lo, hi)
+	}
+	return out
+}
+
+// walkCoarse draws the walk's start and its coarse path, one point every
+// walkCoarseStep samples and one past the end, and returns them with the
+// band's upper edge (raised to lo when below it).
+func walkCoarse(rng *sim.Rand, n int, lo, hi, vol float64) ([]float64, float64) {
 	if hi < lo {
 		hi = lo
 	}
 	band := hi - lo
-	coarseN := n/walkCoarseStep + 2
-	coarse := make([]float64, coarseN)
+	coarse := make([]float64, n/walkCoarseStep+2)
 	x := lo + band*rng.Float64()
 	mid := lo + band/2
 	for i := range coarse {
@@ -40,17 +54,19 @@ func walk(rng *sim.Rand, n int, lo, hi, vol float64) []float64 {
 		x = math.Min(hi, math.Max(lo, x))
 		coarse[i] = x
 	}
-	out := make([]float64, n)
-	for i := range out {
-		pos := float64(i) / walkCoarseStep
-		j := int(pos)
-		frac := pos - float64(j)
-		v := coarse[j]*(1-frac) + coarse[j+1]*frac
-		// Small per-second jitter so the series is not piecewise linear.
-		v *= 1 + rng.Normal(0, 0.02)
-		out[i] = math.Min(hi, math.Max(lo, v))
-	}
-	return out
+	return coarse, hi
+}
+
+// walkSample is the walk's sample i: the coarse path interpolated at i,
+// scaled by 1 + jitter (that sample's draw) and clamped to [lo, hi].
+func walkSample(coarse []float64, i int, jitter, lo, hi float64) float64 {
+	pos := float64(i) / walkCoarseStep
+	j := int(pos)
+	frac := pos - float64(j)
+	v := coarse[j]*(1-frac) + coarse[j+1]*frac
+	// Small per-second jitter so the series is not piecewise linear.
+	v *= 1 + jitter
+	return math.Min(hi, math.Max(lo, v))
 }
 
 // episodes builds a multiplier series modelling sustained degradation
@@ -70,31 +86,48 @@ func episodes(rng *sim.Rand, n, count, minLen, maxLen int, magLo, magHi float64)
 	if n == 0 || count <= 0 {
 		return out
 	}
-	const ramp = 5
-	for e := 0; e < count; e++ {
-		length := minLen
-		if maxLen > minLen {
-			length += rng.IntN(maxLen - minLen)
-		}
-		if length >= n {
-			length = n - 1
-		}
-		at := rng.IntN(n - length)
-		mag := magLo + (magHi-magLo)*rng.Float64()
-		for i := 0; i < length; i++ {
-			env := 1.0
-			if i < ramp {
-				env = 0.5 - 0.5*math.Cos(math.Pi*float64(i)/ramp)
-			} else if i >= length-ramp {
-				env = 0.5 - 0.5*math.Cos(math.Pi*float64(length-1-i)/ramp)
-			}
-			m := 1 + (mag-1)*env
-			if m > out[at+i] {
-				out[at+i] = m
+	for range count {
+		e := drawEpisode(rng, n, minLen, maxLen, magLo, magHi)
+		for i := 0; i < e.length; i++ {
+			if m := e.level(i); m > out[e.start+i] {
+				out[e.start+i] = m
 			}
 		}
 	}
 	return out
+}
+
+// episode is one degradation phase: length steps from start, peaking at mag.
+type episode struct {
+	start, length int
+	mag           float64
+}
+
+// drawEpisode draws one episode over n steps: its length, its start, then
+// its peak.
+func drawEpisode(rng *sim.Rand, n, minLen, maxLen int, magLo, magHi float64) episode {
+	length := minLen
+	if maxLen > minLen {
+		length += rng.IntN(maxLen - minLen)
+	}
+	if length >= n {
+		length = n - 1
+	}
+	at := rng.IntN(n - length)
+	return episode{start: at, length: length, mag: magLo + (magHi-magLo)*rng.Float64()}
+}
+
+// level is the episode's multiplier i steps after its start, 0 <= i <
+// length: the peak, reached and left over ~5-step half-cosine ramps.
+func (e episode) level(i int) float64 {
+	const ramp = 5
+	env := 1.0
+	if i < ramp {
+		env = 0.5 - 0.5*math.Cos(math.Pi*float64(i)/ramp)
+	} else if i >= e.length-ramp {
+		env = 0.5 - 0.5*math.Cos(math.Pi*float64(e.length-1-i)/ramp)
+	}
+	return 1 + (e.mag-1)*env
 }
 
 // mulInto multiplies dst element-wise by a blend of the multiplier series:
@@ -168,18 +201,4 @@ func injectFailures(rng *sim.Rand, sc *Scenario, p failureParams) {
 			}
 		}
 	}
-}
-
-// Walk exposes the generator's band-confined, multi-ten-second-timescale
-// random walk as a Series, for models needing trace-like variability
-// outside the named scenarios (e.g. per-node performance factors of the
-// DSB testbed).
-func Walk(rng *sim.Rand, step time.Duration, n int, lo, hi, vol float64) Series {
-	return Series{Step: step, Values: walk(rng, n, lo, hi, vol)}
-}
-
-// EpisodeMultipliers exposes the sustained-degradation multiplier process
-// as a Series (1 outside episodes).
-func EpisodeMultipliers(rng *sim.Rand, step time.Duration, n, count, minLen, maxLen int, magLo, magHi float64) Series {
-	return Series{Step: step, Values: episodes(rng, n, count, minLen, maxLen, magLo, magHi)}
 }

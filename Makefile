@@ -121,7 +121,11 @@ loc:
 ## struct fields in internal/ that no non-test file outside their package
 ## writes (stdlib go/types: each write is attributed to the struct that
 ## declares the field; ~15 s, as it type-checks the standard library from
-## source). Not part of check: a name it prints gets a verdict, not a failure.
+## source), then the run census: every command built with -cover, the
+## figures, the -chaos goldens, the CLIs at their defaults and two short
+## l3serve runs over loopback stubs, and every function no run entered
+## (~100 s on 2 CPUs, budget 3 min). Not part of check: a name it prints
+## gets a verdict, not a failure.
 deadcode:
 	$(GO) run scripts/deadcode.go
 

@@ -57,7 +57,6 @@ type Replica struct {
 
 	served   uint64
 	rejected uint64
-	crashes  uint64
 	maxQueue int
 
 	// freeExecs recycles per-request execution state (and its pre-bound
@@ -207,7 +206,6 @@ func (r *Replica) Crash() {
 	}
 	r.down = true
 	r.epoch++
-	r.crashes++
 	queue := r.queue
 	r.queue = nil
 	r.busy = 0
@@ -246,12 +244,6 @@ func (r *Replica) Restart(slowStart time.Duration) {
 		})
 	}
 }
-
-// Down reports whether the deployment is currently crashed.
-func (r *Replica) Down() bool { return r.down }
-
-// Crashes returns how many times the deployment has crashed.
-func (r *Replica) Crashes() uint64 { return r.crashes }
 
 // Utilization returns busy workers over pool size, in [0, 1+]: queued work
 // shows up as saturation (1.0) rather than pushing past it.

@@ -268,7 +268,7 @@ func TestSettleRunsStragglersAndFindsLostRequests(t *testing.T) {
 		t.Fatalf("issued %d, completed %d after the drain: want exactly the straggler in flight",
 			gen.Issued(), gen.Completed())
 	}
-	if err := w.settle(gen); err != nil {
+	if err := w.settle(nil, gen); err != nil {
 		t.Fatal(err)
 	}
 	if gen.Issued() != gen.Completed() || gen.Recorder().Count() != recorded {
@@ -281,7 +281,7 @@ func TestSettleRunsStragglersAndFindsLostRequests(t *testing.T) {
 	lost.Start()
 	w.engine.RunUntil(w.engine.Now() + time.Second)
 	lost.Stop()
-	if err := w.settle(lost); err == nil {
+	if err := w.settle(nil, lost); err == nil {
 		t.Fatal("settle accepted requests that never complete")
 	}
 }

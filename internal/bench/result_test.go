@@ -100,7 +100,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Penalty != 600*time.Millisecond || o.ScrapeInterval != 5*time.Second {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.Percentile != 0.99 || o.RPSScale != 1 {
+	if o.Percentile != 0.99 {
 		t.Fatalf("defaults: %+v", o)
 	}
 }

@@ -141,8 +141,6 @@ type Options struct {
 	ScrapeInterval time.Duration
 	// Percentile is L3's latency percentile (default 0.99).
 	Percentile float64
-	// RPSScale multiplies the scenario's offered load (default 1).
-	RPSScale float64
 	// Chaos injects this fault schedule into every repetition. Event times
 	// are relative to measurement start; the harness shifts them by WarmUp.
 	Chaos *chaos.Schedule
@@ -191,9 +189,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Percentile <= 0 || o.Percentile >= 1 {
 		o.Percentile = 0.99
-	}
-	if o.RPSScale <= 0 {
-		o.RPSScale = 1
 	}
 	return o
 }
@@ -396,7 +391,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	}
 	gen := loadgen.New(w.engine, loadgen.Config{
 		Rate: func(now time.Duration) float64 {
-			return sc.RPS.At(now-warm) * opts.RPSScale
+			return sc.RPS.At(now - warm)
 		},
 		WarmUp: warm,
 	}, issue)
@@ -438,7 +433,7 @@ func runTrace(sc *trace.Scenario, algo Algorithm, opts Options, seed uint64) (*r
 	out.rec = gen.Recorder()
 	out.reps = []repRun{{rec: out.rec, counts: counts, updates: updates, snaps: snaps, duration: duration}}
 	pool.closed = true
-	return out, w.settle(gen)
+	return out, w.settle(handles, gen)
 }
 
 // algoHandles exposes the control plane installAlgorithm built, so the chaos
@@ -610,8 +605,8 @@ func runDSBOnce(algo Algorithm, load dsbLoad, opts Options, seed uint64) (*recor
 	if err := app.CreateSplits(); err != nil {
 		return nil, err
 	}
-	if _, err := installAlgorithm(w, algo, opts, app.Services(),
-		dsb.SplitName, perClusterControllers(clusters)); err != nil {
+	handles, err := installAlgorithm(w, algo, opts, app.Services(), dsb.SplitName, perClusterControllers(clusters))
+	if err != nil {
 		return nil, err
 	}
 
@@ -623,5 +618,5 @@ func runDSBOnce(algo Algorithm, load dsbLoad, opts Options, seed uint64) (*recor
 	gen.Stop()
 	w.engine.RunUntil(opts.WarmUp + load.duration + 30*time.Second)
 	rec := gen.Recorder()
-	return &record{rec: rec, reps: []repRun{{rec: rec, duration: load.duration}}}, w.settle(gen)
+	return &record{rec: rec, reps: []repRun{{rec: rec, duration: load.duration}}}, w.settle(handles, gen)
 }

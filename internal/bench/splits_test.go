@@ -72,7 +72,7 @@ func TestDeliveredSplitsNeverChange(t *testing.T) {
 			gen := w.directLoad(sourceCluster, entry, loadgen.Config{Rate: loadgen.ConstantRate(100)})
 			w.engine.RunUntil(2 * time.Minute)
 			gen.Stop()
-			if err := w.settle(gen); err != nil {
+			if err := w.settle(handles, gen); err != nil {
 				t.Fatal(err)
 			}
 

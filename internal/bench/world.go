@@ -52,7 +52,13 @@ func (w *world) directLoad(src, service string, cfg loadgen.Config) *loadgen.Gen
 // outlive the 30 s drain — scenario-4's service-time tail reaches minutes —
 // so stragglers are run to completion first, unrecorded; a request or an
 // attempt that a further day of virtual time does not complete is lost.
-func (w *world) settle(gens ...*loadgen.Generator) error {
+// The run's control plane (h, nil for none) is stopped first: nothing reads
+// its output any more, and without its timers that day passes in a few
+// steps, so a violation is as cheap to report as a pass.
+func (w *world) settle(h *algoHandles, gens ...*loadgen.Generator) error {
+	if h != nil && h.plane != nil {
+		h.plane.Stop()
+	}
 	for _, g := range gens {
 		g.Close()
 	}

@@ -177,21 +177,12 @@ func (c *Collector) percentile() float64 {
 // backend name otherwise). The map it returns is the collector's: the next
 // Collect clears and refills it.
 func (c *Collector) Collect(at time.Duration, service string, backends []string) map[string]BackendMetrics {
-	return c.collect(at, service, backends, 0)
-}
-
-// collect is Collect at latency quantile q (0 = Percentile): one split's
-// policy asks for its own quantile from the selectors every split shares.
-func (c *Collector) collect(at time.Duration, service string, backends []string, q float64) map[string]BackendMetrics {
-	if q == 0 {
-		q = c.percentile()
-	}
 	if c.out == nil {
 		c.out = make(map[string]BackendMetrics, len(backends))
 	}
 	out := c.out
 	clear(out)
-	w := c.window()
+	w, q := c.window(), c.percentile()
 	if c.selectors == nil || c.selectorDB != c.DB || !c.selectorMatch.Equal(c.Match) {
 		c.selectors = make(map[selectorKey]*selectors)
 		c.selectorMatch, c.selectorDB = c.Match.Clone(), c.DB

@@ -313,19 +313,12 @@ const WeightScale = 1000
 type ControllerConfig struct {
 	// Interval is the reconcile period (default 5 s, §4).
 	Interval time.Duration
-	// NewAssigner builds one assigner per TrafficSplit that no policy
-	// configures. Required unless Policies is set.
+	// NewAssigner builds one assigner per TrafficSplit. Required.
 	NewAssigner func() Assigner
 	// SplitFilter restricts the controller to TrafficSplits it returns
 	// true for (nil = manage every split). Per-cluster L3 instances
 	// sharing one store each manage their own cluster's splits.
 	SplitFilter func(name string) bool
-	// Policies, when set, declares what the controller manages (§4's
-	// user-defined objects): a split is tracked only while some
-	// OptimizationPolicy targets it (and SplitFilter passes it), and that
-	// policy sets its assigner and latency percentile. Nil manages every
-	// split with NewAssigner.
-	Policies *PolicyStore
 	// Elector gates writes when set: only the leader mutates splits.
 	Elector *cluster.Elector
 	// SelfRegistry receives the controller's own metrics when set.
@@ -372,9 +365,6 @@ type Controller struct {
 
 type trackedSplit struct {
 	assigner Assigner
-	// policy is the policy the assigner was built from (nil = NewAssigner's);
-	// its Percentile, when set, replaces the collector's for this split.
-	policy *OptimizationPolicy
 	// service and names are the split's root service and backend names, in
 	// split order, as the watch last saw them: what a round collects, and the
 	// keys of what the assigner, the self-metrics and the collector's selector
@@ -414,8 +404,8 @@ func NewControllerClock(clk clock.Clock, splits *smi.Store, collector *Collector
 	if clk == nil {
 		panic("core: NewControllerClock requires a clock")
 	}
-	if splits == nil || collector == nil || (cfg.NewAssigner == nil && cfg.Policies == nil) {
-		panic("core: NewControllerClock requires splits, collector and NewAssigner or Policies")
+	if splits == nil || collector == nil || cfg.NewAssigner == nil {
+		panic("core: NewControllerClock requires splits, collector and NewAssigner")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
@@ -430,15 +420,9 @@ func NewControllerClock(clk clock.Clock, splits *smi.Store, collector *Collector
 }
 
 // Start begins both control loops: the split watcher (with replay of
-// existing splits, and a policy watcher with replay when Policies is set)
-// and the periodic weight updater.
+// existing splits) and the periodic weight updater.
 func (c *Controller) Start() {
 	c.cancelWatch = c.splits.Watch(true, c.onSplitEvent)
-	if store := c.cfg.Policies; store != nil {
-		cancelSplits, cancelPolicies := c.cancelWatch, store.Watch(true, c.onPolicyEvent)
-		c.cancelWatch = func() { cancelSplits(); cancelPolicies() }
-		c.resyncTracked() // a policy deleted while stopped left its split tracked
-	}
 	c.ticker = c.clk.Every(c.cfg.Interval, c.updateAll)
 	if c.cfg.Elector != nil {
 		c.cfg.Elector.Run()
@@ -503,9 +487,7 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 	case cluster.Added, cluster.Updated:
 		t, ok := c.tracked[name]
 		if !ok {
-			if p := c.policyFor(name); p != nil || c.cfg.Policies == nil {
-				c.track(e.Object, p)
-			}
+			c.track(e.Object)
 			return
 		}
 		ts := e.Object
@@ -529,21 +511,14 @@ func (c *Controller) onSplitEvent(e cluster.Event[*smi.TrafficSplit]) {
 	}
 }
 
-// track starts managing ts with an assigner built from p, or from
-// NewAssigner when p is nil.
-func (c *Controller) track(ts *smi.TrafficSplit, p *OptimizationPolicy) {
-	t := &trackedSplit{service: ts.RootService, names: ts.BackendNames()}
-	if p != nil {
-		t.configure(p)
-	} else {
-		t.assigner = c.cfg.NewAssigner()
-	}
-	c.tracked[ts.Name] = t
+// track starts managing ts with an assigner from NewAssigner.
+func (c *Controller) track(ts *smi.TrafficSplit) {
+	c.tracked[ts.Name] = &trackedSplit{assigner: c.cfg.NewAssigner(), service: ts.RootService, names: ts.BackendNames()}
 	c.reorder()
 }
 
-// untrack stops managing a split whose object or policy is gone: its
-// self-metrics are zeroed and the collector forgets its backends.
+// untrack stops managing a deleted split: its self-metrics are zeroed and
+// the collector forgets its backends.
 func (c *Controller) untrack(name string) {
 	if t, ok := c.tracked[name]; ok {
 		for b := range t.gauges {
@@ -602,11 +577,7 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 	if !ok {
 		return
 	}
-	var q float64
-	if t.policy != nil {
-		q = t.policy.Percentile
-	}
-	m := c.collector.collect(now, ts.RootService, t.names, q)
+	m := c.collector.Collect(now, ts.RootService, t.names)
 	weights := t.assigner.Assign(now, m)
 
 	if reg := c.cfg.SelfRegistry; reg != nil {
@@ -647,6 +618,8 @@ func (c *Controller) updateOne(now time.Duration, name string, t *trackedSplit, 
 
 // exportSelfMetrics walks the split's backends in split order, so the
 // series a first round registers are registered in the same order every run.
+// An L3 assigner's filter and rate gauges are read through a wrapper that
+// hands out its inner assigner, as internal/guard's does.
 func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *trackedSplit, weights map[string]float64) {
 	for _, b := range t.names {
 		if w, ok := weights[b]; ok {
@@ -661,7 +634,11 @@ func (c *Controller) exportSelfMetrics(reg *metrics.Registry, split string, t *t
 			g.weight.Set(w)
 		}
 	}
-	if l3, ok := t.assigner.(*L3Assigner); ok {
+	a := t.assigner
+	if w, ok := a.(interface{ Inner() Assigner }); ok {
+		a = w.Inner()
+	}
+	if l3, ok := a.(*L3Assigner); ok {
 		for _, b := range t.names {
 			if _, ok := weights[b]; !ok {
 				continue

@@ -77,9 +77,6 @@ func (e *EWMA) Value() float64 {
 // Initialized reports whether at least one sample has been observed.
 func (e *EWMA) Initialized() bool { return e.initialized }
 
-// Default returns λ.
-func (e *EWMA) Default() float64 { return e.def }
-
 // Relax moves the value a small increment toward λ, modelling the behaviour
 // the paper describes when no metrics can be retrieved for ≥10 s: the filter
 // converges toward its initial value until new samples arrive. fraction is
@@ -144,9 +141,6 @@ func (p *PeakEWMA) Value() float64 { return p.inner.Value() }
 // Initialized reports whether at least one sample has been observed.
 func (p *PeakEWMA) Initialized() bool { return p.inner.Initialized() }
 
-// Default returns λ.
-func (p *PeakEWMA) Default() float64 { return p.inner.Default() }
-
 // Relax moves the value a small increment toward λ (see EWMA.Relax).
 func (p *PeakEWMA) Relax(now time.Duration, fraction float64) float64 {
 	return p.inner.Relax(now, fraction)
@@ -161,7 +155,6 @@ type Filter interface {
 	Observe(now time.Duration, y float64) float64
 	Value() float64
 	Initialized() bool
-	Default() float64
 	Relax(now time.Duration, fraction float64) float64
 	Reset()
 }

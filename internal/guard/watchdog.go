@@ -21,7 +21,6 @@ type Watchdog struct {
 	cfg    Config
 	filter func(name string) bool
 
-	timer    clock.Timer
 	start    time.Duration
 	degraded bool
 	degrades *metrics.Counter
@@ -52,15 +51,7 @@ func (w *Watchdog) Start() {
 	if interval < time.Second {
 		interval = time.Second
 	}
-	w.timer = w.clk.Every(interval, w.tick)
-}
-
-// Stop disarms the watchdog.
-func (w *Watchdog) Stop() {
-	if w.timer != nil {
-		w.timer.Cancel()
-		w.timer = nil
-	}
+	w.clk.Every(interval, w.tick)
 }
 
 func (w *Watchdog) tick() {

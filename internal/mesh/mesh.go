@@ -135,13 +135,12 @@ type Mesh struct {
 	engine *sim.Engine
 	// rng is the stream every AddBackend forks a backend rng from, in call
 	// order, and the pickerless fallback draws from.
-	rng         *sim.Rand
-	registry    *metrics.Registry
-	wan         *wan.Model
-	splits      *smi.Store
-	services    map[string]*Service
-	lostTimeout time.Duration
-	spans       SpanRecorder
+	rng      *sim.Rand
+	registry *metrics.Registry
+	wan      *wan.Model
+	splits   *smi.Store
+	services map[string]*Service
+	spans    SpanRecorder
 	// freeCalls recycles per-request state (and its pre-bound closures)
 	// between requests.
 	freeCalls []*call
@@ -259,24 +258,13 @@ func New(engine *sim.Engine, rng *sim.Rand, wanModel *wan.Model, registry *metri
 		panic("mesh: New requires engine, rng, wan model and registry")
 	}
 	return &Mesh{
-		engine:      engine,
-		rng:         rng,
-		registry:    registry,
-		wan:         wanModel,
-		splits:      smi.NewStore(),
-		services:    make(map[string]*Service),
-		lostTimeout: DefaultLostTimeout,
+		engine:   engine,
+		rng:      rng,
+		registry: registry,
+		wan:      wanModel,
+		splits:   smi.NewStore(),
+		services: make(map[string]*Service),
 	}
-}
-
-// SetLostTimeout overrides the client timeout applied to requests lost to a
-// WAN partition. Non-positive values restore the default. Requests on
-// healthy links are never subject to this timeout.
-func (m *Mesh) SetLostTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultLostTimeout
-	}
-	m.lostTimeout = d
 }
 
 // Splits exposes the mesh's TrafficSplit store — the write-side interface
@@ -418,7 +406,7 @@ func (m *Mesh) Call(srcCluster, service string, done func(Result)) error {
 	// mid-request still blackholes the response.
 	if c.rs.out.Partitioned() {
 		c.success, c.serverDur = false, 0
-		m.engine.Schedule(now+m.lostTimeout, c.finishFn)
+		m.engine.Schedule(now+DefaultLostTimeout, c.finishFn)
 		return nil
 	}
 	m.engine.Schedule(now+c.rs.out.Delay(now), c.forward)
@@ -434,7 +422,7 @@ func (c *call) onServed(res backend.Result) {
 	now := m.engine.Now()
 	if c.rs.back.Partitioned() {
 		c.success, c.serverDur = false, res.Latency
-		m.engine.Schedule(c.start+m.lostTimeout, c.finishFn)
+		m.engine.Schedule(c.start+DefaultLostTimeout, c.finishFn)
 		return
 	}
 	back := c.rs.back.Delay(now)

@@ -188,11 +188,6 @@ type Policy struct {
 // Enabled reports whether the layer is active.
 func (p Policy) Enabled() bool { return p.Limiter.Initial > 0 }
 
-// WithDefaults returns the policy with every unset knob at its documented
-// default — what NewClient and NewWallAdmitter actually run, so callers
-// can read effective parameters (e.g. the MaxWait ceiling) for reports.
-func (p Policy) WithDefaults() Policy { return p.withDefaults() }
-
 func (p Policy) withDefaults() Policy {
 	if p.Limiter.Initial <= 0 {
 		return p

@@ -55,6 +55,9 @@ func newSide(t *testing.T, text bool, cfg Config) *side {
 	cfg.Registry = s.reg
 	var clk clock.Clock = s.engine
 	if text {
+		// As on the wall, the controllers' own metrics are exported with the
+		// traffic's and scraped with it.
+		cfg.SelfRegistry = s.reg
 		clk = hidden{s.engine}
 		cfg.Source = func(done func([]metrics.Sample, error)) {
 			var buf bytes.Buffer
@@ -99,7 +102,9 @@ func (s *side) drive(round int) {
 // engine and one that reads the same registry's exposition text through a
 // clock that hides the engine. Fed the same counters, they must write the
 // same split versions at the same times, with the guard off and on and for
-// both assigners.
+// both assigners. The text side, like the wall, exports the controllers' own
+// metrics: L3's filtered latency, rate and relative change too, the guard's
+// wrapper around its assigner notwithstanding.
 func TestOnePlaneTwoSources(t *testing.T) {
 	const interval = 5 * time.Second
 	const rounds = 24
@@ -127,6 +132,17 @@ func TestOnePlaneTwoSources(t *testing.T) {
 					t.Fatalf("text source wrote %d versions, registry source %d", len(text.writes), len(direct.writes))
 				}
 				t.Logf("%d writes, last %v", len(direct.writes), direct.writes[len(direct.writes)-1].split.Backends)
+				if algo.name == "l3" {
+					exported := map[string]bool{}
+					for _, sample := range text.reg.Snapshot() {
+						exported[sample.Name] = true
+					}
+					for _, family := range []string{core.MetricWeight, core.MetricFilteredP99, core.MetricFilteredRPS, core.MetricRelativeChange} {
+						if !exported[family] {
+							t.Errorf("the text side's registry has no %s", family)
+						}
+					}
+				}
 				for i := range direct.writes {
 					if !reflect.DeepEqual(text.writes[i], direct.writes[i]) {
 						t.Fatalf("write %d: text source %v at %v, registry source %v at %v", i,

@@ -14,12 +14,21 @@
 // write is attributed to the struct that declares the field: an assignment,
 // increment or address-of through a selector, or a key of a composite
 // literal, elided types included (an unkeyed literal writes every field).
-// Run from the repository root:
+//
+// Last it takes a run census: it builds every command with -cover, runs
+// each the way the figures, the goldens and a live proxy run it, and lists
+// as file:line name every function of the module that no run entered. The
+// runs are l3bench's -fig all, -fig ablations, -fig 1 -csv, a -reps 2
+// figure and the four -chaos goldens; l3sim, l3trace and tracegen at their
+// defaults; and l3serve at 500 ms rounds over three loopback stubs that
+// this program serves, under l3load's 300 rps for 10 s with admission
+// control off and 5 s with it on. Run from the repository root:
 //
 //	go run scripts/deadcode.go
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -27,13 +36,18 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"net"
+	"net/http"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 type name struct{ dir, ident string }
@@ -141,6 +155,129 @@ func main() {
 	fmt.Print(strings.Join(append(out, ""), "\n"))
 
 	fmt.Print(strings.Join(append(unwritten(fset, files), ""), "\n"))
+
+	unrun, total, err := census()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcode: census:", err)
+		os.Exit(1)
+	}
+	fmt.Print(strings.Join(append(unrun, total, ""), "\n"))
+}
+
+// census builds every command with -cover into a scratch directory, does the
+// runs the package comment lists with GOCOVERDIR set, and returns the
+// functions at 0 %, sorted, as file:line name, and the share of statements
+// the runs executed.
+func census() (unrun []string, total string, err error) {
+	dir, err := os.MkdirTemp("", "l3-census-")
+	if err != nil {
+		return nil, "", err
+	}
+	defer os.RemoveAll(dir)
+	bin, covdir := filepath.Join(dir, "bin"), filepath.Join(dir, "cover")
+	if err := os.Mkdir(covdir, 0o755); err != nil {
+		return nil, "", err
+	}
+	command := func(env []string, args ...string) *exec.Cmd {
+		cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
+		cmd.Env = append(append(os.Environ(), "GOCOVERDIR="+covdir), env...)
+		return cmd
+	}
+	for _, name := range []string{"l3bench", "l3sim", "l3trace", "tracegen", "l3serve", "l3load"} {
+		if out, err := exec.Command("go", "build", "-cover", "-coverpkg=l3/...", "-o", filepath.Join(bin, name), "./cmd/"+name).CombinedOutput(); err != nil {
+			return nil, "", fmt.Errorf("build %s: %v\n%s", name, err, out)
+		}
+	}
+	const resilience = "deadline=1s,retries=3,budget=0.2,breaker=5"
+	for _, args := range [][]string{
+		{"l3bench", "-fig", "all"},
+		{"l3bench", "-fig", "ablations"},
+		{"l3bench", "-fig", "1", "-csv"},
+		{"l3bench", "-fig", "7", "-quick", "-reps", "2"},
+		{"l3bench", "-quick", "-chaos", "partition@48s+24s:cluster-1/cluster-2"},
+		{"l3bench", "-quick", "-chaos", "garbage@48s+24s:nan", "-guard"},
+		{"l3bench", "-quick", "-chaos", "saturate@48s+24s:api-cluster-1/0.25", "-resilience", resilience},
+		{"l3bench", "-quick", "-chaos", "saturate@48s+24s:api-cluster-1/0.25", "-resilience", resilience, "-overload", "off"},
+		{"l3sim"},
+		{"l3trace"},
+		{"tracegen"},
+	} {
+		if out, err := command(nil, args...).CombinedOutput(); err != nil {
+			return nil, "", fmt.Errorf("%s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+
+	// Three loopback stubs; the last answers 20 ms late, so L3 has a backend
+	// to steer off.
+	var backends []string
+	for i := range 3 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, "", err
+		}
+		defer ln.Close()
+		delay := time.Duration(i/2) * 20 * time.Millisecond
+		go http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			time.Sleep(delay)
+			io.WriteString(w, "ok\n")
+		}))
+		backends = append(backends, fmt.Sprintf("stub-%d=http://%s", i, ln.Addr()))
+	}
+	for _, run := range []struct{ overload, duration string }{{"", "10s"}, {"limit=32,target=20ms,qcap=128,tiers=on", "5s"}} {
+		server := command([]string{"L3SERVE_SCRAPE_INTERVAL=500ms", "L3SERVE_OVERLOAD=" + run.overload},
+			"l3serve", "-listen", "127.0.0.1:0", "-backends", strings.Join(backends, ","))
+		if err := serveUnderLoad(server, command(nil, "l3load", "-rate", "300", "-duration", run.duration)); err != nil {
+			return nil, "", err
+		}
+	}
+
+	out, err := exec.Command("go", "tool", "covdata", "func", "-i="+covdir).Output()
+	if err != nil {
+		return nil, "", fmt.Errorf("covdata: %v", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		// l3/internal/core/collector.go:150:	*Collector.forget	0.0%
+		// total	(statements)	77.7%
+		switch f := strings.Fields(line); {
+		case len(f) == 3 && f[0] == "total":
+			total = strings.Join(f, " ")
+		case len(f) == 3 && f[2] == "0.0%":
+			unrun = append(unrun, strings.TrimPrefix(f[0], "l3/")+" "+f[1])
+		}
+	}
+	sort.Strings(unrun)
+	return unrun, total, nil
+}
+
+// serveUnderLoad starts server, points load at the address it prints, runs
+// load to its end, then interrupts the server and waits for its drain.
+func serveUnderLoad(server, load *exec.Cmd) error {
+	stdout, err := server.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	server.Stderr = os.Stderr
+	if err := server.Start(); err != nil {
+		return err
+	}
+	// l3serve: serving api via l3 on 127.0.0.1:40123 (3 backends)
+	line, _ := bufio.NewReader(stdout).ReadString('\n')
+	go io.Copy(io.Discard, stdout)
+	var out []byte
+	if f := strings.Fields(line); len(f) < 3 {
+		err = fmt.Errorf("l3serve printed %q", line)
+	} else {
+		load.Args = append(load.Args, "-url", "http://"+f[len(f)-3]+"/")
+		out, err = load.CombinedOutput()
+	}
+	server.Process.Signal(os.Interrupt)
+	if werr := server.Wait(); werr != nil {
+		return fmt.Errorf("l3serve: %v", werr)
+	}
+	if err != nil {
+		return fmt.Errorf("l3load: %v\n%s", err, out)
+	}
+	return nil
 }
 
 // unwritten type-checks every directory's files and returns, sorted, the

@@ -52,10 +52,12 @@ race:
 ## internal/metrics; a warm C3 assignment (TestC3WarmAssignDoesNotAllocate),
 ## in internal/c3; and a filtered pick — health failover's and the
 ## breaker's — over round-robin and a weighted split while the allowed
-## subset changes (TestFilterPickAllocs), in internal/balancer.
+## subset changes (TestFilterPickAllocs), in internal/balancer; and filing
+## a family's series in its posting lists, O(labels·log series) allocations
+## (TestFamilyInsertAllocsAreLogarithmic), in internal/timeseries.
 allocs:
-	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|DSBRunBytes|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|C3WarmAssignDoesNotAllocate|FilterPickAllocs)$$' \
-		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/c3 ./internal/balancer
+	$(GO) test -count=1 -v -run '^Test(ScenarioMallocsPerRequest|ScenarioBytesPerRequest|DSBRunMallocs|DSBRunBytes|TenMinuteRecorderHolds|ControlRoundMallocs|WarmScrapeTickDoesNotAllocate|RegistrationRebuildAllocs|HistogramBoundsMismatchPanics|OneSecondCostsOneWindow|RecorderSecondsAreChunked|AdmitPathAllocsPinned|ProxiedRequestBytes|ProxiedRequestMallocs|IndexChunkFillsItsSizeClass|WarmCommentedParseAllocatesTheResult|C3WarmAssignDoesNotAllocate|FilterPickAllocs|FamilyInsertAllocsAreLogarithmic)$$' \
+		./internal/bench ./internal/core ./internal/metrics ./internal/histogram ./internal/loadgen ./internal/serve ./internal/c3 ./internal/balancer ./internal/timeseries
 
 ## fuzz-smoke: five seconds of coverage-guided fuzzing over each parser that
 ## eats outside input — the chaos-schedule grammar (parse/String round-trip

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/url"
 	"testing"
 
 	"l3/internal/metrics"
@@ -180,5 +181,41 @@ func TestProxyHotPathZeroAllocs(t *testing.T) {
 func TestMeasureProxyLayerAllocsAgrees(t *testing.T) {
 	if got := MeasureProxyLayerAllocs(); got != 0 {
 		t.Fatalf("MeasureProxyLayerAllocs = %v, want 0 (the benchmark's serve.layer_allocs_per_op must agree with the pin)", got)
+	}
+}
+
+// A backend URL with a path prefixes every inbound path with it, joined by
+// exactly one slash whether or not the prefix ends in one; an escaped inbound
+// path keeps its escaping under the prefix; a backend query goes ahead of
+// the request's own. A root path adds nothing.
+func TestBackendTargetJoinsPrefixAndQuery(t *testing.T) {
+	for _, c := range []struct {
+		backend, in string
+		want, path  string
+	}{
+		{"http://h:1/base", "/x", "http://h:1/base/x", "/base/x"},
+		{"http://h:1/base/", "/x", "http://h:1/base/x", "/base/x"},
+		{"http://h:1/", "/x", "http://h:1/x", "/x"},
+		{"http://h:1/base", "/a%2Fb", "http://h:1/base/a%2Fb", "/base/a/b"},
+		{"http://h:1/base/", "/a%2Fb", "http://h:1/base/a%2Fb", "/base/a/b"},
+		{"http://h:1/", "/a%2Fb", "http://h:1/a%2Fb", "/a/b"},
+		{"http://h:1/base", "/x?q=1", "http://h:1/base/x?q=1", "/base/x"},
+		{"http://h:1/base?k=v", "/x?q=1", "http://h:1/base/x?k=v&q=1", "/base/x"},
+		{"http://h:1/base/?k=v", "/a%2Fb?q=1", "http://h:1/base/a%2Fb?k=v&q=1", "/base/a/b"},
+		{"http://h:1/?k=v", "/x", "http://h:1/x?k=v", "/x"},
+	} {
+		base, err := url.Parse(c.backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := url.Parse(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var u url.URL
+		(&Backend{URL: base}).target(&u, in)
+		if got := u.String(); got != c.want || u.Path != c.path {
+			t.Errorf("backend %s, inbound %s: target %s (path %q), want %s (path %q)", c.backend, c.in, got, u.Path, c.want, c.path)
+		}
 	}
 }

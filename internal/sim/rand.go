@@ -107,9 +107,10 @@ func NewLogNormalFromQuantiles(median, p99 time.Duration) LogNormalFromQuantiles
 	}
 }
 
-// Sample draws one duration.
+// Sample draws one duration, at least 1 ns: a log-normal draw is positive,
+// but one under a nanosecond would truncate to 0.
 func (d LogNormalFromQuantiles) Sample(r *Rand) time.Duration {
-	return time.Duration(r.LogNormal(d.mu, d.sigma) * float64(time.Second))
+	return max(time.Duration(r.LogNormal(d.mu, d.sigma)*float64(time.Second)), 1)
 }
 
 // Median returns the distribution's median as a duration.

@@ -187,6 +187,20 @@ func TestLogNormalSamplesAlwaysPositiveProperty(t *testing.T) {
 	}
 }
 
+// A wide distribution draws values under a nanosecond, which Sample floors at
+// 1 ns rather than truncating to 0: at a 1 ms median and a 38.73 s P99
+// (σ ≈ 4.54), the input testing/quick once found, 127 of these 100 000
+// draws truncated to 0.
+func TestLogNormalSampleFloorsAtOneNanosecond(t *testing.T) {
+	d := NewLogNormalFromQuantiles(time.Millisecond, 38730*time.Millisecond)
+	r := NewRand(1)
+	for i := 0; i < 100_000; i++ {
+		if got := d.Sample(r); got < 1 {
+			t.Fatalf("draw %d = %v, want at least 1ns", i, got)
+		}
+	}
+}
+
 func absDur(d time.Duration) time.Duration {
 	if d < 0 {
 		return -d

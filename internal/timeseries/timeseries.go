@@ -45,13 +45,26 @@ type seriesData struct {
 // series is a stored series: the database's value inside the index's entry.
 type series = metrics.Entry[seriesData]
 
-// family is one metric name's series: in insertion order, and by postings
-// (label name -> value -> series, each list in insertion order) for selector
-// queries — the index layout Prometheus's own head block uses.
+// family is one metric name's series in insertion order: a series' position
+// in series is its ordinal. postings index them by label name and value for
+// selector queries — the index layout Prometheus's own head block uses — with
+// each value's list threaded through the ordinals, not held as a slice of its
+// own.
 type family struct {
 	series   []*series
-	postings map[string]map[string][]*series
+	postings map[string]*postings
 }
+
+// postings are one label's posting lists in a family. next is indexed by
+// ordinal: next[o] is the ordinal after o in the list of o's value, -1 at its
+// tail; an ordinal whose series lacks the label has an entry nothing reads.
+type postings struct {
+	next    []int32
+	byValue map[string]postingList
+}
+
+// postingList is one value's list: its first and last ordinal and its length.
+type postingList struct{ head, tail, n int32 }
 
 // pointWindow is the capacity a new series' points start with, inside the
 // series (window0). A control plane keeps two query windows of two
@@ -61,27 +74,51 @@ type family struct {
 // keeps more (a sub-second scrape, a longer retention) grows onto the heap.
 const pointWindow = 6
 
-// insert adds s, a series the index has just created, and indexes every
-// pair of its labels. An "le" that parses to +Inf marks the overflow bucket,
-// as in Prometheus.
+// insert adds s, a series the index has just created, and threads it onto
+// the list of every pair of its labels. An "le" that parses to +Inf marks
+// the overflow bucket, as in Prometheus.
 func (f *family) insert(s *series) {
 	d := &s.Value
 	d.points = d.window0[:0]
 	d.bound = math.NaN()
+	o := int32(len(f.series))
+	f.series = grown(f.series, len(f.series)+1)
+	f.series[o] = s
 	for k, v := range s.Labels() {
-		byValue := f.postings[k]
-		if byValue == nil {
-			byValue = make(map[string][]*series)
-			f.postings[k] = byValue
+		p := f.postings[k]
+		if p == nil {
+			p = &postings{byValue: make(map[string]postingList)}
+			f.postings[k] = p
 		}
-		byValue[v] = append(byValue[v], s)
+		p.next = grown(p.next, int(o)+1)
+		p.next[o] = -1
+		l, ok := p.byValue[v]
+		if ok {
+			p.next[l.tail] = o
+			l.tail, l.n = o, l.n+1
+		} else {
+			l = postingList{head: o, tail: o, n: 1}
+		}
+		p.byValue[v] = l
 		if k == "le" {
 			if b, err := strconv.ParseFloat(v, 64); err == nil {
 				d.bound = b
 			}
 		}
 	}
-	f.series = append(f.series, s)
+}
+
+// grown returns list lengthened to n entries, doubling its capacity when n
+// exceeds it: append grows a large slice by about 1.25×, so a list grown an
+// entry at a time past a few hundred entries would allocate four to five
+// times its final size.
+func grown[T any](list []T, n int) []T {
+	if n > cap(list) {
+		bigger := make([]T, n, max(2*cap(list), n, 8))
+		copy(bigger, list)
+		return bigger
+	}
+	return list[:n]
 }
 
 // Gate screens samples before ingestion. A gate may rewrite the admitted
@@ -231,7 +268,7 @@ func (db *DB) store(ref *Ref, name string, labels metrics.Labels, t time.Duratio
 func (db *DB) add(name string, s *series) {
 	f := db.families[name]
 	if f == nil {
-		f = &family{postings: make(map[string]map[string][]*series)}
+		f = &family{postings: make(map[string]*postings)}
 		db.families[name] = f
 		if base, ok := strings.CutSuffix(name, "_bucket"); ok {
 			db.buckets[base] = f
@@ -280,58 +317,72 @@ func (db *DB) matching(name string, match metrics.Labels) []*series {
 // label — so it is only verified; a selector with no other pair walks the
 // family.
 func (db *DB) match(f *family, match metrics.Labels) []*series {
-	candidates, _, _, ok := f.candidates(match)
+	post, head, ok := f.candidates(match)
 	if !ok {
 		return nil
 	}
-	return db.verify(candidates, match)
+	matched, _ := db.verify(f, post, head, -1, match)
+	return matched
 }
 
-// candidates returns the list match walks: the posting list of the pair
-// (label, value) that is the shortest among match's pairs with a value, or
-// the family's series when no pair has one (label and value ""). ok is false
-// when a pair's list is empty: nothing matches yet.
-func (f *family) candidates(match metrics.Labels) (list []*series, label, value string, ok bool) {
-	list = f.series
-	indexed := false
+// candidates returns where match's walk starts: the postings of the label
+// whose list is the shortest among match's pairs with a value, and that
+// list's head; or nil postings and ordinal 0, the family's series, when no
+// pair has a value. ok is false when a pair's list is empty: nothing matches
+// yet.
+func (f *family) candidates(match metrics.Labels) (post *postings, head int32, ok bool) {
+	n := int32(len(f.series))
 	for k, v := range match {
 		if v == "" {
 			continue
 		}
-		l := f.postings[k][v]
-		if len(l) == 0 {
-			return nil, "", "", false
+		p := f.postings[k]
+		if p == nil {
+			return nil, 0, false
 		}
-		if !indexed || len(l) < len(list) {
-			list, label, value, indexed = l, k, v, true
+		l, found := p.byValue[v]
+		if !found {
+			return nil, 0, false
+		}
+		if post == nil || l.n < n {
+			post, head, n = p, l.head, l.n
 		}
 	}
-	return list, label, value, true
+	return post, head, true
 }
 
-// verify returns the candidates that carry match in db.matched, valid until
-// the next call.
-func (db *DB) verify(candidates []*series, match metrics.Labels) []*series {
+// verify examines the candidates from ordinal o to the end of their list —
+// threaded through post's next, or the family's series in order when post is
+// nil — and gathers those that carry match in db.matched, valid until the
+// next call. It returns them and the last ordinal it examined: last, when it
+// examined none.
+func (db *DB) verify(f *family, post *postings, o, last int32, match metrics.Labels) ([]*series, int32) {
 	out := db.matched[:0]
-	for _, s := range candidates {
-		if s.Labels().Matches(match) {
+	for o >= 0 && int(o) < len(f.series) {
+		if s := f.series[o]; s.Labels().Matches(match) {
 			out = append(out, s)
 		}
+		db.visited++
+		last = o
+		if post == nil {
+			o++
+		} else {
+			o = post.next[o]
+		}
 	}
-	db.visited += uint64(len(candidates))
 	db.matched = out
-	return out
+	return out, last
 }
 
 // Selector is a standing query target: one family of one database and the
 // labels its series must carry, with the series that matched kept in
-// insertion order. It keeps the list the first match walked — the posting
-// list a label-taking query would walk, or the family's series — and how much
-// of it it has examined. Posting lists and a family's series only grow, at
-// the end, in insertion order, so when the family grows the selector examines
-// only what its list gained, and otherwise no series. A family that does not
-// exist yet, or where a pair's list is still empty, is looked for again by
-// the next query after it grows.
+// insertion order. It keeps a cursor on the list the first match walked —
+// the posting list a label-taking query would walk, or the family's series —
+// at the last ordinal it examined. Lists only grow, at their tails, in
+// insertion order, so when the family grows the selector examines only what
+// its list gained, and otherwise no series. A family that does not exist yet,
+// or where a pair's list is still empty, is looked for again by the next
+// query after it grows.
 //
 // A Selector is used by one goroutine at a time and not copied once queried;
 // its match labels are shared with the caller, which must not change them.
@@ -342,12 +393,12 @@ type Selector struct {
 
 	family *family
 	size   int // len(family.series) when series was last brought up to date
-	// label and value name the posting list the selector walks, "" the
-	// family's series once listed; seen is how many entries it has examined.
-	label, value string
-	listed       bool
-	seen         int
-	series       []*series
+	// The cursor, set once listed: post holds the list the selector walks,
+	// nil for the family's series, and last is the ordinal it examined last.
+	post   *postings
+	last   int32
+	listed bool
+	series []*series
 }
 
 // NewSelector returns a selector over the named family's series carrying
@@ -369,21 +420,22 @@ func (sel *Selector) resolved() []*series {
 	f := sel.family
 	if n := len(f.series); n != sel.size {
 		sel.size = n
-		var list []*series
+		var o int32
 		switch {
 		case !sel.listed:
 			var ok bool
-			if list, sel.label, sel.value, ok = f.candidates(sel.match); !ok {
+			if sel.post, o, ok = f.candidates(sel.match); !ok {
 				return nil
 			}
 			sel.listed = true
-		case sel.value == "":
-			list = f.series
+		case sel.post == nil:
+			o = sel.last + 1
 		default:
-			list = f.postings[sel.label][sel.value]
+			o = sel.post.next[sel.last]
 		}
-		sel.series = append(sel.series, sel.db.verify(list[sel.seen:], sel.match)...)
-		sel.seen = len(list)
+		var matched []*series
+		matched, sel.last = sel.db.verify(f, sel.post, o, sel.last, sel.match)
+		sel.series = append(sel.series, matched...)
 	}
 	return sel.series
 }

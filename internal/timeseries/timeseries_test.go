@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -357,5 +358,42 @@ func TestScrapeRoutesThroughGate(t *testing.T) {
 	v, ok := db.Latest("req_total", nil, time.Minute)
 	if !ok || v != 8 { // 4 doubled by the gate
 		t.Fatalf("gated scrape stored %v,%v want 8", v, ok)
+	}
+}
+
+// Filing a family's series allocates only when the family's ordinals or a
+// label's next array fill up, each doubling, or a label's map of values
+// grows, doubling too: inserting N series with L labels costs O(L·log N)
+// allocations. A list per value, grown an entry at a time, costs
+// allocations for every value's list: over two thousand here, where the
+// backend label alone has 512 values.
+func TestFamilyInsertAllocsAreLogarithmic(t *testing.T) {
+	const n, labels = 4096, 5
+	var ix metrics.Index[seriesData]
+	ss := make([]*series, n)
+	for i := range ss {
+		s, _ := ix.Resolve("response_latency_bucket", metrics.Labels{
+			"service":        "svc",
+			"cluster":        strconv.Itoa(i % 4),
+			"classification": strconv.Itoa(i / 4 % 2),
+			"le":             strconv.Itoa(i / 8 % 16),
+			"backend":        strconv.Itoa(i/128*16 + i%16),
+		})
+		ss[i] = s
+	}
+	var f *family
+	allocs := testing.AllocsPerRun(1, func() {
+		f = &family{postings: make(map[string]*postings)}
+		for _, s := range ss {
+			f.insert(s)
+		}
+	})
+	if len(f.series) != n || len(f.postings) != labels {
+		t.Fatalf("family holds %d series under %d labels, want %d under %d", len(f.series), len(f.postings), n, labels)
+	}
+	bound := 2 * labels * math.Log2(n)
+	t.Logf("%v allocations to file %d series with %d labels (bound %v)", allocs, n, labels, bound)
+	if allocs > bound {
+		t.Errorf("filing %d series with %d labels: %v allocations, want at most %v", n, labels, allocs, bound)
 	}
 }
